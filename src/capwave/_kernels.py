@@ -1,137 +1,70 @@
-"""Segment-crossing kernel, the one hot non-FFT loop in the package.
+"""Segment-crossing sweep behind the injectivity check.
 
-Two interchangeable implementations: a numba @njit pairwise sweep and a
-chunk-vectorised numpy fallback.  Selection:
-
-    CAPWAVE_BACKEND=numba   force the jit kernel (error if numba is missing)
-    CAPWAVE_BACKEND=numpy   force the fallback
-    unset / auto            numba when importable, else numpy
-
-Both compute the same crossing points; benchmarks/segment_bench.py compares
-their throughput.
+A pair of segments can only cross where both their x-ranges and their
+y-ranges overlap.  Sorting the segments by their left end and searching each
+right end in that order gives, for every segment, the window of later
+segments that overlap it in x; the y-ranges prune those pairs further, and
+only the survivors get the four orientation tests.  On the surface curves
+checked here a segment overlaps a handful of others, so the sweep costs
+O(n log n) plus the candidate pairs instead of the n^2 / 2 of a full pairwise
+sweep.  The orientation arithmetic is the pairwise sweep's (kept as the
+reference in tests/_oracles.py), so both return the same points bit for bit,
+in the same order, except for pairs whose boxes are disjoint: on nearly
+collinear points rounding can make the pairwise orientation tests report
+such a pair as crossing, and this sweep never tests it.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 ENDPOINT_BAND = 1e-12
-_MAX_HITS = 8192
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
 
 
 def selected_backend() -> str:
-    env = os.environ.get("CAPWAVE_BACKEND", "auto").strip().lower()
-    if env in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("CAPWAVE_BACKEND=numba but numba is not importable")
-        return "numba"
-    if env == "numpy":
-        return "numpy"
-    raise RuntimeError(f"CAPWAVE_BACKEND must be auto, numba or numpy, got {env!r}")
+    """Name of the crossing kernel; only the numpy sweep exists, but benchmark
+    records still store this name with every run."""
+    return "numpy"
 
 
-@njit(cache=True)
-def _crossings_jit(x, y, band):
-    n = len(x) - 1
-    out = np.empty((_MAX_HITS, 2))
-    hits = 0
-    for i in range(n - 2):
-        ax, ay = x[i], y[i]
-        bx, by = x[i + 1], y[i + 1]
-        xlo = min(ax, bx)
-        xhi = max(ax, bx)
-        ylo = min(ay, by)
-        yhi = max(ay, by)
-        for j in range(i + 2, n):
-            cx, cy = x[j], y[j]
-            dx, dy = x[j + 1], y[j + 1]
-            if min(cx, dx) > xhi or max(cx, dx) < xlo:
-                continue
-            if min(cy, dy) > yhi or max(cy, dy) < ylo:
-                continue
-            d1 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
-            d2 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
-            d3 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            d4 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
-            if d1 * d2 < 0.0 and d3 * d4 < 0.0:
-                s = d1 / (d1 - d2)
-                px = ax + s * (bx - ax)
-                py = ay + s * (by - ay)
-                if abs(px - ax) <= band and abs(py - ay) <= band:
-                    continue
-                if abs(px - bx) <= band and abs(py - by) <= band:
-                    continue
-                if abs(px - cx) <= band and abs(py - cy) <= band:
-                    continue
-                if abs(px - dx) <= band and abs(py - dy) <= band:
-                    continue
-                if hits < _MAX_HITS:
-                    out[hits, 0] = px
-                    out[hits, 1] = py
-                    hits += 1
-    return out[:hits]
-
-
-def _crossings_numpy(x, y, band):
-    n = len(x) - 1
-    ax, ay = x[:-1], y[:-1]
-    bx, by = x[1:], y[1:]
-    pts = []
-    chunk = 256
-    jj = np.arange(n)[None, :]
-    for i0 in range(0, max(n - 2, 0), chunk):
-        i1 = min(i0 + chunk, n - 2)
-        idx = np.arange(i0, i1)
-        Ax, Ay = ax[idx, None], ay[idx, None]
-        Bx, By = bx[idx, None], by[idx, None]
-        d1 = (bx[None, :] - ax[None, :]) * (Ay - ay[None, :]) - (by[None, :] - ay[None, :]) * (Ax - ax[None, :])
-        d2 = (bx[None, :] - ax[None, :]) * (By - ay[None, :]) - (by[None, :] - ay[None, :]) * (Bx - ax[None, :])
-        d3 = (Bx - Ax) * (ay[None, :] - Ay) - (By - Ay) * (ax[None, :] - Ax)
-        d4 = (Bx - Ax) * (by[None, :] - Ay) - (By - Ay) * (bx[None, :] - Ax)
-        proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0) & (jj >= (idx[:, None] + 2))
-        for i_loc, j in zip(*np.nonzero(proper)):
-            i = i0 + i_loc
-            s = d1[i_loc, j] / (d1[i_loc, j] - d2[i_loc, j])
-            px = x[i] + s * (x[i + 1] - x[i])
-            py = y[i] + s * (y[i + 1] - y[i])
-            near = False
-            for e in (i, i + 1, j, j + 1):
-                if abs(px - x[e]) <= band and abs(py - y[e]) <= band:
-                    near = True
-                    break
-            if not near:
-                pts.append((px, py))
-    return np.array(pts, dtype=float).reshape(-1, 2)
-
-
-def segment_crossings(x: np.ndarray, y: np.ndarray, band: float = ENDPOINT_BAND,
-                      backend: str | None = None) -> np.ndarray:
+def segment_crossings(x: np.ndarray, y: np.ndarray, band: float = ENDPOINT_BAND) -> np.ndarray:
     """Proper pairwise intersections of the open polyline (x, y).
 
     Adjacent segments are skipped; intersections within `band` of a segment
-    endpoint are excluded.  Returns an (n, 2) array of crossing coordinates.
+    endpoint are excluded.  Returns an (n, 2) array of crossing coordinates,
+    ordered by the index of the first segment and then of the second.
     """
     x = np.ascontiguousarray(x, dtype=float)
     y = np.ascontiguousarray(y, dtype=float)
     if len(x) != len(y) or len(x) < 4:
         raise ValueError("need at least 4 polyline points")
-    use = backend or selected_backend()
-    if use == "numba":
-        return _crossings_jit(x, y, band)
-    return _crossings_numpy(x, y, band)
+    ax, ay = x[:-1], y[:-1]
+    bx, by = x[1:], y[1:]
+    xlo, xhi = np.minimum(ax, bx), np.maximum(ax, bx)
+    ylo, yhi = np.minimum(ay, by), np.maximum(ay, by)
+    # in order of left ends, each segment pairs with the later ones whose left
+    # end lies in its x-range: every pair of overlapping x-ranges, once
+    order = np.argsort(xlo)
+    count = np.searchsorted(xlo[order], xhi[order], side="right") - np.arange(1, len(order) + 1)
+    first = np.repeat(np.arange(len(order)), count)
+    second = first + 1 + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    i = np.minimum(order[first], order[second])
+    j = np.maximum(order[first], order[second])
+    keep = (j >= i + 2) & (ylo[j] <= yhi[i]) & (ylo[i] <= yhi[j])
+    i, j = i[keep], j[keep]
+    Ax, Ay, Bx, By = ax[i], ay[i], bx[i], by[i]
+    d1 = (bx[j] - ax[j]) * (Ay - ay[j]) - (by[j] - ay[j]) * (Ax - ax[j])
+    d2 = (bx[j] - ax[j]) * (By - ay[j]) - (by[j] - ay[j]) * (Bx - ax[j])
+    d3 = (Bx - Ax) * (ay[j] - Ay) - (By - Ay) * (ax[j] - Ax)
+    d4 = (Bx - Ax) * (by[j] - Ay) - (By - Ay) * (bx[j] - Ax)
+    proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+    i, j, d1, d2 = i[proper], j[proper], d1[proper], d2[proper]
+    s = d1 / (d1 - d2)
+    px = x[i] + s * (x[i + 1] - x[i])
+    py = y[i] + s * (y[i + 1] - y[i])
+    near = np.zeros(len(i), dtype=bool)
+    for e in (i, i + 1, j, j + 1):
+        near |= (np.abs(px - x[e]) <= band) & (np.abs(py - y[e]) <= band)
+    hits = np.lexsort((j, i))
+    hits = hits[~near[hits]]
+    return np.column_stack((px[hits], py[hits]))

@@ -5,18 +5,15 @@ also come from a JSON config file (--config PATH); explicit flags win.  All
 outputs are UTF-8 and byte-deterministic for a fixed configuration.
 
 Exit codes: 0 success, 1 usage/config error, 2 tolerance failure, 3 solver
-failure (partial branch saved).  CAPWAVE_SEED is reserved but unused; every
-algorithm here is deterministic.
+failure (partial branch saved; nothing is written when the first point fails).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,12 +22,14 @@ from .continuation import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     DepthMode,
+    NewtonError,
     StepUnderflowError,
     continue_branch,
 )
 from .linearization import INJECTIVITY_TOL, dG_matrix, jacobian_fd, recurrence_scan
 from .operators import WaveParams, bernoulli_b, residual_G, residual_inf, theta_of, wavenumber_k
 from .serialization import (
+    _csv_cell,
     branch_csv_text,
     branch_to_dict,
     dumps_fixed,
@@ -90,7 +89,6 @@ def build_parser():
     p.add_argument("--M", type=int, default=None, help="sine modes kept (default 64)")
     p.add_argument("--out-json", type=str, default=None)
     p.add_argument("--out-csv", type=str, default=None)
-    p.add_argument("--jobs", type=int, default=None, help="parallel grid cells (default 1)")
     _add_config(p)
 
     p = sub.add_parser("continue", help="continue the solution sheet in (alpha, beta)")
@@ -218,7 +216,6 @@ def _spectrum_row(A, M):
 
 def cmd_spectrum(args):
     _default(args, "M", 64)
-    _default(args, "jobs", 1)
     if args.A_values is None:
         values = [round(0.1 * i, 10) for i in range(1, 10)]
     else:
@@ -228,11 +225,7 @@ def cmd_spectrum(args):
             raise CliError(f"bad --A-values: {exc}")
     for A in values:
         _check_A(A)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda A: _spectrum_row(A, args.M), values))
-    else:
-        rows = [_spectrum_row(A, args.M) for A in values]
+    rows = [_spectrum_row(A, args.M) for A in values]
     passed = all(r["consistent"] and r["fd_mismatch"] <= 1e-4 for r in rows)
     report = {"command": "spectrum", "M": args.M, "rows": rows, "passed": passed}
     if args.out_json:
@@ -242,19 +235,11 @@ def cmd_spectrum(args):
                 "a1_coefficient", "a2_coefficient", "consistent")
         lines = [",".join(cols)]
         for r in rows:
-            lines.append(",".join(_fmt_cell(r[c]) for c in cols))
+            lines.append(",".join(_csv_cell(r[c]) for c in cols))
         with open(args.out_csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     sys.stdout.write(dumps_fixed(report) + "\n")
     return EXIT_OK if passed else EXIT_TOLERANCE
-
-
-def _fmt_cell(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return "nan" if math.isnan(v) else "%.17g" % v
-    return str(v)
 
 
 # -- continue ----------------------------------------------------------------------
@@ -438,6 +423,9 @@ def main(argv=None) -> int:
     except (ValueError, DegenerateMetricError) as exc:
         sys.stderr.write(f"capwave: {exc}\n")
         return EXIT_USAGE
+    except NewtonError as exc:
+        sys.stderr.write(f"capwave: {exc}\n")
+        return EXIT_SOLVER
 
 
 def console_main():

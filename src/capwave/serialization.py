@@ -87,6 +87,11 @@ def solution_to_dict(sol: WaveSolution) -> dict:
     }
 
 
+def _float_or_nan(v) -> float:
+    # format_float writes NaN (and inf) as null
+    return math.nan if v is None else float(v)
+
+
 def solution_from_dict(d: dict) -> WaveSolution:
     if d.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {d.get('format_version')!r}")
@@ -101,11 +106,11 @@ def solution_from_dict(d: dict) -> WaveSolution:
     geometry = {k: diag[k] for k in ("steepness", "injective", "above_bed", "crossing_count")
                 if k in diag}
     return WaveSolution(params=params, depth=depth, w=w,
-                        residual_norm=float(d["residual_norm"]),
-                        b_or_qhat=float(diag.get("b_or_qhat", math.nan)),
+                        residual_norm=_float_or_nan(d["residual_norm"]),
+                        b_or_qhat=_float_or_nan(diag.get("b_or_qhat")),
                         newton_iters=int(diag.get("newton_iters", 0)),
                         modes=len(coeffs),
-                        sigma_min=float(diag.get("sigma_min", math.nan)),
+                        sigma_min=_float_or_nan(diag.get("sigma_min")),
                         residual_history=(), geometry=geometry)
 
 

@@ -66,3 +66,37 @@ def deep_residual_on_samples(alpha, beta, w, wp, cwp, wpp):
     bracket = winvhalf - (b - 2.0 * alpha * w) * whalf
     cbracket = fft_hilbert(bracket - bracket.mean())
     return wpp - wp * cbracket / (2.0 * beta) - (1.0 + cwp) * bracket / (2.0 * beta)
+
+
+def pairwise_crossings(x, y, band):
+    """Reference crossing sweep: orientation tests on every pair of
+    non-adjacent segments, 256 rows at a time."""
+    n = len(x) - 1
+    ax, ay = x[:-1], y[:-1]
+    bx, by = x[1:], y[1:]
+    pts = []
+    chunk = 256
+    jj = np.arange(n)[None, :]
+    for i0 in range(0, max(n - 2, 0), chunk):
+        i1 = min(i0 + chunk, n - 2)
+        idx = np.arange(i0, i1)
+        Ax, Ay = ax[idx, None], ay[idx, None]
+        Bx, By = bx[idx, None], by[idx, None]
+        d1 = (bx[None, :] - ax[None, :]) * (Ay - ay[None, :]) - (by[None, :] - ay[None, :]) * (Ax - ax[None, :])
+        d2 = (bx[None, :] - ax[None, :]) * (By - ay[None, :]) - (by[None, :] - ay[None, :]) * (Bx - ax[None, :])
+        d3 = (Bx - Ax) * (ay[None, :] - Ay) - (By - Ay) * (ax[None, :] - Ax)
+        d4 = (Bx - Ax) * (by[None, :] - Ay) - (By - Ay) * (bx[None, :] - Ax)
+        proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0) & (jj >= (idx[:, None] + 2))
+        for i_loc, j in zip(*np.nonzero(proper)):
+            i = i0 + i_loc
+            s = d1[i_loc, j] / (d1[i_loc, j] - d2[i_loc, j])
+            px = x[i] + s * (x[i + 1] - x[i])
+            py = y[i] + s * (y[i + 1] - y[i])
+            near = False
+            for e in (i, i + 1, j, j + 1):
+                if abs(px - x[e]) <= band and abs(py - y[e]) <= band:
+                    near = True
+                    break
+            if not near:
+                pts.append((px, py))
+    return np.array(pts, dtype=float).reshape(-1, 2)

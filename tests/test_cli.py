@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -133,17 +134,6 @@ def test_spectrum_with_kernel_row(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_spectrum_jobs_deterministic(tmp_path, capsys):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    assert main(["spectrum", "--A-values", "0.2,0.4", "--M", "16",
-                 "--out-csv", str(a)]) == 0
-    assert main(["spectrum", "--A-values", "0.2,0.4", "--M", "16",
-                 "--jobs", "2", "--out-csv", str(b)]) == 0
-    assert _read(a) == _read(b)
-    capsys.readouterr()
-
-
 # -- continue / profile -------------------------------------------------------------
 
 
@@ -187,6 +177,19 @@ def test_continue_step_underflow_saves_partial(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_continue_first_point_failure_exit_code(tmp_path, capsys):
+    jsn = tmp_path / "branch.json"
+    csv = tmp_path / "branch.csv"
+    code = main(["continue", "--A", "0.3", "--tol", "1e-20", "--max-iter", "3",
+                 "--M", "32", "--steps", "1", "--alpha-max", "0.01",
+                 "--out-json", str(jsn), "--out-csv", str(csv)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not jsn.exists() and not csv.exists()
+
+
 def test_profile_round_trip_and_svg(tmp_path, capsys):
     # store a steep pure-capillary wave and reconstruct its overhanging curve
     w = crapper.crapper_wave(0.8, 512)
@@ -207,6 +210,22 @@ def test_profile_round_trip_and_svg(tmp_path, capsys):
     text = _read(svg)
     assert "<polyline" in text
     assert "<circle" in text  # self-intersection markers on the A=0.8 profile
+    capsys.readouterr()
+
+
+def test_profile_reads_nan_diagnostics(tmp_path, capsys):
+    w = crapper.crapper_wave(0.3, 256)
+    params = WaveParams(alpha=0.0, beta=crapper.beta_of(0.3))
+    sol = newton_solve(residual_inf, params, DepthMode.infinite(), w, M=32)
+    sol = dataclasses.replace(sol, residual_norm=math.nan, b_or_qhat=math.nan,
+                              sigma_min=math.nan)
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(dumps_fixed(solution_to_dict(sol)))
+    back = solution_from_dict(json.loads(_read(sol_path)))
+    assert math.isnan(back.residual_norm)
+    assert math.isnan(back.b_or_qhat)
+    assert math.isnan(back.sigma_min)
+    assert main(["profile", "--input", str(sol_path)]) == 0
     capsys.readouterr()
 
 
@@ -277,15 +296,3 @@ def test_branch_round_trip():
     assert back.step_history == branch.step_history
     assert np.max(np.abs(back.solutions[-1].w.cosine_coefficients(16)
                          - branch.solutions[-1].w.cosine_coefficients(16))) == 0.0
-
-
-def test_backend_selection_env(monkeypatch):
-    from capwave import _kernels
-
-    monkeypatch.setenv("CAPWAVE_BACKEND", "numpy")
-    assert _kernels.selected_backend() == "numpy"
-    monkeypatch.setenv("CAPWAVE_BACKEND", "auto")
-    assert _kernels.selected_backend() in ("numba", "numpy")
-    monkeypatch.setenv("CAPWAVE_BACKEND", "cuda")
-    with pytest.raises(RuntimeError, match="CAPWAVE_BACKEND"):
-        _kernels.selected_backend()

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from capwave import crapper
-from capwave._kernels import HAVE_NUMBA, segment_crossings
+from capwave._kernels import ENDPOINT_BAND, segment_crossings
 from capwave.geometry import (
     SurfaceCurve,
     check_above_bed,
@@ -14,6 +16,7 @@ from capwave.geometry import (
 )
 from capwave.operators import conformal_metric
 from capwave.spectral import DegenerateMetricError, PeriodicFunction, derivative, grid
+from _oracles import pairwise_crossings
 
 
 def test_surface_profile_flat_and_family_values():
@@ -64,18 +67,45 @@ def test_injectivity_symmetric_under_parameter_sign():
                 == crapper_profile_injective(-A, 1024))
 
 
-def test_backends_agree_on_crossings():
-    w = crapper.crapper_wave(0.9, 1024)
-    curve = surface_profile(w, 1.0)
-    x, y = curve.extended(margin=0.5)
-    via_numpy = segment_crossings(x, y, backend="numpy")
-    assert len(via_numpy) >= 2
-    if HAVE_NUMBA:
-        via_numba = segment_crossings(x, y, backend="numba")
-        assert via_numba.shape == via_numpy.shape
-        order_a = np.lexsort((via_numba[:, 1], via_numba[:, 0]))
-        order_b = np.lexsort((via_numpy[:, 1], via_numpy[:, 0]))
-        assert np.allclose(via_numba[order_a], via_numpy[order_b], atol=1e-9)
+def _assert_same_crossings(x, y):
+    got = segment_crossings(x, y)
+    want = pairwise_crossings(x, y, ENDPOINT_BAND)
+    assert np.array_equal(got, want)  # same points in the same order
+    return got
+
+
+@st.composite
+def _polylines(draw):
+    n = draw(st.integers(4, 80))
+    coords = arrays(float, n, elements=st.floats(-10.0, 10.0))
+    x, y = draw(coords), draw(coords)
+    if draw(st.booleans()):  # random walk: winds and overhangs
+        x, y = np.cumsum(x), np.cumsum(y)
+    return x, y
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_polylines())
+def test_segment_crossings_match_pairwise_oracle(xy):
+    _assert_same_crossings(*xy)
+
+
+def test_segment_crossings_match_oracle_on_crapper_curves():
+    for n in (1024, 2048):
+        for A in (0.3, 0.45, 0.46, 0.6, 0.9):
+            x, y = surface_profile(crapper.crapper_wave(A, n), 1.0).extended(margin=0.5)
+            hits = _assert_same_crossings(x, y)
+            assert (len(hits) == 0) == (A < 0.4546)
+
+
+def test_segment_crossings_skip_disjoint_boxes():
+    # four points in order along y = x/3: the outer segments [0.3, 0.6] and
+    # [0.8, 0.9] cannot meet, but rounding makes the pairwise orientation
+    # tests report a crossing; the sweep never tests a pair whose boxes miss
+    x = np.array([0.3, 0.6, 0.8, 0.9])
+    y = x / 3.0
+    assert len(pairwise_crossings(x, y, ENDPOINT_BAND)) == 1
+    assert segment_crossings(x, y).shape == (0, 2)
 
 
 def test_check_above_bed_examples():
@@ -129,6 +159,6 @@ def test_segment_crossings_validation():
     # two crossing segments embedded in a zig-zag polyline
     x = np.array([0.0, 1.0, 1.0, 0.0])
     y = np.array([0.0, 1.0, 0.0, 1.0])
-    hits = segment_crossings(x, y, backend="numpy")
+    hits = segment_crossings(x, y)
     assert len(hits) == 1
     assert hits[0] == pytest.approx([0.5, 0.5], abs=1e-12)
