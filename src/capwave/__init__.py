@@ -11,11 +11,9 @@ from .spectral import (
     hilbert_strip,
     kappa_tail_bound,
     mean,
-    pointwise,
 )
 from .crapper import beta_of, crapper_theta, crapper_wave, q_of, verify_identity
 from .operators import (
-    DepthMode,
     PhysicalScales,
     WaveParams,
     bernoulli_b,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -21,7 +22,6 @@ from . import crapper, geometry
 from .continuation import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    DepthMode,
     NewtonError,
     StepUnderflowError,
     continue_branch,
@@ -37,6 +37,7 @@ from .serialization import (
     profile_svg_text,
     solution_from_dict,
     write_json,
+    write_text,
 )
 from .spectral import DegenerateMetricError
 
@@ -53,7 +54,13 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("allow_abbrev", False)  # --g must not match --grid
+        self.flag_types = {}  # dest -> type, to check config values against
         super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flag_types[action.dest] = action.type
+        return action
 
     def error(self, message):
         raise CliError(message)
@@ -127,10 +134,16 @@ def build_parser():
     p.add_argument("--out", type=str, default=None)
     _add_config(p)
     _add_constants(p)
+    top.commands = sub.choices
     return top
 
 
-def _merge_config(args):
+# JSON types a config value may have, by the type of its flag (bool is an int
+# subclass in Python but never a number here)
+_JSON_TYPES = {float: (int, float), int: (int,), str: (str,)}
+
+
+def _merge_config(args, flag_types):
     cfg = {}
     if getattr(args, "config", None):
         try:
@@ -144,6 +157,10 @@ def _merge_config(args):
         dest = key.replace("-", "_")
         if not hasattr(args, dest):
             raise CliError(f"unknown config key {key!r}")
+        kind = flag_types.get(dest)
+        if val is not None and kind in _JSON_TYPES and (
+                isinstance(val, bool) or not isinstance(val, _JSON_TYPES[kind])):
+            raise CliError(f"config key {key!r} needs a {kind.__name__}, got {val!r}")
         if getattr(args, dest) is None:
             setattr(args, dest, val)
     return args
@@ -159,13 +176,20 @@ def _check_A(A):
         raise CliError(f"parameter A must satisfy |A| < 1, got {A}")
 
 
+def _emit(report, path):
+    """Print a report and, given a path, write the same text there."""
+    text = dumps_fixed(report) + "\n"
+    if path:
+        write_text(path, text)
+    sys.stdout.write(text)
+
+
 # -- verify ---------------------------------------------------------------------
 
 
 def cmd_verify(args):
     _default(args, "A", 0.5)
     _default(args, "grid", 512)
-    _default(args, "out", None)
     _check_A(args.A)
     A, n = args.A, args.grid
     checks = {}
@@ -187,11 +211,7 @@ def cmd_verify(args):
                float(np.max(np.abs(theta_of(w).samples - theta.samples))), 1e-10)
     report = {"command": "verify", "A": A, "n_grid": n, "beta": beta,
               "checks": checks, "passed": all(c["pass"] for c in checks.values())}
-    text = dumps_fixed(report) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_TOLERANCE
 
 
@@ -228,17 +248,12 @@ def cmd_spectrum(args):
     rows = [_spectrum_row(A, args.M) for A in values]
     passed = all(r["consistent"] and r["fd_mismatch"] <= 1e-4 for r in rows)
     report = {"command": "spectrum", "M": args.M, "rows": rows, "passed": passed}
-    if args.out_json:
-        write_json(args.out_json, report)
     if args.out_csv:
         cols = ("A", "sigma_min", "verdict", "kernel", "fd_mismatch",
                 "a1_coefficient", "a2_coefficient", "consistent")
-        lines = [",".join(cols)]
-        for r in rows:
-            lines.append(",".join(_csv_cell(r[c]) for c in cols))
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    sys.stdout.write(dumps_fixed(report) + "\n")
+        lines = [",".join(cols)] + [",".join(_csv_cell(r[c]) for c in cols) for r in rows]
+        write_text(args.out_csv, "\n".join(lines) + "\n")
+    _emit(report, args.out_json)
     return EXIT_OK if passed else EXIT_TOLERANCE
 
 
@@ -275,18 +290,24 @@ def cmd_continue(args):
     _default(args, "out_json", "branch.json")
     _default(args, "out_csv", "branch.csv")
     _check_A(args.A)
+    for path in (args.out_json, args.out_csv):
+        # checked before solving: a branch must not be lost to a bad path
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise CliError(f"no directory for output file {path}")
     if args.A == 0.0:
         raise CliError("continuation cannot start at A = 0 (singular Jacobian)")
     if args.alpha_start > 0.0:
         raise CliError("--alpha-start must be <= 0 (the pure-capillary curve)")
     if args.h is None and args.gamma != 0.0:
         raise CliError("--gamma needs a finite depth --h (deep water is irrotational)")
-    depth = DepthMode.infinite() if args.h is None else DepthMode.finite(args.h, args.gamma)
+    if args.h is not None and math.isinf(args.h):
+        raise CliError("--h must be finite (leave it out for deep water)")
     beta0 = crapper.beta_of(args.A)
     schedule = _build_schedule(args, beta0)
     code = EXIT_OK
     try:
-        branch = continue_branch(args.A, schedule, depth=depth, M=args.M,
+        branch = continue_branch(args.A, schedule, h=math.inf if args.h is None else args.h,
+                                 gamma=args.gamma, M=args.M,
                                  n_grid=args.grid, tol=args.tol, max_iter=args.max_iter,
                                  g=args.g, sigma=args.sigma)
     except StepUnderflowError as exc:
@@ -294,15 +315,13 @@ def cmd_continue(args):
         branch = exc.branch
         code = EXIT_SOLVER
     write_json(args.out_json, branch_to_dict(branch))
-    with open(args.out_csv, "w", encoding="utf-8") as fh:
-        fh.write(branch_csv_text(branch))
+    write_text(args.out_csv, branch_csv_text(branch))
     if args.svg_dir:
         os.makedirs(args.svg_dir, exist_ok=True)
         for i, sol in enumerate(branch.solutions):
             curve, crossings = _solution_curve(sol)
-            path = os.path.join(args.svg_dir, f"step_{i:04d}.svg")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(profile_svg_text(curve.x, curve.y, crossings))
+            write_text(os.path.join(args.svg_dir, f"step_{i:04d}.svg"),
+                       profile_svg_text(curve.x, curve.y, crossings))
     sys.stdout.write(dumps_fixed({"command": "continue", "accepted": len(branch.solutions),
                                   "attempts": len(branch.step_history),
                                   "out_json": args.out_json, "out_csv": args.out_csv}) + "\n")
@@ -313,7 +332,7 @@ def _solution_curve(sol, n_points=None):
     p = sol.params
     if p.alpha > 0.0:
         k = wavenumber_k(p.alpha, p.beta, p.g, p.sigma)
-        d = None if sol.depth.is_infinite else sol.depth.h * k
+        d = None if p.is_infinite else p.h * k
     else:
         k, d = 1.0, None
     n_points = n_points or max(geometry.GEOMETRY_POINTS, sol.w.n_grid)
@@ -331,26 +350,21 @@ def cmd_profile(args):
     try:
         with open(args.input, encoding="utf-8") as fh:
             sol = solution_from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        # KeyError, TypeError: a field is missing or has the wrong JSON type
         raise CliError(f"cannot load solution {args.input}: {exc}")
     # CSV at the stored grid so the profile round-trips losslessly
     curve_csv, _ = _solution_curve(sol, n_points=sol.w.n_grid)
     curve, crossings = _solution_curve(sol)
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write(profile_csv_text(curve_csv.x, curve_csv.y))
+        write_text(args.out_csv, profile_csv_text(curve_csv.x, curve_csv.y))
     if args.out_svg:
-        reps = max(1, args.repeats)
-        xs, ys = [], []
-        for r in range(reps):
-            xs.append(curve.x + r * curve.period)
-            ys.append(curve.y)
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
-        marks = np.concatenate([crossings + np.array([r * curve.period, 0.0])
-                                for r in range(reps)]) if len(crossings) else crossings
-        with open(args.out_svg, "w", encoding="utf-8") as fh:
-            fh.write(profile_svg_text(x, y, marks))
+        shifts = [r * curve.period for r in range(max(1, args.repeats))]
+        x = np.concatenate([curve.x + s for s in shifts])
+        y = np.tile(curve.y, len(shifts))
+        marks = np.concatenate([crossings + np.array([s, 0.0])
+                                for s in shifts]) if len(crossings) else crossings
+        write_text(args.out_svg, profile_svg_text(x, y, marks))
     sys.stdout.write(dumps_fixed({"command": "profile", "input": args.input,
                                   "points": len(curve_csv.x),
                                   "injective": bool(len(crossings) == 0),
@@ -396,11 +410,7 @@ def cmd_limit_check(args):
               "strictly_decreasing": decreasing,
               "zero_at_nonpositive_alpha": bool(exact_zero == 0.0),
               "passed": bool(decreasing and exact_zero == 0.0)}
-    text = dumps_fixed(report) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_TOLERANCE
 
 
@@ -415,7 +425,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _merge_config(args)
+        _merge_config(args, parser.commands[args.command].flag_types)
         return _DISPATCH[args.command](args)
     except CliError as exc:
         sys.stderr.write(f"capwave: {exc}\n")

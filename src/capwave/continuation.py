@@ -10,15 +10,15 @@ theory excludes) aborts with a report instead of stepping blindly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+import math
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import crapper, geometry
 from .linearization import jacobian_fd
 from .operators import (
-    DepthMode,
     WaveParams,
     bernoulli_b,
     q_hat,
@@ -57,7 +57,6 @@ class WaveSolution:
     """A converged point of the residual together with its diagnostics."""
 
     params: WaveParams
-    depth: DepthMode
     w: PeriodicFunction
     residual_norm: float
     b_or_qhat: float
@@ -66,6 +65,12 @@ class WaveSolution:
     sigma_min: float
     residual_history: tuple[float, ...]
     geometry: dict = field(default_factory=dict)
+
+    @property
+    def depth(self) -> WaveParams:
+        """`params`, which carries h and gamma; kept read-only because the
+        benchmark workloads in bench/ read `sol.depth.is_infinite`."""
+        return self.params
 
 
 @dataclass
@@ -100,11 +105,7 @@ def _grid_for(M: int, A: float) -> int:
     return n
 
 
-def residual_for(depth: DepthMode) -> Callable[[WaveParams, PeriodicFunction], PeriodicFunction]:
-    return residual_inf if depth.is_infinite else residual_fd
-
-
-def newton_solve(residual, params: WaveParams, depth: DepthMode, w0: PeriodicFunction,
+def newton_solve(residual, params: WaveParams, w0: PeriodicFunction,
                  M: int = DEFAULT_M, tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER,
                  geometry_checks: bool = True) -> WaveSolution:
@@ -129,7 +130,7 @@ def newton_solve(residual, params: WaveParams, depth: DepthMode, w0: PeriodicFun
             if jac is None:
                 jac = jacobian_fd(res, w, M)
             sigma = float(np.linalg.svd(jac.entries, compute_uv=False)[-1])
-            return _finish_solution(params, depth, w, rnorm, it, M, sigma,
+            return _finish_solution(params, w, rnorm, it, M, sigma,
                                     tuple(history), geometry_checks)
         if it == max_iter:
             break
@@ -161,25 +162,25 @@ def newton_solve(residual, params: WaveParams, depth: DepthMode, w0: PeriodicFun
                       f"(residual history {['%.2e' % v for v in history]})")
 
 
-def _finish_solution(params, depth, w, rnorm, iters, M, sigma, history, geometry_checks):
-    scalar = bernoulli_b(params.alpha, w) if depth.is_infinite else q_hat(params, w)
+def _finish_solution(params, w, rnorm, iters, M, sigma, history, geometry_checks):
+    scalar = bernoulli_b(params.alpha, w) if params.is_infinite else q_hat(params, w)
     geo = {}
     if geometry_checks:
-        geo = geometry_report(w, params, depth)
-    return WaveSolution(params=params, depth=depth, w=w, residual_norm=rnorm,
+        geo = geometry_report(w, params)
+    return WaveSolution(params=params, w=w, residual_norm=rnorm,
                         b_or_qhat=scalar, newton_iters=iters, modes=M,
                         sigma_min=sigma, residual_history=history, geometry=geo)
 
 
-def geometry_report(w: PeriodicFunction, params: WaveParams, depth: DepthMode) -> dict:
+def geometry_report(w: PeriodicFunction, params: WaveParams) -> dict:
     """Admissibility flags; violations never fail the solve, only mark it."""
     n_pts = max(geometry.GEOMETRY_POINTS, w.n_grid)
     report = {"steepness": geometry.steepness(w)}
-    if params.alpha > 0.0 and not depth.is_infinite:
+    if params.alpha > 0.0 and not params.is_infinite:
         k = wavenumber_k(params.alpha, params.beta, params.g, params.sigma)
-        d = depth.h * k
+        d = params.h * k
         curve = geometry.surface_profile(w, k, d=d, n_points=n_pts)
-        report["above_bed"] = geometry.check_above_bed(w, k, depth.h)
+        report["above_bed"] = geometry.check_above_bed(w, k, params.h)
     else:
         # conformal units; injectivity and steepness do not depend on k
         curve = geometry.surface_profile(w, 1.0, n_points=n_pts)
@@ -191,7 +192,7 @@ def geometry_report(w: PeriodicFunction, params: WaveParams, depth: DepthMode) -
 
 
 def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
-                    depth: DepthMode = DepthMode.infinite(),
+                    h: float = math.inf, gamma: float = 0.0,
                     M: int | None = None, n_grid: int | None = None,
                     tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                     g: float = 1.0, sigma: float = 1.0,
@@ -200,10 +201,11 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     """Natural-parameter continuation from the explicit wave at `start_A`.
 
     `schedule` lists (alpha, beta) targets; the first must sit on the
-    pure-capillary curve (alpha <= 0, beta = beta_A).  Each later target is
-    corrected by Newton seeded with the previous solution; a failed step is
-    split in half, up to `max_halvings` times, before giving up with the
-    partial branch attached to the exception.
+    pure-capillary curve (alpha <= 0, beta = beta_A).  `h` and `gamma` are
+    the depth (inf: deep water) and vorticity of every point.  Each later
+    target is corrected by Newton seeded with the previous solution; a failed
+    step is split in half, up to `max_halvings` times, before giving up with
+    the partial branch attached to the exception.
     """
     if start_A == 0.0:
         raise ValueError("continuation must start at A != 0 (flat water is a "
@@ -220,35 +222,34 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     M = modes_for(start_A, M if M is not None else DEFAULT_M)
     if n_grid is None:
         n_grid = _grid_for(M, start_A)
-    residual = residual_for(depth)
+    params = WaveParams(a0, b0, g=g, sigma=sigma, gamma=gamma, h=h)
+    residual = residual_inf if params.is_infinite else residual_fd
     branch = Branch(start_A=start_A)
 
     w = crapper.crapper_wave(start_A, n_grid)
-    params = WaveParams.with_depth(a0, b0, depth, g=g, sigma=sigma)
-    sol = newton_solve(residual, params, depth, w, M=M, tol=tol, max_iter=max_iter,
+    sol = newton_solve(residual, params, w, M=M, tol=tol, max_iter=max_iter,
                        geometry_checks=geometry_checks)
     branch.solutions.append(sol)
     branch.step_history.append((a0, b0, 0.0, True))
 
     for a_target, b_target in schedule[1:]:
-        _advance(branch, residual, depth, a_target, b_target, M, tol, max_iter,
-                 g, sigma, geometry_checks, max_halvings)
+        _advance(branch, residual, a_target, b_target, M, tol, max_iter,
+                 geometry_checks, max_halvings)
     return branch
 
 
-def _advance(branch, residual, depth, a_target, b_target, M, tol, max_iter,
-             g, sigma, geometry_checks, max_halvings):
+def _advance(branch, residual, a_target, b_target, M, tol, max_iter,
+             geometry_checks, max_halvings):
     last = branch.solutions[-1]
-    a_from, b_from = last.params.alpha, last.params.beta
+    a_cur, b_cur = last.params.alpha, last.params.beta
     halvings = 0
-    a_cur, b_cur = a_from, b_from
     while (a_cur, b_cur) != (a_target, b_target):
         frac = 0.5 ** halvings
         a_try = a_cur + (a_target - a_cur) * frac if halvings else a_target
         b_try = b_cur + (b_target - b_cur) * frac if halvings else b_target
-        params = WaveParams.with_depth(a_try, b_try, depth, g=g, sigma=sigma)
+        params = replace(last.params, alpha=a_try, beta=b_try)
         try:
-            sol = newton_solve(residual, params, depth, branch.solutions[-1].w,
+            sol = newton_solve(residual, params, branch.solutions[-1].w,
                                M=M, tol=tol, max_iter=max_iter,
                                geometry_checks=geometry_checks)
         except (NewtonError, DegenerateMetricError):
@@ -299,7 +300,7 @@ def crapper_curve_check(A_values: Sequence[float], M: int | None = None,
         bump[mode - 1] = amp_a
         w0 = crapper.crapper_wave(A, n_grid) + PeriodicFunction.from_cosine_series(bump, n_grid)
         params = WaveParams(alpha=0.0, beta=beta)
-        sol = newton_solve(residual_inf, params, DepthMode.infinite(), w0,
+        sol = newton_solve(residual_inf, params, w0,
                            M=M_a, tol=tol, geometry_checks=False)
         a = sol.w.cosine_coefficients(M_a)
         b_coeff = -a[0] / 4.0

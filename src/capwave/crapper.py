@@ -68,11 +68,6 @@ def wave_samples(A: float, t: np.ndarray) -> np.ndarray:
     return 2.0 * (1.0 - A * A) / (1.0 + A * A + 2.0 * A * np.cos(t)) - 2.0
 
 
-def conjugate_samples(A: float, t: np.ndarray) -> np.ndarray:
-    """Closed-form Hilbert transform (C w_A)(t) = -4A sin t / (1+A^2+2A cos t)."""
-    return -4.0 * A * np.sin(t) / (1.0 + A * A + 2.0 * A * np.cos(t))
-
-
 def slope_components(A: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form (w_A', 1 + C w_A') from i(1-Az)^2/(1+Az)^2 on |z|=1."""
     z = np.exp(1j * t)
@@ -114,7 +109,7 @@ def crapper_theta(A: float, n_grid: int) -> PeriodicFunction:
     th = np.arctan2(u, v)
     if np.max(np.abs(np.diff(np.concatenate([th, th[:1]])))) > 0.5 * np.pi:
         raise ValueError("branch jump detected in the tangent angle")
-    return PeriodicFunction.from_samples(th, parity="odd")
+    return PeriodicFunction.from_samples(th)
 
 
 def exp_conjugate_theta_samples(A: float, t: np.ndarray) -> np.ndarray:

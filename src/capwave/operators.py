@@ -2,7 +2,9 @@
 
 Scaled parameters (alpha, beta) = (g/(c^2 k), sigma k/c^2) in deep water, or
 (g/(k lambda^2), k sigma/lambda^2) with lambda = m/h - gamma*h/2 in finite
-depth.  The profile unknown is a zero-mean even 2pi-periodic w.
+depth.  The profile unknown is a zero-mean even 2pi-periodic w.  One
+record, `WaveParams`, carries (alpha, beta) together with the depth h (inf
+for deep water) and the vorticity gamma.
 
 Deep water:
 
@@ -63,37 +65,9 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class DepthMode:
-    """Fluid-column geometry: infinite depth, or a strip of conformal mean
-    depth h carrying constant vorticity gamma."""
-
-    h: float = math.inf
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError(f"depth must be positive, got {self.h}")
-        if math.isinf(self.h) and self.gamma != 0.0:
-            raise ValueError("infinite depth forces zero vorticity")
-
-    @classmethod
-    def infinite(cls):
-        return cls()
-
-    @classmethod
-    def finite(cls, h: float, gamma: float = 0.0):
-        if math.isinf(h):
-            raise ValueError("finite depth mode needs a finite h")
-        return cls(h=h, gamma=gamma)
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.h)
-
-
-@dataclass(frozen=True)
 class WaveParams:
-    """Scaled parameters plus the physical constants they were built from."""
+    """Scaled parameters, the physical constants they were built from, the
+    conformal depth h (inf: deep water, which forces gamma = 0) and gamma."""
 
     alpha: float
     beta: float
@@ -113,12 +87,8 @@ class WaveParams:
             raise ValueError("infinite depth forces zero vorticity")
 
     @property
-    def depth(self) -> DepthMode:
-        return DepthMode(h=self.h, gamma=self.gamma)
-
-    @classmethod
-    def with_depth(cls, alpha, beta, depth: DepthMode, g=1.0, sigma=1.0):
-        return cls(alpha=alpha, beta=beta, g=g, sigma=sigma, gamma=depth.gamma, h=depth.h)
+    def is_infinite(self) -> bool:
+        return math.isinf(self.h)
 
     @property
     def lam(self) -> float:
@@ -133,19 +103,21 @@ def wavenumber_k(alpha: float, beta: float, g: float = 1.0, sigma: float = 1.0) 
         raise ValueError("no finite wavenumber for alpha <= 0 (deep-limit branch)")
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    return math.sqrt(g * beta / (alpha * sigma))
+    scale = alpha * sigma
+    if not scale > 0.0:
+        raise ValueError("alpha*sigma underflows to zero: no finite wavenumber")
+    return math.sqrt(g * beta / scale)
 
 
 # -- metric and angle ------------------------------------------------------------
 
 
 def _metric_from(wp: PeriodicFunction, one_cwp: PeriodicFunction) -> PeriodicFunction:
-    # squared grid-locally, not through padded FFT products: the metric is a
-    # pointwise-positive quantity whose inverse square root amplifies any
+    # squared grid-locally, not through padded FFT products: the metric is
+    # positive at every sample and its inverse square root amplifies any
     # delocalised rounding near its minimum (steep waves get within 1e-4 of
     # the degenerate threshold)
-    parity = "even" if (wp.parity == "odd" and one_cwp.parity == "even") else "none"
-    W = PeriodicFunction.from_samples(wp.samples ** 2 + one_cwp.samples ** 2, parity)
+    W = PeriodicFunction.from_samples(wp.samples ** 2 + one_cwp.samples ** 2)
     if np.min(W.samples) < 1e-12:
         raise DegenerateMetricError("conformal metric vanishes on the grid")
     return W
@@ -260,7 +232,7 @@ def _finite_depth_pieces(params: WaveParams, w: PeriodicFunction):
     for alpha > 0."""
     alpha, beta, g, sigma = params.alpha, params.beta, params.g, params.sigma
     gamma, h = params.gamma, params.h
-    if math.isinf(h):
+    if params.is_infinite:
         raise ValueError("finite-depth residual with alpha > 0 needs a finite depth h")
     d = h * wavenumber_k(alpha, beta, g, sigma)
     wp, wpp, one_cwp, whalf, winvhalf = _metric_powers(w, d=d)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .continuation import Branch, WaveSolution
-from .operators import DepthMode, WaveParams
+from .operators import WaveParams
 from .spectral import PeriodicFunction
 
 FORMAT_VERSION = 1
@@ -24,11 +24,7 @@ BRANCH_CSV_COLUMNS = ("A_start", "alpha", "beta", "gamma", "h", "residual_inf_no
 
 
 def format_float(x: float) -> str:
-    if math.isnan(x):
-        return "null"
-    if math.isinf(x):
-        return "null"
-    return "%.17g" % x
+    return "%.17g" % x if math.isfinite(x) else "null"
 
 
 def dumps_fixed(obj, indent: int = 0) -> str:
@@ -58,10 +54,13 @@ def dumps_fixed(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def write_json(path, obj) -> None:
+def write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_fixed(obj))
-        fh.write("\n")
+        fh.write(text)
+
+
+def write_json(path, obj) -> None:
+    write_text(path, dumps_fixed(obj) + "\n")
 
 
 # -- solutions ------------------------------------------------------------------
@@ -78,8 +77,8 @@ def solution_to_dict(sol: WaveSolution) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "params": {"alpha": p.alpha, "beta": p.beta, "gamma": p.gamma,
-                   "h": None if math.isinf(p.h) else p.h, "g": p.g, "sigma": p.sigma},
-        "depth_mode": "infinite" if sol.depth.is_infinite else "finite",
+                   "h": None if p.is_infinite else p.h, "g": p.g, "sigma": p.sigma},
+        "depth_mode": "infinite" if p.is_infinite else "finite",
         "n_grid": sol.w.n_grid,
         "cosine_coeffs": list(sol.w.cosine_coefficients(sol.modes)),
         "residual_norm": sol.residual_norm,
@@ -93,19 +92,24 @@ def _float_or_nan(v) -> float:
 
 
 def solution_from_dict(d: dict) -> WaveSolution:
+    """Inverse of `solution_to_dict`; a document of the wrong shape raises
+    KeyError, TypeError or ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError("a solution must be a JSON object")
     if d.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {d.get('format_version')!r}")
     pr = d["params"]
-    h = pr["h"] if pr["h"] is not None else math.inf
-    params = WaveParams(alpha=pr["alpha"], beta=pr["beta"], g=pr["g"],
-                        sigma=pr["sigma"], gamma=pr["gamma"], h=h)
-    depth = DepthMode(h=h, gamma=pr["gamma"])
+    h = float(pr["h"]) if pr["h"] is not None else math.inf
+    params = WaveParams(alpha=float(pr["alpha"]), beta=float(pr["beta"]), g=float(pr["g"]),
+                        sigma=float(pr["sigma"]), gamma=float(pr["gamma"]), h=h)
     coeffs = np.asarray(d["cosine_coeffs"], dtype=float)
+    if coeffs.ndim != 1:
+        raise ValueError("cosine_coeffs must be a list of numbers")
     w = PeriodicFunction.from_cosine_series(coeffs, d["n_grid"])
     diag = dict(d.get("diagnostics", {}))
     geometry = {k: diag[k] for k in ("steepness", "injective", "above_bed", "crossing_count")
                 if k in diag}
-    return WaveSolution(params=params, depth=depth, w=w,
+    return WaveSolution(params=params, w=w,
                         residual_norm=_float_or_nan(d["residual_norm"]),
                         b_or_qhat=_float_or_nan(diag.get("b_or_qhat")),
                         newton_iters=int(diag.get("newton_iters", 0)),

@@ -1,4 +1,4 @@
-"""Zero-mean 2pi-periodic functions as paired grid samples and Fourier modes.
+"""2pi-periodic functions as paired grid samples and Fourier modes.
 
 Everything downstream (wave residuals, Newton solves, surface geometry) is
 built on three exact Fourier-multiplier operators acting on trigonometric
@@ -9,9 +9,12 @@ interpolants:
     hilbert_strip   mode m -> -i*sgn(m)*coth(|m|d) (conjugation for a strip
                                                     of conformal depth d)
 
-Nonlinear algebra happens pointwise on the collocation grid; products and
-quotients are evaluated on a 2x zero-padded grid and truncated back, so the
-retained band of a product of two band-limited functions is alias-free.
+The modes are kept in plain ``np.fft.fft`` order (mean at index 0, Nyquist
+mode at n/2).  Nonlinear algebra happens sample by sample on the collocation
+grid; products and quotients are evaluated on a 2x zero-padded grid and
+truncated back, so the retained band of a product of two band-limited
+functions is alias-free.  Whether a mean is zero is decided when an operator
+needs it, never stored.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ DEGENERATE_TOL = 1e-12
 
 
 class DegenerateMetricError(ValueError):
-    """A pointwise quantity required to stay away from zero got below 1e-12."""
+    """A sample-wise quantity required to stay away from zero got below 1e-12."""
 
 
 _GRIDS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -39,8 +42,8 @@ def _grid_pair(n_grid):
         if n_grid < 4 or n_grid % 2 != 0:
             raise ValueError(f"n_grid must be even and >= 4, got {n_grid}")
         t = 2.0 * np.pi * np.arange(n_grid) / n_grid
-        # mode numbers in shifted order: -n/2 .. n/2-1
-        m = np.fft.fftshift(np.fft.fftfreq(n_grid, 1.0 / n_grid))
+        # mode numbers in FFT order: 0 .. n/2-1, -n/2 .. -1
+        m = np.fft.fftfreq(n_grid, 1.0 / n_grid)
         t.flags.writeable = False
         m.flags.writeable = False
         _GRIDS[n_grid] = (t, m)
@@ -48,102 +51,96 @@ def _grid_pair(n_grid):
 
 
 def _coeffs_of(samples):
-    return np.fft.fftshift(np.fft.fft(samples)) / len(samples)
+    return np.fft.fft(samples) / len(samples)
 
 
 def _samples_of(coeffs):
-    return (np.fft.ifft(np.fft.ifftshift(coeffs)) * len(coeffs)).real
+    return (np.fft.ifft(coeffs) * len(coeffs)).real
 
 
-_FLIP = {"even": "odd", "odd": "even", "none": "none"}
+def _resize(coeffs, n_new):
+    """Modes of the same trigonometric interpolant on an n_new-point grid.
 
-
-def _combine_parity(pa, pb, product=False):
-    if product:
-        if "none" in (pa, pb):
-            return "none"
-        return "even" if pa == pb else "odd"
-    return pa if pa == pb else "none"
+    Growing splits the Nyquist mode evenly between +-n/2; shrinking folds
+    the modes +-n_new/2 onto the new Nyquist mode, which for a real signal
+    carries their combined real part.
+    """
+    n = len(coeffs)
+    out = np.zeros(n_new, dtype=complex)
+    if n_new > n:
+        h = n // 2
+        out[:h] = coeffs[:h]
+        out[n_new - h + 1:] = coeffs[h + 1:]
+        out[n_new - h] = 0.5 * coeffs[h]
+        out[h] = 0.5 * np.conj(coeffs[h])
+    else:
+        h = n_new // 2
+        out[:h] = coeffs[:h]
+        out[h + 1:] = coeffs[n - h + 1:]
+        out[h] = (coeffs[n - h] + np.conj(coeffs[h])).real
+    return out
 
 
 class PeriodicFunction:
     """Real 2pi-periodic function on an even collocation grid.
 
     Carries both representations at all times: ``samples`` on t_j = 2*pi*j/n
-    and complex modes ``coeffs`` (order -n/2 .. n/2-1, normalised so that
-    f(t) = sum_m coeffs[m] * exp(i*m*t)).  Instances are immutable; all
-    operations return new objects and are safe to evaluate in parallel.
+    and complex modes ``coeffs`` in FFT order (index k holds mode k for
+    k < n/2 and mode k - n above; the mean sits at 0, the Nyquist mode at
+    n/2), normalised so that f(t) = sum_m coeffs[m] * exp(i*m*t).  Instances
+    are immutable; all operations return new objects and are safe to
+    evaluate in parallel.
     """
 
-    __slots__ = ("n_grid", "samples", "coeffs", "parity", "zero_mean")
+    __slots__ = ("n_grid", "samples", "coeffs")
 
-    def __init__(self, samples, coeffs, parity, zero_mean):
+    def __init__(self, samples, coeffs):
         self.n_grid = len(samples)
         self.samples = samples
         self.coeffs = coeffs
-        self.parity = parity
-        self.zero_mean = zero_mean
         samples.flags.writeable = False
         coeffs.flags.writeable = False
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_samples(cls, values, parity="auto"):
+    def from_samples(cls, values):
         values = np.asarray(values, dtype=float).copy()
         if len(values) % 2 != 0:
             raise ValueError("grid length must be even")
-        coeffs = _coeffs_of(values)
-        return cls._finish(values, coeffs, parity)
+        return cls(values, _coeffs_of(values))
 
     @classmethod
-    def from_coeffs(cls, coeffs, parity="auto"):
+    def from_coeffs(cls, coeffs):
         coeffs = np.asarray(coeffs, dtype=complex).copy()
-        return cls._finish(_samples_of(coeffs), coeffs, parity)
-
-    @classmethod
-    def from_callable(cls, fn, n_grid, parity="auto"):
-        return cls.from_samples(fn(grid(n_grid)), parity)
+        return cls(_samples_of(coeffs), coeffs)
 
     @classmethod
     def from_cosine_series(cls, a, n_grid):
         """Build sum a[j]*cos((j+1)*t); len(a) must be < n_grid/2."""
-        a = np.asarray(a, dtype=float)
-        if len(a) >= n_grid // 2:
-            raise ValueError("too many cosine modes for the grid")
-        c = np.zeros(n_grid, dtype=complex)
-        h = n_grid // 2
-        j = np.arange(1, len(a) + 1)
-        c[h + j] = 0.5 * a
-        c[h - j] = 0.5 * a
-        return cls._finish(_samples_of(c), c, "even")
+        half = 0.5 * np.asarray(a, dtype=float)
+        return cls._from_modes(half, half, n_grid)
 
     @classmethod
     def from_sine_series(cls, b, n_grid):
         """Build sum b[j]*sin((j+1)*t); len(b) must be < n_grid/2."""
         b = np.asarray(b, dtype=float)
-        if len(b) >= n_grid // 2:
-            raise ValueError("too many sine modes for the grid")
+        return cls._from_modes(-0.5j * b, 0.5j * b, n_grid)
+
+    @classmethod
+    def _from_modes(cls, pos, neg, n_grid):
+        """Modes 1, 2, .. set to `pos` and modes -1, -2, .. to `neg`."""
+        if len(pos) >= n_grid // 2:
+            raise ValueError("too many modes for the grid")
         c = np.zeros(n_grid, dtype=complex)
-        h = n_grid // 2
-        j = np.arange(1, len(b) + 1)
-        c[h + j] = -0.5j * b
-        c[h - j] = 0.5j * b
-        return cls._finish(_samples_of(c), c, "odd")
+        j = np.arange(1, len(pos) + 1)
+        c[j] = pos
+        c[n_grid - j] = neg
+        return cls(_samples_of(c), c)
 
     @classmethod
     def zeros(cls, n_grid):
-        return cls.from_samples(np.zeros(n_grid), parity="even")
-
-    @classmethod
-    def _finish(cls, samples, coeffs, parity):
-        scale = 1.0 + np.max(np.abs(samples)) if len(samples) else 1.0
-        zm = abs(coeffs[len(coeffs) // 2].real) < MEAN_TOL * scale
-        if parity == "auto":
-            parity = detect_parity(coeffs)
-        elif parity not in ("even", "odd", "none"):
-            raise ValueError(f"bad parity {parity!r}")
-        return cls(samples, coeffs, parity, zm)
+        return cls.from_samples(np.zeros(n_grid))
 
     # -- basic accessors -----------------------------------------------------
 
@@ -153,33 +150,22 @@ class PeriodicFunction:
 
     def cosine_coefficients(self, n_modes):
         """Coefficients a_n of the even part, f_even = a_0 + sum a_n cos nt."""
-        h = self.n_grid // 2
-        if n_modes >= h:
+        if n_modes >= self.n_grid // 2:
             raise ValueError("n_modes exceeds grid resolution")
-        return 2.0 * self.coeffs[h + 1 : h + 1 + n_modes].real
+        return 2.0 * self.coeffs[1 : 1 + n_modes].real
 
     def sine_coefficients(self, n_modes):
         """Coefficients b_n of the odd part, f_odd = sum b_n sin nt."""
-        h = self.n_grid // 2
-        if n_modes >= h:
+        if n_modes >= self.n_grid // 2:
             raise ValueError("n_modes exceeds grid resolution")
-        return -2.0 * self.coeffs[h + 1 : h + 1 + n_modes].imag
+        return -2.0 * self.coeffs[1 : 1 + n_modes].imag
 
     def resample(self, n_grid):
         """Spectral resampling (exact for band-limited data)."""
         if n_grid == self.n_grid:
             return self
-        h_new, h_old = n_grid // 2, self.n_grid // 2
-        c = np.zeros(n_grid, dtype=complex)
-        if n_grid > self.n_grid:
-            c[h_new - h_old : h_new + h_old] = self.coeffs
-            ny = self.coeffs[0]
-            c[h_new - h_old] = 0.5 * ny
-            c[h_new + h_old] = 0.5 * np.conj(ny)
-        else:
-            c[:] = self.coeffs[h_old - h_new : h_old + h_new]
-            c[0] = (c[0] + np.conj(self.coeffs[h_old + h_new])).real
-        return PeriodicFunction._finish(_samples_of(c), c, self.parity)
+        c = _resize(self.coeffs, n_grid)
+        return PeriodicFunction(_samples_of(c), c)
 
     def norm_inf(self):
         return float(np.max(np.abs(self.samples)))
@@ -189,19 +175,16 @@ class PeriodicFunction:
     def __add__(self, other):
         if isinstance(other, PeriodicFunction):
             self._check_grid(other)
-            s = self.samples + other.samples
-            c = self.coeffs + other.coeffs
-            return PeriodicFunction._finish(s, c, _combine_parity(self.parity, other.parity))
+            return PeriodicFunction(self.samples + other.samples, self.coeffs + other.coeffs)
         other = float(other)
         c = self.coeffs.copy()
-        c[self.n_grid // 2] += other
-        return PeriodicFunction._finish(self.samples + other, c,
-                                        "even" if self.parity == "even" else "none")
+        c[0] += other
+        return PeriodicFunction(self.samples + other, c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PeriodicFunction._finish(-self.samples, -self.coeffs, self.parity)
+        return PeriodicFunction(-self.samples, -self.coeffs)
 
     def __sub__(self, other):
         return self + (-other)
@@ -213,7 +196,7 @@ class PeriodicFunction:
         if isinstance(other, PeriodicFunction):
             return mul(self, other)
         other = float(other)
-        return PeriodicFunction._finish(self.samples * other, self.coeffs * other, self.parity)
+        return PeriodicFunction(self.samples * other, self.coeffs * other)
 
     __rmul__ = __mul__
 
@@ -230,61 +213,45 @@ class PeriodicFunction:
             raise ValueError(f"grid mismatch: {self.n_grid} vs {other.n_grid}")
 
 
-def detect_parity(coeffs) -> str:
-    scale = np.max(np.abs(coeffs)) + 1e-300
-    h = len(coeffs) // 2
-    if np.max(np.abs(coeffs.imag)) < MEAN_TOL * scale:
-        return "even"
-    odd_part = coeffs.copy()
-    odd_part[h] = 0.0
-    if np.max(np.abs(odd_part.real)) < MEAN_TOL * scale and abs(coeffs[h]) < MEAN_TOL * scale:
-        return "odd"
-    return "none"
-
-
-def validate(f: PeriodicFunction) -> None:
-    """Check the representation invariants; raises AssertionError on failure."""
-    scale = 1.0 + np.max(np.abs(f.samples))
-    back = _samples_of(f.coeffs)
-    assert np.max(np.abs(back - f.samples)) < 1e-13 * scale, "samples/coeffs disagree"
-    if f.zero_mean:
-        assert abs(mean(f)) < MEAN_TOL * scale, "zero_mean flag violated"
-    cscale = np.max(np.abs(f.coeffs)) + 1e-300
-    if f.parity == "even":
-        assert np.max(np.abs(f.coeffs.imag)) < 1e-12 * cscale, "even parity violated"
-    elif f.parity == "odd":
-        body = f.coeffs.copy()
-        body[f.n_grid // 2] = 0.0
-        assert np.max(np.abs(body.real)) < 1e-12 * cscale, "odd parity violated"
-
-
 # -- linear multiplier operators ----------------------------------------------
 
 
 def mean(f: PeriodicFunction) -> float:
     """Mean over one period (mode-0 coefficient)."""
-    return float(f.coeffs[f.n_grid // 2].real)
+    return float(f.coeffs[0].real)
+
+
+def _mean_is_zero(f):
+    return abs(mean(f)) < MEAN_TOL * (1.0 + np.max(np.abs(f.samples)))
 
 
 def drop_mean(f: PeriodicFunction) -> PeriodicFunction:
     """Subtract the scalar mean; cheap way to feed hilbert with intermediates."""
-    return f - mean(f) if not f.zero_mean else f
+    return f if _mean_is_zero(f) else f - mean(f)
+
+
+def _require_zero_mean(f, name):
+    if not _mean_is_zero(f):
+        raise ValueError(f"{name} requires a zero-mean input (mean={mean(f):.3e}); "
+                         "subtract the mean explicitly first")
+
+
+def _multiply(f, mult):
+    c = f.coeffs * mult
+    c[f.n_grid // 2] = 0.0  # Nyquist mode has no odd-derivative representation
+    return PeriodicFunction(_samples_of(c), c)
 
 
 def derivative(f: PeriodicFunction) -> PeriodicFunction:
     m = _grid_pair(f.n_grid)[1]
-    c = f.coeffs * (1j * m)
-    c[0] = 0.0  # Nyquist mode has no odd-derivative representation
-    return PeriodicFunction._finish(_samples_of(c), c, _FLIP[f.parity])
+    return _multiply(f, 1j * m)
 
 
 def hilbert(f: PeriodicFunction) -> PeriodicFunction:
     """Periodic Hilbert transform: cos mt -> sin mt, sin mt -> -cos mt."""
     _require_zero_mean(f, "hilbert")
     m = _grid_pair(f.n_grid)[1]
-    c = f.coeffs * (-1j * np.sign(m))
-    c[0] = 0.0
-    return PeriodicFunction._finish(_samples_of(c), c, _FLIP[f.parity])
+    return _multiply(f, -1j * np.sign(m))
 
 
 def hilbert_strip(f: PeriodicFunction, d: float) -> PeriodicFunction:
@@ -297,9 +264,7 @@ def hilbert_strip(f: PeriodicFunction, d: float) -> PeriodicFunction:
     mult = np.ones(f.n_grid)
     nz = m != 0
     mult[nz] = 1.0 / np.tanh(np.abs(m[nz]) * d)
-    c = f.coeffs * (-1j * np.sign(m) * mult)
-    c[0] = 0.0
-    return PeriodicFunction._finish(_samples_of(c), c, _FLIP[f.parity])
+    return _multiply(f, -1j * np.sign(m) * mult)
 
 
 def kappa_tail_bound(d: float, p: int = 0) -> float:
@@ -327,111 +292,50 @@ def kappa_tail_bound(d: float, p: int = 0) -> float:
             return best
 
 
-def _require_zero_mean(f, name):
-    scale = 1.0 + np.max(np.abs(f.samples))
-    if abs(mean(f)) >= MEAN_TOL * scale:
-        raise ValueError(f"{name} requires a zero-mean input (mean={mean(f):.3e}); "
-                         "subtract the mean explicitly first")
-
-
-# -- pointwise nonlinear algebra ------------------------------------------------
-
-
-def _pad2(coeffs):
-    n = len(coeffs)
-    out = np.zeros(2 * n, dtype=complex)
-    h = n // 2
-    out[h : h + n] = coeffs
-    ny = coeffs[0]
-    out[h] = 0.5 * ny
-    out[h + n] = 0.5 * np.conj(ny)
-    return out
-
-
-def _truncate2(coeffs_fine):
-    n = len(coeffs_fine) // 2
-    h = n // 2
-    c = coeffs_fine[h : h + n].copy()
-    # modes +-n/2 alias onto the same coarse-grid Nyquist mode, which for a
-    # real signal carries their combined real part
-    c[0] = (c[0] + np.conj(coeffs_fine[h + n])).real
-    return c
+# -- sample-wise nonlinear algebra ----------------------------------------------
 
 
 def mul(f: PeriodicFunction, g: PeriodicFunction) -> PeriodicFunction:
     """De-aliased product: evaluate on the 2x grid, truncate back."""
     f._check_grid(g)
-    fine = _samples_of(_pad2(f.coeffs)) * _samples_of(_pad2(g.coeffs))
-    c = _truncate2(_coeffs_of(fine))
-    return PeriodicFunction._finish(_samples_of(c), c,
-                                    _combine_parity(f.parity, g.parity, product=True))
+    n = f.n_grid
+    fine = _samples_of(_resize(f.coeffs, 2 * n)) * _samples_of(_resize(g.coeffs, 2 * n))
+    c = _resize(_coeffs_of(fine), n)
+    return PeriodicFunction(_samples_of(c), c)
 
 
 def div(f: PeriodicFunction, g: PeriodicFunction) -> PeriodicFunction:
     """De-aliased quotient; denominators within 1e-12 of zero are rejected."""
     f._check_grid(g)
-    gf = _samples_of(_pad2(g.coeffs))
+    n = f.n_grid
+    gf = _samples_of(_resize(g.coeffs, 2 * n))
     if np.min(np.abs(gf)) < DEGENERATE_TOL:
         raise DegenerateMetricError("division by a near-zero denominator")
-    fine = _samples_of(_pad2(f.coeffs)) / gf
-    c = _truncate2(_coeffs_of(fine))
-    return PeriodicFunction._finish(_samples_of(c), c,
-                                    _combine_parity(f.parity, g.parity, product=True))
-
-
-def _unary(f, fn, parity):
-    return PeriodicFunction.from_samples(fn(f.samples), parity)
+    fine = _samples_of(_resize(f.coeffs, 2 * n)) / gf
+    c = _resize(_coeffs_of(fine), n)
+    return PeriodicFunction(_samples_of(c), c)
 
 
 def pf_exp(f: PeriodicFunction) -> PeriodicFunction:
-    return _unary(f, np.exp, "even" if f.parity == "even" else "none")
-
-
-def pf_log(f: PeriodicFunction) -> PeriodicFunction:
-    if np.min(f.samples) < DEGENERATE_TOL:
-        raise DegenerateMetricError("log argument not bounded away from zero")
-    return _unary(f, np.log, "even" if f.parity == "even" else "none")
+    return PeriodicFunction.from_samples(np.exp(f.samples))
 
 
 def pf_pow(f: PeriodicFunction, r: float) -> PeriodicFunction:
     if r != int(r) or r < 0:
         if np.min(f.samples) < DEGENERATE_TOL:
             raise DegenerateMetricError("pow base not bounded away from zero")
-    return _unary(f, lambda s: np.power(s, r), "even" if f.parity == "even" else "none")
+    return PeriodicFunction.from_samples(np.power(f.samples, r))
 
 
 def pf_sin(f: PeriodicFunction) -> PeriodicFunction:
-    return _unary(f, np.sin, f.parity if f.parity in ("even", "odd") else "none")
+    return PeriodicFunction.from_samples(np.sin(f.samples))
 
 
 def pf_cos(f: PeriodicFunction) -> PeriodicFunction:
-    return _unary(f, np.cos, "even" if f.parity in ("even", "odd") else "none")
+    return PeriodicFunction.from_samples(np.cos(f.samples))
 
 
 def pf_atan2(y: PeriodicFunction, x: PeriodicFunction) -> PeriodicFunction:
-    """Pointwise atan2(y, x); odd when y is odd and x even."""
+    """Sample-wise atan2(y, x)."""
     y._check_grid(x)
-    parity = "odd" if (y.parity == "odd" and x.parity == "even") else "none"
-    return PeriodicFunction.from_samples(np.arctan2(y.samples, x.samples), parity)
-
-
-_BINARY = {"add": lambda f, g: f + g, "sub": lambda f, g: f - g, "mul": mul, "div": div}
-
-
-def pointwise(f, g=None, op="add", r=None):
-    """Dispatch table over the grid algebra; mirrors the operator set used by
-    the residual evaluations (binary: add/sub/mul/div; unary: pow/exp/log;
-    atan2-compose pairs two functions)."""
-    if op in _BINARY:
-        return _BINARY[op](f, g)
-    if op == "pow":
-        if r is None:
-            raise ValueError("pow requires the exponent r")
-        return pf_pow(f, r)
-    if op == "exp":
-        return pf_exp(f)
-    if op == "log":
-        return pf_log(f)
-    if op in ("atan2", "atan2-compose"):
-        return pf_atan2(f, g)
-    raise ValueError(f"unknown pointwise op {op!r}")
+    return PeriodicFunction.from_samples(np.arctan2(y.samples, x.samples))

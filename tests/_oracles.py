@@ -57,7 +57,7 @@ def fft_derivative(samples):
 
 def deep_residual_on_samples(alpha, beta, w, wp, cwp, wpp):
     """Straight-line evaluation of the deep-water residual from prepared
-    ingredient samples; plain pointwise algebra and trapezoid means."""
+    ingredient samples; plain sample-wise algebra and trapezoid means."""
     W = wp ** 2 + (1.0 + cwp) ** 2
     whalf = np.sqrt(W)
     winvhalf = 1.0 / whalf

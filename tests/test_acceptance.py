@@ -7,7 +7,6 @@ import numpy as np
 
 from capwave import crapper, geometry
 from capwave.continuation import (
-    DepthMode,
     continue_branch,
     crapper_curve_check,
 )
@@ -187,7 +186,7 @@ def test_criterion_09_finite_depth_continuation():
     for gamma, h in ((0.0, 2.0), (1.0, 2.0), (-1.0, 4.0)):
         beta = crapper.beta_of(0.3)
         schedule = [(0.02 * i / 4, beta) for i in range(5)]
-        branch = continue_branch(0.3, schedule, depth=DepthMode.finite(h, gamma),
+        branch = continue_branch(0.3, schedule, h=h, gamma=gamma,
                                  M=64, g=1.0, sigma=1.0)
         last = branch.solutions[-1]
         assert last.params.alpha == 0.02

@@ -6,10 +6,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from capwave import crapper
+from capwave import cli, crapper
 from capwave.cli import main
-from capwave.continuation import newton_solve, DepthMode
+from capwave.continuation import newton_solve
 from capwave.operators import WaveParams, residual_inf
 from capwave.serialization import (
     BRANCH_CSV_COLUMNS,
@@ -49,7 +50,7 @@ def test_dumps_fixed_deterministic_and_ordered():
 def test_solution_round_trip():
     w = crapper.crapper_wave(0.3, 256)
     params = WaveParams(alpha=0.0, beta=crapper.beta_of(0.3))
-    sol = newton_solve(residual_inf, params, DepthMode.infinite(), w, M=32)
+    sol = newton_solve(residual_inf, params, w, M=32)
     d = solution_to_dict(sol)
     assert d["format_version"] == 1
     assert list(d["params"]) == ["alpha", "beta", "gamma", "h", "g", "sigma"]
@@ -112,6 +113,25 @@ def test_config_file_merging(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cfg", [{"steps": "x"}, {"steps": 1.5}, {"A": True},
+                                 {"alpha_max": [0.1]}, {"out_json": 5}, {"config": {}}])
+def test_config_values_must_fit_their_flags(tmp_path, capsys, monkeypatch, cfg):
+    monkeypatch.setattr(cli, "continue_branch", _must_not_run)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["continue", "--config", str(path), "--M", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "needs a" in err
+    # an integer is a fine value for a float flag
+    path.write_text(json.dumps({"A": 0, "grid": 64}))
+    assert main(["verify", "--config", str(path)]) == 0
+    capsys.readouterr()
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("solved although the command had to stop first")
+
+
 # -- spectrum ----------------------------------------------------------------------
 
 
@@ -163,6 +183,28 @@ def test_continue_rejects_A_zero(capsys):
     capsys.readouterr()
 
 
+def test_continue_rejects_infinite_h(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "continue_branch", _must_not_run)
+    assert main(["continue", "--h", "inf", "--out-json", str(tmp_path / "b.json"),
+                 "--out-csv", str(tmp_path / "b.csv")]) == 1
+    assert "--h must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--out-json", "--out-csv"])
+def test_continue_checks_output_directories_before_solving(tmp_path, capsys,
+                                                            monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "continue_branch", _must_not_run)
+    code = main(["continue", "--A", "0.3", "--steps", "1", "--M", "32",
+                 "--alpha-max", "0.01", "--g", "1", "--sigma", "1",
+                 flag, str(tmp_path / "missing" / "b.out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing" in err
+    assert list(tmp_path.iterdir()) == []  # neither output file was written
+
+
 def test_continue_step_underflow_saves_partial(tmp_path, capsys):
     jsn = tmp_path / "partial.json"
     csv = tmp_path / "partial.csv"
@@ -194,7 +236,7 @@ def test_profile_round_trip_and_svg(tmp_path, capsys):
     # store a steep pure-capillary wave and reconstruct its overhanging curve
     w = crapper.crapper_wave(0.8, 512)
     params = WaveParams(alpha=0.0, beta=crapper.beta_of(0.8))
-    sol = newton_solve(residual_inf, params, DepthMode.infinite(), w, M=160, tol=1e-8)
+    sol = newton_solve(residual_inf, params, w, M=160, tol=1e-8)
     sol_path = tmp_path / "sol.json"
     sol_path.write_text(dumps_fixed(solution_to_dict(sol)))
     csv = tmp_path / "prof.csv"
@@ -216,7 +258,7 @@ def test_profile_round_trip_and_svg(tmp_path, capsys):
 def test_profile_reads_nan_diagnostics(tmp_path, capsys):
     w = crapper.crapper_wave(0.3, 256)
     params = WaveParams(alpha=0.0, beta=crapper.beta_of(0.3))
-    sol = newton_solve(residual_inf, params, DepthMode.infinite(), w, M=32)
+    sol = newton_solve(residual_inf, params, w, M=32)
     sol = dataclasses.replace(sol, residual_norm=math.nan, b_or_qhat=math.nan,
                               sigma_min=math.nan)
     sol_path = tmp_path / "sol.json"
@@ -227,6 +269,55 @@ def test_profile_reads_nan_diagnostics(tmp_path, capsys):
     assert math.isnan(back.sigma_min)
     assert main(["profile", "--input", str(sol_path)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc", [[], 5, "x", None, {"format_version": 1, "params": 5},
+                                 {"format_version": 1, "params": []}])
+def test_profile_rejects_documents_that_are_not_solutions(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["profile", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+_SOLUTION_FIELDS = [(key,) for key in ("format_version", "params", "depth_mode", "n_grid",
+                                       "cosine_coeffs", "residual_norm", "diagnostics")]
+_SOLUTION_FIELDS += [("params", key) for key in ("alpha", "beta", "gamma", "h", "g", "sigma")]
+_SOLUTION_FIELDS += [("diagnostics", key) for key in ("b_or_qhat", "newton_iters", "sigma_min",
+                                                      "steepness", "injective")]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000)
+    | st.floats(-1e3, 1e3, allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def finite_depth_solution_doc():
+    branch = cli.continue_branch(0.3, [(0.0, crapper.beta_of(0.3)), (0.01, crapper.beta_of(0.3))],
+                                 h=2.0, gamma=0.5, M=16, g=1.0, sigma=1.0)
+    return json.loads(dumps_fixed(solution_to_dict(branch.solutions[-1])))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(_SOLUTION_FIELDS), value=_JSON_VALUES)
+def test_profile_never_tracebacks_on_a_damaged_solution(tmp_path, capsys,
+                                                        finite_depth_solution_doc,
+                                                        field, value):
+    doc = json.loads(json.dumps(finite_depth_solution_doc))
+    target = doc
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    path = tmp_path / "damaged.json"
+    path.write_text(json.dumps(doc))
+    code = main(["profile", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    assert "Traceback" not in err
 
 
 def test_profile_missing_file(tmp_path, capsys):

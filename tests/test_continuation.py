@@ -11,7 +11,8 @@ from capwave.continuation import (
     modes_for,
     newton_solve,
 )
-from capwave.operators import DepthMode, WaveParams, residual_inf
+from capwave.operators import WaveParams, q_hat, residual_fd, residual_inf
+from capwave.serialization import solution_to_dict
 from capwave.spectral import PeriodicFunction
 
 
@@ -22,7 +23,7 @@ def _crapper_start(A, n_grid=256):
 
 def test_newton_at_exact_solution_converges_immediately():
     w, params = _crapper_start(0.3)
-    sol = newton_solve(residual_inf, params, DepthMode.infinite(), w, M=32,
+    sol = newton_solve(residual_inf, params, w, M=32,
                        geometry_checks=False)
     assert sol.newton_iters <= 1
     assert sol.residual_norm < 1e-11
@@ -32,7 +33,7 @@ def test_newton_at_exact_solution_converges_immediately():
 def test_newton_returns_to_local_solution_from_perturbation():
     w, params = _crapper_start(0.3)
     w0 = w + PeriodicFunction.from_cosine_series([0.0, 0.01], w.n_grid)
-    sol = newton_solve(residual_inf, params, DepthMode.infinite(), w0, M=32,
+    sol = newton_solve(residual_inf, params, w0, M=32,
                        geometry_checks=False)
     dist = np.max(np.abs(sol.w.samples - w.samples))
     assert dist < 1e-3 * np.max(np.abs(w.samples))
@@ -42,7 +43,7 @@ def test_newton_returns_to_local_solution_from_perturbation():
 def test_newton_flat_water_reports_near_singular_jacobian():
     flat = PeriodicFunction.zeros(256)
     params = WaveParams(alpha=0.0, beta=1.0)
-    sol = newton_solve(residual_inf, params, DepthMode.infinite(), flat, M=8,
+    sol = newton_solve(residual_inf, params, flat, M=8,
                        geometry_checks=False)
     assert sol.residual_norm == 0.0
     assert np.max(np.abs(sol.w.samples)) == 0.0
@@ -52,7 +53,7 @@ def test_newton_flat_water_reports_near_singular_jacobian():
 def test_newton_quadratic_convergence_history():
     w, params = _crapper_start(0.4)
     w0 = w + PeriodicFunction.from_cosine_series([0.0, 0.005], w.n_grid)
-    sol = newton_solve(residual_inf, params, DepthMode.infinite(), w0, M=48,
+    sol = newton_solve(residual_inf, params, w0, M=48,
                        geometry_checks=False)
     hist = sol.residual_history
     assert hist[-1] < 1e-11
@@ -62,11 +63,23 @@ def test_newton_quadratic_convergence_history():
         assert np.log10(b) <= 2.0 * np.log10(a) + 1.0  # at-least-doubling log decay
 
 
+def test_newton_solution_takes_depth_from_its_params():
+    # one record carries h and gamma, so the stored depth, the head scalar and
+    # the file cannot disagree with the parameters that were solved for
+    params = WaveParams(alpha=0.01, beta=crapper.beta_of(0.3), h=2.0, gamma=0.5)
+    sol = newton_solve(residual_fd, params, crapper.crapper_wave(0.3, 256), M=32,
+                       geometry_checks=False)
+    assert sol.residual_norm < 1e-11
+    assert sol.depth is sol.params and not sol.depth.is_infinite
+    assert sol.b_or_qhat == q_hat(params, sol.w)
+    assert solution_to_dict(sol)["depth_mode"] == "finite"
+
+
 def test_newton_divergence_reported():
     w, params = _crapper_start(0.3)
     bad = WaveParams(alpha=5.0, beta=params.beta)  # far outside the sheet
     with pytest.raises(NewtonError):
-        newton_solve(residual_inf, bad, DepthMode.infinite(), w, M=16,
+        newton_solve(residual_inf, bad, w, M=16,
                      max_iter=3, geometry_checks=False)
 
 
@@ -137,8 +150,8 @@ def test_deep_and_finite_branches_agree_as_depth_grows():
     schedule = [(0.05 * i / 3, beta) for i in range(4)]
     kwargs = dict(M=32, g=1.0, sigma=100.0, geometry_checks=False)
     deep = continue_branch(0.3, schedule, **kwargs)
-    fin4 = continue_branch(0.3, schedule, depth=DepthMode.finite(4.0), **kwargs)
-    fin8 = continue_branch(0.3, schedule, depth=DepthMode.finite(8.0), **kwargs)
+    fin4 = continue_branch(0.3, schedule, h=4.0, **kwargs)
+    fin8 = continue_branch(0.3, schedule, h=8.0, **kwargs)
     w_deep = deep.solutions[-1].w.samples
     d4 = np.max(np.abs(fin4.solutions[-1].w.samples - w_deep))
     d8 = np.max(np.abs(fin8.solutions[-1].w.samples - w_deep))
@@ -149,7 +162,7 @@ def test_deep_and_finite_branches_agree_as_depth_grows():
 def test_finite_depth_branch_with_vorticity():
     beta = crapper.beta_of(0.3)
     schedule = [(0.0, beta), (1e-4, beta), (0.01, beta), (0.03, beta), (0.05, beta)]
-    branch = continue_branch(0.3, schedule, depth=DepthMode.finite(2.0, 1.0),
+    branch = continue_branch(0.3, schedule, h=2.0, gamma=1.0,
                              M=32, g=1.0, sigma=1.0)
     last = branch.solutions[-1]
     assert last.residual_norm < 1e-11

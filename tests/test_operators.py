@@ -6,7 +6,6 @@ import pytest
 
 from capwave import crapper
 from capwave.operators import (
-    DepthMode,
     WaveParams,
     bernoulli_b,
     conformal_metric,
@@ -60,9 +59,9 @@ def test_wave_params_validation():
     with pytest.raises(ValueError):
         WaveParams(alpha=0.0, beta=1.0, gamma=1.0)  # infinite depth, vorticity
     with pytest.raises(ValueError):
-        DepthMode.finite(math.inf)
-    assert DepthMode.infinite().is_infinite
-    assert not DepthMode.finite(2.0, 1.0).is_infinite
+        WaveParams(alpha=0.0, beta=1.0, h=0.0)
+    assert WaveParams(alpha=0.0, beta=1.0).is_infinite
+    assert not WaveParams(alpha=0.0, beta=1.0, h=2.0, gamma=1.0).is_infinite
 
 
 def test_wavenumber_examples():
@@ -73,6 +72,8 @@ def test_wavenumber_examples():
         wavenumber_k(0.0, 1.0)
     with pytest.raises(ValueError):
         wavenumber_k(-0.1, 1.0)
+    with pytest.raises(ValueError, match="underflows"):
+        wavenumber_k(1e-200, 1.0, sigma=1e-200)  # was a ZeroDivisionError
 
 
 # -- metric and angle ----------------------------------------------------------------
@@ -86,7 +87,7 @@ def test_conformal_metric_examples():
     w = crapper.crapper_wave(0.5, n)
     W = conformal_metric(w)
     assert W.samples[0] == pytest.approx(1.0 / 81.0, abs=1e-12)
-    assert not W.zero_mean
+    assert mean(W) > 0.1
     # w = -cos t puts w' = 1 + Cw' = 0 at t = 0
     degenerate = PeriodicFunction.from_cosine_series([-1.0], n)
     with pytest.raises(DegenerateMetricError):
@@ -101,8 +102,9 @@ def test_theta_of_examples():
     th = theta_of(w)
     ref = crapper.crapper_theta(0.3, n)
     assert np.max(np.abs(th.samples - ref.samples)) < 1e-10
-    assert th.parity == "odd" and th.zero_mean
-    # sin(theta) * W^(1/2) = w' pointwise
+    assert np.max(np.abs(th.cosine_coefficients(n // 2 - 1))) < 1e-12
+    assert abs(mean(th)) < 1e-12
+    # sin(theta) * W^(1/2) = w' at every sample
     whalf = np.sqrt(conformal_metric(w).samples)
     from capwave.spectral import derivative
 
@@ -180,7 +182,7 @@ def test_residual_inf_mean_free_and_even():
         beta = rng.uniform(0.7, 3.0)
         r = residual_inf(WaveParams(alpha=alpha, beta=beta), w)
         assert abs(mean(r)) < 1e-11
-        assert r.parity == "even"
+        assert np.max(np.abs(r.sine_coefficients(127))) < 1e-12
 
 
 # -- angle-space residuals ----------------------------------------------------------------
@@ -311,7 +313,7 @@ def test_residual_fd_parity_and_mean():
         p = WaveParams(alpha=rng.uniform(0.01, 0.3), beta=rng.uniform(0.8, 2.0),
                        gamma=rng.uniform(-2, 2), h=rng.uniform(1.0, 4.0))
         r = residual_fd(p, w)
-        assert r.parity == "even"
+        assert np.max(np.abs(r.sine_coefficients(127))) < 1e-12
         assert abs(mean(r)) < 1e-11
 
 

@@ -14,10 +14,17 @@ from capwave.spectral import (
     mul,
     pf_exp,
     pf_pow,
-    pointwise,
-    validate,
 )
 from _oracles import crapper_samples, crapper_conjugate, theta_samples
+
+
+def _assert_even(f):
+    assert np.max(np.abs(f.sine_coefficients(f.n_grid // 2 - 1))) < 1e-12
+
+
+def _assert_odd(f):
+    assert np.max(np.abs(f.cosine_coefficients(f.n_grid // 2 - 1))) < 1e-12
+    assert abs(mean(f)) < 1e-12
 
 
 def _random_band_limited(rng, n_grid, modes=12, odd=False):
@@ -32,9 +39,11 @@ def test_round_trip_samples_coeffs_samples():
     for n in (64, 128, 256, 512, 1024):
         values = np.cos(grid(n)) + 0.3 * np.sin(2 * grid(n)) + rng.standard_normal(n) * 0.1
         f = PeriodicFunction.from_samples(values)
-        validate(f)
-        back = PeriodicFunction.from_coeffs(f.coeffs)
         scale = 1.0 + np.max(np.abs(values))
+        # the modes are the plain FFT of the samples and reproduce them
+        assert np.max(np.abs(np.fft.ifft(f.coeffs).real * n - f.samples)) < 1e-13 * scale
+        assert np.array_equal(f.coeffs, np.fft.fft(values) / n)
+        back = PeriodicFunction.from_coeffs(f.coeffs)
         assert np.max(np.abs(back.samples - values)) < 1e-13 * scale
 
 
@@ -52,9 +61,9 @@ def test_derivative_examples():
     t = grid(n)
     d = derivative(PeriodicFunction.from_samples(np.cos(t)))
     assert np.max(np.abs(d.samples + np.sin(t))) < 1e-13
-    assert d.zero_mean and d.parity == "odd"
+    _assert_odd(d)
     # even function has a critical point at t = 0
-    w = PeriodicFunction.from_samples(crapper_samples(0.5, t), parity="even")
+    w = PeriodicFunction.from_samples(crapper_samples(0.5, t))
     assert abs(derivative(w).samples[0]) < 1e-12
     # termwise differentiation of a 2-mode profile
     A = 0.5
@@ -68,7 +77,7 @@ def test_hilbert_examples_and_convention():
     t = grid(n)
     h = hilbert(PeriodicFunction.from_samples(np.cos(t)))
     assert np.max(np.abs(h.samples - np.sin(t))) < 1e-13
-    w = PeriodicFunction.from_samples(crapper_samples(0.5, t), parity="even")
+    w = PeriodicFunction.from_samples(crapper_samples(0.5, t))
     cw = hilbert(w)
     assert cw.samples[n // 4] == pytest.approx(-1.6, abs=1e-13)
     assert np.max(np.abs(cw.samples - crapper_conjugate(0.5, t))) < 1e-13
@@ -89,10 +98,11 @@ def test_hilbert_parity_flip():
     n = 128
     even = PeriodicFunction.from_cosine_series([1.0, 0.5], n)
     odd = PeriodicFunction.from_sine_series([1.0, 0.5], n)
-    assert hilbert(even).parity == "odd"
-    assert hilbert(odd).parity == "even"
-    assert hilbert_strip(even, 2.0).parity == "odd"
-    assert derivative(even).parity == "odd"
+    _assert_odd(hilbert(even))
+    _assert_even(hilbert(odd))
+    _assert_odd(hilbert_strip(even, 2.0))
+    _assert_odd(derivative(even))
+    _assert_even(derivative(odd))
 
 
 def test_hilbert_skew_on_zero_mean_functions():
@@ -133,7 +143,7 @@ def test_strip_multiplier_exceeds_one_and_decreases_in_d():
 
 def test_strip_to_deep_limit_bound_and_ratio():
     n = 512
-    w = PeriodicFunction.from_samples(crapper_samples(0.5, grid(n)), parity="even")
+    w = PeriodicFunction.from_samples(crapper_samples(0.5, grid(n)))
     coeff_sum = np.sum(np.abs(w.coeffs[w.coeffs != 0]))
     deep = hilbert(w)
     prev = None
@@ -166,11 +176,11 @@ def test_mul_dealiased_product():
     c = PeriodicFunction.from_samples(np.cos(t))
     p = mul(c, c)
     assert np.max(np.abs(p.samples - (1.0 + np.cos(2 * t)) / 2.0)) < 1e-14
-    assert p.parity == "even"
+    _assert_even(p)
     # odd * odd = even, even * odd = odd
     s = PeriodicFunction.from_samples(np.sin(t))
-    assert mul(s, s).parity == "even"
-    assert mul(c, s).parity == "odd"
+    _assert_even(mul(s, s))
+    _assert_odd(mul(c, s))
 
 
 def test_pow_and_exp_examples():
@@ -178,7 +188,7 @@ def test_pow_and_exp_examples():
     t = grid(n)
     flat = pf_pow(1.0 + 0.0 * PeriodicFunction.from_samples(np.cos(t)), -0.5)
     assert np.max(np.abs(flat.samples - 1.0)) < 1e-14
-    th = PeriodicFunction.from_samples(theta_samples(0.5, t), parity="odd")
+    th = PeriodicFunction.from_samples(theta_samples(0.5, t))
     e = pf_exp(hilbert(th))
     assert e.samples[0] == pytest.approx(1.0 / 9.0, abs=1e-13)
 
@@ -194,27 +204,6 @@ def test_div_degenerate_rejected():
         pf_pow(den, -0.5)
 
 
-def test_pointwise_dispatcher():
-    n = 64
-    t = grid(n)
-    c = PeriodicFunction.from_samples(np.cos(t))
-    s = PeriodicFunction.from_samples(np.sin(t))
-    assert np.allclose(pointwise(c, s, "add").samples, c.samples + s.samples)
-    assert np.allclose(pointwise(c, s, "sub").samples, c.samples - s.samples)
-    assert np.max(np.abs(pointwise(c, c, "mul").samples - np.cos(t) ** 2)) < 1e-13
-    shifted = 2.0 + c
-    assert np.allclose(pointwise(shifted, None, "pow", r=2.0).samples, (2 + np.cos(t)) ** 2)
-    assert np.allclose(pointwise(shifted, None, "log").samples, np.log(2 + np.cos(t)))
-    assert np.allclose(pointwise(c, None, "exp").samples, np.exp(np.cos(t)))
-    th = pointwise(s, 2.0 + c, "atan2")
-    assert np.allclose(th.samples, np.arctan2(np.sin(t), 2 + np.cos(t)))
-    assert th.parity == "odd"
-    with pytest.raises(ValueError):
-        pointwise(c, s, "nope")
-    with pytest.raises(ValueError):
-        pointwise(c, None, "pow")
-
-
 def test_resample_is_spectral():
     rng = np.random.default_rng(3)
     f = _random_band_limited(rng, 128)
@@ -226,20 +215,19 @@ def test_resample_is_spectral():
     assert np.max(np.abs(g.samples - np.cos(2 * grid(256)))) < 1e-13
 
 
-def test_parity_and_zero_mean_metadata():
+def test_symmetry_and_mean_of_sums():
     n = 128
     f = PeriodicFunction.from_cosine_series([1.0, 0.2], n)
-    assert f.parity == "even" and f.zero_mean
+    _assert_even(f)
+    assert abs(mean(f)) < 1e-15
     g = PeriodicFunction.from_sine_series([0.7], n)
-    assert g.parity == "odd" and g.zero_mean
+    _assert_odd(g)
     h = f + 2.5
-    assert not h.zero_mean
+    _assert_even(h)
     assert mean(h) == pytest.approx(2.5, abs=1e-14)
     mixed = f + g
-    assert mixed.parity == "none"
-    validate(f)
-    validate(g)
-    validate(mixed)
+    assert np.allclose(mixed.cosine_coefficients(2), [1.0, 0.2], atol=1e-15)
+    assert np.allclose(mixed.sine_coefficients(2), [0.7, 0.0], atol=1e-15)
 
 
 def test_coefficient_extraction():
