@@ -20,6 +20,7 @@ import numpy as np
 
 from . import crapper, geometry
 from .continuation import (
+    DEFAULT_M,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     NewtonError,
@@ -27,7 +28,7 @@ from .continuation import (
     continue_branch,
 )
 from .linearization import INJECTIVITY_TOL, dG_matrix, jacobian_fd, recurrence_scan
-from .operators import WaveParams, bernoulli_b, residual_G, residual_inf, theta_of, wavenumber_k
+from .operators import WaveParams, bernoulli_b, residual_G, residual_fd, residual_inf, theta_of
 from .serialization import (
     _csv_cell,
     branch_csv_text,
@@ -39,7 +40,6 @@ from .serialization import (
     write_json,
     write_text,
 )
-from .spectral import DegenerateMetricError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,28 +54,24 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("allow_abbrev", False)  # --g must not match --grid
+        kwargs.setdefault("formatter_class", argparse.ArgumentDefaultsHelpFormatter)
         self.flag_types = {}  # dest -> type, to check config values against
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        self.flag_types[action.dest] = action.type
+        if action.default is not argparse.SUPPRESS:  # not --help
+            self.flag_types[action.dest] = action.type
         return action
 
     def error(self, message):
         raise CliError(message)
 
 
-def _add_config(p):
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON file providing defaults for any flag")
-
-
 def _add_constants(p):
     # only the commands that leave scaled variables need dimensional constants
-    p.add_argument("--g", type=float, default=None, help="gravity (default 9.81)")
-    p.add_argument("--sigma", type=float, default=None,
-                   help="surface tension coefficient (default 0.074)")
+    p.add_argument("--g", type=float, default=9.81, help="gravity")
+    p.add_argument("--sigma", type=float, default=0.074, help="surface tension coefficient")
 
 
 def build_parser():
@@ -85,55 +81,53 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check the explicit pure-capillary family")
-    p.add_argument("--A", type=float, default=None, help="family parameter in (-1, 1)")
-    p.add_argument("--grid", type=int, default=None, help="collocation points (default 512)")
+    p.add_argument("--A", type=float, default=0.5, help="family parameter in (-1, 1)")
+    p.add_argument("--grid", type=int, default=512, help="collocation points")
     p.add_argument("--out", type=str, default=None, help="JSON report path")
-    _add_config(p)
 
     p = sub.add_parser("spectrum", help="linearisation spectrum along the family")
-    p.add_argument("--A-values", type=str, default=None,
-                   help="comma-separated parameters (default 0.1..0.9)")
-    p.add_argument("--M", type=int, default=None, help="sine modes kept (default 64)")
-    p.add_argument("--out-json", type=str, default=None)
-    p.add_argument("--out-csv", type=str, default=None)
-    _add_config(p)
+    p.add_argument("--A-values", type=str, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
+                   help="comma-separated parameters")
+    p.add_argument("--M", type=int, default=64, help="sine modes kept")
+    p.add_argument("--out-json", type=str, default=None, help="JSON report path")
+    p.add_argument("--out-csv", type=str, default=None, help="CSV table path")
 
     p = sub.add_parser("continue", help="continue the solution sheet in (alpha, beta)")
-    p.add_argument("--A", type=float, default=None, help="starting parameter (nonzero)")
-    p.add_argument("--alpha-start", type=float, default=None, help="default 0")
-    p.add_argument("--alpha-max", type=float, default=None, help="default 0.05")
-    p.add_argument("--steps", type=int, default=None, help="alpha steps (default 10)")
+    p.add_argument("--A", type=float, default=0.3, help="starting parameter (nonzero)")
+    p.add_argument("--alpha-start", type=float, default=0.0, help="first alpha (<= 0)")
+    p.add_argument("--alpha-max", type=float, default=0.05, help="last alpha")
+    p.add_argument("--steps", type=int, default=10, help="alpha steps")
     p.add_argument("--beta-max", type=float, default=None,
                    help="sweep beta rows up to this value (row-major 2-D grid)")
-    p.add_argument("--beta-steps", type=int, default=None)
-    p.add_argument("--h", type=float, default=None, help="conformal depth (default infinite)")
-    p.add_argument("--gamma", type=float, default=None, help="constant vorticity (default 0)")
-    p.add_argument("--M", type=int, default=None, help="cosine modes (default 128)")
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--out-json", type=str, default=None)
-    p.add_argument("--out-csv", type=str, default=None)
+    p.add_argument("--beta-steps", type=int, default=None, help="beta rows")
+    p.add_argument("--h", type=float, default=None, help="conformal depth (unset: deep water)")
+    p.add_argument("--gamma", type=float, default=0.0, help="constant vorticity")
+    p.add_argument("--M", type=int, default=DEFAULT_M, help="cosine modes")
+    p.add_argument("--grid", type=int, default=None, help="grid points (unset: from M and A)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="Newton residual tolerance")
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="Newton iterations")
+    p.add_argument("--out-json", type=str, default="branch.json", help="branch JSON path")
+    p.add_argument("--out-csv", type=str, default="branch.csv", help="branch CSV path")
     p.add_argument("--svg-dir", type=str, default=None, help="one profile SVG per step")
-    _add_config(p)
     _add_constants(p)
 
     p = sub.add_parser("profile", help="surface curve of a stored solution")
     p.add_argument("--input", type=str, default=None, help="solution JSON")
-    p.add_argument("--out-csv", type=str, default=None)
-    p.add_argument("--out-svg", type=str, default=None)
-    p.add_argument("--repeats", type=int, default=None, help="periods drawn (default 1)")
-    _add_config(p)
+    p.add_argument("--out-csv", type=str, default=None, help="profile CSV path")
+    p.add_argument("--out-svg", type=str, default=None, help="profile SVG path")
+    p.add_argument("--repeats", type=int, default=1, help="periods drawn")
 
     p = sub.add_parser("limit-check", help="finite-depth residual decay towards the deep limit")
-    p.add_argument("--A", type=float, default=None, help="default 0.5")
-    p.add_argument("--gamma", type=float, default=None, help="default 1")
-    p.add_argument("--h", type=float, default=None, help="default 2")
-    p.add_argument("--alphas", type=str, default=None, help="default 1e-2,1e-3,1e-4")
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
-    _add_config(p)
+    p.add_argument("--A", type=float, default=0.5, help="family parameter in (-1, 1)")
+    p.add_argument("--gamma", type=float, default=1.0, help="constant vorticity")
+    p.add_argument("--h", type=float, default=2.0, help="conformal depth")
+    p.add_argument("--alphas", type=str, default="1e-2,1e-3,1e-4",
+                   help="comma-separated positive alphas")
+    p.add_argument("--grid", type=int, default=512, help="collocation points")
+    p.add_argument("--out", type=str, default=None, help="JSON report path")
     _add_constants(p)
+    for p in sub.choices.values():
+        p.add_argument("--config", type=str, default=None, help="JSON file of flag defaults")
     top.commands = sub.choices
     return top
 
@@ -143,32 +137,28 @@ def build_parser():
 _JSON_TYPES = {float: (int, float), int: (int,), str: (str,)}
 
 
-def _merge_config(args, flag_types):
-    cfg = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config {args.config}: {exc}")
-        if not isinstance(cfg, dict):
-            raise CliError("config file must hold a JSON object")
+def _config_defaults(path, flag_types):
+    """The flag values of a config file, checked against their flags; a null
+    value leaves the flag's own default."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        raise CliError("config file must hold a JSON object")
+    defaults = {}
     for key, val in cfg.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in flag_types:
             raise CliError(f"unknown config key {key!r}")
-        kind = flag_types.get(dest)
-        if val is not None and kind in _JSON_TYPES and (
-                isinstance(val, bool) or not isinstance(val, _JSON_TYPES[kind])):
+        kind = flag_types[dest]
+        if val is None:
+            continue
+        if isinstance(val, bool) or not isinstance(val, _JSON_TYPES[kind]):
             raise CliError(f"config key {key!r} needs a {kind.__name__}, got {val!r}")
-        if getattr(args, dest) is None:
-            setattr(args, dest, val)
-    return args
-
-
-def _default(args, name, value):
-    if getattr(args, name) is None:
-        setattr(args, name, value)
+        defaults[dest] = val
+    return defaults
 
 
 def _check_A(A):
@@ -188,8 +178,6 @@ def _emit(report, path):
 
 
 def cmd_verify(args):
-    _default(args, "A", 0.5)
-    _default(args, "grid", 512)
     _check_A(args.A)
     A, n = args.A, args.grid
     checks = {}
@@ -235,14 +223,10 @@ def _spectrum_row(A, M):
 
 
 def cmd_spectrum(args):
-    _default(args, "M", 64)
-    if args.A_values is None:
-        values = [round(0.1 * i, 10) for i in range(1, 10)]
-    else:
-        try:
-            values = [float(v) for v in args.A_values.split(",") if v.strip()]
-        except ValueError as exc:
-            raise CliError(f"bad --A-values: {exc}")
+    try:
+        values = [float(v) for v in args.A_values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise CliError(f"bad --A-values: {exc}")
     for A in values:
         _check_A(A)
     rows = [_spectrum_row(A, args.M) for A in values]
@@ -278,17 +262,6 @@ def _build_schedule(args, beta0):
 
 
 def cmd_continue(args):
-    _default(args, "A", 0.3)
-    _default(args, "alpha_start", 0.0)
-    _default(args, "alpha_max", 0.05)
-    _default(args, "steps", 10)
-    _default(args, "gamma", 0.0)
-    _default(args, "tol", DEFAULT_TOL)
-    _default(args, "max_iter", DEFAULT_MAX_ITER)
-    _default(args, "g", 9.81)
-    _default(args, "sigma", 0.074)
-    _default(args, "out_json", "branch.json")
-    _default(args, "out_csv", "branch.csv")
     _check_A(args.A)
     for path in (args.out_json, args.out_csv):
         # checked before solving: a branch must not be lost to a bad path
@@ -319,7 +292,8 @@ def cmd_continue(args):
     if args.svg_dir:
         os.makedirs(args.svg_dir, exist_ok=True)
         for i, sol in enumerate(branch.solutions):
-            curve, crossings = _solution_curve(sol)
+            curve = geometry.solution_curve(sol.params, sol.w)
+            crossings = geometry.check_injective(curve).crossings
             write_text(os.path.join(args.svg_dir, f"step_{i:04d}.svg"),
                        profile_svg_text(curve.x, curve.y, crossings))
     sys.stdout.write(dumps_fixed({"command": "continue", "accepted": len(branch.solutions),
@@ -328,23 +302,10 @@ def cmd_continue(args):
     return code
 
 
-def _solution_curve(sol, n_points=None):
-    p = sol.params
-    if p.alpha > 0.0:
-        k = wavenumber_k(p.alpha, p.beta, p.g, p.sigma)
-        d = None if p.is_infinite else p.h * k
-    else:
-        k, d = 1.0, None
-    n_points = n_points or max(geometry.GEOMETRY_POINTS, sol.w.n_grid)
-    curve = geometry.surface_profile(sol.w, k, d=d, n_points=n_points)
-    return curve, geometry.check_injective(curve).crossings
-
-
 # -- profile -----------------------------------------------------------------------
 
 
 def cmd_profile(args):
-    _default(args, "repeats", 1)
     if not args.input:
         raise CliError("profile needs --input SOLUTION.json")
     try:
@@ -354,8 +315,9 @@ def cmd_profile(args):
         # KeyError, TypeError: a field is missing or has the wrong JSON type
         raise CliError(f"cannot load solution {args.input}: {exc}")
     # CSV at the stored grid so the profile round-trips losslessly
-    curve_csv, _ = _solution_curve(sol, n_points=sol.w.n_grid)
-    curve, crossings = _solution_curve(sol)
+    curve_csv = geometry.solution_curve(sol.params, sol.w, n_points=sol.w.n_grid)
+    curve = geometry.solution_curve(sol.params, sol.w)
+    crossings = geometry.check_injective(curve).crossings
     if args.out_csv:
         write_text(args.out_csv, profile_csv_text(curve_csv.x, curve_csv.y))
     if args.out_svg:
@@ -376,15 +338,6 @@ def cmd_profile(args):
 
 
 def cmd_limit_check(args):
-    from .operators import residual_fd  # local import keeps module list tidy
-
-    _default(args, "A", 0.5)
-    _default(args, "gamma", 1.0)
-    _default(args, "h", 2.0)
-    _default(args, "alphas", "1e-2,1e-3,1e-4")
-    _default(args, "grid", 512)
-    _default(args, "g", 9.81)
-    _default(args, "sigma", 0.074)
     _check_A(args.A)
     try:
         alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
@@ -396,14 +349,14 @@ def cmd_limit_check(args):
     w = crapper.crapper_wave(A, n)
     beta = crapper.beta_of(A)
     base = residual_inf(WaveParams(alpha=0.0, beta=beta, g=args.g, sigma=args.sigma), w)
-    diffs = []
-    for a in alphas:
-        p = WaveParams(alpha=a, beta=beta, g=args.g, sigma=args.sigma,
+
+    def difference(alpha):
+        p = WaveParams(alpha=alpha, beta=beta, g=args.g, sigma=args.sigma,
                        gamma=args.gamma, h=args.h)
-        diffs.append((residual_fd(p, w) - base).norm_inf())
-    p0 = WaveParams(alpha=0.0, beta=beta, g=args.g, sigma=args.sigma,
-                    gamma=args.gamma, h=args.h)
-    exact_zero = (residual_fd(p0, w) - base).norm_inf()
+        return (residual_fd(p, w) - base).norm_inf()
+
+    diffs = [difference(a) for a in alphas]
+    exact_zero = difference(0.0)
     decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
     report = {"command": "limit-check", "A": A, "gamma": args.gamma, "h": args.h,
               "n_grid": n, "alphas": alphas, "differences": diffs,
@@ -425,12 +378,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _merge_config(args, parser.commands[args.command].flag_types)
+        if args.config:  # the file replaces the defaults; parsed again, explicit flags win
+            sub = parser.commands[args.command]
+            sub.set_defaults(**_config_defaults(args.config, sub.flag_types))
+            args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except CliError as exc:
-        sys.stderr.write(f"capwave: {exc}\n")
-        return EXIT_USAGE
-    except (ValueError, DegenerateMetricError) as exc:
+    except (CliError, ValueError) as exc:  # DegenerateMetricError is a ValueError
         sys.stderr.write(f"capwave: {exc}\n")
         return EXIT_USAGE
     except NewtonError as exc:

@@ -9,6 +9,11 @@ keep this curve injective (no trapped air pockets) and above the bed
 (w > -kh in finite depth); both are checked here, along with the
 crest-to-trough steepness and the parameter threshold where the explicit
 pure-capillary family starts self-intersecting.
+
+`solution_curve` draws a solution at the physical wavenumber k(alpha, beta)
+(strip conjugation at d = hk in finite depth) when alpha > 0 and in conformal
+units (k = 1) otherwise; `solution_report` holds the flags of every Newton
+solution.  Crossings are counted per period, one on the period seam once.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from . import crapper
 from ._kernels import segment_crossings
 from .spectral import PeriodicFunction, hilbert, hilbert_strip, drop_mean, grid
-from .operators import conformal_metric
+from .operators import WaveParams, conformal_metric, wavenumber_k
 
 GEOMETRY_POINTS = 1024
 
@@ -82,14 +87,41 @@ def check_injective(curve: SurfaceCurve) -> InjectivityReport:
     x, y = curve.extended(margin=0.5)
     hits = segment_crossings(x, y)
     if len(hits):
-        folded = hits.copy()
-        folded[:, 0] = np.mod(folded[:, 0], curve.period)
-        order = np.lexsort((folded[:, 1].round(9), folded[:, 0].round(9)))
-        folded = folded[order]
-        keep = np.ones(len(folded), dtype=bool)
-        keep[1:] = np.any(np.abs(np.diff(folded.round(9), axis=0)) > 1e-9, axis=1)
-        hits = folded[keep]
+        # copies of one crossing in neighbouring periods agree in period units
+        # after rounding; the period is taken from the rounded x, so a crossing
+        # on the seam (x ~ 0 and x ~ period) folds to one place
+        u = hits[:, 0] / curve.period
+        shift = np.floor(np.round(u, 9))
+        key = np.round(np.column_stack((u - shift, hits[:, 1] / curve.period)), 9)
+        order = np.lexsort((key[:, 1], key[:, 0]))
+        keep = np.ones(len(order), dtype=bool)
+        keep[1:] = np.any(np.diff(key[order], axis=0) != 0.0, axis=1)
+        order = order[keep]
+        hits = np.column_stack((hits[order, 0] - shift[order] * curve.period, hits[order, 1]))
     return InjectivityReport(injective=len(hits) == 0, crossings=hits)
+
+
+def solution_curve(params: WaveParams, w: PeriodicFunction,
+                   n_points: int | None = None) -> SurfaceCurve:
+    """Surface of a solution (see the module docstring), on `n_points` or
+    max(GEOMETRY_POINTS, grid of w) points."""
+    if params.alpha > 0.0:
+        k = wavenumber_k(params.alpha, params.beta, params.g, params.sigma)
+        d = None if params.is_infinite else params.h * k
+    else:
+        k, d = 1.0, None
+    return surface_profile(w, k, d=d, n_points=n_points or max(GEOMETRY_POINTS, w.n_grid))
+
+
+def solution_report(params: WaveParams, w: PeriodicFunction) -> dict:
+    """Admissibility flags of a solution; violations never fail the solve,
+    only mark it."""
+    curve = solution_curve(params, w)
+    crossings = check_injective(curve).crossings
+    finite = params.alpha > 0.0 and not params.is_infinite
+    return {"steepness": steepness(w),
+            "above_bed": check_above_bed(w, curve.k, params.h) if finite else True,
+            "injective": len(crossings) == 0, "crossing_count": int(len(crossings))}
 
 
 def check_above_bed(w: PeriodicFunction, k: float, h: float) -> bool:

@@ -191,6 +191,8 @@ def recurrence_scan(A: float, M: int, tol: float = INJECTIVITY_TOL) -> KernelRep
     crapper._check_param(A)
     if M < 8:
         raise ValueError("recurrence scan needs M >= 8")
+    if 0.0 < abs(A) < 1e-150:
+        raise ValueError(f"recurrence scan needs A = 0 or |A| >= 1e-150, got {A}")
     matrix = dG_matrix(A, M)
     svd_report = smallest_singular(matrix, tol=tol, A=A)
     if A == 0.0:

@@ -235,11 +235,16 @@ def _finite_depth_pieces(params: WaveParams, w: PeriodicFunction):
     if params.is_infinite:
         raise ValueError("finite-depth residual with alpha > 0 needs a finite depth h")
     d = h * wavenumber_k(alpha, beta, g, sigma)
+    try:
+        pref = gamma * (alpha ** 3 * sigma / (g ** 3 * beta)) ** 0.25
+        root = math.sqrt(alpha * sigma / (g * beta))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("finite-depth vorticity scales leave the float range "
+                         "(extreme alpha, g or sigma)") from None
     wp, wpp, one_cwp, whalf, winvhalf = _metric_powers(w, d=d)
     cwp = one_cwp - 1.0
 
-    pref = gamma * (alpha ** 3 * sigma / (g ** 3 * beta)) ** 0.25
-    const = mean(mul(w, w)) / (2.0 * h) * math.sqrt(alpha * sigma / (g * beta))
+    const = mean(mul(w, w)) / (2.0 * h) * root
     inner = const + hilbert_strip(drop_mean(mul(w, wp)), d) - w - mul(w, cwp)
     bracket_v = 1.0 + pref * inner
     v2 = mul(bracket_v, bracket_v)
@@ -249,6 +254,9 @@ def _finite_depth_pieces(params: WaveParams, w: PeriodicFunction):
     cwhalf = hilbert_strip(drop_mean(whalf), d)
     num = mean(mul(wp, cp)) + mean(mul(one_cwp, p))
     den = mean(mul(wp, cwhalf)) + mean(mul(one_cwp, whalf))
+    if den == 0.0:
+        raise ValueError("finite-depth head qhat undefined: its denominator is 0 "
+                         "(extreme alpha, g or sigma)")
     qhat = num / den
     return d, wp, wpp, one_cwp, whalf, p, cp, cwhalf, qhat
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import subprocess
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from capwave import cli, crapper
+from capwave import cli, continuation, crapper
 from capwave.cli import main
 from capwave.continuation import newton_solve
-from capwave.operators import WaveParams, residual_inf
+from capwave.operators import WaveParams
 from capwave.serialization import (
     BRANCH_CSV_COLUMNS,
     dumps_fixed,
@@ -50,7 +51,7 @@ def test_dumps_fixed_deterministic_and_ordered():
 def test_solution_round_trip():
     w = crapper.crapper_wave(0.3, 256)
     params = WaveParams(alpha=0.0, beta=crapper.beta_of(0.3))
-    sol = newton_solve(residual_inf, params, w, M=32)
+    sol = newton_solve(params, w, M=32)
     d = solution_to_dict(sol)
     assert d["format_version"] == 1
     assert list(d["params"]) == ["alpha", "beta", "gamma", "h", "g", "sigma"]
@@ -236,7 +237,7 @@ def test_profile_round_trip_and_svg(tmp_path, capsys):
     # store a steep pure-capillary wave and reconstruct its overhanging curve
     w = crapper.crapper_wave(0.8, 512)
     params = WaveParams(alpha=0.0, beta=crapper.beta_of(0.8))
-    sol = newton_solve(residual_inf, params, w, M=160, tol=1e-8)
+    sol = newton_solve(params, w, M=160, tol=1e-8)
     sol_path = tmp_path / "sol.json"
     sol_path.write_text(dumps_fixed(solution_to_dict(sol)))
     csv = tmp_path / "prof.csv"
@@ -258,7 +259,7 @@ def test_profile_round_trip_and_svg(tmp_path, capsys):
 def test_profile_reads_nan_diagnostics(tmp_path, capsys):
     w = crapper.crapper_wave(0.3, 256)
     params = WaveParams(alpha=0.0, beta=crapper.beta_of(0.3))
-    sol = newton_solve(residual_inf, params, w, M=32)
+    sol = newton_solve(params, w, M=32)
     sol = dataclasses.replace(sol, residual_norm=math.nan, b_or_qhat=math.nan,
                               sigma_min=math.nan)
     sol_path = tmp_path / "sol.json"
@@ -380,10 +381,141 @@ def test_branch_round_trip():
 
     beta = crapper.beta_of(0.2)
     branch = continue_branch(0.2, [(0.0, beta), (0.01, beta)], M=16,
-                             g=1.0, sigma=1.0, geometry_checks=False)
+                             g=1.0, sigma=1.0)
     back = branch_from_dict(json.loads(dumps_fixed(branch_to_dict(branch))))
     assert back.start_A == branch.start_A
     assert len(back.solutions) == 2
     assert back.step_history == branch.step_history
     assert np.max(np.abs(back.solutions[-1].w.cosine_coefficients(16)
                          - branch.solutions[-1].w.cosine_coefficients(16))) == 0.0
+
+
+def test_profile_counts_the_crossings_continue_stored(tmp_path, capsys):
+    # w_0.5 overhangs and crosses itself on x = 0, the seam of the period:
+    # the branch file and `profile` count each crossing once
+    jsn = tmp_path / "branch.json"
+    assert main(["continue", "--A", "0.5", "--alpha-max", "0.02", "--steps", "1", "--M", "64",
+                 "--g", "1", "--sigma", "1", "--out-json", str(jsn),
+                 "--out-csv", str(tmp_path / "branch.csv")]) == 0
+    last = json.loads(_read(jsn))["solutions"][-1]
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps(last))
+    capsys.readouterr()
+    assert main(["profile", "--input", str(sol_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert last["diagnostics"]["crossing_count"] == report["crossings"] == 2
+
+
+# -- the whole command-line contract -------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    "limit-check --h 1 --alphas 1e-2 --g 1e300 --sigma 2 --grid 64",
+    "limit-check --A 0.5 --gamma -0.0 --sigma 1e300 --grid 64",
+    "limit-check --gamma 0.02 --alphas 1e300 --g 1e-12 --grid 64",
+    "continue --A 0.3 --h 2 --gamma 0.5 --g 1e300 --sigma 1 --M 8 --steps 1 --alpha-max 0.02",
+])
+def test_extreme_constants_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+_WILD_FLOATS = (st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-12, -1.0, 1.0, 9.81, 1e300,
+                                 -1e300, math.inf, -math.inf, math.nan])
+                | st.floats(-2.0, 2.0))
+
+
+def _joined(values):
+    return st.lists(values, min_size=1, max_size=3).map(lambda vs: ",".join(map(repr, vs)))
+
+
+def _float_flag(lo, hi):
+    return st.floats(lo, hi), _WILD_FLOATS
+
+
+def _int_flag(lo, hi):
+    return st.integers(lo, hi), st.integers(-4, hi)
+
+
+def _list_flag(lo, hi):
+    return (_joined(st.floats(lo, hi)),
+            _joined(_WILD_FLOATS) | st.sampled_from(["", ",", "x", "1e-2,,y"]))
+
+
+# (plausible values, wild values) of each flag by command; the grid, mode,
+# step and iteration flags are always set and small, so no example solves a
+# large problem
+_FUZZ_FLAGS = {
+    "verify": {"A": _float_flag(-0.9, 0.9), "grid": _int_flag(32, 64)},
+    "spectrum": {"A-values": _list_flag(-0.9, 0.9), "M": _int_flag(8, 16)},
+    "limit-check": {"A": _float_flag(-0.9, 0.9), "gamma": _float_flag(-2.0, 2.0),
+                    "h": _float_flag(0.5, 5.0), "alphas": _list_flag(1e-5, 0.1),
+                    "grid": _int_flag(32, 64), "g": _float_flag(0.5, 10.0),
+                    "sigma": _float_flag(0.01, 2.0)},
+    "continue": {"A": (st.floats(0.05, 0.3) | st.floats(-0.3, -0.05), _WILD_FLOATS),
+                 "alpha-start": _float_flag(-0.02, 0.0),
+                 "alpha-max": _float_flag(0.0, 0.05), "steps": _int_flag(0, 1),
+                 "beta-max": _float_flag(1.0, 1.5), "beta-steps": _int_flag(0, 2),
+                 "h": _float_flag(0.5, 5.0),
+                 "gamma": (st.just(0.0) | st.floats(-1.0, 1.0), _WILD_FLOATS),
+                 "M": _int_flag(8, 16), "grid": _int_flag(64, 64),
+                 "tol": (st.sampled_from([1e-11, 1e-8, 1e-4]), _WILD_FLOATS),
+                 "max-iter": _int_flag(0, 3), "g": _float_flag(0.5, 10.0),
+                 "sigma": _float_flag(0.05, 2.0)},
+}
+_ALWAYS_SET = {"grid", "M", "steps", "max-iter"}
+
+
+@st.composite
+def _invocations(draw, command):
+    """argv and config document.  Each flag is left out, given on the command
+    line, or given in the config file, as a value or as null; a wild example
+    mixes out-of-range values, junk lists and unknown keys into the others."""
+    wild = draw(st.booleans())
+    argv, cfg = [command], {}
+    for flag, (plausible, wilder) in _FUZZ_FLAGS[command].items():
+        value = draw(plausible | wilder if wild else plausible)
+        places = ["argv", "config"] if flag in _ALWAYS_SET else ["argv", "config", "null", "unset"]
+        place = draw(st.sampled_from(places))
+        if place == "argv":
+            argv.append(f"--{flag}={value}")
+        elif place == "config":
+            cfg[flag] = value
+        elif place == "null":
+            cfg[flag] = None
+    if wild and draw(st.booleans()):
+        cfg[draw(st.sampled_from(["no-such-flag", "command", "help"]))] = 1
+    return argv, cfg
+
+
+# a budget of Newton solves per example bounds the cost of continuations whose
+# steps keep halving and succeeding (one such example took 50 s); a spent
+# budget ends like any failed step, in exit 3
+_SOLVE_BUDGET = 12
+_newton_solve = continuation.newton_solve
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@pytest.mark.parametrize("command", list(_FUZZ_FLAGS))
+def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch, command, data):
+    # every invocation ends in a documented exit code, never in an exception
+    monkeypatch.chdir(tmp_path)
+    solves = itertools.count()
+
+    def budgeted(*args, **kwargs):
+        if next(solves) >= _SOLVE_BUDGET:
+            raise continuation.NewtonError("solve budget of the fuzz example spent")
+        return _newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_solve", budgeted)
+    argv, cfg = data.draw(_invocations(command))
+    if cfg:
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv += ["--config", "cfg.json"]
+    assert main(argv) in (0, 1, 2, 3)
+    capsys.readouterr()

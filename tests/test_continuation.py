@@ -11,7 +11,7 @@ from capwave.continuation import (
     modes_for,
     newton_solve,
 )
-from capwave.operators import WaveParams, q_hat, residual_fd, residual_inf
+from capwave.operators import WaveParams, q_hat, residual_fd
 from capwave.serialization import solution_to_dict
 from capwave.spectral import PeriodicFunction
 
@@ -23,8 +23,7 @@ def _crapper_start(A, n_grid=256):
 
 def test_newton_at_exact_solution_converges_immediately():
     w, params = _crapper_start(0.3)
-    sol = newton_solve(residual_inf, params, w, M=32,
-                       geometry_checks=False)
+    sol = newton_solve(params, w, M=32)
     assert sol.newton_iters <= 1
     assert sol.residual_norm < 1e-11
     assert sol.b_or_qhat == pytest.approx(1.0, abs=1e-11)
@@ -33,8 +32,7 @@ def test_newton_at_exact_solution_converges_immediately():
 def test_newton_returns_to_local_solution_from_perturbation():
     w, params = _crapper_start(0.3)
     w0 = w + PeriodicFunction.from_cosine_series([0.0, 0.01], w.n_grid)
-    sol = newton_solve(residual_inf, params, w0, M=32,
-                       geometry_checks=False)
+    sol = newton_solve(params, w0, M=32)
     dist = np.max(np.abs(sol.w.samples - w.samples))
     assert dist < 1e-3 * np.max(np.abs(w.samples))
     assert sol.newton_iters <= 6
@@ -43,8 +41,7 @@ def test_newton_returns_to_local_solution_from_perturbation():
 def test_newton_flat_water_reports_near_singular_jacobian():
     flat = PeriodicFunction.zeros(256)
     params = WaveParams(alpha=0.0, beta=1.0)
-    sol = newton_solve(residual_inf, params, flat, M=8,
-                       geometry_checks=False)
+    sol = newton_solve(params, flat, M=8)
     assert sol.residual_norm == 0.0
     assert np.max(np.abs(sol.w.samples)) == 0.0
     assert sol.sigma_min < 1e-9  # cos t is the flat-water bifurcation direction
@@ -53,8 +50,7 @@ def test_newton_flat_water_reports_near_singular_jacobian():
 def test_newton_quadratic_convergence_history():
     w, params = _crapper_start(0.4)
     w0 = w + PeriodicFunction.from_cosine_series([0.0, 0.005], w.n_grid)
-    sol = newton_solve(residual_inf, params, w0, M=48,
-                       geometry_checks=False)
+    sol = newton_solve(params, w0, M=48)
     hist = sol.residual_history
     assert hist[-1] < 1e-11
     for a, b in zip(hist, hist[1:]):
@@ -64,12 +60,12 @@ def test_newton_quadratic_convergence_history():
 
 
 def test_newton_solution_takes_depth_from_its_params():
-    # one record carries h and gamma, so the stored depth, the head scalar and
-    # the file cannot disagree with the parameters that were solved for
+    # one record carries h and gamma and picks the residual, so the problem
+    # solved, the stored depth, the head scalar and the file cannot disagree
     params = WaveParams(alpha=0.01, beta=crapper.beta_of(0.3), h=2.0, gamma=0.5)
-    sol = newton_solve(residual_fd, params, crapper.crapper_wave(0.3, 256), M=32,
-                       geometry_checks=False)
+    sol = newton_solve(params, crapper.crapper_wave(0.3, 256), M=32)
     assert sol.residual_norm < 1e-11
+    assert residual_fd(params, sol.w).norm_inf() < 1e-11
     assert sol.depth is sol.params and not sol.depth.is_infinite
     assert sol.b_or_qhat == q_hat(params, sol.w)
     assert solution_to_dict(sol)["depth_mode"] == "finite"
@@ -79,8 +75,7 @@ def test_newton_divergence_reported():
     w, params = _crapper_start(0.3)
     bad = WaveParams(alpha=5.0, beta=params.beta)  # far outside the sheet
     with pytest.raises(NewtonError):
-        newton_solve(residual_inf, bad, w, M=16,
-                     max_iter=3, geometry_checks=False)
+        newton_solve(bad, w, M=16, max_iter=3)
 
 
 def test_continue_branch_rejects_bad_starts():
@@ -98,8 +93,7 @@ def test_continue_branch_rejects_bad_starts():
 def test_continue_branch_walks_the_sheet():
     beta = crapper.beta_of(0.25)
     schedule = [(0.01 * i / 3, beta) for i in range(4)]
-    branch = continue_branch(0.25, schedule, M=32, g=1.0, sigma=1.0,
-                             geometry_checks=False)
+    branch = continue_branch(0.25, schedule, M=32, g=1.0, sigma=1.0)
     assert len(branch.solutions) == 4
     assert all(acc for (_, _, _, acc) in branch.step_history)
     alphas = [s.params.alpha for s in branch.solutions]
@@ -112,8 +106,7 @@ def test_continue_branch_walks_the_sheet():
 def test_continue_branch_sheet_continuity():
     beta = crapper.beta_of(0.3)
     schedule = [(a, beta) for a in (0.0, 0.01, 0.02, 0.04)]
-    branch = continue_branch(0.3, schedule, M=48, g=1.0, sigma=1.0,
-                             geometry_checks=False)
+    branch = continue_branch(0.3, schedule, M=48, g=1.0, sigma=1.0)
     w_a = branch.solutions[0].w
     dists = [np.max(np.abs(branch.solution_at(a).w.samples - w_a.samples))
              for a in (0.04, 0.02, 0.01)]
@@ -126,7 +119,7 @@ def test_step_underflow_carries_partial_branch():
     beta = crapper.beta_of(0.3)
     with pytest.raises(StepUnderflowError) as err:
         continue_branch(0.3, [(0.0, beta), (1e6, beta)], M=16, max_iter=2,
-                        g=1.0, sigma=1.0, geometry_checks=False, max_halvings=3)
+                        g=1.0, sigma=1.0)
     branch = err.value.branch
     assert isinstance(branch, Branch)
     assert len(branch.solutions) >= 1  # the pure-capillary start was accepted
@@ -137,8 +130,8 @@ def test_step_underflow_carries_partial_branch():
 def test_mesh_independence_of_converged_solution():
     beta = crapper.beta_of(0.3)
     schedule = [(0.0, beta), (0.02, beta), (0.05, beta)]
-    b32 = continue_branch(0.3, schedule, M=32, g=1.0, sigma=1.0, geometry_checks=False)
-    b64 = continue_branch(0.3, schedule, M=64, g=1.0, sigma=1.0, geometry_checks=False)
+    b32 = continue_branch(0.3, schedule, M=32, g=1.0, sigma=1.0)
+    b64 = continue_branch(0.3, schedule, M=64, g=1.0, sigma=1.0)
     c32 = b32.solutions[-1].w.cosine_coefficients(32)
     c64 = b64.solutions[-1].w.cosine_coefficients(32)
     assert np.max(np.abs(c32 - c64)) < 1e-8
@@ -148,7 +141,7 @@ def test_deep_and_finite_branches_agree_as_depth_grows():
     # sigma = 100 shrinks k so the strip correction is visible at h = 4
     beta = crapper.beta_of(0.3)
     schedule = [(0.05 * i / 3, beta) for i in range(4)]
-    kwargs = dict(M=32, g=1.0, sigma=100.0, geometry_checks=False)
+    kwargs = dict(M=32, g=1.0, sigma=100.0)
     deep = continue_branch(0.3, schedule, **kwargs)
     fin4 = continue_branch(0.3, schedule, h=4.0, **kwargs)
     fin8 = continue_branch(0.3, schedule, h=8.0, **kwargs)
@@ -175,7 +168,7 @@ def test_finite_depth_branch_with_vorticity():
 
 
 def test_crapper_curve_check_documented_example():
-    rep = crapper_curve_check([0.4], perturbation=(0.02, 3), scale_with_margin=False)
+    rep = crapper_curve_check([0.4])
     row = rep["rows"][0]
     assert row["coefficient_error"] < 1e-6
     assert rep["max_profile_distance"] < 1e-6

@@ -67,6 +67,26 @@ def test_injectivity_symmetric_under_parameter_sign():
                 == crapper_profile_injective(-A, 1024))
 
 
+@pytest.mark.parametrize("A", [0.46, 0.5, 0.55, 0.6, 0.7])
+def test_crossing_on_the_period_seam_counts_once(A):
+    # w_A has its trough at t = 0, so the overhanging crests cross on x = 0,
+    # the seam of the period; w_-A is w_A shifted by half a period, with its
+    # crossings inside.  Both count the same crossings at every k and grid,
+    # and so does the curve translated by any part of a period.
+    for k in (0.05, 1.0, 3.7, 12.9):
+        for n in (1024, 2048):
+            counts = []
+            for a in (A, -A):
+                curve = surface_profile(crapper.crapper_wave(a, n), k)
+                for shift in (0.0, 0.1234567, 1.0 - 1e-12):
+                    moved = SurfaceCurve(x=curve.x + shift * curve.period, y=curve.y.copy(), k=k)
+                    crossings = check_injective(moved).crossings
+                    assert np.all(crossings[:, 0] > -1e-9 * curve.period)
+                    assert np.all(crossings[:, 0] < curve.period)
+                    counts.append(len(crossings))
+            assert counts == [2] * 6
+
+
 def _assert_same_crossings(x, y):
     got = segment_crossings(x, y)
     want = pairwise_crossings(x, y, ENDPOINT_BAND)

@@ -306,6 +306,20 @@ def test_residual_fd_requires_finite_depth_for_positive_alpha():
         residual_fd(WaveParams(alpha=0.1, beta=1.2), w)
 
 
+@pytest.mark.parametrize("alpha, g, sigma", [(1e-2, 1e300, 2.0), (1e-3, 9.81, 1e300),
+                                              (1e300, 1e-12, 0.074)])
+def test_residual_fd_extreme_constants_raise_value_error(alpha, g, sigma):
+    # the vorticity scales overflow, or the strip transform at d = hk ~ 1e-150
+    # leaves the float range
+    w = crapper.crapper_wave(0.5, 64)
+    p = WaveParams(alpha=alpha, beta=crapper.beta_of(0.5), g=g, sigma=sigma,
+                   gamma=1.0, h=2.0)
+    with pytest.raises(ValueError):
+        residual_fd(p, w)
+    with pytest.raises(ValueError):
+        q_hat(p, w)
+
+
 def test_residual_fd_parity_and_mean():
     rng = np.random.default_rng(9)
     for _ in range(10):

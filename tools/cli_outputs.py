@@ -1,0 +1,89 @@
+"""Write a fixed set of capwave CLI outputs into OUTDIR.
+
+A change that keeps the command line's behaviour leaves every byte of this
+set as it was, so two checkouts compare with one diff:
+
+    python3 tools/cli_outputs.py /tmp/before      # in the parent checkout
+    python3 tools/cli_outputs.py /tmp/after       # in the changed checkout
+    diff -r /tmp/before /tmp/after
+
+The set: deep `continue` at A = 0.3, 0.5 and -0.47 with JSON, CSV and SVGs;
+a finite-depth vortical `continue` with SVGs; a 2-D (alpha, beta) sheet; the
+default `spectrum`, `verify --A 0.6` and the default `limit-check`; `profile`
+with and without `--repeats 2` on the last deep and the last vortical point.
+Each run's stdout, stderr and exit code sit next to its files.  The commands
+run in-process through `capwave.cli.main`, with OUTDIR as the working
+directory and relative paths, so no absolute path reaches the files.  capwave
+is imported from the `src/` next to this script.  About 15 s on two cores.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from capwave.cli import main  # noqa: E402
+
+SHEET = ["--alpha-max", "0.02", "--steps", "1", "--g", "1", "--sigma", "1"]
+
+
+def _continue(name, *flags):
+    return name, ["continue", *flags, *SHEET, "--out-json", f"{name}.json",
+                  "--out-csv", f"{name}.csv", "--svg-dir", f"{name}_svg"]
+
+
+RUNS = [
+    _continue("deep_0.3", "--A", "0.3"),
+    _continue("deep_0.5", "--A", "0.5"),
+    _continue("deep_-0.47", "--A", "-0.47"),
+    _continue("vortical", "--A", "0.3", "--h", "2.5", "--gamma", "0.7", "--M", "64"),
+    _continue("sheet_2d", "--A", "0.3", "--M", "32", "--beta-max", "1.4", "--beta-steps", "2"),
+    ("spectrum", ["spectrum", "--out-json", "spectrum.json", "--out-csv", "spectrum.csv"]),
+    ("verify", ["verify", "--A", "0.6", "--out", "verify.json"]),
+    ("limit_check", ["limit-check", "--out", "limit_check.json"]),
+]
+# (solution file, branch it is the last point of)
+POINTS = [("deep_point.json", "deep_0.5.json"), ("vortical_point.json", "vortical.json")]
+
+
+def run(name, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    Path(f"{name}.stdout").write_text(out.getvalue(), encoding="utf-8")
+    Path(f"{name}.stderr").write_text(err.getvalue(), encoding="utf-8")
+    Path(f"{name}.exit").write_text(f"{code}\n", encoding="utf-8")
+
+
+def write_outputs(outdir):
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    here = os.getcwd()
+    os.chdir(outdir)
+    try:
+        for name, argv in RUNS:
+            run(name, argv)
+        for point, branch in POINTS:
+            with open(branch, encoding="utf-8") as fh:
+                last = json.load(fh)["solutions"][-1]
+            Path(point).write_text(json.dumps(last) + "\n", encoding="utf-8")
+            stem = point[:-len(".json")]
+            for tag, extra in (("", []), ("_repeats2", ["--repeats", "2"])):
+                run(f"profile_{stem}{tag}",
+                    ["profile", "--input", point, "--out-csv", f"profile_{stem}{tag}.csv",
+                     "--out-svg", f"profile_{stem}{tag}.svg", *extra])
+    finally:
+        os.chdir(here)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.stderr.write("usage: python3 tools/cli_outputs.py OUTDIR\n")
+        raise SystemExit(1)
+    write_outputs(sys.argv[1])
