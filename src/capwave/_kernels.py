@@ -27,10 +27,10 @@ def selected_backend() -> str:
     return "numpy"
 
 
-def segment_crossings(x: np.ndarray, y: np.ndarray, band: float = ENDPOINT_BAND) -> np.ndarray:
+def segment_crossings(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Proper pairwise intersections of the open polyline (x, y).
 
-    Adjacent segments are skipped; intersections within `band` of a segment
+    Adjacent segments are skipped; intersections within ENDPOINT_BAND of a segment
     endpoint are excluded.  Returns an (n, 2) array of crossing coordinates,
     ordered by the index of the first segment and then of the second.
     """
@@ -64,7 +64,7 @@ def segment_crossings(x: np.ndarray, y: np.ndarray, band: float = ENDPOINT_BAND)
     py = y[i] + s * (y[i + 1] - y[i])
     near = np.zeros(len(i), dtype=bool)
     for e in (i, i + 1, j, j + 1):
-        near |= (np.abs(px - x[e]) <= band) & (np.abs(py - y[e]) <= band)
+        near |= (np.abs(px - x[e]) <= ENDPOINT_BAND) & (np.abs(py - y[e]) <= ENDPOINT_BAND)
     hits = np.lexsort((j, i))
     hits = hits[~near[hits]]
     return np.column_stack((px[hits], py[hits]))

@@ -27,14 +27,13 @@ from .continuation import (
     StepUnderflowError,
     continue_branch,
 )
-from .linearization import INJECTIVITY_TOL, dG_matrix, jacobian_fd, recurrence_scan
+from .linearization import INJECTIVITY_TOL, angle_grid, dG_matrix, jacobian_fd, recurrence_scan
 from .operators import WaveParams, bernoulli_b, residual_G, residual_fd, residual_inf, theta_of
 from .serialization import (
-    _csv_cell,
     branch_csv_text,
     branch_to_dict,
+    csv_text,
     dumps_fixed,
-    profile_csv_text,
     profile_svg_text,
     solution_from_dict,
     write_json,
@@ -161,11 +160,6 @@ def _config_defaults(path, flag_types):
     return defaults
 
 
-def _check_A(A):
-    if not abs(A) < 1.0:
-        raise CliError(f"parameter A must satisfy |A| < 1, got {A}")
-
-
 def _emit(report, path):
     """Print a report and, given a path, write the same text there."""
     text = dumps_fixed(report) + "\n"
@@ -178,7 +172,6 @@ def _emit(report, path):
 
 
 def cmd_verify(args):
-    _check_A(args.A)
     A, n = args.A, args.grid
     checks = {}
 
@@ -209,7 +202,7 @@ def cmd_verify(args):
 def _spectrum_row(A, M):
     scan = recurrence_scan(A, M)
     beta = crapper.beta_of(A)
-    n_grid = max(256, 4 * M, crapper.min_grid(A))
+    n_grid = angle_grid(A, M)
     theta = crapper.crapper_theta(A, n_grid)
     fd = jacobian_fd(lambda th: residual_G(beta, th), theta, M, basis_in="sine")
     an = dG_matrix(A, M, n_grid)
@@ -227,16 +220,13 @@ def cmd_spectrum(args):
         values = [float(v) for v in args.A_values.split(",") if v.strip()]
     except ValueError as exc:
         raise CliError(f"bad --A-values: {exc}")
-    for A in values:
-        _check_A(A)
     rows = [_spectrum_row(A, args.M) for A in values]
     passed = all(r["consistent"] and r["fd_mismatch"] <= 1e-4 for r in rows)
     report = {"command": "spectrum", "M": args.M, "rows": rows, "passed": passed}
     if args.out_csv:
         cols = ("A", "sigma_min", "verdict", "kernel", "fd_mismatch",
                 "a1_coefficient", "a2_coefficient", "consistent")
-        lines = [",".join(cols)] + [",".join(_csv_cell(r[c]) for c in cols) for r in rows]
-        write_text(args.out_csv, "\n".join(lines) + "\n")
+        write_text(args.out_csv, csv_text(cols, [[r[c] for c in cols] for r in rows]))
     _emit(report, args.out_json)
     return EXIT_OK if passed else EXIT_TOLERANCE
 
@@ -262,17 +252,12 @@ def _build_schedule(args, beta0):
 
 
 def cmd_continue(args):
-    _check_A(args.A)
+    # |A| < 1, A != 0, alpha-start <= 0 and no gamma in deep water are checked
+    # by the library before it solves
     for path in (args.out_json, args.out_csv):
         # checked before solving: a branch must not be lost to a bad path
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise CliError(f"no directory for output file {path}")
-    if args.A == 0.0:
-        raise CliError("continuation cannot start at A = 0 (singular Jacobian)")
-    if args.alpha_start > 0.0:
-        raise CliError("--alpha-start must be <= 0 (the pure-capillary curve)")
-    if args.h is None and args.gamma != 0.0:
-        raise CliError("--gamma needs a finite depth --h (deep water is irrotational)")
     if args.h is not None and math.isinf(args.h):
         raise CliError("--h must be finite (leave it out for deep water)")
     beta0 = crapper.beta_of(args.A)
@@ -292,10 +277,7 @@ def cmd_continue(args):
     if args.svg_dir:
         os.makedirs(args.svg_dir, exist_ok=True)
         for i, sol in enumerate(branch.solutions):
-            curve = geometry.solution_curve(sol.params, sol.w)
-            crossings = geometry.check_injective(curve).crossings
-            write_text(os.path.join(args.svg_dir, f"step_{i:04d}.svg"),
-                       profile_svg_text(curve.x, curve.y, crossings))
+            write_text(os.path.join(args.svg_dir, f"step_{i:04d}.svg"), _solution_svg(sol)[0])
     sys.stdout.write(dumps_fixed({"command": "continue", "accepted": len(branch.solutions),
                                   "attempts": len(branch.step_history),
                                   "out_json": args.out_json, "out_csv": args.out_csv}) + "\n")
@@ -303,6 +285,19 @@ def cmd_continue(args):
 
 
 # -- profile -----------------------------------------------------------------------
+
+
+def _solution_svg(sol, repeats=1):
+    """SVG of `repeats` periods of a solution's surface with its crossings
+    marked, and the crossings of one period."""
+    curve = geometry.solution_curve(sol.params, sol.w)
+    crossings = geometry.check_injective(curve).crossings
+    shifts = [r * curve.period for r in range(max(1, repeats))]
+    x = np.concatenate([curve.x + s for s in shifts])
+    y = np.tile(curve.y, len(shifts))
+    marks = np.concatenate([crossings + np.array([s, 0.0])
+                            for s in shifts]) if len(crossings) else crossings
+    return profile_svg_text(x, y, marks), crossings
 
 
 def cmd_profile(args):
@@ -316,17 +311,11 @@ def cmd_profile(args):
         raise CliError(f"cannot load solution {args.input}: {exc}")
     # CSV at the stored grid so the profile round-trips losslessly
     curve_csv = geometry.solution_curve(sol.params, sol.w, n_points=sol.w.n_grid)
-    curve = geometry.solution_curve(sol.params, sol.w)
-    crossings = geometry.check_injective(curve).crossings
+    svg, crossings = _solution_svg(sol, args.repeats)
     if args.out_csv:
-        write_text(args.out_csv, profile_csv_text(curve_csv.x, curve_csv.y))
+        write_text(args.out_csv, csv_text(("X", "Y"), zip(curve_csv.x, curve_csv.y)))
     if args.out_svg:
-        shifts = [r * curve.period for r in range(max(1, args.repeats))]
-        x = np.concatenate([curve.x + s for s in shifts])
-        y = np.tile(curve.y, len(shifts))
-        marks = np.concatenate([crossings + np.array([s, 0.0])
-                                for s in shifts]) if len(crossings) else crossings
-        write_text(args.out_svg, profile_svg_text(x, y, marks))
+        write_text(args.out_svg, svg)
     sys.stdout.write(dumps_fixed({"command": "profile", "input": args.input,
                                   "points": len(curve_csv.x),
                                   "injective": bool(len(crossings) == 0),
@@ -338,7 +327,6 @@ def cmd_profile(args):
 
 
 def cmd_limit_check(args):
-    _check_A(args.A)
     try:
         alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
     except ValueError as exc:

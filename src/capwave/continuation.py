@@ -33,6 +33,7 @@ DEFAULT_TOL = 1e-11
 DEFAULT_MAX_ITER = 25
 MIN_JACOBIAN_SIGMA = 1e-10
 MAX_HALVINGS = 6
+MODES_TOL = 1e-10  # modes_for: size of the family tail left in the residual
 # crapper_curve_check: (amplitude, cosine mode) of the perturbation, and a
 # tolerance above the truncation floor of the widest waves (|A| ~ 0.8)
 CURVE_CHECK_BUMP = (0.02, 3)
@@ -41,10 +42,6 @@ CURVE_CHECK_TOL = 1e-9
 
 class NewtonError(RuntimeError):
     """Newton corrector failed (divergence, singular Jacobian, bad metric)."""
-
-
-class SingularJacobianError(NewtonError):
-    pass
 
 
 class StepUnderflowError(RuntimeError):
@@ -92,12 +89,12 @@ class Branch:
         raise KeyError(f"no stored solution at alpha={alpha}")
 
 
-def modes_for(A: float, requested: int | None = None, tol: float = 1e-10) -> int:
+def modes_for(A: float, requested: int | None = None) -> int:
     """Cosine modes needed so the family tail, amplified by the second
-    derivative in the residual, sits below `tol`: 4|A|^M M^2 < tol."""
+    derivative in the residual, sits below MODES_TOL: 4|A|^M M^2 < MODES_TOL."""
     A = abs(A)
     need = 16
-    while A > 0.0 and 4.0 * A ** need * need ** 2 >= tol and need < 256:
+    while A > 0.0 and 4.0 * A ** need * need ** 2 >= MODES_TOL and need < 256:
         need += 8
     return max(requested or 0, min(need, 256))
 
@@ -116,7 +113,9 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
 
     The iterate lives in the truncated cosine space (w0 is projected onto
     it); convergence is measured by the sup norm of the residual on the full
-    grid.  The Jacobian is refreshed every iteration by central differences.
+    grid.  The Jacobian is refreshed every iteration by central differences;
+    a singular one, or one the residual overflowed into inf or nan, raises
+    NewtonError.
     """
     residual = residual_inf if params.is_infinite else residual_fd
     n_grid = w0.n_grid
@@ -134,10 +133,15 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
         history.append(rnorm)
         if rnorm < tol or it == max_iter:
             break
-        jac = jacobian_fd(res, w, M)
+        try:
+            jac = jacobian_fd(res, w, M)
+        except DegenerateMetricError:
+            raise
+        except ValueError as exc:  # operator matrix has non-finite entries
+            raise NewtonError(f"{exc} at iteration {it}") from None
         sigma = _sigma_min(jac)
         if sigma < MIN_JACOBIAN_SIGMA:
-            raise SingularJacobianError(
+            raise NewtonError(
                 f"Jacobian sigma_min={sigma:.3e} below {MIN_JACOBIAN_SIGMA} at iteration {it}")
         delta = np.linalg.solve(jac.entries, -r.cosine_coefficients(M))
         step = PeriodicFunction.from_cosine_series(delta, n_grid)
@@ -184,9 +188,11 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     `schedule` lists (alpha, beta) targets; the first must sit on the
     pure-capillary curve (alpha <= 0, beta = beta_A).  `h` and `gamma` are
     the depth (inf: deep water) and vorticity of every point.  Each later
-    target is corrected by Newton seeded with the previous solution; a failed
-    step is split in half, up to MAX_HALVINGS times, before giving up with
-    the partial branch attached to the exception.
+    target is corrected by Newton seeded with the previous solution.  A
+    failed step is halved, and the halved length is kept for the following
+    steps until the target is reached; after MAX_HALVINGS halvings on the way
+    to one target the next failure gives up with the partial branch attached
+    to the exception.
     """
     if start_A == 0.0:
         raise ValueError("continuation must start at A != 0 (flat water is a "
@@ -208,26 +214,28 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     branch = Branch(start_A=start_A, solutions=[last], step_history=[(a0, b0, 0.0, True)])
 
     for a_target, b_target in schedule[1:]:
-        halvings = 0
+        # progress t from the segment's start (0) to its target (1) in steps dt
+        a_from, b_from = last.params.alpha, last.params.beta
+        t, dt, halvings = 0.0, 1.0, 0
         while (last.params.alpha, last.params.beta) != (a_target, b_target):
-            a_cur, b_cur = last.params.alpha, last.params.beta
-            frac = 0.5 ** halvings
-            a_try = a_cur + (a_target - a_cur) * frac if halvings else a_target
-            b_try = b_cur + (b_target - b_cur) * frac if halvings else b_target
+            t_try = min(t + dt, 1.0)
+            a_try, b_try = (a_target, b_target) if t_try == 1.0 else (
+                a_from + (a_target - a_from) * t_try, b_from + (b_target - b_from) * t_try)
+            a_cur = last.params.alpha
             try:
                 sol = newton_solve(replace(last.params, alpha=a_try, beta=b_try), last.w,
                                    M=M, tol=tol, max_iter=max_iter)
             except (NewtonError, DegenerateMetricError):
                 branch.step_history.append((a_try, b_try, a_try - a_cur, False))
-                halvings += 1
-                if halvings > MAX_HALVINGS:
+                if halvings == MAX_HALVINGS:
                     raise StepUnderflowError(
                         f"step underflow after {MAX_HALVINGS} halvings towards "
                         f"alpha={a_target}", branch)
+                dt, halvings = 0.5 * dt, halvings + 1
                 continue
             branch.solutions.append(sol)
             branch.step_history.append((a_try, b_try, a_try - a_cur, True))
-            last, halvings = sol, 0
+            last, t = sol, t_try
     return branch
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .spectral import PeriodicFunction, grid
 
 A_CAP = 0.99
+GRID_TOL = 1e-15  # min_grid resolves the family's coefficients to this size
 
 
 def _check_param(A: float) -> float:
@@ -48,8 +49,8 @@ def param_of_beta(beta: float, sign: float = 1.0) -> float:
     return float(np.copysign(np.sqrt((beta - 1.0) / (beta + 1.0)), sign))
 
 
-def min_grid(A: float, tol: float = 1e-15) -> int:
-    """Smallest power-of-two grid resolving the family at |A| to `tol`.
+def min_grid(A: float) -> int:
+    """Smallest power-of-two grid resolving the family at |A| to GRID_TOL.
 
     Coefficients decay like |A|^n, so n_grid ~ 2*log(tol)/log|A| suffices;
     64 covers every |A| below ~0.35.
@@ -57,7 +58,7 @@ def min_grid(A: float, tol: float = 1e-15) -> int:
     A = abs(float(A))
     n = 64
     if A > 0.0:
-        need = 2.0 * np.log(tol) / np.log(A)
+        need = 2.0 * np.log(GRID_TOL) / np.log(A)
         while n < need:
             n *= 2
     return n
@@ -73,11 +74,6 @@ def slope_components(A: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = np.exp(1j * t)
     phi = 1j * (1.0 - A * z) ** 2 / (1.0 + A * z) ** 2
     return phi.real, phi.imag
-
-
-def coefficient(A: float, n: int) -> float:
-    """Cosine coefficient of w_A at mode n >= 1: exactly 4(-A)^n."""
-    return 4.0 * (-A) ** n
 
 
 def crapper_wave(A: float, n_grid: int) -> PeriodicFunction:

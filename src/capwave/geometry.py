@@ -131,10 +131,10 @@ def check_above_bed(w: PeriodicFunction, k: float, h: float) -> bool:
     return bool(np.min(w.samples) + k * h > 0.0)
 
 
-def steepness(w: PeriodicFunction, k: float = 1.0) -> float:
+def steepness(w: PeriodicFunction) -> float:
     """Crest-to-trough height over wavelength, (max w - min w)/(2*pi).
 
-    Independent of k: both coordinates of the surface scale by 1/k.
+    Independent of the wavenumber: both coordinates of the surface scale by 1/k.
     """
     return float((np.max(w.samples) - np.min(w.samples)) / (2.0 * math.pi))
 

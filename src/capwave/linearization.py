@@ -25,7 +25,8 @@ from typing import Callable
 import numpy as np
 
 from . import crapper
-from .spectral import PeriodicFunction, derivative, hilbert, mean, mul, pf_exp
+from .operators import angle_terms
+from .spectral import PeriodicFunction, derivative, hilbert, mean, mul
 
 INJECTIVITY_TOL = 1e-6
 DEFAULT_REL_STEP = 1e-6
@@ -37,8 +38,6 @@ class OperatorMatrix:
 
     entries: np.ndarray
     basis: str              # input basis: "cosine" (w-space) or "sine" (theta-space)
-    built_from: str         # "finite-difference" or "analytic"
-    basis_out: str = "cosine"
 
     def __post_init__(self):
         e = np.asarray(self.entries)
@@ -66,34 +65,32 @@ class KernelReport:
     a2_coefficient: float = math.nan   # reduced a_2-equation coefficient
     ratios: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.verdict not in ("injective", "kernel_found"):
-            raise ValueError(f"bad verdict {self.verdict!r}")
 
-
-def _basis_fn(name, j, n_grid):
-    if name in ("cos", "cosine"):
-        f = np.zeros(j)
-        f[-1] = 1.0
+def _unit_mode(basis, j, n_grid):
+    """cos jt ("cosine") or sin jt ("sine") on the grid."""
+    f = np.zeros(j)
+    f[-1] = 1.0
+    if basis == "cosine":
         return PeriodicFunction.from_cosine_series(f, n_grid)
-    if name in ("sin", "sine"):
-        f = np.zeros(j)
-        f[-1] = 1.0
-        return PeriodicFunction.from_sine_series(f, n_grid)
-    raise ValueError(f"unknown basis {name!r}")
+    return PeriodicFunction.from_sine_series(f, n_grid)
 
 
-def _project(f, name, M):
-    if name in ("cos", "cosine"):
-        return f.cosine_coefficients(M)
-    return f.sine_coefficients(M)
+def _project(f, basis, M):
+    return f.cosine_coefficients(M) if basis == "cosine" else f.sine_coefficients(M)
+
+
+def angle_grid(A: float, M: int) -> int:
+    """Grid on which `dG_matrix` samples theta_A for M modes."""
+    return max(256, 4 * M, crapper.min_grid(A))
 
 
 def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
                 base: PeriodicFunction, M: int, step: float | None = None,
                 basis_in: str = "cosine", basis_out: str = "cosine") -> OperatorMatrix:
     """Central-difference Frechet derivative of `residual` at `base`,
-    truncated to M input/output modes."""
+    truncated to M input/output modes; each basis is "cosine" or "sine"."""
+    if {basis_in, basis_out} - {"cosine", "sine"}:
+        raise ValueError(f"unknown basis in {basis_in!r} -> {basis_out!r}")
     if step is None:
         step = DEFAULT_REL_STEP * (1.0 + base.norm_inf())
     if not step > 0.0:
@@ -103,12 +100,11 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
         raise ValueError("M exceeds the grid resolution")
     cols = np.empty((M, M))
     for j in range(1, M + 1):
-        e = _basis_fn(basis_in, j, n_grid)
+        e = _unit_mode(basis_in, j, n_grid)
         rp = residual(base + step * e)
         rm = residual(base - step * e)
         cols[:, j - 1] = _project(rp - rm, basis_out, M) / (2.0 * step)
-    return OperatorMatrix(entries=cols, basis=basis_in, built_from="finite-difference",
-                          basis_out=basis_out)
+    return OperatorMatrix(entries=cols, basis=basis_in)
 
 
 def dG_matrix(A: float, M: int, n_grid: int | None = None) -> OperatorMatrix:
@@ -123,41 +119,30 @@ def dG_matrix(A: float, M: int, n_grid: int | None = None) -> OperatorMatrix:
     """
     crapper._check_param(A)
     if n_grid is None:
-        n_grid = max(256, 4 * M, crapper.min_grid(A))
-    beta = crapper.beta_of(A)
-    theta_a = crapper.crapper_theta(A, n_grid)
-    ct0 = hilbert(theta_a)
-    ep0 = pf_exp(ct0)
-    em0 = pf_exp(-ct0)
-    ratio = mean(em0) / mean(ep0)
+        n_grid = angle_grid(A, M)
+    ep0, em0, half, half_r = angle_terms(crapper.beta_of(A), crapper.crapper_theta(A, n_grid))
     m_ep0 = mean(ep0)
-    half = 0.5 / beta
-    weight = half * em0 + (half * ratio) * ep0
+    weight = half * em0 + half_r * ep0
     cols = np.empty((M, M))
     for n in range(1, M + 1):
-        e = _basis_fn("sine", n, n_grid)
+        e = _unit_mode("sine", n, n_grid)
         v = derivative(e) + mul(weight, hilbert(e))
         col = v + (-mean(v) / m_ep0) * ep0
         cols[:, n - 1] = col.cosine_coefficients(M)
-    return OperatorMatrix(entries=cols, basis="sine", built_from="analytic",
-                          basis_out="cosine")
+    return OperatorMatrix(entries=cols, basis="sine")
 
 
-def smallest_singular(matrix: OperatorMatrix, tol: float = INJECTIVITY_TOL,
-                      A: float = math.nan) -> KernelReport:
-    """SVD-based injectivity certificate for a truncated operator."""
+def smallest_singular(matrix: OperatorMatrix, A: float = math.nan) -> KernelReport:
+    """SVD-based injectivity certificate for a truncated operator: singular
+    values below INJECTIVITY_TOL span the kernel."""
     u, s, vt = np.linalg.svd(matrix.entries)
     sigma_min = float(s[-1])
-    kernel = tuple(vt[i] for i in range(len(s)) if s[i] < tol)
-    if kernel:
-        lead = int(np.argmax(np.abs(kernel[-1]))) + 1
-        base = "sin" if matrix.basis in ("sin", "sine") else "cos"
-        desc = f"{base} {lead}t"
-        verdict = "kernel_found"
-    else:
-        desc = ""
-        verdict = "injective"
-    return KernelReport(A=A, M=matrix.M, sigma_min=sigma_min, verdict=verdict,
+    kernel = tuple(vt[i] for i in range(len(s)) if s[i] < INJECTIVITY_TOL)
+    desc = ""
+    if kernel:  # "cos nt" or "sin nt" for the leading mode n of the last vector
+        desc = f"{matrix.basis[:3]} {int(np.argmax(np.abs(kernel[-1]))) + 1}t"
+    return KernelReport(A=A, M=matrix.M, sigma_min=sigma_min,
+                        verdict="kernel_found" if kernel else "injective",
                         kernel_vectors=kernel, kernel_description=desc)
 
 
@@ -180,7 +165,7 @@ def reduced_a1_coefficient(A: float) -> float:
     return raw * (1.0 + a2)
 
 
-def recurrence_scan(A: float, M: int, tol: float = INJECTIVITY_TOL) -> KernelReport:
+def recurrence_scan(A: float, M: int) -> KernelReport:
     """Walk the kernel recurrence for dG[theta_A] on M sine modes.
 
     For A != 0: checks that the ratios n_k increase towards 1/A^2 > 1 (so a
@@ -194,7 +179,7 @@ def recurrence_scan(A: float, M: int, tol: float = INJECTIVITY_TOL) -> KernelRep
     if 0.0 < abs(A) < 1e-150:
         raise ValueError(f"recurrence scan needs A = 0 or |A| >= 1e-150, got {A}")
     matrix = dG_matrix(A, M)
-    svd_report = smallest_singular(matrix, tol=tol, A=A)
+    svd_report = smallest_singular(matrix, A=A)
     if A == 0.0:
         return KernelReport(A=0.0, M=M, sigma_min=svd_report.sigma_min,
                             verdict="kernel_found",

@@ -184,16 +184,23 @@ def residual_inf(params: WaveParams, w: PeriodicFunction) -> PeriodicFunction:
 # -- angle-formulation residuals ---------------------------------------------------
 
 
-def residual_G(beta: float, theta: PeriodicFunction) -> PeriodicFunction:
-    """G(theta) = theta' - e^{-C theta}/(2b) + ([e^{-C theta}]/[e^{C theta}]) e^{C theta}/(2b)."""
+def angle_terms(beta: float, theta: PeriodicFunction):
+    """(e^{C theta}, e^{-C theta}, 1/(2b), r/(2b)) with the mean ratio
+    r = [e^{-C theta}]/[e^{C theta}]: the pieces of G, of its pushed-forward
+    form and of its linearisation."""
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     ct = hilbert(drop_mean(theta))
     ep = pf_exp(ct)
     em = pf_exp(-ct)
-    ratio = mean(em) / mean(ep)
     half = 0.5 / beta
-    return derivative(theta) - half * em + (half * ratio) * ep
+    return ep, em, half, half * (mean(em) / mean(ep))
+
+
+def residual_G(beta: float, theta: PeriodicFunction) -> PeriodicFunction:
+    """G(theta) = theta' - e^{-C theta}/(2b) + ([e^{-C theta}]/[e^{C theta}]) e^{C theta}/(2b)."""
+    ep, em, half, half_r = angle_terms(beta, theta)
+    return derivative(theta) - half * em + half_r * ep
 
 
 def residual_G_tilde(beta: float, theta: PeriodicFunction) -> PeriodicFunction:
@@ -208,20 +215,14 @@ def residual_G_tilde(beta: float, theta: PeriodicFunction) -> PeriodicFunction:
     with r = [e^{-C th}]/[e^{C th}].  Identically equal to
     e^{C th} sin th * C(G) + e^{C th} cos th * G, which the tests exercise.
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    ct = hilbert(drop_mean(theta))
-    ep = pf_exp(ct)
-    em = pf_exp(-ct)
-    ratio = mean(em) / mean(ep)
+    ep, em, half, half_r = angle_terms(beta, theta)
     eps_ = mul(ep, pf_sin(theta))
     epc = mul(ep, pf_cos(theta))
-    half = 0.5 / beta
     return (derivative(eps_)
             - half * mul(eps_, hilbert(drop_mean(em)))
-            + (half * ratio) * mul(eps_, hilbert(drop_mean(ep)))
+            + half_r * mul(eps_, hilbert(drop_mean(ep)))
             - half * mul(epc, em)
-            + (half * ratio) * mul(epc, ep))
+            + half_r * mul(epc, ep))
 
 
 # -- finite-depth residual ----------------------------------------------------------
@@ -306,7 +307,7 @@ def physical_params(params: WaveParams, w: PeriodicFunction | None = None) -> Ph
     if params.alpha <= 0.0:
         raise ValueError("physical parameters need alpha > 0")
     k = wavenumber_k(params.alpha, params.beta, params.g, params.sigma)
-    lam = math.sqrt(params.g / (k * params.alpha))
+    lam = params.lam
     m = params.h * lam + 0.5 * params.h ** 2 * params.gamma
     q = lam ** 2 * q_hat(params, w) if w is not None else math.nan
     return PhysicalScales(k=k, lam=lam, c=lam, m=m, Q=q)

@@ -144,35 +144,27 @@ def branch_from_dict(d: dict) -> Branch:
 def _csv_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if math.isnan(v):
-            return "nan"
-        return "%.17g" % v
-    return str(v)
+    if isinstance(v, (float, np.floating)) and math.isfinite(v):
+        return format_float(v)
+    return str(v)  # ints, strings, and inf, -inf, nan as the CSV files spell them
+
+
+def csv_text(columns, rows) -> str:
+    """CSV with a header line; floats with 17 digits, bools as true/false."""
+    lines = [",".join(columns)] + [",".join(_csv_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def branch_csv_text(branch: Branch) -> str:
-    lines = [",".join(BRANCH_CSV_COLUMNS)]
-    for s in branch.solutions:
-        geo = s.geometry
-        row = (branch.start_A, s.params.alpha, s.params.beta, s.params.gamma,
-               s.params.h, s.residual_norm, s.b_or_qhat,
-               geo.get("steepness", math.nan), geo.get("injective", True),
-               geo.get("above_bed", True), s.newton_iters)
-        lines.append(",".join(_csv_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_text(BRANCH_CSV_COLUMNS, [
+        (branch.start_A, s.params.alpha, s.params.beta, s.params.gamma,
+         s.params.h, s.residual_norm, s.b_or_qhat,
+         s.geometry.get("steepness", math.nan), s.geometry.get("injective", True),
+         s.geometry.get("above_bed", True), s.newton_iters)
+        for s in branch.solutions])
 
 
-# -- profile CSV / SVG -------------------------------------------------------------
-
-
-def profile_csv_text(x, y) -> str:
-    lines = ["X,Y"]
-    for xi, yi in zip(x, y):
-        lines.append(f"{_csv_cell(float(xi))},{_csv_cell(float(yi))}")
-    return "\n".join(lines) + "\n"
+# -- profile SVG -------------------------------------------------------------------
 
 
 def profile_svg_text(x, y, crossings=None) -> str:

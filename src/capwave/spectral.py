@@ -11,7 +11,7 @@ interpolants:
 
 The modes are kept in plain ``np.fft.fft`` order (mean at index 0, Nyquist
 mode at n/2).  Nonlinear algebra happens sample by sample on the collocation
-grid; products and quotients are evaluated on a 2x zero-padded grid and
+grid; products are evaluated on a 2x zero-padded grid and
 truncated back, so the retained band of a product of two band-limited
 functions is alias-free.  Whether a mean is zero is decided when an operator
 needs it, never stored.
@@ -26,7 +26,8 @@ DEGENERATE_TOL = 1e-12
 
 
 class DegenerateMetricError(ValueError):
-    """A sample-wise quantity required to stay away from zero got below 1e-12."""
+    """A sample-wise quantity required to stay away from zero got below 1e-12,
+    or an operator met non-finite samples."""
 
 
 _GRIDS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -189,9 +190,6 @@ class PeriodicFunction:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, PeriodicFunction):
             return mul(self, other)
@@ -199,14 +197,6 @@ class PeriodicFunction:
         return PeriodicFunction(self.samples * other, self.coeffs * other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, PeriodicFunction):
-            return div(self, other)
-        return self * (1.0 / float(other))
-
-    def __rtruediv__(self, other):
-        return div(float(other) + PeriodicFunction.zeros(self.n_grid), self)
 
     def _check_grid(self, other):
         if self.n_grid != other.n_grid:
@@ -231,9 +221,13 @@ def drop_mean(f: PeriodicFunction) -> PeriodicFunction:
 
 
 def _require_zero_mean(f, name):
-    if not _mean_is_zero(f):
-        raise ValueError(f"{name} requires a zero-mean input (mean={mean(f):.3e}); "
-                         "subtract the mean explicitly first")
+    if _mean_is_zero(f):
+        return
+    # an inf or nan sample makes the mean non-finite, so it lands here too
+    if not np.all(np.isfinite(f.samples)):
+        raise DegenerateMetricError(f"{name} got non-finite samples")
+    raise ValueError(f"{name} requires a zero-mean input (mean={mean(f):.3e}); "
+                     "subtract the mean explicitly first")
 
 
 def _multiply(f, mult):
@@ -300,18 +294,6 @@ def mul(f: PeriodicFunction, g: PeriodicFunction) -> PeriodicFunction:
     f._check_grid(g)
     n = f.n_grid
     fine = _samples_of(_resize(f.coeffs, 2 * n)) * _samples_of(_resize(g.coeffs, 2 * n))
-    c = _resize(_coeffs_of(fine), n)
-    return PeriodicFunction(_samples_of(c), c)
-
-
-def div(f: PeriodicFunction, g: PeriodicFunction) -> PeriodicFunction:
-    """De-aliased quotient; denominators within 1e-12 of zero are rejected."""
-    f._check_grid(g)
-    n = f.n_grid
-    gf = _samples_of(_resize(g.coeffs, 2 * n))
-    if np.min(np.abs(gf)) < DEGENERATE_TOL:
-        raise DegenerateMetricError("division by a near-zero denominator")
-    fine = _samples_of(_resize(f.coeffs, 2 * n)) / gf
     c = _resize(_coeffs_of(fine), n)
     return PeriodicFunction(_samples_of(c), c)
 

@@ -423,6 +423,45 @@ def test_extreme_constants_are_usage_errors(tmp_path, capsys, monkeypatch, argv)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("continue --A 0", "continuation must start at A != 0"),
+    ("continue --A 1.5", "must satisfy |A| < 1"),
+    ("continue --alpha-start 0.01", "schedule must start on the pure-capillary curve"),
+    ("continue --gamma 1", "infinite depth forces zero vorticity"),
+    ("verify --A 1.2 --out r.json", "must satisfy |A| < 1"),
+    ("spectrum --A-values 0.3,1 --M 16 --out-json s.json --out-csv s.csv",
+     "must satisfy |A| < 1"),
+    ("limit-check --A -1 --out r.json", "must satisfy |A| < 1"),
+])
+def test_library_checks_reach_stderr_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                      argv, message):
+    # these ranges are checked by the library: its message is the one line on
+    # stderr, and nothing is solved or written
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(continuation, "newton_solve", _must_not_run)
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("depth", [[], ["--h", "2"]])
+@pytest.mark.parametrize("alpha_max", ["1e306", "1e308"])
+def test_overflowing_step_is_a_solver_failure(tmp_path, capsys, monkeypatch, alpha_max, depth):
+    # the residual overflows on the way to alpha-max: each trial fails and is
+    # halved like any other, and the converged alpha = 0 point is saved
+    monkeypatch.chdir(tmp_path)
+    code = main(["continue", "--A", "0.3", "--alpha-max", alpha_max, "--steps", "1",
+                 "--M", "16", "--grid", "128", "--g", "1", "--sigma", "1", *depth])
+    assert code == 3
+    assert "step underflow" in capsys.readouterr().err
+    branch = json.loads(_read(tmp_path / "branch.json"))
+    assert [s["params"]["alpha"] for s in branch["solutions"]] == [0.0]
+    assert sum(not e["accepted"] for e in branch["step_history"]) == 7
+    assert len(_read(tmp_path / "branch.csv").splitlines()) == 2
+
+
 _WILD_FLOATS = (st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-12, -1.0, 1.0, 9.81, 1e300,
                                  -1e300, math.inf, -math.inf, math.nan])
                 | st.floats(-2.0, 2.0))

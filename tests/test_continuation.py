@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from capwave import crapper
+from capwave import continuation, crapper
 from capwave.continuation import (
     Branch,
     NewtonError,
@@ -11,9 +13,9 @@ from capwave.continuation import (
     modes_for,
     newton_solve,
 )
-from capwave.operators import WaveParams, q_hat, residual_fd
+from capwave.operators import WaveParams, q_hat, residual_fd, residual_inf
 from capwave.serialization import solution_to_dict
-from capwave.spectral import PeriodicFunction
+from capwave.spectral import DegenerateMetricError, PeriodicFunction
 
 
 def _crapper_start(A, n_grid=256):
@@ -78,6 +80,61 @@ def test_newton_divergence_reported():
         newton_solve(bad, w, M=16, max_iter=3)
 
 
+def _degenerate_trials(monkeypatch, first, last):
+    """Make residual calls number first..last (from 0) raise DegenerateMetricError;
+    returns the list of call numbers that raised."""
+    calls, raised = iter(range(10 ** 6)), []
+
+    def residual(params, w):
+        n = next(calls)
+        if first <= n <= last:
+            raised.append(n)
+            raise DegenerateMetricError("conformal metric vanishes on the grid")
+        return residual_inf(params, w)
+
+    monkeypatch.setattr(continuation, "residual_inf", residual)
+    return raised
+
+
+# at M = 32 the residual is evaluated once at the iterate and 64 times for the
+# Jacobian before the first line-search trial
+_FIRST_TRIAL = 1 + 2 * 32
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow case
+@pytest.mark.parametrize("case, expected", [
+    ("negative max_iter", (ValueError, "max_iter must be >= 0")),
+    ("flat water at beta = 1", (NewtonError, "sigma_min=.* below")),
+    ("alpha = 1e306", (NewtonError, "non-finite entries")),
+    ("first trial degenerate", None),
+    ("every trial degenerate", (NewtonError, "line search stalled")),
+])
+def test_newton_failure_branches(monkeypatch, case, expected):
+    w, params = _crapper_start(0.3)
+    w0 = w + PeriodicFunction.from_cosine_series([0.0, 0.01], w.n_grid)
+    kwargs = dict(M=32)
+    if case == "negative max_iter":
+        kwargs["max_iter"] = -1
+    elif case == "flat water at beta = 1":
+        # a 1e-6 bump off flat water: cos t spans the kernel of the Jacobian
+        params = WaveParams(alpha=0.0, beta=1.0)
+        w0 = PeriodicFunction.from_cosine_series([0.0, 1e-6], 256)
+    elif case == "alpha = 1e306":
+        # 2 alpha w W^(1/2) overflows, and with it the finite-difference columns
+        params = WaveParams(alpha=1e306, beta=params.beta)
+    elif case == "first trial degenerate":
+        raised = _degenerate_trials(monkeypatch, _FIRST_TRIAL, _FIRST_TRIAL)
+    else:
+        _degenerate_trials(monkeypatch, _FIRST_TRIAL, _FIRST_TRIAL + 9)
+    if expected is None:  # the halved trial is taken and Newton converges
+        sol = newton_solve(params, w0, **kwargs)
+        assert raised == [_FIRST_TRIAL] and sol.residual_norm < 1e-11
+        return
+    kind, message = expected
+    with pytest.raises(kind, match=message):
+        newton_solve(params, w0, **kwargs)
+
+
 def test_continue_branch_rejects_bad_starts():
     beta3 = crapper.beta_of(0.3)
     with pytest.raises(ValueError, match="A != 0"):
@@ -125,6 +182,42 @@ def test_step_underflow_carries_partial_branch():
     assert len(branch.solutions) >= 1  # the pure-capillary start was accepted
     rejected = [e for e in branch.step_history if not e[3]]
     assert len(rejected) >= 3
+
+
+def test_halved_step_is_kept_until_the_target(monkeypatch):
+    # a Newton stand-in that converges only on steps |d alpha| <= 0.003: the
+    # third halving of the 0.02 segment succeeds and its length 0.0025 is
+    # kept, so the target takes 8 accepted steps after 3 failures
+    reached = [0.0]
+
+    def solve(params, w0, M, tol, max_iter):
+        if abs(params.alpha - reached[0]) > 0.003:
+            raise NewtonError("step too long")
+        reached[0] = params.alpha
+        return SimpleNamespace(params=params, w=w0)
+
+    monkeypatch.setattr(continuation, "newton_solve", solve)
+    beta = crapper.beta_of(0.3)
+    branch = continue_branch(0.3, [(0.0, beta), (0.02, beta)], M=16, n_grid=64)
+    accepted = [e for e in branch.step_history if e[3]]
+    assert len(accepted) == 9 and len(branch.step_history) == 12
+    assert [e[2] for e in accepted[1:]] == pytest.approx([0.0025] * 8)
+    assert branch.solutions[-1].params.alpha == 0.02
+
+
+def test_step_underflow_after_max_halvings_per_target(monkeypatch):
+    beta = crapper.beta_of(0.3)
+
+    def solve(params, w0, M, tol, max_iter):
+        if params.alpha > 0.0:
+            raise NewtonError("no step succeeds")
+        return SimpleNamespace(params=params, w=w0)
+
+    monkeypatch.setattr(continuation, "newton_solve", solve)
+    with pytest.raises(StepUnderflowError, match="after 6 halvings") as err:
+        continue_branch(0.3, [(0.0, beta), (0.02, beta)], M=16, n_grid=64)
+    steps = [e[2] for e in err.value.branch.step_history[1:]]
+    assert steps == [0.02 * 0.5 ** k for k in range(continuation.MAX_HALVINGS + 1)]
 
 
 def test_mesh_independence_of_converged_solution():

@@ -143,9 +143,10 @@ def test_steepness_examples():
     for A in (0.1, 0.3, 0.5, 0.8):
         w = crapper.crapper_wave(A, 512)
         assert abs(steepness(w) - crapper.steepness_closed_form(A)) < 1e-10
-    # conformal-unit steepness does not involve k at all
+    # the ratio is the same in physical units: both coordinates scale by 1/k
     w = crapper.crapper_wave(0.3, 256)
-    assert steepness(w, 1.0) == steepness(w, 7.0)
+    curve = surface_profile(w, 7.0)
+    assert np.ptp(curve.y) / curve.period == pytest.approx(steepness(w), rel=1e-14)
 
 
 def test_metric_matches_squared_curve_speed():

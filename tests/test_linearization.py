@@ -30,7 +30,7 @@ def test_jacobian_fd_of_G_at_zero_is_diagonal():
     assert np.max(np.abs(jac.entries - expected)) < 1e-8
     assert jac.entries[0, 0] == pytest.approx(0.0, abs=1e-9)
     assert jac.entries[1, 1] == pytest.approx(1.0, abs=1e-8)
-    assert jac.built_from == "finite-difference"
+    assert jac.basis == "sine"
 
 
 def test_jacobian_fd_annihilates_flat_water_bifurcation_mode():
@@ -170,7 +170,7 @@ def test_reduced_coefficients_against_formulas():
 
 
 def test_smallest_singular_identity_and_golden():
-    ident = OperatorMatrix(entries=np.eye(8), basis="sine", built_from="analytic")
+    ident = OperatorMatrix(entries=np.eye(8), basis="sine")
     rep = smallest_singular(ident)
     assert rep.sigma_min == pytest.approx(1.0, rel=1e-14)
     assert rep.verdict == "injective" and not rep.kernel_vectors
@@ -211,14 +211,19 @@ def test_chain_rule_consistency():
 
 def test_operator_matrix_validation():
     with pytest.raises(ValueError):
-        OperatorMatrix(entries=np.zeros((3, 3)), basis="sine", built_from="analytic")
+        OperatorMatrix(entries=np.zeros((3, 3)), basis="sine")
     with pytest.raises(ValueError):
-        OperatorMatrix(entries=np.full((5, 5), np.nan), basis="sine", built_from="analytic")
+        OperatorMatrix(entries=np.full((5, 5), np.nan), basis="sine")
     with pytest.raises(ValueError):
-        OperatorMatrix(entries=np.zeros((5, 4)), basis="sine", built_from="analytic")
+        OperatorMatrix(entries=np.zeros((5, 4)), basis="sine")
 
 
 def test_basis_name_validation():
     base = crapper.crapper_wave(0.2, 128)
     with pytest.raises(ValueError, match="basis"):
         jacobian_fd(lambda w: w, base, 8, basis_in="chebyshev")
+    for short in ("cos", "sin"):  # only the full names are spelled
+        with pytest.raises(ValueError, match="basis"):
+            jacobian_fd(lambda w: w, base, 8, basis_in=short)
+        with pytest.raises(ValueError, match="basis"):
+            jacobian_fd(lambda w: w, base, 8, basis_out=short)

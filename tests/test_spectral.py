@@ -5,7 +5,6 @@ from capwave.spectral import (
     DegenerateMetricError,
     PeriodicFunction,
     derivative,
-    div,
     grid,
     hilbert,
     hilbert_strip,
@@ -168,6 +167,8 @@ def test_kappa_tail_bound_examples():
     assert kappa_tail_bound(d, p) == pytest.approx(brute, rel=1e-12)
     with pytest.raises(ValueError):
         kappa_tail_bound(0.0, 0)
+    with pytest.raises(ValueError):
+        kappa_tail_bound(1.0, -1)
 
 
 def test_mul_dealiased_product():
@@ -193,15 +194,26 @@ def test_pow_and_exp_examples():
     assert e.samples[0] == pytest.approx(1.0 / 9.0, abs=1e-13)
 
 
-def test_div_degenerate_rejected():
-    n = 64
-    t = grid(n)
-    num = PeriodicFunction.from_samples(np.ones(n))
-    den = PeriodicFunction.from_samples(1.0 - np.cos(t))  # touches zero at t = 0
+def test_pow_degenerate_rejected():
+    t = grid(64)
+    base = PeriodicFunction.from_samples(1.0 - np.cos(t))  # touches zero at t = 0
     with pytest.raises(DegenerateMetricError):
-        div(num, den)
-    with pytest.raises(DegenerateMetricError):
-        pf_pow(den, -0.5)
+        pf_pow(base, -0.5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf inside the FFT
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_conjugation_of_non_finite_samples_is_degenerate(bad):
+    # an overflowed residual must read as a failed trial, not as a usage error
+    samples = np.cos(grid(64))
+    samples[5] = bad
+    f = PeriodicFunction.from_samples(samples)
+    with pytest.raises(DegenerateMetricError, match="non-finite"):
+        hilbert(f)
+    with pytest.raises(DegenerateMetricError, match="non-finite"):
+        hilbert_strip(f, 1.0)
+    with pytest.raises(ValueError, match="zero-mean"):
+        hilbert(PeriodicFunction.from_samples(np.ones(64)))
 
 
 def test_resample_is_spectral():
@@ -246,13 +258,3 @@ def test_grid_validation():
         grid(5)
     with pytest.raises(ValueError):
         PeriodicFunction.from_cosine_series(np.ones(40), 64)
-
-
-def test_scalar_division_by_function():
-    n = 128
-    t = grid(n)
-    f = 2.0 + PeriodicFunction.from_samples(np.cos(t))
-    inv = 1.0 / f
-    assert np.max(np.abs(inv.samples - 1.0 / (2.0 + np.cos(t)))) < 1e-13
-    with pytest.raises(ValueError):
-        kappa_tail_bound(1.0, -1)

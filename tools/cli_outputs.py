@@ -10,8 +10,12 @@ set as it was, so two checkouts compare with one diff:
 The set: deep `continue` at A = 0.3, 0.5 and -0.47 with JSON, CSV and SVGs;
 a finite-depth vortical `continue` with SVGs; a 2-D (alpha, beta) sheet; the
 default `spectrum`, `verify --A 0.6` and the default `limit-check`; `profile`
-with and without `--repeats 2` on the last deep and the last vortical point.
-Each run's stdout, stderr and exit code sit next to its files.  The commands
+with and without `--repeats 2` on the last deep and the last vortical point;
+and two failures: `continue --A 0` (exit 1, nothing written) and a `continue`
+whose residual overflows on the way to alpha = 1e306 (exit 3, the partial
+branch written).  Each run's stdout, stderr and exit code sit next to its
+files; numpy's overflow warnings are silenced, since they print the absolute
+path of the module that raised them.  The commands
 run in-process through `capwave.cli.main`, with OUTDIR as the working
 directory and relative paths, so no absolute path reaches the files.  capwave
 is imported from the `src/` next to this script.  About 15 s on two cores.
@@ -27,6 +31,8 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
 
 from capwave.cli import main  # noqa: E402
 
@@ -47,6 +53,11 @@ RUNS = [
     ("spectrum", ["spectrum", "--out-json", "spectrum.json", "--out-csv", "spectrum.csv"]),
     ("verify", ["verify", "--A", "0.6", "--out", "verify.json"]),
     ("limit_check", ["limit-check", "--out", "limit_check.json"]),
+    ("continue_A0", ["continue", "--A", "0", "--out-json", "continue_A0.json",
+                     "--out-csv", "continue_A0.csv"]),
+    ("overflow", ["continue", "--A", "0.3", "--alpha-max", "1e306", "--steps", "1",
+                  "--M", "16", "--grid", "128", "--g", "1", "--sigma", "1",
+                  "--out-json", "overflow.json", "--out-csv", "overflow.csv"]),
 ]
 # (solution file, branch it is the last point of)
 POINTS = [("deep_point.json", "deep_0.5.json"), ("vortical_point.json", "vortical.json")]
@@ -54,7 +65,8 @@ POINTS = [("deep_point.json", "deep_0.5.json"), ("vortical_point.json", "vortica
 
 def run(name, argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          np.errstate(over="ignore", invalid="ignore")):
         code = main(argv)
     Path(f"{name}.stdout").write_text(out.getvalue(), encoding="utf-8")
     Path(f"{name}.stderr").write_text(err.getvalue(), encoding="utf-8")
