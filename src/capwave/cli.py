@@ -27,7 +27,7 @@ from .continuation import (
     StepUnderflowError,
     continue_branch,
 )
-from .linearization import INJECTIVITY_TOL, angle_grid, dG_matrix, jacobian_fd, recurrence_scan
+from .linearization import INJECTIVITY_TOL, angle_grid, jacobian_fd, recurrence_scan
 from .operators import WaveParams, bernoulli_b, residual_G, residual_fd, residual_inf, theta_of
 from .serialization import (
     branch_csv_text,
@@ -205,7 +205,7 @@ def _spectrum_row(A, M):
     n_grid = angle_grid(A, M)
     theta = crapper.crapper_theta(A, n_grid)
     fd = jacobian_fd(lambda th: residual_G(beta, th), theta, M, basis_in="sine")
-    an = dG_matrix(A, M, n_grid)
+    an = scan.matrix  # dG_matrix(A, M) on the same angle_grid(A, M)
     mismatch = float(np.linalg.norm(fd.entries - an.entries)
                      / np.linalg.norm(an.entries))
     consistent = (scan.verdict == "injective") == (scan.sigma_min > INJECTIVITY_TOL)
@@ -370,7 +370,10 @@ def main(argv=None) -> int:
             sub = parser.commands[args.command]
             sub.set_defaults(**_config_defaults(args.config, sub.flag_types))
             args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        # a trial that overflows is a failed step; numpy's warnings about it
+        # would print module paths before the one-line message
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _DISPATCH[args.command](args)
     except (CliError, ValueError) as exc:  # DegenerateMetricError is a ValueError
         sys.stderr.write(f"capwave: {exc}\n")
         return EXIT_USAGE

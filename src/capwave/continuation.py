@@ -243,10 +243,11 @@ def crapper_curve_check(A_values: Sequence[float]) -> dict:
     """Probe for spurious branches along the pure-capillary curve.
 
     Each explicit wave is perturbed by CURVE_CHECK_BUMP (amplitude, cosine
-    mode) and handed to Newton at its own (0, beta_A); the converged profile
-    is identified against the family closed form through the invertible map
-    beta -> A.  Reports the worst coefficient mismatch and profile distance
-    over the sweep.
+    mode), times (-1)^mode for A < 0: w_{-A}(t) = w_A(t + pi), so -A gets the
+    bump of A shifted the same way.  Newton runs at the wave's own
+    (0, beta_A), and the converged profile is identified against the family
+    closed form through the invertible map beta -> A.  Reports the worst
+    coefficient mismatch and profile distance over the sweep.
 
     The amplitude shrinks past |A| ~ 0.5 proportionally to min W^(1/2) =
     ((1-|A|)/(1+|A|))^2, the distance to the degenerate parameterisation; a
@@ -263,7 +264,8 @@ def crapper_curve_check(A_values: Sequence[float]) -> dict:
         beta = crapper.beta_of(A)
         margin = ((1.0 - abs(A)) / (1.0 + abs(A))) ** 2
         bump = np.zeros(mode)
-        bump[mode - 1] = amp * min(1.0, 9.0 * margin)
+        sign = (-1) ** mode if A < 0 else 1
+        bump[mode - 1] = sign * amp * min(1.0, 9.0 * margin)
         w0 = crapper.crapper_wave(A, n_grid) + PeriodicFunction.from_cosine_series(bump, n_grid)
         sol = newton_solve(WaveParams(alpha=0.0, beta=beta), w0, M=M_a, tol=CURVE_CHECK_TOL)
         a = sol.w.cosine_coefficients(M_a)

@@ -30,6 +30,9 @@ from .spectral import PeriodicFunction, derivative, hilbert, mean, mul
 
 INJECTIVITY_TOL = 1e-6
 DEFAULT_REL_STEP = 1e-6
+# points (rows x n_grid) in one stack of unit modes or perturbed iterates;
+# fewer calls on larger stacks are faster, and peak memory grows with it
+STACK_POINTS = 3072
 
 
 @dataclass(frozen=True)
@@ -64,19 +67,32 @@ class KernelReport:
     a1_coefficient: float = math.nan   # reduced a_1-equation coefficient (-4A^2)
     a2_coefficient: float = math.nan   # reduced a_2-equation coefficient
     ratios: np.ndarray | None = field(default=None, repr=False)
+    matrix: OperatorMatrix | None = field(default=None, repr=False)  # what was scanned
 
 
-def _unit_mode(basis, j, n_grid):
-    """cos jt ("cosine") or sin jt ("sine") on the grid."""
-    f = np.zeros(j)
-    f[-1] = 1.0
+def _unit_modes(basis, modes, n_grid):
+    """Stack of cos jt ("cosine") or sin jt ("sine"), one row per j in
+    `modes`, with the bits of `from_cosine_series`/`from_sine_series` of the
+    series 0, .., 0, 1 of length j."""
+    n = np.arange(1, modes[-1] + 1)
+    series = (n == modes[:, None]).astype(float)
     if basis == "cosine":
-        return PeriodicFunction.from_cosine_series(f, n_grid)
-    return PeriodicFunction.from_sine_series(f, n_grid)
+        pos = neg = 0.5 * series
+    else:
+        pos, neg = -0.5j * series, 0.5j * series
+    inside = n <= modes[:, None]  # row j sets modes +-1 .. +-j only
+    c = np.zeros((len(modes), n_grid), dtype=complex)
+    c[:, n] = np.where(inside, pos, 0.0)
+    c[:, n_grid - n] = np.where(inside, neg, 0.0)
+    return PeriodicFunction.from_coeffs(c)
 
 
-def _project(f, basis, M):
-    return f.cosine_coefficients(M) if basis == "cosine" else f.sine_coefficients(M)
+def _mode_chunks(M, rows_per_mode, n_grid):
+    """Modes 1..M in runs whose stacks hold at most STACK_POINTS points
+    (one mode at least)."""
+    size = max(1, STACK_POINTS // (rows_per_mode * n_grid))
+    for first in range(1, M + 1, size):
+        yield np.arange(first, min(first + size, M + 1))
 
 
 def angle_grid(A: float, M: int) -> int:
@@ -88,7 +104,12 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
                 base: PeriodicFunction, M: int, step: float | None = None,
                 basis_in: str = "cosine", basis_out: str = "cosine") -> OperatorMatrix:
     """Central-difference Frechet derivative of `residual` at `base`,
-    truncated to M input/output modes; each basis is "cosine" or "sine"."""
+    truncated to M input/output modes; each basis is "cosine" or "sine".
+
+    `residual` receives stacks of shape (2k, n), the +step and then the
+    -step perturbations of k columns, and must act row by row; each row
+    carries the bits of the one-function call, so the matrix does too.
+    """
     if {basis_in, basis_out} - {"cosine", "sine"}:
         raise ValueError(f"unknown basis in {basis_in!r} -> {basis_out!r}")
     if step is None:
@@ -99,11 +120,16 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
     if M >= n_grid // 2:
         raise ValueError("M exceeds the grid resolution")
     cols = np.empty((M, M))
-    for j in range(1, M + 1):
-        e = _unit_mode(basis_in, j, n_grid)
-        rp = residual(base + step * e)
-        rm = residual(base - step * e)
-        cols[:, j - 1] = _project(rp - rm, basis_out, M) / (2.0 * step)
+    for modes in _mode_chunks(M, 2, n_grid):
+        k = len(modes)
+        e = step * _unit_modes(basis_in, modes, n_grid)
+        r = residual(base + PeriodicFunction(np.concatenate([e.samples, -e.samples]),
+                                             np.concatenate([e.coeffs, -e.coeffs])))
+        if r.coeffs.shape != (2 * k, n_grid):
+            raise ValueError("the residual must map a stack of functions row by row")
+        diff = r.coeffs[:k, 1:M + 1] - r.coeffs[k:, 1:M + 1]
+        proj = 2.0 * diff.real if basis_out == "cosine" else -2.0 * diff.imag
+        cols[:, modes - 1] = (proj / (2.0 * step)).T
     return OperatorMatrix(entries=cols, basis=basis_in)
 
 
@@ -124,11 +150,11 @@ def dG_matrix(A: float, M: int, n_grid: int | None = None) -> OperatorMatrix:
     m_ep0 = mean(ep0)
     weight = half * em0 + half_r * ep0
     cols = np.empty((M, M))
-    for n in range(1, M + 1):
-        e = _unit_mode("sine", n, n_grid)
+    for modes in _mode_chunks(M, 1, n_grid):
+        e = _unit_modes("sine", modes, n_grid)
         v = derivative(e) + mul(weight, hilbert(e))
         col = v + (-mean(v) / m_ep0) * ep0
-        cols[:, n - 1] = col.cosine_coefficients(M)
+        cols[:, modes - 1] = col.cosine_coefficients(M).T
     return OperatorMatrix(entries=cols, basis="sine")
 
 
@@ -143,7 +169,7 @@ def smallest_singular(matrix: OperatorMatrix, A: float = math.nan) -> KernelRepo
         desc = f"{matrix.basis[:3]} {int(np.argmax(np.abs(kernel[-1]))) + 1}t"
     return KernelReport(A=A, M=matrix.M, sigma_min=sigma_min,
                         verdict="kernel_found" if kernel else "injective",
-                        kernel_vectors=kernel, kernel_description=desc)
+                        kernel_vectors=kernel, kernel_description=desc, matrix=matrix)
 
 
 def reduced_a2_coefficient(A: float) -> float:
@@ -172,6 +198,7 @@ def recurrence_scan(A: float, M: int) -> KernelReport:
     bounded kernel candidate must have A_k = a_(k+2) - A^2 a_k = 0), then
     reduces the two seed equations and reports them; injective when both
     reduced coefficients are nonzero.  For A = 0 the kernel sin t is reported.
+    The report carries the scanned `dG_matrix(A, M)` as `.matrix`.
     """
     crapper._check_param(A)
     if M < 8:
@@ -185,7 +212,7 @@ def recurrence_scan(A: float, M: int) -> KernelReport:
                             verdict="kernel_found",
                             kernel_vectors=svd_report.kernel_vectors,
                             kernel_description="sin t",
-                            a1_coefficient=0.0, a2_coefficient=0.0)
+                            a1_coefficient=0.0, a2_coefficient=0.0, matrix=matrix)
     q = crapper.q_of(A)
     k = np.arange(3, M + 1, dtype=float)
     ratios = (k - 2.0 + q) / (A * A * (k + 2.0 + q))
@@ -200,4 +227,5 @@ def recurrence_scan(A: float, M: int) -> KernelReport:
                         verdict="injective" if injective else "kernel_found",
                         kernel_vectors=svd_report.kernel_vectors if not injective else (),
                         kernel_description="" if injective else "recurrence seed survives",
-                        a1_coefficient=a1c, a2_coefficient=a2c, ratios=ratios)
+                        a1_coefficient=a1c, a2_coefficient=a2c, ratios=ratios,
+                        matrix=matrix)

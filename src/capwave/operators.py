@@ -4,7 +4,9 @@ Scaled parameters (alpha, beta) = (g/(c^2 k), sigma k/c^2) in deep water, or
 (g/(k lambda^2), k sigma/lambda^2) with lambda = m/h - gamma*h/2 in finite
 depth.  The profile unknown is a zero-mean even 2pi-periodic w.  One
 record, `WaveParams`, carries (alpha, beta) together with the depth h (inf
-for deep water) and the vorticity gamma.
+for deep water) and the vorticity gamma.  Every residual and `theta_of` takes
+one profile or a stack of them (a `PeriodicFunction` of shape (k, n)) and
+acts row by row; the scalars b and qhat are then one per row.
 
 Deep water:
 
@@ -118,7 +120,7 @@ def _metric_from(wp: PeriodicFunction, one_cwp: PeriodicFunction) -> PeriodicFun
     # delocalised rounding near its minimum (steep waves get within 1e-4 of
     # the degenerate threshold)
     W = PeriodicFunction.from_samples(wp.samples ** 2 + one_cwp.samples ** 2)
-    if np.min(W.samples) < 1e-12:
+    if (W.samples.min(axis=-1) < 1e-12).any():
         raise DegenerateMetricError("conformal metric vanishes on the grid")
     return W
 
@@ -142,8 +144,9 @@ def theta_of(w: PeriodicFunction) -> PeriodicFunction:
     one_cwp = 1.0 + hilbert(wp)
     _metric_from(wp, one_cwp)
     th = pf_atan2(wp, one_cwp)
-    jump = np.max(np.abs(np.diff(np.concatenate([th.samples, th.samples[:1]]))))
-    if jump > 0.5 * np.pi:
+    closed = np.concatenate([th.samples, th.samples[..., :1]], axis=-1)
+    jump = np.max(np.abs(np.diff(closed)), axis=-1)
+    if np.any(jump > 0.5 * np.pi):
         raise ValueError("tangent angle leaves the principal branch")
     return drop_mean(th)
 
@@ -255,7 +258,7 @@ def _finite_depth_pieces(params: WaveParams, w: PeriodicFunction):
     cwhalf = hilbert_strip(drop_mean(whalf), d)
     num = mean(mul(wp, cp)) + mean(mul(one_cwp, p))
     den = mean(mul(wp, cwhalf)) + mean(mul(one_cwp, whalf))
-    if den == 0.0:
+    if np.any(den == 0.0):
         raise ValueError("finite-depth head qhat undefined: its denominator is 0 "
                          "(extreme alpha, g or sigma)")
     qhat = num / den

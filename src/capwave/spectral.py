@@ -15,6 +15,14 @@ grid; products are evaluated on a 2x zero-padded grid and
 truncated back, so the retained band of a product of two band-limited
 functions is alias-free.  Whether a mean is zero is decided when an operator
 needs it, never stored.
+
+A `PeriodicFunction` holds one function (arrays of shape (n,)) or a stack of
+them (shape (..., n), one function per row).  Every transform acts along the
+last axis, `mean` gives one value per row, and every rule (the zero-mean
+test of `drop_mean` and the conjugations, the bound of `pf_pow`) is decided
+row by row; a check raises when any row fails it.  A stack row carries the
+same bits as the one-function computation on that row, so a stack of
+finite-difference perturbations is one residual call instead of many.
 """
 
 from __future__ import annotations
@@ -52,11 +60,15 @@ def _grid_pair(n_grid):
 
 
 def _coeffs_of(samples):
-    return np.fft.fft(samples) / len(samples)
+    c = np.fft.fft(samples)
+    c /= samples.shape[-1]
+    return c
 
 
 def _samples_of(coeffs):
-    return (np.fft.ifft(coeffs) * len(coeffs)).real
+    s = np.fft.ifft(coeffs)
+    s *= coeffs.shape[-1]
+    return s.real.copy()  # not a view, which would keep the complex buffer alive
 
 
 def _resize(coeffs, n_new):
@@ -66,20 +78,30 @@ def _resize(coeffs, n_new):
     the modes +-n_new/2 onto the new Nyquist mode, which for a real signal
     carries their combined real part.
     """
-    n = len(coeffs)
-    out = np.zeros(n_new, dtype=complex)
+    n = coeffs.shape[-1]
+    out = np.zeros(coeffs.shape[:-1] + (n_new,), dtype=complex)
+    # a[..., j] through a.T[j]: a scalar, not a 0-d array, for one function
+    c_t, out_t = coeffs.T, out.T
     if n_new > n:
         h = n // 2
-        out[:h] = coeffs[:h]
-        out[n_new - h + 1:] = coeffs[h + 1:]
-        out[n_new - h] = 0.5 * coeffs[h]
-        out[h] = 0.5 * np.conj(coeffs[h])
+        out[..., :h] = coeffs[..., :h]
+        out[..., n_new - h + 1:] = coeffs[..., h + 1:]
+        out_t[n_new - h] = 0.5 * c_t[h]
+        out_t[h] = 0.5 * np.conj(c_t[h])
     else:
         h = n_new // 2
-        out[:h] = coeffs[:h]
-        out[h + 1:] = coeffs[n - h + 1:]
-        out[h] = (coeffs[n - h] + np.conj(coeffs[h])).real
+        out[..., :h] = coeffs[..., :h]
+        out[..., h + 1:] = coeffs[..., n - h + 1:]
+        out_t[h] = (c_t[n - h] + np.conj(c_t[h])).real
     return out
+
+
+def _per_row(x):
+    """A scalar as a float, or one value per row as a column that broadcasts
+    along the grid axis."""
+    if isinstance(x, np.ndarray) and x.ndim:
+        return x.astype(float, copy=False)[..., None]
+    return float(x)
 
 
 class PeriodicFunction:
@@ -88,15 +110,18 @@ class PeriodicFunction:
     Carries both representations at all times: ``samples`` on t_j = 2*pi*j/n
     and complex modes ``coeffs`` in FFT order (index k holds mode k for
     k < n/2 and mode k - n above; the mean sits at 0, the Nyquist mode at
-    n/2), normalised so that f(t) = sum_m coeffs[m] * exp(i*m*t).  Instances
-    are immutable; all operations return new objects and are safe to
-    evaluate in parallel.
+    n/2), normalised so that f(t) = sum_m coeffs[m] * exp(i*m*t).  Both have
+    shape (..., n): one function, or a stack of them with one per row.
+    Instances are immutable; all operations return new objects and are safe
+    to evaluate in parallel.
     """
 
     __slots__ = ("n_grid", "samples", "coeffs")
+    # numpy arrays of per-row scalars defer to our operators: rows * f
+    __array_ufunc__ = None
 
     def __init__(self, samples, coeffs):
-        self.n_grid = len(samples)
+        self.n_grid = samples.shape[-1]
         self.samples = samples
         self.coeffs = coeffs
         samples.flags.writeable = False
@@ -107,7 +132,7 @@ class PeriodicFunction:
     @classmethod
     def from_samples(cls, values):
         values = np.asarray(values, dtype=float).copy()
-        if len(values) % 2 != 0:
+        if values.shape[-1] % 2 != 0:
             raise ValueError("grid length must be even")
         return cls(values, _coeffs_of(values))
 
@@ -153,13 +178,13 @@ class PeriodicFunction:
         """Coefficients a_n of the even part, f_even = a_0 + sum a_n cos nt."""
         if n_modes >= self.n_grid // 2:
             raise ValueError("n_modes exceeds grid resolution")
-        return 2.0 * self.coeffs[1 : 1 + n_modes].real
+        return 2.0 * self.coeffs[..., 1 : 1 + n_modes].real
 
     def sine_coefficients(self, n_modes):
         """Coefficients b_n of the odd part, f_odd = sum b_n sin nt."""
         if n_modes >= self.n_grid // 2:
             raise ValueError("n_modes exceeds grid resolution")
-        return -2.0 * self.coeffs[1 : 1 + n_modes].imag
+        return -2.0 * self.coeffs[..., 1 : 1 + n_modes].imag
 
     def resample(self, n_grid):
         """Spectral resampling (exact for band-limited data)."""
@@ -174,13 +199,16 @@ class PeriodicFunction:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
+        """Sum with a function, a scalar, or one scalar per row."""
         if isinstance(other, PeriodicFunction):
             self._check_grid(other)
             return PeriodicFunction(self.samples + other.samples, self.coeffs + other.coeffs)
-        other = float(other)
-        c = self.coeffs.copy()
-        c[0] += other
-        return PeriodicFunction(self.samples + other, c)
+        other = _per_row(other)
+        samples = self.samples + other
+        c = np.empty(samples.shape, dtype=complex)  # a stack when self is not
+        c[...] = self.coeffs
+        c[..., :1] += other
+        return PeriodicFunction(samples, c)
 
     __radd__ = __add__
 
@@ -193,7 +221,7 @@ class PeriodicFunction:
     def __mul__(self, other):
         if isinstance(other, PeriodicFunction):
             return mul(self, other)
-        other = float(other)
+        other = _per_row(other)
         return PeriodicFunction(self.samples * other, self.coeffs * other)
 
     __rmul__ = __mul__
@@ -206,33 +234,48 @@ class PeriodicFunction:
 # -- linear multiplier operators ----------------------------------------------
 
 
-def mean(f: PeriodicFunction) -> float:
-    """Mean over one period (mode-0 coefficient)."""
-    return float(f.coeffs[0].real)
+def mean(f: PeriodicFunction):
+    """Mean over one period (mode-0 coefficient): a float, or an array with
+    one value per row of a stack."""
+    if f.coeffs.ndim == 1:
+        return float(f.coeffs[0].real)
+    return f.coeffs[..., 0].real
 
 
 def _mean_is_zero(f):
-    return abs(mean(f)) < MEAN_TOL * (1.0 + np.max(np.abs(f.samples)))
+    """Per row: is the mean zero to rounding?"""
+    return abs(mean(f)) < MEAN_TOL * (1.0 + np.abs(f.samples).max(axis=-1))
 
 
 def drop_mean(f: PeriodicFunction) -> PeriodicFunction:
-    """Subtract the scalar mean; cheap way to feed hilbert with intermediates."""
-    return f if _mean_is_zero(f) else f - mean(f)
+    """Subtract the mean of each row whose mean is not zero to rounding; cheap
+    way to feed hilbert with intermediates."""
+    zero = _mean_is_zero(f)
+    if zero.all():
+        return f
+    out = f - mean(f)
+    if not zero.any():
+        return out
+    keep = zero[..., None]  # those rows stay bit for bit as they were
+    return PeriodicFunction(np.where(keep, f.samples, out.samples),
+                            np.where(keep, f.coeffs, out.coeffs))
 
 
 def _require_zero_mean(f, name):
-    if _mean_is_zero(f):
+    zero = _mean_is_zero(f)
+    if zero.all():
         return
     # an inf or nan sample makes the mean non-finite, so it lands here too
     if not np.all(np.isfinite(f.samples)):
         raise DegenerateMetricError(f"{name} got non-finite samples")
-    raise ValueError(f"{name} requires a zero-mean input (mean={mean(f):.3e}); "
+    first = np.extract(~zero, mean(f))[0]  # the mean of the first failing row
+    raise ValueError(f"{name} requires a zero-mean input (mean={first:.3e}); "
                      "subtract the mean explicitly first")
 
 
 def _multiply(f, mult):
     c = f.coeffs * mult
-    c[f.n_grid // 2] = 0.0  # Nyquist mode has no odd-derivative representation
+    c[..., f.n_grid // 2] = 0.0  # Nyquist mode has no odd-derivative representation
     return PeriodicFunction(_samples_of(c), c)
 
 
@@ -304,7 +347,7 @@ def pf_exp(f: PeriodicFunction) -> PeriodicFunction:
 
 def pf_pow(f: PeriodicFunction, r: float) -> PeriodicFunction:
     if r != int(r) or r < 0:
-        if np.min(f.samples) < DEGENERATE_TOL:
+        if (f.samples.min(axis=-1) < DEGENERATE_TOL).any():
             raise DegenerateMetricError("pow base not bounded away from zero")
     return PeriodicFunction.from_samples(np.power(f.samples, r))
 

@@ -3,7 +3,9 @@
 Everything here is raw numpy on purpose: closed-form boundary values of the
 disc-analytic generator of the explicit wave family, trapezoid quadrature for
 means, and a self-contained FFT Hilbert transform.  None of it goes through
-the package code paths it is used to check.
+the package code paths it is used to check.  The one exception is
+`jacobian_loop`, the column-by-column Jacobian that the stacked `jacobian_fd`
+must reproduce bit for bit: it calls the residual on one function at a time.
 """
 
 import numpy as np
@@ -100,3 +102,31 @@ def pairwise_crossings(x, y, band):
             if not near:
                 pts.append((px, py))
     return np.array(pts, dtype=float).reshape(-1, 2)
+
+
+def jacobian_loop(residual, base, M, step=None, basis_in="cosine", basis_out="cosine"):
+    """Central-difference Jacobian entries built one column at a time, two
+    one-function residual calls per column, as `jacobian_fd` did before it
+    evaluated stacks."""
+    from capwave.spectral import PeriodicFunction
+
+    def unit_mode(basis, j, n_grid):
+        f = np.zeros(j)
+        f[-1] = 1.0
+        if basis == "cosine":
+            return PeriodicFunction.from_cosine_series(f, n_grid)
+        return PeriodicFunction.from_sine_series(f, n_grid)
+
+    def project(f, basis, M):
+        return f.cosine_coefficients(M) if basis == "cosine" else f.sine_coefficients(M)
+
+    if step is None:
+        step = 1e-6 * (1.0 + base.norm_inf())
+    n_grid = base.n_grid
+    cols = np.empty((M, M))
+    for j in range(1, M + 1):
+        e = unit_mode(basis_in, j, n_grid)
+        rp = residual(base + step * e)
+        rm = residual(base - step * e)
+        cols[:, j - 1] = project(rp - rm, basis_out, M) / (2.0 * step)
+    return cols

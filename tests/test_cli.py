@@ -2,8 +2,10 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,6 +462,19 @@ def test_overflowing_step_is_a_solver_failure(tmp_path, capsys, monkeypatch, alp
     assert [s["params"]["alpha"] for s in branch["solutions"]] == [0.0]
     assert sum(not e["accepted"] for e in branch["step_history"]) == 7
     assert len(_read(tmp_path / "branch.csv").splitlines()) == 2
+
+
+@pytest.mark.parametrize("depth", [[], ["--h", "2"]])
+def test_overflowing_step_writes_one_stderr_line(tmp_path, depth):
+    # run as a user runs it, so any numpy RuntimeWarning would reach stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "capwave.cli", "continue", "--A", "0.3",
+                           "--alpha-max", "1e306", "--steps", "1", "--M", "16",
+                           "--grid", "128", "--g", "1", "--sigma", "1", *depth],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("capwave continue: step underflow")
 
 
 _WILD_FLOATS = (st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-12, -1.0, 1.0, 9.81, 1e300,

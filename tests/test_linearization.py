@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from capwave import crapper
+from capwave import crapper, linearization
 from capwave.linearization import (
     INJECTIVITY_TOL,
     OperatorMatrix,
+    angle_grid,
     dG_matrix,
     jacobian_fd,
     recurrence_scan,
@@ -12,8 +13,16 @@ from capwave.linearization import (
     reduced_a2_coefficient,
     smallest_singular,
 )
-from capwave.operators import WaveParams, residual_G, residual_G_tilde, residual_inf, theta_of
+from capwave.operators import (
+    WaveParams,
+    residual_G,
+    residual_G_tilde,
+    residual_fd,
+    residual_inf,
+    theta_of,
+)
 from capwave.spectral import PeriodicFunction, grid, mul
+from _oracles import jacobian_loop
 
 
 GOLDEN_SIGMA_MIN_A05_M64 = 0.548817980410871  # recorded from the build SVD
@@ -64,6 +73,66 @@ def test_jacobian_fd_second_order_in_step():
         jac = jacobian_fd(res, base, 8, step=step)
         errs.append(np.linalg.norm(jac.entries - ref.entries))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
+
+
+def _perturbed(A, n_grid):
+    """Crapper's wave with a small cos 2t and cos 5t bump: no exact zero."""
+    return crapper.crapper_wave(A, n_grid) + PeriodicFunction.from_cosine_series(
+        [0.0, 3e-3, 0.0, 0.0, -1e-3], n_grid)
+
+
+def _w_case(A, n_grid, residual, **params):
+    params = WaveParams(beta=crapper.beta_of(A), **params)
+    return lambda w: residual(params, w), _perturbed(A, n_grid), {}
+
+
+def _angle_case(A, M):
+    beta = crapper.beta_of(A)
+    theta = crapper.crapper_theta(A, angle_grid(A, M))
+    return lambda th: residual_G(beta, th), theta, {"basis_in": "sine"}
+
+
+# name -> (residual, base, bases, M)
+_JACOBIAN_CASES = {
+    "deep A=0.5 alpha=0": (*_w_case(0.5, 256, residual_inf, alpha=0.0), 64),
+    "deep A=0.3 alpha>0": (*_w_case(0.3, 128, residual_inf, alpha=0.03, g=1.0,
+                                    sigma=1.0), 48),
+    "deep A=-0.47 alpha>0": (*_w_case(-0.47, 256, residual_inf, alpha=0.02), 64),
+    "deep A=0.4 alpha>0 n=512": (*_w_case(0.4, 512, residual_inf, alpha=0.01), 160),
+    "vortical h=2.5 gamma=0.7": (*_w_case(0.3, 128, residual_fd, alpha=0.02, h=2.5,
+                                          gamma=0.7, g=1.0, sigma=1.0), 32),
+    "vortical h=1.7 gamma=-0.9": (*_w_case(-0.3, 256, residual_fd, alpha=0.01, h=1.7,
+                                           gamma=-0.9), 48),
+    "finite depth alpha<=0": (*_w_case(0.4, 128, residual_fd, alpha=-0.01, h=2.0,
+                                       gamma=0.5), 32),
+    "spectrum sine basis": (*_angle_case(0.5, 64), 64),
+    "theta_of cosine->sine": (theta_of, _perturbed(0.3, 512), {"basis_out": "sine"}, 48),
+}
+
+
+@pytest.mark.parametrize("case", list(_JACOBIAN_CASES))
+def test_jacobian_fd_is_the_column_loop_bit_for_bit(monkeypatch, case):
+    residual, base, bases, M = _JACOBIAN_CASES[case]
+    loop = jacobian_loop(residual, base, M, **bases)
+    # stacks of one column, of three (leaving a shorter last stack), of the
+    # default size, and of all columns at once
+    for points in (1, 6 * base.n_grid, linearization.STACK_POINTS, 2 * M * base.n_grid):
+        monkeypatch.setattr(linearization, "STACK_POINTS", points)
+        stacked = jacobian_fd(residual, base, M, **bases).entries
+        assert np.array_equal(stacked, loop) and stacked.tobytes() == loop.tobytes(), points
+
+
+def test_jacobian_fd_rejects_a_residual_that_is_not_row_wise():
+    base = crapper.crapper_wave(0.2, 128)
+    with pytest.raises(ValueError, match="row by row"):
+        jacobian_fd(lambda w: PeriodicFunction.from_samples(w.samples[0]), base, 8)
+
+
+def test_dG_matrix_does_not_depend_on_the_stack_size(monkeypatch):
+    ref = dG_matrix(0.5, 24).entries
+    for points in (1, 5 * 256):
+        monkeypatch.setattr(linearization, "STACK_POINTS", points)
+        assert dG_matrix(0.5, 24).entries.tobytes() == ref.tobytes()
 
 
 def test_dG_matrix_at_zero():

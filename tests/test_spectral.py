@@ -5,6 +5,7 @@ from capwave.spectral import (
     DegenerateMetricError,
     PeriodicFunction,
     derivative,
+    drop_mean,
     grid,
     hilbert,
     hilbert_strip,
@@ -258,3 +259,87 @@ def test_grid_validation():
         grid(5)
     with pytest.raises(ValueError):
         PeriodicFunction.from_cosine_series(np.ones(40), 64)
+
+
+# -- stacks: one function per row ----------------------------------------------------
+
+
+def _mixed_stack(rng, n):
+    """Rows with zero mean (exactly, or below MEAN_TOL) and rows without."""
+    t = grid(n)
+    rows = [np.cos(t) + 0.3 * np.cos(3 * t),                   # zero mean
+            0.7 + np.sin(2 * t),                                # mean 0.7
+            np.sin(t) - 0.2 * np.cos(5 * t) + 1e-15,            # zero to rounding
+            rng.standard_normal(n),                             # not band-limited
+            -1.5 + 0.5 * np.cos(t)]                             # negative mean
+    return PeriodicFunction.from_samples(np.array(rows))
+
+
+def _assert_rows(stacked, per_row):
+    assert stacked.samples.shape == (len(per_row), stacked.n_grid)
+    for i, f in enumerate(per_row):
+        assert stacked.samples[i].tobytes() == f.samples.tobytes(), i
+        assert stacked.coeffs[i].tobytes() == f.coeffs.tobytes(), i
+
+
+def test_stacked_ops_match_row_by_row():
+    rng = np.random.default_rng(5)
+    n = 64
+    S = _mixed_stack(rng, n)
+    T = PeriodicFunction.from_samples(rng.standard_normal(S.samples.shape))
+    P = PeriodicFunction.from_samples(0.5 + S.samples ** 2)  # positive rows
+    g = PeriodicFunction.from_samples(rng.standard_normal(n))
+    per = np.array([1.5, -0.25, 0.0, 3.0, -2.0])
+    rows = lambda F: [PeriodicFunction.from_samples(x) for x in F.samples]
+    s_rows, t_rows, p_rows = rows(S), rows(T), rows(P)
+    _assert_rows(S, s_rows)
+    ops = {
+        "derivative": (derivative, lambda f, i: derivative(f)),
+        "drop_mean": (drop_mean, lambda f, i: drop_mean(f)),
+        "hilbert": (lambda F: hilbert(drop_mean(F)), lambda f, i: hilbert(drop_mean(f))),
+        "hilbert_strip": (lambda F: hilbert_strip(drop_mean(F), 0.8),
+                          lambda f, i: hilbert_strip(drop_mean(f), 0.8)),
+        "mul": (lambda F: mul(F, T), lambda f, i: mul(f, t_rows[i])),
+        "mul by one function": (lambda F: mul(g, F), lambda f, i: mul(g, f)),
+        "exp": (pf_exp, lambda f, i: pf_exp(f)),
+        "+ function": (lambda F: F + g, lambda f, i: f + g),
+        "+ scalar": (lambda F: F + 1.25, lambda f, i: f + 1.25),
+        "- scalar": (lambda F: F - 0.4, lambda f, i: f - 0.4),
+        "* scalar": (lambda F: 1.3 * F, lambda f, i: 1.3 * f),
+        "negation": (lambda F: -F, lambda f, i: -f),
+        "+ per row": (lambda F: F + per, lambda f, i: f + per[i]),
+        "- per row": (lambda F: F - per, lambda f, i: f - per[i]),
+        "* per row": (lambda F: F * per, lambda f, i: f * per[i]),
+        "per row *": (lambda F: per * F, lambda f, i: per[i] * f),
+        "resample": (lambda F: F.resample(2 * n), lambda f, i: f.resample(2 * n)),
+    }
+    for name, (stacked_op, row_op) in ops.items():
+        _assert_rows(stacked_op(S), [row_op(f, i) for i, f in enumerate(s_rows)])
+    for r in (0.5, -0.5, 2):
+        _assert_rows(pf_pow(P, r), [pf_pow(f, r) for f in p_rows])
+    # per-row scalars of one function make a stack
+    _assert_rows(per * g, [p * g for p in per])
+    _assert_rows(g + per, [g + p for p in per])
+    assert mean(S).tolist() == [mean(f) for f in s_rows]
+    assert S.cosine_coefficients(5).tolist() == [f.cosine_coefficients(5).tolist()
+                                                 for f in s_rows]
+    # the zero-mean rows are kept as they are, the others shifted
+    kept = drop_mean(S)
+    for i in (0, 2):
+        assert kept.samples[i].tobytes() == S.samples[i].tobytes()
+    assert mean(S)[2] != 0.0 and mean(kept)[[1, 3, 4]].tolist() == [0.0, 0.0, 0.0]
+
+
+def test_stacked_checks_fail_when_any_row_fails():
+    S = _mixed_stack(np.random.default_rng(6), 64)
+    with pytest.raises(ValueError, match="zero-mean input .mean=7.000e-01"):
+        hilbert(S)  # row 1 is the first with a mean
+    P = PeriodicFunction.from_samples(0.5 + S.samples ** 2)
+    pf_pow(P, -0.5)
+    bad = P.samples.copy()
+    bad[3, 7] = 0.0
+    with pytest.raises(DegenerateMetricError):
+        pf_pow(PeriodicFunction.from_samples(bad), -0.5)
+    bad[1, 2] = np.nan  # a nan in another row does not hide the zero
+    with pytest.raises(DegenerateMetricError):
+        pf_pow(PeriodicFunction.from_samples(bad), -0.5)
