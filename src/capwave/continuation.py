@@ -200,15 +200,21 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     crapper._check_param(start_A)
     if len(schedule) < 1:
         raise ValueError("empty schedule")
+    if not np.isfinite(np.asarray(schedule, dtype=float)).all():
+        raise ValueError("schedule targets (alpha, beta) must be finite")
     a0, b0 = schedule[0]
     if a0 > 0.0:
         raise ValueError("schedule must start on the pure-capillary curve (alpha <= 0)")
     if abs(b0 - crapper.beta_of(start_A)) > 1e-9 * (1.0 + abs(b0)):
         raise ValueError(f"schedule must start at beta_A = {crapper.beta_of(start_A)!r}")
 
-    M = modes_for(start_A, M if M is not None else DEFAULT_M)
+    requested = M if M is not None else DEFAULT_M
+    M = modes_for(start_A, requested)
     if n_grid is None:
         n_grid = _grid_for(M, start_A)
+    elif M >= n_grid // 2:
+        why = f" (modes_for raised {requested} for A = {start_A})" if M != requested else ""
+        raise ValueError(f"M = {M}{why} needs at least {2 * M + 2} grid points, got {n_grid}")
     last = newton_solve(WaveParams(a0, b0, g=g, sigma=sigma, gamma=gamma, h=h),
                         crapper.crapper_wave(start_A, n_grid), M=M, tol=tol, max_iter=max_iter)
     branch = Branch(start_A=start_A, solutions=[last], step_history=[(a0, b0, 0.0, True)])

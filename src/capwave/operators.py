@@ -33,6 +33,10 @@ so it is isolated in closed form).  For alpha <= 0 every finite-depth object
 continuously extends to its deep alpha = 0 counterpart, which keeps the whole
 family defined on an open interval around alpha = 0.
 
+F and FD share one slope/metric rule (w', 1 + C w' and W, with C or C_d) and
+one assembly of w'' - (w'/2beta) C(A) - ((1 + C w')/2beta) A: each supplies
+only its bracket (B or A), the conjugate of it and its head (b or qhat).
+
 The angle formulation: Theta(w) = atan2(w', 1 + C w'), exp(C Theta(w)) =
 W(w)^(1/2), and at alpha = 0 the w-residual factors through
 
@@ -59,7 +63,6 @@ from .spectral import (
     pf_atan2,
     pf_cos,
     pf_exp,
-    pf_pow,
     pf_sin,
 )
 
@@ -81,8 +84,8 @@ class WaveParams:
     def __post_init__(self):
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if not (self.g > 0.0 and self.sigma > 0.0):
-            raise ValueError("g and sigma must be positive")
+        if not (0.0 < self.g < math.inf and 0.0 < self.sigma < math.inf):
+            raise ValueError(f"g and sigma must be positive and finite: {self.g}, {self.sigma}")
         if not self.h > 0.0:
             raise ValueError(f"depth must be positive, got {self.h}")
         if math.isinf(self.h) and self.gamma != 0.0:
@@ -111,27 +114,29 @@ def wavenumber_k(alpha: float, beta: float, g: float = 1.0, sigma: float = 1.0) 
     return math.sqrt(g * beta / scale)
 
 
-# -- metric and angle ------------------------------------------------------------
+# -- slope, metric and angle ----------------------------------------------------------
 
 
-def _metric_from(wp: PeriodicFunction, one_cwp: PeriodicFunction) -> PeriodicFunction:
+def _slope_metric(w: PeriodicFunction, d: float | None = None):
+    """w', 1 + C w' (C deep for d=None, else the strip transform at depth d)
+    and the samples of W = w'^2 + (1 + C w')^2, checked to be >= 1e-12."""
+    wp = derivative(w)
+    one_cwp = 1.0 + (hilbert(wp) if d is None else hilbert_strip(wp, d))
     # squared grid-locally, not through padded FFT products: the metric is
     # positive at every sample and its inverse square root amplifies any
     # delocalised rounding near its minimum (steep waves get within 1e-4 of
     # the degenerate threshold)
-    W = PeriodicFunction.from_samples(wp.samples ** 2 + one_cwp.samples ** 2)
-    if (W.samples.min(axis=-1) < 1e-12).any():
+    W = wp.samples ** 2 + one_cwp.samples ** 2
+    if (W.min(axis=-1) < 1e-12).any():
         raise DegenerateMetricError("conformal metric vanishes on the grid")
-    return W
+    return wp, one_cwp, W
 
 
-def conformal_metric(w: PeriodicFunction, d: float | None = None) -> PeriodicFunction:
-    """W(w) = w'^2 + (1 + C w')^2, with C the deep transform (d=None) or the
-    strip transform at depth d.  Raises DegenerateMetricError when the metric
-    is not bounded away from zero on the grid."""
-    wp = derivative(w)
-    cwp = hilbert(wp) if d is None else hilbert_strip(wp, d)
-    return _metric_from(wp, 1.0 + cwp)
+def conformal_metric(w: PeriodicFunction, d: float | None = None) -> np.ndarray:
+    """Samples of W(w) = w'^2 + (1 + C w')^2, with C the deep transform
+    (d=None) or the strip transform at depth d.  Raises DegenerateMetricError
+    when the metric is not bounded away from zero on the grid."""
+    return _slope_metric(w, d)[2]
 
 
 def theta_of(w: PeriodicFunction) -> PeriodicFunction:
@@ -140,9 +145,7 @@ def theta_of(w: PeriodicFunction) -> PeriodicFunction:
     Valid while the surface slope angle stays inside (-pi, pi); a jump
     between adjacent grid points means the branch was left and is rejected.
     """
-    wp = derivative(w)
-    one_cwp = 1.0 + hilbert(wp)
-    _metric_from(wp, one_cwp)
+    wp, one_cwp, _ = _slope_metric(w)
     th = pf_atan2(wp, one_cwp)
     closed = np.concatenate([th.samples, th.samples[..., :1]], axis=-1)
     jump = np.max(np.abs(np.diff(closed)), axis=-1)
@@ -151,37 +154,39 @@ def theta_of(w: PeriodicFunction) -> PeriodicFunction:
     return drop_mean(th)
 
 
+def _root_powers(W):
+    return [PeriodicFunction.from_samples(np.power(W, r)) for r in (0.5, -0.5)]
+
+
+def _assemble(beta, wp, one_cwp, a_fun, ca_fun):
+    """w'' - (w'/2beta) C(A) - ((1 + C w')/2beta) A: F and FD differ only in
+    the bracket A, its conjugate C(A) and the head inside A."""
+    half = 0.5 / beta
+    return derivative(wp) - half * mul(wp, ca_fun) - half * mul(one_cwp, a_fun)
+
+
 # -- deep-water residual -----------------------------------------------------------
 
 
-def _metric_powers(w, d=None):
-    wp = derivative(w)
-    wpp = derivative(wp)
-    cwp = hilbert(wp) if d is None else hilbert_strip(wp, d)
-    one_cwp = 1.0 + cwp
-    W = _metric_from(wp, one_cwp)
-    return wp, wpp, one_cwp, pf_pow(W, 0.5), pf_pow(W, -0.5)
-
-
-def _bernoulli(alpha, w, whalf, winvhalf):
-    return (mean(winvhalf) + 2.0 * alpha * mean(mul(w, whalf))) / mean(whalf)
+def _deep_pieces(alpha, w):
+    """w', 1 + C w', the bracket B and the head b."""
+    wp, one_cwp, W = _slope_metric(w)
+    whalf, winvhalf = _root_powers(W)
+    w_whalf = mul(w, whalf)
+    b = (mean(winvhalf) + 2.0 * alpha * mean(w_whalf)) / mean(whalf)
+    return wp, one_cwp, winvhalf - b * whalf + (2.0 * alpha) * w_whalf, b
 
 
 def bernoulli_b(alpha: float, w: PeriodicFunction) -> float:
     """b(alpha, w) = ([W^(-1/2)] + 2 alpha [w W^(1/2)]) / [W^(1/2)]."""
-    _, _, _, whalf, winvhalf = _metric_powers(w)
-    return _bernoulli(alpha, w, whalf, winvhalf)
+    return _deep_pieces(alpha, w)[-1]
 
 
 def residual_inf(params: WaveParams, w: PeriodicFunction) -> PeriodicFunction:
     """Deep-water residual F(alpha, beta, w); zero iff (alpha, beta, w) is a
     steady wave in scaled variables.  Mean-free by construction of b."""
-    alpha, beta = params.alpha, params.beta
-    wp, wpp, one_cwp, whalf, winvhalf = _metric_powers(w)
-    b = _bernoulli(alpha, w, whalf, winvhalf)
-    bracket = winvhalf - b * whalf + (2.0 * alpha) * mul(w, whalf)
-    half = 0.5 / beta
-    return wpp - half * mul(wp, hilbert(drop_mean(bracket))) - half * mul(one_cwp, bracket)
+    wp, one_cwp, bracket, _ = _deep_pieces(params.alpha, w)
+    return _assemble(params.beta, wp, one_cwp, bracket, hilbert(drop_mean(bracket)))
 
 
 # -- angle-formulation residuals ---------------------------------------------------
@@ -232,8 +237,8 @@ def residual_G_tilde(beta: float, theta: PeriodicFunction) -> PeriodicFunction:
 
 
 def _finite_depth_pieces(params: WaveParams, w: PeriodicFunction):
-    """Strip metric powers, vorticity bracket and the zero-mean scalar qhat
-    for alpha > 0."""
+    """w', 1 + C_d w', the bracket A, its conjugate C_d(A) and the head qhat
+    that makes the residual mean-free, for alpha > 0."""
     alpha, beta, g, sigma = params.alpha, params.beta, params.g, params.sigma
     gamma, h = params.gamma, params.h
     if params.is_infinite:
@@ -245,7 +250,8 @@ def _finite_depth_pieces(params: WaveParams, w: PeriodicFunction):
     except (OverflowError, ZeroDivisionError):
         raise ValueError("finite-depth vorticity scales leave the float range "
                          "(extreme alpha, g or sigma)") from None
-    wp, wpp, one_cwp, whalf, winvhalf = _metric_powers(w, d=d)
+    wp, one_cwp, W = _slope_metric(w, d)
+    whalf, winvhalf = _root_powers(W)
     cwp = one_cwp - 1.0
 
     const = mean(mul(w, w)) / (2.0 * h) * root
@@ -262,7 +268,8 @@ def _finite_depth_pieces(params: WaveParams, w: PeriodicFunction):
         raise ValueError("finite-depth head qhat undefined: its denominator is 0 "
                          "(extreme alpha, g or sigma)")
     qhat = num / den
-    return d, wp, wpp, one_cwp, whalf, p, cp, cwhalf, qhat
+    # A = p - qhat W_d^(1/2); C_d(A) from the pieces already transformed
+    return wp, one_cwp, p - qhat * whalf, cp - qhat * cwhalf, qhat
 
 
 def q_hat(params: WaveParams, w: PeriodicFunction) -> float:
@@ -281,12 +288,7 @@ def residual_fd(params: WaveParams, w: PeriodicFunction) -> PeriodicFunction:
     """
     if params.alpha <= 0.0:
         return residual_inf(replace(params, alpha=0.0, gamma=0.0, h=math.inf), w)
-    d, wp, wpp, one_cwp, whalf, p, cp, cwhalf, qhat = _finite_depth_pieces(params, w)
-    half = 0.5 / params.beta
-    # A = p - qhat * whalf; C_d(A) assembled from the pieces already transformed
-    a_fun = p - qhat * whalf
-    ca_fun = cp - qhat * cwhalf
-    return wpp - half * mul(wp, ca_fun) - half * mul(one_cwp, a_fun)
+    return _assemble(params.beta, *_finite_depth_pieces(params, w)[:-1])
 
 
 # -- physical parameter recovery ------------------------------------------------------

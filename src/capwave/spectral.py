@@ -19,8 +19,8 @@ needs it, never stored.
 A `PeriodicFunction` holds one function (arrays of shape (n,)) or a stack of
 them (shape (..., n), one function per row).  Every transform acts along the
 last axis, `mean` gives one value per row, and every rule (the zero-mean
-test of `drop_mean` and the conjugations, the bound of `pf_pow`) is decided
-row by row; a check raises when any row fails it.  A stack row carries the
+test of `drop_mean` and the conjugations) is decided row by row; a check
+raises when any row fails it.  A stack row carries the
 same bits as the one-function computation on that row, so a stack of
 finite-difference perturbations is one residual call instead of many.
 """
@@ -30,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 MEAN_TOL = 1e-13
-DEGENERATE_TOL = 1e-12
 
 
 class DegenerateMetricError(ValueError):
@@ -343,13 +342,6 @@ def mul(f: PeriodicFunction, g: PeriodicFunction) -> PeriodicFunction:
 
 def pf_exp(f: PeriodicFunction) -> PeriodicFunction:
     return PeriodicFunction.from_samples(np.exp(f.samples))
-
-
-def pf_pow(f: PeriodicFunction, r: float) -> PeriodicFunction:
-    if r != int(r) or r < 0:
-        if (f.samples.min(axis=-1) < DEGENERATE_TOL).any():
-            raise DegenerateMetricError("pow base not bounded away from zero")
-    return PeriodicFunction.from_samples(np.power(f.samples, r))
 
 
 def pf_sin(f: PeriodicFunction) -> PeriodicFunction:

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import itertools
 import json
 import math
@@ -99,6 +100,22 @@ def test_verify_deterministic_output(tmp_path, capsys):
     assert main(["verify", "--A", "0.3", "--out", str(b)]) == 0
     assert _read(a) == _read(b)
     capsys.readouterr()
+
+
+def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
+    # tools/cli_outputs.py writes the byte-identity set of every command
+    # (continue, spectrum, verify, limit-check, profile and two failures)
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
+    spec = importlib.util.spec_from_file_location("cli_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = []
+    for name in ("first", "second"):
+        tool.write_outputs(tmp_path / name)
+        files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
+        runs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
+    assert len(runs[0]) == 83  # 73 entries, five of them directories of step SVGs
+    assert runs[0] == runs[1]
 
 
 def test_config_file_merging(tmp_path, capsys):
@@ -434,6 +451,15 @@ def test_extreme_constants_are_usage_errors(tmp_path, capsys, monkeypatch, argv)
     ("spectrum --A-values 0.3,1 --M 16 --out-json s.json --out-csv s.csv",
      "must satisfy |A| < 1"),
     ("limit-check --A -1 --out r.json", "must satisfy |A| < 1"),
+    ("limit-check --g inf --out r.json", "g and sigma must be positive and finite"),
+    ("continue --A 0.3 --alpha-max 0.01 --steps 1 --M 16 --grid 128 --g inf --sigma 1",
+     "g and sigma must be positive and finite"),
+    ("continue --A 0.3 --alpha-max 0.01 --steps 1 --M 16 --grid 128 --g 1 --sigma inf",
+     "g and sigma must be positive and finite"),
+    ("continue --A 0.3 --alpha-max inf --steps 1 --M 16 --grid 128 --g 1 --sigma 1",
+     "schedule targets (alpha, beta) must be finite"),
+    ("continue --A 0.3 --M 16 --grid 64",
+     "M = 32 (modes_for raised 16 for A = 0.3) needs at least 66 grid points, got 64"),
 ])
 def test_library_checks_reach_stderr_before_any_solve(tmp_path, capsys, monkeypatch,
                                                       argv, message):

@@ -147,6 +147,16 @@ def test_continue_branch_rejects_bad_starts():
         continue_branch(0.3, [(0.0, 2.0)])
     with pytest.raises(ValueError):
         continue_branch(0.3, [])
+    # checked before the first solve, so a bad last target costs nothing
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            continue_branch(0.3, [(0.0, beta3), (0.01, beta3), (bad, beta3)])
+        with pytest.raises(ValueError, match="must be finite"):
+            continue_branch(0.3, [(0.0, beta3), (0.01, bad)])
+    with pytest.raises(ValueError, match="M = 32 .* needs at least 66 grid points, got 64"):
+        continue_branch(0.3, [(0.0, beta3)], M=16, n_grid=64)
+    with pytest.raises(ValueError, match=r"^M = 40 needs at least 82 grid points, got 81$"):
+        continue_branch(0.3, [(0.0, beta3)], M=40, n_grid=81)
 
 
 def test_continue_branch_walks_the_sheet():
@@ -200,7 +210,7 @@ def test_halved_step_is_kept_until_the_target(monkeypatch):
 
     monkeypatch.setattr(continuation, "newton_solve", solve)
     beta = crapper.beta_of(0.3)
-    branch = continue_branch(0.3, [(0.0, beta), (0.02, beta)], M=16, n_grid=64)
+    branch = continue_branch(0.3, [(0.0, beta), (0.02, beta)], M=16, n_grid=128)
     accepted = [e for e in branch.step_history if e[3]]
     assert len(accepted) == 9 and len(branch.step_history) == 12
     assert [e[2] for e in accepted[1:]] == pytest.approx([0.0025] * 8)
@@ -217,7 +227,7 @@ def test_step_underflow_after_max_halvings_per_target(monkeypatch):
 
     monkeypatch.setattr(continuation, "newton_solve", solve)
     with pytest.raises(StepUnderflowError, match="after 6 halvings") as err:
-        continue_branch(0.3, [(0.0, beta), (0.02, beta)], M=16, n_grid=64)
+        continue_branch(0.3, [(0.0, beta), (0.02, beta)], M=16, n_grid=128)
     steps = [e[2] for e in err.value.branch.step_history[1:]]
     assert steps == [0.02 * 0.5 ** k for k in range(continuation.MAX_HALVINGS + 1)]
 

@@ -119,7 +119,7 @@ def test_metric_root_times_exp_minus_conjugate_theta_is_one():
         n = 512
         w = crapper.crapper_wave(A, n)
         th = crapper.crapper_theta(A, n)
-        whalf = np.sqrt(conformal_metric(w).samples)
+        whalf = np.sqrt(conformal_metric(w))
         prod = whalf * pf_exp(-hilbert(th)).samples
         assert np.max(np.abs(prod - 1.0)) < 1e-11
 

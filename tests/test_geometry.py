@@ -160,7 +160,7 @@ def test_metric_matches_squared_curve_speed():
         dx = derivative(xper).samples + 1.0 / k
         dy = derivative(y).samples
         speed2 = (dx ** 2 + dy ** 2) * k ** 2
-        assert np.max(np.abs(speed2 - conformal_metric(w).samples)) < 1e-10
+        assert np.max(np.abs(speed2 - conformal_metric(w))) < 1e-10
 
 
 def test_critical_self_intersection_threshold():

@@ -56,6 +56,11 @@ def test_wave_params_validation():
         WaveParams(alpha=0.0, beta=0.0)
     with pytest.raises(ValueError):
         WaveParams(alpha=0.0, beta=1.0, g=-1.0)
+    for bad in (math.inf, math.nan):  # JSON would store them as null
+        with pytest.raises(ValueError, match="positive and finite"):
+            WaveParams(alpha=0.0, beta=1.0, g=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            WaveParams(alpha=0.0, beta=1.0, sigma=bad)
     with pytest.raises(ValueError):
         WaveParams(alpha=0.0, beta=1.0, gamma=1.0)  # infinite depth, vorticity
     with pytest.raises(ValueError):
@@ -82,16 +87,20 @@ def test_wavenumber_examples():
 def test_conformal_metric_examples():
     n = 256
     flat = PeriodicFunction.zeros(n)
-    assert np.max(np.abs(conformal_metric(flat).samples - 1.0)) < 1e-14
-    assert np.max(np.abs(conformal_metric(flat, d=1.5).samples - 1.0)) < 1e-14
+    assert np.max(np.abs(conformal_metric(flat) - 1.0)) < 1e-14
+    assert np.max(np.abs(conformal_metric(flat, d=1.5) - 1.0)) < 1e-14
     w = crapper.crapper_wave(0.5, n)
     W = conformal_metric(w)
-    assert W.samples[0] == pytest.approx(1.0 / 81.0, abs=1e-12)
-    assert mean(W) > 0.1
-    # w = -cos t puts w' = 1 + Cw' = 0 at t = 0
+    assert W[0] == pytest.approx(1.0 / 81.0, abs=1e-12)
+    assert W.mean() > 0.1
+    # w = -cos t puts w' = 1 + Cw' = 0 at t = 0; every caller of the metric
+    # rule rejects it
     degenerate = PeriodicFunction.from_cosine_series([-1.0], n)
-    with pytest.raises(DegenerateMetricError):
-        conformal_metric(degenerate)
+    for call in (conformal_metric, theta_of, lambda u: bernoulli_b(0.3, u),
+                 lambda u: residual_inf(WaveParams(0.0, 1.0), u),
+                 lambda u: residual_inf(WaveParams(0.02, 1.0), u)):
+        with pytest.raises(DegenerateMetricError, match="conformal metric vanishes"):
+            call(degenerate)
 
 
 def test_theta_of_examples():
@@ -105,7 +114,7 @@ def test_theta_of_examples():
     assert np.max(np.abs(th.cosine_coefficients(n // 2 - 1))) < 1e-12
     assert abs(mean(th)) < 1e-12
     # sin(theta) * W^(1/2) = w' at every sample
-    whalf = np.sqrt(conformal_metric(w).samples)
+    whalf = np.sqrt(conformal_metric(w))
     from capwave.spectral import derivative
 
     assert np.max(np.abs(np.sin(th.samples) * whalf - derivative(w).samples)) < 1e-10

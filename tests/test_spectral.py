@@ -13,8 +13,8 @@ from capwave.spectral import (
     mean,
     mul,
     pf_exp,
-    pf_pow,
 )
+from capwave.operators import conformal_metric
 from _oracles import crapper_samples, crapper_conjugate, theta_samples
 
 
@@ -185,21 +185,11 @@ def test_mul_dealiased_product():
     _assert_odd(mul(c, s))
 
 
-def test_pow_and_exp_examples():
-    n = 256
-    t = grid(n)
-    flat = pf_pow(1.0 + 0.0 * PeriodicFunction.from_samples(np.cos(t)), -0.5)
-    assert np.max(np.abs(flat.samples - 1.0)) < 1e-14
+def test_exp_examples():
+    t = grid(256)
     th = PeriodicFunction.from_samples(theta_samples(0.5, t))
     e = pf_exp(hilbert(th))
     assert e.samples[0] == pytest.approx(1.0 / 9.0, abs=1e-13)
-
-
-def test_pow_degenerate_rejected():
-    t = grid(64)
-    base = PeriodicFunction.from_samples(1.0 - np.cos(t))  # touches zero at t = 0
-    with pytest.raises(DegenerateMetricError):
-        pf_pow(base, -0.5)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf inside the FFT
@@ -287,11 +277,10 @@ def test_stacked_ops_match_row_by_row():
     n = 64
     S = _mixed_stack(rng, n)
     T = PeriodicFunction.from_samples(rng.standard_normal(S.samples.shape))
-    P = PeriodicFunction.from_samples(0.5 + S.samples ** 2)  # positive rows
     g = PeriodicFunction.from_samples(rng.standard_normal(n))
     per = np.array([1.5, -0.25, 0.0, 3.0, -2.0])
     rows = lambda F: [PeriodicFunction.from_samples(x) for x in F.samples]
-    s_rows, t_rows, p_rows = rows(S), rows(T), rows(P)
+    s_rows, t_rows = rows(S), rows(T)
     _assert_rows(S, s_rows)
     ops = {
         "derivative": (derivative, lambda f, i: derivative(f)),
@@ -315,8 +304,6 @@ def test_stacked_ops_match_row_by_row():
     }
     for name, (stacked_op, row_op) in ops.items():
         _assert_rows(stacked_op(S), [row_op(f, i) for i, f in enumerate(s_rows)])
-    for r in (0.5, -0.5, 2):
-        _assert_rows(pf_pow(P, r), [pf_pow(f, r) for f in p_rows])
     # per-row scalars of one function make a stack
     _assert_rows(per * g, [p * g for p in per])
     _assert_rows(g + per, [g + p for p in per])
@@ -334,12 +321,17 @@ def test_stacked_checks_fail_when_any_row_fails():
     S = _mixed_stack(np.random.default_rng(6), 64)
     with pytest.raises(ValueError, match="zero-mean input .mean=7.000e-01"):
         hilbert(S)  # row 1 is the first with a mean
-    P = PeriodicFunction.from_samples(0.5 + S.samples ** 2)
-    pf_pow(P, -0.5)
-    bad = P.samples.copy()
-    bad[3, 7] = 0.0
-    with pytest.raises(DegenerateMetricError):
-        pf_pow(PeriodicFunction.from_samples(bad), -0.5)
-    bad[1, 2] = np.nan  # a nan in another row does not hide the zero
-    with pytest.raises(DegenerateMetricError):
-        pf_pow(PeriodicFunction.from_samples(bad), -0.5)
+    # the metric bound: profiles a cos t + b cos 2t, row by row as one function
+    t = grid(64)
+    profiles = np.array([a * np.cos(t) + b * np.cos(2 * t) for a, b in
+                         [(0.2, 0.0), (-0.3, 0.1), (0.0, 0.25), (0.45, -0.05), (0.1, 0.1)]])
+    W = conformal_metric(PeriodicFunction.from_samples(profiles))
+    for row, w in zip(W, profiles):
+        assert row.tobytes() == conformal_metric(PeriodicFunction.from_samples(w)).tobytes()
+    bad = profiles.copy()
+    bad[3] = -np.cos(t)  # W = 0 at t = 0
+    with pytest.raises(DegenerateMetricError, match="conformal metric vanishes"):
+        conformal_metric(PeriodicFunction.from_samples(bad))
+    bad[1, 2] = np.nan  # a nan in another row (which the conjugation rejects
+    with pytest.raises(DegenerateMetricError):  # first) does not hide the zero row
+        conformal_metric(PeriodicFunction.from_samples(bad))
