@@ -4,14 +4,14 @@ A pair of segments can only cross where both their x-ranges and their
 y-ranges overlap.  Sorting the segments by their left end and searching each
 right end in that order gives, for every segment, the window of later
 segments that overlap it in x; the y-ranges prune those pairs further, and
-only the survivors get the four orientation tests.  On the surface curves
-checked here a segment overlaps a handful of others, so the sweep costs
-O(n log n) plus the candidate pairs instead of the n^2 / 2 of a full pairwise
-sweep.  The orientation arithmetic is the pairwise sweep's (kept as the
-reference in tests/_oracles.py), so both return the same points bit for bit,
-in the same order, except for pairs whose boxes are disjoint: on nearly
-collinear points rounding can make the pairwise orientation tests report
-such a pair as crossing, and this sweep never tests it.
+only the survivors get the four orientation tests.  Given `owned`, only pairs
+with a segment below that index are built (a periodic curve owns its base
+period; the other pairs repeat them).  A segment of a surface curve overlaps
+a handful of others, so the sweep costs O(n log n) plus the candidate pairs,
+not the n^2 / 2 of the pairwise sweep in tests/_oracles.py, whose orientation
+arithmetic it shares: both return the same points bit for bit, in the same
+order, except for pairs whose boxes are disjoint, which rounding on nearly
+collinear points can make the pairwise tests report as crossing.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ def selected_backend() -> str:
     return "numpy"
 
 
-def segment_crossings(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Proper pairwise intersections of the open polyline (x, y).
+def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int | None = None) -> np.ndarray:
+    """Proper pairwise intersections of the open polyline (x, y) whose lower
+    segment index is below `owned` (default: every segment).
 
     Adjacent segments are skipped; intersections within ENDPOINT_BAND of a segment
     endpoint are excluded.  Returns an (n, 2) array of crossing coordinates,
@@ -43,11 +44,20 @@ def segment_crossings(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     xlo, xhi = np.minimum(ax, bx), np.maximum(ax, bx)
     ylo, yhi = np.minimum(ay, by), np.maximum(ay, by)
     # in order of left ends, each segment pairs with the later ones whose left
-    # end lies in its x-range: every pair of overlapping x-ranges, once
+    # end lies in its x-range: every pair of overlapping x-ranges, once.  An
+    # owned row takes that whole window, any other row the owned segments in
+    # it; both are runs of `cols`, every rank and then the owned ranks, and
+    # the owned ranks >= r start at owned_from[r]
     order = np.argsort(xlo)
-    count = np.searchsorted(xlo[order], xhi[order], side="right") - np.arange(1, len(order) + 1)
-    first = np.repeat(np.arange(len(order)), count)
-    second = first + 1 + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    rank = np.arange(len(order))
+    mine = order < (len(order) if owned is None else owned)
+    cols = np.concatenate((rank, rank[mine]))
+    owned_from = np.concatenate(([0], np.cumsum(mine))) + len(order)
+    stop = np.searchsorted(xlo[order], xhi[order], side="right")
+    start = np.where(mine, rank + 1, owned_from[rank + 1])
+    count = np.where(mine, stop, owned_from[stop]) - start
+    first = np.repeat(rank, count)
+    second = cols[np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)]
     i = np.minimum(order[first], order[second])
     j = np.maximum(order[first], order[second])
     keep = (j >= i + 2) & (ylo[j] <= yhi[i]) & (ylo[i] <= yhi[j])

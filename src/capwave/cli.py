@@ -236,12 +236,12 @@ def cmd_spectrum(args):
 
 def _build_schedule(args, beta0):
     alphas = list(np.linspace(args.alpha_start, args.alpha_max, args.steps + 1))
-    if args.beta_steps and args.beta_steps > 1:
-        if args.beta_max is None:
-            raise CliError("--beta-steps needs --beta-max")
-        betas = list(np.linspace(beta0, args.beta_max, args.beta_steps))
-    else:
-        betas = [beta0]
+    rows = 1 if args.beta_steps is None else args.beta_steps
+    if rows < 1:
+        raise CliError("--beta-steps must be at least 1")
+    if (rows > 1) != (args.beta_max is not None):
+        raise CliError("--beta-max and --beta-steps >= 2 go together")
+    betas = list(np.linspace(beta0, args.beta_max, rows)) if rows > 1 else [beta0]
     schedule = []
     for row, b in enumerate(betas):
         row_alphas = alphas if row % 2 == 0 else list(reversed(alphas))
@@ -292,17 +292,18 @@ def _solution_svg(sol, repeats=1):
     marked, and the crossings of one period."""
     curve = geometry.solution_curve(sol.params, sol.w)
     crossings = geometry.check_injective(curve).crossings
-    shifts = [r * curve.period for r in range(max(1, repeats))]
+    shifts = [r * curve.period for r in range(repeats)]
     x = np.concatenate([curve.x + s for s in shifts])
     y = np.tile(curve.y, len(shifts))
-    marks = np.concatenate([crossings + np.array([s, 0.0])
-                            for s in shifts]) if len(crossings) else crossings
+    marks = np.concatenate([crossings + np.array([s, 0.0]) for s in shifts])
     return profile_svg_text(x, y, marks), crossings
 
 
 def cmd_profile(args):
     if not args.input:
         raise CliError("profile needs --input SOLUTION.json")
+    if args.repeats < 1:
+        raise CliError("--repeats must be at least 1")
     try:
         with open(args.input, encoding="utf-8") as fh:
             sol = solution_from_dict(json.load(fh))

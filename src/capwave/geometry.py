@@ -13,7 +13,7 @@ pure-capillary family starts self-intersecting.
 `solution_curve` draws a solution at the physical wavenumber k(alpha, beta)
 (strip conjugation at d = hk in finite depth) when alpha > 0 and in conformal
 units (k = 1) otherwise; `solution_report` holds the flags of every Newton
-solution.  Crossings are counted per period, one on the period seam once.
+solution.  Each crossing is counted once per period (see `check_injective`).
 """
 
 from __future__ import annotations
@@ -51,20 +51,20 @@ class SurfaceCurve:
     def period(self) -> float:
         return 2.0 * math.pi / self.k
 
-    def extended(self, margin: float = 0.5):
-        """Polyline over one period plus `margin` periods on each side."""
+    def extended(self):
+        """The base period, closed by point 0 + period, and the periods right of
+        it, ceil(x-span / period) in all: a copy further right cannot reach the
+        base's x-range."""
         n = len(self.x)
-        m = int(round(margin * n))
-        j = np.arange(-m, n + m + 1)
-        shift = np.floor_divide(j, n)
-        idx = j - shift * n
+        span = max(np.max(self.x), self.x[0] + self.period) - np.min(self.x)
+        shift, idx = np.divmod(np.arange(math.ceil(span / self.period) * n + 1), n)
         return self.x[idx] + shift * self.period, self.y[idx]
 
 
 @dataclass(frozen=True)
 class InjectivityReport:
     injective: bool
-    crossings: np.ndarray  # (n, 2) crossing coordinates folded into one period
+    crossings: np.ndarray  # (n, 2) crossing points, each on its base-period segment
 
 
 def surface_profile(w: PeriodicFunction, k: float, d: float | None = None,
@@ -81,23 +81,12 @@ def surface_profile(w: PeriodicFunction, k: float, d: float | None = None,
 
 
 def check_injective(curve: SurfaceCurve) -> InjectivityReport:
-    """Segment sweep over one period plus half-period margins on both sides."""
+    """Crossings of the periodic curve, one per pair of segments that meet,
+    counted where the lower segment of the pair lies in the base period."""
     if len(curve.x) < 64:
         raise ValueError("injectivity check needs at least 64 points")
-    x, y = curve.extended(margin=0.5)
-    hits = segment_crossings(x, y)
-    if len(hits):
-        # copies of one crossing in neighbouring periods agree in period units
-        # after rounding; the period is taken from the rounded x, so a crossing
-        # on the seam (x ~ 0 and x ~ period) folds to one place
-        u = hits[:, 0] / curve.period
-        shift = np.floor(np.round(u, 9))
-        key = np.round(np.column_stack((u - shift, hits[:, 1] / curve.period)), 9)
-        order = np.lexsort((key[:, 1], key[:, 0]))
-        keep = np.ones(len(order), dtype=bool)
-        keep[1:] = np.any(np.diff(key[order], axis=0) != 0.0, axis=1)
-        order = order[keep]
-        hits = np.column_stack((hits[order, 0] - shift[order] * curve.period, hits[order, 1]))
+    x, y = curve.extended()
+    hits = segment_crossings(x, y, owned=len(curve.x))
     return InjectivityReport(injective=len(hits) == 0, crossings=hits)
 
 

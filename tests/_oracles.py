@@ -70,17 +70,19 @@ def deep_residual_on_samples(alpha, beta, w, wp, cwp, wpp):
     return wpp - wp * cbracket / (2.0 * beta) - (1.0 + cwp) * bracket / (2.0 * beta)
 
 
-def pairwise_crossings(x, y, band):
+def pairwise_crossings(x, y, band, owned=None):
     """Reference crossing sweep: orientation tests on every pair of
-    non-adjacent segments, 256 rows at a time."""
+    non-adjacent segments whose lower index is below `owned` (default: every
+    segment), 256 rows of lower segments at a time."""
     n = len(x) - 1
     ax, ay = x[:-1], y[:-1]
     bx, by = x[1:], y[1:]
     pts = []
     chunk = 256
     jj = np.arange(n)[None, :]
-    for i0 in range(0, max(n - 2, 0), chunk):
-        i1 = min(i0 + chunk, n - 2)
+    rows = n - 2 if owned is None else min(owned, n - 2)
+    for i0 in range(0, max(rows, 0), chunk):
+        i1 = min(i0 + chunk, rows)
         idx = np.arange(i0, i1)
         Ax, Ay = ax[idx, None], ay[idx, None]
         Bx, By = bx[idx, None], by[idx, None]

@@ -114,7 +114,7 @@ def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
         tool.write_outputs(tmp_path / name)
         files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
         runs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
-    assert len(runs[0]) == 83  # 73 entries, five of them directories of step SVGs
+    assert len(runs[0]) == 89  # 79 entries, six of them directories of step SVGs
     assert runs[0] == runs[1]
 
 
@@ -410,19 +410,21 @@ def test_branch_round_trip():
 
 
 def test_profile_counts_the_crossings_continue_stored(tmp_path, capsys):
-    # w_0.5 overhangs and crosses itself on x = 0, the seam of the period:
-    # the branch file and `profile` count each crossing once
-    jsn = tmp_path / "branch.json"
-    assert main(["continue", "--A", "0.5", "--alpha-max", "0.02", "--steps", "1", "--M", "64",
-                 "--g", "1", "--sigma", "1", "--out-json", str(jsn),
-                 "--out-csv", str(tmp_path / "branch.csv")]) == 0
-    last = json.loads(_read(jsn))["solutions"][-1]
-    sol_path = tmp_path / "sol.json"
-    sol_path.write_text(json.dumps(last))
-    capsys.readouterr()
-    assert main(["profile", "--input", str(sol_path)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert last["diagnostics"]["crossing_count"] == report["crossings"] == 2
+    # w_0.5 overhangs and crosses itself on x = 0, the seam of the period; the
+    # lobes of w_-0.8 reach two periods away: the branch file and `profile`
+    # count each crossing once
+    for flags, count in ((["--A", "0.5", "--alpha-max", "0.02", "--steps", "1", "--M", "64"], 2),
+                         (["--A", "-0.8", "--steps", "0", "--tol", "1e-9"], 4)):
+        jsn = tmp_path / "branch.json"
+        assert main(["continue", *flags, "--g", "1", "--sigma", "1", "--out-json", str(jsn),
+                     "--out-csv", str(tmp_path / "branch.csv")]) == 0
+        last = json.loads(_read(jsn))["solutions"][-1]
+        sol_path = tmp_path / "sol.json"
+        sol_path.write_text(json.dumps(last))
+        capsys.readouterr()
+        assert main(["profile", "--input", str(sol_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert last["diagnostics"]["crossing_count"] == report["crossings"] == count
 
 
 # -- the whole command-line contract -------------------------------------------------
@@ -460,11 +462,21 @@ def test_extreme_constants_are_usage_errors(tmp_path, capsys, monkeypatch, argv)
      "schedule targets (alpha, beta) must be finite"),
     ("continue --A 0.3 --M 16 --grid 64",
      "M = 32 (modes_for raised 16 for A = 0.3) needs at least 66 grid points, got 64"),
+    # flags that would otherwise be ignored
+    ("continue --A 0.3 --beta-max 1.4 --steps 1 --M 16 --alpha-max 0.01 --g 1 --sigma 1",
+     "--beta-max and --beta-steps >= 2 go together"),
+    ("continue --A 0.3 --beta-steps 1 --beta-max 1.4 --steps 1 --M 16 --alpha-max 0.01",
+     "--beta-max and --beta-steps >= 2 go together"),
+    ("continue --A 0.3 --beta-steps 0 --steps 1 --M 16 --alpha-max 0.01",
+     "--beta-steps must be at least 1"),
+    ("profile --input sol.json --repeats 0", "--repeats must be at least 1"),
+    ("profile --input sol.json --repeats -3", "--repeats must be at least 1"),
 ])
 def test_library_checks_reach_stderr_before_any_solve(tmp_path, capsys, monkeypatch,
                                                       argv, message):
-    # these ranges are checked by the library: its message is the one line on
-    # stderr, and nothing is solved or written
+    # these ranges are checked by the library or, for flags it never sees, by
+    # the CLI: the message is the one line on stderr, and nothing is solved or
+    # written
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(continuation, "newton_solve", _must_not_run)
     assert main(argv.split()) == 1

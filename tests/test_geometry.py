@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,12 +36,18 @@ def test_surface_profile_flat_and_family_values():
 
 
 def test_surface_profile_periodic_closure():
-    w = crapper.crapper_wave(0.4, 128)
-    curve = surface_profile(w, 1.5)
-    x, y = curve.extended(margin=1.0)
+    # the swept polyline closes the base period with point 0 + period and
+    # repeats it for as many periods as the base spans in x: one at A = 0.4,
+    # two at A = 0.6 (1.36 periods)
     n = 128
-    assert np.max(np.abs(x[n:2 * n] + curve.period - x[2 * n:3 * n])) < 1e-13
-    assert np.max(np.abs(y[:n] - y[n:2 * n])) < 1e-13
+    for A, copies in ((0.4, 1), (0.6, 2)):
+        curve = surface_profile(crapper.crapper_wave(A, n), 1.5)
+        x, y = curve.extended()
+        assert len(x) == len(y) == copies * n + 1
+        assert np.array_equal(x[:n], curve.x) and np.array_equal(y[:n], curve.y)
+        assert x[n] == curve.x[0] + curve.period and y[n] == curve.y[0]
+    assert np.max(np.abs(x[:n] + curve.period - x[n:2 * n])) < 1e-13
+    assert np.array_equal(y[:n], y[n:2 * n])
 
 
 def test_surface_profile_rejects_degenerate_metric():
@@ -81,15 +89,46 @@ def test_crossing_on_the_period_seam_counts_once(A):
                 for shift in (0.0, 0.1234567, 1.0 - 1e-12):
                     moved = SurfaceCurve(x=curve.x + shift * curve.period, y=curve.y.copy(), k=k)
                     crossings = check_injective(moved).crossings
-                    assert np.all(crossings[:, 0] > -1e-9 * curve.period)
-                    assert np.all(crossings[:, 0] < curve.period)
+                    assert np.all(crossings[:, 0] >= np.min(moved.x))
+                    assert np.all(crossings[:, 0] <= max(np.max(moved.x),
+                                                         moved.x[0] + moved.period))
                     counts.append(len(crossings))
             assert counts == [2] * 6
 
 
-def _assert_same_crossings(x, y):
-    got = segment_crossings(x, y)
-    want = pairwise_crossings(x, y, ENDPOINT_BAND)
+@pytest.mark.parametrize("A, count", [(0.8, 4), (0.9, 12), (0.95, None)])
+def test_crossing_count_is_the_same_for_every_start_of_the_period(A, count):
+    # lobes of steep waves reach several periods away; w_-A is w_A shifted by
+    # half a period, and each crossing is counted once whichever point
+    # starts the period
+    counts = []
+    for a in (A, -A):
+        curve = surface_profile(crapper.crapper_wave(a, 1024), 1.0)
+        for shift in (0.0, 0.1234567, 1.0 - 1e-12):
+            moved = SurfaceCurve(x=curve.x + shift * curve.period, y=curve.y.copy(), k=1.0)
+            counts.append(len(check_injective(moved).crossings))
+    assert counts == [counts[0]] * 6
+    assert count is None or counts[0] == count
+
+
+def test_crossing_sweep_of_a_steep_wave_stays_small():
+    # one period of w_0.97 spans 20.9 periods in x: expanding every pair
+    # of overlapping segments of the sweep peaks near 135 MB, the pairs with a
+    # base-period segment near 20 MB
+    curve = surface_profile(crapper.crapper_wave(0.97, 4096), 1.0)
+    tracemalloc.start()
+    try:
+        crossings = check_injective(curve).crossings
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(crossings) == 40
+    assert peak < 30e6
+
+
+def _assert_same_crossings(x, y, owned=None):
+    got = segment_crossings(x, y, owned)
+    want = pairwise_crossings(x, y, ENDPOINT_BAND, owned)
     assert np.array_equal(got, want)  # same points in the same order
     return got
 
@@ -105,17 +144,25 @@ def _polylines(draw):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(_polylines())
-def test_segment_crossings_match_pairwise_oracle(xy):
+@given(_polylines(), st.integers(0, 80))
+def test_segment_crossings_match_pairwise_oracle(xy, owned):
     _assert_same_crossings(*xy)
+    _assert_same_crossings(*xy, owned)  # only the rows of the owned segments
 
 
 def test_segment_crossings_match_oracle_on_crapper_curves():
+    # on the polyline check_injective sweeps, with its owned rows
     for n in (1024, 2048):
         for A in (0.3, 0.45, 0.46, 0.6, 0.9):
-            x, y = surface_profile(crapper.crapper_wave(A, n), 1.0).extended(margin=0.5)
-            hits = _assert_same_crossings(x, y)
+            x, y = surface_profile(crapper.crapper_wave(A, n), 1.0).extended()
+            hits = _assert_same_crossings(x, y, n)
             assert (len(hits) == 0) == (A < 0.4546)
+    # steep waves sweep 2-7 periods; every pair of segments, owned or not, at +-0.8
+    for A in (0.8, -0.8, 0.9, -0.9):
+        x, y = surface_profile(crapper.crapper_wave(A, 1024), 1.0).extended()
+        _assert_same_crossings(x, y, 1024)
+        if abs(A) == 0.8:
+            _assert_same_crossings(x, y)
 
 
 def test_segment_crossings_skip_disjoint_boxes():

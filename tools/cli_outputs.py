@@ -9,6 +9,7 @@ set as it was, so two checkouts compare with one diff:
 
 The set: deep `continue` at A = 0.3, 0.5 and -0.47 with JSON, CSV and SVGs;
 a finite-depth vortical `continue` with SVGs; a 2-D (alpha, beta) sheet; the
+steep A = -0.8 starting point, whose lobes reach two periods away; the
 default `spectrum`, `verify --A 0.6` and the default `limit-check`; `profile`
 with and without `--repeats 2` on the last deep and the last vortical point;
 and two failures: `continue --A 0` (exit 1, nothing written) and a `continue`
@@ -50,6 +51,9 @@ RUNS = [
     _continue("deep_-0.47", "--A", "-0.47"),
     _continue("vortical", "--A", "0.3", "--h", "2.5", "--gamma", "0.7", "--M", "64"),
     _continue("sheet_2d", "--A", "0.3", "--M", "32", "--beta-max", "1.4", "--beta-steps", "2"),
+    ("steep_-0.8", ["continue", "--A", "-0.8", "--steps", "0", "--tol", "1e-9",
+                    "--g", "1", "--sigma", "1", "--out-json", "steep_-0.8.json",
+                    "--out-csv", "steep_-0.8.csv", "--svg-dir", "steep_-0.8_svg"]),
     ("spectrum", ["spectrum", "--out-json", "spectrum.json", "--out-csv", "spectrum.csv"]),
     ("verify", ["verify", "--A", "0.6", "--out", "verify.json"]),
     ("limit_check", ["limit-check", "--out", "limit_check.json"]),
