@@ -33,7 +33,6 @@ DEFAULT_TOL = 1e-11
 DEFAULT_MAX_ITER = 25
 MIN_JACOBIAN_SIGMA = 1e-10
 MAX_HALVINGS = 6
-MODES_TOL = 1e-10  # modes_for: size of the family tail left in the residual
 # crapper_curve_check: (amplitude, cosine mode) of the perturbation, and a
 # tolerance above the truncation floor of the widest waves (|A| ~ 0.8)
 CURVE_CHECK_BUMP = (0.02, 3)
@@ -89,12 +88,13 @@ class Branch:
         raise KeyError(f"no stored solution at alpha={alpha}")
 
 
-def modes_for(A: float, requested: int | None = None) -> int:
+def modes_for(A: float, requested: int | None = None, tol: float = DEFAULT_TOL) -> int:
     """Cosine modes needed so the family tail, amplified by the second
-    derivative in the residual, sits below MODES_TOL: 4|A|^M M^2 < MODES_TOL."""
+    derivative in the residual, sits a decade below the tolerance `tol` of
+    the solve that uses them: 4|A|^M M^2 < tol/10."""
     A = abs(A)
     need = 16
-    while A > 0.0 and 4.0 * A ** need * need ** 2 >= MODES_TOL and need < 256:
+    while A > 0.0 and 4.0 * A ** need * need ** 2 >= tol / 10.0 and need < 256:
         need += 8
     return max(requested or 0, min(need, 256))
 
@@ -209,7 +209,7 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
         raise ValueError(f"schedule must start at beta_A = {crapper.beta_of(start_A)!r}")
 
     requested = M if M is not None else DEFAULT_M
-    M = modes_for(start_A, requested)
+    M = modes_for(start_A, requested, tol)
     if n_grid is None:
         n_grid = _grid_for(M, start_A)
     elif M >= n_grid // 2:
@@ -265,7 +265,7 @@ def crapper_curve_check(A_values: Sequence[float]) -> dict:
     for A in A_values:
         if A == 0.0:
             raise ValueError("A = 0 sits at the bifurcation point; excluded")
-        M_a = modes_for(A)
+        M_a = modes_for(A, tol=CURVE_CHECK_TOL)
         n_grid = _grid_for(M_a, A)
         beta = crapper.beta_of(A)
         margin = ((1.0 - abs(A)) / (1.0 + abs(A))) ** 2

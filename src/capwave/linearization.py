@@ -87,6 +87,13 @@ def _unit_modes(basis, modes, n_grid):
     return PeriodicFunction.from_coeffs(c)
 
 
+def _plus_minus(e):
+    """The stack of the rows of e and then of -e; its samples are computed
+    only if read."""
+    return PeriodicFunction(e.n_grid, lambda: np.concatenate([e.samples, -e.samples]),
+                            np.concatenate([e.coeffs, -e.coeffs]))
+
+
 def _mode_chunks(M, rows_per_mode, n_grid):
     """Modes 1..M in runs whose stacks hold at most STACK_POINTS points
     (one mode at least)."""
@@ -122,12 +129,12 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
     cols = np.empty((M, M))
     for modes in _mode_chunks(M, 2, n_grid):
         k = len(modes)
-        e = step * _unit_modes(basis_in, modes, n_grid)
-        r = residual(base + PeriodicFunction(np.concatenate([e.samples, -e.samples]),
-                                             np.concatenate([e.coeffs, -e.coeffs])))
-        if r.coeffs.shape != (2 * k, n_grid):
+        # only the modes of the residual rows are read: holding the array,
+        # not the function, lets its unread samples' operands go
+        r = residual(base + _plus_minus(step * _unit_modes(basis_in, modes, n_grid))).coeffs
+        if r.shape != (2 * k, n_grid):
             raise ValueError("the residual must map a stack of functions row by row")
-        diff = r.coeffs[:k, 1:M + 1] - r.coeffs[k:, 1:M + 1]
+        diff = r[:k, 1:M + 1] - r[k:, 1:M + 1]
         proj = 2.0 * diff.real if basis_out == "cosine" else -2.0 * diff.imag
         cols[:, modes - 1] = (proj / (2.0 * step)).T
     return OperatorMatrix(entries=cols, basis=basis_in)

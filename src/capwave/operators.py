@@ -158,6 +158,10 @@ def _root_powers(W):
     return [PeriodicFunction.from_samples(np.power(W, r)) for r in (0.5, -0.5)]
 
 
+def _square(f):
+    return mul(f, f)
+
+
 def _assemble(beta, wp, one_cwp, a_fun, ca_fun):
     """w'' - (w'/2beta) C(A) - ((1 + C w')/2beta) A: F and FD differ only in
     the bracket A, its conjugate C(A) and the head inside A."""
@@ -252,12 +256,11 @@ def _finite_depth_pieces(params: WaveParams, w: PeriodicFunction):
                          "(extreme alpha, g or sigma)") from None
     wp, one_cwp, W = _slope_metric(w, d)
     whalf, winvhalf = _root_powers(W)
-    cwp = one_cwp - 1.0
-
     const = mean(mul(w, w)) / (2.0 * h) * root
-    inner = const + hilbert_strip(drop_mean(mul(w, wp)), d) - w - mul(w, cwp)
-    bracket_v = 1.0 + pref * inner
-    v2 = mul(bracket_v, bracket_v)
+    # V and its inner sum are temporaries: their modes, kept alive while their
+    # unread samples are still owed, go as soon as V^2 is formed
+    v2 = _square(1.0 + pref * (const + hilbert_strip(drop_mean(mul(w, wp)), d)
+                               - w - mul(w, one_cwp - 1.0)))
 
     p = mul(v2, winvhalf) + (2.0 * alpha) * mul(w, whalf)
     cp = hilbert_strip(drop_mean(p), d)

@@ -23,6 +23,15 @@ test of `drop_mean` and the conjugations) is decided row by row; a check
 raises when any row fails it.  A stack row carries the
 same bits as the one-function computation on that row, so a stack of
 finite-difference perturbations is one residual call instead of many.
+
+Each representation of a `PeriodicFunction` (its samples, its modes and its
+samples on the 2x zero-padded grid) is computed once, on first read, by the
+expression of the operation that made it, then cached and frozen read-only.
+`f + g` adds the samples of f and g when its samples are read and their
+modes when its modes are read, so the bits do not depend on which is read
+first, and a transform that nothing reads never runs.  Two threads that force
+the same representation at once both compute the same bits and one of them
+is kept, so the race is benign.
 """
 
 from __future__ import annotations
@@ -95,6 +104,20 @@ def _resize(coeffs, n_new):
     return out
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+def _later(f):
+    """f's samples and modes as two functions that read them when called.
+    Each holds the array itself when f has it already, so a deferred result
+    keeps alive what it will read, not f with its other arrays."""
+    s, c = f._samples, f._coeffs
+    return ((lambda: f.samples) if callable(s) else (lambda: s),
+            (lambda: f.coeffs) if callable(c) else (lambda: c))
+
+
 def _per_row(x):
     """A scalar as a float, or one value per row as a column that broadcasts
     along the grid axis."""
@@ -106,25 +129,50 @@ def _per_row(x):
 class PeriodicFunction:
     """Real 2pi-periodic function on an even collocation grid.
 
-    Carries both representations at all times: ``samples`` on t_j = 2*pi*j/n
-    and complex modes ``coeffs`` in FFT order (index k holds mode k for
-    k < n/2 and mode k - n above; the mean sits at 0, the Nyquist mode at
-    n/2), normalised so that f(t) = sum_m coeffs[m] * exp(i*m*t).  Both have
-    shape (..., n): one function, or a stack of them with one per row.
-    Instances are immutable; all operations return new objects and are safe
-    to evaluate in parallel.
+    Has ``samples`` on t_j = 2*pi*j/n and complex modes ``coeffs`` in FFT
+    order (index k holds mode k for k < n/2 and mode k - n above; the mean
+    sits at 0, the Nyquist mode at n/2), normalised so that
+    f(t) = sum_m coeffs[m] * exp(i*m*t).  Both have shape (..., n): one
+    function, or a stack of them with one per row.  Each is computed on first
+    read and then cached, as are the samples on the 2x grid that `mul`
+    multiplies; every array handed out is read-only.  Instances are
+    immutable; all operations return new objects and are safe to evaluate in
+    parallel (two threads forcing one representation compute the same bits).
     """
 
-    __slots__ = ("n_grid", "samples", "coeffs")
+    __slots__ = ("n_grid", "_samples", "_coeffs", "_fine")
     # numpy arrays of per-row scalars defer to our operators: rows * f
     __array_ufunc__ = None
 
-    def __init__(self, samples, coeffs):
-        self.n_grid = samples.shape[-1]
-        self.samples = samples
-        self.coeffs = coeffs
-        samples.flags.writeable = False
-        coeffs.flags.writeable = False
+    def __init__(self, n_grid, samples, coeffs):
+        """`samples` and `coeffs` are each an array or a function of no
+        arguments that computes it when it is first read; dropping that
+        function once it has run frees the operands it holds."""
+        self.n_grid = n_grid
+        self._samples = samples if callable(samples) else _frozen(samples)
+        self._coeffs = coeffs if callable(coeffs) else _frozen(coeffs)
+        self._fine = None
+
+    @property
+    def samples(self):
+        s = self._samples
+        if callable(s):
+            self._samples = s = _frozen(s())
+        return s
+
+    @property
+    def coeffs(self):
+        c = self._coeffs
+        if callable(c):
+            self._coeffs = c = _frozen(c())
+        return c
+
+    def _fine_samples(self):
+        """Samples on the 2x zero-padded grid, the operand of `mul`."""
+        f = self._fine
+        if f is None:
+            self._fine = f = _frozen(_samples_of(_resize(self.coeffs, 2 * self.n_grid)))
+        return f
 
     # -- constructors -------------------------------------------------------
 
@@ -133,12 +181,17 @@ class PeriodicFunction:
         values = np.asarray(values, dtype=float).copy()
         if values.shape[-1] % 2 != 0:
             raise ValueError("grid length must be even")
-        return cls(values, _coeffs_of(values))
+        return cls(values.shape[-1], values, lambda: _coeffs_of(values))
 
     @classmethod
     def from_coeffs(cls, coeffs):
-        coeffs = np.asarray(coeffs, dtype=complex).copy()
-        return cls(_samples_of(coeffs), coeffs)
+        return cls._of_modes(np.asarray(coeffs, dtype=complex).copy())
+
+    @classmethod
+    def _of_modes(cls, c):
+        """The function with modes `c` (kept, not copied); its samples are
+        their inverse transform."""
+        return cls(c.shape[-1], lambda: _samples_of(c), c)
 
     @classmethod
     def from_cosine_series(cls, a, n_grid):
@@ -161,7 +214,7 @@ class PeriodicFunction:
         j = np.arange(1, len(pos) + 1)
         c[j] = pos
         c[n_grid - j] = neg
-        return cls(_samples_of(c), c)
+        return cls._of_modes(c)
 
     @classmethod
     def zeros(cls, n_grid):
@@ -189,8 +242,7 @@ class PeriodicFunction:
         """Spectral resampling (exact for band-limited data)."""
         if n_grid == self.n_grid:
             return self
-        c = _resize(self.coeffs, n_grid)
-        return PeriodicFunction(_samples_of(c), c)
+        return PeriodicFunction._of_modes(_resize(self.coeffs, n_grid))
 
     def norm_inf(self):
         return float(np.max(np.abs(self.samples)))
@@ -201,18 +253,26 @@ class PeriodicFunction:
         """Sum with a function, a scalar, or one scalar per row."""
         if isinstance(other, PeriodicFunction):
             self._check_grid(other)
-            return PeriodicFunction(self.samples + other.samples, self.coeffs + other.coeffs)
+            (fs, fc), (gs, gc) = _later(self), _later(other)
+            return PeriodicFunction(self.n_grid, lambda: fs() + gs(), lambda: fc() + gc())
         other = _per_row(other)
-        samples = self.samples + other
-        c = np.empty(samples.shape, dtype=complex)  # a stack when self is not
-        c[...] = self.coeffs
-        c[..., :1] += other
-        return PeriodicFunction(samples, c)
+        s, c = _later(self)
+
+        def coeffs():
+            own = c()
+            out = np.empty(np.broadcast_shapes(own.shape, np.shape(other)),
+                           dtype=complex)  # a stack when self is not
+            out[...] = own
+            out[..., :1] += other
+            return out
+
+        return PeriodicFunction(self.n_grid, lambda: s() + other, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PeriodicFunction(-self.samples, -self.coeffs)
+        s, c = _later(self)
+        return PeriodicFunction(self.n_grid, lambda: -s(), lambda: -c())
 
     def __sub__(self, other):
         return self + (-other)
@@ -221,7 +281,8 @@ class PeriodicFunction:
         if isinstance(other, PeriodicFunction):
             return mul(self, other)
         other = _per_row(other)
-        return PeriodicFunction(self.samples * other, self.coeffs * other)
+        s, c = _later(self)
+        return PeriodicFunction(self.n_grid, lambda: s() * other, lambda: c() * other)
 
     __rmul__ = __mul__
 
@@ -256,8 +317,10 @@ def drop_mean(f: PeriodicFunction) -> PeriodicFunction:
     if not zero.any():
         return out
     keep = zero[..., None]  # those rows stay bit for bit as they were
-    return PeriodicFunction(np.where(keep, f.samples, out.samples),
-                            np.where(keep, f.coeffs, out.coeffs))
+    fs, fc = f.samples, f.coeffs  # both read above
+    s, c = _later(out)
+    return PeriodicFunction(f.n_grid, lambda: np.where(keep, fs, s()),
+                            lambda: np.where(keep, fc, c()))
 
 
 def _require_zero_mean(f, name):
@@ -275,7 +338,7 @@ def _require_zero_mean(f, name):
 def _multiply(f, mult):
     c = f.coeffs * mult
     c[..., f.n_grid // 2] = 0.0  # Nyquist mode has no odd-derivative representation
-    return PeriodicFunction(_samples_of(c), c)
+    return PeriodicFunction._of_modes(c)
 
 
 def derivative(f: PeriodicFunction) -> PeriodicFunction:
@@ -332,12 +395,11 @@ def kappa_tail_bound(d: float, p: int = 0) -> float:
 
 
 def mul(f: PeriodicFunction, g: PeriodicFunction) -> PeriodicFunction:
-    """De-aliased product: evaluate on the 2x grid, truncate back."""
+    """De-aliased product: multiply the samples on the 2x grid (each
+    operand's, computed once and kept), truncate back."""
     f._check_grid(g)
-    n = f.n_grid
-    fine = _samples_of(_resize(f.coeffs, 2 * n)) * _samples_of(_resize(g.coeffs, 2 * n))
-    c = _resize(_coeffs_of(fine), n)
-    return PeriodicFunction(_samples_of(c), c)
+    fine = f._fine_samples() * g._fine_samples()
+    return PeriodicFunction._of_modes(_resize(_coeffs_of(fine), f.n_grid))
 
 
 def pf_exp(f: PeriodicFunction) -> PeriodicFunction:

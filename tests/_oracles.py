@@ -3,9 +3,11 @@
 Everything here is raw numpy on purpose: closed-form boundary values of the
 disc-analytic generator of the explicit wave family, trapezoid quadrature for
 means, and a self-contained FFT Hilbert transform.  None of it goes through
-the package code paths it is used to check.  The one exception is
+the package code paths it is used to check.  The exceptions are
 `jacobian_loop`, the column-by-column Jacobian that the stacked `jacobian_fd`
-must reproduce bit for bit: it calls the residual on one function at a time.
+must reproduce bit for bit (it calls the residual on one function at a time),
+and `mul_eager`, the product that recomputes its operands' 2x-grid samples at
+every call, which the cached ones of `spectral.mul` must reproduce bit for bit.
 """
 
 import numpy as np
@@ -132,3 +134,17 @@ def jacobian_loop(residual, base, M, step=None, basis_in="cosine", basis_out="co
         rm = residual(base - step * e)
         cols[:, j - 1] = project(rp - rm, basis_out, M) / (2.0 * step)
     return cols
+
+
+def mul_eager(f, g):
+    """`spectral.mul` without its cache: both operands resized to the 2x grid
+    and inverse-transformed afresh, and the samples of the product computed
+    at once, as every product was before representations were computed on
+    first read."""
+    from capwave.spectral import PeriodicFunction, _coeffs_of, _resize, _samples_of
+
+    f._check_grid(g)
+    n = f.n_grid
+    fine = _samples_of(_resize(f.coeffs, 2 * n)) * _samples_of(_resize(g.coeffs, 2 * n))
+    c = _resize(_coeffs_of(fine), n)
+    return PeriodicFunction(n, _samples_of(c), c)

@@ -198,6 +198,20 @@ def test_continue_writes_branch_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("A", ["0.75", "-0.75", "0.8", "-0.8"])
+def test_steep_starts_converge_at_the_defaults(tmp_path, capsys, A):
+    # M is sized against the default tolerance, so the family tail it leaves
+    # does not stall the line search (M = 136 at |A| = 0.75, 184 at 0.8)
+    jsn = tmp_path / "branch.json"
+    code = main(["continue", "--A", A, "--steps", "0", "--g", "1", "--sigma", "1",
+                 "--out-json", str(jsn), "--out-csv", str(tmp_path / "branch.csv")])
+    assert code == 0, capsys.readouterr().err
+    sol = json.loads(_read(jsn))["solutions"][0]
+    assert len(sol["cosine_coeffs"]) == (136 if abs(float(A)) == 0.75 else 184)
+    assert sol["residual_norm"] < continuation.DEFAULT_TOL
+    capsys.readouterr()
+
+
 def test_continue_rejects_A_zero(capsys):
     assert main(["continue", "--A", "0"]) == 1
     capsys.readouterr()

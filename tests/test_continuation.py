@@ -311,3 +311,11 @@ def test_modes_for_scales_with_parameter():
     assert modes_for(0.3, requested=128) == 128
     M = modes_for(0.8)
     assert 4.0 * 0.8 ** M * M ** 2 < 1e-10
+
+
+def test_modes_for_follows_the_solve_tolerance():
+    # the tail left in the residual sits a decade below the tolerance
+    for A, tol, M in ((0.75, 1e-11, 136), (-0.8, 1e-11, 184), (-0.8, 1e-9, 160)):
+        assert modes_for(A, tol=tol) == M
+        assert 4.0 * abs(A) ** M * M ** 2 < tol / 10 <= 4.0 * abs(A) ** (M - 8) * (M - 8) ** 2
+    assert modes_for(0.8, tol=continuation.CURVE_CHECK_TOL) == 160

@@ -1,10 +1,12 @@
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from capwave import crapper
+from capwave import crapper, operators
+from capwave.linearization import jacobian_fd
 from capwave.operators import (
     WaveParams,
     bernoulli_b,
@@ -34,6 +36,7 @@ from _oracles import (
     crapper_samples,
     deep_residual_on_samples,
     generator_derivatives,
+    mul_eager,
     trapezoid_mean,
 )
 
@@ -433,3 +436,80 @@ def test_lam_property_matches_physical_recovery():
     assert p.lam == pytest.approx(physical_params(p).lam, rel=1e-15)
     with pytest.raises(ValueError):
         WaveParams(alpha=0.0, beta=1.0).lam
+
+
+def test_threads_forcing_one_function_agree():
+    # every thread forces the same deferred samples, modes and 2x-grid samples
+    # of one shared profile; switching threads often makes them overlap
+    def fresh():
+        return crapper.crapper_wave(0.3, 256) + PeriodicFunction.from_cosine_series([0.01, 0.02], 256)
+
+    p = WaveParams(alpha=0.02, beta=crapper.beta_of(0.3), gamma=0.7, h=2.5)
+    serial = residual_fd(p, fresh()).samples
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared = fresh()
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                parallel = list(pool.map(lambda _: residual_fd(p, shared).samples, range(8),
+                                         timeout=60))
+            assert len(parallel) == 8
+            assert all(q.tobytes() == serial.tobytes() for q in parallel)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# -- transforms computed once, on first read -----------------------------------------
+
+
+_DEEP = WaveParams(alpha=0.01, beta=crapper.beta_of(0.3))
+_VORTICAL = WaveParams(alpha=0.02, beta=crapper.beta_of(0.3), gamma=0.7, h=2.5)
+
+
+def _profile(n, rows=None):
+    """A perturbed Crapper wave, or a stack of `rows` perturbations of it;
+    built afresh, so that no representation is cached yet."""
+    w = crapper.crapper_wave(0.3, n) + PeriodicFunction.from_cosine_series([0.01, -0.003, 0.002], n)
+    if rows is None:
+        return w
+    c = np.zeros((rows, n), dtype=complex)
+    for i in range(rows):
+        c[i, [i + 1, n - i - 1]] = 1e-3 * (-1) ** i
+    return w + PeriodicFunction.from_coeffs(c)
+
+
+@pytest.mark.parametrize("residual, params", [(residual_inf, _DEEP), (residual_fd, _VORTICAL)],
+                         ids=["inf", "fd"])
+def test_the_eager_product_keeps_every_bit(monkeypatch, residual, params):
+    res = lambda u: residual(params, u)
+
+    def evaluate():  # one function, a 6-row stack, and a Jacobian
+        return [res(_profile(128)), res(_profile(128, 6)), jacobian_fd(res, _profile(128), 24)]
+
+    cached = evaluate()
+    monkeypatch.setattr(operators, "mul", mul_eager)
+    eager = evaluate()
+    for c, e in zip(cached[:2], eager[:2]):
+        assert c.coeffs.tobytes() == e.coeffs.tobytes()
+        assert c.samples.tobytes() == e.samples.tobytes()
+    assert cached[2].entries.tobytes() == eager[2].entries.tobytes()
+
+
+@pytest.mark.parametrize("residual, params, n, ffts, iffts",
+                         [(residual_inf, _DEEP, 512, 5, 9), (residual_fd, _VORTICAL, 256, 14, 18)],
+                         ids=["inf", "fd"])
+def test_one_stacked_residual_runs_only_the_transforms_it_reads(monkeypatch, residual, params,
+                                                               n, ffts, iffts):
+    # a 6-row stack as `jacobian_fd` evaluates it, which reads only the modes
+    # of the result; computing every representation took 13 and 42 iffts
+    w = _profile(n, 6)
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    residual(params, w).coeffs
+    assert calls["fft"] == ffts
+    assert calls["ifft"] <= iffts

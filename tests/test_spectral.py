@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from capwave.spectral import (
     DegenerateMetricError,
@@ -12,7 +14,10 @@ from capwave.spectral import (
     kappa_tail_bound,
     mean,
     mul,
+    pf_atan2,
+    pf_cos,
     pf_exp,
+    pf_sin,
 )
 from capwave.operators import conformal_metric
 from _oracles import crapper_samples, crapper_conjugate, theta_samples
@@ -335,3 +340,77 @@ def test_stacked_checks_fail_when_any_row_fails():
     bad[1, 2] = np.nan  # a nan in another row (which the conjugation rejects
     with pytest.raises(DegenerateMetricError):  # first) does not hide the zero row
         conformal_metric(PeriodicFunction.from_samples(bad))
+
+
+# -- representations computed on first read ------------------------------------------
+
+
+_PER_ROW = np.array([0.5, -1.25, 2.0])
+# name -> (number of operands, operation); operands may be one function or a
+# stack of three, and every result has the grid of its operands
+_OPS = {
+    "+": (2, lambda f, g: f + g),
+    "-": (2, lambda f, g: f - g),
+    "mul": (2, mul),
+    "atan2": (2, pf_atan2),
+    "+ scalar": (1, lambda f: 0.75 + f),
+    "- scalar": (1, lambda f: f - 0.3),
+    "* scalar": (1, lambda f: -1.5 * f),
+    "+ per row": (1, lambda f: f + _PER_ROW),
+    "* per row": (1, lambda f: _PER_ROW * f),
+    "negation": (1, lambda f: -f),
+    "drop_mean": (1, drop_mean),
+    "derivative": (1, derivative),
+    "hilbert": (1, lambda f: hilbert(drop_mean(f))),
+    "hilbert_strip": (1, lambda f: hilbert_strip(drop_mean(f), 0.7)),
+    "resample": (1, lambda f: f.resample(2 * f.n_grid).resample(f.n_grid)),
+    "sin": (1, pf_sin),
+    "cos": (1, pf_cos),
+    "exp": (1, lambda f: pf_exp(pf_sin(f))),
+}
+
+
+def _program_inputs(values):
+    """A stack, one function, and a stack whose row 1 has zero mean (so that
+    `drop_mean` keeps it and shifts the others), each built afresh."""
+    mixed = values.copy()
+    mixed[1] -= mixed[1].mean()
+    return [PeriodicFunction.from_samples(values), PeriodicFunction.from_coeffs(values[0]),
+            PeriodicFunction.from_samples(mixed)]
+
+
+def _run_program(values, program, reads):
+    """Apply `program` (operation name, operand picks) to a pool that starts
+    with the inputs, reading each new result's representations as `reads`
+    says ("samples", "coeffs" or nothing) when it is made."""
+    pool = _program_inputs(values)
+    for (name, picks), read in zip(program, reads):
+        arity, op = _OPS[name]
+        pool.append(op(*(pool[p % len(pool)] for p in picks[:arity])))
+        if read:
+            getattr(pool[-1], read)
+    return pool
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(n=st.sampled_from([8, 16, 64]), data=st.data())
+def test_reading_order_does_not_change_bits(n, data):
+    values = data.draw(arrays(float, (3, n), elements=st.floats(-2.0, 2.0)))
+    program = data.draw(st.lists(st.tuples(st.sampled_from(sorted(_OPS)),
+                                           st.tuples(st.integers(0, 50), st.integers(0, 50))),
+                                 min_size=1, max_size=8))
+    reads = data.draw(st.lists(st.sampled_from(["samples", "coeffs", None]),
+                               min_size=len(program), max_size=len(program)))
+    # samples first, everything read at the end, against modes first with the
+    # drawn reads along the way
+    late = _run_program(values, program, [None] * len(program))
+    for f in late:
+        f.samples, f.coeffs
+    early = _run_program(values, program, reads)
+    for f in reversed(early):
+        f.coeffs, f.samples
+    for a, b in zip(late, early):
+        assert a.samples.tobytes() == b.samples.tobytes()
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        for arr in (a.samples, a.coeffs, a._fine, b.samples, b.coeffs, b._fine):
+            assert arr is None or not arr.flags.writeable
