@@ -291,7 +291,9 @@ def _solution_svg(sol, repeats=1):
     """SVG of `repeats` periods of a solution's surface with its crossings
     marked, and the crossings of one period."""
     curve = geometry.solution_curve(sol.params, sol.w)
-    crossings = geometry.check_injective(curve).crossings
+    crossings = sol.geometry.get("crossings")  # kept by the solve, not by the JSON
+    if crossings is None:
+        crossings = geometry.check_injective(curve).crossings
     shifts = [r * curve.period for r in range(repeats)]
     x = np.concatenate([curve.x + s for s in shifts])
     y = np.tile(curve.y, len(shifts))

@@ -31,7 +31,8 @@ from .spectral import PeriodicFunction, derivative, hilbert, mean, mul
 INJECTIVITY_TOL = 1e-6
 DEFAULT_REL_STEP = 1e-6
 # points (rows x n_grid) in one stack of unit modes or perturbed iterates;
-# fewer calls on larger stacks are faster, and peak memory grows with it
+# peak memory grows with it, and 2, 4 or 8 times as many points per stack
+# were not faster (0.88-1.04x at M = 128, n = 512 and M = 64, n = 256)
 STACK_POINTS = 3072
 
 

@@ -10,11 +10,16 @@ interpolants:
                                                     of conformal depth d)
 
 The modes are kept in plain ``np.fft.fft`` order (mean at index 0, Nyquist
-mode at n/2).  Nonlinear algebra happens sample by sample on the collocation
-grid; products are evaluated on a 2x zero-padded grid and
-truncated back, so the retained band of a product of two band-limited
-functions is alias-free.  Whether a mean is zero is decided when an operator
-needs it, never stored.
+mode at n/2): the forward FFT with its 1/n applied inside pocketfft.  The
+samples are n times the real part of the inverse FFT.  Each is one pass with
+the bits of the complex scaling it replaced, except that a real part of -0.0
+keeps its sign and one beside a non-finite imaginary part is no longer NaN.
+The multipliers of `derivative` and `hilbert` are built once per grid, those
+of `hilbert_strip` once per depth in a bounded cache.  Nonlinear algebra
+happens sample by sample on the collocation grid; products are evaluated on a
+2x zero-padded grid and truncated back, so the retained band of a product of
+two band-limited functions is alias-free.  Whether a mean is zero is decided
+when an operator needs it, never stored.
 
 A `PeriodicFunction` holds one function (arrays of shape (n,)) or a stack of
 them (shape (..., n), one function per row).  Every transform acts along the
@@ -36,6 +41,8 @@ is kept, so the race is benign.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 MEAN_TOL = 1e-13
@@ -46,37 +53,34 @@ class DegenerateMetricError(ValueError):
     or an operator met non-finite samples."""
 
 
-_GRIDS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_GRIDS: dict[int, tuple[np.ndarray, ...]] = {}
 
 
 def grid(n_grid: int) -> np.ndarray:
     """Collocation points t_j = 2*pi*j/n_grid."""
-    return _grid_pair(n_grid)[0]
+    return _grid_arrays(n_grid)[0]
 
 
-def _grid_pair(n_grid):
+def _grid_arrays(n_grid):
+    """(t, m, derivative multiplier, hilbert multiplier), read-only."""
     if n_grid not in _GRIDS:
         if n_grid < 4 or n_grid % 2 != 0:
             raise ValueError(f"n_grid must be even and >= 4, got {n_grid}")
         t = 2.0 * np.pi * np.arange(n_grid) / n_grid
         # mode numbers in FFT order: 0 .. n/2-1, -n/2 .. -1
         m = np.fft.fftfreq(n_grid, 1.0 / n_grid)
-        t.flags.writeable = False
-        m.flags.writeable = False
-        _GRIDS[n_grid] = (t, m)
+        _GRIDS[n_grid] = tuple(map(_frozen, (t, m, 1j * m, -1j * np.sign(m))))
     return _GRIDS[n_grid]
 
 
 def _coeffs_of(samples):
-    c = np.fft.fft(samples)
-    c /= samples.shape[-1]
-    return c
+    # pocketfft multiplies by 1/n in its last pass, as the division by n did
+    return np.fft.fft(samples, norm="forward")
 
 
 def _samples_of(coeffs):
-    s = np.fft.ifft(coeffs)
-    s *= coeffs.shape[-1]
-    return s.real.copy()  # not a view, which would keep the complex buffer alive
+    # the real part of ifft(c) * (n + 0j), without the complex product
+    return np.fft.ifft(coeffs).real * coeffs.shape[-1]
 
 
 def _resize(coeffs, n_new):
@@ -87,13 +91,14 @@ def _resize(coeffs, n_new):
     carries their combined real part.
     """
     n = coeffs.shape[-1]
-    out = np.zeros(coeffs.shape[:-1] + (n_new,), dtype=complex)
+    out = np.empty(coeffs.shape[:-1] + (n_new,), dtype=complex)
     # a[..., j] through a.T[j]: a scalar, not a 0-d array, for one function
     c_t, out_t = coeffs.T, out.T
     if n_new > n:
         h = n // 2
         out[..., :h] = coeffs[..., :h]
         out[..., n_new - h + 1:] = coeffs[..., h + 1:]
+        out[..., h + 1:n_new - h] = 0.0  # the padding
         out_t[n_new - h] = 0.5 * c_t[h]
         out_t[h] = 0.5 * np.conj(c_t[h])
     else:
@@ -342,15 +347,13 @@ def _multiply(f, mult):
 
 
 def derivative(f: PeriodicFunction) -> PeriodicFunction:
-    m = _grid_pair(f.n_grid)[1]
-    return _multiply(f, 1j * m)
+    return _multiply(f, _grid_arrays(f.n_grid)[2])
 
 
 def hilbert(f: PeriodicFunction) -> PeriodicFunction:
     """Periodic Hilbert transform: cos mt -> sin mt, sin mt -> -cos mt."""
     _require_zero_mean(f, "hilbert")
-    m = _grid_pair(f.n_grid)[1]
-    return _multiply(f, -1j * np.sign(m))
+    return _multiply(f, _grid_arrays(f.n_grid)[3])
 
 
 def hilbert_strip(f: PeriodicFunction, d: float) -> PeriodicFunction:
@@ -359,11 +362,16 @@ def hilbert_strip(f: PeriodicFunction, d: float) -> PeriodicFunction:
     if not d > 0.0:
         raise ValueError(f"strip depth must be positive, got {d}")
     _require_zero_mean(f, "hilbert_strip")
-    m = _grid_pair(f.n_grid)[1]
-    mult = np.ones(f.n_grid)
+    return _multiply(f, _strip_multiplier(f.n_grid, d))
+
+
+@lru_cache(maxsize=16)  # a continuation meets a new depth at every step
+def _strip_multiplier(n_grid, d):
+    m = _grid_arrays(n_grid)[1]
+    mult = np.ones(n_grid)
     nz = m != 0
     mult[nz] = 1.0 / np.tanh(np.abs(m[nz]) * d)
-    return _multiply(f, -1j * np.sign(m) * mult)
+    return _frozen(-1j * np.sign(m) * mult)
 
 
 def kappa_tail_bound(d: float, p: int = 0) -> float:

@@ -6,8 +6,11 @@ means, and a self-contained FFT Hilbert transform.  None of it goes through
 the package code paths it is used to check.  The exceptions are
 `jacobian_loop`, the column-by-column Jacobian that the stacked `jacobian_fd`
 must reproduce bit for bit (it calls the residual on one function at a time),
-and `mul_eager`, the product that recomputes its operands' 2x-grid samples at
-every call, which the cached ones of `spectral.mul` must reproduce bit for bit.
+`mul_eager`, the product that recomputes its operands' 2x-grid samples at
+every call, which the cached ones of `spectral.mul` must reproduce bit for bit,
+and `coeffs_two_pass`/`samples_two_pass`, the transforms that rescaled after
+pocketfft had run, which the one-pass ones of `spectral` must reproduce bit for
+bit on finite data (but for the sign of a real part of -0.0, see `spectral`).
 """
 
 import numpy as np
@@ -148,3 +151,20 @@ def mul_eager(f, g):
     fine = _samples_of(_resize(f.coeffs, 2 * n)) * _samples_of(_resize(g.coeffs, 2 * n))
     c = _resize(_coeffs_of(fine), n)
     return PeriodicFunction(n, _samples_of(c), c)
+
+
+def coeffs_two_pass(samples):
+    """Modes as `spectral._coeffs_of` computed them before pocketfft applied
+    the 1/n: the forward transform, then a complex division by n."""
+    c = np.fft.fft(samples)
+    c /= samples.shape[-1]
+    return c
+
+
+def samples_two_pass(coeffs):
+    """Samples as `spectral._samples_of` computed them before it took the real
+    part first: the inverse transform, a complex product with n, then a copy
+    of the real part."""
+    s = np.fft.ifft(coeffs)
+    s *= coeffs.shape[-1]
+    return s.real.copy()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from capwave import cli, continuation, crapper
+from capwave import cli, continuation, crapper, geometry
 from capwave.cli import main
 from capwave.continuation import newton_solve
 from capwave.operators import WaveParams
@@ -195,6 +195,27 @@ def test_continue_writes_branch_files(tmp_path, capsys):
     svgs = sorted(svg_dir.iterdir())
     assert len(svgs) == 5
     assert "<polyline" in _read(svgs[0])
+    capsys.readouterr()
+
+
+def test_continue_sweeps_each_solution_once(tmp_path, capsys, monkeypatch):
+    # the SVG of a point marks the crossings that its solve swept for
+    # crossing_count, so each point is swept once (twice before)
+    calls = itertools.count()
+    sweep = geometry.check_injective
+
+    def counted(curve):
+        next(calls)
+        return sweep(curve)
+
+    monkeypatch.setattr(geometry, "check_injective", counted)
+    jsn, svg_dir = tmp_path / "branch.json", tmp_path / "svg"
+    assert main(["continue", "--A", "0.5", "--alpha-max", "0.02", "--steps", "4",
+                 "--out-json", str(jsn), "--out-csv", str(tmp_path / "branch.csv"),
+                 "--svg-dir", str(svg_dir)]) == 0
+    assert next(calls) == 5
+    counts = [s["diagnostics"]["crossing_count"] for s in json.loads(_read(jsn))["solutions"]]
+    assert [_read(p).count("<circle") for p in sorted(svg_dir.iterdir())] == counts == [2] * 5
     capsys.readouterr()
 
 
@@ -597,10 +618,13 @@ def _invocations(draw, command):
     return argv, cfg
 
 
-# a budget of Newton solves per example bounds the cost of continuations whose
-# steps keep halving and succeeding (one such example took 50 s); a spent
-# budget ends like any failed step, in exit 3
-_SOLVE_BUDGET = 12
+# a budget of Newton solves per example stops a continuation whose steps keep
+# halving and succeeding without end (one such example once took 50 s); a
+# spent budget ends like any failed step, in exit 3.  It is the most a correct
+# continuation can spend here: the start, then at most three targets, each
+# reached in at most 2**MAX_HALVINGS accepted and MAX_HALVINGS + 1 failed
+# steps (2100 non-derandomized examples needed 48 at most)
+_SOLVE_BUDGET = 1 + 3 * (2 ** continuation.MAX_HALVINGS + continuation.MAX_HALVINGS + 1)
 _newton_solve = continuation.newton_solve
 
 

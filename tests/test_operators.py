@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from capwave import crapper, operators
+from capwave import crapper, operators, spectral
 from capwave.linearization import jacobian_fd
 from capwave.operators import (
     WaveParams,
@@ -33,10 +33,12 @@ from capwave.spectral import (
     pf_sin,
 )
 from _oracles import (
+    coeffs_two_pass,
     crapper_samples,
     deep_residual_on_samples,
     generator_derivatives,
     mul_eager,
+    samples_two_pass,
     trapezoid_mean,
 )
 
@@ -479,21 +481,36 @@ def _profile(n, rows=None):
     return w + PeriodicFunction.from_coeffs(c)
 
 
+def _evaluate(residual, params, n):
+    """One function, a 6-row stack and a Jacobian, each on a fresh profile."""
+    res = lambda u: residual(params, u)
+    return [res(_profile(n)), res(_profile(n, 6)), jacobian_fd(res, _profile(n), 24)]
+
+
+def _assert_same_bits(new, old):
+    for a, b in zip(new[:2], old[:2]):
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        assert a.samples.tobytes() == b.samples.tobytes()
+    assert new[2].entries.tobytes() == old[2].entries.tobytes()
+
+
 @pytest.mark.parametrize("residual, params", [(residual_inf, _DEEP), (residual_fd, _VORTICAL)],
                          ids=["inf", "fd"])
 def test_the_eager_product_keeps_every_bit(monkeypatch, residual, params):
-    res = lambda u: residual(params, u)
-
-    def evaluate():  # one function, a 6-row stack, and a Jacobian
-        return [res(_profile(128)), res(_profile(128, 6)), jacobian_fd(res, _profile(128), 24)]
-
-    cached = evaluate()
+    cached = _evaluate(residual, params, 128)
     monkeypatch.setattr(operators, "mul", mul_eager)
-    eager = evaluate()
-    for c, e in zip(cached[:2], eager[:2]):
-        assert c.coeffs.tobytes() == e.coeffs.tobytes()
-        assert c.samples.tobytes() == e.samples.tobytes()
-    assert cached[2].entries.tobytes() == eager[2].entries.tobytes()
+    _assert_same_bits(cached, _evaluate(residual, params, 128))
+
+
+@pytest.mark.parametrize("n", [96, 128])
+@pytest.mark.parametrize("residual, params", [(residual_inf, _DEEP), (residual_fd, _VORTICAL)],
+                         ids=["inf", "fd"])
+def test_the_two_pass_transforms_keep_every_bit(monkeypatch, residual, params, n):
+    # 1/96 is inexact, so pocketfft's scaling must round as the division did
+    one_pass = _evaluate(residual, params, n)
+    monkeypatch.setattr(spectral, "_coeffs_of", coeffs_two_pass)
+    monkeypatch.setattr(spectral, "_samples_of", samples_two_pass)
+    _assert_same_bits(one_pass, _evaluate(residual, params, n))
 
 
 @pytest.mark.parametrize("residual, params, n, ffts, iffts",

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from capwave import spectral
 from capwave.spectral import (
     DegenerateMetricError,
     PeriodicFunction,
@@ -20,7 +21,8 @@ from capwave.spectral import (
     pf_sin,
 )
 from capwave.operators import conformal_metric
-from _oracles import crapper_samples, crapper_conjugate, theta_samples
+from _oracles import (coeffs_two_pass, crapper_samples, crapper_conjugate, samples_two_pass,
+                      theta_samples)
 
 
 def _assert_even(f):
@@ -414,3 +416,52 @@ def test_reading_order_does_not_change_bits(n, data):
         assert a.coeffs.tobytes() == b.coeffs.tobytes()
         for arr in (a.samples, a.coeffs, a._fine, b.samples, b.coeffs, b._fine):
             assert arr is None or not arr.flags.writeable
+
+
+# -- one pass per transform, multipliers built once ----------------------------------
+
+
+def _six_row_stacks(n):
+    t = grid(n)
+    k = np.arange(1, 7)[:, None]
+    return {"zero": np.zeros((6, n)),
+            "even": np.cos(k * t) / k + 0.3 * np.cos(3 * k * t) - 0.1 * k,
+            "odd": np.sin(k * t) / k - 0.2 * np.sin(2 * k * t),
+            "random": np.random.default_rng(n).standard_normal((6, n))}
+
+
+@pytest.mark.parametrize("n", [64, 96, 400, 512, 1000, 2048])
+def test_one_pass_transforms_keep_the_bits_of_the_two_pass_ones(n):
+    # the sign of zero counts: tobytes, not ==
+    for name, x in _six_row_stacks(n).items():
+        c = spectral._coeffs_of(x)
+        assert c.tobytes() == coeffs_two_pass(x).tobytes(), name
+        f = PeriodicFunction.from_samples(x)
+        # the modes whose samples the operators read
+        for modes in (c, derivative(f).coeffs, hilbert(drop_mean(f)).coeffs,
+                      hilbert_strip(drop_mean(f), 0.7).coeffs, spectral._resize(c, 2 * n)):
+            assert spectral._samples_of(modes).tobytes() == samples_two_pass(modes).tobytes(), name
+
+
+def test_cached_multipliers_are_read_only():
+    cached = [*spectral._grid_arrays(64)[2:], spectral._strip_multiplier(64, 0.7)]
+    for mult in cached:
+        with pytest.raises(ValueError):
+            mult[1] = 0.0
+    # the same arrays are handed out again
+    assert spectral._grid_arrays(64)[2] is cached[0]
+    assert spectral._strip_multiplier(64, 0.7) is cached[2]
+
+
+def test_strip_multiplier_cache_stays_bounded():
+    f = PeriodicFunction.from_samples(np.array([np.sin(k * grid(64)) for k in range(1, 7)]))
+    d = 0.37
+    before = hilbert_strip(f, d).samples.tobytes()
+    first = spectral._strip_multiplier(64, d)
+    bound = spectral._strip_multiplier.cache_info().maxsize
+    for i in range(1000):  # one new depth per continuation step
+        hilbert_strip(f, 0.5 + 1e-3 * i)
+    assert spectral._strip_multiplier.cache_info().currsize == bound
+    again = PeriodicFunction.from_samples(f.samples.copy())
+    assert hilbert_strip(again, d).samples.tobytes() == before
+    assert spectral._strip_multiplier(64, d) is not first  # evicted, then rebuilt
