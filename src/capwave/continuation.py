@@ -81,12 +81,6 @@ class Branch:
     solutions: list[WaveSolution] = field(default_factory=list)
     step_history: list[tuple[float, float, float, bool]] = field(default_factory=list)
 
-    def solution_at(self, alpha: float, atol: float = 1e-12) -> WaveSolution:
-        for sol in self.solutions:
-            if abs(sol.params.alpha - alpha) <= atol:
-                return sol
-        raise KeyError(f"no stored solution at alpha={alpha}")
-
 
 def modes_for(A: float, requested: int | None = None, tol: float = DEFAULT_TOL) -> int:
     """Cosine modes needed so the family tail, amplified by the second

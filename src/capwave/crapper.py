@@ -108,17 +108,6 @@ def crapper_theta(A: float, n_grid: int) -> PeriodicFunction:
     return PeriodicFunction.from_samples(th)
 
 
-def exp_conjugate_theta_samples(A: float, t: np.ndarray) -> np.ndarray:
-    """Closed-form exp(C theta_A) = (1+A^2-2A cos t)/(1+A^2+2A cos t)."""
-    return (1.0 + A * A - 2.0 * A * np.cos(t)) / (1.0 + A * A + 2.0 * A * np.cos(t))
-
-
-def steepness_closed_form(A: float) -> float:
-    """Crest-to-trough height over wavelength: 4|A|/(pi*(1-A^2))."""
-    A = _check_param(A)
-    return 4.0 * abs(A) / (np.pi * (1.0 - A * A))
-
-
 def verify_identity(A: float, n_grid: int) -> float:
     """Max grid residual of the algebraic identity that closes the
     pure-capillary verification:

@@ -30,10 +30,23 @@ from .spectral import PeriodicFunction, derivative, hilbert, mean, mul
 
 INJECTIVITY_TOL = 1e-6
 DEFAULT_REL_STEP = 1e-6
-# points (rows x n_grid) in one stack of unit modes or perturbed iterates;
-# peak memory grows with it, and 2, 4 or 8 times as many points per stack
-# were not faster (0.88-1.04x at M = 128, n = 512 and M = 64, n = 256)
-STACK_POINTS = 3072
+# points (rows x n_grid) in one stack of unit modes or perturbed iterates,
+# sized on a heap kept between stacked calls (`cli.main` keeps it on glibc).
+# Medians of 20 jacobian_fd calls, 4 processes per size, 2 cores, and the
+# peak RSS of bench/run.py against 3072 points on a trimmed heap:
+#
+#   points   deep, M=128 n=512   FD, M=64 n=256   peak RSS deep / vortical
+#    3072        65-82 ms           30-40 ms
+#    6144        52-63 ms           27-36 ms           +2% / +4%
+#    9216        47-57 ms           24-34 ms           +4% / +8%
+#   12288        42-60 ms           28-32 ms           +8% / +12%
+#
+# With the sizes interleaved in one process, 9216 runs at 0.73-0.75x of 3072
+# (deep) and 0.76-0.83x (FD), 12288 at 0.71-0.73x and 0.76-0.81x, 6144 at
+# 0.77-0.82x and 0.82-0.85x. So 9216 is the smallest size within noise of
+# the best. (On a trimmed heap, 3072 took 80-100 ms and 37-49 ms, and larger
+# stacks were not faster.)
+STACK_POINTS = 9216
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,16 @@ def theta_samples(A, t):
     return 2.0 * (np.angle(1.0 + A * np.exp(1j * t)) - np.angle(1.0 - A * np.exp(1j * t)))
 
 
+def exp_conjugate_theta_samples(A, t):
+    """exp(C theta_A) = (1+A^2-2A cos t)/(1+A^2+2A cos t)."""
+    return (1.0 + A * A - 2.0 * A * np.cos(t)) / (1.0 + A * A + 2.0 * A * np.cos(t))
+
+
+def steepness_closed_form(A):
+    """Crest-to-trough height over wavelength of the wave A: 4|A|/(pi*(1-A^2))."""
+    return 4.0 * abs(A) / (np.pi * (1.0 - A * A))
+
+
 def trapezoid_mean(samples):
     """Trapezoid quadrature of the 2pi-periodic extension over one period."""
     closed = np.concatenate([samples, samples[:1]])

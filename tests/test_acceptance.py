@@ -38,6 +38,7 @@ from capwave.spectral import (
     pf_exp,
     pf_sin,
 )
+from _oracles import steepness_closed_form
 
 A_SET = (0.1, -0.1, 0.3, -0.3, 0.5, -0.5, 0.7, -0.7)
 
@@ -46,6 +47,12 @@ def _report(criterion, ok, detail):
     line = f"{'PASS' if ok else 'FAIL'}  criterion {criterion}: {detail}"
     print(line)
     assert ok, line
+
+
+def _at(branch, alpha):
+    """The one stored point of `branch` at `alpha`."""
+    (sol,) = [s for s in branch.solutions if abs(s.params.alpha - alpha) <= 1e-12]
+    return sol
 
 
 def test_criterion_01_crapper_verification():
@@ -171,7 +178,7 @@ def test_criterion_08_continuation_sheet():
     iters = [s.newton_iters for s in branch.solutions[1:]]
     final_res = branch.solutions[-1].residual_norm
     w_a = branch.solutions[0].w
-    dists = [float(np.max(np.abs(branch.solution_at(a).w.samples - w_a.samples)))
+    dists = [float(np.max(np.abs(_at(branch, a).w.samples - w_a.samples)))
              for a in (0.04, 0.02, 0.01)]
     ratios = [dists[1] / dists[0], dists[2] / dists[1]]
     ok = (len(branch.solutions) == 11 and max(iters) <= 5 and final_res < 1e-10
@@ -209,7 +216,7 @@ def test_criterion_11_geometry():
     for A in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
         w = crapper.crapper_wave(A, 512)
         worst_steep = max(worst_steep,
-                          abs(geometry.steepness(w) - crapper.steepness_closed_form(A)))
+                          abs(geometry.steepness(w) - steepness_closed_form(A)))
     a_coarse = geometry.critical_self_intersection_A(tol=1e-3, n_grid=1024)
     a_fine = geometry.critical_self_intersection_A(tol=1e-3, n_grid=2048)
     stable = abs(a_coarse - a_fine) <= 1e-3

@@ -1,9 +1,11 @@
+import ctypes
 import dataclasses
 import importlib.util
 import itertools
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -429,6 +431,96 @@ def test_console_entry_point_runs():
     assert '"passed": true' in proc.stdout
 
 
+# -- the heap kept between stacked calls --------------------------------------------
+
+
+def _src_env():
+    return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+
+class _SpyLibc:
+    """Stands in for `ctypes.CDLL`: records mallopt calls, makes none."""
+
+    calls = []
+
+    def __init__(self, name, *args, **kwargs):
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+        self.mallopt = mallopt  # a function, so argtypes can be set on it
+
+
+@pytest.mark.parametrize("libc", ["glibc", "no os.confstr", "confstr name unknown"])
+def test_main_sets_mallopt_only_on_glibc(monkeypatch, capsys, libc):
+    # Windows has no os.confstr; macOS and musl do not know the glibc name
+    if libc == "glibc":
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+    elif libc == "no os.confstr":
+        monkeypatch.delattr(os, "confstr", raising=False)
+    else:
+        def confstr(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+        monkeypatch.setattr(os, "confstr", confstr, raising=False)
+    monkeypatch.setattr(_SpyLibc, "calls", [])
+    monkeypatch.setattr(ctypes, "CDLL", _SpyLibc)
+    assert main(["verify", "--A", "0.2", "--grid", "256"]) == 0
+    assert '"passed": true' in capsys.readouterr().out
+    expected = {cli._M_TRIM_THRESHOLD, cli._M_MMAP_THRESHOLD} if libc == "glibc" else set()
+    assert {param for param, _ in _SpyLibc.calls} == expected
+
+
+_IMPORT_SPY = """
+import ctypes, json, os
+calls = []
+class Spy(ctypes.CDLL):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.mallopt = lambda param, value: calls.append(param) or 1
+ctypes.CDLL = Spy
+real_confstr = getattr(os, "confstr", None)
+os.confstr = lambda name: ("glibc 2.36" if name == "CS_GNU_LIBC_VERSION"
+                           else real_confstr(name))
+import capwave, capwave.cli
+on_import = list(calls)
+capwave.cli.main(["verify", "--A", "0.2", "--grid", "256"])
+print(json.dumps([on_import, calls]))
+"""
+
+
+def test_importing_capwave_sets_no_allocator_option():
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SPY], env=_src_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    on_import, after_main = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert on_import == []
+    assert len(after_main) == 2  # the spy sees the calls that main makes
+
+
+_SECOND_CONTINUE = """
+import contextlib, io, resource
+from capwave.cli import main
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["continue", "--A", "0.3", "--alpha-max", "0.03", "--steps", "1",
+                     "--M", "128"]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults[1])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="capwave keeps the heap on glibc only")
+def test_second_continue_in_a_process_reuses_the_heap(tmp_path):
+    # with the heap trimmed after every stacked call this took 17k-33k faults
+    proc = subprocess.run([sys.executable, "-c", _SECOND_CONTINUE], cwd=tmp_path,
+                          env=_src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2000
+
+
 def test_branch_round_trip():
     from capwave.continuation import continue_branch
     from capwave.serialization import branch_from_dict, branch_to_dict
@@ -540,11 +632,10 @@ def test_overflowing_step_is_a_solver_failure(tmp_path, capsys, monkeypatch, alp
 @pytest.mark.parametrize("depth", [[], ["--h", "2"]])
 def test_overflowing_step_writes_one_stderr_line(tmp_path, depth):
     # run as a user runs it, so any numpy RuntimeWarning would reach stderr
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-m", "capwave.cli", "continue", "--A", "0.3",
                            "--alpha-max", "1e306", "--steps", "1", "--M", "16",
                            "--grid", "128", "--g", "1", "--sigma", "1", *depth],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
+                          cwd=tmp_path, env=_src_env(), capture_output=True, text=True)
     assert proc.returncode == 3
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("capwave continue: step underflow")

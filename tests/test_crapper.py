@@ -4,7 +4,13 @@ import pytest
 from capwave import crapper
 from capwave.spectral import grid, hilbert, mean, pf_exp
 from capwave.operators import conformal_metric
-from _oracles import crapper_samples, theta_samples, trapezoid_mean
+from _oracles import (
+    crapper_samples,
+    exp_conjugate_theta_samples,
+    steepness_closed_form,
+    theta_samples,
+    trapezoid_mean,
+)
 
 
 def test_beta_of_examples():
@@ -83,7 +89,7 @@ def test_crapper_theta_pointwise_exponential_identity():
         t = grid(n)
         th = crapper.crapper_theta(A, n)
         lhs = pf_exp(hilbert(th)).samples
-        rhs = crapper.exp_conjugate_theta_samples(A, t)
+        rhs = exp_conjugate_theta_samples(A, t)
         assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
@@ -125,9 +131,9 @@ def test_metric_root_times_exp_minus_conjugate_theta_is_one():
 
 
 def test_steepness_closed_form_value():
-    assert crapper.steepness_closed_form(0.3) == pytest.approx(
+    assert steepness_closed_form(0.3) == pytest.approx(
         4 * 0.3 / (np.pi * (1 - 0.09)), rel=1e-15)
-    assert crapper.steepness_closed_form(0.3) == pytest.approx(0.42, abs=1e-3)
+    assert steepness_closed_form(0.3) == pytest.approx(0.42, abs=1e-3)
 
 
 def test_min_grid_monotone():

@@ -129,10 +129,16 @@ def test_jacobian_fd_rejects_a_residual_that_is_not_row_wise():
 
 
 def test_dG_matrix_does_not_depend_on_the_stack_size(monkeypatch):
-    ref = dG_matrix(0.5, 24).entries
-    for points in (1, 5 * 256):
+    M = 48
+    n_grid = angle_grid(0.5, M)
+    default = linearization.STACK_POINTS
+    assert default < M * n_grid  # the default splits the modes too
+    monkeypatch.setattr(linearization, "STACK_POINTS", M * n_grid)
+    ref = dG_matrix(0.5, M).entries
+    # one mode per stack, five, the default before the heap was kept, the default
+    for points in (1, 5 * n_grid, 3072, default):
         monkeypatch.setattr(linearization, "STACK_POINTS", points)
-        assert dG_matrix(0.5, 24).entries.tobytes() == ref.tobytes()
+        assert dG_matrix(0.5, M).entries.tobytes() == ref.tobytes(), points
 
 
 def test_dG_matrix_at_zero():

@@ -19,7 +19,8 @@ files; numpy's overflow warnings are silenced, since they print the absolute
 path of the module that raised them.  The commands
 run in-process through `capwave.cli.main`, with OUTDIR as the working
 directory and relative paths, so no absolute path reaches the files.  capwave
-is imported from the `src/` next to this script.  About 3.5 s on two cores.
+is imported from the `src/` next to this script.  About 2 s on two cores
+(2.6-2.8 s before the CLI kept the heap between stacked calls).
 """
 
 from __future__ import annotations
