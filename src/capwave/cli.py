@@ -4,8 +4,9 @@ Subcommands: verify | spectrum | continue | profile | limit-check.  Flags can
 also come from a JSON config file (--config PATH); explicit flags win.  All
 outputs are UTF-8 and byte-deterministic for a fixed configuration.
 
-Exit codes: 0 success, 1 usage/config error, 2 tolerance failure, 3 solver
-failure (partial branch saved; nothing is written when the first point fails).
+Exit codes: 0 success, 1 usage/config error or out of memory, 2 tolerance
+failure, 3 solver failure (partial branch saved; nothing is written when the
+first point fails).
 """
 
 from __future__ import annotations
@@ -410,6 +411,9 @@ def main(argv=None) -> int:
     except NewtonError as exc:
         sys.stderr.write(f"capwave: {exc}\n")
         return EXIT_SOLVER
+    except MemoryError as exc:  # a grid or mode count too large for this machine
+        sys.stderr.write(f"capwave: out of memory{': ' if str(exc) else ''}{exc}\n")
+        return EXIT_USAGE
 
 
 def console_main():

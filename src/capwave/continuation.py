@@ -117,6 +117,7 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
         raise ValueError("M exceeds the grid resolution")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    _check_tol(tol)
     w = PeriodicFunction.from_cosine_series(w0.cosine_coefficients(M), n_grid)
     res = lambda u: residual(params, u)
     history = []
@@ -168,6 +169,12 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
                         geometry=geometry.solution_report(params, w))
 
 
+def _check_tol(tol):
+    # tol <= 0 or nan can never be met, and inf is met before any iteration
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def _sigma_min(jac) -> float:
     return float(np.linalg.svd(jac.entries, compute_uv=False)[-1])
 
@@ -201,6 +208,7 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
         raise ValueError("schedule must start on the pure-capillary curve (alpha <= 0)")
     if abs(b0 - crapper.beta_of(start_A)) > 1e-9 * (1.0 + abs(b0)):
         raise ValueError(f"schedule must start at beta_A = {crapper.beta_of(start_A)!r}")
+    _check_tol(tol)
 
     requested = M if M is not None else DEFAULT_M
     M = modes_for(start_A, requested, tol)

@@ -33,13 +33,14 @@ DEFAULT_REL_STEP = 1e-6
 # points (rows x n_grid) in one stack of unit modes or perturbed iterates,
 # sized on a heap kept between stacked calls (`cli.main` keeps it on glibc).
 # Medians of 20 jacobian_fd calls, 4 processes per size, 2 cores, and the
-# peak RSS of bench/run.py against 3072 points on a trimmed heap:
+# peak RSS of bench/run.py (seeds 1 and 2, with products and 2x-grid samples
+# transformed in place) against 3072 points on a trimmed heap:
 #
 #   points   deep, M=128 n=512   FD, M=64 n=256   peak RSS deep / vortical
-#    3072        65-82 ms           30-40 ms
-#    6144        52-63 ms           27-36 ms           +2% / +4%
-#    9216        47-57 ms           24-34 ms           +4% / +8%
-#   12288        42-60 ms           28-32 ms           +8% / +12%
+#    3072        65-82 ms           30-40 ms           +0% / +0%
+#    6144        52-63 ms           27-36 ms           +0% / +3%
+#    9216        47-57 ms           24-34 ms           +2% / +6.5%
+#   12288        42-60 ms           28-32 ms           +5% / +9.5%
 #
 # With the sizes interleaved in one process, 9216 runs at 0.73-0.75x of 3072
 # (deep) and 0.76-0.83x (FD), 12288 at 0.71-0.73x and 0.76-0.81x, 6144 at
@@ -101,11 +102,35 @@ def _unit_modes(basis, modes, n_grid):
     return PeriodicFunction.from_coeffs(c)
 
 
-def _plus_minus(e):
-    """The stack of the rows of e and then of -e; its samples are computed
-    only if read."""
-    return PeriodicFunction(e.n_grid, lambda: np.concatenate([e.samples, -e.samples]),
-                            np.concatenate([e.coeffs, -e.coeffs]))
+def _plus_minus_steps(base, basis, modes, step):
+    """The stack of base + step*e_j for j in `modes` and then of base -
+    step*e_j, e_j the unit mode of `basis`, with the bits of adding the stack
+    of +-step*e_j to base: base's modes copied into 2k rows, then +-step/2 added
+    at modes +-j.  Its samples are computed only if read."""
+    k, n = len(modes), base.n_grid
+    half = 0.5 * step
+    # step*e_j at modes j and -j (cos jt = (e^ijt + e^-ijt)/2, sin jt =
+    # (e^ijt - e^-ijt)/2i), every zero +0.0 as step times the unit modes
+    # made it (0.0 - half is +0.0, not -0.0, when step/2 underflows)
+    if basis == "cosine":
+        at_j = at_minus_j = complex(half, 0.0)
+    else:
+        at_j, at_minus_j = complex(0.0, 0.0 - half), complex(0.0, half)
+    c = np.empty((2 * k, n), dtype=complex)
+    # + 0.0 makes a -0.0 +0.0, as adding the zero modes of step*e_j did
+    np.add(base.coeffs, 0.0, out=c[:k])
+    c[k:] = base.coeffs
+    plus, minus = np.arange(k), np.arange(k, 2 * k)
+    c[plus, modes] += at_j
+    c[plus, n - modes] += at_minus_j
+    c[minus, modes] -= at_j
+    c[minus, n - modes] -= at_minus_j
+
+    def samples():
+        b, e = base.samples, _unit_modes(basis, modes, n).samples * step
+        return np.concatenate([b + e, b - e])
+
+    return PeriodicFunction(n, samples, c)
 
 
 def _mode_chunks(M, rows_per_mode, n_grid):
@@ -145,7 +170,7 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
         k = len(modes)
         # only the modes of the residual rows are read: holding the array,
         # not the function, lets its unread samples' operands go
-        r = residual(base + _plus_minus(step * _unit_modes(basis_in, modes, n_grid))).coeffs
+        r = residual(_plus_minus_steps(base, basis_in, modes, step)).coeffs
         if r.shape != (2 * k, n_grid):
             raise ValueError("the residual must map a stack of functions row by row")
         diff = r[:k, 1:M + 1] - r[k:, 1:M + 1]

@@ -82,6 +82,9 @@ class WaveParams:
     h: float = math.inf
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma))):
+            raise ValueError("alpha, beta and gamma must be finite, got "
+                             f"alpha={self.alpha}, beta={self.beta}, gamma={self.gamma}")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if not (0.0 < self.g < math.inf and 0.0 < self.sigma < math.inf):
@@ -155,7 +158,7 @@ def theta_of(w: PeriodicFunction) -> PeriodicFunction:
 
 
 def _root_powers(W):
-    return [PeriodicFunction.from_samples(np.power(W, r)) for r in (0.5, -0.5)]
+    return [PeriodicFunction._of_samples(np.power(W, r)) for r in (0.5, -0.5)]
 
 
 def _square(f):

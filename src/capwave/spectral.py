@@ -21,6 +21,13 @@ happens sample by sample on the collocation grid; products are evaluated on a
 two band-limited functions is alias-free.  Whether a mean is zero is decided
 when an operator needs it, never stored.
 
+Two buffers that nothing else holds are transformed in place (numpy's
+``out=``): the 2x-grid modes from `_resize` that `_fine_samples` inverts, and
+the complex buffer whose real part holds the 2x-grid product in `mul`.  Every
+other transform reads a cached representation and writes a new array.  The
+bits are those of the transforms without ``out=``, which cast a real input
+to complex in a buffer of their own.
+
 A `PeriodicFunction` holds one function (arrays of shape (n,)) or a stack of
 them (shape (..., n), one function per row).  Every transform acts along the
 last axis, `mean` gives one value per row, and every rule (the zero-mean
@@ -73,14 +80,14 @@ def _grid_arrays(n_grid):
     return _GRIDS[n_grid]
 
 
-def _coeffs_of(samples):
+def _coeffs_of(samples, out=None):
     # pocketfft multiplies by 1/n in its last pass, as the division by n did
-    return np.fft.fft(samples, norm="forward")
+    return np.fft.fft(samples, norm="forward", out=out)
 
 
-def _samples_of(coeffs):
+def _samples_of(coeffs, out=None):
     # the real part of ifft(c) * (n + 0j), without the complex product
-    return np.fft.ifft(coeffs).real * coeffs.shape[-1]
+    return np.fft.ifft(coeffs, out=out).real * coeffs.shape[-1]
 
 
 def _resize(coeffs, n_new):
@@ -176,17 +183,23 @@ class PeriodicFunction:
         """Samples on the 2x zero-padded grid, the operand of `mul`."""
         f = self._fine
         if f is None:
-            self._fine = f = _frozen(_samples_of(_resize(self.coeffs, 2 * self.n_grid)))
+            c = _resize(self.coeffs, 2 * self.n_grid)
+            self._fine = f = _frozen(_samples_of(c, out=c))
         return f
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_samples(cls, values):
-        values = np.asarray(values, dtype=float).copy()
-        if values.shape[-1] % 2 != 0:
+        return cls._of_samples(np.asarray(values, dtype=float).copy())
+
+    @classmethod
+    def _of_samples(cls, s):
+        """The function with samples `s` (kept, not copied); its modes are
+        their forward transform."""
+        if s.shape[-1] % 2 != 0:
             raise ValueError("grid length must be even")
-        return cls(values.shape[-1], values, lambda: _coeffs_of(values))
+        return cls(s.shape[-1], s, lambda: _coeffs_of(s))
 
     @classmethod
     def from_coeffs(cls, coeffs):
@@ -254,12 +267,16 @@ class PeriodicFunction:
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _combine(self, other, op):
+        """op(self, other) for a function `other`, on samples and on modes."""
+        self._check_grid(other)
+        (fs, fc), (gs, gc) = _later(self), _later(other)
+        return PeriodicFunction(self.n_grid, lambda: op(fs(), gs()), lambda: op(fc(), gc()))
+
     def __add__(self, other):
         """Sum with a function, a scalar, or one scalar per row."""
         if isinstance(other, PeriodicFunction):
-            self._check_grid(other)
-            (fs, fc), (gs, gc) = _later(self), _later(other)
-            return PeriodicFunction(self.n_grid, lambda: fs() + gs(), lambda: fc() + gc())
+            return self._combine(other, np.add)
         other = _per_row(other)
         s, c = _later(self)
 
@@ -280,6 +297,10 @@ class PeriodicFunction:
         return PeriodicFunction(self.n_grid, lambda: -s(), lambda: -c())
 
     def __sub__(self, other):
+        """One pass: f - g has the bits of f + (-g), but for the sign of a
+        nan that g carried."""
+        if isinstance(other, PeriodicFunction):
+            return self._combine(other, np.subtract)
         return self + (-other)
 
     def __mul__(self, other):
@@ -309,7 +330,8 @@ def mean(f: PeriodicFunction):
 
 def _mean_is_zero(f):
     """Per row: is the mean zero to rounding?"""
-    return abs(mean(f)) < MEAN_TOL * (1.0 + np.abs(f.samples).max(axis=-1))
+    s = f.samples  # max |s| without an |s| array: equal to it, nan where it is
+    return abs(mean(f)) < MEAN_TOL * (1.0 + np.maximum(s.max(axis=-1), -s.min(axis=-1)))
 
 
 def drop_mean(f: PeriodicFunction) -> PeriodicFunction:
@@ -406,23 +428,26 @@ def mul(f: PeriodicFunction, g: PeriodicFunction) -> PeriodicFunction:
     """De-aliased product: multiply the samples on the 2x grid (each
     operand's, computed once and kept), truncate back."""
     f._check_grid(g)
-    fine = f._fine_samples() * g._fine_samples()
-    return PeriodicFunction._of_modes(_resize(_coeffs_of(fine), f.n_grid))
+    ff, gf = f._fine_samples(), g._fine_samples()
+    fine = np.empty(np.broadcast_shapes(ff.shape, gf.shape), dtype=complex)
+    np.multiply(ff, gf, out=fine.real)
+    fine.imag = 0.0  # the cast of the real product that the transform made
+    return PeriodicFunction._of_modes(_resize(_coeffs_of(fine, out=fine), f.n_grid))
 
 
 def pf_exp(f: PeriodicFunction) -> PeriodicFunction:
-    return PeriodicFunction.from_samples(np.exp(f.samples))
+    return PeriodicFunction._of_samples(np.exp(f.samples))
 
 
 def pf_sin(f: PeriodicFunction) -> PeriodicFunction:
-    return PeriodicFunction.from_samples(np.sin(f.samples))
+    return PeriodicFunction._of_samples(np.sin(f.samples))
 
 
 def pf_cos(f: PeriodicFunction) -> PeriodicFunction:
-    return PeriodicFunction.from_samples(np.cos(f.samples))
+    return PeriodicFunction._of_samples(np.cos(f.samples))
 
 
 def pf_atan2(y: PeriodicFunction, x: PeriodicFunction) -> PeriodicFunction:
     """Sample-wise atan2(y, x)."""
     y._check_grid(x)
-    return PeriodicFunction.from_samples(np.arctan2(y.samples, x.samples))
+    return PeriodicFunction._of_samples(np.arctan2(y.samples, x.samples))

@@ -11,6 +11,9 @@ every call, which the cached ones of `spectral.mul` must reproduce bit for bit,
 and `coeffs_two_pass`/`samples_two_pass`, the transforms that rescaled after
 pocketfft had run, which the one-pass ones of `spectral` must reproduce bit for
 bit on finite data (but for the sign of a real part of -0.0, see `spectral`).
+So are `add_negated`, `mean_is_zero_abs` and `plus_minus_stack`, the
+expressions that the one-pass difference, the zero-mean test without an |s|
+array and the one-array +-step stack of `jacobian_fd` replaced.
 """
 
 import numpy as np
@@ -163,18 +166,44 @@ def mul_eager(f, g):
     return PeriodicFunction(n, _samples_of(c), c)
 
 
-def coeffs_two_pass(samples):
+def coeffs_two_pass(samples, out=None):
     """Modes as `spectral._coeffs_of` computed them before pocketfft applied
     the 1/n: the forward transform, then a complex division by n."""
-    c = np.fft.fft(samples)
+    c = np.fft.fft(samples, out=out)
     c /= samples.shape[-1]
     return c
 
 
-def samples_two_pass(coeffs):
+def samples_two_pass(coeffs, out=None):
     """Samples as `spectral._samples_of` computed them before it took the real
     part first: the inverse transform, a complex product with n, then a copy
     of the real part."""
-    s = np.fft.ifft(coeffs)
+    s = np.fft.ifft(coeffs, out=out)
     s *= coeffs.shape[-1]
     return s.real.copy()
+
+
+def add_negated(f, g):
+    """f - g as `PeriodicFunction.__sub__` computed it before it was one
+    pass: f plus the negated g, a temporary on each representation."""
+    return f + (-g)
+
+
+def mean_is_zero_abs(f):
+    """`spectral._mean_is_zero` as it was, with max |s| from an |s| array."""
+    from capwave.spectral import MEAN_TOL, mean
+
+    return abs(mean(f)) < MEAN_TOL * (1.0 + np.abs(f.samples).max(axis=-1))
+
+
+def plus_minus_stack(base, basis, modes, step):
+    """The stack that `jacobian_fd` evaluated before it built one mode array:
+    the unit modes scaled by step, that stack and its negation concatenated,
+    and base added to every row."""
+    from capwave.linearization import _unit_modes
+    from capwave.spectral import PeriodicFunction
+
+    e = step * _unit_modes(basis, modes, base.n_grid)
+    pm = PeriodicFunction(e.n_grid, lambda: np.concatenate([e.samples, -e.samples]),
+                          np.concatenate([e.coeffs, -e.coeffs]))
+    return base + pm

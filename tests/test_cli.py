@@ -106,7 +106,7 @@ def test_verify_deterministic_output(tmp_path, capsys):
 
 def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
     # tools/cli_outputs.py writes the byte-identity set of every command
-    # (continue, spectrum, verify, limit-check, profile and two failures)
+    # (continue, spectrum, verify, limit-check, profile and four failures)
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
     spec = importlib.util.spec_from_file_location("cli_outputs", path)
     tool = importlib.util.module_from_spec(spec)
@@ -116,7 +116,7 @@ def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
         tool.write_outputs(tmp_path / name)
         files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
         runs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
-    assert len(runs[0]) == 89  # 79 entries, six of them directories of step SVGs
+    assert len(runs[0]) == 95  # 81 entries, six of them directories of step SVGs
     assert runs[0] == runs[1]
 
 
@@ -609,6 +609,47 @@ def test_library_checks_reach_stderr_before_any_solve(tmp_path, capsys, monkeypa
     assert main(argv.split()) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a tolerance that no residual meets, or that every start meets already
+    *((f"continue --tol {tol}", "tol must be positive and finite") for tol in
+      ("0", "-1", "nan", "inf", "-0")),
+    *((f"continue --A 0.3 --h 2 --gamma={gamma}", "alpha, beta and gamma must be finite")
+      for gamma in ("nan", "inf", "-inf")),
+    ("continue --gamma nan", "alpha, beta and gamma must be finite"),
+    ("limit-check --alphas nan --out r.json", "alpha, beta and gamma must be finite"),
+    ("limit-check --alphas 1e-2,inf --out r.json", "alpha, beta and gamma must be finite"),
+    ("limit-check --gamma nan --out r.json", "alpha, beta and gamma must be finite"),
+])
+def test_non_finite_or_unmeetable_inputs_stop_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                               argv, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(continuation, "newton_solve", _must_not_run)
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("reason", ["Unable to allocate 74.5 GiB for an array", ""])
+@pytest.mark.parametrize("argv, target", [
+    ("spectrum --A-values 0.5 --M 100000 --out-json s.json --out-csv s.csv",
+     (cli, "recurrence_scan")),
+    ("continue --A 0.3 --M 100000 --steps 1 --alpha-max 0.01", (continuation, "newton_solve")),
+])
+def test_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, target, reason):
+    # the allocation that would fail is never made: the call that makes it raises
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(reason)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(*target, out_of_memory)
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("capwave: out of memory")
+    assert reason in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -116,6 +117,8 @@ _FIRST_TRIAL = 1
     ("alpha = 1e306", (NewtonError, "non-finite entries")),
     ("first trial degenerate", None),
     ("every trial degenerate", (NewtonError, "line search stalled")),
+    *((f"tol = {tol}", (ValueError, "tol must be positive and finite"))
+      for tol in (0.0, -1e-11, math.nan, math.inf)),
 ])
 def test_newton_failure_branches(monkeypatch, case, expected):
     w, params = _crapper_start(0.3)
@@ -123,6 +126,8 @@ def test_newton_failure_branches(monkeypatch, case, expected):
     kwargs = dict(M=32)
     if case == "negative max_iter":
         kwargs["max_iter"] = -1
+    elif case.startswith("tol = "):
+        kwargs["tol"] = float(case[len("tol = "):])
     elif case == "flat water at beta = 1":
         # a 1e-6 bump off flat water: cos t spans the kernel of the Jacobian
         params = WaveParams(alpha=0.0, beta=1.0)
@@ -163,6 +168,17 @@ def test_continue_branch_rejects_bad_starts():
         continue_branch(0.3, [(0.0, beta3)], M=16, n_grid=64)
     with pytest.raises(ValueError, match=r"^M = 40 needs at least 82 grid points, got 81$"):
         continue_branch(0.3, [(0.0, beta3)], M=40, n_grid=81)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-11, math.nan, math.inf])
+def test_continue_branch_checks_tol_before_it_sizes_or_solves(monkeypatch, tol):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran although tol had to be rejected first")
+
+    monkeypatch.setattr(continuation, "modes_for", must_not_run)
+    monkeypatch.setattr(continuation, "newton_solve", must_not_run)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        continue_branch(0.3, [(0.0, crapper.beta_of(0.3))], tol=tol)
 
 
 def test_continue_branch_walks_the_sheet():

@@ -66,6 +66,9 @@ def test_wave_params_validation():
             WaveParams(alpha=0.0, beta=1.0, g=bad)
         with pytest.raises(ValueError, match="positive and finite"):
             WaveParams(alpha=0.0, beta=1.0, sigma=bad)
+        for field in ("alpha", "beta", "gamma"):  # no solve can start from them
+            with pytest.raises(ValueError, match="alpha, beta and gamma must be finite"):
+                WaveParams(**{"alpha": 0.0, "beta": 1.0, "h": 2.0, field: bad})
     with pytest.raises(ValueError):
         WaveParams(alpha=0.0, beta=1.0, gamma=1.0)  # infinite depth, vorticity
     with pytest.raises(ValueError):

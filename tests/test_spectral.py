@@ -21,8 +21,8 @@ from capwave.spectral import (
     pf_sin,
 )
 from capwave.operators import conformal_metric
-from _oracles import (coeffs_two_pass, crapper_samples, crapper_conjugate, samples_two_pass,
-                      theta_samples)
+from _oracles import (add_negated, coeffs_two_pass, crapper_samples, crapper_conjugate,
+                      mean_is_zero_abs, samples_two_pass, theta_samples)
 
 
 def _assert_even(f):
@@ -441,6 +441,70 @@ def test_one_pass_transforms_keep_the_bits_of_the_two_pass_ones(n):
         for modes in (c, derivative(f).coeffs, hilbert(drop_mean(f)).coeffs,
                       hilbert_strip(drop_mean(f), 0.7).coeffs, spectral._resize(c, 2 * n)):
             assert spectral._samples_of(modes).tobytes() == samples_two_pass(modes).tobytes(), name
+
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.0, 1e-300])
+
+
+def _special_values(rng, shape):
+    """Normal draws with about half of the entries replaced by +-0, +-inf,
+    nan of either sign and a few ordinary numbers; row 0 all +0.0, row 1 all
+    -0.0."""
+    x = rng.standard_normal(shape)
+    pick = rng.random(shape) < 0.5
+    x[pick] = rng.choice(_SPECIAL, size=pick.sum())
+    x[0], x[1] = 0.0, -0.0
+    return x
+
+
+def _special_pairs(n):
+    """(f, g) pairs of six-row stacks and single functions whose samples,
+    or whose modes, hold +-0, inf and nan."""
+    rng = np.random.default_rng(n)
+    real = lambda: _special_values(rng, (6, n))
+    cplx = lambda: real() + 1j * real()
+    by_samples = [PeriodicFunction.from_samples(real()) for _ in range(2)]
+    by_modes = [PeriodicFunction.from_coeffs(cplx()) for _ in range(2)]
+    one = PeriodicFunction.from_samples(real()[2])
+    return {"samples": by_samples, "modes": by_modes, "stack - one": (by_samples[0], one),
+            "one - stack": (one, by_modes[1]), "samples - modes": (by_samples[1], by_modes[0])}
+
+
+def _same_bits_but_nan_sign(a, b):
+    a, b = a.view(float), b.view(float)  # a complex entry as its two parts
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_one_pass_difference_has_the_bits_of_adding_the_negation(n):
+    # IEEE a - b is a + (-b); only a nan taken from b may come out with the
+    # other sign
+    with np.errstate(invalid="ignore", over="ignore"):
+        for f, g in _special_pairs(n).values():
+            new, old = f - g, add_negated(f, g)
+            _same_bits_but_nan_sign(new.samples, old.samples)
+            _same_bits_but_nan_sign(new.coeffs, old.coeffs)
+            # and read the other way round: modes first
+            new, old = f - g, add_negated(f, g)
+            _same_bits_but_nan_sign(new.coeffs, old.coeffs)
+            _same_bits_but_nan_sign(new.samples, old.samples)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_zero_mean_test_without_an_abs_array_decides_as_before(n):
+    rng = np.random.default_rng(n + 1)
+    t = grid(n)
+    ordinary = np.array([np.cos(t), 0.7 + np.sin(2 * t), np.sin(t) + 1e-15,
+                         -1.5 + np.cos(t), np.full(n, -0.0), np.zeros(n)])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for f in (*_special_pairs(n)["samples"], *_special_pairs(n)["modes"],
+                  PeriodicFunction.from_samples(ordinary),
+                  PeriodicFunction.from_samples(_special_values(rng, (6, n))[3]),
+                  PeriodicFunction.from_samples(np.cos(t))):
+            new, old = spectral._mean_is_zero(f), mean_is_zero_abs(f)
+            assert np.shape(new) == np.shape(old) and np.array_equal(new, old)
 
 
 def test_cached_multipliers_are_read_only():

@@ -12,9 +12,9 @@ a finite-depth vortical `continue` with SVGs; a 2-D (alpha, beta) sheet; the
 steep A = -0.8 starting point, whose lobes reach two periods away; the
 default `spectrum`, `verify --A 0.6` and the default `limit-check`; `profile`
 with and without `--repeats 2` on the last deep and the last vortical point;
-and two failures: `continue --A 0` (exit 1, nothing written) and a `continue`
-whose residual overflows on the way to alpha = 1e306 (exit 3, the partial
-branch written).  Each run's stdout, stderr and exit code sit next to its
+and four failures: `continue --A 0`, `continue --tol 0` and `continue --h 2
+--gamma nan` (exit 1, nothing written) and a `continue` whose residual
+overflows on the way to alpha = 1e306 (exit 3, the partial branch written).  Each run's stdout, stderr and exit code sit next to its
 files; numpy's overflow warnings are silenced, since they print the absolute
 path of the module that raised them.  The commands
 run in-process through `capwave.cli.main`, with OUTDIR as the working
@@ -60,6 +60,11 @@ RUNS = [
     ("limit_check", ["limit-check", "--out", "limit_check.json"]),
     ("continue_A0", ["continue", "--A", "0", "--out-json", "continue_A0.json",
                      "--out-csv", "continue_A0.csv"]),
+    ("continue_tol0", ["continue", "--tol", "0", "--out-json", "continue_tol0.json",
+                       "--out-csv", "continue_tol0.csv"]),
+    ("continue_gamma_nan", ["continue", "--h", "2", "--gamma", "nan",
+                            "--out-json", "continue_gamma_nan.json",
+                            "--out-csv", "continue_gamma_nan.csv"]),
     ("overflow", ["continue", "--A", "0.3", "--alpha-max", "1e306", "--steps", "1",
                   "--M", "16", "--grid", "128", "--g", "1", "--sigma", "1",
                   "--out-json", "overflow.json", "--out-csv", "overflow.csv"]),
