@@ -16,6 +16,7 @@ import ctypes
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -58,6 +59,8 @@ class _Parser(argparse.ArgumentParser):
         kwargs.setdefault("formatter_class", argparse.ArgumentDefaultsHelpFormatter)
         self.flag_types = {}  # dest -> type, to check config values against
         super().__init__(*args, **kwargs)
+        # argparse alone takes -1e-3, -inf or -nan for a flag, not for a value
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
@@ -256,10 +259,8 @@ def _build_schedule(args, beta0):
 def cmd_continue(args):
     # |A| < 1, A != 0, alpha-start <= 0 and no gamma in deep water are checked
     # by the library before it solves
-    for path in (args.out_json, args.out_csv):
-        # checked before solving: a branch must not be lost to a bad path
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise CliError(f"no directory for output file {path}")
+    if args.svg_dir and os.path.exists(args.svg_dir) and not os.path.isdir(args.svg_dir):
+        raise CliError(f"--svg-dir {args.svg_dir} exists and is not a directory")
     if args.h is not None and math.isinf(args.h):
         raise CliError("--h must be finite (leave it out for deep water)")
     beta0 = crapper.beta_of(args.A)
@@ -401,6 +402,9 @@ def main(argv=None) -> int:
             sub = parser.commands[args.command]
             sub.set_defaults(**_config_defaults(args.config, sub.flag_types))
             args = parser.parse_args(argv)
+        for dest, path in vars(args).items():  # --out, --out-*: no result lost to a bad path
+            if dest.startswith("out") and path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise CliError(f"no directory for output file {path}")
         # a trial that overflows is a failed step; numpy's warnings about it
         # would print module paths before the one-line message
         with np.errstate(over="ignore", invalid="ignore"):

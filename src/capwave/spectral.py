@@ -36,14 +36,13 @@ raises when any row fails it.  A stack row carries the
 same bits as the one-function computation on that row, so a stack of
 finite-difference perturbations is one residual call instead of many.
 
-Each representation of a `PeriodicFunction` (its samples, its modes and its
-samples on the 2x zero-padded grid) is computed once, on first read, by the
-expression of the operation that made it, then cached and frozen read-only.
-`f + g` adds the samples of f and g when its samples are read and their
-modes when its modes are read, so the bits do not depend on which is read
-first, and a transform that nothing reads never runs.  Two threads that force
-the same representation at once both compute the same bits and one of them
-is kept, so the race is benign.
+A `PeriodicFunction` gets its modes when it is made, by the expression of
+the operation that made it (a forward transform when it is made from
+samples).  Its samples and its samples on the 2x zero-padded grid are
+computed once, on first read: `f + g` adds the samples of f and g when its
+samples are read, so an inverse transform that nothing reads never runs.
+Every array is frozen read-only.  Two threads that force the same samples
+at once compute the same bits and one of them is kept: the race is benign.
 """
 
 from __future__ import annotations
@@ -122,12 +121,11 @@ def _frozen(a):
 
 
 def _later(f):
-    """f's samples and modes as two functions that read them when called.
-    Each holds the array itself when f has it already, so a deferred result
-    keeps alive what it will read, not f with its other arrays."""
-    s, c = f._samples, f._coeffs
-    return ((lambda: f.samples) if callable(s) else (lambda: s),
-            (lambda: f.coeffs) if callable(c) else (lambda: c))
+    """A function that reads f's samples when called.  It holds the array
+    itself when f has it already, so a deferred result keeps alive what it
+    will read, not f with its modes."""
+    s = f._samples
+    return (lambda: f.samples) if callable(s) else (lambda: s)
 
 
 def _per_row(x):
@@ -145,11 +143,12 @@ class PeriodicFunction:
     order (index k holds mode k for k < n/2 and mode k - n above; the mean
     sits at 0, the Nyquist mode at n/2), normalised so that
     f(t) = sum_m coeffs[m] * exp(i*m*t).  Both have shape (..., n): one
-    function, or a stack of them with one per row.  Each is computed on first
-    read and then cached, as are the samples on the 2x grid that `mul`
-    multiplies; every array handed out is read-only.  Instances are
-    immutable; all operations return new objects and are safe to evaluate in
-    parallel (two threads forcing one representation compute the same bits).
+    function, or a stack of them with one per row.  The modes are computed
+    when the function is made; the samples, and the samples on the 2x grid
+    that `mul` multiplies, on first read, then cached.  Every array handed
+    out is read-only.  Instances are immutable; all operations return new
+    objects and are safe to evaluate in parallel (two threads forcing the
+    same samples compute the same bits).
     """
 
     __slots__ = ("n_grid", "_samples", "_coeffs", "_fine")
@@ -157,12 +156,12 @@ class PeriodicFunction:
     __array_ufunc__ = None
 
     def __init__(self, n_grid, samples, coeffs):
-        """`samples` and `coeffs` are each an array or a function of no
-        arguments that computes it when it is first read; dropping that
-        function once it has run frees the operands it holds."""
+        """`coeffs` is an array; `samples` is one or a function of no arguments
+        that computes it when it is first read (dropped once it has run, which
+        frees the operands it holds)."""
         self.n_grid = n_grid
         self._samples = samples if callable(samples) else _frozen(samples)
-        self._coeffs = coeffs if callable(coeffs) else _frozen(coeffs)
+        self._coeffs = _frozen(coeffs)
         self._fine = None
 
     @property
@@ -174,10 +173,7 @@ class PeriodicFunction:
 
     @property
     def coeffs(self):
-        c = self._coeffs
-        if callable(c):
-            self._coeffs = c = _frozen(c())
-        return c
+        return self._coeffs
 
     def _fine_samples(self):
         """Samples on the 2x zero-padded grid, the operand of `mul`."""
@@ -199,7 +195,7 @@ class PeriodicFunction:
         their forward transform."""
         if s.shape[-1] % 2 != 0:
             raise ValueError("grid length must be even")
-        return cls(s.shape[-1], s, lambda: _coeffs_of(s))
+        return cls(s.shape[-1], s, _coeffs_of(s))
 
     @classmethod
     def from_coeffs(cls, coeffs):
@@ -270,31 +266,27 @@ class PeriodicFunction:
     def _combine(self, other, op):
         """op(self, other) for a function `other`, on samples and on modes."""
         self._check_grid(other)
-        (fs, fc), (gs, gc) = _later(self), _later(other)
-        return PeriodicFunction(self.n_grid, lambda: op(fs(), gs()), lambda: op(fc(), gc()))
+        fs, gs = _later(self), _later(other)
+        return PeriodicFunction(self.n_grid, lambda: op(fs(), gs()),
+                                op(self.coeffs, other.coeffs))
 
     def __add__(self, other):
         """Sum with a function, a scalar, or one scalar per row."""
         if isinstance(other, PeriodicFunction):
             return self._combine(other, np.add)
         other = _per_row(other)
-        s, c = _later(self)
-
-        def coeffs():
-            own = c()
-            out = np.empty(np.broadcast_shapes(own.shape, np.shape(other)),
-                           dtype=complex)  # a stack when self is not
-            out[...] = own
-            out[..., :1] += other
-            return out
-
-        return PeriodicFunction(self.n_grid, lambda: s() + other, coeffs)
+        s = _later(self)
+        c = np.empty(np.broadcast_shapes(self.coeffs.shape, np.shape(other)),
+                     dtype=complex)  # a stack when self is not
+        c[...] = self.coeffs
+        c[..., :1] += other
+        return PeriodicFunction(self.n_grid, lambda: s() + other, c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        s, c = _later(self)
-        return PeriodicFunction(self.n_grid, lambda: -s(), lambda: -c())
+        s = _later(self)
+        return PeriodicFunction(self.n_grid, lambda: -s(), -self.coeffs)
 
     def __sub__(self, other):
         """One pass: f - g has the bits of f + (-g), but for the sign of a
@@ -307,8 +299,8 @@ class PeriodicFunction:
         if isinstance(other, PeriodicFunction):
             return mul(self, other)
         other = _per_row(other)
-        s, c = _later(self)
-        return PeriodicFunction(self.n_grid, lambda: s() * other, lambda: c() * other)
+        s = _later(self)
+        return PeriodicFunction(self.n_grid, lambda: s() * other, self.coeffs * other)
 
     __rmul__ = __mul__
 
@@ -344,10 +336,9 @@ def drop_mean(f: PeriodicFunction) -> PeriodicFunction:
     if not zero.any():
         return out
     keep = zero[..., None]  # those rows stay bit for bit as they were
-    fs, fc = f.samples, f.coeffs  # both read above
-    s, c = _later(out)
+    fs, s = f.samples, _later(out)  # f's samples were read above
     return PeriodicFunction(f.n_grid, lambda: np.where(keep, fs, s()),
-                            lambda: np.where(keep, fc, c()))
+                            np.where(keep, f.coeffs, out.coeffs))
 
 
 def _require_zero_mean(f, name):

@@ -106,7 +106,7 @@ def test_verify_deterministic_output(tmp_path, capsys):
 
 def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
     # tools/cli_outputs.py writes the byte-identity set of every command
-    # (continue, spectrum, verify, limit-check, profile and four failures)
+    # (continue, spectrum, verify, limit-check, profile and five failures)
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
     spec = importlib.util.spec_from_file_location("cli_outputs", path)
     tool = importlib.util.module_from_spec(spec)
@@ -116,7 +116,7 @@ def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
         tool.write_outputs(tmp_path / name)
         files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
         runs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
-    assert len(runs[0]) == 95  # 81 entries, six of them directories of step SVGs
+    assert len(runs[0]) == 102  # 88 entries, six of them directories of step SVGs
     assert runs[0] == runs[1]
 
 
@@ -260,6 +260,33 @@ def test_continue_checks_output_directories_before_solving(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "missing" in err
     assert list(tmp_path.iterdir()) == []  # neither output file was written
+
+
+def test_continue_rejects_an_svg_dir_that_is_a_file_before_solving(tmp_path, capsys,
+                                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "continue_branch", _must_not_run)
+    (tmp_path / "taken").write_text("")
+    assert main(["continue", "--steps", "1", "--svg-dir", "taken"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--svg-dir taken" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no branch files
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --out missing/r.json",
+    "spectrum --A-values 0.3 --M 8 --out-json missing/s.json",
+    "spectrum --A-values 0.3 --M 8 --out-csv missing/s.csv",
+    "limit-check --out missing/r.json",
+    "profile --input sol.json --out-csv missing/p.csv",
+    "profile --input sol.json --out-svg missing/p.svg",
+])
+def test_output_file_in_a_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                             argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 1
+    assert capsys.readouterr().err == f"capwave: no directory for output file {argv.split()[-1]}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_continue_step_underflow_saves_partial(tmp_path, capsys):
@@ -618,6 +645,9 @@ def test_library_checks_reach_stderr_before_any_solve(tmp_path, capsys, monkeypa
       ("0", "-1", "nan", "inf", "-0")),
     *((f"continue --A 0.3 --h 2 --gamma={gamma}", "alpha, beta and gamma must be finite")
       for gamma in ("nan", "inf", "-inf")),
+    # a negative value in any form is a value, not a flag
+    *((f"continue --A 0.3 --h 2 --gamma {gamma}", "alpha, beta and gamma must be finite")
+      for gamma in ("-inf", "-nan")),
     ("continue --gamma nan", "alpha, beta and gamma must be finite"),
     ("limit-check --alphas nan --out r.json", "alpha, beta and gamma must be finite"),
     ("limit-check --alphas 1e-2,inf --out r.json", "alpha, beta and gamma must be finite"),
@@ -631,6 +661,18 @@ def test_non_finite_or_unmeetable_inputs_stop_before_any_solve(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_float_flags_take_negative_values_in_every_form():
+    # argparse on its own reads only -1 and -1.5 as negative numbers
+    parser = cli.build_parser()
+    for command, sub in parser.commands.items():
+        for dest in (d for d, kind in sub.flag_types.items() if kind is float):
+            flag = "--" + dest.replace("_", "-")
+            for value in ("-2", "-0.5", "-.5e-3", "-1e-1", "-1E+2", "-inf", "-Infinity", "-nan"):
+                args = parser.parse_args([command, flag, value, "--config", "c.json"])
+                assert str(getattr(args, dest)) == str(float(value)), (command, flag, value)
+                assert args.config == "c.json"  # the next flag is still a flag
 
 
 @pytest.mark.parametrize("reason", ["Unable to allocate 74.5 GiB for an array", ""])

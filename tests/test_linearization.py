@@ -155,27 +155,43 @@ def test_plus_minus_stack_has_the_bits_of_adding_the_negated_unit_modes(basis):
                     assert new.samples.tobytes() == old.samples.tobytes(), (name, modes, step)
 
 
-# tracemalloc peak of one FD jacobian_fd, M = 64 on 256 points, numpy 2.4:
+# tracemalloc peaks of one jacobian_fd, numpy 2.4.  FD, M = 64 on 256 points:
 # 4.50 MB when products, 2x-grid samples and differences each made a
-# temporary and the +-step stack was assembled from four; 3.90 MB since
+# temporary and the +-step stack was assembled from four; 3.90 MB since.
+# Deep, M = 128 on 512 points: 2.75 MB when an arithmetic result deferred its
+# modes too; 3.04 MB since every function holds its modes, which an unread
+# result's deferred samples keep alive with the operands they will read
 FD_JACOBIAN_PEAK_BYTES = 3.90e6
+DEEP_JACOBIAN_PEAK_BYTES = 3.04e6
 
 
-def test_one_fd_jacobian_allocates_at_most_its_measured_peak():
-    residual, base, _ = _w_case(0.3, 256, residual_fd, alpha=0.02, h=2.5, gamma=0.7,
-                                g=1.0, sigma=1.0)
-    jacobian_fd(residual, base, 64)  # the grids and strip multipliers are cached once
+def _jacobian_peak(residual, base, M):
+    """tracemalloc peak of one jacobian_fd, after a first call has cached
+    the grids and strip multipliers."""
+    jacobian_fd(residual, base, M)
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        jacobian_fd(residual, base, 64)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        jacobian_fd(residual, base, M)
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         if started:
             tracemalloc.stop()
+
+
+def test_one_fd_jacobian_allocates_at_most_its_measured_peak():
+    residual, base, _ = _w_case(0.3, 256, residual_fd, alpha=0.02, h=2.5, gamma=0.7,
+                                g=1.0, sigma=1.0)
+    peak = _jacobian_peak(residual, base, 64)
     assert peak < 1.1 * FD_JACOBIAN_PEAK_BYTES, peak
+
+
+def test_one_deep_jacobian_allocates_at_most_its_measured_peak():
+    residual, base, _ = _w_case(0.3, 512, residual_inf, alpha=0.02, g=1.0, sigma=1.0)
+    peak = _jacobian_peak(residual, base, 128)
+    assert peak < 1.1 * DEEP_JACOBIAN_PEAK_BYTES, peak
 
 
 def test_jacobian_fd_rejects_a_residual_that_is_not_row_wise():

@@ -444,7 +444,7 @@ def test_lam_property_matches_physical_recovery():
 
 
 def test_threads_forcing_one_function_agree():
-    # every thread forces the same deferred samples, modes and 2x-grid samples
+    # every thread forces the same deferred samples and 2x-grid samples
     # of one shared profile; switching threads often makes them overlap
     def fresh():
         return crapper.crapper_wave(0.3, 256) + PeriodicFunction.from_cosine_series([0.01, 0.02], 256)

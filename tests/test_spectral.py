@@ -344,7 +344,7 @@ def test_stacked_checks_fail_when_any_row_fails():
         conformal_metric(PeriodicFunction.from_samples(bad))
 
 
-# -- representations computed on first read ------------------------------------------
+# -- samples computed on first read --------------------------------------------------
 
 
 _PER_ROW = np.array([0.5, -1.25, 2.0])

@@ -10,17 +10,19 @@ set as it was, so two checkouts compare with one diff:
 The set: deep `continue` at A = 0.3, 0.5 and -0.47 with JSON, CSV and SVGs;
 a finite-depth vortical `continue` with SVGs; a 2-D (alpha, beta) sheet; the
 steep A = -0.8 starting point, whose lobes reach two periods away; the
-default `spectrum`, `verify --A 0.6` and the default `limit-check`; `profile`
+default `spectrum`, `verify --A 0.6`, the default `limit-check` and
+`limit-check --gamma -1e-1` (a negative value in exponent form); `profile`
 with and without `--repeats 2` on the last deep and the last vortical point;
-and four failures: `continue --A 0`, `continue --tol 0` and `continue --h 2
---gamma nan` (exit 1, nothing written) and a `continue` whose residual
-overflows on the way to alpha = 1e306 (exit 3, the partial branch written).  Each run's stdout, stderr and exit code sit next to its
-files; numpy's overflow warnings are silenced, since they print the absolute
-path of the module that raised them.  The commands
-run in-process through `capwave.cli.main`, with OUTDIR as the working
-directory and relative paths, so no absolute path reaches the files.  capwave
-is imported from the `src/` next to this script.  About 2 s on two cores
-(2.6-2.8 s before the CLI kept the heap between stacked calls).
+and five failures: `continue --A 0`, `continue --tol 0`, `continue --h 2
+--gamma nan` and `verify --out missing/verify.json` (exit 1, nothing
+written) and a `continue` whose residual overflows on the way to alpha =
+1e306 (exit 3, the partial branch written).  Each run's stdout, stderr and
+exit code sit next to its files; numpy's overflow warnings are silenced,
+since they print the absolute path of the module that raised them.  The
+commands run in-process through `capwave.cli.main`, with OUTDIR as the
+working directory and relative paths, so no absolute path reaches the
+files.  capwave is imported from the `src/` next to this script.  About 2 s
+on two cores (2.6-2.8 s before the CLI kept the heap between stacked calls).
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ RUNS = [
     ("spectrum", ["spectrum", "--out-json", "spectrum.json", "--out-csv", "spectrum.csv"]),
     ("verify", ["verify", "--A", "0.6", "--out", "verify.json"]),
     ("limit_check", ["limit-check", "--out", "limit_check.json"]),
+    ("limit_check_gamma_neg", ["limit-check", "--gamma", "-1e-1",
+                               "--out", "limit_check_gamma_neg.json"]),
     ("continue_A0", ["continue", "--A", "0", "--out-json", "continue_A0.json",
                      "--out-csv", "continue_A0.csv"]),
     ("continue_tol0", ["continue", "--tol", "0", "--out-json", "continue_tol0.json",
@@ -65,6 +69,7 @@ RUNS = [
     ("continue_gamma_nan", ["continue", "--h", "2", "--gamma", "nan",
                             "--out-json", "continue_gamma_nan.json",
                             "--out-csv", "continue_gamma_nan.csv"]),
+    ("verify_missing_dir", ["verify", "--out", "missing/verify.json"]),
     ("overflow", ["continue", "--A", "0.3", "--alpha-max", "1e306", "--steps", "1",
                   "--M", "16", "--grid", "128", "--g", "1", "--sigma", "1",
                   "--out-json", "overflow.json", "--out-csv", "overflow.csv"]),
