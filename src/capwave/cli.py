@@ -259,8 +259,6 @@ def _build_schedule(args, beta0):
 def cmd_continue(args):
     # |A| < 1, A != 0, alpha-start <= 0 and no gamma in deep water are checked
     # by the library before it solves
-    if args.svg_dir and os.path.exists(args.svg_dir) and not os.path.isdir(args.svg_dir):
-        raise CliError(f"--svg-dir {args.svg_dir} exists and is not a directory")
     if args.h is not None and math.isinf(args.h):
         raise CliError("--h must be finite (leave it out for deep water)")
     beta0 = crapper.beta_of(args.A)
@@ -402,7 +400,11 @@ def main(argv=None) -> int:
             sub = parser.commands[args.command]
             sub.set_defaults(**_config_defaults(args.config, sub.flag_types))
             args = parser.parse_args(argv)
-        for dest, path in vars(args).items():  # --out, --out-*: no result lost to a bad path
+        for dest, path in vars(args).items():  # no result lost to a bad output path
+            if dest == "svg_dir" and path and os.path.exists(path) and not os.path.isdir(path):
+                raise CliError(f"--svg-dir {path} exists and is not a directory")
+            if dest.startswith("out") and path and os.path.isdir(path):  # --out, --out-*
+                raise CliError(f"output file {path} is a directory")
             if dest.startswith("out") and path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise CliError(f"no directory for output file {path}")
         # a trial that overflows is a failed step; numpy's warnings about it

@@ -25,6 +25,7 @@ from .operators import (
     q_hat,
     residual_fd,
     residual_inf,
+    wavenumber_k,
 )
 from .spectral import DegenerateMetricError, PeriodicFunction
 
@@ -217,8 +218,12 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     elif M >= n_grid // 2:
         why = f" (modes_for raised {requested} for A = {start_A})" if M != requested else ""
         raise ValueError(f"M = {M}{why} needs at least {2 * M + 2} grid points, got {n_grid}")
-    last = newton_solve(WaveParams(a0, b0, g=g, sigma=sigma, gamma=gamma, h=h),
-                        crapper.crapper_wave(start_A, n_grid), M=M, tol=tol, max_iter=max_iter)
+    start = WaveParams(a0, b0, g=g, sigma=sigma, gamma=gamma, h=h)
+    for a, b in schedule[1:]:  # a target without a finite wavenumber fails before any solve
+        if a > 0.0:
+            wavenumber_k(a, b, g, sigma)
+    last = newton_solve(start, crapper.crapper_wave(start_A, n_grid), M=M, tol=tol,
+                        max_iter=max_iter)
     branch = Branch(start_A=start_A, solutions=[last], step_history=[(a0, b0, 0.0, True)])
 
     for a_target, b_target in schedule[1:]:

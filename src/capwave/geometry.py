@@ -25,7 +25,7 @@ import numpy as np
 
 from . import crapper
 from ._kernels import segment_crossings
-from .spectral import PeriodicFunction, hilbert, hilbert_strip, drop_mean, grid
+from .spectral import PeriodicFunction, hilbert, hilbert_strip, grid
 from .operators import WaveParams, conformal_metric, wavenumber_k
 
 GEOMETRY_POINTS = 1024
@@ -75,7 +75,7 @@ def surface_profile(w: PeriodicFunction, k: float, d: float | None = None,
     conformal_metric(w, d)  # rejects degenerate parameterisations
     if n_points is not None and n_points != w.n_grid:
         w = w.resample(n_points)
-    cw = hilbert(drop_mean(w)) if d is None else hilbert_strip(drop_mean(w), d)
+    cw = hilbert(w) if d is None else hilbert_strip(w, d)
     t = grid(w.n_grid)
     return SurfaceCurve(x=(t + cw.samples) / k, y=w.samples / k, k=k)
 

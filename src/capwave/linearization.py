@@ -87,19 +87,11 @@ class KernelReport:
 
 def _unit_modes(basis, modes, n_grid):
     """Stack of cos jt ("cosine") or sin jt ("sine"), one row per j in
-    `modes`, with the bits of `from_cosine_series`/`from_sine_series` of the
-    series 0, .., 0, 1 of length j."""
-    n = np.arange(1, modes[-1] + 1)
-    series = (n == modes[:, None]).astype(float)
+    `modes`, made by the series constructor from one unit series per row."""
+    series = (np.arange(1, modes[-1] + 1) == modes[:, None]).astype(float)
     if basis == "cosine":
-        pos = neg = 0.5 * series
-    else:
-        pos, neg = -0.5j * series, 0.5j * series
-    inside = n <= modes[:, None]  # row j sets modes +-1 .. +-j only
-    c = np.zeros((len(modes), n_grid), dtype=complex)
-    c[:, n] = np.where(inside, pos, 0.0)
-    c[:, n_grid - n] = np.where(inside, neg, 0.0)
-    return PeriodicFunction.from_coeffs(c)
+        return PeriodicFunction.from_cosine_series(series, n_grid)
+    return PeriodicFunction.from_sine_series(series, n_grid)
 
 
 def _plus_minus_steps(base, basis, modes, step):

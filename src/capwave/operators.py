@@ -114,7 +114,10 @@ def wavenumber_k(alpha: float, beta: float, g: float = 1.0, sigma: float = 1.0) 
     scale = alpha * sigma
     if not scale > 0.0:
         raise ValueError("alpha*sigma underflows to zero: no finite wavenumber")
-    return math.sqrt(g * beta / scale)
+    k = math.sqrt(g * beta / scale)
+    if math.isinf(k):
+        raise ValueError(f"alpha={alpha:.3g}: g*beta/(alpha*sigma) overflows, no finite wavenumber")
+    return k
 
 
 # -- slope, metric and angle ----------------------------------------------------------
@@ -193,7 +196,7 @@ def residual_inf(params: WaveParams, w: PeriodicFunction) -> PeriodicFunction:
     """Deep-water residual F(alpha, beta, w); zero iff (alpha, beta, w) is a
     steady wave in scaled variables.  Mean-free by construction of b."""
     wp, one_cwp, bracket, _ = _deep_pieces(params.alpha, w)
-    return _assemble(params.beta, wp, one_cwp, bracket, hilbert(drop_mean(bracket)))
+    return _assemble(params.beta, wp, one_cwp, bracket, hilbert(bracket))
 
 
 # -- angle-formulation residuals ---------------------------------------------------
@@ -205,7 +208,7 @@ def angle_terms(beta: float, theta: PeriodicFunction):
     form and of its linearisation."""
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    ct = hilbert(drop_mean(theta))
+    ct = hilbert(theta)
     ep = pf_exp(ct)
     em = pf_exp(-ct)
     half = 0.5 / beta
@@ -234,8 +237,8 @@ def residual_G_tilde(beta: float, theta: PeriodicFunction) -> PeriodicFunction:
     eps_ = mul(ep, pf_sin(theta))
     epc = mul(ep, pf_cos(theta))
     return (derivative(eps_)
-            - half * mul(eps_, hilbert(drop_mean(em)))
-            + half_r * mul(eps_, hilbert(drop_mean(ep)))
+            - half * mul(eps_, hilbert(em))
+            + half_r * mul(eps_, hilbert(ep))
             - half * mul(epc, em)
             + half_r * mul(epc, ep))
 
@@ -262,12 +265,12 @@ def _finite_depth_pieces(params: WaveParams, w: PeriodicFunction):
     const = mean(mul(w, w)) / (2.0 * h) * root
     # V and its inner sum are temporaries: their modes, kept alive while their
     # unread samples are still owed, go as soon as V^2 is formed
-    v2 = _square(1.0 + pref * (const + hilbert_strip(drop_mean(mul(w, wp)), d)
+    v2 = _square(1.0 + pref * (const + hilbert_strip(mul(w, wp), d)
                                - w - mul(w, one_cwp - 1.0)))
 
     p = mul(v2, winvhalf) + (2.0 * alpha) * mul(w, whalf)
-    cp = hilbert_strip(drop_mean(p), d)
-    cwhalf = hilbert_strip(drop_mean(whalf), d)
+    cp = hilbert_strip(p, d)
+    cwhalf = hilbert_strip(whalf, d)
     num = mean(mul(wp, cp)) + mean(mul(one_cwp, p))
     den = mean(mul(wp, cwhalf)) + mean(mul(one_cwp, whalf))
     if np.any(den == 0.0):

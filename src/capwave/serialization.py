@@ -24,6 +24,8 @@ BRANCH_CSV_COLUMNS = ("A_start", "alpha", "beta", "gamma", "h", "residual_inf_no
 
 
 def format_float(x: float) -> str:
+    if x == 0.0 and math.copysign(1.0, x) < 0.0:
+        return "-0.0"  # "%.17g" gives "-0", which JSON reads back as the integer 0
     return "%.17g" % x if math.isfinite(x) else "null"
 
 

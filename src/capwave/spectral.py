@@ -18,8 +18,8 @@ The multipliers of `derivative` and `hilbert` are built once per grid, those
 of `hilbert_strip` once per depth in a bounded cache.  Nonlinear algebra
 happens sample by sample on the collocation grid; products are evaluated on a
 2x zero-padded grid and truncated back, so the retained band of a product of
-two band-limited functions is alias-free.  Whether a mean is zero is decided
-when an operator needs it, never stored.
+two band-limited functions is alias-free.  The conjugations zero mode 0, so
+they accept any mean: the mean of their input is never tested.
 
 Two buffers that nothing else holds are transformed in place (numpy's
 ``out=``): the 2x-grid modes from `_resize` that `_fine_samples` inverts, and
@@ -30,19 +30,21 @@ to complex in a buffer of their own.
 
 A `PeriodicFunction` holds one function (arrays of shape (n,)) or a stack of
 them (shape (..., n), one function per row).  Every transform acts along the
-last axis, `mean` gives one value per row, and every rule (the zero-mean
-test of `drop_mean` and the conjugations) is decided row by row; a check
-raises when any row fails it.  A stack row carries the
-same bits as the one-function computation on that row, so a stack of
-finite-difference perturbations is one residual call instead of many.
+last axis, `mean` gives one value per row, `drop_mean` decides row by row
+whether a mean is zero, and a check raises when any row fails it.  A stack
+row carries the same bits as the one-function computation on that row, so a
+stack of finite-difference perturbations is one residual call, not many.
 
 A `PeriodicFunction` gets its modes when it is made, by the expression of
 the operation that made it (a forward transform when it is made from
 samples).  Its samples and its samples on the 2x zero-padded grid are
 computed once, on first read: `f + g` adds the samples of f and g when its
 samples are read, so an inverse transform that nothing reads never runs.
-Every array is frozen read-only.  Two threads that force the same samples
-at once compute the same bits and one of them is kept: the race is benign.
+A deferred result holds its operands' pending computations, not the
+operands with their modes; an operand read as well computes its samples a
+second time, with the same bits (no residual does).  Every array is frozen
+read-only.  Two threads that force the same samples at once compute the
+same bits and one of them is kept: the race is benign.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ MEAN_TOL = 1e-13
 
 class DegenerateMetricError(ValueError):
     """A sample-wise quantity required to stay away from zero got below 1e-12,
-    or an operator met non-finite samples."""
+    or a conjugation met a non-finite input (an overflowed trial)."""
 
 
 _GRIDS: dict[int, tuple[np.ndarray, ...]] = {}
@@ -121,11 +123,11 @@ def _frozen(a):
 
 
 def _later(f):
-    """A function that reads f's samples when called.  It holds the array
-    itself when f has it already, so a deferred result keeps alive what it
-    will read, not f with its modes."""
+    """A function that returns f's samples when called: f's pending sample
+    computation itself, or a function holding the array f has already.  A
+    deferred result keeps alive what it will read, not f with its modes."""
     s = f._samples
-    return (lambda: f.samples) if callable(s) else (lambda: s)
+    return s if callable(s) else (lambda: s)
 
 
 def _per_row(x):
@@ -209,25 +211,25 @@ class PeriodicFunction:
 
     @classmethod
     def from_cosine_series(cls, a, n_grid):
-        """Build sum a[j]*cos((j+1)*t); len(a) must be < n_grid/2."""
+        """Build sum a[..., j]*cos((j+1)*t), a row per series; a.shape[-1] < n_grid/2."""
         half = 0.5 * np.asarray(a, dtype=float)
         return cls._from_modes(half, half, n_grid)
 
     @classmethod
     def from_sine_series(cls, b, n_grid):
-        """Build sum b[j]*sin((j+1)*t); len(b) must be < n_grid/2."""
+        """Build sum b[..., j]*sin((j+1)*t), a row per series; b.shape[-1] < n_grid/2."""
         b = np.asarray(b, dtype=float)
         return cls._from_modes(-0.5j * b, 0.5j * b, n_grid)
 
     @classmethod
     def _from_modes(cls, pos, neg, n_grid):
-        """Modes 1, 2, .. set to `pos` and modes -1, -2, .. to `neg`."""
-        if len(pos) >= n_grid // 2:
+        """Modes 1, 2, .. set to pos[..., 0], pos[..., 1], .. and -1, -2, .. to neg's."""
+        j = np.arange(1, pos.shape[-1] + 1)
+        if len(j) >= n_grid // 2:
             raise ValueError("too many modes for the grid")
-        c = np.zeros(n_grid, dtype=complex)
-        j = np.arange(1, len(pos) + 1)
-        c[j] = pos
-        c[n_grid - j] = neg
+        c = np.zeros(pos.shape[:-1] + (n_grid,), dtype=complex)
+        c[..., j] = pos
+        c[..., n_grid - j] = neg
         return cls._of_modes(c)
 
     @classmethod
@@ -327,8 +329,8 @@ def _mean_is_zero(f):
 
 
 def drop_mean(f: PeriodicFunction) -> PeriodicFunction:
-    """Subtract the mean of each row whose mean is not zero to rounding; cheap
-    way to feed hilbert with intermediates."""
+    """Subtract the mean of each row whose mean is not zero to rounding; the
+    other rows keep their bits."""
     zero = _mean_is_zero(f)
     if zero.all():
         return f
@@ -341,19 +343,9 @@ def drop_mean(f: PeriodicFunction) -> PeriodicFunction:
                             np.where(keep, f.coeffs, out.coeffs))
 
 
-def _require_zero_mean(f, name):
-    zero = _mean_is_zero(f)
-    if zero.all():
-        return
-    # an inf or nan sample makes the mean non-finite, so it lands here too
-    if not np.all(np.isfinite(f.samples)):
-        raise DegenerateMetricError(f"{name} got non-finite samples")
-    first = np.extract(~zero, mean(f))[0]  # the mean of the first failing row
-    raise ValueError(f"{name} requires a zero-mean input (mean={first:.3e}); "
-                     "subtract the mean explicitly first")
-
-
-def _multiply(f, mult):
+def _multiply(f, mult, conjugation=None):
+    if conjugation and not np.isfinite(f.coeffs).all():  # an overflowed trial: a failed step
+        raise DegenerateMetricError(f"{conjugation} got non-finite samples")
     c = f.coeffs * mult
     c[..., f.n_grid // 2] = 0.0  # Nyquist mode has no odd-derivative representation
     return PeriodicFunction._of_modes(c)
@@ -364,18 +356,16 @@ def derivative(f: PeriodicFunction) -> PeriodicFunction:
 
 
 def hilbert(f: PeriodicFunction) -> PeriodicFunction:
-    """Periodic Hilbert transform: cos mt -> sin mt, sin mt -> -cos mt."""
-    _require_zero_mean(f, "hilbert")
-    return _multiply(f, _grid_arrays(f.n_grid)[3])
+    """Periodic Hilbert transform: cos mt -> sin mt, sin mt -> -cos mt, mean -> 0."""
+    return _multiply(f, _grid_arrays(f.n_grid)[3], "hilbert")
 
 
 def hilbert_strip(f: PeriodicFunction, d: float) -> PeriodicFunction:
     """Conjugation operator for a strip of depth d: mode multiplier
-    -i*sgn(m)*coth(|m|d).  Tends to `hilbert` as d -> infinity."""
+    -i*sgn(m)*coth(|m|d), 0 at the mean.  Tends to `hilbert` as d -> infinity."""
     if not d > 0.0:
         raise ValueError(f"strip depth must be positive, got {d}")
-    _require_zero_mean(f, "hilbert_strip")
-    return _multiply(f, _strip_multiplier(f.n_grid, d))
+    return _multiply(f, _strip_multiplier(f.n_grid, d), "hilbert_strip")
 
 
 @lru_cache(maxsize=16)  # a continuation meets a new depth at every step

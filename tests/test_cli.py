@@ -1,3 +1,4 @@
+import csv
 import ctypes
 import dataclasses
 import importlib.util
@@ -8,18 +9,22 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from capwave import cli, continuation, crapper, geometry
 from capwave.cli import main
 from capwave.continuation import newton_solve
-from capwave.operators import WaveParams
+from capwave.operators import WaveParams, residual_fd, residual_inf
 from capwave.serialization import (
     BRANCH_CSV_COLUMNS,
+    branch_from_dict,
+    branch_to_dict,
     dumps_fixed,
     format_float,
     solution_from_dict,
@@ -41,6 +46,9 @@ def test_format_float_17_digits():
     assert float(format_float(1.0 / 3.0)) == 1.0 / 3.0
     assert format_float(math.inf) == "null"
     assert format_float(math.nan) == "null"
+    # a negative zero reads back with its sign (JSON reads "-0" as the integer 0)
+    assert format_float(-0.0) == "-0.0" and format_float(0.0) == "0"
+    assert math.copysign(1.0, json.loads(dumps_fixed([-0.0]))[0]) == -1.0
 
 
 def test_dumps_fixed_deterministic_and_ordered():
@@ -106,7 +114,7 @@ def test_verify_deterministic_output(tmp_path, capsys):
 
 def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
     # tools/cli_outputs.py writes the byte-identity set of every command
-    # (continue, spectrum, verify, limit-check, profile and five failures)
+    # (continue, spectrum, verify, limit-check, profile and six failures)
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
     spec = importlib.util.spec_from_file_location("cli_outputs", path)
     tool = importlib.util.module_from_spec(spec)
@@ -116,7 +124,7 @@ def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
         tool.write_outputs(tmp_path / name)
         files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
         runs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
-    assert len(runs[0]) == 102  # 88 entries, six of them directories of step SVGs
+    assert len(runs[0]) == 105  # 95 entries, six of them directories of step SVGs
     assert runs[0] == runs[1]
 
 
@@ -273,6 +281,19 @@ def test_continue_rejects_an_svg_dir_that_is_a_file_before_solving(tmp_path, cap
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no branch files
 
 
+def test_continue_rejects_a_target_without_a_finite_wavenumber_before_solving(tmp_path, capsys,
+                                                                           monkeypatch):
+    # g*beta/(alpha*sigma) overflows: without a wavenumber the point has no
+    # surface to draw, so the target is rejected before the start is solved
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(continuation, "newton_solve", _must_not_run)
+    assert main(["continue", "--A", "0.5", "--M", "8", "--steps", "1",
+                 "--alpha-max", "1.1125369292536007e-308"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no finite wavenumber" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     "verify --out missing/r.json",
     "spectrum --A-values 0.3 --M 8 --out-json missing/s.json",
@@ -280,13 +301,27 @@ def test_continue_rejects_an_svg_dir_that_is_a_file_before_solving(tmp_path, cap
     "limit-check --out missing/r.json",
     "profile --input sol.json --out-csv missing/p.csv",
     "profile --input sol.json --out-svg missing/p.svg",
+    # an output file that names an existing directory
+    "verify --out taken",
+    "spectrum --A-values 0.3 --M 8 --out-json taken",
+    "spectrum --A-values 0.3 --M 8 --out-csv taken",
+    "limit-check --out taken",
+    "profile --input sol.json --out-csv taken",
+    "profile --input sol.json --out-svg taken",
+    "continue --steps 1 --out-json taken",
+    "continue --steps 1 --out-csv taken",
 ])
 def test_output_file_in_a_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                                              argv):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "continue_branch", _must_not_run)
+    (tmp_path / "taken").mkdir()
+    path = argv.split()[-1]
     assert main(argv.split()) == 1
-    assert capsys.readouterr().err == f"capwave: no directory for output file {argv.split()[-1]}\n"
-    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err == (f"capwave: output file {path} is a directory\n"
+                                       if path == "taken" else
+                                       f"capwave: no directory for output file {path}\n")
+    assert [p.name for p in tmp_path.rglob("*")] == ["taken"]  # nothing written
 
 
 def test_continue_step_underflow_saves_partial(tmp_path, capsys):
@@ -802,13 +837,9 @@ _SOLVE_BUDGET = 1 + 3 * (2 ** continuation.MAX_HALVINGS + continuation.MAX_HALVI
 _newton_solve = continuation.newton_solve
 
 
-@settings(derandomize=True, max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-@pytest.mark.parametrize("command", list(_FUZZ_FLAGS))
-def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch, command, data):
-    # every invocation ends in a documented exit code, never in an exception
-    monkeypatch.chdir(tmp_path)
+def _budget_solves(monkeypatch):
+    """Stop the example at its _SOLVE_BUDGET-th Newton solve; next() of the
+    counter returned is the number of solves made so far."""
     solves = itertools.count()
 
     def budgeted(*args, **kwargs):
@@ -817,9 +848,93 @@ def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch, command, data):
         return _newton_solve(*args, **kwargs)
 
     monkeypatch.setattr(continuation, "newton_solve", budgeted)
+    return solves
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@pytest.mark.parametrize("command", list(_FUZZ_FLAGS))
+def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch, command, data):
+    # every invocation ends in a documented exit code, never in an exception
+    monkeypatch.chdir(tmp_path)
+    _budget_solves(monkeypatch)
     argv, cfg = data.draw(_invocations(command))
     if cfg:
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         argv += ["--config", "cfg.json"]
     assert main(argv) in (0, 1, 2, 3)
     capsys.readouterr()
+
+
+@st.composite
+def _solvable_continue(draw):
+    """argv of a `continue` that reaches the solver: |A| in [0.05, 0.8], a
+    small alpha-max, at most 2 steps, 8 to 32 requested modes on the default
+    grid or on the one that fits the modes `modes_for` keeps, any Newton
+    budget and tolerance, and finite depth with vorticity half of the time."""
+    A = draw(st.floats(0.05, 0.8)) * draw(st.sampled_from([1.0, -1.0]))
+    M = draw(st.integers(8, 32))
+    tol = draw(st.sampled_from([1e-11, 1e-9, 1e-6, 1e-4]))
+    argv = ["continue", f"--A={A!r}", f"--M={M}", f"--tol={tol!r}",
+            f"--alpha-max={draw(st.floats(0.0, 0.02))!r}",
+            f"--steps={draw(st.integers(0, 2))}",
+            f"--max-iter={draw(st.integers(0, 6) | st.just(continuation.DEFAULT_MAX_ITER))}"]
+    if draw(st.booleans()):
+        kept = continuation.modes_for(A, M, tol)
+        argv.append(f"--grid={continuation._grid_for(kept, A)}")
+    if draw(st.booleans()):
+        argv += [f"--h={draw(st.floats(0.5, 5.0))!r}", f"--gamma={draw(st.floats(-1.0, 1.0))!r}"]
+    if draw(st.booleans()):
+        argv.append("--svg-dir=svg")
+    return argv, tol
+
+
+def _check_written_branch(directory, tol, svg):
+    """The branch JSON and CSV read back, the JSON with the bytes it was
+    written with, each stored point solves its residual to `tol` again, and
+    each SVG parses."""
+    text = _read(directory / "branch.json")
+    branch = branch_from_dict(json.loads(text))
+    assert dumps_fixed(branch_to_dict(branch)) + "\n" == text
+    assert branch.solutions
+    for sol in branch.solutions:
+        residual = residual_inf if sol.params.is_infinite else residual_fd
+        assert residual(sol.params, sol.w).norm_inf() < 2.0 * tol
+    with open(directory / "branch.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["alpha"]) for r in rows] == [s.params.alpha for s in branch.solutions]
+    if svg:
+        svgs = sorted((directory / "svg").iterdir())
+        assert len(svgs) == len(branch.solutions)
+        for path in svgs:
+            ElementTree.parse(path)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_solvable_continue())
+# every step to alpha > 0 fails (exit 3), and no finite wavenumber (exit 1)
+@example(case=(["continue", "--A=0.5", "--M=8", "--alpha-max=1e-05", "--steps=1",
+                "--max-iter=0"], continuation.DEFAULT_TOL))
+@example(case=(["continue", "--A=0.5", "--M=8", "--alpha-max=1e-320", "--steps=1"],
+               continuation.DEFAULT_TOL))
+def test_solvable_continue_fuzz(tmp_path, capsys, monkeypatch, case):
+    # in-range inputs: each example solves, or is stopped before it by a
+    # target without a finite wavenumber, and what it writes reads back
+    argv, tol = case
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(directory)
+    solves = _budget_solves(monkeypatch)
+    code = main(argv)
+    err = capsys.readouterr().err
+    if code == 1:  # an alpha-max so small that no finite wavenumber is left
+        assert "no finite wavenumber" in err and err.count("\n") == 1
+        assert next(solves) == 0 and list(directory.iterdir()) == []
+        return
+    assert next(solves) >= 1 and code in (0, 3)
+    if code == 0 or (directory / "branch.json").exists():
+        _check_written_branch(directory, tol, "--svg-dir=svg" in argv)
+    else:  # the first point failed
+        assert list(directory.iterdir()) == []
+

@@ -87,6 +87,8 @@ def test_wavenumber_examples():
         wavenumber_k(-0.1, 1.0)
     with pytest.raises(ValueError, match="underflows"):
         wavenumber_k(1e-200, 1.0, sigma=1e-200)  # was a ZeroDivisionError
+    with pytest.raises(ValueError, match="overflows"):
+        wavenumber_k(1e-308, 1.0, sigma=0.07)  # was inf, and a NaN crossing count
 
 
 # -- metric and angle ----------------------------------------------------------------
@@ -517,12 +519,15 @@ def test_the_two_pass_transforms_keep_every_bit(monkeypatch, residual, params, n
 
 
 @pytest.mark.parametrize("residual, params, n, ffts, iffts",
-                         [(residual_inf, _DEEP, 512, 5, 9), (residual_fd, _VORTICAL, 256, 14, 18)],
+                         [(residual_inf, _DEEP, 512, 5, 8), (residual_fd, _VORTICAL, 256, 14, 15)],
                          ids=["inf", "fd"])
 def test_one_stacked_residual_runs_only_the_transforms_it_reads(monkeypatch, residual, params,
                                                                n, ffts, iffts):
     # a 6-row stack as `jacobian_fd` evaluates it, which reads only the modes
-    # of the result; computing every representation took 13 and 42 iffts
+    # of the result; computing every representation took 13 and 42 iffts.
+    # Deciding whether a conjugation's input had zero mean read its samples,
+    # 9 and 18 iffts: those of w W^(1/2) (deep), of w w', v^2 W^(-1/2) and
+    # w W^(1/2) (FD) went with that test
     w = _profile(n, 6)
     calls = {"fft": 0, "ifft": 0}
     for name in calls:

@@ -93,12 +93,25 @@ def test_hilbert_examples_and_convention():
     assert np.max(np.abs(twice.samples + f.samples)) < 1e-13
 
 
-def test_hilbert_rejects_nonzero_mean():
-    f = PeriodicFunction.from_samples(1.0 + np.cos(grid(64)))
-    with pytest.raises(ValueError, match="zero-mean"):
-        hilbert(f)
-    with pytest.raises(ValueError, match="zero-mean"):
-        hilbert_strip(f, 1.0)
+def test_conjugations_map_any_mean_to_zero():
+    t = grid(64)
+    h = hilbert(PeriodicFunction.from_samples(1.0 + np.cos(t)))
+    assert np.max(np.abs(h.samples - np.sin(t))) < 1e-13
+    # rows with zero, positive, zero-to-rounding, random and negative means,
+    # as one stack and one by one, made from samples and from modes
+    S = _mixed_stack(np.random.default_rng(8), 64)
+    inputs = [S, PeriodicFunction.from_coeffs(S.coeffs)]
+    inputs += [PeriodicFunction.from_samples(s) for s in S.samples]
+    inputs += [PeriodicFunction.from_coeffs(c) for c in S.coeffs]
+    for f in inputs:
+        for op in (hilbert, lambda f: hilbert_strip(f, 0.8)):
+            total, dropped = op(f), op(drop_mean(f))
+            assert total.samples.tobytes() == dropped.samples.tobytes()
+            # the zero at mode 0 may differ in sign, every other mode in no bit
+            a, b = total.coeffs.copy(), dropped.coeffs.copy()
+            assert np.all(a[..., 0] == 0.0) and np.all(b[..., 0] == 0.0)
+            a[..., 0] = b[..., 0] = 0.0
+            assert a.tobytes() == b.tobytes()
 
 
 def test_hilbert_parity_flip():
@@ -210,8 +223,6 @@ def test_conjugation_of_non_finite_samples_is_degenerate(bad):
         hilbert(f)
     with pytest.raises(DegenerateMetricError, match="non-finite"):
         hilbert_strip(f, 1.0)
-    with pytest.raises(ValueError, match="zero-mean"):
-        hilbert(PeriodicFunction.from_samples(np.ones(64)))
 
 
 def test_resample_is_spectral():
@@ -325,9 +336,6 @@ def test_stacked_ops_match_row_by_row():
 
 
 def test_stacked_checks_fail_when_any_row_fails():
-    S = _mixed_stack(np.random.default_rng(6), 64)
-    with pytest.raises(ValueError, match="zero-mean input .mean=7.000e-01"):
-        hilbert(S)  # row 1 is the first with a mean
     # the metric bound: profiles a cos t + b cos 2t, row by row as one function
     t = grid(64)
     profiles = np.array([a * np.cos(t) + b * np.cos(2 * t) for a, b in

@@ -13,10 +13,11 @@ steep A = -0.8 starting point, whose lobes reach two periods away; the
 default `spectrum`, `verify --A 0.6`, the default `limit-check` and
 `limit-check --gamma -1e-1` (a negative value in exponent form); `profile`
 with and without `--repeats 2` on the last deep and the last vortical point;
-and five failures: `continue --A 0`, `continue --tol 0`, `continue --h 2
---gamma nan` and `verify --out missing/verify.json` (exit 1, nothing
-written) and a `continue` whose residual overflows on the way to alpha =
-1e306 (exit 3, the partial branch written).  Each run's stdout, stderr and
+and six failures: `continue --A 0`, `continue --tol 0`, `continue --h 2
+--gamma nan`, `verify --out missing/verify.json` and `verify --out
+deep_0.3_svg`, a directory (exit 1, nothing written) and a `continue`
+whose residual overflows on the way to alpha = 1e306 (exit 3, the partial
+branch written).  Each run's stdout, stderr and
 exit code sit next to its files; numpy's overflow warnings are silenced,
 since they print the absolute path of the module that raised them.  The
 commands run in-process through `capwave.cli.main`, with OUTDIR as the
@@ -70,6 +71,7 @@ RUNS = [
                             "--out-json", "continue_gamma_nan.json",
                             "--out-csv", "continue_gamma_nan.csv"]),
     ("verify_missing_dir", ["verify", "--out", "missing/verify.json"]),
+    ("verify_out_dir", ["verify", "--out", "deep_0.3_svg"]),
     ("overflow", ["continue", "--A", "0.3", "--alpha-max", "1e306", "--steps", "1",
                   "--M", "16", "--grid", "128", "--g", "1", "--sigma", "1",
                   "--out-json", "overflow.json", "--out-csv", "overflow.csv"]),
