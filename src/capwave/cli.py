@@ -401,8 +401,12 @@ def main(argv=None) -> int:
             sub.set_defaults(**_config_defaults(args.config, sub.flag_types))
             args = parser.parse_args(argv)
         for dest, path in vars(args).items():  # no result lost to a bad output path
-            if dest == "svg_dir" and path and os.path.exists(path) and not os.path.isdir(path):
-                raise CliError(f"--svg-dir {path} exists and is not a directory")
+            if dest == "svg_dir" and path:
+                up = path  # the nearest existing ancestor, which makedirs would build on
+                while up and not os.path.exists(up):
+                    up = os.path.dirname(up.rstrip(os.sep))
+                if up and not os.path.isdir(up):
+                    raise CliError(f"--svg-dir {path}: {up} exists and is not a directory")
             if dest.startswith("out") and path and os.path.isdir(path):  # --out, --out-*
                 raise CliError(f"output file {path} is a directory")
             if dest.startswith("out") and path and not os.path.isdir(os.path.dirname(path) or "."):

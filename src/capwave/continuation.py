@@ -32,6 +32,7 @@ from .spectral import DegenerateMetricError, PeriodicFunction
 DEFAULT_M = 128
 DEFAULT_TOL = 1e-11
 DEFAULT_MAX_ITER = 25
+MAX_MODES = 256  # a Jacobian is M residual columns on n >= 5M/2 points
 MIN_JACOBIAN_SIGMA = 1e-10
 MAX_HALVINGS = 6
 # crapper_curve_check: (amplitude, cosine mode) of the perturbation, and a
@@ -86,12 +87,20 @@ class Branch:
 def modes_for(A: float, requested: int | None = None, tol: float = DEFAULT_TOL) -> int:
     """Cosine modes needed so the family tail, amplified by the second
     derivative in the residual, sits a decade below the tolerance `tol` of
-    the solve that uses them: 4|A|^M M^2 < tol/10."""
+    the solve that uses them: 4|A|^M M^2 < tol/10.  At most MAX_MODES are
+    added; a ValueError names the largest |A| they serve when the modes
+    kept still fail the bound."""
     A = abs(A)
+    tail = lambda M: 4.0 * A ** M * M ** 2
     need = 16
-    while A > 0.0 and 4.0 * A ** need * need ** 2 >= tol / 10.0 and need < 256:
+    while A > 0.0 and tail(need) >= tol / 10.0 and need < MAX_MODES:
         need += 8
-    return max(requested or 0, min(need, 256))
+    M = max(requested or 0, need)
+    if tail(M) >= tol / 10.0:
+        largest = (tol / 10.0 / (4.0 * MAX_MODES ** 2)) ** (1.0 / MAX_MODES)
+        raise ValueError(f"|A| = {A:g} needs more than {M} cosine modes at tol = {tol:g}; "
+                         f"{MAX_MODES} modes serve |A| <= {math.floor(largest * 1e4) / 1e4:.4f}")
+    return M
 
 
 def _grid_for(M: int, A: float) -> int:

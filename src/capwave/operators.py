@@ -55,7 +55,6 @@ from .spectral import (
     DegenerateMetricError,
     PeriodicFunction,
     derivative,
-    drop_mean,
     hilbert,
     hilbert_strip,
     mean,
@@ -150,6 +149,10 @@ def theta_of(w: PeriodicFunction) -> PeriodicFunction:
 
     Valid while the surface slope angle stays inside (-pi, pi); a jump
     between adjacent grid points means the branch was left and is rejected.
+    -Theta is the boundary argument of 1 + C w' - i w', analytic in the disc,
+    1 at the centre and (on the principal branch) without zeros, so Theta has
+    mean zero for any profile, even or not.  It is returned as computed: its
+    mean is rounding, plus aliases on a grid too coarse for Theta.
     """
     wp, one_cwp, _ = _slope_metric(w)
     th = pf_atan2(wp, one_cwp)
@@ -157,7 +160,7 @@ def theta_of(w: PeriodicFunction) -> PeriodicFunction:
     jump = np.max(np.abs(np.diff(closed)), axis=-1)
     if np.any(jump > 0.5 * np.pi):
         raise ValueError("tangent angle leaves the principal branch")
-    return drop_mean(th)
+    return th
 
 
 def _root_powers(W):

@@ -30,10 +30,10 @@ to complex in a buffer of their own.
 
 A `PeriodicFunction` holds one function (arrays of shape (n,)) or a stack of
 them (shape (..., n), one function per row).  Every transform acts along the
-last axis, `mean` gives one value per row, `drop_mean` decides row by row
-whether a mean is zero, and a check raises when any row fails it.  A stack
-row carries the same bits as the one-function computation on that row, so a
-stack of finite-difference perturbations is one residual call, not many.
+last axis, `mean` gives one value per row, and a check raises when any row
+fails it.  A stack row carries the same bits as the one-function computation
+on that row, so a stack of finite-difference perturbations is one residual
+call, not many.
 
 A `PeriodicFunction` gets its modes when it is made, by the expression of
 the operation that made it (a forward transform when it is made from
@@ -52,8 +52,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-MEAN_TOL = 1e-13
 
 
 class DegenerateMetricError(ValueError):
@@ -320,27 +318,6 @@ def mean(f: PeriodicFunction):
     if f.coeffs.ndim == 1:
         return float(f.coeffs[0].real)
     return f.coeffs[..., 0].real
-
-
-def _mean_is_zero(f):
-    """Per row: is the mean zero to rounding?"""
-    s = f.samples  # max |s| without an |s| array: equal to it, nan where it is
-    return abs(mean(f)) < MEAN_TOL * (1.0 + np.maximum(s.max(axis=-1), -s.min(axis=-1)))
-
-
-def drop_mean(f: PeriodicFunction) -> PeriodicFunction:
-    """Subtract the mean of each row whose mean is not zero to rounding; the
-    other rows keep their bits."""
-    zero = _mean_is_zero(f)
-    if zero.all():
-        return f
-    out = f - mean(f)
-    if not zero.any():
-        return out
-    keep = zero[..., None]  # those rows stay bit for bit as they were
-    fs, s = f.samples, _later(out)  # f's samples were read above
-    return PeriodicFunction(f.n_grid, lambda: np.where(keep, fs, s()),
-                            np.where(keep, f.coeffs, out.coeffs))
 
 
 def _multiply(f, mult, conjugation=None):

@@ -11,9 +11,8 @@ every call, which the cached ones of `spectral.mul` must reproduce bit for bit,
 and `coeffs_two_pass`/`samples_two_pass`, the transforms that rescaled after
 pocketfft had run, which the one-pass ones of `spectral` must reproduce bit for
 bit on finite data (but for the sign of a real part of -0.0, see `spectral`).
-So are `add_negated`, `mean_is_zero_abs` and `plus_minus_stack`, the
-expressions that the one-pass difference, the zero-mean test without an |s|
-array and the one-array +-step stack of `jacobian_fd` replaced.
+So are `add_negated` and `plus_minus_stack`, the expressions that the
+one-pass difference and the one-array +-step stack of `jacobian_fd` replaced.
 """
 
 import numpy as np
@@ -88,13 +87,18 @@ def deep_residual_on_samples(alpha, beta, w, wp, cwp, wpp):
     return wpp - wp * cbracket / (2.0 * beta) - (1.0 + cwp) * bracket / (2.0 * beta)
 
 
-def pairwise_crossings(x, y, band, owned=None):
+def pairwise_crossings(x, y, band, owned=None, skip_disjoint_boxes=False):
     """Reference crossing sweep: orientation tests on every pair of
     non-adjacent segments whose lower index is below `owned` (default: every
-    segment), 256 rows of lower segments at a time."""
+    segment), 256 rows of lower segments at a time.  With
+    `skip_disjoint_boxes`, a pair whose closed bounding boxes do not meet is
+    not tested, as in `segment_crossings`: on nearly collinear points
+    rounding can make the orientation tests report such a pair."""
     n = len(x) - 1
     ax, ay = x[:-1], y[:-1]
     bx, by = x[1:], y[1:]
+    xlo, xhi = np.minimum(ax, bx), np.maximum(ax, bx)
+    ylo, yhi = np.minimum(ay, by), np.maximum(ay, by)
     pts = []
     chunk = 256
     jj = np.arange(n)[None, :]
@@ -109,6 +113,9 @@ def pairwise_crossings(x, y, band, owned=None):
         d3 = (Bx - Ax) * (ay[None, :] - Ay) - (By - Ay) * (ax[None, :] - Ax)
         d4 = (Bx - Ax) * (by[None, :] - Ay) - (By - Ay) * (bx[None, :] - Ax)
         proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0) & (jj >= (idx[:, None] + 2))
+        if skip_disjoint_boxes:
+            proper &= ((xlo[None, :] <= xhi[idx, None]) & (xlo[idx, None] <= xhi[None, :])
+                       & (ylo[None, :] <= yhi[idx, None]) & (ylo[idx, None] <= yhi[None, :]))
         for i_loc, j in zip(*np.nonzero(proper)):
             i = i0 + i_loc
             s = d1[i_loc, j] / (d1[i_loc, j] - d2[i_loc, j])
@@ -187,13 +194,6 @@ def add_negated(f, g):
     """f - g as `PeriodicFunction.__sub__` computed it before it was one
     pass: f plus the negated g, a temporary on each representation."""
     return f + (-g)
-
-
-def mean_is_zero_abs(f):
-    """`spectral._mean_is_zero` as it was, with max |s| from an |s| array."""
-    from capwave.spectral import MEAN_TOL, mean
-
-    return abs(mean(f)) < MEAN_TOL * (1.0 + np.abs(f.samples).max(axis=-1))
 
 
 def plus_minus_stack(base, basis, modes, step):

@@ -114,7 +114,7 @@ def test_verify_deterministic_output(tmp_path, capsys):
 
 def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
     # tools/cli_outputs.py writes the byte-identity set of every command
-    # (continue, spectrum, verify, limit-check, profile and six failures)
+    # (continue, spectrum, verify, limit-check, profile and eight failures)
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
     spec = importlib.util.spec_from_file_location("cli_outputs", path)
     tool = importlib.util.module_from_spec(spec)
@@ -124,7 +124,7 @@ def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
         tool.write_outputs(tmp_path / name)
         files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
         runs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
-    assert len(runs[0]) == 105  # 95 entries, six of them directories of step SVGs
+    assert len(runs[0]) == 111  # 101 entries, six of them directories of step SVGs
     assert runs[0] == runs[1]
 
 
@@ -270,14 +270,16 @@ def test_continue_checks_output_directories_before_solving(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []  # neither output file was written
 
 
+@pytest.mark.parametrize("svg_dir", ["taken", "taken/sub", "taken/sub/deeper/"])
 def test_continue_rejects_an_svg_dir_that_is_a_file_before_solving(tmp_path, capsys,
-                                                                    monkeypatch):
+                                                                    monkeypatch, svg_dir):
+    # the file is --svg-dir itself or an ancestor that makedirs would meet
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "continue_branch", _must_not_run)
     (tmp_path / "taken").write_text("")
-    assert main(["continue", "--steps", "1", "--svg-dir", "taken"]) == 1
+    assert main(["continue", "--steps", "1", "--svg-dir", svg_dir]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--svg-dir taken" in err
+    assert err == f"capwave: --svg-dir {svg_dir}: taken exists and is not a directory\n"
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no branch files
 
 
@@ -651,6 +653,8 @@ def test_extreme_constants_are_usage_errors(tmp_path, capsys, monkeypatch, argv)
      "schedule targets (alpha, beta) must be finite"),
     ("continue --A 0.3 --M 16 --grid 64",
      "M = 32 (modes_for raised 16 for A = 0.3) needs at least 66 grid points, got 64"),
+    ("continue --A 0.97 --steps 0",  # past what the capped modes serve at the default tol
+     "|A| = 0.97 needs more than 256 cosine modes at tol = 1e-11; 256 modes serve |A| <= 0.8549"),
     # flags that would otherwise be ignored
     ("continue --A 0.3 --beta-max 1.4 --steps 1 --M 16 --alpha-max 0.01 --g 1 --sigma 1",
      "--beta-max and --beta-steps >= 2 go together"),

@@ -339,3 +339,17 @@ def test_modes_for_follows_the_solve_tolerance():
         assert modes_for(A, tol=tol) == M
         assert 4.0 * abs(A) ** M * M ** 2 < tol / 10 <= 4.0 * abs(A) ** (M - 8) * (M - 8) ** 2
     assert modes_for(0.8, tol=continuation.CURVE_CHECK_TOL) == 160
+
+
+def test_modes_for_rejects_an_A_the_mode_cap_cannot_serve():
+    # 256 modes meet 4|A|^M M^2 < tol/10 for |A| <= (tol/10/(4*256^2))^(1/256)
+    assert modes_for(0.85) == 248
+    assert modes_for(0.8549) == 256
+    for A, tol, largest in ((0.97, 1e-11, "0.8549"), (-0.855, 1e-11, "0.8549"),
+                            (0.9, 1e-9, "0.8705"), (0.9, 1e-6, "0.8943")):
+        with pytest.raises(ValueError, match=f"256 modes serve \\|A\\| <= {largest}"):
+            modes_for(A, tol=tol)
+    # a larger requested M is kept when it meets the bound, and checked too
+    assert modes_for(0.97, requested=2000) == 2000
+    with pytest.raises(ValueError, match="more than 300 cosine modes"):
+        modes_for(0.97, requested=300)

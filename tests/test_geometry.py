@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from capwave import crapper
@@ -126,9 +126,9 @@ def test_crossing_sweep_of_a_steep_wave_stays_small():
     assert peak < 30e6
 
 
-def _assert_same_crossings(x, y, owned=None):
+def _assert_same_crossings(x, y, owned=None, skip_disjoint_boxes=False):
     got = segment_crossings(x, y, owned)
-    want = pairwise_crossings(x, y, ENDPOINT_BAND, owned)
+    want = pairwise_crossings(x, y, ENDPOINT_BAND, owned, skip_disjoint_boxes)
     assert np.array_equal(got, want)  # same points in the same order
     return got
 
@@ -145,9 +145,13 @@ def _polylines(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_polylines(), st.integers(0, 80))
+# a collinear walk on which the oracle reports a pair with disjoint boxes
+@example(xy=(np.cumsum(np.full(25, 1e-6)), np.cumsum([-9.0] + [0.99] * 24)), owned=0)
 def test_segment_crossings_match_pairwise_oracle(xy, owned):
-    _assert_same_crossings(*xy)
-    _assert_same_crossings(*xy, owned)  # only the rows of the owned segments
+    # exact on every pair but those whose boxes are disjoint, which the
+    # sweep never tests (see test_segment_crossings_skip_disjoint_boxes)
+    _assert_same_crossings(*xy, skip_disjoint_boxes=True)
+    _assert_same_crossings(*xy, owned, True)  # only the rows of the owned segments
 
 
 def test_segment_crossings_match_oracle_on_crapper_curves():

@@ -24,10 +24,12 @@ from capwave.operators import (
 from capwave.spectral import (
     DegenerateMetricError,
     PeriodicFunction,
+    derivative,
     grid,
     hilbert,
     mean,
     mul,
+    pf_atan2,
     pf_cos,
     pf_exp,
     pf_sin,
@@ -125,9 +127,24 @@ def test_theta_of_examples():
     assert abs(mean(th)) < 1e-12
     # sin(theta) * W^(1/2) = w' at every sample
     whalf = np.sqrt(conformal_metric(w))
-    from capwave.spectral import derivative
-
     assert np.max(np.abs(np.sin(th.samples) * whalf - derivative(w).samples)) < 1e-10
+    # the angle as computed, even or not, for one function or a stack whose
+    # rows have the bits of the one-function calls
+    t = grid(n)
+    odd = PeriodicFunction.from_samples(0.2 * np.sin(t) + 0.1 * np.cos(2 * t))
+    stack = PeriodicFunction.from_samples(np.array([w.samples, odd.samples]))
+    for f in (w, odd, stack):
+        wp = derivative(f)
+        want = pf_atan2(wp, 1.0 + hilbert(wp))
+        got = theta_of(f)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert np.all(np.abs(mean(got)) < 1e-12)
+    rows = theta_of(stack)
+    for i, x in enumerate(stack.samples):
+        one = theta_of(PeriodicFunction.from_samples(x))
+        assert rows.samples[i].tobytes() == one.samples.tobytes()
+        assert rows.coeffs[i].tobytes() == one.coeffs.tobytes()
 
 
 # -- Bernoulli scalar -----------------------------------------------------------------

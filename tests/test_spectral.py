@@ -8,7 +8,6 @@ from capwave.spectral import (
     DegenerateMetricError,
     PeriodicFunction,
     derivative,
-    drop_mean,
     grid,
     hilbert,
     hilbert_strip,
@@ -22,7 +21,7 @@ from capwave.spectral import (
 )
 from capwave.operators import conformal_metric
 from _oracles import (add_negated, coeffs_two_pass, crapper_samples, crapper_conjugate,
-                      mean_is_zero_abs, samples_two_pass, theta_samples)
+                      samples_two_pass, theta_samples)
 
 
 def _assert_even(f):
@@ -105,7 +104,7 @@ def test_conjugations_map_any_mean_to_zero():
     inputs += [PeriodicFunction.from_coeffs(c) for c in S.coeffs]
     for f in inputs:
         for op in (hilbert, lambda f: hilbert_strip(f, 0.8)):
-            total, dropped = op(f), op(drop_mean(f))
+            total, dropped = op(f), op(f - mean(f))
             assert total.samples.tobytes() == dropped.samples.tobytes()
             # the zero at mode 0 may differ in sign, every other mode in no bit
             a, b = total.coeffs.copy(), dropped.coeffs.copy()
@@ -273,7 +272,7 @@ def test_grid_validation():
 
 
 def _mixed_stack(rng, n):
-    """Rows with zero mean (exactly, or below MEAN_TOL) and rows without."""
+    """Rows with zero mean (exactly, or to rounding) and rows without."""
     t = grid(n)
     rows = [np.cos(t) + 0.3 * np.cos(3 * t),                   # zero mean
             0.7 + np.sin(2 * t),                                # mean 0.7
@@ -302,10 +301,8 @@ def test_stacked_ops_match_row_by_row():
     _assert_rows(S, s_rows)
     ops = {
         "derivative": (derivative, lambda f, i: derivative(f)),
-        "drop_mean": (drop_mean, lambda f, i: drop_mean(f)),
-        "hilbert": (lambda F: hilbert(drop_mean(F)), lambda f, i: hilbert(drop_mean(f))),
-        "hilbert_strip": (lambda F: hilbert_strip(drop_mean(F), 0.8),
-                          lambda f, i: hilbert_strip(drop_mean(f), 0.8)),
+        "hilbert": (hilbert, lambda f, i: hilbert(f)),
+        "hilbert_strip": (lambda F: hilbert_strip(F, 0.8), lambda f, i: hilbert_strip(f, 0.8)),
         "mul": (lambda F: mul(F, T), lambda f, i: mul(f, t_rows[i])),
         "mul by one function": (lambda F: mul(g, F), lambda f, i: mul(g, f)),
         "exp": (pf_exp, lambda f, i: pf_exp(f)),
@@ -328,11 +325,6 @@ def test_stacked_ops_match_row_by_row():
     assert mean(S).tolist() == [mean(f) for f in s_rows]
     assert S.cosine_coefficients(5).tolist() == [f.cosine_coefficients(5).tolist()
                                                  for f in s_rows]
-    # the zero-mean rows are kept as they are, the others shifted
-    kept = drop_mean(S)
-    for i in (0, 2):
-        assert kept.samples[i].tobytes() == S.samples[i].tobytes()
-    assert mean(S)[2] != 0.0 and mean(kept)[[1, 3, 4]].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_stacked_checks_fail_when_any_row_fails():
@@ -369,10 +361,9 @@ _OPS = {
     "+ per row": (1, lambda f: f + _PER_ROW),
     "* per row": (1, lambda f: _PER_ROW * f),
     "negation": (1, lambda f: -f),
-    "drop_mean": (1, drop_mean),
     "derivative": (1, derivative),
-    "hilbert": (1, lambda f: hilbert(drop_mean(f))),
-    "hilbert_strip": (1, lambda f: hilbert_strip(drop_mean(f), 0.7)),
+    "hilbert": (1, hilbert),
+    "hilbert_strip": (1, lambda f: hilbert_strip(f, 0.7)),
     "resample": (1, lambda f: f.resample(2 * f.n_grid).resample(f.n_grid)),
     "sin": (1, pf_sin),
     "cos": (1, pf_cos),
@@ -381,8 +372,8 @@ _OPS = {
 
 
 def _program_inputs(values):
-    """A stack, one function, and a stack whose row 1 has zero mean (so that
-    `drop_mean` keeps it and shifts the others), each built afresh."""
+    """A stack, one function, and a stack whose row 1 has zero mean to
+    rounding and whose other rows do not, each built afresh."""
     mixed = values.copy()
     mixed[1] -= mixed[1].mean()
     return [PeriodicFunction.from_samples(values), PeriodicFunction.from_coeffs(values[0]),
@@ -446,8 +437,8 @@ def test_one_pass_transforms_keep_the_bits_of_the_two_pass_ones(n):
         assert c.tobytes() == coeffs_two_pass(x).tobytes(), name
         f = PeriodicFunction.from_samples(x)
         # the modes whose samples the operators read
-        for modes in (c, derivative(f).coeffs, hilbert(drop_mean(f)).coeffs,
-                      hilbert_strip(drop_mean(f), 0.7).coeffs, spectral._resize(c, 2 * n)):
+        for modes in (c, derivative(f).coeffs, hilbert(f).coeffs,
+                      hilbert_strip(f, 0.7).coeffs, spectral._resize(c, 2 * n)):
             assert spectral._samples_of(modes).tobytes() == samples_two_pass(modes).tobytes(), name
 
 
@@ -498,21 +489,6 @@ def test_one_pass_difference_has_the_bits_of_adding_the_negation(n):
             new, old = f - g, add_negated(f, g)
             _same_bits_but_nan_sign(new.coeffs, old.coeffs)
             _same_bits_but_nan_sign(new.samples, old.samples)
-
-
-@pytest.mark.parametrize("n", [8, 64])
-def test_zero_mean_test_without_an_abs_array_decides_as_before(n):
-    rng = np.random.default_rng(n + 1)
-    t = grid(n)
-    ordinary = np.array([np.cos(t), 0.7 + np.sin(2 * t), np.sin(t) + 1e-15,
-                         -1.5 + np.cos(t), np.full(n, -0.0), np.zeros(n)])
-    with np.errstate(invalid="ignore", over="ignore"):
-        for f in (*_special_pairs(n)["samples"], *_special_pairs(n)["modes"],
-                  PeriodicFunction.from_samples(ordinary),
-                  PeriodicFunction.from_samples(_special_values(rng, (6, n))[3]),
-                  PeriodicFunction.from_samples(np.cos(t))):
-            new, old = spectral._mean_is_zero(f), mean_is_zero_abs(f)
-            assert np.shape(new) == np.shape(old) and np.array_equal(new, old)
 
 
 def test_cached_multipliers_are_read_only():

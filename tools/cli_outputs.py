@@ -13,17 +13,19 @@ steep A = -0.8 starting point, whose lobes reach two periods away; the
 default `spectrum`, `verify --A 0.6`, the default `limit-check` and
 `limit-check --gamma -1e-1` (a negative value in exponent form); `profile`
 with and without `--repeats 2` on the last deep and the last vortical point;
-and six failures: `continue --A 0`, `continue --tol 0`, `continue --h 2
---gamma nan`, `verify --out missing/verify.json` and `verify --out
-deep_0.3_svg`, a directory (exit 1, nothing written) and a `continue`
-whose residual overflows on the way to alpha = 1e306 (exit 3, the partial
-branch written).  Each run's stdout, stderr and
-exit code sit next to its files; numpy's overflow warnings are silenced,
-since they print the absolute path of the module that raised them.  The
-commands run in-process through `capwave.cli.main`, with OUTDIR as the
-working directory and relative paths, so no absolute path reaches the
-files.  capwave is imported from the `src/` next to this script.  About 2 s
-on two cores (2.6-2.8 s before the CLI kept the heap between stacked calls).
+and eight failures.  Seven exit 1 and write nothing: `continue --A 0`,
+`continue --tol 0`, `continue --h 2 --gamma nan`, `verify --out
+missing/verify.json`, `verify --out deep_0.3_svg` (a directory), `continue
+--A 0.97` (past what 256 cosine modes serve) and `continue --svg-dir
+deep_0.3.json/sub` (under a file).  One exits 3 and writes its partial
+branch: a `continue` whose residual overflows on the way to alpha = 1e306.
+Each run's stdout, stderr and exit code sit next to its files; numpy's
+overflow warnings are silenced, since they print the absolute path of the
+module that raised them.  The commands run in-process through
+`capwave.cli.main`, with OUTDIR as the working directory and relative paths,
+so no absolute path reaches the files.  capwave is imported from the `src/`
+next to this script.  About 2 s on two cores (2.6-2.8 s before the CLI kept
+the heap between stacked calls).
 """
 
 from __future__ import annotations
@@ -75,6 +77,9 @@ RUNS = [
     ("overflow", ["continue", "--A", "0.3", "--alpha-max", "1e306", "--steps", "1",
                   "--M", "16", "--grid", "128", "--g", "1", "--sigma", "1",
                   "--out-json", "overflow.json", "--out-csv", "overflow.csv"]),
+    ("continue_mode_cap", ["continue", "--A", "0.97", "--steps", "0"]),
+    ("continue_svg_under_file", ["continue", "--A", "0.3", "--steps", "0", "--M", "8",
+                                 "--svg-dir", "deep_0.3.json/sub"]),
 ]
 # (solution file, branch it is the last point of)
 POINTS = [("deep_point.json", "deep_0.5.json"), ("vortical_point.json", "vortical.json")]
