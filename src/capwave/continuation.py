@@ -35,6 +35,23 @@ DEFAULT_MAX_ITER = 25
 MAX_MODES = 256  # a Jacobian is M residual columns on n >= 5M/2 points
 MIN_JACOBIAN_SIGMA = 1e-10
 MAX_HALVINGS = 6
+# Flat water solves every residual, so a long step can converge onto it: an
+# accepted point whose steepness is below MIN_STEEPNESS_RATIO times the
+# previous point's is a failed step.  Steepness ratios of consecutive points
+# (2 cores, numpy 2.4):
+#
+#   branches                                            ratios   min - max
+#   tools/cli_outputs.py: deep, vortical, 2-D sheet         10   0.93 - 1.42
+#   bench deep_sheet, seeds 1-3 x 8 ops                     24   0.96 - 1.20
+#   bench vortical_sheet, seeds 1-3 x 8 ops                 24   0.92 - 1.32
+#   tests: acceptance, continuation, cli (fuzz included)   178   0.89 - 1.42
+#   continue --A 0.1 --alpha-max 2 --steps 64 --M 16         3   1.02 - 1.59
+#   continue --A 0.3 --M 32 --beta-max 1.01 --beta-steps 2   3   0.36 - 1.03
+#   continue --A 0.1 --alpha-max 2 --steps 1 (M 16 or 32)    1   1.6e-12 (flat)
+#
+# A sheet walked towards beta = 1 (A -> 0) loses height fast, so the bound
+# sits decades below every ratio of a walk and decades above flat water.
+MIN_STEEPNESS_RATIO = 1e-3
 # crapper_curve_check: (amplitude, cosine mode) of the perturbation, and a
 # tolerance above the truncation floor of the widest waves (|A| ~ 0.8)
 CURVE_CHECK_BUMP = (0.02, 3)
@@ -203,7 +220,8 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     failed step is halved, and the halved length is kept for the following
     steps until the target is reached; after MAX_HALVINGS halvings on the way
     to one target the next failure gives up with the partial branch attached
-    to the exception.
+    to the exception.  A step fails when Newton fails, and when its point
+    collapses onto flat water (see MIN_STEEPNESS_RATIO).
     """
     if start_A == 0.0:
         raise ValueError("continuation must start at A != 0 (flat water is a "
@@ -248,6 +266,9 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
                 sol = newton_solve(replace(last.params, alpha=a_try, beta=b_try), last.w,
                                    M=M, tol=tol, max_iter=max_iter)
             except (NewtonError, DegenerateMetricError):
+                sol = None
+            if sol is None or (sol.geometry["steepness"]
+                               < MIN_STEEPNESS_RATIO * last.geometry["steepness"]):
                 branch.step_history.append((a_try, b_try, a_try - a_cur, False))
                 if halvings == MAX_HALVINGS:
                     raise StepUnderflowError(

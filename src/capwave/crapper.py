@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .operators import check_principal_branch
 from .spectral import PeriodicFunction, grid
 
 A_CAP = 0.99
@@ -103,8 +104,7 @@ def crapper_theta(A: float, n_grid: int) -> PeriodicFunction:
     A = _check_param(A)
     u, v = slope_components(A, grid(n_grid))
     th = np.arctan2(u, v)
-    if np.max(np.abs(np.diff(np.concatenate([th, th[:1]])))) > 0.5 * np.pi:
-        raise ValueError("branch jump detected in the tangent angle")
+    check_principal_branch(th, "branch jump detected in the tangent angle")
     return PeriodicFunction.from_samples(th)
 
 

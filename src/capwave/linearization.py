@@ -85,20 +85,11 @@ class KernelReport:
     matrix: OperatorMatrix | None = field(default=None, repr=False)  # what was scanned
 
 
-def _unit_modes(basis, modes, n_grid):
-    """Stack of cos jt ("cosine") or sin jt ("sine"), one row per j in
-    `modes`, made by the series constructor from one unit series per row."""
-    series = (np.arange(1, modes[-1] + 1) == modes[:, None]).astype(float)
-    if basis == "cosine":
-        return PeriodicFunction.from_cosine_series(series, n_grid)
-    return PeriodicFunction.from_sine_series(series, n_grid)
-
-
 def _plus_minus_steps(base, basis, modes, step):
     """The stack of base + step*e_j for j in `modes` and then of base -
     step*e_j, e_j the unit mode of `basis`, with the bits of adding the stack
     of +-step*e_j to base: base's modes copied into 2k rows, then +-step/2 added
-    at modes +-j.  Its samples are computed only if read."""
+    at modes +-j.  Its samples are the inverse transform of those modes."""
     k, n = len(modes), base.n_grid
     half = 0.5 * step
     # step*e_j at modes j and -j (cos jt = (e^ijt + e^-ijt)/2, sin jt =
@@ -117,12 +108,7 @@ def _plus_minus_steps(base, basis, modes, step):
     c[plus, n - modes] += at_minus_j
     c[minus, modes] -= at_j
     c[minus, n - modes] -= at_minus_j
-
-    def samples():
-        b, e = base.samples, _unit_modes(basis, modes, n).samples * step
-        return np.concatenate([b + e, b - e])
-
-    return PeriodicFunction(n, samples, c)
+    return PeriodicFunction(c)
 
 
 def _mode_chunks(M, rows_per_mode, n_grid):
@@ -146,7 +132,8 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
 
     `residual` receives stacks of shape (2k, n), the +step and then the
     -step perturbations of k columns, and must act row by row; each row
-    carries the bits of the one-function call, so the matrix does too.
+    carries the bits of the one-function call, so the matrix does too.  The
+    stack holds modes; its samples are their inverse transform, if read.
     """
     if {basis_in, basis_out} - {"cosine", "sine"}:
         raise ValueError(f"unknown basis in {basis_in!r} -> {basis_out!r}")
@@ -189,7 +176,7 @@ def dG_matrix(A: float, M: int, n_grid: int | None = None) -> OperatorMatrix:
     weight = half * em0 + half_r * ep0
     cols = np.empty((M, M))
     for modes in _mode_chunks(M, 1, n_grid):
-        e = _unit_modes("sine", modes, n_grid)
+        e = PeriodicFunction.from_sine_series(np.eye(modes[-1])[modes - 1], n_grid)  # sin jt
         v = derivative(e) + mul(weight, hilbert(e))
         col = v + (-mean(v) / m_ep0) * ep0
         cols[:, modes - 1] = col.cosine_coefficients(M).T

@@ -156,11 +156,17 @@ def theta_of(w: PeriodicFunction) -> PeriodicFunction:
     """
     wp, one_cwp, _ = _slope_metric(w)
     th = pf_atan2(wp, one_cwp)
-    closed = np.concatenate([th.samples, th.samples[..., :1]], axis=-1)
-    jump = np.max(np.abs(np.diff(closed)), axis=-1)
-    if np.any(jump > 0.5 * np.pi):
-        raise ValueError("tangent angle leaves the principal branch")
+    check_principal_branch(th.samples, "tangent angle leaves the principal branch")
     return th
+
+
+def check_principal_branch(th, message):
+    """Raise ValueError(message) when sampled tangent angles (one function or
+    a stack) jump by more than pi/2 between adjacent grid points, the last
+    and the first included: the angle left the principal branch of atan2."""
+    closed = np.concatenate([th, th[..., :1]], axis=-1)
+    if np.any(np.max(np.abs(np.diff(closed)), axis=-1) > 0.5 * np.pi):
+        raise ValueError(message)
 
 
 def _root_powers(W):

@@ -35,16 +35,17 @@ fails it.  A stack row carries the same bits as the one-function computation
 on that row, so a stack of finite-difference perturbations is one residual
 call, not many.
 
-A `PeriodicFunction` gets its modes when it is made, by the expression of
-the operation that made it (a forward transform when it is made from
-samples).  Its samples and its samples on the 2x zero-padded grid are
-computed once, on first read: `f + g` adds the samples of f and g when its
-samples are read, so an inverse transform that nothing reads never runs.
-A deferred result holds its operands' pending computations, not the
-operands with their modes; an operand read as well computes its samples a
-second time, with the same bits (no residual does).  Every array is frozen
-read-only.  Two threads that force the same samples at once compute the
-same bits and one of them is kept: the race is benign.
+A `PeriodicFunction` is made from its modes, given by the expression of the
+operation that made it (a forward transform when it is made from samples).
+Its samples are handed over by a sample-wise operation, deferred by
+arithmetic (`f + g` adds the samples of f and g when its samples are read),
+or else the inverse transform of the modes; they and its samples on the 2x
+zero-padded grid are computed once, on first read, so a transform that
+nothing reads never runs.  A deferred result holds its operands' pending
+computations, not the operands with their modes; an operand read as well
+computes its samples a second time, with the same bits (no residual does).
+Every array is frozen read-only.  Two threads that force the same samples at
+once compute the same bits and one of them is kept: the race is benign.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ class PeriodicFunction:
     order (index k holds mode k for k < n/2 and mode k - n above; the mean
     sits at 0, the Nyquist mode at n/2), normalised so that
     f(t) = sum_m coeffs[m] * exp(i*m*t).  Both have shape (..., n): one
-    function, or a stack of them with one per row.  The modes are computed
+    function, or a stack of them with one per row.  The modes are given
     when the function is made; the samples, and the samples on the 2x grid
     that `mul` multiplies, on first read, then cached.  Every array handed
     out is read-only.  Instances are immutable; all operations return new
@@ -155,11 +156,14 @@ class PeriodicFunction:
     # numpy arrays of per-row scalars defer to our operators: rows * f
     __array_ufunc__ = None
 
-    def __init__(self, n_grid, samples, coeffs):
-        """`coeffs` is an array; `samples` is one or a function of no arguments
-        that computes it when it is first read (dropped once it has run, which
-        frees the operands it holds)."""
-        self.n_grid = n_grid
+    def __init__(self, coeffs, samples=None):
+        """Modes `coeffs` (kept and frozen, not copied) on a grid of their last
+        axis.  `samples` is an array, a function of no arguments that computes
+        it on first read (dropped once it has run, which frees the operands it
+        holds), or None: the inverse transform of the modes, on first read."""
+        self.n_grid = coeffs.shape[-1]
+        if samples is None:
+            samples = lambda: _samples_of(coeffs)
         self._samples = samples if callable(samples) else _frozen(samples)
         self._coeffs = _frozen(coeffs)
         self._fine = None
@@ -195,17 +199,7 @@ class PeriodicFunction:
         their forward transform."""
         if s.shape[-1] % 2 != 0:
             raise ValueError("grid length must be even")
-        return cls(s.shape[-1], s, _coeffs_of(s))
-
-    @classmethod
-    def from_coeffs(cls, coeffs):
-        return cls._of_modes(np.asarray(coeffs, dtype=complex).copy())
-
-    @classmethod
-    def _of_modes(cls, c):
-        """The function with modes `c` (kept, not copied); its samples are
-        their inverse transform."""
-        return cls(c.shape[-1], lambda: _samples_of(c), c)
+        return cls(_coeffs_of(s), s)
 
     @classmethod
     def from_cosine_series(cls, a, n_grid):
@@ -228,7 +222,7 @@ class PeriodicFunction:
         c = np.zeros(pos.shape[:-1] + (n_grid,), dtype=complex)
         c[..., j] = pos
         c[..., n_grid - j] = neg
-        return cls._of_modes(c)
+        return cls(c)
 
     @classmethod
     def zeros(cls, n_grid):
@@ -256,7 +250,7 @@ class PeriodicFunction:
         """Spectral resampling (exact for band-limited data)."""
         if n_grid == self.n_grid:
             return self
-        return PeriodicFunction._of_modes(_resize(self.coeffs, n_grid))
+        return PeriodicFunction(_resize(self.coeffs, n_grid))
 
     def norm_inf(self):
         return float(np.max(np.abs(self.samples)))
@@ -267,8 +261,7 @@ class PeriodicFunction:
         """op(self, other) for a function `other`, on samples and on modes."""
         self._check_grid(other)
         fs, gs = _later(self), _later(other)
-        return PeriodicFunction(self.n_grid, lambda: op(fs(), gs()),
-                                op(self.coeffs, other.coeffs))
+        return PeriodicFunction(op(self.coeffs, other.coeffs), lambda: op(fs(), gs()))
 
     def __add__(self, other):
         """Sum with a function, a scalar, or one scalar per row."""
@@ -280,13 +273,13 @@ class PeriodicFunction:
                      dtype=complex)  # a stack when self is not
         c[...] = self.coeffs
         c[..., :1] += other
-        return PeriodicFunction(self.n_grid, lambda: s() + other, c)
+        return PeriodicFunction(c, lambda: s() + other)
 
     __radd__ = __add__
 
     def __neg__(self):
         s = _later(self)
-        return PeriodicFunction(self.n_grid, lambda: -s(), -self.coeffs)
+        return PeriodicFunction(-self.coeffs, lambda: -s())
 
     def __sub__(self, other):
         """One pass: f - g has the bits of f + (-g), but for the sign of a
@@ -300,7 +293,7 @@ class PeriodicFunction:
             return mul(self, other)
         other = _per_row(other)
         s = _later(self)
-        return PeriodicFunction(self.n_grid, lambda: s() * other, self.coeffs * other)
+        return PeriodicFunction(self.coeffs * other, lambda: s() * other)
 
     __rmul__ = __mul__
 
@@ -325,7 +318,7 @@ def _multiply(f, mult, conjugation=None):
         raise DegenerateMetricError(f"{conjugation} got non-finite samples")
     c = f.coeffs * mult
     c[..., f.n_grid // 2] = 0.0  # Nyquist mode has no odd-derivative representation
-    return PeriodicFunction._of_modes(c)
+    return PeriodicFunction(c)
 
 
 def derivative(f: PeriodicFunction) -> PeriodicFunction:
@@ -390,7 +383,7 @@ def mul(f: PeriodicFunction, g: PeriodicFunction) -> PeriodicFunction:
     fine = np.empty(np.broadcast_shapes(ff.shape, gf.shape), dtype=complex)
     np.multiply(ff, gf, out=fine.real)
     fine.imag = 0.0  # the cast of the real product that the transform made
-    return PeriodicFunction._of_modes(_resize(_coeffs_of(fine, out=fine), f.n_grid))
+    return PeriodicFunction(_resize(_coeffs_of(fine, out=fine), f.n_grid))
 
 
 def pf_exp(f: PeriodicFunction) -> PeriodicFunction:

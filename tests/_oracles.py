@@ -170,7 +170,7 @@ def mul_eager(f, g):
     n = f.n_grid
     fine = _samples_of(_resize(f.coeffs, 2 * n)) * _samples_of(_resize(g.coeffs, 2 * n))
     c = _resize(_coeffs_of(fine), n)
-    return PeriodicFunction(n, _samples_of(c), c)
+    return PeriodicFunction(c, _samples_of(c))
 
 
 def coeffs_two_pass(samples, out=None):
@@ -199,11 +199,12 @@ def add_negated(f, g):
 def plus_minus_stack(base, basis, modes, step):
     """The stack that `jacobian_fd` evaluated before it built one mode array:
     the unit modes scaled by step, that stack and its negation concatenated,
-    and base added to every row."""
-    from capwave.linearization import _unit_modes
+    and base added to every row (its modes are the reference)."""
     from capwave.spectral import PeriodicFunction
 
-    e = step * _unit_modes(basis, modes, base.n_grid)
-    pm = PeriodicFunction(e.n_grid, lambda: np.concatenate([e.samples, -e.samples]),
-                          np.concatenate([e.coeffs, -e.coeffs]))
-    return base + pm
+    series = (np.arange(1, modes[-1] + 1) == modes[:, None]).astype(float)
+    if basis == "cosine":
+        e = step * PeriodicFunction.from_cosine_series(series, base.n_grid)
+    else:
+        e = step * PeriodicFunction.from_sine_series(series, base.n_grid)
+    return base + PeriodicFunction(np.concatenate([e.coeffs, -e.coeffs]))

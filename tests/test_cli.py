@@ -103,6 +103,23 @@ def test_verify_rejects_out_of_range(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("A, grid, message", [
+    # crapper_theta sees the jump in the closed-form angle first
+    ("0.9", "8", "branch jump detected in the tangent angle"),
+    ("0.9", "16", "branch jump detected in the tangent angle"),
+    ("0.9", "32", "branch jump detected in the tangent angle"),
+    ("0.99", "8", "branch jump detected in the tangent angle"),
+    # the closed form passes, and theta_of of the sampled profile jumps
+    ("0.5", "8", "tangent angle leaves the principal branch"),
+])
+def test_verify_rejects_a_tangent_angle_off_the_principal_branch(tmp_path, capsys, A, grid,
+                                                                  message):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--A", A, "--grid", grid, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"capwave: {message}\n"
+    assert not out.exists()
+
+
 def test_verify_deterministic_output(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -114,7 +131,7 @@ def test_verify_deterministic_output(tmp_path, capsys):
 
 def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
     # tools/cli_outputs.py writes the byte-identity set of every command
-    # (continue, spectrum, verify, limit-check, profile and eight failures)
+    # (continue, spectrum, verify, limit-check, profile and nine failures)
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
     spec = importlib.util.spec_from_file_location("cli_outputs", path)
     tool = importlib.util.module_from_spec(spec)
@@ -124,7 +141,7 @@ def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
         tool.write_outputs(tmp_path / name)
         files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
         runs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
-    assert len(runs[0]) == 111  # 101 entries, six of them directories of step SVGs
+    assert len(runs[0]) == 119  # 107 entries, seven of them directories of step SVGs
     assert runs[0] == runs[1]
 
 
@@ -897,7 +914,7 @@ def _solvable_continue(draw):
 def _check_written_branch(directory, tol, svg):
     """The branch JSON and CSV read back, the JSON with the bytes it was
     written with, each stored point solves its residual to `tol` again, and
-    each SVG parses."""
+    each SVG parses; returns the branch read back."""
     text = _read(directory / "branch.json")
     branch = branch_from_dict(json.loads(text))
     assert dumps_fixed(branch_to_dict(branch)) + "\n" == text
@@ -913,6 +930,7 @@ def _check_written_branch(directory, tol, svg):
         assert len(svgs) == len(branch.solutions)
         for path in svgs:
             ElementTree.parse(path)
+    return branch
 
 
 @settings(derandomize=True, max_examples=40, deadline=None,
@@ -938,7 +956,10 @@ def test_solvable_continue_fuzz(tmp_path, capsys, monkeypatch, case):
         return
     assert next(solves) >= 1 and code in (0, 3)
     if code == 0 or (directory / "branch.json").exists():
-        _check_written_branch(directory, tol, "--svg-dir=svg" in argv)
+        branch = _check_written_branch(directory, tol, "--svg-dir=svg" in argv)
+        steep = [s.geometry["steepness"] for s in branch.solutions]
+        if code == 0 and steep[0] > 1e-3:  # no step landed on flat water
+            assert min(steep) >= 1e-6, steep
     else:  # the first point failed
         assert list(directory.iterdir()) == []
 

@@ -226,7 +226,7 @@ def test_halved_step_is_kept_until_the_target(monkeypatch):
         if abs(params.alpha - reached[0]) > 0.003:
             raise NewtonError("step too long")
         reached[0] = params.alpha
-        return SimpleNamespace(params=params, w=w0)
+        return SimpleNamespace(params=params, w=w0, geometry={"steepness": 0.4})
 
     monkeypatch.setattr(continuation, "newton_solve", solve)
     beta = crapper.beta_of(0.3)
@@ -235,6 +235,41 @@ def test_halved_step_is_kept_until_the_target(monkeypatch):
     assert len(accepted) == 9 and len(branch.step_history) == 12
     assert [e[2] for e in accepted[1:]] == pytest.approx([0.0025] * 8)
     assert branch.solutions[-1].params.alpha == 0.02
+
+
+def test_a_step_that_loses_its_height_is_halved(monkeypatch):
+    # a stand-in whose steps longer than 0.01 keep half of MIN_STEEPNESS_RATIO
+    # of the height and shorter ones all of it: only the long step fails
+    ratio = continuation.MIN_STEEPNESS_RATIO
+    reached = [0.0, 1.0]  # alpha and steepness of the last accepted point
+
+    def solve(params, w0, M, tol, max_iter):
+        long_step = params.alpha - reached[0] > 0.01
+        height = reached[1] * (ratio * 0.5 if long_step else ratio) if params.alpha else 1.0
+        if not long_step:
+            reached[:] = params.alpha, height
+        return SimpleNamespace(params=params, w=w0, geometry={"steepness": height})
+
+    monkeypatch.setattr(continuation, "newton_solve", solve)
+    beta = crapper.beta_of(0.3)
+    branch = continue_branch(0.3, [(0.0, beta), (0.02, beta)], M=16, n_grid=128)
+    assert [e[2:] for e in branch.step_history] == [(0.0, True), (0.02, False),
+                                                     (0.01, True), (0.01, True)]
+    assert [s.geometry["steepness"] for s in branch.solutions] == [1.0, ratio, ratio ** 2]
+
+
+def test_a_long_step_onto_flat_water_is_halved_not_accepted():
+    # A = 0.1 straight to alpha = 2 converges onto flat water (steepness
+    # 2e-13 against 0.129); halving walks the sheet, which steepens, until
+    # the step underflows near alpha = 0.09
+    beta = crapper.beta_of(0.1)
+    with pytest.raises(StepUnderflowError) as err:
+        continue_branch(0.1, [(0.0, beta), (2.0, beta)], M=16, g=1.0, sigma=1.0)
+    branch = err.value.branch
+    assert branch.step_history[1] == (2.0, beta, 2.0, False)
+    assert [s.params.alpha for s in branch.solutions] == [0.0, 0.03125, 0.0625]
+    steep = [s.geometry["steepness"] for s in branch.solutions]
+    assert steep[0] == pytest.approx(0.1286, abs=1e-4) and steep == sorted(steep)
 
 
 def test_step_underflow_after_max_halvings_per_target(monkeypatch):

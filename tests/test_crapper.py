@@ -83,6 +83,13 @@ def test_crapper_theta_examples():
     assert np.max(np.abs(th.samples - theta_samples(0.5, grid(256)))) < 1e-13
 
 
+@pytest.mark.parametrize("A, n", [(0.9, 8), (0.9, 32), (-0.9, 16), (0.99, 512)])
+def test_crapper_theta_rejects_a_branch_jump(A, n):
+    # a grid too coarse for the wave samples an angle jump above pi/2
+    with pytest.raises(ValueError, match="^branch jump detected in the tangent angle$"):
+        crapper.crapper_theta(A, n)
+
+
 def test_crapper_theta_pointwise_exponential_identity():
     for A in (0.3, 0.7, -0.6):
         n = 512

@@ -115,6 +115,20 @@ def test_conformal_metric_examples():
             call(degenerate)
 
 
+def test_theta_of_rejects_a_branch_jump():
+    # Crapper's A = 0.5 on 8 points: the closed-form angle stays on the
+    # principal branch, the one of the sampled profile jumps; in a stack,
+    # one such row is enough
+    w = crapper.crapper_wave(0.5, 8)
+    crapper.crapper_theta(0.5, 8)
+    theta_of(crapper.crapper_wave(0.3, 8))
+    stack = PeriodicFunction.from_samples(np.array([crapper.crapper_wave(0.3, 8).samples,
+                                                    w.samples]))
+    for f in (w, stack):
+        with pytest.raises(ValueError, match="^tangent angle leaves the principal branch$"):
+            theta_of(f)
+
+
 def test_theta_of_examples():
     n = 256
     flat = theta_of(PeriodicFunction.zeros(n))
@@ -500,7 +514,7 @@ def _profile(n, rows=None):
     c = np.zeros((rows, n), dtype=complex)
     for i in range(rows):
         c[i, [i + 1, n - i - 1]] = 1e-3 * (-1) ** i
-    return w + PeriodicFunction.from_coeffs(c)
+    return w + PeriodicFunction(c)
 
 
 def _evaluate(residual, params, n):

@@ -49,7 +49,7 @@ def test_round_trip_samples_coeffs_samples():
         # the modes are the plain FFT of the samples and reproduce them
         assert np.max(np.abs(np.fft.ifft(f.coeffs).real * n - f.samples)) < 1e-13 * scale
         assert np.array_equal(f.coeffs, np.fft.fft(values) / n)
-        back = PeriodicFunction.from_coeffs(f.coeffs)
+        back = PeriodicFunction(f.coeffs.copy())
         assert np.max(np.abs(back.samples - values)) < 1e-13 * scale
 
 
@@ -99,9 +99,9 @@ def test_conjugations_map_any_mean_to_zero():
     # rows with zero, positive, zero-to-rounding, random and negative means,
     # as one stack and one by one, made from samples and from modes
     S = _mixed_stack(np.random.default_rng(8), 64)
-    inputs = [S, PeriodicFunction.from_coeffs(S.coeffs)]
+    inputs = [S, PeriodicFunction(S.coeffs.copy())]
     inputs += [PeriodicFunction.from_samples(s) for s in S.samples]
-    inputs += [PeriodicFunction.from_coeffs(c) for c in S.coeffs]
+    inputs += [PeriodicFunction(c.copy()) for c in S.coeffs]
     for f in inputs:
         for op in (hilbert, lambda f: hilbert_strip(f, 0.8)):
             total, dropped = op(f), op(f - mean(f))
@@ -376,7 +376,7 @@ def _program_inputs(values):
     rounding and whose other rows do not, each built afresh."""
     mixed = values.copy()
     mixed[1] -= mixed[1].mean()
-    return [PeriodicFunction.from_samples(values), PeriodicFunction.from_coeffs(values[0]),
+    return [PeriodicFunction.from_samples(values), PeriodicFunction(values[0].astype(complex)),
             PeriodicFunction.from_samples(mixed)]
 
 
@@ -463,7 +463,7 @@ def _special_pairs(n):
     real = lambda: _special_values(rng, (6, n))
     cplx = lambda: real() + 1j * real()
     by_samples = [PeriodicFunction.from_samples(real()) for _ in range(2)]
-    by_modes = [PeriodicFunction.from_coeffs(cplx()) for _ in range(2)]
+    by_modes = [PeriodicFunction(cplx()) for _ in range(2)]
     one = PeriodicFunction.from_samples(real()[2])
     return {"samples": by_samples, "modes": by_modes, "stack - one": (by_samples[0], one),
             "one - stack": (one, by_modes[1]), "samples - modes": (by_samples[1], by_modes[0])}

@@ -13,12 +13,15 @@ steep A = -0.8 starting point, whose lobes reach two periods away; the
 default `spectrum`, `verify --A 0.6`, the default `limit-check` and
 `limit-check --gamma -1e-1` (a negative value in exponent form); `profile`
 with and without `--repeats 2` on the last deep and the last vortical point;
-and eight failures.  Seven exit 1 and write nothing: `continue --A 0`,
+and nine failures.  Seven exit 1 and write nothing: `continue --A 0`,
 `continue --tol 0`, `continue --h 2 --gamma nan`, `verify --out
 missing/verify.json`, `verify --out deep_0.3_svg` (a directory), `continue
 --A 0.97` (past what 256 cosine modes serve) and `continue --svg-dir
-deep_0.3.json/sub` (under a file).  One exits 3 and writes its partial
-branch: a `continue` whose residual overflows on the way to alpha = 1e306.
+deep_0.3.json/sub` (under a file).  Two exit 3 and write their partial
+branch: a `continue` whose residual overflows on the way to alpha = 1e306,
+and `continue --A 0.1 --alpha-max 2 --steps 1 --M 16` with SVGs, whose one
+long step lands on flat water and is halved until the sheet is walked to
+alpha = 0.0625 and the step underflows.
 Each run's stdout, stderr and exit code sit next to its files; numpy's
 overflow warnings are silenced, since they print the absolute path of the
 module that raised them.  The commands run in-process through
@@ -77,6 +80,10 @@ RUNS = [
     ("overflow", ["continue", "--A", "0.3", "--alpha-max", "1e306", "--steps", "1",
                   "--M", "16", "--grid", "128", "--g", "1", "--sigma", "1",
                   "--out-json", "overflow.json", "--out-csv", "overflow.csv"]),
+    ("long_step_0.1", ["continue", "--A", "0.1", "--alpha-max", "2", "--steps", "1",
+                       "--M", "16", "--g", "1", "--sigma", "1",
+                       "--out-json", "long_step_0.1.json", "--out-csv", "long_step_0.1.csv",
+                       "--svg-dir", "long_step_0.1_svg"]),
     ("continue_mode_cap", ["continue", "--A", "0.97", "--steps", "0"]),
     ("continue_svg_under_file", ["continue", "--A", "0.3", "--steps", "0", "--M", "8",
                                  "--svg-dir", "deep_0.3.json/sub"]),
