@@ -56,6 +56,21 @@ MIN_STEEPNESS_RATIO = 1e-3
 # tolerance above the truncation floor of the widest waves (|A| ~ 0.8)
 CURVE_CHECK_BUMP = (0.02, 3)
 CURVE_CHECK_TOL = 1e-9
+# A line search that stalls with its residual within STALL_FLOOR_FACTOR of
+# tol has met the rounding floor of the residual on M modes, not a failure
+# of Newton's direction.  Residual / tol at the stall of `continue ...
+# --steps 0` (2 cores, numpy 2.4):
+#
+#   run                                   iteration   residual / tol
+#   --A 0.82 --g 1 --sigma 1                  0            1.84
+#   --A 0.85 --g 1 --sigma 1                  0            2.16
+#   --A 0.3 --M 32 --tol 1e-15                0            1.78
+#   --A 0.3 --M 32 --tol 5e-16                0            3.55
+#   --A 0.5 --M 48 --tol 1e-15                2           14.2
+#
+# (--A 0.84 converges, and --A 0.82 --tol 5e-11 does.)  10 covers every
+# stall at iteration 0; the message names tol in every case.
+STALL_FLOOR_FACTOR = 10.0
 
 
 class NewtonError(RuntimeError):
@@ -181,8 +196,11 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
                 break
             lam *= 0.5
         else:
+            floor = (f": within {STALL_FLOOR_FACTOR:g}x of tol, so tol is at the "
+                     f"rounding floor of the residual on {M} modes"
+                     if rnorm < STALL_FLOOR_FACTOR * tol else "")
             raise NewtonError(f"line search stalled at iteration {it} "
-                              f"(residual {rnorm:.3e})")
+                              f"(residual {rnorm:.3e}, tol = {tol:g}){floor}")
         w, r = w_try, r_try
     if not rnorm < tol:
         raise NewtonError(f"no convergence in {max_iter} iterations "

@@ -87,28 +87,13 @@ class KernelReport:
 
 def _plus_minus_steps(base, basis, modes, step):
     """The stack of base + step*e_j for j in `modes` and then of base -
-    step*e_j, e_j the unit mode of `basis`, with the bits of adding the stack
-    of +-step*e_j to base: base's modes copied into 2k rows, then +-step/2 added
-    at modes +-j.  Its samples are the inverse transform of those modes."""
-    k, n = len(modes), base.n_grid
-    half = 0.5 * step
-    # step*e_j at modes j and -j (cos jt = (e^ijt + e^-ijt)/2, sin jt =
-    # (e^ijt - e^-ijt)/2i), every zero +0.0 as step times the unit modes
-    # made it (0.0 - half is +0.0, not -0.0, when step/2 underflows)
-    if basis == "cosine":
-        at_j = at_minus_j = complex(half, 0.0)
-    else:
-        at_j, at_minus_j = complex(0.0, 0.0 - half), complex(0.0, half)
-    c = np.empty((2 * k, n), dtype=complex)
-    # + 0.0 makes a -0.0 +0.0, as adding the zero modes of step*e_j did
-    np.add(base.coeffs, 0.0, out=c[:k])
-    c[k:] = base.coeffs
-    plus, minus = np.arange(k), np.arange(k, 2 * k)
-    c[plus, modes] += at_j
-    c[plus, n - modes] += at_minus_j
-    c[minus, modes] -= at_j
-    c[minus, n - modes] -= at_minus_j
-    return PeriodicFunction(c)
+    step*e_j, e_j the unit mode of `basis`: base's modes plus those of the
+    stack of +-step*e_j.  Its samples are the inverse transform of those
+    modes."""
+    series = (PeriodicFunction.from_cosine_series if basis == "cosine"
+              else PeriodicFunction.from_sine_series)
+    e = step * series(np.eye(modes[-1])[modes - 1], base.n_grid)
+    return PeriodicFunction(base.coeffs + np.concatenate([e.coeffs, -e.coeffs]))
 
 
 def _mode_chunks(M, rows_per_mode, n_grid):
@@ -131,9 +116,10 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
     truncated to M input/output modes; each basis is "cosine" or "sine".
 
     `residual` receives stacks of shape (2k, n), the +step and then the
-    -step perturbations of k columns, and must act row by row; each row
-    carries the bits of the one-function call, so the matrix does too.  The
-    stack holds modes; its samples are their inverse transform, if read.
+    -step perturbations of k columns, and must act row by row.  A stack's
+    samples are the inverse transform of its modes; a residual that reads
+    only its input's modes, as every capwave residual does, gives each row,
+    and so the matrix, the bits of one call per perturbation.
     """
     if {basis_in, basis_out} - {"cosine", "sine"}:
         raise ValueError(f"unknown basis in {basis_in!r} -> {basis_out!r}")
@@ -144,6 +130,8 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
     n_grid = base.n_grid
     if M >= n_grid // 2:
         raise ValueError("M exceeds the grid resolution")
+    project = (PeriodicFunction.cosine_coefficients if basis_out == "cosine"
+               else PeriodicFunction.sine_coefficients)
     cols = np.empty((M, M))
     for modes in _mode_chunks(M, 2, n_grid):
         k = len(modes)
@@ -152,9 +140,8 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
         r = residual(_plus_minus_steps(base, basis_in, modes, step)).coeffs
         if r.shape != (2 * k, n_grid):
             raise ValueError("the residual must map a stack of functions row by row")
-        diff = r[:k, 1:M + 1] - r[k:, 1:M + 1]
-        proj = 2.0 * diff.real if basis_out == "cosine" else -2.0 * diff.imag
-        cols[:, modes - 1] = (proj / (2.0 * step)).T
+        cols[:, modes - 1] = (project(PeriodicFunction(r[:k] - r[k:]), M) / (2.0 * step)).T
+        del r  # not alive through the next stack's residual call
     return OperatorMatrix(entries=cols, basis=basis_in)
 
 

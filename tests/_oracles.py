@@ -11,8 +11,10 @@ every call, which the cached ones of `spectral.mul` must reproduce bit for bit,
 and `coeffs_two_pass`/`samples_two_pass`, the transforms that rescaled after
 pocketfft had run, which the one-pass ones of `spectral` must reproduce bit for
 bit on finite data (but for the sign of a real part of -0.0, see `spectral`).
-So are `add_negated` and `plus_minus_stack`, the expressions that the
-one-pass difference and the one-array +-step stack of `jacobian_fd` replaced.
+So are `add_negated`, the expression that the one-pass difference replaced,
+and `plus_minus_stack`, the +-step stack that `jacobian_fd` builds with the
+same expression and that pins its modes on bases holding signed zeros, inf
+and nan.
 """
 
 import numpy as np
@@ -197,9 +199,10 @@ def add_negated(f, g):
 
 
 def plus_minus_stack(base, basis, modes, step):
-    """The stack that `jacobian_fd` evaluated before it built one mode array:
-    the unit modes scaled by step, that stack and its negation concatenated,
-    and base added to every row (its modes are the reference)."""
+    """The +-step stack of `jacobian_fd`: the unit modes scaled by step, that
+    stack and its negation concatenated, and base added to every row (its
+    modes are the reference, written apart from `linearization` so that a
+    change there that moves a bit on a special base shows)."""
     from capwave.spectral import PeriodicFunction
 
     series = (np.arange(1, modes[-1] + 1) == modes[:, None]).astype(float)

@@ -131,7 +131,7 @@ def test_verify_deterministic_output(tmp_path, capsys):
 
 def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
     # tools/cli_outputs.py writes the byte-identity set of every command
-    # (continue, spectrum, verify, limit-check, profile and nine failures)
+    # (continue, spectrum, verify, limit-check, profile and ten failures)
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
     spec = importlib.util.spec_from_file_location("cli_outputs", path)
     tool = importlib.util.module_from_spec(spec)
@@ -141,7 +141,7 @@ def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
         tool.write_outputs(tmp_path / name)
         files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
         runs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
-    assert len(runs[0]) == 119  # 107 entries, seven of them directories of step SVGs
+    assert len(runs[0]) == 122  # 110 entries, seven of them directories of step SVGs
     assert runs[0] == runs[1]
 
 
@@ -368,6 +368,17 @@ def test_continue_first_point_failure_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert not jsn.exists() and not csv.exists()
+
+
+def test_continue_stall_at_the_residual_floor_names_tol(tmp_path, capsys, monkeypatch):
+    # A = 0.82 stalls at iteration 0 with a residual of 1.84x the default tol
+    monkeypatch.chdir(tmp_path)
+    assert main(["continue", "--A", "0.82", "--steps", "0", "--g", "1", "--sigma", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("capwave: line search stalled at iteration 0 (residual 1.842e-11, "
+                   "tol = 1e-11): within 10x of tol, so tol is at the rounding floor of "
+                   "the residual on 200 modes\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_profile_round_trip_and_svg(tmp_path, capsys):

@@ -116,7 +116,9 @@ _FIRST_TRIAL = 1
     ("flat water at beta = 1", (NewtonError, "sigma_min=.* below")),
     ("alpha = 1e306", (NewtonError, "non-finite entries")),
     ("first trial degenerate", None),
-    ("every trial degenerate", (NewtonError, "line search stalled")),
+    # the stall sits at the perturbed start's residual, decades above tol
+    ("every trial degenerate", (NewtonError, r"line search stalled at iteration 0 "
+                                             r"\(residual \S+, tol = 1e-11\)$")),
     *((f"tol = {tol}", (ValueError, "tol must be positive and finite"))
       for tol in (0.0, -1e-11, math.nan, math.inf)),
 ])
@@ -146,6 +148,19 @@ def test_newton_failure_branches(monkeypatch, case, expected):
     kind, message = expected
     with pytest.raises(kind, match=message):
         newton_solve(params, w0, **kwargs)
+
+
+@pytest.mark.parametrize("A, M, tol, message", [
+    # residual / tol at the stall: 1.78 and 3.55 at iteration 0, so the
+    # tolerance sits at the rounding floor; 14.2 at iteration 2, past the factor
+    (0.3, 32, 1e-15, r"iteration 0 \(residual 1.776e-15, tol = 1e-15\): within 10x of "
+                     r"tol, so tol is at the rounding floor of the residual on \d+ modes$"),
+    (0.3, 32, 5e-16, r"iteration 0 \(residual 1.776e-15, tol = 5e-16\): within 10x"),
+    (0.5, 48, 1e-15, r"iteration 2 \(residual 1.421e-14, tol = 1e-15\)$"),
+])
+def test_a_stall_names_tol_and_says_when_it_sits_at_the_residual_floor(A, M, tol, message):
+    with pytest.raises(NewtonError, match="^line search stalled at " + message):
+        continue_branch(A, [(0.0, crapper.beta_of(A))], M=M, tol=tol)
 
 
 def test_continue_branch_rejects_bad_starts():

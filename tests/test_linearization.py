@@ -23,7 +23,7 @@ from capwave.operators import (
     residual_inf,
     theta_of,
 )
-from capwave.spectral import PeriodicFunction, _samples_of, grid, mul
+from capwave.spectral import PeriodicFunction, _samples_of, grid, hilbert, mul, pf_exp
 from _oracles import jacobian_loop, plus_minus_stack
 
 
@@ -109,6 +109,10 @@ _JACOBIAN_CASES = {
                                        gamma=0.5), 32),
     "spectrum sine basis": (*_angle_case(0.5, 64), 64),
     "theta_of cosine->sine": (theta_of, _perturbed(0.3, 512), {"basis_out": "sine"}, 48),
+    # a residual that reads only modes: pf_sin would read the stack's samples
+    "angle sine->sine": (lambda f: mul(f, pf_exp(hilbert(f))),
+                         crapper.crapper_theta(0.5, angle_grid(0.5, 32)),
+                         {"basis_in": "sine", "basis_out": "sine"}, 32),
 }
 
 
@@ -166,9 +170,13 @@ def test_plus_minus_stack_has_the_modes_of_adding_the_negated_steps(basis):
 # result's deferred samples keep alive with the operands they will read.
 # Since the conjugations take any mean and a deferred result holds its
 # operands' pending computations, not the operands: FD 4.13 MB, deep 3.12 MB
-# (4.58 MB and 3.71 MB when the results held the operands themselves)
+# (4.58 MB and 3.71 MB when the results held the operands themselves).
+# Since the +-step stack is built by from_cosine_series/from_sine_series and
+# projected by cosine_coefficients/sine_coefficients: FD 4.10 MB, deep
+# 3.09 MB; and since a chunk's residual modes are released before the next
+# stack's residual call: FD 3.95 MB, deep 2.94 MB
 FD_JACOBIAN_PEAK_BYTES = 3.90e6
-DEEP_JACOBIAN_PEAK_BYTES = 3.04e6
+DEEP_JACOBIAN_PEAK_BYTES = 2.94e6
 
 
 def _jacobian_peak(residual, base, M):
