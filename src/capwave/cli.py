@@ -261,6 +261,9 @@ def cmd_continue(args):
     # by the library before it solves
     if args.h is not None and math.isinf(args.h):
         raise CliError("--h must be finite (leave it out for deep water)")
+    for flag, path in (("--out-json", args.out_json), ("--out-csv", args.out_csv)):
+        if not path:  # every run writes both files
+            raise CliError(f"{flag} needs a path")
     beta0 = crapper.beta_of(args.A)
     schedule = _build_schedule(args, beta0)
     code = EXIT_OK
@@ -292,9 +295,7 @@ def _solution_svg(sol, repeats=1):
     """SVG of `repeats` periods of a solution's surface with its crossings
     marked, and the crossings of one period."""
     curve = geometry.solution_curve(sol.params, sol.w)
-    crossings = sol.geometry.get("crossings")  # kept by the solve, not by the JSON
-    if crossings is None:
-        crossings = geometry.check_injective(curve).crossings
+    crossings = geometry.check_injective(curve).crossings
     shifts = [r * curve.period for r in range(repeats)]
     x = np.concatenate([curve.x + s for s in shifts])
     y = np.tile(curve.y, len(shifts))
@@ -421,6 +422,9 @@ def main(argv=None) -> int:
     except NewtonError as exc:
         sys.stderr.write(f"capwave: {exc}\n")
         return EXIT_SOLVER
+    except OSError as exc:  # an output file that cannot be written
+        sys.stderr.write(f"capwave: cannot write {exc.filename}: {exc.strerror or exc}\n")
+        return EXIT_USAGE
     except MemoryError as exc:  # a grid or mode count too large for this machine
         sys.stderr.write(f"capwave: out of memory{': ' if str(exc) else ''}{exc}\n")
         return EXIT_USAGE

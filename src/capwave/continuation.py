@@ -98,7 +98,7 @@ class WaveSolution:
     modes: int
     sigma_min: float
     residual_history: tuple[float, ...]
-    geometry: dict = field(default_factory=dict)
+    geometry: dict  # geometry.solution_report, as the solution file keeps it
 
     @property
     def depth(self) -> WaveParams:
@@ -283,15 +283,19 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
             try:
                 sol = newton_solve(replace(last.params, alpha=a_try, beta=b_try), last.w,
                                    M=M, tol=tol, max_iter=max_iter)
-            except (NewtonError, DegenerateMetricError):
-                sol = None
-            if sol is None or (sol.geometry["steepness"]
-                               < MIN_STEEPNESS_RATIO * last.geometry["steepness"]):
+            except (NewtonError, DegenerateMetricError) as exc:
+                sol, failure = None, str(exc)
+            else:
+                steep, previous = sol.geometry["steepness"], last.geometry["steepness"]
+                if steep < MIN_STEEPNESS_RATIO * previous:
+                    sol, failure = None, (f"converged onto flat water, steepness "
+                                          f"{steep / previous:.3g} x the previous point's")
+            if sol is None:
                 branch.step_history.append((a_try, b_try, a_try - a_cur, False))
                 if halvings == MAX_HALVINGS:
                     raise StepUnderflowError(
                         f"step underflow after {MAX_HALVINGS} halvings towards "
-                        f"alpha={a_target}", branch)
+                        f"alpha={a_target} (last failure: {failure})", branch)
                 dt, halvings = 0.5 * dt, halvings + 1
                 continue
             branch.solutions.append(sol)

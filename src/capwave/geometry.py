@@ -103,16 +103,14 @@ def solution_curve(params: WaveParams, w: PeriodicFunction,
 
 
 def solution_report(params: WaveParams, w: PeriodicFunction) -> dict:
-    """Admissibility flags of a solution; violations never fail the solve,
-    only mark it.  `crossings` (the points, which the JSON does not keep) saves
-    a second sweep for the SVG of the solution."""
+    """The diagnostics that a solution file keeps, in file order; violations
+    never fail the solve, only mark it."""
     curve = solution_curve(params, w)
-    crossings = check_injective(curve).crossings
+    count = len(check_injective(curve).crossings)
     finite = params.alpha > 0.0 and not params.is_infinite
-    return {"steepness": steepness(w),
+    return {"steepness": steepness(w), "injective": count == 0,
             "above_bed": check_above_bed(w, curve.k, params.h) if finite else True,
-            "injective": len(crossings) == 0, "crossing_count": int(len(crossings)),
-            "crossings": crossings}
+            "crossing_count": count}
 
 
 def check_above_bed(w: PeriodicFunction, k: float, h: float) -> bool:

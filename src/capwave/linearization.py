@@ -19,7 +19,7 @@ kernel (the flat-water bifurcation direction).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -220,11 +220,8 @@ def recurrence_scan(A: float, M: int) -> KernelReport:
     matrix = dG_matrix(A, M)
     svd_report = smallest_singular(matrix, A=A)
     if A == 0.0:
-        return KernelReport(A=0.0, M=M, sigma_min=svd_report.sigma_min,
-                            verdict="kernel_found",
-                            kernel_vectors=svd_report.kernel_vectors,
-                            kernel_description="sin t",
-                            a1_coefficient=0.0, a2_coefficient=0.0, matrix=matrix)
+        return replace(svd_report, A=0.0, verdict="kernel_found", kernel_description="sin t",
+                       a1_coefficient=0.0, a2_coefficient=0.0)
     q = crapper.q_of(A)
     k = np.arange(3, M + 1, dtype=float)
     ratios = (k - 2.0 + q) / (A * A * (k + 2.0 + q))
@@ -235,9 +232,7 @@ def recurrence_scan(A: float, M: int) -> KernelReport:
     a1c = reduced_a1_coefficient(A)
     a2c = reduced_a2_coefficient(A)
     injective = abs(a1c) > 1e-14 and abs(a2c) > 1e-14
-    return KernelReport(A=A, M=M, sigma_min=svd_report.sigma_min,
-                        verdict="injective" if injective else "kernel_found",
-                        kernel_vectors=svd_report.kernel_vectors if not injective else (),
-                        kernel_description="" if injective else "recurrence seed survives",
-                        a1_coefficient=a1c, a2_coefficient=a2c, ratios=ratios,
-                        matrix=matrix)
+    return replace(svd_report, verdict="injective" if injective else "kernel_found",
+                   kernel_vectors=() if injective else svd_report.kernel_vectors,
+                   kernel_description="" if injective else "recurrence seed survives",
+                   a1_coefficient=a1c, a2_coefficient=a2c, ratios=ratios)

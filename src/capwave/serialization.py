@@ -57,8 +57,12 @@ def dumps_fixed(obj, indent: int = 0) -> str:
 
 
 def write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:  # a full disk raises at write or close, with no filename
+        exc.filename = exc.filename or str(path)
+        raise
 
 
 def write_json(path, obj) -> None:
@@ -70,12 +74,6 @@ def write_json(path, obj) -> None:
 
 def solution_to_dict(sol: WaveSolution) -> dict:
     p = sol.params
-    diag = {"b_or_qhat": sol.b_or_qhat,
-            "newton_iters": sol.newton_iters,
-            "sigma_min": sol.sigma_min}
-    for key in ("steepness", "injective", "above_bed", "crossing_count"):
-        if key in sol.geometry:
-            diag[key] = sol.geometry[key]
     return {
         "format_version": FORMAT_VERSION,
         "params": {"alpha": p.alpha, "beta": p.beta, "gamma": p.gamma,
@@ -84,7 +82,8 @@ def solution_to_dict(sol: WaveSolution) -> dict:
         "n_grid": sol.w.n_grid,
         "cosine_coeffs": list(sol.w.cosine_coefficients(sol.modes)),
         "residual_norm": sol.residual_norm,
-        "diagnostics": diag,
+        "diagnostics": {"b_or_qhat": sol.b_or_qhat, "newton_iters": sol.newton_iters,
+                        "sigma_min": sol.sigma_min, **sol.geometry},
     }
 
 
@@ -108,16 +107,14 @@ def solution_from_dict(d: dict) -> WaveSolution:
     if coeffs.ndim != 1:
         raise ValueError("cosine_coeffs must be a list of numbers")
     w = PeriodicFunction.from_cosine_series(coeffs, d["n_grid"])
-    diag = dict(d.get("diagnostics", {}))
-    geometry = {k: diag[k] for k in ("steepness", "injective", "above_bed", "crossing_count")
-                if k in diag}
+    diag = dict(d.get("diagnostics", {}))  # the pops leave the solve's report
     return WaveSolution(params=params, w=w,
                         residual_norm=_float_or_nan(d["residual_norm"]),
-                        b_or_qhat=_float_or_nan(diag.get("b_or_qhat")),
-                        newton_iters=int(diag.get("newton_iters", 0)),
+                        b_or_qhat=_float_or_nan(diag.pop("b_or_qhat", None)),
+                        newton_iters=int(diag.pop("newton_iters", 0)),
                         modes=len(coeffs),
-                        sigma_min=_float_or_nan(diag.get("sigma_min")),
-                        residual_history=(), geometry=geometry)
+                        sigma_min=_float_or_nan(diag.pop("sigma_min", None)),
+                        residual_history=(), geometry=diag)
 
 
 # -- branches -------------------------------------------------------------------
@@ -161,15 +158,15 @@ def branch_csv_text(branch: Branch) -> str:
     return csv_text(BRANCH_CSV_COLUMNS, [
         (branch.start_A, s.params.alpha, s.params.beta, s.params.gamma,
          s.params.h, s.residual_norm, s.b_or_qhat,
-         s.geometry.get("steepness", math.nan), s.geometry.get("injective", True),
-         s.geometry.get("above_bed", True), s.newton_iters)
+         s.geometry["steepness"], s.geometry["injective"], s.geometry["above_bed"],
+         s.newton_iters)
         for s in branch.solutions])
 
 
 # -- profile SVG -------------------------------------------------------------------
 
 
-def profile_svg_text(x, y, crossings=None) -> str:
+def profile_svg_text(x, y, crossings) -> str:
     """Unit-square SVG polyline with 5% margins; crossings drawn as circles."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -182,9 +179,8 @@ def profile_svg_text(x, y, crossings=None) -> str:
     pts = " ".join(f"{xi:.6f},{yi:.6f}" for xi, yi in zip(px, py))
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">',
              f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="0.003"/>']
-    if crossings is not None and len(crossings):
-        for cx, cy in np.asarray(crossings, dtype=float).reshape(-1, 2):
-            parts.append(f'<circle cx="{x0 + scale * cx:.6f}" cy="{y0 - scale * cy:.6f}" '
-                         'r="0.01" fill="none" stroke="red" stroke-width="0.003"/>')
+    for cx, cy in np.asarray(crossings, dtype=float).reshape(-1, 2):
+        parts.append(f'<circle cx="{x0 + scale * cx:.6f}" cy="{y0 - scale * cy:.6f}" '
+                     'r="0.01" fill="none" stroke="red" stroke-width="0.003"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

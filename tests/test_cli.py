@@ -1,6 +1,7 @@
 import csv
 import ctypes
 import dataclasses
+import errno
 import importlib.util
 import itertools
 import json
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from capwave import cli, continuation, crapper, geometry
+from capwave import cli, continuation, crapper, serialization
 from capwave.cli import main
 from capwave.continuation import newton_solve
 from capwave.operators import WaveParams, residual_fd, residual_inf
@@ -78,6 +79,23 @@ def test_solution_round_trip():
         solution_from_dict({"format_version": 99})
 
 
+@pytest.mark.parametrize("depth", [[], ["--h", "2.5", "--gamma", "0.7"]])
+def test_a_solution_report_is_written_as_built_and_read_as_written(depth):
+    # deep water and finite-depth vorticity: the solution file keeps the
+    # solve's report after its three scalars, in the report's order
+    beta = crapper.beta_of(0.3)
+    h = float(depth[1]) if depth else math.inf
+    branch = continuation.continue_branch(0.3, [(0.0, beta), (0.01, beta)], M=32,
+                                          h=h, gamma=0.7 if depth else 0.0,
+                                          g=1.0, sigma=1.0)
+    for sol in branch.solutions:
+        diag = json.loads(dumps_fixed(solution_to_dict(sol)))["diagnostics"]
+        assert list(diag)[:3] == ["b_or_qhat", "newton_iters", "sigma_min"]
+        assert list(sol.geometry) == list(diag)[3:] == ["steepness", "injective",
+                                                        "above_bed", "crossing_count"]
+        assert solution_from_dict(solution_to_dict(sol)).geometry == sol.geometry
+
+
 # -- verify ------------------------------------------------------------------------
 
 
@@ -131,7 +149,7 @@ def test_verify_deterministic_output(tmp_path, capsys):
 
 def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
     # tools/cli_outputs.py writes the byte-identity set of every command
-    # (continue, spectrum, verify, limit-check, profile and ten failures)
+    # (continue, spectrum, verify, limit-check, profile and eleven failures)
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
     spec = importlib.util.spec_from_file_location("cli_outputs", path)
     tool = importlib.util.module_from_spec(spec)
@@ -141,7 +159,7 @@ def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
         tool.write_outputs(tmp_path / name)
         files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
         runs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
-    assert len(runs[0]) == 122  # 110 entries, seven of them directories of step SVGs
+    assert len(runs[0]) == 125  # 113 entries, seven of them directories of step SVGs
     assert runs[0] == runs[1]
 
 
@@ -225,22 +243,12 @@ def test_continue_writes_branch_files(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_continue_sweeps_each_solution_once(tmp_path, capsys, monkeypatch):
-    # the SVG of a point marks the crossings that its solve swept for
-    # crossing_count, so each point is swept once (twice before)
-    calls = itertools.count()
-    sweep = geometry.check_injective
-
-    def counted(curve):
-        next(calls)
-        return sweep(curve)
-
-    monkeypatch.setattr(geometry, "check_injective", counted)
+def test_continue_svgs_mark_the_crossings_the_branch_counts(tmp_path, capsys):
+    # the SVG of a point marks as many crossings as its solve counted
     jsn, svg_dir = tmp_path / "branch.json", tmp_path / "svg"
     assert main(["continue", "--A", "0.5", "--alpha-max", "0.02", "--steps", "4",
                  "--out-json", str(jsn), "--out-csv", str(tmp_path / "branch.csv"),
                  "--svg-dir", str(svg_dir)]) == 0
-    assert next(calls) == 5
     counts = [s["diagnostics"]["crossing_count"] for s in json.loads(_read(jsn))["solutions"]]
     assert [_read(p).count("<circle") for p in sorted(svg_dir.iterdir())] == counts == [2] * 5
     capsys.readouterr()
@@ -285,6 +293,39 @@ def test_continue_checks_output_directories_before_solving(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "missing" in err
     assert list(tmp_path.iterdir()) == []  # neither output file was written
+
+
+@pytest.mark.parametrize("flag", ["--out-json", "--out-csv"])
+def test_continue_rejects_an_empty_output_path_before_solving(tmp_path, capsys,
+                                                              monkeypatch, flag):
+    # `verify --out ""` writes no file; `continue` always writes both
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "continue_branch", _must_not_run)
+    assert main(["continue", "--A", "0.3", "--steps", "0", "--M", "8", flag, ""]) == 1
+    assert capsys.readouterr().err == f"capwave: {flag} needs a path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["verify", "--out", "report.json"],
+                                  ["continue", "--A", "0.3", "--steps", "0", "--M", "8",
+                                   "--out-json", "report.json"]])
+def test_a_full_disk_ends_in_one_line_naming_the_file(tmp_path, capsys, monkeypatch, argv):
+    # a full disk raises at write (or close) with no filename; write_text names it
+    class FullDisk:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(serialization, "open", lambda *a, **k: FullDisk(), raising=False)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"capwave: cannot write report.json: {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize("svg_dir", ["taken", "taken/sub", "taken/sub/deeper/"])

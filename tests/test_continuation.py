@@ -283,6 +283,11 @@ def test_a_long_step_onto_flat_water_is_halved_not_accepted():
     branch = err.value.branch
     assert branch.step_history[1] == (2.0, beta, 2.0, False)
     assert [s.params.alpha for s in branch.solutions] == [0.0, 0.03125, 0.0625]
+    # the last halving fails at the rounding floor of the residual on 16 modes
+    assert str(err.value).endswith("(last failure: line search stalled at iteration 5 "
+                                   "(residual 4.018e-11, tol = 1e-11): within 10x of tol, "
+                                   "so tol is at the rounding floor of the residual on "
+                                   "16 modes)")
     steep = [s.geometry["steepness"] for s in branch.solutions]
     assert steep[0] == pytest.approx(0.1286, abs=1e-4) and steep == sorted(steep)
 
@@ -300,6 +305,25 @@ def test_step_underflow_after_max_halvings_per_target(monkeypatch):
         continue_branch(0.3, [(0.0, beta), (0.02, beta)], M=16, n_grid=128)
     steps = [e[2] for e in err.value.branch.step_history[1:]]
     assert steps == [0.02 * 0.5 ** k for k in range(continuation.MAX_HALVINGS + 1)]
+    assert str(err.value).endswith("alpha=0.02 (last failure: no step succeeds)")
+
+
+def test_step_underflow_onto_flat_water_names_the_steepness_ratio(monkeypatch):
+    # every step off the start converges, onto a wave 1e-4 as steep: the
+    # ratio is in the message, the comparison against MIN_STEEPNESS_RATIO
+    # is what rejects the step
+    def solve(params, w0, M, tol, max_iter):
+        height = 1e-4 if params.alpha > 0.0 else 1.0
+        return SimpleNamespace(params=params, w=w0, geometry={"steepness": height})
+
+    monkeypatch.setattr(continuation, "newton_solve", solve)
+    beta = crapper.beta_of(0.3)
+    with pytest.raises(StepUnderflowError) as err:
+        continue_branch(0.3, [(0.0, beta), (0.02, beta)], M=16, n_grid=128)
+    assert str(err.value) == ("step underflow after 6 halvings towards alpha=0.02 (last "
+                              "failure: converged onto flat water, steepness 0.0001 x the "
+                              "previous point's)")
+    assert len(err.value.branch.solutions) == 1
 
 
 def test_mesh_independence_of_converged_solution():

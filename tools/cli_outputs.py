@@ -13,17 +13,19 @@ steep A = -0.8 starting point, whose lobes reach two periods away; the
 default `spectrum`, `verify --A 0.6`, the default `limit-check` and
 `limit-check --gamma -1e-1` (a negative value in exponent form); `profile`
 with and without `--repeats 2` on the last deep and the last vortical point;
-and ten failures.  Seven exit 1 and write nothing: `continue --A 0`,
+and eleven failures.  Eight exit 1 and write nothing: `continue --A 0`,
 `continue --tol 0`, `continue --h 2 --gamma nan`, `verify --out
 missing/verify.json`, `verify --out deep_0.3_svg` (a directory), `continue
---A 0.97` (past what 256 cosine modes serve) and `continue --svg-dir
-deep_0.3.json/sub` (under a file).  Three exit 3.  Two write their
-partial branch: a `continue` whose residual overflows on the way to alpha =
-1e306, and `continue --A 0.1 --alpha-max 2 --steps 1 --M 16` with SVGs, whose
-one long step lands on flat water and is halved until the sheet is walked to
-alpha = 0.0625 and the step underflows.  The third, `continue --A 0.82
---steps 0 --g 1 --sigma 1`, writes nothing: its start stalls at the rounding
-floor of the residual, within 2x of the default tolerance.
+--A 0.97` (past what 256 cosine modes serve), `continue --svg-dir
+deep_0.3.json/sub` (under a file) and `continue --out-json ""` (no path).
+Three exit 3.  Two write their partial branch: a `continue` whose residual
+overflows on the way to alpha = 1e306, and `continue --A 0.1 --alpha-max 2
+--steps 1 --M 16` with SVGs, whose one long step lands on flat water and
+is halved until the sheet is walked to alpha = 0.0625 and the step
+underflows.  The third, `continue --A 0.82 --steps 0 --g 1 --sigma 1`,
+writes nothing: its start stalls at the rounding floor of the residual,
+within 2x of the default tolerance.  (The 2-D sheet exits 3 as well, with
+its partial branch.)  A step underflow names the last failure of the step.
 Each run's stdout, stderr and exit code sit next to its files; numpy's
 overflow warnings are silenced, since they print the absolute path of the
 module that raised them.  The commands run in-process through
@@ -89,6 +91,8 @@ RUNS = [
     ("continue_mode_cap", ["continue", "--A", "0.97", "--steps", "0"]),
     ("continue_svg_under_file", ["continue", "--A", "0.3", "--steps", "0", "--M", "8",
                                  "--svg-dir", "deep_0.3.json/sub"]),
+    ("continue_empty_out_json", ["continue", "--A", "0.3", "--steps", "0", "--M", "8",
+                                 "--out-json", ""]),
     ("continue_floor_0.82", ["continue", "--A", "0.82", "--steps", "0", "--g", "1",
                              "--sigma", "1"]),
 ]
