@@ -18,6 +18,7 @@ import math
 import os
 import re
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -209,7 +210,7 @@ def _spectrum_row(A, M):
     beta = crapper.beta_of(A)
     n_grid = angle_grid(A, M)
     theta = crapper.crapper_theta(A, n_grid)
-    fd = jacobian_fd(lambda th: residual_G(beta, th), theta, M, basis_in="sine")
+    fd = jacobian_fd(partial(residual_G, beta), theta, M, basis_in="sine")
     an = scan.matrix  # dG_matrix(A, M) on the same angle_grid(A, M)
     mismatch = float(np.linalg.norm(fd.entries - an.entries)
                      / np.linalg.norm(an.entries))
@@ -276,12 +277,27 @@ def cmd_continue(args):
         sys.stderr.write(f"capwave continue: {exc}\n")
         branch = exc.branch
         code = EXIT_SOLVER
-    write_json(args.out_json, branch_to_dict(branch))
-    write_text(args.out_csv, branch_csv_text(branch))
+    failures = []  # every output that can be written is; then the first failure is raised
+
+    def write(writer, path, content):
+        try:
+            writer(path, content)
+        except OSError as exc:
+            failures.append(exc)
+
+    write(write_json, args.out_json, branch_to_dict(branch))
+    write(write_text, args.out_csv, branch_csv_text(branch))
     if args.svg_dir:
-        os.makedirs(args.svg_dir, exist_ok=True)
-        for i, sol in enumerate(branch.solutions):
-            write_text(os.path.join(args.svg_dir, f"step_{i:04d}.svg"), _solution_svg(sol)[0])
+        try:
+            os.makedirs(args.svg_dir, exist_ok=True)
+        except OSError as exc:
+            failures.append(exc)
+        else:
+            for i, sol in enumerate(branch.solutions):
+                write(write_text, os.path.join(args.svg_dir, f"step_{i:04d}.svg"),
+                      _solution_svg(sol)[0])
+    if failures:
+        raise failures[0]
     sys.stdout.write(dumps_fixed({"command": "continue", "accepted": len(branch.solutions),
                                   "attempts": len(branch.step_history),
                                   "out_json": args.out_json, "out_csv": args.out_csv}) + "\n")

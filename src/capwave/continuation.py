@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -161,7 +162,7 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     _check_tol(tol)
     w = PeriodicFunction.from_cosine_series(w0.cosine_coefficients(M), n_grid)
-    res = lambda u: residual(params, u)
+    res = partial(residual, params)  # pickles: the Jacobian's worker can run it
     history = []
     sigma = None
     r = res(w)

@@ -18,7 +18,13 @@ kernel (the flat-water bifurcation direction).
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
+import pickle
+import signal
+import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -97,16 +103,124 @@ def _plus_minus_steps(base, basis, modes, step):
 
 
 def _mode_chunks(M, rows_per_mode, n_grid):
-    """Modes 1..M in runs whose stacks hold at most STACK_POINTS points
-    (one mode at least)."""
+    """Modes 1..M in the fewest runs whose stacks hold at most STACK_POINTS
+    points (one mode at least), of lengths that differ by one at most."""
     size = max(1, STACK_POINTS // (rows_per_mode * n_grid))
-    for first in range(1, M + 1, size):
-        yield np.arange(first, min(first + size, M + 1))
+    return np.array_split(np.arange(1, M + 1), -(-M // size))
 
 
 def angle_grid(A: float, M: int) -> int:
     """Grid on which `dG_matrix` samples theta_A for M modes."""
     return max(256, 4 * M, crapper.min_grid(A))
+
+
+def _chunk_columns(residual, base, basis_in, basis_out, step, M, modes):
+    """The Jacobian's columns `modes` (M rows each), from one residual call
+    on their +-step stack; the in-process loop and the worker both run it."""
+    k = len(modes)
+    # only the modes of the residual rows are read: holding the array, not
+    # the function, lets its unread samples' operands go on return
+    r = residual(_plus_minus_steps(base, basis_in, modes, step)).coeffs
+    if r.shape != (2 * k, base.n_grid):
+        raise ValueError("the residual must map a stack of functions row by row")
+    project = (PeriodicFunction.cosine_coefficients if basis_out == "cosine"
+               else PeriodicFunction.sine_coefficients)
+    return (project(PeriodicFunction(r[:k] - r[k:]), M) / (2.0 * step)).T
+
+
+# (pid of the process that made it, executor) of the forked worker, or None
+_pool = None
+_PR_SET_PDEATHSIG = 1  # prctl option of linux/prctl.h
+
+
+def _worker():
+    """The executor of one worker process, forked on its first submit, or
+    None in a process that multiprocessing started: such a process ends by
+    joining its children, which would wait for the worker forever.  At
+    interpreter exit concurrent.futures joins the worker, and `_drop_worker`
+    then lets the executor go while its modules are still loaded.  A process
+    forked from the owner cannot reach the owner's worker and makes its own."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if multiprocessing.parent_process() is not None:
+            return None
+        _pool = os.getpid(), ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("fork"),
+            initializer=_worker_init, initargs=(os.getpid(),))
+    return _pool[1]
+
+
+def _worker_init(parent):
+    """The worker ignores Ctrl-C, which stops the caller, and dies with the
+    thread that forked it: a caller killed by a signal leaves no worker."""
+    import ctypes
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # it died before prctl
+        os._exit(0)
+
+
+@atexit.register
+def _drop_worker():
+    """Forget the worker, shutting it down if this process made it."""
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[1].shutdown(wait=False)
+    _pool = None
+
+
+def _submit(job, chunks):
+    """Hand the worker `chunks` of `job` in one submit; None where the
+    caller computes them itself: off Linux, on fewer than 2 CPUs, with a
+    residual that does not pickle, in a process that multiprocessing
+    started, or when the worker is gone."""
+    if (not chunks or not sys.platform.startswith("linux")
+            or len(os.sched_getaffinity(0)) < 2):
+        return None
+    residual, base, *rest = job
+    try:
+        payload = pickle.dumps((residual, base.coeffs, *rest))
+    except Exception:  # a lambda, a local function, a tracing wrapper
+        return None
+    pool = _worker()
+    if pool is None:
+        return None
+    try:
+        return pool.submit(_share, payload, chunks, np.geterr())
+    except Exception:  # BrokenProcessPool, or submitted at interpreter exit
+        _drop_worker()
+        return None
+
+
+def _share(payload, chunks, err):
+    """The worker's side: the columns of `chunks` in order, up to the first
+    chunk that raises or warns.  The caller computes every chunk that is
+    not handed back, so its errors and warnings arise in the caller."""
+    done = []
+    try:
+        residual, coeffs, *rest = pickle.loads(payload)
+        base = PeriodicFunction(coeffs)
+        with np.errstate(**err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for modes in chunks:
+                done.append(_chunk_columns(residual, base, *rest, modes))
+    except Exception:
+        pass
+    return done
+
+
+def _collect(future):
+    """The worker's finished chunks; none when it died (BrokenProcessPool),
+    and then it is dropped: the next Jacobian forks another."""
+    try:
+        return future.result()
+    except Exception:
+        _drop_worker()
+        return []
 
 
 def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
@@ -120,6 +234,25 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
     samples are the inverse transform of its modes; a residual that reads
     only its input's modes, as every capwave residual does, gives each row,
     and so the matrix, the bits of one call per perturbation.
+
+    The columns come in chunks of modes (see `_mode_chunks`).  On Linux,
+    with at least 2 CPUs in the process's affinity mask and outside a
+    process that multiprocessing started, a Jacobian of 2 chunks or more
+    whose `residual` pickles (a module-level function, or a
+    `functools.partial` of one) hands every other chunk to one worker
+    process and computes the rest meanwhile; the bits are the same.  A
+    lambda, a local function or a wrapper made at run time does not pickle,
+    and its Jacobian is computed in this process, as it is on one CPU.  The
+    worker is forked on first use and runs the modules as they were then; a
+    function patched later is not patched there.  It runs under the caller's
+    `np.geterr()`.  A chunk that raises or warns there is computed again
+    here, so an error is the one of the lowest failing chunk, as a loop
+    over the chunks would raise it, and a warning passes this process's
+    filters (possibly out of chunk order).  A worker that died is dropped,
+    and its share is computed here.  The worker is joined at interpreter
+    exit, and a signal that kills the caller kills it too.  The bench's traced ops run in-process,
+    since its tracer's wrappers do not pickle, and this process's peak RSS
+    does not count the worker's memory.
     """
     if {basis_in, basis_out} - {"cosine", "sine"}:
         raise ValueError(f"unknown basis in {basis_in!r} -> {basis_out!r}")
@@ -127,21 +260,28 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
         step = DEFAULT_REL_STEP * (1.0 + base.norm_inf())
     if not step > 0.0:
         raise ValueError("step must be positive")
-    n_grid = base.n_grid
-    if M >= n_grid // 2:
+    if M >= base.n_grid // 2:
         raise ValueError("M exceeds the grid resolution")
-    project = (PeriodicFunction.cosine_coefficients if basis_out == "cosine"
-               else PeriodicFunction.sine_coefficients)
+    job = (residual, base, basis_in, basis_out, step, M)
+    chunks = _mode_chunks(M, 2, base.n_grid)
     cols = np.empty((M, M))
-    for modes in _mode_chunks(M, 2, n_grid):
-        k = len(modes)
-        # only the modes of the residual rows are read: holding the array,
-        # not the function, lets its unread samples' operands go
-        r = residual(_plus_minus_steps(base, basis_in, modes, step)).coeffs
-        if r.shape != (2 * k, n_grid):
-            raise ValueError("the residual must map a stack of functions row by row")
-        cols[:, modes - 1] = (project(PeriodicFunction(r[:k] - r[k:]), M) / (2.0 * step)).T
-        del r  # not alive through the next stack's residual call
+    state = [None] * len(chunks)  # True once in cols, or the chunk's error
+    theirs = _submit(job, chunks[1::2])
+    for i in range(0, len(chunks), 1 if theirs is None else 2):
+        try:
+            cols[:, chunks[i] - 1] = _chunk_columns(*job, chunks[i])
+            state[i] = True
+        except Exception as exc:
+            state[i] = exc
+            break
+    for i, c in zip(range(1, len(chunks), 2), _collect(theirs) if theirs else ()):
+        cols[:, chunks[i] - 1] = c
+        state[i] = True
+    for modes, done in zip(chunks, state):  # in chunk order, as a plain loop fails
+        if isinstance(done, Exception):
+            raise done
+        if done is None:
+            cols[:, modes - 1] = _chunk_columns(*job, modes)
     return OperatorMatrix(entries=cols, basis=basis_in)
 
 

@@ -328,6 +328,24 @@ def test_a_full_disk_ends_in_one_line_naming_the_file(tmp_path, capsys, monkeypa
     assert err == f"capwave: cannot write report.json: {os.strerror(errno.ENOSPC)}\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_continue_writes_every_output_it_can_before_it_reports_a_failed_one(tmp_path, capsys,
+                                                                             monkeypatch):
+    # the branch JSON cannot be written; the CSV and SVGs of the solved
+    # branch still are, with the bytes of a run that writes them all
+    flags = ["continue", "--A", "0.3", "--steps", "0", "--M", "8"]
+    monkeypatch.chdir(tmp_path)
+    assert main([*flags, "--out-json", "ok.json", "--out-csv", "ok.csv",
+                 "--svg-dir", "ok_svg"]) == 0
+    capsys.readouterr()
+    assert main([*flags, "--out-json", "/dev/full", "--out-csv", "b.csv",
+                 "--svg-dir", "svg"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"capwave: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n")
+    assert _read(tmp_path / "b.csv") == _read(tmp_path / "ok.csv")
+    assert _read(tmp_path / "svg" / "step_0000.svg") == _read(tmp_path / "ok_svg" / "step_0000.svg")
+
+
 @pytest.mark.parametrize("svg_dir", ["taken", "taken/sub", "taken/sub/deeper/"])
 def test_continue_rejects_an_svg_dir_that_is_a_file_before_solving(tmp_path, capsys,
                                                                     monkeypatch, svg_dir):

@@ -1,4 +1,12 @@
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,7 +182,9 @@ def test_plus_minus_stack_has_the_modes_of_adding_the_negated_steps(basis):
 # Since the +-step stack is built by from_cosine_series/from_sine_series and
 # projected by cosine_coefficients/sine_coefficients: FD 4.10 MB, deep
 # 3.09 MB; and since a chunk's residual modes are released before the next
-# stack's residual call: FD 3.95 MB, deep 2.94 MB
+# stack's residual call: FD 3.95 MB, deep 2.94 MB.  The residuals of
+# `_w_case` are lambdas, which do not pickle, so these bounds measure the
+# Jacobian computed in this process, never the share of its worker process.
 FD_JACOBIAN_PEAK_BYTES = 3.90e6
 DEEP_JACOBIAN_PEAK_BYTES = 2.94e6
 
@@ -206,6 +216,204 @@ def test_one_deep_jacobian_allocates_at_most_its_measured_peak():
     residual, base, _ = _w_case(0.3, 512, residual_inf, alpha=0.02, g=1.0, sigma=1.0)
     peak = _jacobian_peak(residual, base, 128)
     assert peak < 1.1 * DEEP_JACOBIAN_PEAK_BYTES, peak
+
+
+# -- the worker process that computes every other chunk -----------------------------
+
+_HAS_WORKER = sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2
+needs_worker = pytest.mark.skipif(not _HAS_WORKER, reason="the worker needs Linux and 2 CPUs")
+
+# picklable residuals, as newton_solve and the spectrum command pass them
+_PICKLED_CASES = {
+    "deep": (partial(residual_inf, WaveParams(beta=crapper.beta_of(0.3), alpha=0.02,
+                                              g=1.0, sigma=1.0)),
+             _perturbed(0.3, 512), {}, 128),
+    "vortical": (partial(residual_fd, WaveParams(beta=crapper.beta_of(0.3), alpha=0.02,
+                                                 h=2.5, gamma=0.7, g=1.0, sigma=1.0)),
+                 _perturbed(0.3, 256), {}, 64),
+    "angle": (partial(residual_G, crapper.beta_of(0.5)),
+              crapper.crapper_theta(0.5, angle_grid(0.5, 64)), {"basis_in": "sine"}, 64),
+}
+
+
+def _spy_on_the_worker(monkeypatch):
+    """The number of chunks the worker hands back, one entry per Jacobian."""
+    handed_back = []
+    collect = linearization._collect
+
+    def spy(future):
+        done = collect(future)
+        handed_back.append(len(done))
+        return done
+
+    monkeypatch.setattr(linearization, "_collect", spy)
+    return handed_back
+
+
+@needs_worker
+@pytest.mark.parametrize("case", list(_PICKLED_CASES))
+def test_the_worker_gives_the_bytes_of_the_in_process_loop(monkeypatch, case):
+    residual, base, bases, M = _PICKLED_CASES[case]
+    handed_back = _spy_on_the_worker(monkeypatch)
+    shared = jacobian_fd(residual, base, M, **bases).entries
+    chunks = linearization._mode_chunks(M, 2, base.n_grid)
+    assert handed_back == [len(chunks) // 2] and len(chunks) >= 2
+    monkeypatch.setattr(linearization, "_submit", lambda job, chunks: None)
+    alone = jacobian_fd(residual, base, M, **bases).entries
+    assert shared.tobytes() == alone.tobytes()
+
+
+def _must_not_fork():
+    raise AssertionError("a worker was asked for")
+
+
+@pytest.mark.parametrize("why", ["a lambda", "one CPU"])
+def test_the_jacobian_runs_in_process_without_a_worker_to_use(monkeypatch, why):
+    residual, base, bases, M = _PICKLED_CASES["vortical"]
+    if why == "a lambda":
+        residual = lambda w, r=residual: r(w)  # noqa: E731
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(linearization, "_worker", _must_not_fork)
+    jacobian_fd(residual, base, M, **bases)
+
+
+def _fail_in_chunks(failing, u):
+    """The identity, except on the +-step stacks of the chunks `failing` of
+    a 64-mode Jacobian at zero on 256 points (4 chunks of 16 modes)."""
+    first_mode = int(np.argmax(np.abs(u.coeffs[0, 1:128]))) + 1
+    chunk = (first_mode - 1) // 16
+    if chunk in failing:
+        raise ValueError(f"chunk {chunk}")
+    return u
+
+
+@needs_worker
+@pytest.mark.parametrize("failing, raised", [((1, 2), 1), ((2, 3), 2), ((3,), 3), ((0, 1), 0)])
+def test_a_failing_chunk_raises_as_the_loop_over_chunks_would(monkeypatch, failing, raised):
+    base = PeriodicFunction.zeros(256)
+    assert [len(c) for c in linearization._mode_chunks(64, 2, 256)] == [16] * 4
+    residual = partial(_fail_in_chunks, frozenset(failing))
+    handed_back = _spy_on_the_worker(monkeypatch)
+    with pytest.raises(ValueError, match=f"^chunk {raised}$"):
+        jacobian_fd(residual, base, 64)
+    assert len(handed_back) == 1  # the worker had its share
+    monkeypatch.setattr(linearization, "_submit", lambda job, chunks: None)
+    with pytest.raises(ValueError, match=f"^chunk {raised}$"):
+        jacobian_fd(residual, base, 64)
+
+
+def _overflow_then_identity(u):
+    np.multiply(np.full(1, 1e308), 10.0)  # overflows: warns, raises or passes by errstate
+    return u
+
+
+@needs_worker
+def test_the_worker_runs_under_the_callers_errstate(monkeypatch):
+    # a chunk that warns or raises there is handed back undone and computed
+    # here, where the caller's errstate and warning filters act on it
+    base = PeriodicFunction.zeros(256)
+    handed_back = _spy_on_the_worker(monkeypatch)
+    with np.errstate(over="ignore"):
+        ref = jacobian_fd(_overflow_then_identity, base, 64).entries
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        jacobian_fd(_overflow_then_identity, base, 64)
+    with np.errstate(over="warn"), pytest.warns(RuntimeWarning, match="overflow"):
+        warned = jacobian_fd(_overflow_then_identity, base, 64).entries
+    assert handed_back == [2, 0, 0] and warned.tobytes() == ref.tobytes()
+
+
+@needs_worker
+def test_a_killed_worker_is_dropped_and_its_share_computed_in_process(monkeypatch):
+    residual, base, bases, M = _PICKLED_CASES["deep"]
+    ref = jacobian_fd(residual, base, M).entries
+    (killed,) = linearization._pool[1]._processes
+    os.kill(killed, signal.SIGKILL)
+    handed_back = _spy_on_the_worker(monkeypatch)
+    assert jacobian_fd(residual, base, M).entries.tobytes() == ref.tobytes()
+    assert handed_back == [0] and linearization._pool is None
+    # the next Jacobian forks another worker
+    assert jacobian_fd(residual, base, M).entries.tobytes() == ref.tobytes()
+    assert handed_back[1] > 0 and killed not in linearization._pool[1]._processes
+
+
+def _vortical_jacobian_bytes(queue):
+    residual, base, _, M = _PICKLED_CASES["vortical"]
+    queue.put(jacobian_fd(residual, base, M).entries.tobytes())
+
+
+@needs_worker
+def test_a_process_that_multiprocessing_started_computes_its_jacobian_itself():
+    # it joins its children when it ends, so a worker of its own would keep
+    # it from ending
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_vortical_jacobian_bytes, args=(queue,))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+        child.join(30)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+    residual, base, _, M = _PICKLED_CASES["vortical"]
+    assert got == jacobian_fd(residual, base, M).entries.tobytes()
+
+
+def _python(script, *args, cwd):
+    """`python -c script args` with capwave importable, in a session of its own."""
+    env = dict(os.environ, PYTHONPATH=str(Path(linearization.__file__).resolve().parents[1]))
+    return subprocess.Popen([sys.executable, "-c", script, *args], cwd=cwd, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+
+
+@needs_worker
+def test_the_cli_leaves_no_process_behind(tmp_path):
+    # capwave.cli run as `python -m` does; every process left in its session
+    # after it exits would be its worker
+    script = ("import runpy, sys\n"
+              "from capwave import linearization\n"
+              "try:\n"
+              "    runpy.run_module('capwave.cli', run_name='__main__', alter_sys=True)\n"
+              "finally:\n"
+              "    sys.stderr.write(f'worker {linearization._pool is not None}\\n')\n")
+    with _python(script, "continue", "--A", "0.3", "--steps", "0", "--M", "64",
+                 cwd=tmp_path) as proc:
+        err = proc.communicate(timeout=120)[1]
+    assert (proc.returncode, err) == (0, "worker True\n")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+def _running(pid):
+    """Whether process `pid` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@needs_worker
+def test_a_caller_killed_by_a_signal_takes_its_worker_with_it(tmp_path):
+    script = ("import contextlib, io, time\n"
+              "from capwave import cli, linearization\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    cli.main(['continue', '--A', '0.3', '--steps', '0', '--M', '64'])\n"
+              "print(*linearization._pool[1]._processes, flush=True)\n"
+              "time.sleep(120)\n")
+    with _python(script, cwd=tmp_path) as proc:
+        worker = int(proc.stdout.readline())
+        assert _running(worker)
+        proc.kill()
+    deadline = time.monotonic() + 30
+    while _running(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if _running(worker):
+        os.kill(worker, signal.SIGKILL)
+        pytest.fail("the worker outlived its killed caller")
 
 
 def test_jacobian_fd_rejects_a_residual_that_is_not_row_wise():
