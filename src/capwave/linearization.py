@@ -24,6 +24,7 @@ import os
 import pickle
 import signal
 import sys
+import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -136,7 +137,9 @@ _PR_SET_PDEATHSIG = 1  # prctl option of linux/prctl.h
 def _worker():
     """The executor of one worker process, forked on its first submit, or
     None in a process that multiprocessing started: such a process ends by
-    joining its children, which would wait for the worker forever.  At
+    joining its children, which would wait for the worker forever.  Only the
+    main thread calls it, so one executor is made at a time, and the worker
+    dies with the process's main thread, not with a passing one.  At
     interpreter exit concurrent.futures joins the worker, and `_drop_worker`
     then lets the executor go while its modules are still loaded.  A process
     forked from the owner cannot reach the owner's worker and makes its own."""
@@ -165,21 +168,24 @@ def _worker_init(parent):
 
 
 @atexit.register
-def _drop_worker():
-    """Forget the worker, shutting it down if this process made it."""
+def _drop_worker(wait=False):
+    """Forget the worker, shutting it down if this process made it; with
+    `wait`, after its executor's thread has ended, so that the next fork
+    is made from a process of one thread."""
     global _pool
     if _pool is not None and _pool[0] == os.getpid():
-        _pool[1].shutdown(wait=False)
+        _pool[1].shutdown(wait=wait)
     _pool = None
 
 
 def _submit(job, chunks):
     """Hand the worker `chunks` of `job` in one submit; None where the
-    caller computes them itself: off Linux, on fewer than 2 CPUs, with a
-    residual that does not pickle, in a process that multiprocessing
-    started, or when the worker is gone."""
+    caller computes them itself: off Linux, on fewer than 2 CPUs, outside
+    the main thread, with a residual that does not pickle, in a process
+    that multiprocessing started, or when the worker is gone."""
     if (not chunks or not sys.platform.startswith("linux")
-            or len(os.sched_getaffinity(0)) < 2):
+            or len(os.sched_getaffinity(0)) < 2
+            or threading.current_thread() is not threading.main_thread()):
         return None
     residual, base, *rest = job
     try:
@@ -219,7 +225,7 @@ def _collect(future):
     try:
         return future.result()
     except Exception:
-        _drop_worker()
+        _drop_worker(wait=True)
         return []
 
 
@@ -236,23 +242,24 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
     and so the matrix, the bits of one call per perturbation.
 
     The columns come in chunks of modes (see `_mode_chunks`).  On Linux,
-    with at least 2 CPUs in the process's affinity mask and outside a
-    process that multiprocessing started, a Jacobian of 2 chunks or more
-    whose `residual` pickles (a module-level function, or a
+    with at least 2 CPUs in the process's affinity mask, in the main thread
+    and outside a process that multiprocessing started, a Jacobian of 2
+    chunks or more whose `residual` pickles (a module-level function, or a
     `functools.partial` of one) hands every other chunk to one worker
     process and computes the rest meanwhile; the bits are the same.  A
     lambda, a local function or a wrapper made at run time does not pickle,
-    and its Jacobian is computed in this process, as it is on one CPU.  The
-    worker is forked on first use and runs the modules as they were then; a
-    function patched later is not patched there.  It runs under the caller's
-    `np.geterr()`.  A chunk that raises or warns there is computed again
-    here, so an error is the one of the lowest failing chunk, as a loop
-    over the chunks would raise it, and a warning passes this process's
-    filters (possibly out of chunk order).  A worker that died is dropped,
-    and its share is computed here.  The worker is joined at interpreter
-    exit, and a signal that kills the caller kills it too.  The bench's traced ops run in-process,
-    since its tracer's wrappers do not pickle, and this process's peak RSS
-    does not count the worker's memory.
+    and its Jacobian is computed in this process, as it is on one CPU or in
+    another thread.  The worker is forked on first use and runs the modules
+    as they were then; a function patched later is not patched there.  It
+    runs under the caller's `np.geterr()`.  A chunk that raises or warns
+    there, or fails here, is computed again here in chunk order, so an
+    error is the one of the lowest failing chunk, as a loop over the chunks
+    would raise it, and a warning passes this process's filters (possibly
+    out of chunk order).  A worker that died is dropped, and its share is
+    computed here.  The worker is joined at interpreter exit, and a signal
+    that kills the caller kills it too.  The bench's traced ops run
+    in-process, since its tracer's wrappers do not pickle, and this
+    process's peak RSS does not count the worker's memory.
     """
     if {basis_in, basis_out} - {"cosine", "sine"}:
         raise ValueError(f"unknown basis in {basis_in!r} -> {basis_out!r}")
@@ -265,22 +272,19 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
     job = (residual, base, basis_in, basis_out, step, M)
     chunks = _mode_chunks(M, 2, base.n_grid)
     cols = np.empty((M, M))
-    state = [None] * len(chunks)  # True once in cols, or the chunk's error
+    done = [False] * len(chunks)
     theirs = _submit(job, chunks[1::2])
     for i in range(0, len(chunks), 1 if theirs is None else 2):
         try:
             cols[:, chunks[i] - 1] = _chunk_columns(*job, chunks[i])
-            state[i] = True
-        except Exception as exc:
-            state[i] = exc
-            break
+        except Exception:
+            break  # computed again below, where it raises in chunk order
+        done[i] = True
     for i, c in zip(range(1, len(chunks), 2), _collect(theirs) if theirs else ()):
         cols[:, chunks[i] - 1] = c
-        state[i] = True
-    for modes, done in zip(chunks, state):  # in chunk order, as a plain loop fails
-        if isinstance(done, Exception):
-            raise done
-        if done is None:
+        done[i] = True
+    for i, modes in enumerate(chunks):  # in chunk order, as a plain loop fails
+        if not done[i]:
             cols[:, modes - 1] = _chunk_columns(*job, modes)
     return OperatorMatrix(entries=cols, basis=basis_in)
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -276,6 +277,17 @@ def test_the_jacobian_runs_in_process_without_a_worker_to_use(monkeypatch, why):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(linearization, "_worker", _must_not_fork)
     jacobian_fd(residual, base, M, **bases)
+
+
+def test_a_jacobian_outside_the_main_thread_runs_in_process(monkeypatch):
+    # only the main thread forks the worker, which dies with the thread
+    # that forked it; a passing thread's Jacobian is computed in that thread
+    residual, base, bases, M = _PICKLED_CASES["vortical"]
+    ref = jacobian_fd(residual, base, M, **bases).entries
+    monkeypatch.setattr(linearization, "_worker", _must_not_fork)
+    with ThreadPoolExecutor(1) as threads:
+        got = threads.submit(jacobian_fd, residual, base, M, **bases).result().entries
+    assert got.tobytes() == ref.tobytes()
 
 
 def _fail_in_chunks(failing, u):
