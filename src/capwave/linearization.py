@@ -22,7 +22,6 @@ import atexit
 import math
 import os
 import pickle
-import signal
 import sys
 import threading
 import warnings
@@ -55,6 +54,11 @@ DEFAULT_REL_STEP = 1e-6
 # the best. (On a trimmed heap, 3072 took 80-100 ms and 37-49 ms, and larger
 # stacks were not faster.)
 STACK_POINTS = 9216
+# the fewest chunks a Jacobian shares with the worker.  A worker that the
+# host slows down costs its caller the chunk it is on: a fifteenth of a deep
+# Jacobian (M=128 on 512 points), a quarter of a vortical one (M=64 on 256
+# points, 4 chunks), whose bench runs then spread too widely (ROADMAP.md).
+MIN_SHARED_CHUNKS = 8
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,10 @@ def _chunk_columns(residual, base, basis_in, basis_out, step, M, modes):
     return (project(PeriodicFunction(r[:k] - r[k:]), M) / (2.0 * step)).T
 
 
-# (pid of the process that made it, executor) of the forked worker, or None
+# (pid of the process that made it, executor, marks) of the forked worker, or
+# None.  `marks`, in memory shared with the worker, holds the number of chunks
+# the caller has taken from the bottom and the lowest chunk the worker has
+# taken from the top; each side writes one of them.
 _pool = None
 _PR_SET_PDEATHSIG = 1  # prctl option of linux/prctl.h
 
@@ -145,23 +152,33 @@ def _worker():
     forked from the owner cannot reach the owner's worker and makes its own."""
     global _pool
     if _pool is None or _pool[0] != os.getpid():
+        import mmap
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         if multiprocessing.parent_process() is not None:
             return None
-        _pool = os.getpid(), ProcessPoolExecutor(
+        executor = ProcessPoolExecutor(
             1, mp_context=multiprocessing.get_context("fork"),
             initializer=_worker_init, initargs=(os.getpid(),))
+        # mapped before the fork, at the first submit, so the worker shares it
+        _pool = os.getpid(), executor, np.frombuffer(mmap.mmap(-1, 16), np.int64)
     return _pool[1]
 
 
 def _worker_init(parent):
-    """The worker ignores Ctrl-C, which stops the caller, and dies with the
-    thread that forked it: a caller killed by a signal leaves no worker."""
+    """The worker ignores Ctrl-C, which stops the caller, runs only on CPU
+    time that no other process wants (SCHED_IDLE), so it never slows its
+    caller, and dies with the thread that forked it: a caller killed by a
+    signal leaves no worker."""
     import ctypes
+    import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        os.sched_setscheduler(0, os.SCHED_IDLE, os.sched_param(0))
+    except OSError:  # not allowed here: the worker runs as its caller does
+        pass
     ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent:  # it died before prctl
         os._exit(0)
@@ -179,11 +196,12 @@ def _drop_worker(wait=False):
 
 
 def _submit(job, chunks):
-    """Hand the worker `chunks` of `job` in one submit; None where the
-    caller computes them itself: off Linux, on fewer than 2 CPUs, outside
-    the main thread, with a residual that does not pickle, in a process
-    that multiprocessing started, or when the worker is gone."""
-    if (not chunks or not sys.platform.startswith("linux")
+    """Offer the worker `chunks` of `job` in one submit: (future, marks),
+    or None where the caller computes them all itself: for fewer than
+    MIN_SHARED_CHUNKS chunks, off Linux, on fewer than 2 CPUs, outside the
+    main thread, with a residual that does not pickle, in a process that
+    multiprocessing started, or when the worker is gone."""
+    if (len(chunks) < MIN_SHARED_CHUNKS or not sys.platform.startswith("linux")
             or len(os.sched_getaffinity(0)) < 2
             or threading.current_thread() is not threading.main_thread()):
         return None
@@ -195,33 +213,41 @@ def _submit(job, chunks):
     pool = _worker()
     if pool is None:
         return None
+    marks = _pool[2]
+    marks[:] = 0, len(chunks)
     try:
-        return pool.submit(_share, payload, chunks, np.geterr())
+        return pool.submit(_share, payload, chunks, np.geterr()), marks
     except Exception:  # BrokenProcessPool, or submitted at interpreter exit
         _drop_worker()
         return None
 
 
 def _share(payload, chunks, err):
-    """The worker's side: the columns of `chunks` in order, up to the first
-    chunk that raises or warns.  The caller computes every chunk that is
+    """The worker's side: (index, columns) of the chunks it takes from the
+    last down while the caller has not taken them, up to the first chunk
+    that raises or warns.  The caller computes every chunk that is
     not handed back, so its errors and warnings arise in the caller."""
+    marks = _pool[2]
     done = []
     try:
         residual, coeffs, *rest = pickle.loads(payload)
         base = PeriodicFunction(coeffs)
         with np.errstate(**err), warnings.catch_warnings():
             warnings.simplefilter("error")
-            for modes in chunks:
-                done.append(_chunk_columns(residual, base, *rest, modes))
+            for i in reversed(range(len(chunks))):
+                if marks[0] > i:
+                    break
+                marks[1] = i
+                done.append((i, _chunk_columns(residual, base, *rest, chunks[i])))
     except Exception:
         pass
     return done
 
 
 def _collect(future):
-    """The worker's finished chunks; none when it died (BrokenProcessPool),
-    and then it is dropped: the next Jacobian forks another."""
+    """The worker's finished chunks, as (index, columns); none when it died
+    (BrokenProcessPool), and then it is dropped: the next Jacobian forks
+    another."""
     try:
         return future.result()
     except Exception:
@@ -243,13 +269,17 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
 
     The columns come in chunks of modes (see `_mode_chunks`).  On Linux,
     with at least 2 CPUs in the process's affinity mask, in the main thread
-    and outside a process that multiprocessing started, a Jacobian of 2
-    chunks or more whose `residual` pickles (a module-level function, or a
-    `functools.partial` of one) hands every other chunk to one worker
-    process and computes the rest meanwhile; the bits are the same.  A
-    lambda, a local function or a wrapper made at run time does not pickle,
-    and its Jacobian is computed in this process, as it is on one CPU or in
-    another thread.  The worker is forked on first use and runs the modules
+    and outside a process that multiprocessing started, a Jacobian of
+    MIN_SHARED_CHUNKS chunks or more whose `residual` pickles (a
+    module-level function, or a `functools.partial` of one) is shared with
+    one worker process: this process takes chunks from the first up and the
+    worker from the last down until they meet, so a worker that the host
+    slows down leaves its share to this process, which then waits for at
+    most the chunk the worker is on.  Which side computes a chunk depends
+    on timing; the bits do not.  A smaller Jacobian is computed in this
+    process, as is one on one CPU, in another thread, or of a lambda, a
+    local function or a wrapper made at run time (none of them pickles).
+    The worker is forked on first use and runs the modules
     as they were then; a function patched later is not patched there.  It
     runs under the caller's `np.geterr()`.  A chunk that raises or warns
     there, or fails here, is computed again here in chunk order, so an
@@ -273,16 +303,22 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
     chunks = _mode_chunks(M, 2, base.n_grid)
     cols = np.empty((M, M))
     done = [False] * len(chunks)
-    theirs = _submit(job, chunks[1::2])
-    for i in range(0, len(chunks), 1 if theirs is None else 2):
+    theirs, marks = _submit(job, chunks) or (None, None)
+    for i, modes in enumerate(chunks):
+        if theirs is not None:
+            if marks[1] <= i:  # the worker has this chunk and those above
+                break
+            marks[0] = i + 1
         try:
-            cols[:, chunks[i] - 1] = _chunk_columns(*job, chunks[i])
+            cols[:, modes - 1] = _chunk_columns(*job, modes)
         except Exception:
             break  # computed again below, where it raises in chunk order
         done[i] = True
-    for i, c in zip(range(1, len(chunks), 2), _collect(theirs) if theirs else ()):
-        cols[:, chunks[i] - 1] = c
-        done[i] = True
+    if theirs is not None:
+        marks[0] = len(chunks)  # the worker stops after the chunk it is on
+        for i, c in _collect(theirs):
+            cols[:, chunks[i] - 1] = c
+            done[i] = True
     for i, modes in enumerate(chunks):  # in chunk order, as a plain loop fails
         if not done[i]:
             cols[:, modes - 1] = _chunk_columns(*job, modes)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -219,7 +220,7 @@ def test_one_deep_jacobian_allocates_at_most_its_measured_peak():
     assert peak < 1.1 * DEEP_JACOBIAN_PEAK_BYTES, peak
 
 
-# -- the worker process that computes every other chunk -----------------------------
+# -- the worker process that shares the chunks ---------------------------------------
 
 _HAS_WORKER = sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2
 needs_worker = pytest.mark.skipif(not _HAS_WORKER, reason="the worker needs Linux and 2 CPUs")
@@ -235,6 +236,21 @@ _PICKLED_CASES = {
     "angle": (partial(residual_G, crapper.beta_of(0.5)),
               crapper.crapper_theta(0.5, angle_grid(0.5, 64)), {"basis_in": "sine"}, 64),
 }
+
+
+def _share_small_jacobians(monkeypatch):
+    """Let the 4-chunk Jacobians of the vortical and angle cases use the worker."""
+    assert len(linearization._mode_chunks(64, 2, 256)) == 4
+    monkeypatch.setattr(linearization, "MIN_SHARED_CHUNKS", 2)
+
+
+def _worker_alone(residual, base, M, basis_in="cosine", basis_out="cosine"):
+    """The chunks the worker hands back, by index, when the caller takes none."""
+    step = linearization.DEFAULT_REL_STEP * (1.0 + base.norm_inf())
+    job = (residual, base, basis_in, basis_out, step, M)
+    chunks = linearization._mode_chunks(M, 2, base.n_grid)
+    future, marks = linearization._submit(job, chunks)
+    return job, chunks, dict(linearization._collect(future))
 
 
 def _spy_on_the_worker(monkeypatch):
@@ -254,14 +270,28 @@ def _spy_on_the_worker(monkeypatch):
 @needs_worker
 @pytest.mark.parametrize("case", list(_PICKLED_CASES))
 def test_the_worker_gives_the_bytes_of_the_in_process_loop(monkeypatch, case):
+    _share_small_jacobians(monkeypatch)
     residual, base, bases, M = _PICKLED_CASES[case]
+    job, chunks, theirs = _worker_alone(residual, base, M, **bases)
+    assert sorted(theirs) == list(range(len(chunks)))  # it took every chunk
+    for i, modes in enumerate(chunks):
+        assert theirs[i].tobytes() == linearization._chunk_columns(*job, modes).tobytes()
     handed_back = _spy_on_the_worker(monkeypatch)
     shared = jacobian_fd(residual, base, M, **bases).entries
-    chunks = linearization._mode_chunks(M, 2, base.n_grid)
-    assert handed_back == [len(chunks) // 2] and len(chunks) >= 2
+    assert len(handed_back) == 1  # shared, however the chunks fell
     monkeypatch.setattr(linearization, "_submit", lambda job, chunks: None)
     alone = jacobian_fd(residual, base, M, **bases).entries
     assert shared.tobytes() == alone.tobytes()
+
+
+@needs_worker
+def test_a_deep_jacobian_is_shared_and_a_vortical_one_is_not(monkeypatch):
+    handed_back = _spy_on_the_worker(monkeypatch)
+    for case in ("deep", "vortical"):
+        residual, base, bases, M = _PICKLED_CASES[case]
+        jacobian_fd(residual, base, M, **bases)
+    assert len(linearization._mode_chunks(128, 2, 512)) >= linearization.MIN_SHARED_CHUNKS
+    assert len(handed_back) == 1
 
 
 def _must_not_fork():
@@ -270,6 +300,7 @@ def _must_not_fork():
 
 @pytest.mark.parametrize("why", ["a lambda", "one CPU"])
 def test_the_jacobian_runs_in_process_without_a_worker_to_use(monkeypatch, why):
+    _share_small_jacobians(monkeypatch)
     residual, base, bases, M = _PICKLED_CASES["vortical"]
     if why == "a lambda":
         residual = lambda w, r=residual: r(w)  # noqa: E731
@@ -282,6 +313,7 @@ def test_the_jacobian_runs_in_process_without_a_worker_to_use(monkeypatch, why):
 def test_a_jacobian_outside_the_main_thread_runs_in_process(monkeypatch):
     # only the main thread forks the worker, which dies with the thread
     # that forked it; a passing thread's Jacobian is computed in that thread
+    _share_small_jacobians(monkeypatch)
     residual, base, bases, M = _PICKLED_CASES["vortical"]
     ref = jacobian_fd(residual, base, M, **bases).entries
     monkeypatch.setattr(linearization, "_worker", _must_not_fork)
@@ -303,9 +335,12 @@ def _fail_in_chunks(failing, u):
 @needs_worker
 @pytest.mark.parametrize("failing, raised", [((1, 2), 1), ((2, 3), 2), ((3,), 3), ((0, 1), 0)])
 def test_a_failing_chunk_raises_as_the_loop_over_chunks_would(monkeypatch, failing, raised):
+    _share_small_jacobians(monkeypatch)
     base = PeriodicFunction.zeros(256)
     assert [len(c) for c in linearization._mode_chunks(64, 2, 256)] == [16] * 4
     residual = partial(_fail_in_chunks, frozenset(failing))
+    # taking every chunk from the top down, the worker stops at the first that fails
+    assert sorted(_worker_alone(residual, base, 64)[2]) == list(range(max(failing) + 1, 4))
     handed_back = _spy_on_the_worker(monkeypatch)
     with pytest.raises(ValueError, match=f"^chunk {raised}$"):
         jacobian_fd(residual, base, 64)
@@ -324,7 +359,12 @@ def _overflow_then_identity(u):
 def test_the_worker_runs_under_the_callers_errstate(monkeypatch):
     # a chunk that warns or raises there is handed back undone and computed
     # here, where the caller's errstate and warning filters act on it
+    _share_small_jacobians(monkeypatch)
     base = PeriodicFunction.zeros(256)
+    for over, taken in (("ignore", 4), ("raise", 0), ("warn", 0)):
+        with np.errstate(over=over), warnings.catch_warnings():
+            warnings.simplefilter("error")  # none arises here
+            assert len(_worker_alone(_overflow_then_identity, base, 64)[2]) == taken
     handed_back = _spy_on_the_worker(monkeypatch)
     with np.errstate(over="ignore"):
         ref = jacobian_fd(_overflow_then_identity, base, 64).entries
@@ -332,7 +372,7 @@ def test_the_worker_runs_under_the_callers_errstate(monkeypatch):
         jacobian_fd(_overflow_then_identity, base, 64)
     with np.errstate(over="warn"), pytest.warns(RuntimeWarning, match="overflow"):
         warned = jacobian_fd(_overflow_then_identity, base, 64).entries
-    assert handed_back == [2, 0, 0] and warned.tobytes() == ref.tobytes()
+    assert len(handed_back) == 3 and warned.tobytes() == ref.tobytes()
 
 
 @needs_worker
@@ -346,7 +386,7 @@ def test_a_killed_worker_is_dropped_and_its_share_computed_in_process(monkeypatc
     assert handed_back == [0] and linearization._pool is None
     # the next Jacobian forks another worker
     assert jacobian_fd(residual, base, M).entries.tobytes() == ref.tobytes()
-    assert handed_back[1] > 0 and killed not in linearization._pool[1]._processes
+    assert len(handed_back) == 2 and killed not in linearization._pool[1]._processes
 
 
 def _vortical_jacobian_bytes(queue):
@@ -391,7 +431,7 @@ def test_the_cli_leaves_no_process_behind(tmp_path):
               "    runpy.run_module('capwave.cli', run_name='__main__', alter_sys=True)\n"
               "finally:\n"
               "    sys.stderr.write(f'worker {linearization._pool is not None}\\n')\n")
-    with _python(script, "continue", "--A", "0.3", "--steps", "0", "--M", "64",
+    with _python(script, "continue", "--A", "0.3", "--steps", "0", "--M", "128",
                  cwd=tmp_path) as proc:
         err = proc.communicate(timeout=120)[1]
     assert (proc.returncode, err) == (0, "worker True\n")
@@ -413,7 +453,7 @@ def test_a_caller_killed_by_a_signal_takes_its_worker_with_it(tmp_path):
     script = ("import contextlib, io, time\n"
               "from capwave import cli, linearization\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    cli.main(['continue', '--A', '0.3', '--steps', '0', '--M', '64'])\n"
+              "    cli.main(['continue', '--A', '0.3', '--steps', '0', '--M', '128'])\n"
               "print(*linearization._pool[1]._processes, flush=True)\n"
               "time.sleep(120)\n")
     with _python(script, cwd=tmp_path) as proc:
