@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import glob
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from .continuation import (
     StepUnderflowError,
     continue_branch,
 )
-from .linearization import INJECTIVITY_TOL, angle_grid, jacobian_fd, recurrence_scan
+from .linearization import INJECTIVITY_TOL, _glibc, angle_grid, jacobian_fd, recurrence_scan
 from .operators import WaveParams, bernoulli_b, residual_G, residual_fd, residual_inf, theta_of
 from .serialization import (
     branch_csv_text,
@@ -166,11 +167,27 @@ def _config_defaults(path, flag_types):
     return defaults
 
 
-def _emit(report, path):
-    """Print a report and, given a path, write the same text there."""
+def _write_all(outputs):
+    """Write each (writer, path, content) of `outputs` that has a path and
+    can be written, then raise the first failure: no output is lost to
+    another one."""
+    failures = []
+    for writer, path, content in outputs:
+        if not path:
+            continue
+        try:
+            writer(path, content)
+        except OSError as exc:
+            failures.append(exc)
+    if failures:
+        raise failures[0]
+
+
+def _emit(report, path, outputs=()):
+    """Write `outputs` and, given a path, the report's text there, as
+    `_write_all` does; then print the report."""
     text = dumps_fixed(report) + "\n"
-    if path:
-        write_text(path, text)
+    _write_all([*outputs, (write_text, path, text)])
     sys.stdout.write(text)
 
 
@@ -229,11 +246,10 @@ def cmd_spectrum(args):
     rows = [_spectrum_row(A, args.M) for A in values]
     passed = all(r["consistent"] and r["fd_mismatch"] <= 1e-4 for r in rows)
     report = {"command": "spectrum", "M": args.M, "rows": rows, "passed": passed}
-    if args.out_csv:
-        cols = ("A", "sigma_min", "verdict", "kernel", "fd_mismatch",
-                "a1_coefficient", "a2_coefficient", "consistent")
-        write_text(args.out_csv, csv_text(cols, [[r[c] for c in cols] for r in rows]))
-    _emit(report, args.out_json)
+    cols = ("A", "sigma_min", "verdict", "kernel", "fd_mismatch",
+            "a1_coefficient", "a2_coefficient", "consistent")
+    table = csv_text(cols, [[r[c] for c in cols] for r in rows])
+    _emit(report, args.out_json, [(write_text, args.out_csv, table)])
     return EXIT_OK if passed else EXIT_TOLERANCE
 
 
@@ -277,27 +293,17 @@ def cmd_continue(args):
         sys.stderr.write(f"capwave continue: {exc}\n")
         branch = exc.branch
         code = EXIT_SOLVER
-    failures = []  # every output that can be written is; then the first failure is raised
 
-    def write(writer, path, content):
-        try:
-            writer(path, content)
-        except OSError as exc:
-            failures.append(exc)
-
-    write(write_json, args.out_json, branch_to_dict(branch))
-    write(write_text, args.out_csv, branch_csv_text(branch))
-    if args.svg_dir:
-        try:
-            os.makedirs(args.svg_dir, exist_ok=True)
-        except OSError as exc:
-            failures.append(exc)
-        else:
+    def outputs():  # one SVG at a time; a directory not made fails each of them
+        yield write_json, args.out_json, branch_to_dict(branch)
+        yield write_text, args.out_csv, branch_csv_text(branch)
+        if args.svg_dir:
+            yield (lambda path, _: os.makedirs(path, exist_ok=True)), args.svg_dir, None
             for i, sol in enumerate(branch.solutions):
-                write(write_text, os.path.join(args.svg_dir, f"step_{i:04d}.svg"),
-                      _solution_svg(sol)[0])
-    if failures:
-        raise failures[0]
+                yield (write_text, os.path.join(args.svg_dir, f"step_{i:04d}.svg"),
+                       _solution_svg(sol)[0])
+
+    _write_all(outputs())
     sys.stdout.write(dumps_fixed({"command": "continue", "accepted": len(branch.solutions),
                                   "attempts": len(branch.step_history),
                                   "out_json": args.out_json, "out_csv": args.out_csv}) + "\n")
@@ -333,10 +339,8 @@ def cmd_profile(args):
     # CSV at the stored grid so the profile round-trips losslessly
     curve_csv = geometry.solution_curve(sol.params, sol.w, n_points=sol.w.n_grid)
     svg, crossings = _solution_svg(sol, args.repeats)
-    if args.out_csv:
-        write_text(args.out_csv, csv_text(("X", "Y"), zip(curve_csv.x, curve_csv.y)))
-    if args.out_svg:
-        write_text(args.out_svg, svg)
+    _write_all([(write_text, args.out_csv, csv_text(("X", "Y"), zip(curve_csv.x, curve_csv.y))),
+                (write_text, args.out_svg, svg)])
     sys.stdout.write(dumps_fixed({"command": "profile", "input": args.input,
                                   "points": len(curve_csv.x),
                                   "injective": bool(len(crossings) == 0),
@@ -393,15 +397,29 @@ def _keep_heap():
     The setting is the process's, so `main` makes it, not the import; it has
     the effect of MALLOC_TRIM_THRESHOLD_ and MALLOC_MMAP_THRESHOLD_ in the
     environment.  Does nothing on another C library."""
-    try:
-        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
-            return
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, ValueError, OSError):  # no confstr, no such name, no mallopt
+    mallopt = getattr(_glibc(), "mallopt", None)
+    if mallopt is None:
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long))
     mallopt(_M_TRIM_THRESHOLD, 256 * 1024 * 1024)
+
+
+def _one_blas_thread():
+    """Pin the OpenBLAS that numpy bundles to one thread: the bits of its
+    solves and SVDs depend on its thread count, which follows the CPUs the
+    process may use, so the outputs would depend on the machine.  One thread
+    was also the faster at M = 128 on 2 CPUs (BENCH_21.json).  The setting
+    is the process's, so `main` makes it, not the import.  Does nothing
+    where numpy bundles no such library (another BLAS, a system numpy)."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
+                                       "libscipy_openblas64_*")):
+        try:
+            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):  # not loadable here, or no such symbol
+            continue
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        set_threads(1)
 
 
 _DISPATCH = {"verify": cmd_verify, "spectrum": cmd_spectrum, "continue": cmd_continue,
@@ -410,6 +428,7 @@ _DISPATCH = {"verify": cmd_verify, "spectrum": cmd_spectrum, "continue": cmd_con
 
 def main(argv=None) -> int:
     _keep_heap()
+    _one_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -19,11 +19,16 @@ kernel (the flat-water bifurcation direction).
 from __future__ import annotations
 
 import atexit
+import contextlib
+import ctypes
 import math
+import mmap
 import os
 import pickle
+import signal
 import sys
 import threading
+import time
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -54,11 +59,6 @@ DEFAULT_REL_STEP = 1e-6
 # the best. (On a trimmed heap, 3072 took 80-100 ms and 37-49 ms, and larger
 # stacks were not faster.)
 STACK_POINTS = 9216
-# the fewest chunks a Jacobian shares with the worker.  A worker that the
-# host slows down costs its caller the chunk it is on: a fifteenth of a deep
-# Jacobian (M=128 on 512 points), a quarter of a vortical one (M=64 on 256
-# points, 4 chunks), whose bench runs then spread too widely (ROADMAP.md).
-MIN_SHARED_CHUNKS = 8
 
 
 @dataclass(frozen=True)
@@ -133,126 +133,139 @@ def _chunk_columns(residual, base, basis_in, basis_out, step, M, modes):
     return (project(PeriodicFunction(r[:k] - r[k:]), M) / (2.0 * step)).T
 
 
-# (pid of the process that made it, executor, marks) of the forked worker, or
-# None.  `marks`, in memory shared with the worker, holds the number of chunks
-# the caller has taken from the bottom and the lowest chunk the worker has
-# taken from the top; each side writes one of them.
+# (pid of the process that made it, pid of the worker, connection, marks) of
+# the forked worker, or None.  `marks`, shared with the worker, are hints: the
+# caller's job, the lowest chunk it has not reached, the worker's last job and
+# the time.monotonic_ns() until which the worker is offered none.
 _pool = None
-_PR_SET_PDEATHSIG = 1  # prctl option of linux/prctl.h
+
+
+def _glibc():
+    """The C library through ctypes where it is glibc, else None."""
+    with contextlib.suppress(AttributeError, ValueError, OSError):  # no confstr, no such name
+        if (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return ctypes.CDLL(None)
+    return None
 
 
 def _worker():
-    """The executor of one worker process, forked on its first submit, or
-    None in a process that multiprocessing started: such a process ends by
-    joining its children, which would wait for the worker forever.  Only the
-    main thread calls it, so one executor is made at a time, and the worker
-    dies with the process's main thread, not with a passing one.  At
-    interpreter exit concurrent.futures joins the worker, and `_drop_worker`
-    then lets the executor go while its modules are still loaded.  A process
-    forked from the owner cannot reach the owner's worker and makes its own."""
+    """(connection, marks) of one worker process, forked on first use, or
+    None in a process that multiprocessing started, which ends by joining
+    its children and would wait for the worker forever.  Only the main
+    thread calls it, so the worker dies with that thread, not a passing one.
+    A process forked from the owner makes a worker of its own."""
     global _pool
     if _pool is None or _pool[0] != os.getpid():
-        import mmap
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing.connection
 
         if multiprocessing.parent_process() is not None:
             return None
-        executor = ProcessPoolExecutor(
-            1, mp_context=multiprocessing.get_context("fork"),
-            initializer=_worker_init, initargs=(os.getpid(),))
-        # mapped before the fork, at the first submit, so the worker shares it
-        _pool = os.getpid(), executor, np.frombuffer(mmap.mmap(-1, 16), np.int64)
-    return _pool[1]
+        marks = np.frombuffer(mmap.mmap(-1, 32), np.int64)  # shared with the fork
+        here, there = multiprocessing.connection.Pipe()
+        parent = os.getpid()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                here.close()
+                _serve(there, marks, parent)
+            finally:
+                os._exit(0)
+        there.close()
+        _pool = parent, pid, here, marks
+    return _pool[2], _pool[3]
 
 
-def _worker_init(parent):
-    """The worker ignores Ctrl-C, which stops the caller, runs only on CPU
-    time that no other process wants (SCHED_IDLE), so it never slows its
-    caller, and dies with the thread that forked it: a caller killed by a
-    signal leaves no worker."""
-    import ctypes
-    import signal
-
+def _serve(conn, marks, parent):
+    """The worker.  It ignores Ctrl-C, which stops the caller, runs only on
+    CPU time that no other process wants (SCHED_IDLE), and dies with the
+    thread that forked it, so a caller killed by a signal leaves no worker.
+    It takes each job's chunks from the last down and sends each one as
+    (job, index, columns) once done, until the caller has reached the next
+    one or sent a later job, or a chunk raises or warns under the caller's
+    errstate.  Idle for 0.1 s after a job, it hands the heap it freed back
+    to the system.  It ends when `conn` closes."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         os.sched_setscheduler(0, os.SCHED_IDLE, os.sched_param(0))
     except OSError:  # not allowed here: the worker runs as its caller does
         pass
-    ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
     if os.getppid() != parent:  # it died before prctl
-        os._exit(0)
+        return
+    trim = getattr(_glibc(), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    while True:
+        try:
+            job, payload = conn.recv()
+        except EOFError:
+            return
+        marks[2] = job
+        try:
+            residual, coeffs, chunks, err, *rest = pickle.loads(payload)
+            base = PeriodicFunction(coeffs)
+            with np.errstate(**err), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for i in reversed(range(len(chunks))):
+                    if marks[0] != job or marks[1] > i:
+                        break
+                    conn.send((job, i, _chunk_columns(residual, base, *rest, chunks[i])))
+        except Exception:  # the caller computes the chunk that failed here
+            pass
+        if trim is not None and not conn.poll(0.1):  # a solve's jobs, 2-4 ms apart, reuse it
+            trim(0)
 
 
 @atexit.register
-def _drop_worker(wait=False):
-    """Forget the worker, shutting it down if this process made it; with
-    `wait`, after its executor's thread has ended, so that the next fork
-    is made from a process of one thread."""
+def _drop_worker():
+    """Forget the worker; if this process made it, kill it and reap it."""
     global _pool
     if _pool is not None and _pool[0] == os.getpid():
-        _pool[1].shutdown(wait=wait)
+        _pool[2].close()
+        with contextlib.suppress(OSError):  # reaped already
+            os.kill(_pool[1], signal.SIGKILL)
+            os.waitpid(_pool[1], 0)
     _pool = None
 
 
-def _submit(job, chunks):
-    """Offer the worker `chunks` of `job` in one submit: (future, marks),
-    or None where the caller computes them all itself: for fewer than
-    MIN_SHARED_CHUNKS chunks, off Linux, on fewer than 2 CPUs, outside the
-    main thread, with a residual that does not pickle, in a process that
-    multiprocessing started, or when the worker is gone."""
-    if (len(chunks) < MIN_SHARED_CHUNKS or not sys.platform.startswith("linux")
+def _offer(job):
+    """(job number, chunks) of `job`, sent to the worker in an odd number of
+    chunks, or (None, chunks) to compute here: for one chunk, off Linux, on
+    one CPU, outside the main thread, for a residual that does not pickle,
+    in a process that multiprocessing started, while the worker has not
+    taken its last job (it is stopped or starved, and a send must not wait),
+    for 0.5 s after a job it gave no chunk to (the host starves it, and its
+    slices on this process's CPU cost more than its chunks save), or when it
+    is gone.  With an even number the caller would reach the worker's last
+    chunk in flight and compute it too; with an odd one it computes the
+    middle chunk while the worker's last one arrives."""
+    residual, base, *rest = job
+    chunks = _mode_chunks(rest[-1], 2, base.n_grid)
+    if (len(chunks) < 2 or not sys.platform.startswith("linux")
             or len(os.sched_getaffinity(0)) < 2
             or threading.current_thread() is not threading.main_thread()):
-        return None
-    residual, base, *rest = job
+        return None, chunks
+    shared = np.array_split(np.arange(1, rest[-1] + 1), min(len(chunks) | 1, rest[-1]))
     try:
-        payload = pickle.dumps((residual, base.coeffs, *rest))
+        payload = pickle.dumps((residual, base.coeffs, shared, np.geterr(), *rest))
     except Exception:  # a lambda, a local function, a tracing wrapper
-        return None
-    pool = _worker()
-    if pool is None:
-        return None
-    marks = _pool[2]
-    marks[:] = 0, len(chunks)
+        return None, chunks
+    conn, marks = _worker() or (None, None)
+    if conn is None or time.monotonic_ns() < marks[3]:
+        return None, chunks
+    if marks[2] != marks[0]:  # it has not taken its last job: stopped, starved or dead
+        with contextlib.suppress(ChildProcessError):  # reaped elsewhere
+            if os.waitid(os.P_PID, _pool[1], os.WEXITED | os.WNOHANG | os.WNOWAIT):
+                _drop_worker()  # it died; unreaped, its pid is still its own
+        return None, chunks
+    number = int(marks[0]) + 1
+    marks[:2] = number, 0
     try:
-        return pool.submit(_share, payload, chunks, np.geterr()), marks
-    except Exception:  # BrokenProcessPool, or submitted at interpreter exit
+        conn.send((number, payload))
+    except OSError:  # it died
         _drop_worker()
-        return None
-
-
-def _share(payload, chunks, err):
-    """The worker's side: (index, columns) of the chunks it takes from the
-    last down while the caller has not taken them, up to the first chunk
-    that raises or warns.  The caller computes every chunk that is
-    not handed back, so its errors and warnings arise in the caller."""
-    marks = _pool[2]
-    done = []
-    try:
-        residual, coeffs, *rest = pickle.loads(payload)
-        base = PeriodicFunction(coeffs)
-        with np.errstate(**err), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for i in reversed(range(len(chunks))):
-                if marks[0] > i:
-                    break
-                marks[1] = i
-                done.append((i, _chunk_columns(residual, base, *rest, chunks[i])))
-    except Exception:
-        pass
-    return done
-
-
-def _collect(future):
-    """The worker's finished chunks, as (index, columns); none when it died
-    (BrokenProcessPool), and then it is dropped: the next Jacobian forks
-    another."""
-    try:
-        return future.result()
-    except Exception:
-        _drop_worker(wait=True)
-        return []
+        return None, chunks
+    return number, shared
 
 
 def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
@@ -267,29 +280,17 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
     only its input's modes, as every capwave residual does, gives each row,
     and so the matrix, the bits of one call per perturbation.
 
-    The columns come in chunks of modes (see `_mode_chunks`).  On Linux,
-    with at least 2 CPUs in the process's affinity mask, in the main thread
-    and outside a process that multiprocessing started, a Jacobian of
-    MIN_SHARED_CHUNKS chunks or more whose `residual` pickles (a
-    module-level function, or a `functools.partial` of one) is shared with
-    one worker process: this process takes chunks from the first up and the
-    worker from the last down until they meet, so a worker that the host
-    slows down leaves its share to this process, which then waits for at
-    most the chunk the worker is on.  Which side computes a chunk depends
-    on timing; the bits do not.  A smaller Jacobian is computed in this
-    process, as is one on one CPU, in another thread, or of a lambda, a
-    local function or a wrapper made at run time (none of them pickles).
-    The worker is forked on first use and runs the modules
-    as they were then; a function patched later is not patched there.  It
-    runs under the caller's `np.geterr()`.  A chunk that raises or warns
-    there, or fails here, is computed again here in chunk order, so an
-    error is the one of the lowest failing chunk, as a loop over the chunks
-    would raise it, and a warning passes this process's filters (possibly
-    out of chunk order).  A worker that died is dropped, and its share is
-    computed here.  The worker is joined at interpreter exit, and a signal
-    that kills the caller kills it too.  The bench's traced ops run
-    in-process, since its tracer's wrappers do not pickle, and this
-    process's peak RSS does not count the worker's memory.
+    The columns come in chunks of modes (see `_mode_chunks`).  A Jacobian of
+    two chunks or more whose `residual` pickles (a module-level function or
+    a `functools.partial` of one) is shared with one worker process on the
+    terms of `_offer`: this process takes chunks from the first up, the
+    worker from the last down and sends each back once done.  Before each
+    chunk this process takes in what has arrived and computes any chunk
+    that has not, so it never waits for the worker; the bits do not depend
+    on which side computes a chunk.  The worker, forked on first use, runs
+    the modules as they were then, under the caller's `np.geterr()`, and
+    leaves to this process a chunk that raises or warns there, and all its
+    chunks when it dies: errors and warnings arise here, in chunk order.
     """
     if {basis_in, basis_out} - {"cosine", "sine"}:
         raise ValueError(f"unknown basis in {basis_in!r} -> {basis_out!r}")
@@ -300,28 +301,27 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
     if M >= base.n_grid // 2:
         raise ValueError("M exceeds the grid resolution")
     job = (residual, base, basis_in, basis_out, step, M)
-    chunks = _mode_chunks(M, 2, base.n_grid)
+    number, chunks = _offer(job)
     cols = np.empty((M, M))
     done = [False] * len(chunks)
-    theirs, marks = _submit(job, chunks) or (None, None)
+    theirs = 0
     for i, modes in enumerate(chunks):
-        if theirs is not None:
-            if marks[1] <= i:  # the worker has this chunk and those above
-                break
-            marks[0] = i + 1
-        try:
+        if number is not None:  # take in what the worker sent; say how far this got
+            try:
+                while _pool[2].poll():
+                    sent, j, c = _pool[2].recv()
+                    if sent == number and not done[j]:  # of this job, not done yet
+                        cols[:, chunks[j] - 1], done[j] = c, True
+                        theirs += 1
+                _pool[3][1] = i + 1
+            except (EOFError, OSError):  # it died; the next Jacobian forks another
+                _drop_worker()
+                number = None
+        if not done[i]:  # in chunk order: the lowest failing chunk raises
             cols[:, modes - 1] = _chunk_columns(*job, modes)
-        except Exception:
-            break  # computed again below, where it raises in chunk order
-        done[i] = True
-    if theirs is not None:
-        marks[0] = len(chunks)  # the worker stops after the chunk it is on
-        for i, c in _collect(theirs):
-            cols[:, chunks[i] - 1] = c
             done[i] = True
-    for i, modes in enumerate(chunks):  # in chunk order, as a plain loop fails
-        if not done[i]:
-            cols[:, modes - 1] = _chunk_columns(*job, modes)
+    if number is not None and not theirs:  # starved: offer it no job for 0.5 s
+        _pool[3][3] = time.monotonic_ns() + 500_000_000
     return OperatorMatrix(entries=cols, basis=basis_in)
 
 

@@ -346,6 +346,28 @@ def test_continue_writes_every_output_it_can_before_it_reports_a_failed_one(tmp_
     assert _read(tmp_path / "svg" / "step_0000.svg") == _read(tmp_path / "ok_svg" / "step_0000.svg")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["spectrum", "profile"])
+def test_spectrum_and_profile_write_every_output_they_can_before_they_report_a_failed_one(
+        tmp_path, capsys, monkeypatch, command):
+    # the CSV cannot be written; the JSON report or the SVG still is, with
+    # the bytes of a run that writes both
+    monkeypatch.chdir(tmp_path)
+    if command == "spectrum":
+        flags, other, name = ["spectrum", "--A-values", "0.3", "--M", "8"], "--out-json", "s.json"
+    else:
+        sol = newton_solve(WaveParams(alpha=0.0, beta=crapper.beta_of(0.3)),
+                           crapper.crapper_wave(0.3, 256), M=32)
+        (tmp_path / "sol.json").write_text(dumps_fixed(solution_to_dict(sol)))
+        flags, other, name = ["profile", "--input", "sol.json"], "--out-svg", "p.svg"
+    assert main([*flags, "--out-csv", "ok.csv", other, f"ok_{name}"]) == 0
+    capsys.readouterr()
+    assert main([*flags, "--out-csv", "/dev/full", other, name]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"capwave: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n")
+    assert _read(tmp_path / name) == _read(tmp_path / f"ok_{name}")
+
+
 @pytest.mark.parametrize("svg_dir", ["taken", "taken/sub", "taken/sub/deeper/"])
 def test_continue_rejects_an_svg_dir_that_is_a_file_before_solving(tmp_path, capsys,
                                                                     monkeypatch, svg_dir):
@@ -645,6 +667,37 @@ def test_importing_capwave_sets_no_allocator_option():
     on_import, after_main = json.loads(proc.stdout.strip().splitlines()[-1])
     assert on_import == []
     assert len(after_main) == 2  # the spy sees the calls that main makes
+
+
+_BLAS_THREADS = """
+import contextlib, ctypes, glob, io, os
+import numpy as np
+from capwave.cli import main
+(path,) = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas64_*"))
+blas = ctypes.CDLL(path)
+blas.scipy_openblas_set_num_threads64_(2)
+before = blas.scipy_openblas_get_num_threads64_()
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["verify", "--A", "0.2", "--grid", "256"])
+print(before, blas.scipy_openblas_get_num_threads64_())
+"""
+
+
+_NUMPY_LIBS = Path(np.__file__).parent.parent / "numpy.libs"
+
+
+@pytest.mark.skipif(not list(_NUMPY_LIBS.glob("libscipy_openblas64_*")),
+                    reason="numpy bundles no scipy-openblas here")
+def test_main_pins_numpys_openblas_to_one_thread():
+    # its solves and SVDs give other bits on another thread count
+    env = {k: v for k, v in _src_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(int, proc.stdout.split())
+    if before < 2:
+        pytest.skip("OpenBLAS runs one thread here whatever it is asked")
+    assert after == 1
 
 
 _SECOND_CONTINUE = """

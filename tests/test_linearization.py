@@ -238,60 +238,167 @@ _PICKLED_CASES = {
 }
 
 
-def _share_small_jacobians(monkeypatch):
-    """Let the 4-chunk Jacobians of the vortical and angle cases use the worker."""
-    assert len(linearization._mode_chunks(64, 2, 256)) == 4
-    monkeypatch.setattr(linearization, "MIN_SHARED_CHUNKS", 2)
+def _in_process(monkeypatch):
+    """Compute every later Jacobian of the test in this process."""
+    monkeypatch.setattr(linearization, "_offer", lambda job: (
+        None, linearization._mode_chunks(job[-1], 2, job[1].n_grid)))
+
+
+def _wait_for_the_worker(rest=False):
+    """Wait until the worker has taken the last job it was sent (a job is
+    offered only then); unless `rest`, end the rest that a job it gave no
+    chunk to has earned it, which a test's stopped or busy worker earns."""
+    marks = linearization._pool[3]
+    deadline = time.monotonic() + 60
+    while marks[2] != marks[0] and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert marks[2] == marks[0], "the worker did not take its job"
+    if not rest:
+        marks[3] = 0
+
+
+def _spy_on_offers(monkeypatch):
+    """The number of chunks each Jacobian offered the worker, 0 for none,
+    one entry per Jacobian; each first waits for a worker that the host
+    has not yet run."""
+    offered = []
+    offer = linearization._offer
+
+    def spy(job):
+        if linearization._pool is not None:
+            _wait_for_the_worker()
+        number, chunks = offer(job)
+        offered.append(0 if number is None else len(chunks))
+        return number, chunks
+
+    monkeypatch.setattr(linearization, "_offer", spy)
+    return offered
+
+
+def _spy_on_the_caller(monkeypatch):
+    """The chunks this process computes, one entry (its modes) per chunk."""
+    computed = []
+    columns = linearization._chunk_columns
+
+    def spy(*job_and_modes):
+        computed.append(job_and_modes[-1])
+        return columns(*job_and_modes)
+
+    monkeypatch.setattr(linearization, "_chunk_columns", spy)
+    return computed
 
 
 def _worker_alone(residual, base, M, basis_in="cosine", basis_out="cosine"):
-    """The chunks the worker hands back, by index, when the caller takes none."""
+    """(job, chunks, columns by index) of the chunks that the worker sends
+    back when the caller reaches none of them."""
     step = linearization.DEFAULT_REL_STEP * (1.0 + base.norm_inf())
     job = (residual, base, basis_in, basis_out, step, M)
-    chunks = linearization._mode_chunks(M, 2, base.n_grid)
-    future, marks = linearization._submit(job, chunks)
-    return job, chunks, dict(linearization._collect(future))
-
-
-def _spy_on_the_worker(monkeypatch):
-    """The number of chunks the worker hands back, one entry per Jacobian."""
-    handed_back = []
-    collect = linearization._collect
-
-    def spy(future):
-        done = collect(future)
-        handed_back.append(len(done))
-        return done
-
-    monkeypatch.setattr(linearization, "_collect", spy)
-    return handed_back
+    if linearization._pool is not None:
+        _wait_for_the_worker()
+    number, chunks = linearization._offer(job)
+    assert number is not None
+    _, _, conn, marks = linearization._pool
+    conn.send((-number, b""))  # an empty job: the worker takes it once done with this one
+    try:
+        deadline = time.monotonic() + 60
+        while marks[2] != -number and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert marks[2] == -number, "the worker did not finish its job"
+        sent = {}
+        while conn.poll():
+            job_number, i, c = conn.recv()
+            if job_number == number:  # not a late chunk of an earlier job
+                sent[i] = c
+    finally:
+        marks[2] = number  # idle again: the next Jacobian is offered
+    return job, chunks, sent
 
 
 @needs_worker
 @pytest.mark.parametrize("case", list(_PICKLED_CASES))
 def test_the_worker_gives_the_bytes_of_the_in_process_loop(monkeypatch, case):
-    _share_small_jacobians(monkeypatch)
     residual, base, bases, M = _PICKLED_CASES[case]
-    job, chunks, theirs = _worker_alone(residual, base, M, **bases)
-    assert sorted(theirs) == list(range(len(chunks)))  # it took every chunk
+    job, chunks, sent = _worker_alone(residual, base, M, **bases)
+    assert sorted(sent) == list(range(len(chunks)))  # it took every chunk
     for i, modes in enumerate(chunks):
-        assert theirs[i].tobytes() == linearization._chunk_columns(*job, modes).tobytes()
-    handed_back = _spy_on_the_worker(monkeypatch)
+        assert sent[i].tobytes() == linearization._chunk_columns(*job, modes).tobytes()
+    offered = _spy_on_offers(monkeypatch)
     shared = jacobian_fd(residual, base, M, **bases).entries
-    assert len(handed_back) == 1  # shared, however the chunks fell
-    monkeypatch.setattr(linearization, "_submit", lambda job, chunks: None)
+    assert offered == [len(chunks)]  # shared, however the chunks fell
+    _in_process(monkeypatch)
     alone = jacobian_fd(residual, base, M, **bases).entries
     assert shared.tobytes() == alone.tobytes()
 
 
 @needs_worker
-def test_a_deep_jacobian_is_shared_and_a_vortical_one_is_not(monkeypatch):
-    handed_back = _spy_on_the_worker(monkeypatch)
+def test_deep_and_vortical_jacobians_are_shared_in_an_odd_number_of_chunks(monkeypatch):
+    offered = _spy_on_offers(monkeypatch)
     for case in ("deep", "vortical"):
         residual, base, bases, M = _PICKLED_CASES[case]
         jacobian_fd(residual, base, M, **bases)
-    assert len(linearization._mode_chunks(128, 2, 512)) >= linearization.MIN_SHARED_CHUNKS
-    assert len(handed_back) == 1
+    # 15 chunks in-process too; the vortical Jacobian's 4 become 5
+    assert [len(linearization._mode_chunks(M, 2, n)) for M, n in ((128, 512), (64, 256))] == [15, 4]
+    assert offered == [15, 5]
+
+
+@needs_worker
+def test_a_stopped_worker_leaves_every_chunk_to_the_caller_and_its_late_ones_are_dropped(
+        monkeypatch):
+    residual, base, bases, M = _PICKLED_CASES["deep"]
+    other = base + PeriodicFunction.from_cosine_series([0.0, 0.0, 2e-3], base.n_grid)
+    _in_process(monkeypatch)
+    want, want_other = (jacobian_fd(residual, b, M).entries for b in (base, other))
+    monkeypatch.undo()
+    jacobian_fd(residual, other, M)  # forks the worker
+    _wait_for_the_worker()
+    _, pid, conn, marks = linearization._pool
+    offered = _spy_on_offers(monkeypatch)
+    computed = _spy_on_the_caller(monkeypatch)
+    os.kill(pid, signal.SIGSTOP)
+    try:
+        got = jacobian_fd(residual, other, M).entries
+        assert offered == [15] and len(computed) == 15  # this process computed them all
+        assert got.tobytes() == want_other.tobytes()
+        marks[1] = 0  # as if this process had reached none: the worker sends them all
+        os.kill(pid, signal.SIGCONT)
+        _wait_for_the_worker()
+        assert conn.poll(60)  # a late chunk, of `other`, has arrived
+        os.kill(pid, signal.SIGSTOP)
+        # the next Jacobian drops the late chunks, and this process computes them all
+        computed.clear()
+        assert jacobian_fd(residual, base, M).entries.tobytes() == want.tobytes()
+        assert offered == [15, 15] and len(computed) == 15
+    finally:
+        os.kill(pid, signal.SIGCONT)
+
+
+@needs_worker
+def test_a_worker_that_gave_no_chunk_to_a_job_is_offered_none_for_a_while(monkeypatch):
+    # a worker that the host starves only costs its caller CPU time
+    residual, base, bases, M = _PICKLED_CASES["vortical"]
+    ref = jacobian_fd(residual, base, M).entries
+    _wait_for_the_worker()
+    _, pid, conn, marks = linearization._pool
+    offered = []
+    offer = linearization._offer
+
+    def spy(job):
+        number, chunks = offer(job)
+        offered.append(number is not None)
+        return number, chunks
+
+    monkeypatch.setattr(linearization, "_offer", spy)
+    os.kill(pid, signal.SIGSTOP)
+    try:
+        assert jacobian_fd(residual, base, M).entries.tobytes() == ref.tobytes()
+    finally:
+        os.kill(pid, signal.SIGCONT)
+    _wait_for_the_worker(rest=True)
+    assert jacobian_fd(residual, base, M).entries.tobytes() == ref.tobytes()
+    assert 0 < marks[3] - time.monotonic_ns() <= 500_000_000
+    marks[3] = time.monotonic_ns()  # as if the rest were over
+    assert jacobian_fd(residual, base, M).entries.tobytes() == ref.tobytes()
+    assert offered == [True, False, True]
 
 
 def _must_not_fork():
@@ -300,7 +407,6 @@ def _must_not_fork():
 
 @pytest.mark.parametrize("why", ["a lambda", "one CPU"])
 def test_the_jacobian_runs_in_process_without_a_worker_to_use(monkeypatch, why):
-    _share_small_jacobians(monkeypatch)
     residual, base, bases, M = _PICKLED_CASES["vortical"]
     if why == "a lambda":
         residual = lambda w, r=residual: r(w)  # noqa: E731
@@ -313,7 +419,6 @@ def test_the_jacobian_runs_in_process_without_a_worker_to_use(monkeypatch, why):
 def test_a_jacobian_outside_the_main_thread_runs_in_process(monkeypatch):
     # only the main thread forks the worker, which dies with the thread
     # that forked it; a passing thread's Jacobian is computed in that thread
-    _share_small_jacobians(monkeypatch)
     residual, base, bases, M = _PICKLED_CASES["vortical"]
     ref = jacobian_fd(residual, base, M, **bases).entries
     monkeypatch.setattr(linearization, "_worker", _must_not_fork)
@@ -322,31 +427,30 @@ def test_a_jacobian_outside_the_main_thread_runs_in_process(monkeypatch):
     assert got.tobytes() == ref.tobytes()
 
 
-def _fail_in_chunks(failing, u):
-    """The identity, except on the +-step stacks of the chunks `failing` of
-    a 64-mode Jacobian at zero on 256 points (4 chunks of 16 modes)."""
-    first_mode = int(np.argmax(np.abs(u.coeffs[0, 1:128]))) + 1
-    chunk = (first_mode - 1) // 16
-    if chunk in failing:
-        raise ValueError(f"chunk {chunk}")
+def _fail_on_modes(failing, u):
+    """The identity, except on a +-step stack at zero on 256 points that
+    perturbs a mode in `failing`: it raises, naming the lowest such mode."""
+    modes = set(np.argmax(np.abs(u.coeffs[:, 1:128]), axis=1) + 1) & failing
+    if modes:
+        raise ValueError(f"mode {min(modes)}")
     return u
 
 
 @needs_worker
-@pytest.mark.parametrize("failing, raised", [((1, 2), 1), ((2, 3), 2), ((3,), 3), ((0, 1), 0)])
-def test_a_failing_chunk_raises_as_the_loop_over_chunks_would(monkeypatch, failing, raised):
-    _share_small_jacobians(monkeypatch)
+@pytest.mark.parametrize("failing", [(20, 40), (40, 60), (60,), (5, 20)])
+def test_a_failing_chunk_raises_as_the_loop_over_chunks_would(monkeypatch, failing):
     base = PeriodicFunction.zeros(256)
-    assert [len(c) for c in linearization._mode_chunks(64, 2, 256)] == [16] * 4
-    residual = partial(_fail_in_chunks, frozenset(failing))
+    residual = partial(_fail_on_modes, frozenset(failing))
     # taking every chunk from the top down, the worker stops at the first that fails
-    assert sorted(_worker_alone(residual, base, 64)[2]) == list(range(max(failing) + 1, 4))
-    handed_back = _spy_on_the_worker(monkeypatch)
-    with pytest.raises(ValueError, match=f"^chunk {raised}$"):
+    _, chunks, sent = _worker_alone(residual, base, 64)
+    top = max(i for i, modes in enumerate(chunks) if set(modes) & set(failing))
+    assert sorted(sent) == list(range(top + 1, len(chunks)))
+    offered = _spy_on_offers(monkeypatch)
+    with pytest.raises(ValueError, match=f"^mode {min(failing)}$"):
         jacobian_fd(residual, base, 64)
-    assert len(handed_back) == 1  # the worker had its share
-    monkeypatch.setattr(linearization, "_submit", lambda job, chunks: None)
-    with pytest.raises(ValueError, match=f"^chunk {raised}$"):
+    assert offered == [len(chunks)]  # the worker had its share
+    _in_process(monkeypatch)
+    with pytest.raises(ValueError, match=f"^mode {min(failing)}$"):
         jacobian_fd(residual, base, 64)
 
 
@@ -357,36 +461,59 @@ def _overflow_then_identity(u):
 
 @needs_worker
 def test_the_worker_runs_under_the_callers_errstate(monkeypatch):
-    # a chunk that warns or raises there is handed back undone and computed
-    # here, where the caller's errstate and warning filters act on it
-    _share_small_jacobians(monkeypatch)
+    # a chunk that warns or raises there is left undone and computed here,
+    # where the caller's errstate and warning filters act on it
     base = PeriodicFunction.zeros(256)
-    for over, taken in (("ignore", 4), ("raise", 0), ("warn", 0)):
+    for over, every in (("ignore", True), ("raise", False), ("warn", False)):
         with np.errstate(over=over), warnings.catch_warnings():
             warnings.simplefilter("error")  # none arises here
-            assert len(_worker_alone(_overflow_then_identity, base, 64)[2]) == taken
-    handed_back = _spy_on_the_worker(monkeypatch)
+            _, chunks, sent = _worker_alone(_overflow_then_identity, base, 64)
+            assert len(sent) == (len(chunks) if every else 0)
+    assert len(chunks) == 5
+    offered = _spy_on_offers(monkeypatch)
     with np.errstate(over="ignore"):
         ref = jacobian_fd(_overflow_then_identity, base, 64).entries
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         jacobian_fd(_overflow_then_identity, base, 64)
     with np.errstate(over="warn"), pytest.warns(RuntimeWarning, match="overflow"):
         warned = jacobian_fd(_overflow_then_identity, base, 64).entries
-    assert len(handed_back) == 3 and warned.tobytes() == ref.tobytes()
+    assert offered == [5] * 3 and warned.tobytes() == ref.tobytes()
 
 
 @needs_worker
 def test_a_killed_worker_is_dropped_and_its_share_computed_in_process(monkeypatch):
     residual, base, bases, M = _PICKLED_CASES["deep"]
     ref = jacobian_fd(residual, base, M).entries
-    (killed,) = linearization._pool[1]._processes
+    _wait_for_the_worker()
+    killed = linearization._pool[1]
     os.kill(killed, signal.SIGKILL)
-    handed_back = _spy_on_the_worker(monkeypatch)
+    deadline = time.monotonic() + 30
+    while _running(killed) and time.monotonic() < deadline:
+        time.sleep(0.005)
     assert jacobian_fd(residual, base, M).entries.tobytes() == ref.tobytes()
-    assert handed_back == [0] and linearization._pool is None
+    assert linearization._pool is None
     # the next Jacobian forks another worker
     assert jacobian_fd(residual, base, M).entries.tobytes() == ref.tobytes()
-    assert len(handed_back) == 2 and killed not in linearization._pool[1]._processes
+    assert linearization._pool[1] != killed
+
+
+@needs_worker
+def test_a_worker_killed_before_it_took_its_job_is_dropped_too():
+    # it has not taken its last job, so it is sent no other: its death is
+    # seen by waiting on it, not by a failed send
+    residual, base, bases, M = _PICKLED_CASES["deep"]
+    ref = jacobian_fd(residual, base, M).entries
+    _wait_for_the_worker()
+    killed = linearization._pool[1]
+    os.kill(killed, signal.SIGSTOP)
+    assert jacobian_fd(residual, base, M).entries.tobytes() == ref.tobytes()  # offered
+    os.kill(killed, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while _running(killed) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    linearization._pool[3][3] = 0  # the rest its empty job earned it is over
+    assert jacobian_fd(residual, base, M).entries.tobytes() == ref.tobytes()
+    assert linearization._pool is None
 
 
 def _vortical_jacobian_bytes(queue):
@@ -454,7 +581,7 @@ def test_a_caller_killed_by_a_signal_takes_its_worker_with_it(tmp_path):
               "from capwave import cli, linearization\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    cli.main(['continue', '--A', '0.3', '--steps', '0', '--M', '128'])\n"
-              "print(*linearization._pool[1]._processes, flush=True)\n"
+              "print(linearization._pool[1], flush=True)\n"
               "time.sleep(120)\n")
     with _python(script, cwd=tmp_path) as proc:
         worker = int(proc.stdout.readline())

@@ -34,11 +34,11 @@ so no absolute path reaches the files.  capwave is imported from the `src/`
 next to this script.  About 2 s on two cores (2.6-2.8 s before the CLI kept
 the heap between stacked calls).
 
-Under `taskset -c 0` every Jacobian is computed in-process instead of half
-in a worker process, so a diff against a run on two CPUs checks that both
-paths write the same bytes.  Pin OpenBLAS to one thread for such a diff
-(OPENBLAS_NUM_THREADS=1): the bits of its solves and SVDs depend on its
-thread count, which follows the CPUs the process may use.
+Under `taskset -c 0` every Jacobian is computed in-process instead of
+partly in a worker process, so a diff against a run on two CPUs checks that
+both paths write the same bytes.  `capwave.cli.main` pins the OpenBLAS that
+numpy bundles to one thread, so a run without OPENBLAS_NUM_THREADS=1 writes
+the same bytes as one with it.
 """
 
 from __future__ import annotations
