@@ -28,7 +28,6 @@ import pickle
 import signal
 import sys
 import threading
-import time
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -135,8 +134,7 @@ def _chunk_columns(residual, base, basis_in, basis_out, step, M, modes):
 
 # (pid of the process that made it, pid of the worker, connection, marks) of
 # the forked worker, or None.  `marks`, shared with the worker, are hints: the
-# caller's job, the lowest chunk it has not reached, the worker's last job and
-# the time.monotonic_ns() until which the worker is offered none.
+# caller's job, the lowest chunk it has not reached and the worker's last job.
 _pool = None
 
 
@@ -160,7 +158,7 @@ def _worker():
 
         if multiprocessing.parent_process() is not None:
             return None
-        marks = np.frombuffer(mmap.mmap(-1, 32), np.int64)  # shared with the fork
+        marks = np.frombuffer(mmap.mmap(-1, 24), np.int64)  # shared with the fork
         here, there = multiprocessing.connection.Pipe()
         parent = os.getpid()
         pid = os.fork()
@@ -233,12 +231,10 @@ def _offer(job):
     chunks, or (None, chunks) to compute here: for one chunk, off Linux, on
     one CPU, outside the main thread, for a residual that does not pickle,
     in a process that multiprocessing started, while the worker has not
-    taken its last job (it is stopped or starved, and a send must not wait),
-    for 0.5 s after a job it gave no chunk to (the host starves it, and its
-    slices on this process's CPU cost more than its chunks save), or when it
-    is gone.  With an even number the caller would reach the worker's last
-    chunk in flight and compute it too; with an odd one it computes the
-    middle chunk while the worker's last one arrives."""
+    taken its last job (stopped or starved: a send must not wait), or when
+    it is gone or cannot be made.  With an even number the caller would
+    reach the worker's last chunk in flight and compute it too; with an odd
+    one it computes the middle chunk while the worker's last one arrives."""
     residual, base, *rest = job
     chunks = _mode_chunks(rest[-1], 2, base.n_grid)
     if (len(chunks) < 2 or not sys.platform.startswith("linux")
@@ -250,8 +246,11 @@ def _offer(job):
         payload = pickle.dumps((residual, base.coeffs, shared, np.geterr(), *rest))
     except Exception:  # a lambda, a local function, a tracing wrapper
         return None, chunks
-    conn, marks = _worker() or (None, None)
-    if conn is None or time.monotonic_ns() < marks[3]:
+    try:
+        conn, marks = _worker() or (None, None)
+    except OSError:  # no fork, mmap or Pipe to spare: EAGAIN, ENOMEM, EMFILE
+        conn = None
+    if conn is None:
         return None, chunks
     if marks[2] != marks[0]:  # it has not taken its last job: stopped, starved or dead
         with contextlib.suppress(ChildProcessError):  # reaped elsewhere
@@ -304,7 +303,6 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
     number, chunks = _offer(job)
     cols = np.empty((M, M))
     done = [False] * len(chunks)
-    theirs = 0
     for i, modes in enumerate(chunks):
         if number is not None:  # take in what the worker sent; say how far this got
             try:
@@ -312,7 +310,6 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
                     sent, j, c = _pool[2].recv()
                     if sent == number and not done[j]:  # of this job, not done yet
                         cols[:, chunks[j] - 1], done[j] = c, True
-                        theirs += 1
                 _pool[3][1] = i + 1
             except (EOFError, OSError):  # it died; the next Jacobian forks another
                 _drop_worker()
@@ -320,8 +317,6 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
         if not done[i]:  # in chunk order: the lowest failing chunk raises
             cols[:, modes - 1] = _chunk_columns(*job, modes)
             done[i] = True
-    if number is not None and not theirs:  # starved: offer it no job for 0.5 s
-        _pool[3][3] = time.monotonic_ns() + 500_000_000
     return OperatorMatrix(entries=cols, basis=basis_in)
 
 

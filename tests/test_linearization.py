@@ -1,4 +1,8 @@
+import errno
+import json
+import mmap
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import subprocess
@@ -13,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capwave import crapper, linearization
+from capwave import cli, crapper, linearization
 from capwave.linearization import (
     INJECTIVITY_TOL,
     OperatorMatrix,
@@ -244,17 +248,14 @@ def _in_process(monkeypatch):
         None, linearization._mode_chunks(job[-1], 2, job[1].n_grid)))
 
 
-def _wait_for_the_worker(rest=False):
+def _wait_for_the_worker():
     """Wait until the worker has taken the last job it was sent (a job is
-    offered only then); unless `rest`, end the rest that a job it gave no
-    chunk to has earned it, which a test's stopped or busy worker earns."""
+    offered only then)."""
     marks = linearization._pool[3]
     deadline = time.monotonic() + 60
     while marks[2] != marks[0] and time.monotonic() < deadline:
         time.sleep(0.001)
     assert marks[2] == marks[0], "the worker did not take its job"
-    if not rest:
-        marks[3] = 0
 
 
 def _spy_on_offers(monkeypatch):
@@ -373,32 +374,24 @@ def test_a_stopped_worker_leaves_every_chunk_to_the_caller_and_its_late_ones_are
 
 
 @needs_worker
-def test_a_worker_that_gave_no_chunk_to_a_job_is_offered_none_for_a_while(monkeypatch):
-    # a worker that the host starves only costs its caller CPU time
+def test_a_worker_stopped_through_a_job_is_offered_the_next_one(monkeypatch):
+    # a worker that took no part in a job, stopped or starved, is not kept
+    # out for a while: it is offered the next job once it has taken its last
     residual, base, bases, M = _PICKLED_CASES["vortical"]
     ref = jacobian_fd(residual, base, M).entries
+    pid = linearization._pool[1]
+    offered = _spy_on_offers(monkeypatch)
+    computed = _spy_on_the_caller(monkeypatch)
     _wait_for_the_worker()
-    _, pid, conn, marks = linearization._pool
-    offered = []
-    offer = linearization._offer
-
-    def spy(job):
-        number, chunks = offer(job)
-        offered.append(number is not None)
-        return number, chunks
-
-    monkeypatch.setattr(linearization, "_offer", spy)
     os.kill(pid, signal.SIGSTOP)
     try:
         assert jacobian_fd(residual, base, M).entries.tobytes() == ref.tobytes()
+        assert offered == [5] and len(computed) == 5  # offered, and all computed here
     finally:
         os.kill(pid, signal.SIGCONT)
-    _wait_for_the_worker(rest=True)
+    # the spy waits until the worker has taken the stopped job, then offers
     assert jacobian_fd(residual, base, M).entries.tobytes() == ref.tobytes()
-    assert 0 < marks[3] - time.monotonic_ns() <= 500_000_000
-    marks[3] = time.monotonic_ns()  # as if the rest were over
-    assert jacobian_fd(residual, base, M).entries.tobytes() == ref.tobytes()
-    assert offered == [True, False, True]
+    assert offered == [5, 5]
 
 
 def _must_not_fork():
@@ -511,9 +504,42 @@ def test_a_worker_killed_before_it_took_its_job_is_dropped_too():
     deadline = time.monotonic() + 30
     while _running(killed) and time.monotonic() < deadline:
         time.sleep(0.005)
-    linearization._pool[3][3] = 0  # the rest its empty job earned it is over
     assert jacobian_fd(residual, base, M).entries.tobytes() == ref.tobytes()
     assert linearization._pool is None
+
+
+def _no_worker_can_be_made(monkeypatch, module, name):
+    """Make `module.name`, one step of forking a worker, fail as it does
+    under a process, memory or file descriptor limit; forget the worker."""
+    def fail(*args, **kwargs):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(module, name, fail)
+    monkeypatch.setattr(linearization, "_pool", None)
+
+
+@needs_worker
+@pytest.mark.parametrize("module, name", [(os, "fork"), (mmap, "mmap"),
+                                          (multiprocessing.connection, "Pipe")])
+def test_a_worker_that_cannot_be_made_leaves_the_jacobian_to_this_process(
+        monkeypatch, module, name):
+    residual, base, bases, M = _PICKLED_CASES["vortical"]
+    _in_process(monkeypatch)
+    ref = jacobian_fd(residual, base, M).entries
+    monkeypatch.undo()
+    _no_worker_can_be_made(monkeypatch, module, name)
+    assert jacobian_fd(residual, base, M).entries.tobytes() == ref.tobytes()
+    assert linearization._pool is None
+
+
+@needs_worker
+def test_continue_solves_without_a_worker_when_none_can_be_forked(monkeypatch, tmp_path, capsys):
+    _no_worker_can_be_made(monkeypatch, os, "fork")
+    code = cli.main(["continue", "--A", "0.3", "--steps", "1", "--alpha-max", "0.02",
+                     "--M", "64", "--out-json", str(tmp_path / "b.json"),
+                     "--out-csv", str(tmp_path / "b.csv")])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert len(json.loads((tmp_path / "b.json").read_text())["solutions"]) == 2
 
 
 def _vortical_jacobian_bytes(queue):
