@@ -4,9 +4,9 @@ Subcommands: verify | spectrum | continue | profile | limit-check.  Flags can
 also come from a JSON config file (--config PATH); explicit flags win.  All
 outputs are UTF-8 and byte-deterministic for a fixed configuration.
 
-Exit codes: 0 success, 1 usage/config error or out of memory, 2 tolerance
-failure, 3 solver failure (partial branch saved; nothing is written when the
-first point fails).
+Exit codes: 0 success, 1 usage/config error, an unwritable output, another
+OS error (its message alone) or out of memory, 2 tolerance failure, 3 solver
+failure (partial branch saved; nothing is written when the first point fails).
 """
 
 from __future__ import annotations
@@ -457,8 +457,9 @@ def main(argv=None) -> int:
     except NewtonError as exc:
         sys.stderr.write(f"capwave: {exc}\n")
         return EXIT_SOLVER
-    except OSError as exc:  # an output file that cannot be written
-        sys.stderr.write(f"capwave: cannot write {exc.filename}: {exc.strerror or exc}\n")
+    except OSError as exc:  # an output file that cannot be written, or no file at all
+        what = "" if exc.filename is None else f"cannot write {exc.filename}: "
+        sys.stderr.write(f"capwave: {what}{exc.strerror or exc}\n")
         return EXIT_USAGE
     except MemoryError as exc:  # a grid or mode count too large for this machine
         sys.stderr.write(f"capwave: out of memory{': ' if str(exc) else ''}{exc}\n")

@@ -11,6 +11,7 @@ parameter record decides the problem: deep water solves F, finite depth FD.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -19,9 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from . import crapper, geometry
-from .linearization import jacobian_fd
+from .linearization import OperatorMatrix, _jacobians, jacobian_fd
 from .operators import (
     WaveParams,
+    _residual_inf,
     bernoulli_b,
     q_hat,
     residual_fd,
@@ -144,7 +146,8 @@ def _grid_for(M: int, A: float) -> int:
 
 
 def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
-                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> WaveSolution:
+                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                 *, _carry: dict | None = None) -> WaveSolution:
     """Full Newton on span{cos nt : n <= M} for the residual that `params`
     names: F (with the head b) in deep water, FD (with qhat) in finite depth.
 
@@ -152,7 +155,9 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
     it); convergence is measured by the sup norm of the residual on the full
     grid.  The Jacobian is refreshed every iteration by central differences;
     a singular one, or one the residual overflowed into inf or nan, raises
-    NewtonError.
+    NewtonError.  `_carry` (`continue_branch`'s) loses "next", an (alpha, beta)
+    for `_start_jacobian`, and "jac", a Jacobian used at w0 if its key holds
+    these params, M, grid and the bits of the projected modes.
     """
     residual = residual_inf if params.is_infinite else residual_fd
     n_grid = w0.n_grid
@@ -162,6 +167,9 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     _check_tol(tol)
     w = PeriodicFunction.from_cosine_series(w0.cosine_coefficients(M), n_grid)
+    carry = {} if _carry is None else _carry
+    then, (key, carried) = carry.pop("next", None), carry.pop("jac", (None, None))
+    carried = carried if key == (params, M, n_grid, w.coeffs.tobytes()) else None
     res = partial(residual, params)  # pickles: the Jacobian's worker can run it
     history = []
     sigma = None
@@ -172,7 +180,7 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
         if rnorm < tol or it == max_iter:
             break
         try:
-            jac = jacobian_fd(res, w, M)
+            jac, carried = carried or jacobian_fd(res, w, M), None
         except DegenerateMetricError:
             raise
         except ValueError as exc:  # operator matrix has non-finite entries
@@ -207,7 +215,7 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
         raise NewtonError(f"no convergence in {max_iter} iterations "
                           f"(residual history {['%.2e' % v for v in history]})")
     if sigma is None:  # converged at w0 without a step
-        sigma = _sigma_min(jacobian_fd(res, w, M))
+        sigma = _sigma_min(carried or _start_jacobian(params, res, w, M, then, carry))
     scalar = bernoulli_b(params.alpha, w) if params.is_infinite else q_hat(params, w)
     return WaveSolution(params=params, w=w, residual_norm=rnorm, b_or_qhat=scalar,
                         newton_iters=it, modes=M, sigma_min=sigma,
@@ -223,6 +231,25 @@ def _check_tol(tol):
 
 def _sigma_min(jac) -> float:
     return float(np.linalg.svd(jac.entries, compute_uv=False)[-1])
+
+
+def _start_jacobian(params, res, w, M, then, carry):
+    """`jacobian_fd(res, w, M)`; deep, with that of `then` (to carry["jac"])
+    from stacked calls sharing the alpha-free pieces, unless they raise on an
+    overflow, a division by zero or an invalid value, or give a non-finite
+    entry (the single call raises or warns under the caller's errstate)."""
+    both = None
+    if then is not None and params.is_infinite:
+        with contextlib.suppress(Exception), np.errstate(over="raise", divide="raise",
+                                                         invalid="raise"):
+            nxt = replace(params, alpha=then[0], beta=then[1])
+            stack = partial(_residual_inf, np.array([[params.alpha], [nxt.alpha]]),
+                            np.array([[params.beta], [nxt.beta]]))
+            both = _jacobians(stack, w, M, rows_per_mode=3)  # 2: peak RSS +3 %
+    if both is None or not np.isfinite(both).all():
+        return jacobian_fd(res, w, M)
+    carry["jac"] = (nxt, M, w.n_grid, w.coeffs.tobytes()), OperatorMatrix(both[1], "cosine")
+    return OperatorMatrix(both[0], "cosine")
 
 
 def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
@@ -268,8 +295,9 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     for a, b in schedule[1:]:  # a target without a finite wavenumber fails before any solve
         if a > 0.0:
             wavenumber_k(a, b, g, sigma)
+    carry = {"next": schedule[1]} if len(schedule) > 1 and tuple(schedule[1]) != (a0, b0) else {}
     last = newton_solve(start, crapper.crapper_wave(start_A, n_grid), M=M, tol=tol,
-                        max_iter=max_iter)
+                        max_iter=max_iter, _carry=carry)
     branch = Branch(start_A=start_A, solutions=[last], step_history=[(a0, b0, 0.0, True)])
 
     for a_target, b_target in schedule[1:]:
@@ -283,7 +311,7 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
             a_cur = last.params.alpha
             try:
                 sol = newton_solve(replace(last.params, alpha=a_try, beta=b_try), last.w,
-                                   M=M, tol=tol, max_iter=max_iter)
+                                   M=M, tol=tol, max_iter=max_iter, _carry=carry)
             except (NewtonError, DegenerateMetricError) as exc:
                 sol, failure = None, str(exc)
             else:

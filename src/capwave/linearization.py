@@ -119,17 +119,18 @@ def angle_grid(A: float, M: int) -> int:
 
 
 def _chunk_columns(residual, base, basis_in, basis_out, step, M, modes):
-    """The Jacobian's columns `modes` (M rows each), from one residual call
-    on their +-step stack; the in-process loop and the worker both run it."""
+    """The Jacobian's columns `modes` (M rows each, after the residual's leading
+    axes) from one call on their +-step stack; the loop and the worker run it."""
     k = len(modes)
     # only the modes of the residual rows are read: holding the array, not
     # the function, lets its unread samples' operands go on return
     r = residual(_plus_minus_steps(base, basis_in, modes, step)).coeffs
-    if r.shape != (2 * k, base.n_grid):
+    if r.shape[-2:] != (2 * k, base.n_grid):
         raise ValueError("the residual must map a stack of functions row by row")
     project = (PeriodicFunction.cosine_coefficients if basis_out == "cosine"
                else PeriodicFunction.sine_coefficients)
-    return (project(PeriodicFunction(r[:k] - r[k:]), M) / (2.0 * step)).T
+    d = PeriodicFunction(r[..., :k, :] - r[..., k:, :])
+    return np.swapaxes(project(d, M) / (2.0 * step), -1, -2)
 
 
 # (pid of the process that made it, pid of the worker, connection, marks) of
@@ -226,7 +227,7 @@ def _drop_worker():
     _pool = None
 
 
-def _offer(job):
+def _offer(job, rows_per_mode=2):
     """(job number, chunks) of `job`, sent to the worker in an odd number of
     chunks, or (None, chunks) to compute here: for one chunk, off Linux, on
     one CPU, outside the main thread, for a residual that does not pickle,
@@ -236,7 +237,7 @@ def _offer(job):
     reach the worker's last chunk in flight and compute it too; with an odd
     one it computes the middle chunk while the worker's last one arrives."""
     residual, base, *rest = job
-    chunks = _mode_chunks(rest[-1], 2, base.n_grid)
+    chunks = _mode_chunks(rest[-1], rows_per_mode, base.n_grid)
     if (len(chunks) < 2 or not sys.platform.startswith("linux")
             or len(os.sched_getaffinity(0)) < 2
             or threading.current_thread() is not threading.main_thread()):
@@ -291,6 +292,13 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
     leaves to this process a chunk that raises or warns there, and all its
     chunks when it dies: errors and warnings arise here, in chunk order.
     """
+    return OperatorMatrix(_jacobians(residual, base, M, step, basis_in, basis_out), basis_in)
+
+
+def _jacobians(residual, base, M, step=None, basis_in="cosine", basis_out="cosine",
+               rows_per_mode=2):
+    """`jacobian_fd`'s entries, a matrix per leading index of the residual's
+    output (`operators._residual_inf` at columns), in chunks of `rows_per_mode`."""
     if {basis_in, basis_out} - {"cosine", "sine"}:
         raise ValueError(f"unknown basis in {basis_in!r} -> {basis_out!r}")
     if step is None:
@@ -300,24 +308,22 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
     if M >= base.n_grid // 2:
         raise ValueError("M exceeds the grid resolution")
     job = (residual, base, basis_in, basis_out, step, M)
-    number, chunks = _offer(job)
-    cols = np.empty((M, M))
-    done = [False] * len(chunks)
+    number, chunks = _offer(job, rows_per_mode)
+    cols = [None] * len(chunks)  # each chunk's columns, runs of modes in order
     for i, modes in enumerate(chunks):
         if number is not None:  # take in what the worker sent; say how far this got
             try:
                 while _pool[2].poll():
                     sent, j, c = _pool[2].recv()
-                    if sent == number and not done[j]:  # of this job, not done yet
-                        cols[:, chunks[j] - 1], done[j] = c, True
+                    if sent == number and cols[j] is None:  # of this job, not done yet
+                        cols[j] = c
                 _pool[3][1] = i + 1
             except (EOFError, OSError):  # it died; the next Jacobian forks another
                 _drop_worker()
                 number = None
-        if not done[i]:  # in chunk order: the lowest failing chunk raises
-            cols[:, modes - 1] = _chunk_columns(*job, modes)
-            done[i] = True
-    return OperatorMatrix(entries=cols, basis=basis_in)
+        if cols[i] is None:  # in chunk order: the lowest failing chunk raises
+            cols[i] = _chunk_columns(*job, modes)
+    return np.concatenate(cols, axis=-1)
 
 
 def dG_matrix(A: float, M: int, n_grid: int | None = None) -> OperatorMatrix:

@@ -204,8 +204,13 @@ def bernoulli_b(alpha: float, w: PeriodicFunction) -> float:
 def residual_inf(params: WaveParams, w: PeriodicFunction) -> PeriodicFunction:
     """Deep-water residual F(alpha, beta, w); zero iff (alpha, beta, w) is a
     steady wave in scaled variables.  Mean-free by construction of b."""
-    wp, one_cwp, bracket, _ = _deep_pieces(params.alpha, w)
-    return _assemble(params.beta, wp, one_cwp, bracket, hilbert(bracket))
+    return _residual_inf(params.alpha, params.beta, w)
+
+
+def _residual_inf(alpha, beta, w):
+    """F at floats (alpha, beta), or, with a leading axis, at columns (p, 1)."""
+    wp, one_cwp, bracket, _ = _deep_pieces(alpha, w)
+    return _assemble(beta, wp, one_cwp, bracket, hilbert(bracket))
 
 
 # -- angle-formulation residuals ---------------------------------------------------

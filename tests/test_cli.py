@@ -328,6 +328,19 @@ def test_a_full_disk_ends_in_one_line_naming_the_file(tmp_path, capsys, monkeypa
     assert err == f"capwave: cannot write report.json: {os.strerror(errno.ENOSPC)}\n"
 
 
+@pytest.mark.parametrize("filename", [None, "branch.json"])
+def test_an_os_error_names_a_file_only_when_it_has_one(tmp_path, capsys, monkeypatch, filename):
+    # EAGAIN from a solve (a process limit) is not an output that cannot be written
+    def fail(*args, **kwargs):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN), filename)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "continue_branch", fail)
+    assert main(["continue", "--A", "0.3", "--out-json", "b.json", "--out-csv", "b.csv"]) == 1
+    what = "" if filename is None else f"cannot write {filename}: "
+    assert capsys.readouterr() == ("", f"capwave: {what}{os.strerror(errno.EAGAIN)}\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_continue_writes_every_output_it_can_before_it_reports_a_failed_one(tmp_path, capsys,
                                                                              monkeypatch):

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from capwave import continuation, crapper
+from capwave import continuation, crapper, linearization
 from capwave.continuation import (
     Branch,
     NewtonError,
@@ -14,6 +16,7 @@ from capwave.continuation import (
     modes_for,
     newton_solve,
 )
+from capwave.linearization import OperatorMatrix, jacobian_fd
 from capwave.operators import WaveParams, q_hat, residual_fd, residual_inf
 from capwave.serialization import solution_to_dict
 from capwave.spectral import DegenerateMetricError, PeriodicFunction
@@ -231,13 +234,130 @@ def test_step_underflow_carries_partial_branch():
     assert len(rejected) >= 3
 
 
+# -- the start's Jacobian and the first step's, from one stacked call ------------------
+
+
+def _count_jacobian_work(monkeypatch):
+    """(jobs, rows): M of each Jacobian job and the rows of each +-step
+    stack that a residual call gets, every chunk computed in this process."""
+    jobs, rows = [], []
+    steps = linearization._plus_minus_steps
+
+    def offer(job, rows_per_mode):
+        jobs.append(job[-1])
+        return None, linearization._mode_chunks(job[-1], rows_per_mode, job[1].n_grid)
+
+    def count_rows(base, basis, modes, step):
+        rows.append(2 * len(modes))
+        return steps(base, basis, modes, step)
+
+    monkeypatch.setattr(linearization, "_offer", offer)
+    monkeypatch.setattr(linearization, "_plus_minus_steps", count_rows)
+    return jobs, rows
+
+
+def _without_stacked_jacobians(monkeypatch):
+    """Every stacked call fails before its job, so each Jacobian is computed
+    alone, as before the start's was stacked."""
+    def fail(*args, **kwargs):
+        raise FloatingPointError("overflow")
+
+    monkeypatch.setattr(continuation, "_jacobians", fail)
+
+
+def _branch_bits(branch):
+    return branch.step_history, [(s.params, s.w.coeffs.tobytes(), s.sigma_min,
+                                  s.residual_history) for s in branch.solutions]
+
+
+def _compare_with_single_jacobians(monkeypatch, run):
+    """(jobs, stack rows) of `run()` and of `run()` with single Jacobians
+    only, which gives the same bits or raises the same error."""
+    jobs, rows = _count_jacobian_work(monkeypatch)
+    work = []
+    for single in (False, True):
+        if single:
+            _without_stacked_jacobians(monkeypatch)
+        jobs.clear()
+        rows.clear()
+        try:
+            got = _branch_bits(run())
+        except StepUnderflowError as exc:
+            got = str(exc), _branch_bits(exc.branch)
+        work.append((len(jobs), sum(rows)))
+        if single:
+            assert got == want
+        want = got
+    return work
+
+
+def test_a_deep_start_hands_its_first_step_the_jacobian_it_computed_with_its_own(
+        monkeypatch):
+    # one job fewer, with the rows of one: the start's job covers both points
+    beta = crapper.beta_of(0.3)
+    branch = continue_branch(0.3, [(0.0, beta), (0.02, beta)], M=32, g=1.0, sigma=1.0)
+    steps = branch.solutions[1].newton_iters  # each iteration needs one Jacobian
+    work = _compare_with_single_jacobians(monkeypatch, lambda: continue_branch(
+        0.3, [(0.0, beta), (0.02, beta)], M=32, g=1.0, sigma=1.0))
+    assert work == [(steps, 64 * steps), (steps + 1, 64 * (steps + 1))]
+
+
+def test_a_halved_retry_computes_its_own_jacobian(monkeypatch):
+    # the step to alpha = 2 lands on flat water and is halved six times:
+    # only the first attempt's iteration 0 takes the carried Jacobian
+    beta = crapper.beta_of(0.1)
+    (stacked, _), (single, _) = _compare_with_single_jacobians(monkeypatch, lambda: (
+        continue_branch(0.1, [(0.0, beta), (2.0, beta)], M=16, g=1.0, sigma=1.0)))
+    assert stacked == single - 1
+
+
+@pytest.mark.parametrize("why", ["finite depth", "the start iterates"])
+def test_no_jacobian_is_stacked_for_finite_depth_or_a_start_that_iterates(monkeypatch, why):
+    beta = crapper.beta_of(0.3)
+    kwargs = {"h": 2.5, "gamma": 0.7} if why == "finite depth" else {}
+    a0 = 0.0 if why == "finite depth" else -0.01  # Crapper's wave solves alpha = 0 only
+    monkeypatch.setattr(continuation, "_jacobians", _must_not_stack)
+    branch = continue_branch(0.3, [(a0, beta), (0.02, beta)], M=32, g=1.0, sigma=1.0,
+                             **kwargs)
+    assert (branch.solutions[0].newton_iters > 0) == (why == "the start iterates")
+
+
+def _must_not_stack(*args, **kwargs):
+    raise AssertionError("a stacked Jacobian was computed")
+
+
+def test_a_carried_jacobian_is_taken_only_at_its_key_and_only_once():
+    # a matrix twice the Jacobian halves Newton's first step: the history
+    # shows whether the solve took it
+    params = WaveParams(alpha=0.01, beta=crapper.beta_of(0.3))
+    w0, M = crapper.crapper_wave(0.3, 128), 32
+    plain = newton_solve(params, w0, M=M).residual_history
+    w = PeriodicFunction.from_cosine_series(w0.cosine_coefficients(M), 128)
+    jac = jacobian_fd(partial(residual_inf, params), w, M)
+    wrong = OperatorMatrix(2.0 * jac.entries, "cosine")
+    bits = np.frombuffer(w.coeffs.tobytes(), np.int64).copy()
+    bits[2] ^= 1  # the last bit of mode 1's real part
+    key = params, M, 128, w.coeffs.tobytes()
+
+    def history(key, matrix=wrong):
+        carry = {"jac": (key, matrix)}
+        got = newton_solve(params, w0, M=M, _carry=carry).residual_history
+        assert carry == {}  # taken out, used or not
+        return got
+
+    assert history(key, jac) == plain and history(key) != plain
+    for other in ((replace(params, alpha=0.0100001), *key[1:]), (params, 33, *key[2:]),
+                  (*key[:2], 256, key[3]), (*key[:3], bits.tobytes())):
+        assert history(other) == plain
+
+
 def test_halved_step_is_kept_until_the_target(monkeypatch):
     # a Newton stand-in that converges only on steps |d alpha| <= 0.003: the
     # third halving of the 0.02 segment succeeds and its length 0.0025 is
     # kept, so the target takes 8 accepted steps after 3 failures
     reached = [0.0]
 
-    def solve(params, w0, M, tol, max_iter):
+    def solve(params, w0, M, tol, max_iter, **_):
         if abs(params.alpha - reached[0]) > 0.003:
             raise NewtonError("step too long")
         reached[0] = params.alpha
@@ -258,7 +378,7 @@ def test_a_step_that_loses_its_height_is_halved(monkeypatch):
     ratio = continuation.MIN_STEEPNESS_RATIO
     reached = [0.0, 1.0]  # alpha and steepness of the last accepted point
 
-    def solve(params, w0, M, tol, max_iter):
+    def solve(params, w0, M, tol, max_iter, **_):
         long_step = params.alpha - reached[0] > 0.01
         height = reached[1] * (ratio * 0.5 if long_step else ratio) if params.alpha else 1.0
         if not long_step:
@@ -295,7 +415,7 @@ def test_a_long_step_onto_flat_water_is_halved_not_accepted():
 def test_step_underflow_after_max_halvings_per_target(monkeypatch):
     beta = crapper.beta_of(0.3)
 
-    def solve(params, w0, M, tol, max_iter):
+    def solve(params, w0, M, tol, max_iter, **_):
         if params.alpha > 0.0:
             raise NewtonError("no step succeeds")
         return SimpleNamespace(params=params, w=w0)
@@ -312,7 +432,7 @@ def test_step_underflow_onto_flat_water_names_the_steepness_ratio(monkeypatch):
     # every step off the start converges, onto a wave 1e-4 as steep: the
     # ratio is in the message, the comparison against MIN_STEEPNESS_RATIO
     # is what rejects the step
-    def solve(params, w0, M, tol, max_iter):
+    def solve(params, w0, M, tol, max_iter, **_):
         height = 1e-4 if params.alpha > 0.0 else 1.0
         return SimpleNamespace(params=params, w=w0, geometry={"steepness": height})
 

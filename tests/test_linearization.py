@@ -31,6 +31,7 @@ from capwave.linearization import (
 )
 from capwave.operators import (
     WaveParams,
+    _residual_inf,
     residual_G,
     residual_G_tilde,
     residual_fd,
@@ -142,6 +143,35 @@ def test_jacobian_fd_is_the_column_loop_bit_for_bit(monkeypatch, case):
         assert np.array_equal(stacked, loop) and stacked.tobytes() == loop.tobytes(), points
 
 
+# (A, n_grid, M, the two (alpha, beta) points): a start and its first target
+_STACKED_CASES = {
+    "A=0.3 alpha 0 -> 0.03": (0.3, 128, 48, ((0.0, None), (0.03, None))),
+    "A=-0.47 alpha and beta": (-0.47, 256, 64, ((0.0, None), (0.02, 0.9))),
+    "A=0.4 n=512": (0.4, 512, 160, ((-0.01, None), (0.04, None))),
+}
+
+
+def _stacked_case(case):
+    """(stacked residual, the two single ones, base, M) of a _STACKED_CASES entry."""
+    A, n_grid, M, points = _STACKED_CASES[case]
+    points = [(a, crapper.beta_of(A) if b is None else b) for a, b in points]
+    stack = partial(_residual_inf, *(np.array([[p[k]] for p in points]) for k in (0, 1)))
+    singles = [partial(residual_inf, WaveParams(alpha=a, beta=b)) for a, b in points]
+    return stack, singles, _perturbed(A, n_grid), M
+
+
+@pytest.mark.parametrize("case", list(_STACKED_CASES))
+def test_stacked_jacobians_are_two_jacobian_fd_calls_bit_for_bit(monkeypatch, case):
+    stack, singles, base, M = _stacked_case(case)
+    _in_process(monkeypatch)
+    want = [jacobian_fd(r, base, M).entries.tobytes() for r in singles]
+    for points in (1, 6 * base.n_grid, linearization.STACK_POINTS, 2 * M * base.n_grid):
+        monkeypatch.setattr(linearization, "STACK_POINTS", points)
+        for rows in (2, 3):
+            both = linearization._jacobians(stack, base, M, rows_per_mode=rows)
+            assert [j.tobytes() for j in both] == want, (points, rows)
+
+
 def _special_bases(n):
     """Bases whose modes hold +-0, inf and nan: a -0.0 in a mode the
     +step rows leave alone must come out +0.0 there, as adding a zero did."""
@@ -193,18 +223,22 @@ def test_plus_minus_stack_has_the_modes_of_adding_the_negated_steps(basis):
 # Jacobian computed in this process, never the share of its worker process.
 FD_JACOBIAN_PEAK_BYTES = 3.90e6
 DEEP_JACOBIAN_PEAK_BYTES = 2.94e6
+# The same deep Jacobian at alpha = 0 and 0.02 from one stacked residual
+# call per chunk (`operators._residual_inf` at a column of (alpha, beta)):
+# 4.27 MB in chunks sized at 2 rows per mode, 2.98 MB at 3, as a start does.
+DEEP_STACKED_JACOBIANS_PEAK_BYTES = 2.98e6
 
 
-def _jacobian_peak(residual, base, M):
-    """tracemalloc peak of one jacobian_fd, after a first call has cached
-    the grids and strip multipliers."""
-    jacobian_fd(residual, base, M)
+def _jacobian_peak(jacobian, residual, base, M):
+    """tracemalloc peak of one call of `jacobian` (jacobian_fd or the like),
+    after a first call has cached the grids and strip multipliers."""
+    jacobian(residual, base, M)
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        jacobian_fd(residual, base, M)
+        jacobian(residual, base, M)
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         if started:
@@ -214,14 +248,25 @@ def _jacobian_peak(residual, base, M):
 def test_one_fd_jacobian_allocates_at_most_its_measured_peak():
     residual, base, _ = _w_case(0.3, 256, residual_fd, alpha=0.02, h=2.5, gamma=0.7,
                                 g=1.0, sigma=1.0)
-    peak = _jacobian_peak(residual, base, 64)
+    peak = _jacobian_peak(jacobian_fd, residual, base, 64)
     assert peak < 1.1 * FD_JACOBIAN_PEAK_BYTES, peak
 
 
 def test_one_deep_jacobian_allocates_at_most_its_measured_peak():
     residual, base, _ = _w_case(0.3, 512, residual_inf, alpha=0.02, g=1.0, sigma=1.0)
-    peak = _jacobian_peak(residual, base, 128)
+    peak = _jacobian_peak(jacobian_fd, residual, base, 128)
     assert peak < 1.1 * DEEP_JACOBIAN_PEAK_BYTES, peak
+
+
+def test_the_start_and_first_step_jacobians_allocate_at_most_their_measured_peak(
+        monkeypatch):
+    # in chunks of 3 rows per mode, as a start computes them, this process alone
+    stack = partial(_residual_inf, np.array([[0.0], [0.02]]),
+                    np.full((2, 1), crapper.beta_of(0.3)))
+    base = _perturbed(0.3, 512)
+    _in_process(monkeypatch)
+    peak = _jacobian_peak(partial(linearization._jacobians, rows_per_mode=3), stack, base, 128)
+    assert peak < 1.1 * DEEP_STACKED_JACOBIANS_PEAK_BYTES, peak
 
 
 # -- the worker process that shares the chunks ---------------------------------------
@@ -244,8 +289,8 @@ _PICKLED_CASES = {
 
 def _in_process(monkeypatch):
     """Compute every later Jacobian of the test in this process."""
-    monkeypatch.setattr(linearization, "_offer", lambda job: (
-        None, linearization._mode_chunks(job[-1], 2, job[1].n_grid)))
+    monkeypatch.setattr(linearization, "_offer", lambda job, rows_per_mode: (
+        None, linearization._mode_chunks(job[-1], rows_per_mode, job[1].n_grid)))
 
 
 def _wait_for_the_worker():
@@ -265,10 +310,10 @@ def _spy_on_offers(monkeypatch):
     offered = []
     offer = linearization._offer
 
-    def spy(job):
+    def spy(job, rows_per_mode):
         if linearization._pool is not None:
             _wait_for_the_worker()
-        number, chunks = offer(job)
+        number, chunks = offer(job, rows_per_mode)
         offered.append(0 if number is None else len(chunks))
         return number, chunks
 
@@ -329,6 +374,22 @@ def test_the_worker_gives_the_bytes_of_the_in_process_loop(monkeypatch, case):
     _in_process(monkeypatch)
     alone = jacobian_fd(residual, base, M, **bases).entries
     assert shared.tobytes() == alone.tobytes()
+
+
+@needs_worker
+def test_the_worker_gives_stacked_jacobians_the_bytes_of_two_jacobian_fd_calls(monkeypatch):
+    # all its chunks wait in the pipe: 2 x 64 x 64 doubles, not 2 x 160 x 160
+    stack, singles, base, M = _stacked_case("A=-0.47 alpha and beta")
+    job, chunks, sent = _worker_alone(stack, base, M)
+    assert sorted(sent) == list(range(len(chunks)))
+    for i, modes in enumerate(chunks):
+        assert sent[i].tobytes() == linearization._chunk_columns(*job, modes).tobytes()
+    offered = _spy_on_offers(monkeypatch)
+    both = linearization._jacobians(stack, base, M, rows_per_mode=3)
+    assert offered == [len(linearization._mode_chunks(M, 3, base.n_grid)) | 1]  # shared
+    _in_process(monkeypatch)
+    assert [j.tobytes() for j in both] == [jacobian_fd(r, base, M).entries.tobytes()
+                                           for r in singles]
 
 
 @needs_worker
