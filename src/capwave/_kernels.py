@@ -4,8 +4,8 @@ A pair of segments can only cross where both their x-ranges and their
 y-ranges overlap.  Sorting the segments by their left end and searching each
 right end in that order gives, for every segment, the window of later
 segments that overlap it in x; the y-ranges prune those pairs further, and
-only the survivors get the four orientation tests.  Given `owned`, only pairs
-with a segment below that index are built (a periodic curve owns its base
+only the survivors get the four orientation tests.  Only pairs with a
+segment below the index `owned` are built (a periodic curve owns its base
 period; the other pairs repeat them).  A segment of a surface curve overlaps
 a handful of others, so the sweep costs O(n log n) plus the candidate pairs,
 not the n^2 / 2 of the pairwise sweep in tests/_oracles.py, whose orientation
@@ -27,9 +27,9 @@ def selected_backend() -> str:
     return "numpy"
 
 
-def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int | None = None) -> np.ndarray:
+def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int) -> np.ndarray:
     """Proper pairwise intersections of the open polyline (x, y) whose lower
-    segment index is below `owned` (default: every segment).
+    segment index is below `owned`.
 
     Adjacent segments are skipped; intersections within ENDPOINT_BAND of a segment
     endpoint are excluded.  Returns an (n, 2) array of crossing coordinates,
@@ -50,7 +50,7 @@ def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int | None = None) ->
     # the owned ranks >= r start at owned_from[r]
     order = np.argsort(xlo)
     rank = np.arange(len(order))
-    mine = order < (len(order) if owned is None else owned)
+    mine = order < owned
     cols = np.concatenate((rank, rank[mine]))
     owned_from = np.concatenate(([0], np.cumsum(mine))) + len(order)
     stop = np.searchsorted(xlo[order], xhi[order], side="right")

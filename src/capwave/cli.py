@@ -12,6 +12,7 @@ failure (partial branch saved; nothing is written when the first point fails).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import glob
 import json
@@ -32,7 +33,7 @@ from .continuation import (
     StepUnderflowError,
     continue_branch,
 )
-from .linearization import INJECTIVITY_TOL, _glibc, angle_grid, jacobian_fd, recurrence_scan
+from .linearization import INJECTIVITY_TOL, angle_grid, jacobian_fd, recurrence_scan
 from .operators import WaveParams, bernoulli_b, residual_G, residual_fd, residual_inf, theta_of
 from .serialization import (
     branch_csv_text,
@@ -243,6 +244,8 @@ def cmd_spectrum(args):
         values = [float(v) for v in args.A_values.split(",") if v.strip()]
     except ValueError as exc:
         raise CliError(f"bad --A-values: {exc}")
+    if not values:  # a check of nothing must not pass
+        raise CliError("--A-values needs at least one value")
     rows = [_spectrum_row(A, args.M) for A in values]
     passed = all(r["consistent"] and r["fd_mismatch"] <= 1e-4 for r in rows)
     report = {"command": "spectrum", "M": args.M, "rows": rows, "passed": passed}
@@ -257,6 +260,8 @@ def cmd_spectrum(args):
 
 
 def _build_schedule(args, beta0):
+    if args.steps < 0:
+        raise CliError("--steps must be at least 0")
     alphas = list(np.linspace(args.alpha_start, args.alpha_max, args.steps + 1))
     rows = 1 if args.beta_steps is None else args.beta_steps
     if rows < 1:
@@ -356,6 +361,8 @@ def cmd_limit_check(args):
         alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
     except ValueError as exc:
         raise CliError(f"bad --alphas: {exc}")
+    if not alphas:
+        raise CliError("--alphas needs at least one value")
     if any(a <= 0 for a in alphas):
         raise CliError("--alphas must be positive (the limit is taken from above)")
     A, n = args.A, args.grid
@@ -385,6 +392,14 @@ def cmd_limit_check(args):
 # mallopt parameters of glibc's malloc.h
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+
+
+def _glibc():
+    """The C library through ctypes where it is glibc, else None."""
+    with contextlib.suppress(AttributeError, ValueError, OSError):  # no confstr, no such name
+        if (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return ctypes.CDLL(None)
+    return None
 
 
 def _keep_heap():

@@ -283,6 +283,8 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     if abs(b0 - crapper.beta_of(start_A)) > 1e-9 * (1.0 + abs(b0)):
         raise ValueError(f"schedule must start at beta_A = {crapper.beta_of(start_A)!r}")
     _check_tol(tol)
+    if M is not None and M < 1:
+        raise ValueError(f"M must be at least 1, got {M}")
 
     requested = M if M is not None else DEFAULT_M
     M = modes_for(start_A, requested, tol)

@@ -128,7 +128,7 @@ def steepness(w: PeriodicFunction) -> float:
     return float((np.max(w.samples) - np.min(w.samples)) / (2.0 * math.pi))
 
 
-def crapper_profile_injective(A: float, n_grid: int = GEOMETRY_POINTS) -> bool:
+def crapper_profile_injective(A: float, n_grid: int) -> bool:
     w = crapper.crapper_wave(A, n_grid)
     return check_injective(surface_profile(w, 1.0)).injective
 

@@ -118,33 +118,23 @@ def angle_grid(A: float, M: int) -> int:
     return max(256, 4 * M, crapper.min_grid(A))
 
 
-def _chunk_columns(residual, base, basis_in, basis_out, step, M, modes):
-    """The Jacobian's columns `modes` (M rows each, after the residual's leading
-    axes) from one call on their +-step stack; the loop and the worker run it."""
+def _chunk_columns(residual, base, basis_in, step, M, modes):
+    """The Jacobian's columns `modes` (M cosine rows each, after the residual's
+    leading axes) from one call on their +-step stack; the loop and the worker run it."""
     k = len(modes)
     # only the modes of the residual rows are read: holding the array, not
     # the function, lets its unread samples' operands go on return
     r = residual(_plus_minus_steps(base, basis_in, modes, step)).coeffs
     if r.shape[-2:] != (2 * k, base.n_grid):
         raise ValueError("the residual must map a stack of functions row by row")
-    project = (PeriodicFunction.cosine_coefficients if basis_out == "cosine"
-               else PeriodicFunction.sine_coefficients)
     d = PeriodicFunction(r[..., :k, :] - r[..., k:, :])
-    return np.swapaxes(project(d, M) / (2.0 * step), -1, -2)
+    return np.swapaxes(d.cosine_coefficients(M) / (2.0 * step), -1, -2)
 
 
 # (pid of the process that made it, pid of the worker, connection, marks) of
 # the forked worker, or None.  `marks`, shared with the worker, are hints: the
 # caller's job, the lowest chunk it has not reached and the worker's last job.
 _pool = None
-
-
-def _glibc():
-    """The C library through ctypes where it is glibc, else None."""
-    with contextlib.suppress(AttributeError, ValueError, OSError):  # no confstr, no such name
-        if (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
-            return ctypes.CDLL(None)
-    return None
 
 
 def _worker():
@@ -188,10 +178,11 @@ def _serve(conn, marks, parent):
         os.sched_setscheduler(0, os.SCHED_IDLE, os.sched_param(0))
     except OSError:  # not allowed here: the worker runs as its caller does
         pass
-    ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    libc = ctypes.CDLL(None)
+    libc.prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
     if os.getppid() != parent:  # it died before prctl
         return
-    trim = getattr(_glibc(), "malloc_trim", None)
+    trim = getattr(libc, "malloc_trim", None)  # glibc's; None on another C library
     if trim is not None:
         trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
     while True:
@@ -227,7 +218,7 @@ def _drop_worker():
     _pool = None
 
 
-def _offer(job, rows_per_mode=2):
+def _offer(job, rows_per_mode):
     """(job number, chunks) of `job`, sent to the worker in an odd number of
     chunks, or (None, chunks) to compute here: for one chunk, off Linux, on
     one CPU, outside the main thread, for a residual that does not pickle,
@@ -269,10 +260,10 @@ def _offer(job, rows_per_mode=2):
 
 
 def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
-                base: PeriodicFunction, M: int, step: float | None = None,
-                basis_in: str = "cosine", basis_out: str = "cosine") -> OperatorMatrix:
+                base: PeriodicFunction, M: int, basis_in: str = "cosine") -> OperatorMatrix:
     """Central-difference Frechet derivative of `residual` at `base`,
-    truncated to M input/output modes; each basis is "cosine" or "sine".
+    truncated to M input modes of `basis_in` ("cosine" or "sine") and M
+    output cosine modes, with the step DEFAULT_REL_STEP * (1 + |base|_inf).
 
     `residual` receives stacks of shape (2k, n), the +step and then the
     -step perturbations of k columns, and must act row by row.  A stack's
@@ -292,22 +283,20 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
     leaves to this process a chunk that raises or warns there, and all its
     chunks when it dies: errors and warnings arise here, in chunk order.
     """
-    return OperatorMatrix(_jacobians(residual, base, M, step, basis_in, basis_out), basis_in)
+    return OperatorMatrix(_jacobians(residual, base, M, basis_in), basis_in)
 
 
-def _jacobians(residual, base, M, step=None, basis_in="cosine", basis_out="cosine",
-               rows_per_mode=2):
+def _jacobians(residual, base, M, basis_in="cosine", rows_per_mode=2):
     """`jacobian_fd`'s entries, a matrix per leading index of the residual's
     output (`operators._residual_inf` at columns), in chunks of `rows_per_mode`."""
-    if {basis_in, basis_out} - {"cosine", "sine"}:
-        raise ValueError(f"unknown basis in {basis_in!r} -> {basis_out!r}")
-    if step is None:
-        step = DEFAULT_REL_STEP * (1.0 + base.norm_inf())
+    if basis_in not in ("cosine", "sine"):
+        raise ValueError(f"unknown basis {basis_in!r}")
+    step = DEFAULT_REL_STEP * (1.0 + base.norm_inf())
     if not step > 0.0:
-        raise ValueError("step must be positive")
+        raise ValueError("the base has a NaN sample")
     if M >= base.n_grid // 2:
         raise ValueError("M exceeds the grid resolution")
-    job = (residual, base, basis_in, basis_out, step, M)
+    job = (residual, base, basis_in, step, M)
     number, chunks = _offer(job, rows_per_mode)
     cols = [None] * len(chunks)  # each chunk's columns, runs of modes in order
     for i, modes in enumerate(chunks):

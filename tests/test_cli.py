@@ -197,6 +197,24 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("solved although the command had to stop first")
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config"),  # no such file
+    ("{\"A\": 0.4", "cannot read config"),
+    ("[0.4]", "config file must hold a JSON object"),
+    ("null", "config file must hold a JSON object"),
+])
+def test_a_config_file_that_is_unreadable_or_not_an_object_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, content, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "continue_branch", _must_not_run)
+    if content is not None:
+        (tmp_path / "cfg.json").write_text(content)
+    assert main(["continue", "--config", "cfg.json", "--M", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if content is None else ["cfg.json"])
+
+
 # -- spectrum ----------------------------------------------------------------------
 
 
@@ -815,6 +833,18 @@ def test_extreme_constants_are_usage_errors(tmp_path, capsys, monkeypatch, argv)
      "--beta-max and --beta-steps >= 2 go together"),
     ("continue --A 0.3 --beta-steps 0 --steps 1 --M 16 --alpha-max 0.01",
      "--beta-steps must be at least 1"),
+    ("continue --A 0.3 --steps -5", "--steps must be at least 0"),
+    ("continue --A 0.3 --steps -1", "--steps must be at least 0"),
+    ("continue --A 0.3 --M -4 --steps 0", "M must be at least 1, got -4"),
+    ("continue --A 0.3 --M 0 --steps 0", "M must be at least 1, got 0"),
+    # a verification of nothing must not pass
+    ("spectrum --A-values , --out-json s.json --out-csv s.csv",
+     "--A-values needs at least one value"),
+    ("spectrum --A-values= --out-json s.json --out-csv s.csv",
+     "--A-values needs at least one value"),
+    ("limit-check --alphas , --out r.json", "--alphas needs at least one value"),
+    ("spectrum --A-values 0.3,x --out-json s.json --out-csv s.csv",
+     "bad --A-values: could not convert string to float: 'x'"),
     ("profile --input sol.json --repeats 0", "--repeats must be at least 1"),
     ("profile --input sol.json --repeats -3", "--repeats must be at least 1"),
 ])

@@ -199,6 +199,18 @@ def test_continue_branch_checks_tol_before_it_sizes_or_solves(monkeypatch, tol):
         continue_branch(0.3, [(0.0, crapper.beta_of(0.3))], tol=tol)
 
 
+@pytest.mark.parametrize("M", [0, -4])
+def test_continue_branch_checks_M_before_it_sizes_or_solves(monkeypatch, M):
+    # modes_for would raise any M below its own count to that count
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran although M had to be rejected first")
+
+    monkeypatch.setattr(continuation, "modes_for", must_not_run)
+    monkeypatch.setattr(continuation, "newton_solve", must_not_run)
+    with pytest.raises(ValueError, match=f"^M must be at least 1, got {M}$"):
+        continue_branch(0.3, [(0.0, crapper.beta_of(0.3))], M=M)
+
+
 def test_continue_branch_walks_the_sheet():
     beta = crapper.beta_of(0.25)
     schedule = [(0.01 * i / 3, beta) for i in range(4)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from capwave import crapper
+from capwave import crapper, geometry
 from capwave._kernels import ENDPOINT_BAND, segment_crossings
 from capwave.geometry import (
     SurfaceCurve,
@@ -127,7 +127,7 @@ def test_crossing_sweep_of_a_steep_wave_stays_small():
 
 
 def _assert_same_crossings(x, y, owned=None, skip_disjoint_boxes=False):
-    got = segment_crossings(x, y, owned)
+    got = segment_crossings(x, y, len(x) - 1 if owned is None else owned)
     want = pairwise_crossings(x, y, ENDPOINT_BAND, owned, skip_disjoint_boxes)
     assert np.array_equal(got, want)  # same points in the same order
     return got
@@ -176,7 +176,7 @@ def test_segment_crossings_skip_disjoint_boxes():
     x = np.array([0.3, 0.6, 0.8, 0.9])
     y = x / 3.0
     assert len(pairwise_crossings(x, y, ENDPOINT_BAND)) == 1
-    assert segment_crossings(x, y).shape == (0, 2)
+    assert segment_crossings(x, y, 3).shape == (0, 2)
 
 
 def test_check_above_bed_examples():
@@ -223,14 +223,28 @@ def test_critical_self_intersection_threshold():
         critical_self_intersection_A(tol=1e-5)
 
 
+def test_critical_self_intersection_halves_a_lower_bracket_that_crosses():
+    # lo = 0.8 crosses, so it is halved to 0.4, which does not; the
+    # threshold is the one found from the default lo, within tol
+    a_star = critical_self_intersection_A(tol=1e-3, n_grid=1024)
+    halved = critical_self_intersection_A(tol=1e-3, n_grid=1024, lo=0.8)
+    assert 0.4 < halved < 0.5 and abs(halved - a_star) < 1e-3
+
+
+def test_critical_self_intersection_gives_up_when_no_lower_bracket_is_injective(monkeypatch):
+    monkeypatch.setattr(geometry, "crapper_profile_injective", lambda A, n_grid: False)
+    with pytest.raises(RuntimeError, match="failed to bracket"):
+        critical_self_intersection_A()
+
+
 def test_segment_crossings_validation():
     with pytest.raises(ValueError):
-        segment_crossings(np.zeros(3), np.zeros(3))
+        segment_crossings(np.zeros(3), np.zeros(3), 2)
     with pytest.raises(ValueError):
-        segment_crossings(np.zeros(8), np.zeros(4))
+        segment_crossings(np.zeros(8), np.zeros(4), 7)
     # two crossing segments embedded in a zig-zag polyline
     x = np.array([0.0, 1.0, 1.0, 0.0])
     y = np.array([0.0, 1.0, 0.0, 1.0])
-    hits = segment_crossings(x, y)
+    hits = segment_crossings(x, y, 3)
     assert len(hits) == 1
     assert hits[0] == pytest.approx([0.5, 0.5], abs=1e-12)

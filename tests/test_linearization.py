@@ -38,7 +38,7 @@ from capwave.operators import (
     residual_inf,
     theta_of,
 )
-from capwave.spectral import PeriodicFunction, _samples_of, grid, hilbert, mul, pf_exp
+from capwave.spectral import PeriodicFunction, _samples_of, grid, mul
 from _oracles import jacobian_loop, plus_minus_stack
 
 
@@ -82,13 +82,15 @@ def test_jacobian_fd_directional_derivative():
 
 
 def test_jacobian_fd_second_order_in_step():
+    # on the column loop, which jacobian_fd reproduces bit for bit at its
+    # own step (test_jacobian_fd_is_the_column_loop_bit_for_bit)
     base = crapper.crapper_wave(0.4, 256)
     res = lambda w: residual_inf(WaveParams(alpha=0.0, beta=crapper.beta_of(0.4)), w)
-    ref = jacobian_fd(res, base, 8, step=2.5e-4)
+    ref = jacobian_loop(res, base, 8, step=2.5e-4)
     errs = []
     for step in (4e-3, 2e-3):
-        jac = jacobian_fd(res, base, 8, step=step)
-        errs.append(np.linalg.norm(jac.entries - ref.entries))
+        jac = jacobian_loop(res, base, 8, step=step)
+        errs.append(np.linalg.norm(jac - ref))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
 
@@ -123,11 +125,6 @@ _JACOBIAN_CASES = {
     "finite depth alpha<=0": (*_w_case(0.4, 128, residual_fd, alpha=-0.01, h=2.0,
                                        gamma=0.5), 32),
     "spectrum sine basis": (*_angle_case(0.5, 64), 64),
-    "theta_of cosine->sine": (theta_of, _perturbed(0.3, 512), {"basis_out": "sine"}, 48),
-    # a residual that reads only modes: pf_sin would read the stack's samples
-    "angle sine->sine": (lambda f: mul(f, pf_exp(hilbert(f))),
-                         crapper.crapper_theta(0.5, angle_grid(0.5, 32)),
-                         {"basis_in": "sine", "basis_out": "sine"}, 32),
 }
 
 
@@ -334,14 +331,14 @@ def _spy_on_the_caller(monkeypatch):
     return computed
 
 
-def _worker_alone(residual, base, M, basis_in="cosine", basis_out="cosine"):
+def _worker_alone(residual, base, M, basis_in="cosine"):
     """(job, chunks, columns by index) of the chunks that the worker sends
     back when the caller reaches none of them."""
     step = linearization.DEFAULT_REL_STEP * (1.0 + base.norm_inf())
-    job = (residual, base, basis_in, basis_out, step, M)
+    job = (residual, base, basis_in, step, M)
     if linearization._pool is not None:
         _wait_for_the_worker()
-    number, chunks = linearization._offer(job)
+    number, chunks = linearization._offer(job, 2)
     assert number is not None
     _, _, conn, marks = linearization._pool
     conn.send((-number, b""))  # an empty job: the worker takes it once done with this one
@@ -569,6 +566,33 @@ def test_a_worker_killed_before_it_took_its_job_is_dropped_too():
     assert linearization._pool is None
 
 
+def _die_in_the_worker(caller, worker, u):
+    """The identity in process `caller`, where it first waits until process
+    `worker` is gone; any other process calling it is killed."""
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while _running(worker) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return u
+
+
+@needs_worker
+def test_a_worker_that_dies_during_a_jacobian_leaves_the_rest_to_the_caller(monkeypatch):
+    # it dies on its first chunk while the caller is on its own first one,
+    # so the caller finds the connection closed when it next looks
+    base = PeriodicFunction.zeros(256)
+    jacobian_fd(partial(residual_G, 1.0), base, 64, basis_in="sine")  # forks the worker
+    _wait_for_the_worker()
+    worker = linearization._pool[1]
+    residual = partial(_die_in_the_worker, os.getpid(), worker)
+    offered = _spy_on_offers(monkeypatch)
+    got = jacobian_fd(residual, base, 64).entries
+    assert offered == [5] and linearization._pool is None and not _running(worker)
+    _in_process(monkeypatch)
+    assert got.tobytes() == jacobian_fd(residual, base, 64).entries.tobytes()
+
+
 def _no_worker_can_be_made(monkeypatch, module, name):
     """Make `module.name`, one step of forking a worker, fail as it does
     under a process, memory or file descriptor limit; forget the worker."""
@@ -761,17 +785,6 @@ def test_dG_matrix_banded_after_denominator_clearing():
     assert np.max(np.abs(cleared[0:2, :])) > 1e-3 * scale
 
 
-def test_dG_matches_finite_differences():
-    for A in (0.3, 0.5):
-        beta = crapper.beta_of(A)
-        n_grid = max(256, crapper.min_grid(A))
-        theta = crapper.crapper_theta(A, n_grid)
-        analytic = dG_matrix(A, 64, n_grid)
-        fd = jacobian_fd(_g_at(beta), theta, 64, step=1e-6, basis_in="sine")
-        rel = np.linalg.norm(fd.entries - analytic.entries) / np.linalg.norm(analytic.entries)
-        assert rel < 1e-5
-
-
 def test_recurrence_scan_examples():
     scan = recurrence_scan(0.5, 64)
     assert scan.verdict == "injective"
@@ -838,8 +851,8 @@ def test_chain_rule_consistency():
     g_tilde = lambda th: residual_G_tilde(beta, th)
     j_f = jacobian_fd(f_tilde, w_a, M)                                   # cos -> cos
     j_g = jacobian_fd(g_tilde, theta_a, M_wide, basis_in="sine")         # sin -> cos
-    j_t = jacobian_fd(theta_of, w_a, M_wide, basis_out="sine")           # cos -> sin
-    composed = (j_g.entries @ j_t.entries)[:M, :M]
+    j_t = jacobian_loop(theta_of, w_a, M_wide, basis_out="sine")         # cos -> sin
+    composed = (j_g.entries @ j_t)[:M, :M]
     rel = np.linalg.norm(j_f.entries - composed) / np.linalg.norm(j_f.entries)
     assert rel < 1e-4
 
@@ -860,5 +873,14 @@ def test_basis_name_validation():
     for short in ("cos", "sin"):  # only the full names are spelled
         with pytest.raises(ValueError, match="basis"):
             jacobian_fd(lambda w: w, base, 8, basis_in=short)
-        with pytest.raises(ValueError, match="basis"):
-            jacobian_fd(lambda w: w, base, 8, basis_out=short)
+
+
+def _must_not_evaluate(u):
+    raise AssertionError("the residual was called")
+
+
+def test_a_base_with_a_nan_sample_is_rejected_before_any_residual_call():
+    samples = crapper.crapper_wave(0.2, 128).samples.copy()
+    samples[5] = np.nan
+    with pytest.raises(ValueError, match="^the base has a NaN sample$"):
+        jacobian_fd(_must_not_evaluate, PeriodicFunction.from_samples(samples), 8)
