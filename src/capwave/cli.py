@@ -280,9 +280,7 @@ def _build_schedule(args, beta0):
 
 def cmd_continue(args):
     # |A| < 1, A != 0, alpha-start <= 0 and no gamma in deep water are checked
-    # by the library before it solves
-    if args.h is not None and math.isinf(args.h):
-        raise CliError("--h must be finite (leave it out for deep water)")
+    # by the library before it solves, a finite --h by `main`
     for flag, path in (("--out-json", args.out_json), ("--out-csv", args.out_csv)):
         if not path:  # every run writes both files
             raise CliError(f"{flag} needs a path")
@@ -451,6 +449,8 @@ def main(argv=None) -> int:
             sub = parser.commands[args.command]
             sub.set_defaults(**_config_defaults(args.config, sub.flag_types))
             args = parser.parse_args(argv)
+        if getattr(args, "h", None) is not None and math.isinf(args.h):  # continue, limit-check
+            raise CliError("--h must be finite (continue without --h is deep water)")
         for dest, path in vars(args).items():  # no result lost to a bad output path
             if dest == "svg_dir" and path:
                 up = path  # the nearest existing ancestor, which makedirs would build on

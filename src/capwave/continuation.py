@@ -160,16 +160,13 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
     these params, M, grid and the bits of the projected modes.
     """
     residual = residual_inf if params.is_infinite else residual_fd
-    n_grid = w0.n_grid
-    if M >= n_grid // 2:
-        raise ValueError("M exceeds the grid resolution")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     _check_tol(tol)
-    w = PeriodicFunction.from_cosine_series(w0.cosine_coefficients(M), n_grid)
+    w = PeriodicFunction.from_cosine_series(w0.cosine_coefficients(M), w0.n_grid)
     carry = {} if _carry is None else _carry
     then, (key, carried) = carry.pop("next", None), carry.pop("jac", (None, None))
-    carried = carried if key == (params, M, n_grid, w.coeffs.tobytes()) else None
+    carried = carried if key == (params, M, w.n_grid, w.coeffs.tobytes()) else None
     res = partial(residual, params)  # pickles: the Jacobian's worker can run it
     history = []
     sigma = None
@@ -190,7 +187,7 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
             raise NewtonError(
                 f"Jacobian sigma_min={sigma:.3e} below {MIN_JACOBIAN_SIGMA} at iteration {it}")
         delta = np.linalg.solve(jac.entries, -r.cosine_coefficients(M))
-        step = PeriodicFunction.from_cosine_series(delta, n_grid)
+        step = PeriodicFunction.from_cosine_series(delta, w.n_grid)
         # backtracking keeps the iterate in the local basin; the full step is
         # always tried first, so quadratic convergence is untouched near the root
         lam = 1.0

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import crapper
 from .operators import angle_terms
-from .spectral import PeriodicFunction, derivative, hilbert, mean, mul
+from .spectral import PeriodicFunction, _check_grid_holds, derivative, hilbert, mean, mul
 
 INJECTIVITY_TOL = 1e-6
 DEFAULT_REL_STEP = 1e-6
@@ -292,10 +292,9 @@ def _jacobians(residual, base, M, basis_in="cosine", rows_per_mode=2):
     if basis_in not in ("cosine", "sine"):
         raise ValueError(f"unknown basis {basis_in!r}")
     step = DEFAULT_REL_STEP * (1.0 + base.norm_inf())
-    if not step > 0.0:
-        raise ValueError("the base has a NaN sample")
-    if M >= base.n_grid // 2:
-        raise ValueError("M exceeds the grid resolution")
+    if not math.isfinite(step):
+        raise ValueError("the base has a non-finite sample")
+    _check_grid_holds(base.n_grid, M)
     job = (residual, base, basis_in, step, M)
     number, chunks = _offer(job, rows_per_mode)
     cols = [None] * len(chunks)  # each chunk's columns, runs of modes in order

@@ -63,6 +63,14 @@ class DegenerateMetricError(ValueError):
 _GRIDS: dict[int, tuple[np.ndarray, ...]] = {}
 
 
+def _check_grid_holds(n_grid, M=0):
+    """The one grid contract: n_grid even and >= 4, holding modes 1..M while M < n_grid/2."""
+    if n_grid < 4 or n_grid % 2:
+        raise ValueError(f"n_grid must be even and >= 4, got {n_grid}")
+    if M >= n_grid // 2:
+        raise ValueError(f"M = {M} needs at least {2 * M + 2} grid points, got {n_grid}")
+
+
 def grid(n_grid: int) -> np.ndarray:
     """Collocation points t_j = 2*pi*j/n_grid."""
     return _grid_arrays(n_grid)[0]
@@ -71,8 +79,7 @@ def grid(n_grid: int) -> np.ndarray:
 def _grid_arrays(n_grid):
     """(t, m, derivative multiplier, hilbert multiplier), read-only."""
     if n_grid not in _GRIDS:
-        if n_grid < 4 or n_grid % 2 != 0:
-            raise ValueError(f"n_grid must be even and >= 4, got {n_grid}")
+        _check_grid_holds(n_grid)
         t = 2.0 * np.pi * np.arange(n_grid) / n_grid
         # mode numbers in FFT order: 0 .. n/2-1, -n/2 .. -1
         m = np.fft.fftfreq(n_grid, 1.0 / n_grid)
@@ -197,8 +204,7 @@ class PeriodicFunction:
     def _of_samples(cls, s):
         """The function with samples `s` (kept, not copied); its modes are
         their forward transform."""
-        if s.shape[-1] % 2 != 0:
-            raise ValueError("grid length must be even")
+        _check_grid_holds(s.shape[-1])
         return cls(_coeffs_of(s), s)
 
     @classmethod
@@ -216,9 +222,8 @@ class PeriodicFunction:
     @classmethod
     def _from_modes(cls, pos, neg, n_grid):
         """Modes 1, 2, .. set to pos[..., 0], pos[..., 1], .. and -1, -2, .. to neg's."""
+        _check_grid_holds(n_grid, pos.shape[-1])
         j = np.arange(1, pos.shape[-1] + 1)
-        if len(j) >= n_grid // 2:
-            raise ValueError("too many modes for the grid")
         c = np.zeros(pos.shape[:-1] + (n_grid,), dtype=complex)
         c[..., j] = pos
         c[..., n_grid - j] = neg
@@ -236,14 +241,12 @@ class PeriodicFunction:
 
     def cosine_coefficients(self, n_modes):
         """Coefficients a_n of the even part, f_even = a_0 + sum a_n cos nt."""
-        if n_modes >= self.n_grid // 2:
-            raise ValueError("n_modes exceeds grid resolution")
+        _check_grid_holds(self.n_grid, n_modes)
         return 2.0 * self.coeffs[..., 1 : 1 + n_modes].real
 
     def sine_coefficients(self, n_modes):
         """Coefficients b_n of the odd part, f_odd = sum b_n sin nt."""
-        if n_modes >= self.n_grid // 2:
-            raise ValueError("n_modes exceeds grid resolution")
+        _check_grid_holds(self.n_grid, n_modes)
         return -2.0 * self.coeffs[..., 1 : 1 + n_modes].imag
 
     def resample(self, n_grid):

@@ -149,7 +149,7 @@ def test_verify_deterministic_output(tmp_path, capsys):
 
 def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
     # tools/cli_outputs.py writes the byte-identity set of every command
-    # (continue, spectrum, verify, limit-check, profile and eleven failures)
+    # (continue, spectrum, verify, limit-check, profile and thirteen failures)
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
     spec = importlib.util.spec_from_file_location("cli_outputs", path)
     tool = importlib.util.module_from_spec(spec)
@@ -159,7 +159,7 @@ def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
         tool.write_outputs(tmp_path / name)
         files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
         runs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
-    assert len(runs[0]) == 125  # 113 entries, seven of them directories of step SVGs
+    assert len(runs[0]) == 131  # 119 entries, seven of them directories of step SVGs
     assert runs[0] == runs[1]
 
 
@@ -296,6 +296,20 @@ def test_continue_rejects_infinite_h(tmp_path, capsys, monkeypatch):
     assert main(["continue", "--h", "inf", "--out-json", str(tmp_path / "b.json"),
                  "--out-csv", str(tmp_path / "b.csv")]) == 1
     assert "--h must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("gamma", ["1", "0"])
+@pytest.mark.parametrize("h", ["inf", "-inf"])
+def test_limit_check_rejects_infinite_h_before_any_residual(tmp_path, capsys, monkeypatch,
+                                                           gamma, h):
+    # the same check as continue's, whatever the vorticity
+    monkeypatch.setattr(cli, "residual_inf", _must_not_run)
+    monkeypatch.setattr(cli, "residual_fd", _must_not_run)
+    assert main(["limit-check", "--h", h, "--gamma", gamma,
+                 "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--h must be finite" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -581,6 +595,19 @@ def test_profile_never_tracebacks_on_a_damaged_solution(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_profile_rejects_cosine_coeffs_that_are_not_a_flat_list(tmp_path, capsys,
+                                                               finite_depth_solution_doc):
+    doc = json.loads(json.dumps(finite_depth_solution_doc))
+    doc["cosine_coeffs"] = [doc["cosine_coeffs"]]
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    assert main(["profile", "--input", str(path), "--out-csv", str(tmp_path / "p.csv"),
+                 "--out-svg", str(tmp_path / "p.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cosine_coeffs must be a list of numbers" in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_profile_missing_file(tmp_path, capsys):
     assert main(["profile", "--input", str(tmp_path / "nope.json")]) == 1
     assert main(["profile"]) == 1
@@ -769,6 +796,10 @@ def test_branch_round_trip():
     assert back.step_history == branch.step_history
     assert np.max(np.abs(back.solutions[-1].w.cosine_coefficients(16)
                          - branch.solutions[-1].w.cosine_coefficients(16))) == 0.0
+    doc = branch_to_dict(branch)
+    doc["format_version"] = 2
+    with pytest.raises(ValueError, match="^unsupported format_version 2$"):
+        branch_from_dict(doc)
 
 
 def test_profile_counts_the_crossings_continue_stored(tmp_path, capsys):
@@ -824,6 +855,9 @@ def test_extreme_constants_are_usage_errors(tmp_path, capsys, monkeypatch, argv)
      "schedule targets (alpha, beta) must be finite"),
     ("continue --A 0.3 --M 16 --grid 64",
      "M = 32 (modes_for raised 16 for A = 0.3) needs at least 66 grid points, got 64"),
+    ("continue --A 0.3 --M 16 --grid 81", "n_grid must be even and >= 4, got 81"),
+    ("limit-check --grid 0 --out r.json", "n_grid must be even and >= 4, got 0"),
+    ("continue --beta-max -1 --beta-steps 2", "beta must be positive, got -1.0"),
     ("continue --A 0.97 --steps 0",  # past what the capped modes serve at the default tol
      "|A| = 0.97 needs more than 256 cosine modes at tol = 1e-11; 256 modes serve |A| <= 0.8549"),
     # flags that would otherwise be ignored

@@ -231,6 +231,11 @@ def test_critical_self_intersection_halves_a_lower_bracket_that_crosses():
     assert 0.4 < halved < 0.5 and abs(halved - a_star) < 1e-3
 
 
+def test_critical_self_intersection_needs_a_crossing_upper_bracket():
+    with pytest.raises(RuntimeError, match="^expected a self-intersecting profile at A=0.3$"):
+        critical_self_intersection_A(tol=1e-3, n_grid=1024, hi=0.3)
+
+
 def test_critical_self_intersection_gives_up_when_no_lower_bracket_is_injective(monkeypatch):
     monkeypatch.setattr(geometry, "crapper_profile_injective", lambda A, n_grid: False)
     with pytest.raises(RuntimeError, match="failed to bracket"):

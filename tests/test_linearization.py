@@ -880,7 +880,11 @@ def _must_not_evaluate(u):
 
 
 def test_a_base_with_a_nan_sample_is_rejected_before_any_residual_call():
-    samples = crapper.crapper_wave(0.2, 128).samples.copy()
-    samples[5] = np.nan
-    with pytest.raises(ValueError, match="^the base has a NaN sample$"):
-        jacobian_fd(_must_not_evaluate, PeriodicFunction.from_samples(samples), 8)
+    # an infinite sample as well: it makes the step infinite, not NaN
+    for bad in (np.nan, np.inf, -np.inf):
+        samples = crapper.crapper_wave(0.2, 128).samples.copy()
+        samples[5] = bad
+        with np.errstate(invalid="ignore"):  # the transform of an inf sample has NaN modes
+            base = PeriodicFunction.from_samples(samples)
+        with pytest.raises(ValueError, match="^the base has a non-finite sample$"):
+            jacobian_fd(_must_not_evaluate, base, 8)

@@ -268,6 +268,62 @@ def test_grid_validation():
         PeriodicFunction.from_cosine_series(np.ones(40), 64)
 
 
+def test_one_grid_contract_at_every_entry_point(monkeypatch):
+    # spectral states the rule once; the Newton solve and the Jacobian reach
+    # it before any residual call, and the Jacobian before it offers a job
+    from capwave import continuation, crapper, linearization
+    from capwave.operators import WaveParams
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran although the grid had to be rejected first")
+
+    monkeypatch.setattr(continuation, "residual_inf", must_not_run)
+    monkeypatch.setattr(linearization, "_offer", must_not_run)
+    w = crapper.crapper_wave(0.3, 64)
+    too_many = "^M = 32 needs at least 66 grid points, got 64$"
+    for call, message in [
+            (lambda: PeriodicFunction.from_samples(np.zeros(7)), "got 7$"),
+            (lambda: PeriodicFunction.from_samples(np.zeros(2)), "got 2$"),
+            (lambda: PeriodicFunction.zeros(0), "got 0$"),
+            (lambda: grid(5), "got 5$"),
+            (lambda: PeriodicFunction.from_cosine_series(np.ones(3), 81), "got 81$"),
+            (lambda: PeriodicFunction.from_sine_series(np.ones(3), 2), "got 2$"),
+            (lambda: PeriodicFunction.from_cosine_series(np.ones(32), 64), too_many),
+            (lambda: PeriodicFunction.from_sine_series(np.ones((2, 32)), 64), too_many),
+            (lambda: w.cosine_coefficients(32), too_many),
+            (lambda: w.sine_coefficients(32), too_many),
+            (lambda: continuation.newton_solve(WaveParams(0.0, crapper.beta_of(0.3)), w, M=32),
+             too_many),
+            (lambda: linearization.jacobian_fd(must_not_run, w, 32), too_many)]:
+        if not message.startswith("^"):
+            message = "^n_grid must be even and >= 4, " + message
+        with pytest.raises(ValueError, match=message):
+            call()
+    # one mode short of the limit is held
+    assert w.cosine_coefficients(31).shape == (31,)
+    assert PeriodicFunction.from_sine_series(np.ones(1), 4).n_grid == 4
+
+
+def test_functions_on_different_grids_do_not_combine():
+    f = PeriodicFunction.from_cosine_series([1.0], 8)
+    g = PeriodicFunction.from_cosine_series([1.0], 16)
+    for op in (lambda: f + g, lambda: f - g, lambda: f * g, lambda: mul(f, g),
+               lambda: pf_atan2(f, g)):
+        with pytest.raises(ValueError, match="^grid mismatch: 8 vs 16$"):
+            op()
+
+
+def test_product_operator_is_mul():
+    # README's f * g of two functions: the de-aliased product, bit for bit
+    rng = np.random.default_rng(3)
+    f, g = _random_band_limited(rng, 64), _random_band_limited(rng, 64, odd=True)
+    S = _mixed_stack(rng, 64)
+    for a, b in ((f, g), (S, f), (f, S), (S, S)):
+        product, expected = a * b, mul(a, b)
+        assert product.coeffs.tobytes() == expected.coeffs.tobytes()
+        assert product.samples.tobytes() == expected.samples.tobytes()
+
+
 # -- stacks: one function per row ----------------------------------------------------
 
 

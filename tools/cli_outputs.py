@@ -13,11 +13,12 @@ steep A = -0.8 starting point, whose lobes reach two periods away; the
 default `spectrum`, `verify --A 0.6`, the default `limit-check` and
 `limit-check --gamma -1e-1` (a negative value in exponent form); `profile`
 with and without `--repeats 2` on the last deep and the last vortical point;
-and eleven failures.  Eight exit 1 and write nothing: `continue --A 0`,
+and thirteen failures.  Ten exit 1 and write nothing: `continue --A 0`,
 `continue --tol 0`, `continue --h 2 --gamma nan`, `verify --out
 missing/verify.json`, `verify --out deep_0.3_svg` (a directory), `continue
 --A 0.97` (past what 256 cosine modes serve), `continue --svg-dir
-deep_0.3.json/sub` (under a file) and `continue --out-json ""` (no path).
+deep_0.3.json/sub` (under a file), `continue --out-json ""` (no path),
+`limit-check --grid 0` (no grid) and `limit-check --h inf`.
 Three exit 3.  Two write their partial branch: a `continue` whose residual
 overflows on the way to alpha = 1e306, and `continue --A 0.1 --alpha-max 2
 --steps 1 --M 16` with SVGs, whose one long step lands on flat water and
@@ -101,6 +102,8 @@ RUNS = [
                                  "--out-json", ""]),
     ("continue_floor_0.82", ["continue", "--A", "0.82", "--steps", "0", "--g", "1",
                              "--sigma", "1"]),
+    ("limit_check_grid0", ["limit-check", "--grid", "0", "--out", "limit_check_grid0.json"]),
+    ("limit_check_h_inf", ["limit-check", "--h", "inf", "--out", "limit_check_h_inf.json"]),
 ]
 # (solution file, branch it is the last point of)
 POINTS = [("deep_point.json", "deep_0.5.json"), ("vortical_point.json", "vortical.json")]
