@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import crapper, geometry
-from .linearization import OperatorMatrix, _jacobians, jacobian_fd
+from .linearization import OperatorMatrix, _check_modes, _jacobians, jacobian_fd
 from .operators import (
     WaveParams,
     _residual_inf,
@@ -163,6 +163,7 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     _check_tol(tol)
+    _check_modes(M)
     w = PeriodicFunction.from_cosine_series(w0.cosine_coefficients(M), w0.n_grid)
     carry = {} if _carry is None else _carry
     then, (key, carried) = carry.pop("next", None), carry.pop("jac", (None, None))
@@ -347,6 +348,8 @@ def crapper_curve_check(A_values: Sequence[float]) -> dict:
     fixed bump that is harmless on moderate waves would otherwise throw steep
     ones out of the Newton basin.
     """
+    if len(A_values) < 1:
+        raise ValueError("the curve check needs at least one A")
     amp, mode = CURVE_CHECK_BUMP
     rows = []
     for A in A_values:

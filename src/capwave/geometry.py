@@ -137,6 +137,8 @@ def critical_self_intersection_A(tol: float = 1e-3, n_grid: int = 2048,
                                  lo: float = 0.2, hi: float = 0.9) -> float:
     """Bisect the parameter where the explicit pure-capillary profiles start
     to self-intersect; injective below, crossing above, bracket width <= tol."""
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     if tol < 1e-4:
         raise ValueError("tol below 1e-4 is not resolvable at this grid")
     if crapper_profile_injective(hi, n_grid):

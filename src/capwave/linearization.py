@@ -107,10 +107,16 @@ def _plus_minus_steps(base, basis, modes, step):
 
 
 def _mode_chunks(M, rows_per_mode, n_grid):
-    """Modes 1..M in the fewest runs whose stacks hold at most STACK_POINTS
-    points (one mode at least), of lengths that differ by one at most."""
+    """Modes 1..M in runs of lengths within one: the fewest whose stacks hold at
+    most STACK_POINTS points (one mode at least), rounded up to an odd count."""
     size = max(1, STACK_POINTS // (rows_per_mode * n_grid))
-    return np.array_split(np.arange(1, M + 1), -(-M // size))
+    return np.array_split(np.arange(1, M + 1), min(-(-M // size) | 1, M))
+
+
+def _check_modes(M):
+    """Refuse a truncation smaller than an OperatorMatrix holds."""
+    if M < 4:
+        raise ValueError(f"M must be >= 4, got {M}")
 
 
 def angle_grid(A: float, M: int) -> int:
@@ -218,52 +224,50 @@ def _drop_worker():
     _pool = None
 
 
-def _offer(job, rows_per_mode):
-    """(job number, chunks) of `job`, sent to the worker in an odd number of
-    chunks, or (None, chunks) to compute here: for one chunk, off Linux, on
-    one CPU, outside the main thread, for a residual that does not pickle,
-    in a process that multiprocessing started, while the worker has not
-    taken its last job (stopped or starved: a send must not wait), or when
-    it is gone or cannot be made.  With an even number the caller would
-    reach the worker's last chunk in flight and compute it too; with an odd
-    one it computes the middle chunk while the worker's last one arrives."""
+def _offer(job, chunks):
+    """The number of `job`, sent to the worker with its `chunks`, or None to
+    compute here: for one chunk, off Linux, on one CPU, outside the main
+    thread, for a residual that does not pickle, in a process that
+    multiprocessing started, while the worker has not taken its last job
+    (stopped or starved: a send must not wait), or when it is gone or cannot
+    be made.  `_mode_chunks` makes their count odd: with an even count the
+    caller would reach the worker's last chunk in flight and compute it too;
+    with an odd one it computes the middle chunk while the worker's last arrives."""
     residual, base, *rest = job
-    chunks = _mode_chunks(rest[-1], rows_per_mode, base.n_grid)
     if (len(chunks) < 2 or not sys.platform.startswith("linux")
             or len(os.sched_getaffinity(0)) < 2
             or threading.current_thread() is not threading.main_thread()):
-        return None, chunks
-    shared = np.array_split(np.arange(1, rest[-1] + 1), min(len(chunks) | 1, rest[-1]))
+        return None
     try:
-        payload = pickle.dumps((residual, base.coeffs, shared, np.geterr(), *rest))
+        payload = pickle.dumps((residual, base.coeffs, chunks, np.geterr(), *rest))
     except Exception:  # a lambda, a local function, a tracing wrapper
-        return None, chunks
+        return None
     try:
         conn, marks = _worker() or (None, None)
     except OSError:  # no fork, mmap or Pipe to spare: EAGAIN, ENOMEM, EMFILE
         conn = None
     if conn is None:
-        return None, chunks
+        return None
     if marks[2] != marks[0]:  # it has not taken its last job: stopped, starved or dead
         with contextlib.suppress(ChildProcessError):  # reaped elsewhere
             if os.waitid(os.P_PID, _pool[1], os.WEXITED | os.WNOHANG | os.WNOWAIT):
                 _drop_worker()  # it died; unreaped, its pid is still its own
-        return None, chunks
+        return None
     number = int(marks[0]) + 1
     marks[:2] = number, 0
     try:
         conn.send((number, payload))
     except OSError:  # it died
         _drop_worker()
-        return None, chunks
-    return number, shared
+        return None
+    return number
 
 
 def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
                 base: PeriodicFunction, M: int, basis_in: str = "cosine") -> OperatorMatrix:
     """Central-difference Frechet derivative of `residual` at `base`,
-    truncated to M input modes of `basis_in` ("cosine" or "sine") and M
-    output cosine modes, with the step DEFAULT_REL_STEP * (1 + |base|_inf).
+    truncated to M >= 4 input modes of `basis_in` ("cosine" or "sine") and
+    M output cosine modes, with the step DEFAULT_REL_STEP * (1 + |base|_inf).
 
     `residual` receives stacks of shape (2k, n), the +step and then the
     -step perturbations of k columns, and must act row by row.  A stack's
@@ -271,17 +275,17 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
     only its input's modes, as every capwave residual does, gives each row,
     and so the matrix, the bits of one call per perturbation.
 
-    The columns come in chunks of modes (see `_mode_chunks`).  A Jacobian of
-    two chunks or more whose `residual` pickles (a module-level function or
-    a `functools.partial` of one) is shared with one worker process on the
+    The columns come in the chunks of `_mode_chunks`.  A Jacobian of two
+    chunks or more whose `residual` pickles (a module-level function or a
+    `functools.partial` of one) is shared with one worker process on the
     terms of `_offer`: this process takes chunks from the first up, the
     worker from the last down and sends each back once done.  Before each
-    chunk this process takes in what has arrived and computes any chunk
-    that has not, so it never waits for the worker; the bits do not depend
-    on which side computes a chunk.  The worker, forked on first use, runs
-    the modules as they were then, under the caller's `np.geterr()`, and
-    leaves to this process a chunk that raises or warns there, and all its
-    chunks when it dies: errors and warnings arise here, in chunk order.
+    chunk this process takes in what has arrived and computes any chunk that
+    has not, so it never waits for the worker; the chunks and their bits do
+    not depend on the side.  The worker, forked on first use, runs the
+    modules as they were then, under the caller's `np.geterr()`, and leaves
+    to this process a chunk that raises or warns there, and all its chunks
+    when it dies: errors and warnings arise here, in chunk order.
     """
     return OperatorMatrix(_jacobians(residual, base, M, basis_in), basis_in)
 
@@ -291,12 +295,14 @@ def _jacobians(residual, base, M, basis_in="cosine", rows_per_mode=2):
     output (`operators._residual_inf` at columns), in chunks of `rows_per_mode`."""
     if basis_in not in ("cosine", "sine"):
         raise ValueError(f"unknown basis {basis_in!r}")
+    _check_modes(M)
     step = DEFAULT_REL_STEP * (1.0 + base.norm_inf())
     if not math.isfinite(step):
         raise ValueError("the base has a non-finite sample")
     _check_grid_holds(base.n_grid, M)
     job = (residual, base, basis_in, step, M)
-    number, chunks = _offer(job, rows_per_mode)
+    chunks = _mode_chunks(M, rows_per_mode, base.n_grid)
+    number = _offer(job, chunks)
     cols = [None] * len(chunks)  # each chunk's columns, runs of modes in order
     for i, modes in enumerate(chunks):
         if number is not None:  # take in what the worker sent; say how far this got
@@ -325,6 +331,7 @@ def dG_matrix(A: float, M: int, n_grid: int | None = None) -> OperatorMatrix:
     derivative of the mean-ratio term.  Maps sine modes to cosine modes.
     """
     crapper._check_param(A)
+    _check_modes(M)
     if n_grid is None:
         n_grid = angle_grid(A, M)
     ep0, em0, half, half_r = angle_terms(crapper.beta_of(A), crapper.crapper_theta(A, n_grid))

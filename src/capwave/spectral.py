@@ -64,9 +64,11 @@ _GRIDS: dict[int, tuple[np.ndarray, ...]] = {}
 
 
 def _check_grid_holds(n_grid, M=0):
-    """The one grid contract: n_grid even and >= 4, holding modes 1..M while M < n_grid/2."""
+    """The one grid contract: n_grid even and >= 4, holding modes 1..M for 0 <= M < n_grid/2."""
     if n_grid < 4 or n_grid % 2:
         raise ValueError(f"n_grid must be even and >= 4, got {n_grid}")
+    if M < 0:
+        raise ValueError(f"M must be >= 0, got {M}")
     if M >= n_grid // 2:
         raise ValueError(f"M = {M} needs at least {2 * M + 2} grid points, got {n_grid}")
 
@@ -253,6 +255,7 @@ class PeriodicFunction:
         """Spectral resampling (exact for band-limited data)."""
         if n_grid == self.n_grid:
             return self
+        _check_grid_holds(n_grid)
         return PeriodicFunction(_resize(self.coeffs, n_grid))
 
     def norm_inf(self):

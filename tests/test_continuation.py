@@ -16,7 +16,7 @@ from capwave.continuation import (
     modes_for,
     newton_solve,
 )
-from capwave.linearization import OperatorMatrix, jacobian_fd
+from capwave.linearization import OperatorMatrix, dG_matrix, jacobian_fd
 from capwave.operators import WaveParams, q_hat, residual_fd, residual_inf
 from capwave.serialization import solution_to_dict
 from capwave.spectral import DegenerateMetricError, PeriodicFunction
@@ -211,6 +211,41 @@ def test_continue_branch_checks_M_before_it_sizes_or_solves(monkeypatch, M):
         continue_branch(0.3, [(0.0, crapper.beta_of(0.3))], M=M)
 
 
+@pytest.mark.parametrize("M", [-1, 0, 2, 3])
+def test_newton_and_the_jacobians_refuse_fewer_than_4_modes_before_any_residual(
+        monkeypatch, M):
+    # 4 modes make the smallest matrix that an OperatorMatrix holds
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran although M had to be rejected first")
+
+    monkeypatch.setattr(continuation, "residual_inf", must_not_run)
+    w, params = _crapper_start(0.3)
+    for call in (lambda: newton_solve(params, w, M=M), lambda: jacobian_fd(must_not_run, w, M),
+                 lambda: dG_matrix(0.3, M)):
+        with pytest.raises(ValueError, match=f"^M must be >= 4, got {M}$"):
+            call()
+
+
+def test_a_degenerate_metric_in_the_jacobian_fails_the_step_and_it_is_halved(monkeypatch):
+    # newton_solve passes the Jacobian's DegenerateMetricError on, as it does
+    # the residual's, and continue_branch halves the step that raised it
+    def degenerate(*args):
+        raise DegenerateMetricError("conformal metric vanishes on the grid")
+
+    monkeypatch.setattr(continuation, "jacobian_fd", degenerate)
+    w, params = _crapper_start(0.3)
+    w0 = w + PeriodicFunction.from_cosine_series([0.0, 0.01], w.n_grid)
+    with pytest.raises(DegenerateMetricError, match="^conformal metric vanishes on the grid$"):
+        newton_solve(params, w0, M=32)
+    # the first step's iteration 0 takes the start's carried Jacobian
+    beta = crapper.beta_of(0.3)
+    with pytest.raises(StepUnderflowError, match=r"\(last failure: conformal metric "
+                                                 r"vanishes on the grid\)$") as err:
+        continue_branch(0.3, [(0.0, beta), (0.02, beta)], M=32)
+    accepted = [e[3] for e in err.value.branch.step_history]
+    assert accepted == [True] + [False] * (continuation.MAX_HALVINGS + 1)
+
+
 def test_continue_branch_walks_the_sheet():
     beta = crapper.beta_of(0.25)
     schedule = [(0.01 * i / 3, beta) for i in range(4)]
@@ -255,9 +290,8 @@ def _count_jacobian_work(monkeypatch):
     jobs, rows = [], []
     steps = linearization._plus_minus_steps
 
-    def offer(job, rows_per_mode):
+    def offer(job, chunks):
         jobs.append(job[-1])
-        return None, linearization._mode_chunks(job[-1], rows_per_mode, job[1].n_grid)
 
     def count_rows(base, basis, modes, step):
         rows.append(2 * len(modes))
@@ -505,6 +539,11 @@ def test_crapper_curve_check_documented_example():
     assert rep["max_profile_distance"] < 1e-6
     assert row["recovered_A"] == pytest.approx(0.4, abs=1e-7)
     assert rep["all_on_family"]
+
+
+def test_crapper_curve_check_needs_an_A():
+    with pytest.raises(ValueError, match="^the curve check needs at least one A$"):
+        crapper_curve_check([])
 
 
 def test_crapper_curve_check_beta_inversion_and_mirror():

@@ -69,6 +69,18 @@ def test_check_injective_flat_and_family():
         check_injective(SurfaceCurve(x=np.arange(8.0), y=np.zeros(8), k=1.0))
 
 
+@pytest.mark.parametrize("n_x, n_y, k, message", [
+    (3, 3, 1.0, "curve needs matching x/y arrays with >= 4 points"),
+    (8, 7, 1.0, "curve needs matching x/y arrays with >= 4 points"),
+    (8, 8, 0.0, "wavenumber must be positive"),
+    (8, 8, np.nan, "wavenumber must be positive"),
+])
+def test_surface_curve_refuses_short_or_mismatched_arrays_and_a_bad_wavenumber(
+        n_x, n_y, k, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SurfaceCurve(x=np.arange(float(n_x)), y=np.zeros(n_y), k=k)
+
+
 def test_injectivity_symmetric_under_parameter_sign():
     for A in (0.3, 0.6, 0.9):
         assert (crapper_profile_injective(A, 1024)
@@ -221,6 +233,17 @@ def test_critical_self_intersection_threshold():
     assert not crapper_profile_injective(a_star + 0.05, 1024)
     with pytest.raises(ValueError):
         critical_self_intersection_A(tol=1e-5)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_critical_self_intersection_refuses_a_tol_that_is_not_finite(monkeypatch, tol):
+    # either ends the bisection before its first step, at the bracket's midpoint
+    def must_not_run(A, n_grid):
+        raise AssertionError("a profile was checked although tol had to be rejected first")
+
+    monkeypatch.setattr(geometry, "crapper_profile_injective", must_not_run)
+    with pytest.raises(ValueError, match=f"^tol must be finite, got {tol}$"):
+        critical_self_intersection_A(tol=tol)
 
 
 def test_critical_self_intersection_halves_a_lower_bracket_that_crosses():

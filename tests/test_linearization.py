@@ -224,6 +224,10 @@ DEEP_JACOBIAN_PEAK_BYTES = 2.94e6
 # call per chunk (`operators._residual_inf` at a column of (alpha, beta)):
 # 4.27 MB in chunks sized at 2 rows per mode, 2.98 MB at 3, as a start does.
 DEEP_STACKED_JACOBIANS_PEAK_BYTES = 2.98e6
+# (stack, base, chunking, M) of that call, as `_jacobians` gets it from a start
+_STACKED_START = (partial(_residual_inf, np.array([[0.0], [0.02]]),
+                          np.full((2, 1), crapper.beta_of(0.3))),
+                  _perturbed(0.3, 512), {"rows_per_mode": 3}, 128)
 
 
 def _jacobian_peak(jacobian, residual, base, M):
@@ -258,11 +262,9 @@ def test_one_deep_jacobian_allocates_at_most_its_measured_peak():
 def test_the_start_and_first_step_jacobians_allocate_at_most_their_measured_peak(
         monkeypatch):
     # in chunks of 3 rows per mode, as a start computes them, this process alone
-    stack = partial(_residual_inf, np.array([[0.0], [0.02]]),
-                    np.full((2, 1), crapper.beta_of(0.3)))
-    base = _perturbed(0.3, 512)
+    stack, base, rows, M = _STACKED_START
     _in_process(monkeypatch)
-    peak = _jacobian_peak(partial(linearization._jacobians, rows_per_mode=3), stack, base, 128)
+    peak = _jacobian_peak(partial(linearization._jacobians, **rows), stack, base, M)
     assert peak < 1.1 * DEEP_STACKED_JACOBIANS_PEAK_BYTES, peak
 
 
@@ -286,8 +288,7 @@ _PICKLED_CASES = {
 
 def _in_process(monkeypatch):
     """Compute every later Jacobian of the test in this process."""
-    monkeypatch.setattr(linearization, "_offer", lambda job, rows_per_mode: (
-        None, linearization._mode_chunks(job[-1], rows_per_mode, job[1].n_grid)))
+    monkeypatch.setattr(linearization, "_offer", lambda job, chunks: None)
 
 
 def _wait_for_the_worker():
@@ -307,12 +308,12 @@ def _spy_on_offers(monkeypatch):
     offered = []
     offer = linearization._offer
 
-    def spy(job, rows_per_mode):
+    def spy(job, chunks):
         if linearization._pool is not None:
             _wait_for_the_worker()
-        number, chunks = offer(job, rows_per_mode)
+        number = offer(job, chunks)
         offered.append(0 if number is None else len(chunks))
-        return number, chunks
+        return number
 
     monkeypatch.setattr(linearization, "_offer", spy)
     return offered
@@ -338,7 +339,8 @@ def _worker_alone(residual, base, M, basis_in="cosine"):
     job = (residual, base, basis_in, step, M)
     if linearization._pool is not None:
         _wait_for_the_worker()
-    number, chunks = linearization._offer(job, 2)
+    chunks = linearization._mode_chunks(M, 2, base.n_grid)
+    number = linearization._offer(job, chunks)
     assert number is not None
     _, _, conn, marks = linearization._pool
     conn.send((-number, b""))  # an empty job: the worker takes it once done with this one
@@ -383,21 +385,39 @@ def test_the_worker_gives_stacked_jacobians_the_bytes_of_two_jacobian_fd_calls(m
         assert sent[i].tobytes() == linearization._chunk_columns(*job, modes).tobytes()
     offered = _spy_on_offers(monkeypatch)
     both = linearization._jacobians(stack, base, M, rows_per_mode=3)
-    assert offered == [len(linearization._mode_chunks(M, 3, base.n_grid)) | 1]  # shared
+    assert offered == [len(linearization._mode_chunks(M, 3, base.n_grid))]  # shared
     _in_process(monkeypatch)
     assert [j.tobytes() for j in both] == [jacobian_fd(r, base, M).entries.tobytes()
                                            for r in singles]
 
 
+def _spy_on_plans(monkeypatch):
+    """The chunks, as lists of modes, that each Jacobian hands to `_offer`."""
+    plans = []
+    offer = linearization._offer
+
+    def spy(job, chunks):
+        plans.append([modes.tolist() for modes in chunks])
+        return offer(job, chunks)
+
+    monkeypatch.setattr(linearization, "_offer", spy)
+    return plans
+
+
 @needs_worker
-def test_deep_and_vortical_jacobians_are_shared_in_an_odd_number_of_chunks(monkeypatch):
+@pytest.mark.parametrize("case, count", [("deep", 15), ("vortical", 5), ("stacked start", 23)])
+def test_a_jacobian_has_one_odd_chunk_plan_with_the_worker_and_without(monkeypatch, case, count):
+    residual, base, kwargs, M = {**_PICKLED_CASES, "stacked start": _STACKED_START}[case]
     offered = _spy_on_offers(monkeypatch)
-    for case in ("deep", "vortical"):
-        residual, base, bases, M = _PICKLED_CASES[case]
-        jacobian_fd(residual, base, M, **bases)
-    # 15 chunks in-process too; the vortical Jacobian's 4 become 5
-    assert [len(linearization._mode_chunks(M, 2, n)) for M, n in ((128, 512), (64, 256))] == [15, 4]
-    assert offered == [15, 5]
+    shared_plan = _spy_on_plans(monkeypatch)
+    shared = linearization._jacobians(residual, base, M, **kwargs)
+    _in_process(monkeypatch)
+    alone_plan = _spy_on_plans(monkeypatch)
+    computed = _spy_on_the_caller(monkeypatch)
+    alone = linearization._jacobians(residual, base, M, **kwargs)
+    assert offered == [count]  # the worker shared the chunks
+    assert shared_plan == alone_plan == [[modes.tolist() for modes in computed]]
+    assert shared.tobytes() == alone.tobytes()
 
 
 @needs_worker

@@ -437,6 +437,19 @@ def test_physical_params_examples():
         physical_params(WaveParams(alpha=0.0, beta=1.0))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({}, "need lambda or the mass flux m"),
+    ({"m": 1.0}, "mass flux is not finite in infinite depth; pass lambda"),
+    ({"k": 0.0, "lam": 1.0}, "need k > 0 and lambda > 0"),
+    ({"lam": 0.0}, "need k > 0 and lambda > 0"),
+    # lambda = m/h - gamma h/2 = -0.5
+    ({"m": 0.5, "h": 1.0, "gamma": 2.0}, "need k > 0 and lambda > 0"),
+])
+def test_params_from_physical_refuses_what_gives_no_wave(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        params_from_physical(**{"k": 1.0, **kwargs})
+
+
 def test_physical_round_trip():
     p = WaveParams(alpha=0.03, beta=1.7, g=9.81, sigma=0.074, gamma=-1.2, h=2.5)
     ph = physical_params(p)

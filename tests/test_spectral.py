@@ -292,6 +292,8 @@ def test_one_grid_contract_at_every_entry_point(monkeypatch):
             (lambda: PeriodicFunction.from_sine_series(np.ones((2, 32)), 64), too_many),
             (lambda: w.cosine_coefficients(32), too_many),
             (lambda: w.sine_coefficients(32), too_many),
+            (lambda: w.cosine_coefficients(-3), "^M must be >= 0, got -3$"),
+            (lambda: w.sine_coefficients(-1), "^M must be >= 0, got -1$"),
             (lambda: continuation.newton_solve(WaveParams(0.0, crapper.beta_of(0.3)), w, M=32),
              too_many),
             (lambda: linearization.jacobian_fd(must_not_run, w, 32), too_many)]:
@@ -302,6 +304,21 @@ def test_one_grid_contract_at_every_entry_point(monkeypatch):
     # one mode short of the limit is held
     assert w.cosine_coefficients(31).shape == (31,)
     assert PeriodicFunction.from_sine_series(np.ones(1), 4).n_grid == 4
+
+
+def test_resample_refuses_a_grid_before_it_resizes(monkeypatch):
+    from capwave import crapper, geometry
+
+    w = crapper.crapper_wave(0.3, 64)
+    assert w.resample(64) is w
+    resized = []
+    resize = spectral._resize
+    monkeypatch.setattr(spectral, "_resize", lambda c, n: resized.append(n) or resize(c, n))
+    for call, n in [(lambda: w.resample(65), 65),
+                    (lambda: geometry.surface_profile(w, 1.0, n_points=129), 129)]:
+        with pytest.raises(ValueError, match=f"^n_grid must be even and >= 4, got {n}$"):
+            call()
+    assert not {65, 129} & set(resized)
 
 
 def test_functions_on_different_grids_do_not_combine():
