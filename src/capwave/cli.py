@@ -139,9 +139,10 @@ def build_parser():
     return top
 
 
-# JSON types a config value may have, by the type of its flag (bool is an int
-# subclass in Python but never a number here)
-_JSON_TYPES = {float: (int, float), int: (int,), str: (str,)}
+# JSON types a config value may have, and their name, by the type of its flag
+# (bool is an int subclass in Python but never a number here)
+_JSON_TYPES = {float: ((int, float), "a number"), int: ((int,), "an integer"),
+               str: ((str,), "a string")}
 
 
 def _config_defaults(path, flag_types):
@@ -162,8 +163,9 @@ def _config_defaults(path, flag_types):
         kind = flag_types[dest]
         if val is None:
             continue
-        if isinstance(val, bool) or not isinstance(val, _JSON_TYPES[kind]):
-            raise CliError(f"config key {key!r} needs a {kind.__name__}, got {val!r}")
+        types, name = _JSON_TYPES[kind]
+        if isinstance(val, bool) or not isinstance(val, types):
+            raise CliError(f"config key {key!r} needs {name}, got {val!r}")
         defaults[dest] = val
     return defaults
 

@@ -169,8 +169,11 @@ def check_principal_branch(th, message):
         raise ValueError(message)
 
 
-def _root_powers(W):
-    return [PeriodicFunction._of_samples(np.power(W, r)) for r in (0.5, -0.5)]
+def _slope_roots(w, d=None):
+    """w', 1 + C w' and W^(1/2), W^(-1/2) as functions of their samples; W
+    itself, read by both powers, goes on return."""
+    wp, one_cwp, W = _slope_metric(w, d)
+    return wp, one_cwp, *(PeriodicFunction._of_samples(np.power(W, r)) for r in (0.5, -0.5))
 
 
 def _square(f):
@@ -189,11 +192,13 @@ def _assemble(beta, wp, one_cwp, a_fun, ca_fun):
 
 def _deep_pieces(alpha, w):
     """w', 1 + C w', the bracket B and the head b."""
-    wp, one_cwp, W = _slope_metric(w)
-    whalf, winvhalf = _root_powers(W)
+    wp, one_cwp, whalf, winvhalf = _slope_roots(w)
     w_whalf = mul(w, whalf)
     b = (mean(winvhalf) + 2.0 * alpha * mean(w_whalf)) / mean(whalf)
-    return wp, one_cwp, winvhalf - b * whalf + (2.0 * alpha) * w_whalf, b
+    # B as its modes alone, all that `_assemble` reads: the samples of W^(+-1/2)
+    # and the pending transform of w W^(1/2) that B's would read go on return
+    bracket = winvhalf - b * whalf + (2.0 * alpha) * w_whalf
+    return wp, one_cwp, PeriodicFunction(bracket.coeffs), b
 
 
 def bernoulli_b(alpha: float, w: PeriodicFunction) -> float:
@@ -274,15 +279,17 @@ def _finite_depth_pieces(params: WaveParams, w: PeriodicFunction):
     except (OverflowError, ZeroDivisionError):
         raise ValueError("finite-depth vorticity scales leave the float range "
                          "(extreme alpha, g or sigma)") from None
-    wp, one_cwp, W = _slope_metric(w, d)
-    whalf, winvhalf = _root_powers(W)
+    wp, one_cwp, whalf, winvhalf = _slope_roots(w, d)
     const = mean(mul(w, w)) / (2.0 * h) * root
-    # V and its inner sum are temporaries: their modes, kept alive while their
-    # unread samples are still owed, go as soon as V^2 is formed
+    # V and its inner sum are temporaries: V^2 reads only V's modes, so the
+    # pending computations that V's unread samples hold go as soon as it is formed
     v2 = _square(1.0 + pref * (const + hilbert_strip(mul(w, wp), d)
                                - w - mul(w, one_cwp - 1.0)))
 
-    p = mul(v2, winvhalf) + (2.0 * alpha) * mul(w, whalf)
+    # p as its modes alone too, since its samples are never read: the pending
+    # transforms of its two products go now, not when the call returns
+    p = PeriodicFunction((mul(v2, winvhalf) + (2.0 * alpha) * mul(w, whalf)).coeffs)
+    del v2, winvhalf  # read for the last time: they go before the conjugations
     cp = hilbert_strip(p, d)
     cwhalf = hilbert_strip(whalf, d)
     num = mean(mul(wp, cp)) + mean(mul(one_cwp, p))
@@ -291,8 +298,11 @@ def _finite_depth_pieces(params: WaveParams, w: PeriodicFunction):
         raise ValueError("finite-depth head qhat undefined: its denominator is 0 "
                          "(extreme alpha, g or sigma)")
     qhat = num / den
-    # A = p - qhat W_d^(1/2); C_d(A) from the pieces already transformed
-    return wp, one_cwp, p - qhat * whalf, cp - qhat * cwhalf, qhat
+    # A = p - qhat W_d^(1/2) and C_d(A) from the pieces already transformed, as
+    # their modes alone (as B in `_deep_pieces`): the samples of W^(1/2) and the
+    # pending transforms of p, C_d p and C_d W^(1/2) go on return
+    return (wp, one_cwp, PeriodicFunction((p - qhat * whalf).coeffs),
+            PeriodicFunction((cp - qhat * cwhalf).coeffs), qhat)
 
 
 def q_hat(params: WaveParams, w: PeriodicFunction) -> float:

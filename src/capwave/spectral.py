@@ -44,6 +44,9 @@ zero-padded grid are computed once, on first read, so a transform that
 nothing reads never runs.  A deferred result holds its operands' pending
 computations, not the operands with their modes; an operand read as well
 computes its samples a second time, with the same bits (no residual does).
+So a result whose samples stay unread keeps alive all that they would need:
+a caller that reads only its modes rebuilds it as `PeriodicFunction(f.coeffs)`
+(a residual's brackets, a Jacobian chunk's rows), which lets that go.
 Every array is frozen read-only.  Two threads that force the same samples at
 once compute the same bits and one of them is kept: the race is benign.
 """

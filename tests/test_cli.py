@@ -159,7 +159,7 @@ def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
         tool.write_outputs(tmp_path / name)
         files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
         runs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
-    assert len(runs[0]) == 131  # 119 entries, seven of them directories of step SVGs
+    assert len(runs[0]) == 138  # 125 entries, eight of them directories of step SVGs
     assert runs[0] == runs[1]
 
 
@@ -191,6 +191,22 @@ def test_config_values_must_fit_their_flags(tmp_path, capsys, monkeypatch, cfg):
     path.write_text(json.dumps({"A": 0, "grid": 64}))
     assert main(["verify", "--config", str(path)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"M": 1.5}, "config key 'M' needs an integer, got 1.5"),
+    ({"steps": "x"}, "config key 'steps' needs an integer, got 'x'"),
+    ({"A": True}, "config key 'A' needs a number, got True"),
+    ({"alpha-max": [0.1]}, "config key 'alpha-max' needs a number, got [0.1]"),
+    ({"out_json": 5}, "config key 'out_json' needs a string, got 5"),
+])
+def test_a_config_value_of_the_wrong_type_names_the_json_type(tmp_path, capsys, monkeypatch,
+                                                              cfg, message):
+    monkeypatch.setattr(cli, "continue_branch", _must_not_run)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["continue", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"capwave: {message}\n"
 
 
 def _must_not_run(*args, **kwargs):

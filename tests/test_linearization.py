@@ -215,15 +215,19 @@ def test_plus_minus_stack_has_the_modes_of_adding_the_negated_steps(basis):
 # Since the +-step stack is built by from_cosine_series/from_sine_series and
 # projected by cosine_coefficients/sine_coefficients: FD 4.10 MB, deep
 # 3.09 MB; and since a chunk's residual modes are released before the next
-# stack's residual call: FD 3.95 MB, deep 2.94 MB.  The residuals of
+# stack's residual call: FD 3.95 MB, deep 2.94 MB.  In 5 chunks (FD) and 15
+# (deep) of one plan: FD 2.85 MB, deep 2.88 MB; and since a residual call
+# drops W, V^2 and W^(-1/2) after their last read and keeps p and its
+# brackets as their modes alone: FD 2.11 MB, deep 2.58 MB.  The residuals of
 # `_w_case` are lambdas, which do not pickle, so these bounds measure the
 # Jacobian computed in this process, never the share of its worker process.
-FD_JACOBIAN_PEAK_BYTES = 3.90e6
-DEEP_JACOBIAN_PEAK_BYTES = 2.94e6
+FD_JACOBIAN_PEAK_BYTES = 2.11e6
+DEEP_JACOBIAN_PEAK_BYTES = 2.58e6
 # The same deep Jacobian at alpha = 0 and 0.02 from one stacked residual
 # call per chunk (`operators._residual_inf` at a column of (alpha, beta)):
-# 4.27 MB in chunks sized at 2 rows per mode, 2.98 MB at 3, as a start does.
-DEEP_STACKED_JACOBIANS_PEAK_BYTES = 2.98e6
+# 4.27 MB in chunks sized at 2 rows per mode, 2.98 MB at 3, as a start does;
+# 2.92 MB in the 23 chunks of one plan, 2.72 MB with the brackets as modes alone.
+DEEP_STACKED_JACOBIANS_PEAK_BYTES = 2.72e6
 # (stack, base, chunking, M) of that call, as `_jacobians` gets it from a start
 _STACKED_START = (partial(_residual_inf, np.array([[0.0], [0.02]]),
                           np.full((2, 1), crapper.beta_of(0.3))),

@@ -8,17 +8,19 @@ set as it was, so two checkouts compare with one diff:
     diff -r /tmp/before /tmp/after
 
 The set: deep `continue` at A = 0.3, 0.5 and -0.47 with JSON, CSV and SVGs;
-a finite-depth vortical `continue` with SVGs; a 2-D (alpha, beta) sheet; the
-steep A = -0.8 starting point, whose lobes reach two periods away; the
-default `spectrum`, `verify --A 0.6`, the default `limit-check` and
-`limit-check --gamma -1e-1` (a negative value in exponent form); `profile`
-with and without `--repeats 2` on the last deep and the last vortical point;
-and thirteen failures.  Ten exit 1 and write nothing: `continue --A 0`,
-`continue --tol 0`, `continue --h 2 --gamma nan`, `verify --out
-missing/verify.json`, `verify --out deep_0.3_svg` (a directory), `continue
---A 0.97` (past what 256 cosine modes serve), `continue --svg-dir
-deep_0.3.json/sub` (under a file), `continue --out-json ""` (no path),
-`limit-check --grid 0` (no grid) and `limit-check --h inf`.
+two finite-depth vortical `continue`s with SVGs, one of the benchmark's
+shape (h = 2.5, gamma = 0.7, M = 64) and a shallow strip with negative
+vorticity and a negative A (h = 0.5, gamma = -2, A = -0.35, M = 48); a 2-D
+(alpha, beta) sheet; the steep A = -0.8 starting point, whose lobes reach
+two periods away; the default `spectrum`, `verify --A 0.6`, the default
+`limit-check` and `limit-check --gamma -1e-1` (a negative value in exponent
+form); `profile` with and without `--repeats 2` on the last point of
+`deep_0.5` and of `vortical`; and thirteen failures.  Ten exit 1 and write
+nothing: `continue --A 0`, `continue --tol 0`, `continue --h 2 --gamma
+nan`, `verify --out missing/verify.json`, `verify --out deep_0.3_svg` (a
+directory), `continue --A 0.97` (past what 256 cosine modes serve),
+`continue --svg-dir deep_0.3.json/sub` (under a file), `continue --out-json
+""` (no path), `limit-check --grid 0` (no grid) and `limit-check --h inf`.
 Three exit 3.  Two write their partial branch: a `continue` whose residual
 overflows on the way to alpha = 1e306, and `continue --A 0.1 --alpha-max 2
 --steps 1 --M 16` with SVGs, whose one long step lands on flat water and
@@ -70,6 +72,7 @@ RUNS = [
     _continue("deep_0.5", "--A", "0.5"),
     _continue("deep_-0.47", "--A", "-0.47"),
     _continue("vortical", "--A", "0.3", "--h", "2.5", "--gamma", "0.7", "--M", "64"),
+    _continue("vortical_shallow", "--A", "-0.35", "--h", "0.5", "--gamma", "-2", "--M", "48"),
     _continue("sheet_2d", "--A", "0.3", "--M", "32", "--beta-max", "1.4", "--beta-steps", "2"),
     ("steep_-0.8", ["continue", "--A", "-0.8", "--steps", "0", "--tol", "1e-9",
                     "--g", "1", "--sigma", "1", "--out-json", "steep_-0.8.json",
