@@ -281,8 +281,9 @@ def _build_schedule(args, beta0):
 
 
 def cmd_continue(args):
-    # |A| < 1, A != 0, alpha-start <= 0 and no gamma in deep water are checked
-    # by the library before it solves, a finite --h by `main`
+    # |A| < 1, A != 0, alpha-start <= 0, no gamma in deep water, and a positive
+    # beta and (alpha > 0) a finite wavenumber at every target are checked by
+    # the library before it solves; a finite --h and distinct files by `main`
     for flag, path in (("--out-json", args.out_json), ("--out-csv", args.out_csv)):
         if not path:  # every run writes both files
             raise CliError(f"{flag} needs a path")
@@ -453,6 +454,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         if getattr(args, "h", None) is not None and math.isinf(args.h):  # continue, limit-check
             raise CliError("--h must be finite (continue without --h is deep water)")
+        seen = {}  # real path -> the first flag that named it
         for dest, path in vars(args).items():  # no result lost to a bad output path
             if dest == "svg_dir" and path:
                 up = path  # the nearest existing ancestor, which makedirs would build on
@@ -464,6 +466,11 @@ def main(argv=None) -> int:
                 raise CliError(f"output file {path} is a directory")
             if dest.startswith("out") and path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise CliError(f"no directory for output file {path}")
+            if path and (dest.startswith("out") or dest in ("svg_dir", "input")):
+                flag = f"--{dest.replace('_', '-')} {path}"  # one output would replace another
+                first = seen.setdefault(os.path.realpath(path), flag)
+                if first != flag:
+                    raise CliError(f"{first} and {flag} name the same file")
         # a trial that overflows is a failed step; numpy's warnings about it
         # would print module paths before the one-line message
         with np.errstate(over="ignore", invalid="ignore"):

@@ -28,7 +28,6 @@ from .operators import (
     q_hat,
     residual_fd,
     residual_inf,
-    wavenumber_k,
 )
 from .spectral import DegenerateMetricError, PeriodicFunction
 
@@ -155,7 +154,7 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
     it); convergence is measured by the sup norm of the residual on the full
     grid.  The Jacobian is refreshed every iteration by central differences;
     a singular one, or one the residual overflowed into inf or nan, raises
-    NewtonError.  `_carry` (`continue_branch`'s) loses "next", an (alpha, beta)
+    NewtonError.  `_carry` (`continue_branch`'s) loses "next", the WaveParams
     for `_start_jacobian`, and "jac", a Jacobian used at w0 if its key holds
     these params, M, grid and the bits of the projected modes.
     """
@@ -236,18 +235,16 @@ def _start_jacobian(params, res, w, M, then, carry):
     from stacked calls sharing the alpha-free pieces, unless they raise on an
     overflow, a division by zero or an invalid value, or give a non-finite
     entry (the single call raises or warns under the caller's errstate)."""
-    both = None
     if then is not None and params.is_infinite:
         with contextlib.suppress(Exception), np.errstate(over="raise", divide="raise",
                                                          invalid="raise"):
-            nxt = replace(params, alpha=then[0], beta=then[1])
-            stack = partial(_residual_inf, np.array([[params.alpha], [nxt.alpha]]),
-                            np.array([[params.beta], [nxt.beta]]))
+            stack = partial(_residual_inf, np.array([[params.alpha], [then.alpha]]),
+                            np.array([[params.beta], [then.beta]]))
             both = _jacobians(stack, w, M, rows_per_mode=3)  # 2: peak RSS +3 %
-    if both is None or not np.isfinite(both).all():
-        return jacobian_fd(res, w, M)
-    carry["jac"] = (nxt, M, w.n_grid, w.coeffs.tobytes()), OperatorMatrix(both[1], "cosine")
-    return OperatorMatrix(both[0], "cosine")
+            start, nxt = (OperatorMatrix(jac, "cosine") for jac in both)
+            carry["jac"] = (then, M, w.n_grid, w.coeffs.tobytes()), nxt
+            return start
+    return jacobian_fd(res, w, M)
 
 
 def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
@@ -291,27 +288,25 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     elif M >= n_grid // 2:
         why = f" (modes_for raised {requested} for A = {start_A})" if M != requested else ""
         raise ValueError(f"M = {M}{why} needs at least {2 * M + 2} grid points, got {n_grid}")
-    start = WaveParams(a0, b0, g=g, sigma=sigma, gamma=gamma, h=h)
-    for a, b in schedule[1:]:  # a target without a finite wavenumber fails before any solve
-        if a > 0.0:
-            wavenumber_k(a, b, g, sigma)
-    carry = {"next": schedule[1]} if len(schedule) > 1 and tuple(schedule[1]) != (a0, b0) else {}
+    # every target's record is made, so checked, before any solve
+    start, *targets = (WaveParams(a, b, g=g, sigma=sigma, gamma=gamma, h=h) for a, b in schedule)
+    carry = {"next": targets[0]} if targets and targets[0] != start else {}
     last = newton_solve(start, crapper.crapper_wave(start_A, n_grid), M=M, tol=tol,
                         max_iter=max_iter, _carry=carry)
     branch = Branch(start_A=start_A, solutions=[last], step_history=[(a0, b0, 0.0, True)])
 
-    for a_target, b_target in schedule[1:]:
+    for target in targets:
         # progress t from the segment's start (0) to its target (1) in steps dt
         a_from, b_from = last.params.alpha, last.params.beta
         t, dt, halvings = 0.0, 1.0, 0
-        while (last.params.alpha, last.params.beta) != (a_target, b_target):
+        while last.params != target:
             t_try = min(t + dt, 1.0)
-            a_try, b_try = (a_target, b_target) if t_try == 1.0 else (
-                a_from + (a_target - a_from) * t_try, b_from + (b_target - b_from) * t_try)
+            trial = target if t_try == 1.0 else replace(
+                last.params, alpha=a_from + (target.alpha - a_from) * t_try,
+                beta=b_from + (target.beta - b_from) * t_try)
             a_cur = last.params.alpha
             try:
-                sol = newton_solve(replace(last.params, alpha=a_try, beta=b_try), last.w,
-                                   M=M, tol=tol, max_iter=max_iter, _carry=carry)
+                sol = newton_solve(trial, last.w, M=M, tol=tol, max_iter=max_iter, _carry=carry)
             except (NewtonError, DegenerateMetricError) as exc:
                 sol, failure = None, str(exc)
             else:
@@ -320,15 +315,15 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
                     sol, failure = None, (f"converged onto flat water, steepness "
                                           f"{steep / previous:.3g} x the previous point's")
             if sol is None:
-                branch.step_history.append((a_try, b_try, a_try - a_cur, False))
+                branch.step_history.append((trial.alpha, trial.beta, trial.alpha - a_cur, False))
                 if halvings == MAX_HALVINGS:
                     raise StepUnderflowError(
                         f"step underflow after {MAX_HALVINGS} halvings towards "
-                        f"alpha={a_target} (last failure: {failure})", branch)
+                        f"alpha={target.alpha} (last failure: {failure})", branch)
                 dt, halvings = 0.5 * dt, halvings + 1
                 continue
             branch.solutions.append(sol)
-            branch.step_history.append((a_try, b_try, a_try - a_cur, True))
+            branch.step_history.append((trial.alpha, trial.beta, trial.alpha - a_cur, True))
             last, t = sol, t_try
     return branch
 

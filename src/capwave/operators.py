@@ -71,7 +71,8 @@ import numpy as np
 @dataclass(frozen=True)
 class WaveParams:
     """Scaled parameters, the physical constants they were built from, the
-    conformal depth h (inf: deep water, which forces gamma = 0) and gamma."""
+    conformal depth h (inf: deep water, which forces gamma = 0) and gamma;
+    alpha > 0 needs a finite wavenumber k(alpha, beta)."""
 
     alpha: float
     beta: float
@@ -92,6 +93,8 @@ class WaveParams:
             raise ValueError(f"depth must be positive, got {self.h}")
         if math.isinf(self.h) and self.gamma != 0.0:
             raise ValueError("infinite depth forces zero vorticity")
+        if self.alpha > 0.0:
+            wavenumber_k(self.alpha, self.beta, self.g, self.sigma)
 
     @property
     def is_infinite(self) -> bool:

@@ -40,8 +40,6 @@ def dumps_fixed(obj, indent: int = 0) -> str:
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
-        if not seq:
-            return "[]"
         flat = all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq)
         if flat:
             return "[" + ", ".join(dumps_fixed(v) for v in seq) + "]"

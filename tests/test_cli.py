@@ -62,6 +62,17 @@ def test_dumps_fixed_deterministic_and_ordered():
     assert parsed["b"] == 1.5 and parsed["a"][3] is None
 
 
+@pytest.mark.parametrize("obj, text", [
+    ({}, "{}"),
+    ([], "[]"),
+    ({"a": []}, '{\n  "a": []\n}'),
+    ([[], 1], "[\n  [],\n  1\n]"),
+    ({"a": {}}, '{\n  "a": {}\n}'),
+])
+def test_dumps_fixed_empty_containers(obj, text):
+    assert dumps_fixed(obj) == text and json.loads(text) == obj
+
+
 def test_solution_round_trip():
     w = crapper.crapper_wave(0.3, 256)
     params = WaveParams(alpha=0.0, beta=crapper.beta_of(0.3))
@@ -149,7 +160,7 @@ def test_verify_deterministic_output(tmp_path, capsys):
 
 def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
     # tools/cli_outputs.py writes the byte-identity set of every command
-    # (continue, spectrum, verify, limit-check, profile and thirteen failures)
+    # (continue, spectrum, verify, limit-check, profile and fifteen failures)
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
     spec = importlib.util.spec_from_file_location("cli_outputs", path)
     tool = importlib.util.module_from_spec(spec)
@@ -159,7 +170,7 @@ def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
         tool.write_outputs(tmp_path / name)
         files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
         runs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
-    assert len(runs[0]) == 138  # 125 entries, eight of them directories of step SVGs
+    assert len(runs[0]) == 144  # 131 entries, eight of them directories of step SVGs
     assert runs[0] == runs[1]
 
 
@@ -874,6 +885,21 @@ def test_extreme_constants_are_usage_errors(tmp_path, capsys, monkeypatch, argv)
     ("continue --A 0.3 --M 16 --grid 81", "n_grid must be even and >= 4, got 81"),
     ("limit-check --grid 0 --out r.json", "n_grid must be even and >= 4, got 0"),
     ("continue --beta-max -1 --beta-steps 2", "beta must be positive, got -1.0"),
+    # a target at alpha <= 0 is checked before the start is solved too
+    ("continue --steps 0 --beta-max -1 --beta-steps 2", "beta must be positive"),
+    ("continue --A 0.3 --M 32 --alpha-start -0.01 --alpha-max -0.005 --steps 1 "
+     "--beta-max -2 --beta-steps 2 --g 1 --sigma 1", "beta must be positive"),
+    # two outputs, or an output and the input, naming one file
+    ("continue --A 0.3 --M 16 --steps 0 --out-json same.txt --out-csv same.txt",
+     "--out-json same.txt and --out-csv same.txt name the same file"),
+    ("continue --A 0.3 --M 16 --steps 0 --out-json ./b.json --out-csv b.json",
+     "--out-json ./b.json and --out-csv b.json name the same file"),
+    ("spectrum --A-values 0.3 --M 8 --out-json s --out-csv s",
+     "--out-json s and --out-csv s name the same file"),
+    ("continue --A 0.3 --M 16 --steps 0 --out-json x --svg-dir x",
+     "--out-json x and --svg-dir x name the same file"),
+    ("profile --input p.json --out-csv p.json",
+     "--input p.json and --out-csv p.json name the same file"),
     ("continue --A 0.97 --steps 0",  # past what the capped modes serve at the default tol
      "|A| = 0.97 needs more than 256 cosine modes at tol = 1e-11; 256 modes serve |A| <= 0.8549"),
     # flags that would otherwise be ignored

@@ -75,6 +75,11 @@ def test_wave_params_validation():
         WaveParams(alpha=0.0, beta=1.0, gamma=1.0)  # infinite depth, vorticity
     with pytest.raises(ValueError):
         WaveParams(alpha=0.0, beta=1.0, h=0.0)
+    # gravity without a finite wavenumber, refused with wavenumber_k's message
+    with pytest.raises(ValueError, match=r"^alpha\*sigma underflows to zero: no finite"):
+        WaveParams(alpha=1e-200, beta=1.0, sigma=1e-200)
+    with pytest.raises(ValueError, match=r"^alpha=1e-308: g\*beta/\(alpha\*sigma\) overflows"):
+        WaveParams(alpha=1e-308, beta=1.0, sigma=0.07)
     assert WaveParams(alpha=0.0, beta=1.0).is_infinite
     assert not WaveParams(alpha=0.0, beta=1.0, h=2.0, gamma=1.0).is_infinite
 

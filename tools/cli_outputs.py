@@ -15,12 +15,15 @@ vorticity and a negative A (h = 0.5, gamma = -2, A = -0.35, M = 48); a 2-D
 two periods away; the default `spectrum`, `verify --A 0.6`, the default
 `limit-check` and `limit-check --gamma -1e-1` (a negative value in exponent
 form); `profile` with and without `--repeats 2` on the last point of
-`deep_0.5` and of `vortical`; and thirteen failures.  Ten exit 1 and write
-nothing: `continue --A 0`, `continue --tol 0`, `continue --h 2 --gamma
+`deep_0.5` and of `vortical`; and fifteen failures.  Twelve exit 1 and
+write nothing: `continue --A 0`, `continue --tol 0`, `continue --h 2 --gamma
 nan`, `verify --out missing/verify.json`, `verify --out deep_0.3_svg` (a
 directory), `continue --A 0.97` (past what 256 cosine modes serve),
 `continue --svg-dir deep_0.3.json/sub` (under a file), `continue --out-json
-""` (no path), `limit-check --grid 0` (no grid) and `limit-check --h inf`.
+""` (no path), `continue --out-json same.txt --out-csv same.txt` (one file
+for two outputs), `continue --steps 0 --beta-max -1 --beta-steps 2` (a
+target at alpha = 0 with beta < 0, refused before the start is solved),
+`limit-check --grid 0` (no grid) and `limit-check --h inf`.
 Three exit 3.  Two write their partial branch: a `continue` whose residual
 overflows on the way to alpha = 1e306, and `continue --A 0.1 --alpha-max 2
 --steps 1 --M 16` with SVGs, whose one long step lands on flat water and
@@ -103,6 +106,10 @@ RUNS = [
                                  "--svg-dir", "deep_0.3.json/sub"]),
     ("continue_empty_out_json", ["continue", "--A", "0.3", "--steps", "0", "--M", "8",
                                  "--out-json", ""]),
+    ("continue_same_file", ["continue", "--A", "0.3", "--steps", "0", "--M", "8",
+                            "--out-json", "same.txt", "--out-csv", "same.txt"]),
+    ("continue_beta_negative", ["continue", "--steps", "0", "--beta-max", "-1",
+                                "--beta-steps", "2"]),
     ("continue_floor_0.82", ["continue", "--A", "0.82", "--steps", "0", "--g", "1",
                              "--sigma", "1"]),
     ("limit_check_grid0", ["limit-check", "--grid", "0", "--out", "limit_check_grid0.json"]),
