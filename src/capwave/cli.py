@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import ctypes
 import glob
+import itertools
 import json
 import math
 import os
@@ -170,28 +171,36 @@ def _config_defaults(path, flag_types):
     return defaults
 
 
-def _write_all(outputs):
-    """Write each (writer, path, content) of `outputs` that has a path and
-    can be written, then raise the first failure: no output is lost to
-    another one."""
+def _floats(flag, text):
+    """The comma-separated numbers of `flag`: at least one, since a check of
+    nothing must not pass."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise CliError(f"bad {flag}: {exc}")
+    if not values:
+        raise CliError(f"{flag} needs at least one value")
+    return values
+
+
+def _emit(report, path=None, outputs=()):
+    """End a command: write each (writer, path, content) of `outputs` that
+    has a path, in turn (a generator builds each when it is due), then the
+    report's text to `path` if given, and raise the first failure only after
+    all; print the report; return exit 2 if it says it did not pass."""
+    text = dumps_fixed(report) + "\n"
     failures = []
-    for writer, path, content in outputs:
-        if not path:
+    for writer, out, content in itertools.chain(outputs, [(write_text, path, text)]):
+        if not out:
             continue
         try:
-            writer(path, content)
+            writer(out, content)
         except OSError as exc:
             failures.append(exc)
     if failures:
         raise failures[0]
-
-
-def _emit(report, path, outputs=()):
-    """Write `outputs` and, given a path, the report's text there, as
-    `_write_all` does; then print the report."""
-    text = dumps_fixed(report) + "\n"
-    _write_all([*outputs, (write_text, path, text)])
     sys.stdout.write(text)
+    return EXIT_OK if report.get("passed", True) else EXIT_TOLERANCE
 
 
 # -- verify ---------------------------------------------------------------------
@@ -218,8 +227,7 @@ def cmd_verify(args):
                float(np.max(np.abs(theta_of(w).samples - theta.samples))), 1e-10)
     report = {"command": "verify", "A": A, "n_grid": n, "beta": beta,
               "checks": checks, "passed": all(c["pass"] for c in checks.values())}
-    _emit(report, args.out)
-    return EXIT_OK if report["passed"] else EXIT_TOLERANCE
+    return _emit(report, args.out)
 
 
 # -- spectrum ---------------------------------------------------------------------
@@ -242,20 +250,13 @@ def _spectrum_row(A, M):
 
 
 def cmd_spectrum(args):
-    try:
-        values = [float(v) for v in args.A_values.split(",") if v.strip()]
-    except ValueError as exc:
-        raise CliError(f"bad --A-values: {exc}")
-    if not values:  # a check of nothing must not pass
-        raise CliError("--A-values needs at least one value")
-    rows = [_spectrum_row(A, args.M) for A in values]
+    rows = [_spectrum_row(A, args.M) for A in _floats("--A-values", args.A_values)]
     passed = all(r["consistent"] and r["fd_mismatch"] <= 1e-4 for r in rows)
     report = {"command": "spectrum", "M": args.M, "rows": rows, "passed": passed}
     cols = ("A", "sigma_min", "verdict", "kernel", "fd_mismatch",
             "a1_coefficient", "a2_coefficient", "consistent")
     table = csv_text(cols, [[r[c] for c in cols] for r in rows])
-    _emit(report, args.out_json, [(write_text, args.out_csv, table)])
-    return EXIT_OK if passed else EXIT_TOLERANCE
+    return _emit(report, args.out_json, [(write_text, args.out_csv, table)])
 
 
 # -- continue ----------------------------------------------------------------------
@@ -309,10 +310,9 @@ def cmd_continue(args):
                 yield (write_text, os.path.join(args.svg_dir, f"step_{i:04d}.svg"),
                        _solution_svg(sol)[0])
 
-    _write_all(outputs())
-    sys.stdout.write(dumps_fixed({"command": "continue", "accepted": len(branch.solutions),
-                                  "attempts": len(branch.step_history),
-                                  "out_json": args.out_json, "out_csv": args.out_csv}) + "\n")
+    _emit({"command": "continue", "accepted": len(branch.solutions),
+           "attempts": len(branch.step_history),
+           "out_json": args.out_json, "out_csv": args.out_csv}, outputs=outputs())
     return code
 
 
@@ -345,25 +345,17 @@ def cmd_profile(args):
     # CSV at the stored grid so the profile round-trips losslessly
     curve_csv = geometry.solution_curve(sol.params, sol.w, n_points=sol.w.n_grid)
     svg, crossings = _solution_svg(sol, args.repeats)
-    _write_all([(write_text, args.out_csv, csv_text(("X", "Y"), zip(curve_csv.x, curve_csv.y))),
-                (write_text, args.out_svg, svg)])
-    sys.stdout.write(dumps_fixed({"command": "profile", "input": args.input,
-                                  "points": len(curve_csv.x),
-                                  "injective": bool(len(crossings) == 0),
-                                  "crossings": int(len(crossings))}) + "\n")
-    return EXIT_OK
+    points = csv_text(("X", "Y"), zip(curve_csv.x, curve_csv.y))
+    return _emit({"command": "profile", "input": args.input, "points": len(curve_csv.x),
+                  "injective": bool(len(crossings) == 0), "crossings": int(len(crossings))},
+                 outputs=[(write_text, args.out_csv, points), (write_text, args.out_svg, svg)])
 
 
 # -- limit-check ---------------------------------------------------------------------
 
 
 def cmd_limit_check(args):
-    try:
-        alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
-    except ValueError as exc:
-        raise CliError(f"bad --alphas: {exc}")
-    if not alphas:
-        raise CliError("--alphas needs at least one value")
+    alphas = _floats("--alphas", args.alphas)
     if any(a <= 0 for a in alphas):
         raise CliError("--alphas must be positive (the limit is taken from above)")
     A, n = args.A, args.grid
@@ -384,8 +376,7 @@ def cmd_limit_check(args):
               "strictly_decreasing": decreasing,
               "zero_at_nonpositive_alpha": bool(exact_zero == 0.0),
               "passed": bool(decreasing and exact_zero == 0.0)}
-    _emit(report, args.out)
-    return EXIT_OK if report["passed"] else EXIT_TOLERANCE
+    return _emit(report, args.out)
 
 
 # -- entry -------------------------------------------------------------------------
@@ -466,8 +457,8 @@ def main(argv=None) -> int:
                 raise CliError(f"output file {path} is a directory")
             if dest.startswith("out") and path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise CliError(f"no directory for output file {path}")
-            if path and (dest.startswith("out") or dest in ("svg_dir", "input")):
-                flag = f"--{dest.replace('_', '-')} {path}"  # one output would replace another
+            if path and (dest.startswith("out") or dest in ("svg_dir", "input", "config")):
+                flag = f"--{dest.replace('_', '-')} {path}"  # an output would replace a file
                 first = seen.setdefault(os.path.realpath(path), flag)
                 if first != flag:
                     raise CliError(f"{first} and {flag} name the same file")

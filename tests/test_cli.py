@@ -288,6 +288,25 @@ def test_continue_writes_branch_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_continue_builds_each_svg_after_the_files_before_it(tmp_path, capsys, monkeypatch):
+    # one SVG is built at a time, once the branch JSON, the CSV and every
+    # earlier SVG are on disk: a long branch never holds all its SVGs at once
+    monkeypatch.chdir(tmp_path)
+    render, on_disk = cli._solution_svg, []
+
+    def recording(sol, *args):
+        on_disk.append((sorted(p.name for p in tmp_path.glob("svg/step_*.svg")),
+                        (tmp_path / "b.json").is_file(), (tmp_path / "b.csv").is_file()))
+        return render(sol, *args)
+
+    monkeypatch.setattr(cli, "_solution_svg", recording)
+    assert main(["continue", "--A", "0.3", "--alpha-max", "0.02", "--steps", "3", "--M", "16",
+                 "--g", "1", "--sigma", "1", "--out-json", "b.json", "--out-csv", "b.csv",
+                 "--svg-dir", "svg"]) == 0
+    assert on_disk == [([f"step_{j:04d}.svg" for j in range(i)], True, True) for i in range(4)]
+    capsys.readouterr()
+
+
 def test_continue_svgs_mark_the_crossings_the_branch_counts(tmp_path, capsys):
     # the SVG of a point marks as many crossings as its solve counted
     jsn, svg_dir = tmp_path / "branch.json", tmp_path / "svg"
@@ -900,6 +919,16 @@ def test_extreme_constants_are_usage_errors(tmp_path, capsys, monkeypatch, argv)
      "--out-json x and --svg-dir x name the same file"),
     ("profile --input p.json --out-csv p.json",
      "--input p.json and --out-csv p.json name the same file"),
+    # an output and the --config file it was read from (c.json holds {})
+    ("continue --A 0.3 --M 16 --steps 0 --config c.json --out-json c.json",
+     "--out-json c.json and --config c.json name the same file"),
+    ("continue --A 0.3 --M 16 --steps 0 --config c.json --out-csv ./c.json",
+     "--out-csv ./c.json and --config c.json name the same file"),
+    # (without the slash, --svg-dir's own check refuses the file first)
+    ("continue --A 0.3 --M 16 --steps 0 --config c.json --svg-dir c.json/",
+     "--svg-dir c.json/ and --config c.json name the same file"),
+    ("profile --input wave.json --config c.json --out-csv c.json",
+     "--out-csv c.json and --config c.json name the same file"),
     ("continue --A 0.97 --steps 0",  # past what the capped modes serve at the default tol
      "|A| = 0.97 needs more than 256 cosine modes at tol = 1e-11; 256 modes serve |A| <= 0.8549"),
     # flags that would otherwise be ignored
@@ -921,20 +950,26 @@ def test_extreme_constants_are_usage_errors(tmp_path, capsys, monkeypatch, argv)
     ("limit-check --alphas , --out r.json", "--alphas needs at least one value"),
     ("spectrum --A-values 0.3,x --out-json s.json --out-csv s.csv",
      "bad --A-values: could not convert string to float: 'x'"),
+    ("limit-check --alphas 1e-2,zzz --out r.json",
+     "bad --alphas: could not convert string to float: 'zzz'"),
     ("profile --input sol.json --repeats 0", "--repeats must be at least 1"),
     ("profile --input sol.json --repeats -3", "--repeats must be at least 1"),
 ])
 def test_library_checks_reach_stderr_before_any_solve(tmp_path, capsys, monkeypatch,
-                                                      argv, message):
+                                                      finite_depth_solution_doc, argv, message):
     # these ranges are checked by the library or, for flags it never sees, by
     # the CLI: the message is the one line on stderr, and nothing is solved or
     # written
     monkeypatch.chdir(tmp_path)
+    inputs = {"c.json": "{}", "wave.json": dumps_fixed(finite_depth_solution_doc)}
+    for name in inputs.keys() & set(argv.split()):
+        (tmp_path / name).write_text(inputs[name])
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     monkeypatch.setattr(continuation, "newton_solve", _must_not_run)
     assert main(argv.split()) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
-    assert list(tmp_path.iterdir()) == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("argv, message", [
