@@ -68,6 +68,8 @@ def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int) -> np.ndarray:
     d3 = (Bx - Ax) * (ay[j] - Ay) - (By - Ay) * (ax[j] - Ax)
     d4 = (Bx - Ax) * (by[j] - Ay) - (By - Ay) * (bx[j] - Ax)
     proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+    if not proper.any():
+        return np.empty((0, 2))
     i, j, d1, d2 = i[proper], j[proper], d1[proper], d2[proper]
     s = d1 / (d1 - d2)
     px = x[i] + s * (x[i + 1] - x[i])

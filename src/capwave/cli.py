@@ -448,9 +448,11 @@ def main(argv=None) -> int:
         seen = {}  # real path -> the first flag that named it
         for dest, path in vars(args).items():  # no result lost to a bad output path
             if dest == "svg_dir" and path:
-                up = path  # the nearest existing ancestor, which makedirs would build on
+                # the nearest existing ancestor, which makedirs would build on;
+                # exists("taken/") is false for a file, so the walk starts at "taken"
+                up = path.rstrip(os.sep) or path
                 while up and not os.path.exists(up):
-                    up = os.path.dirname(up.rstrip(os.sep))
+                    up = os.path.dirname(up)
                 if up and not os.path.isdir(up):
                     raise CliError(f"--svg-dir {path}: {up} exists and is not a directory")
             if dest.startswith("out") and path and os.path.isdir(path):  # --out, --out-*

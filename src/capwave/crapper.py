@@ -9,7 +9,9 @@ The family is parameterised by A in (-1, 1):
 w_A is the boundary trace of the disc-analytic F_A(z) = 2(1-Az)/(1+Az) - 2,
 which pins the cosine coefficients to 4(-A)^n and gives machine-accurate
 values for w_A', 1+C w_A' and the tangent angle theta_A without ever
-differentiating on the grid.
+differentiating on the grid.  The imaginary part of that trace, C w_A, gives
+the surface abscissa t + C w_A, so the self-intersection bisection draws each curve, and
+its metric W, from closed forms without a transform.
 """
 
 from __future__ import annotations
@@ -68,6 +70,17 @@ def min_grid(A: float) -> int:
 def wave_samples(A: float, t: np.ndarray) -> np.ndarray:
     """Closed-form w_A(t)."""
     return 2.0 * (1.0 - A * A) / (1.0 + A * A + 2.0 * A * np.cos(t)) - 2.0
+
+
+def abscissa_samples(A: float, t: np.ndarray) -> np.ndarray:
+    """Closed-form t + C w_A(t), the surface abscissa: C w_A = Im F_A(e^{it})."""
+    return t - 4.0 * A * np.sin(t) / (1.0 + A * A + 2.0 * A * np.cos(t))
+
+
+def metric_samples(A: float, t: np.ndarray) -> np.ndarray:
+    """Closed-form W = w_A'^2 + (1 + C w_A')^2, the |.|^2 of slope_components."""
+    c = 2.0 * A * np.cos(t)
+    return ((1.0 + A * A - c) / (1.0 + A * A + c)) ** 2
 
 
 def slope_components(A: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,9 @@ pure-capillary family starts self-intersecting.
 (strip conjugation at d = hk in finite depth) when alpha > 0 and in conformal
 units (k = 1) otherwise; `solution_report` holds the flags of every Newton
 solution.  Each crossing is counted once per period (see `check_injective`).
+The threshold bisection draws the explicit family from F_A's closed form
+(`crapper.abscissa_samples`, `crapper.wave_samples`) instead of through
+`surface_profile`'s transforms.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import numpy as np
 
 from . import crapper
 from ._kernels import segment_crossings
-from .spectral import PeriodicFunction, hilbert, hilbert_strip, grid
-from .operators import WaveParams, conformal_metric, wavenumber_k
+from .spectral import DegenerateMetricError, PeriodicFunction, hilbert, hilbert_strip, grid
+from .operators import METRIC_FLOOR, WaveParams, conformal_metric, wavenumber_k
 
 GEOMETRY_POINTS = 1024
 
@@ -129,8 +132,15 @@ def steepness(w: PeriodicFunction) -> float:
 
 
 def crapper_profile_injective(A: float, n_grid: int) -> bool:
-    w = crapper.crapper_wave(A, n_grid)
-    return check_injective(surface_profile(w, 1.0)).injective
+    """Whether the explicit profile at A is injective on n_grid points.  Its
+    curve and metric come from F_A's closed form (see crapper), with
+    surface_profile's refusal of a degenerate metric but no transform."""
+    A = crapper._check_param(A)
+    t = grid(n_grid)
+    if crapper.metric_samples(A, t).min() < METRIC_FLOOR:
+        raise DegenerateMetricError("conformal metric vanishes on the grid")
+    curve = SurfaceCurve(x=crapper.abscissa_samples(A, t), y=crapper.wave_samples(A, t), k=1.0)
+    return check_injective(curve).injective
 
 
 def critical_self_intersection_A(tol: float = 1e-3, n_grid: int = 2048,

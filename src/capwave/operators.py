@@ -67,6 +67,8 @@ from .spectral import (
 
 import numpy as np
 
+METRIC_FLOOR = 1e-12  # a smaller W on the grid is a degenerate parameterisation
+
 
 @dataclass(frozen=True)
 class WaveParams:
@@ -127,7 +129,7 @@ def wavenumber_k(alpha: float, beta: float, g: float = 1.0, sigma: float = 1.0) 
 
 def _slope_metric(w: PeriodicFunction, d: float | None = None):
     """w', 1 + C w' (C deep for d=None, else the strip transform at depth d)
-    and the samples of W = w'^2 + (1 + C w')^2, checked to be >= 1e-12."""
+    and the samples of W = w'^2 + (1 + C w')^2, checked to be >= METRIC_FLOOR."""
     wp = derivative(w)
     one_cwp = 1.0 + (hilbert(wp) if d is None else hilbert_strip(wp, d))
     # squared grid-locally, not through padded FFT products: the metric is
@@ -135,7 +137,7 @@ def _slope_metric(w: PeriodicFunction, d: float | None = None):
     # delocalised rounding near its minimum (steep waves get within 1e-4 of
     # the degenerate threshold)
     W = wp.samples ** 2 + one_cwp.samples ** 2
-    if (W.min(axis=-1) < 1e-12).any():
+    if (W.min(axis=-1) < METRIC_FLOOR).any():
         raise DegenerateMetricError("conformal metric vanishes on the grid")
     return wp, one_cwp, W
 

@@ -459,7 +459,7 @@ def test_spectrum_and_profile_write_every_output_they_can_before_they_report_a_f
     assert _read(tmp_path / name) == _read(tmp_path / f"ok_{name}")
 
 
-@pytest.mark.parametrize("svg_dir", ["taken", "taken/sub", "taken/sub/deeper/"])
+@pytest.mark.parametrize("svg_dir", ["taken", "taken/", "taken/sub", "taken/sub/deeper/"])
 def test_continue_rejects_an_svg_dir_that_is_a_file_before_solving(tmp_path, capsys,
                                                                     monkeypatch, svg_dir):
     # the file is --svg-dir itself or an ancestor that makedirs would meet
@@ -924,9 +924,9 @@ def test_extreme_constants_are_usage_errors(tmp_path, capsys, monkeypatch, argv)
      "--out-json c.json and --config c.json name the same file"),
     ("continue --A 0.3 --M 16 --steps 0 --config c.json --out-csv ./c.json",
      "--out-csv ./c.json and --config c.json name the same file"),
-    # (without the slash, --svg-dir's own check refuses the file first)
+    # (with or without the slash, --svg-dir's own check refuses the file first)
     ("continue --A 0.3 --M 16 --steps 0 --config c.json --svg-dir c.json/",
-     "--svg-dir c.json/ and --config c.json name the same file"),
+     "--svg-dir c.json/: c.json exists and is not a directory"),
     ("profile --input wave.json --config c.json --out-csv c.json",
      "--out-csv c.json and --config c.json name the same file"),
     ("continue --A 0.97 --steps 0",  # past what the capped modes serve at the default tol

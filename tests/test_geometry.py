@@ -226,6 +226,82 @@ def test_metric_matches_squared_curve_speed():
         assert np.max(np.abs(speed2 - conformal_metric(w))) < 1e-10
 
 
+_CLOSED_FORM_A = [s * A for A in (0.1, 0.3, 0.4546, 0.6, 0.9) for s in (1, -1)]
+
+
+def _transformed_profile_injective(A, n):
+    # the oracle: the explicit profile drawn through surface_profile's transforms
+    return check_injective(surface_profile(crapper.crapper_wave(A, n), 1.0)).injective
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("A", _CLOSED_FORM_A)
+def test_closed_form_curve_matches_the_transformed_profile(A, n):
+    t = grid(n)
+    w = crapper.crapper_wave(A, n)
+    curve = surface_profile(w, 1.0)
+    assert np.max(np.abs(crapper.abscissa_samples(A, t) - curve.x)) <= 1e-12
+    assert np.max(np.abs(crapper.wave_samples(A, t) - curve.y)) <= 1e-12
+    # relative to max W: near the trough at |A| = 0.9, where W is 7.7e-6, the
+    # transformed metric is off by 4.7e-11 of W itself and the closed form by
+    # 2.5e-14 (against a 40-digit evaluation)
+    W, closed = conformal_metric(w), crapper.metric_samples(A, t)
+    assert np.max(np.abs(closed - W)) <= 1e-12 * np.max(W)
+    if abs(A) <= 0.6:
+        assert np.max(np.abs(closed / W - 1.0)) <= 1e-12
+
+
+def test_crapper_profile_injective_decides_as_the_transformed_profile():
+    # densely across the threshold A* = 0.4546..., and a spread of both signs
+    spread = [s * A for A in (0.05, 0.2, 0.4, 0.45, 0.46, 0.5, 0.7, 0.8, 0.95, 0.99)
+              for s in (1, -1)]
+    for n in (1024, 2048):
+        for A in [*np.linspace(0.453, 0.456, 31), *spread]:
+            assert crapper_profile_injective(A, n) == _transformed_profile_injective(A, n)
+
+
+@pytest.mark.parametrize("A, n_grid, message", [
+    (1.0, 1024, r"Crapper parameter must satisfy \|A\| < 1, got 1.0"),
+    (np.nan, 1024, r"Crapper parameter must satisfy \|A\| < 1, got nan"),
+    (0.995, 1024, r"\|A\| capped at 0.99; spectral resolution grows without bound"),
+    (0.3, 1023, "n_grid must be even and >= 4, got 1023"),
+    (0.3, 32, "injectivity check needs at least 64 points"),
+])
+def test_crapper_profile_injective_refuses_what_the_transformed_profile_refused(
+        A, n_grid, message):
+    for check in (crapper_profile_injective, _transformed_profile_injective):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(A, n_grid)
+
+
+def test_crapper_profile_injective_refuses_a_degenerate_metric(monkeypatch):
+    # W = ((1-A)/(1+A))^4 at the trough: 6.4e-10 at A_CAP, above the floor,
+    # which a floor raised to 1e-9 puts it under
+    A = crapper.A_CAP
+    assert crapper.metric_samples(A, grid(1024)).min() == pytest.approx(((1 - A) / (1 + A)) ** 4)
+    assert not crapper_profile_injective(A, 1024)
+    monkeypatch.setattr(geometry, "METRIC_FLOOR", 1e-9)
+    with pytest.raises(DegenerateMetricError, match="^conformal metric vanishes on the grid$"):
+        crapper_profile_injective(A, 1024)
+
+
+# A* as the bisection returned it when each curve came from the grid
+# transforms of surface_profile; the closed form keeps every bit
+@pytest.mark.parametrize("n", [64, 128, 256, 512, 1024, 2048, 4096])
+def test_critical_self_intersection_A_is_pinned_on_the_default_bracket(n):
+    assert critical_self_intersection_A(tol=1e-3, n_grid=n) == 0.45463867187500007
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("lo, hi, a_star", [
+    (0.25, 0.6, 0.454736328125),
+    (0.35, 0.85, 0.45498046875),
+    (0.3979, 0.5021, 0.45447734375),
+])
+def test_critical_self_intersection_A_is_pinned_on_threshold_sweep_brackets(lo, hi, a_star, n):
+    assert critical_self_intersection_A(tol=1e-3, n_grid=n, lo=lo, hi=hi) == a_star
+
+
 def test_critical_self_intersection_threshold():
     a_star = critical_self_intersection_A(tol=1e-3, n_grid=1024)
     assert 0.4 < a_star < 0.5
@@ -263,6 +339,12 @@ def test_critical_self_intersection_gives_up_when_no_lower_bracket_is_injective(
     monkeypatch.setattr(geometry, "crapper_profile_injective", lambda A, n_grid: False)
     with pytest.raises(RuntimeError, match="failed to bracket"):
         critical_self_intersection_A()
+
+
+def test_segment_crossings_of_an_injective_curve_are_an_empty_float_array():
+    x, y = surface_profile(crapper.crapper_wave(0.3, 1024), 1.0).extended()
+    hits = segment_crossings(x, y, 1024)
+    assert hits.shape == (0, 2) and hits.dtype == np.float64
 
 
 def test_segment_crossings_validation():
