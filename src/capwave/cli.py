@@ -90,7 +90,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="check the explicit pure-capillary family")
     p.add_argument("--A", type=float, default=0.5, help="family parameter in (-1, 1)")
-    p.add_argument("--grid", type=int, default=512, help="collocation points")
+    p.add_argument("--grid", type=int, default=None, help="collocation points (unset: from A)")
     p.add_argument("--out", type=str, default=None, help="JSON report path")
 
     p = sub.add_parser("spectrum", help="linearisation spectrum along the family")
@@ -131,7 +131,7 @@ def build_parser():
     p.add_argument("--h", type=float, default=2.0, help="conformal depth")
     p.add_argument("--alphas", type=str, default="1e-2,1e-3,1e-4",
                    help="comma-separated positive alphas")
-    p.add_argument("--grid", type=int, default=512, help="collocation points")
+    p.add_argument("--grid", type=int, default=None, help="collocation points (unset: from A)")
     p.add_argument("--out", type=str, default=None, help="JSON report path")
     _add_constants(p)
     for p in sub.choices.values():
@@ -206,8 +206,14 @@ def _emit(report, path=None, outputs=()):
 # -- verify ---------------------------------------------------------------------
 
 
+def _family_grid(args):
+    """--grid, or (unset) 512 points, more if the explicit wave at --A needs them."""
+    return (max(512, crapper.min_grid(crapper._check_param(args.A)))
+            if args.grid is None else args.grid)
+
+
 def cmd_verify(args):
-    A, n = args.A, args.grid
+    A, n = args.A, _family_grid(args)
     checks = {}
 
     def record(name, value, tol):
@@ -358,7 +364,7 @@ def cmd_limit_check(args):
     alphas = _floats("--alphas", args.alphas)
     if any(a <= 0 for a in alphas):
         raise CliError("--alphas must be positive (the limit is taken from above)")
-    A, n = args.A, args.grid
+    A, n = args.A, _family_grid(args)
     w = crapper.crapper_wave(A, n)
     beta = crapper.beta_of(A)
     base = residual_inf(WaveParams(alpha=0.0, beta=beta, g=args.g, sigma=args.sigma), w)

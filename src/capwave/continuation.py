@@ -146,7 +146,7 @@ def _grid_for(M: int, A: float) -> int:
 
 def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                 *, _carry: dict | None = None) -> WaveSolution:
+                 *, jac: OperatorMatrix | None = None) -> WaveSolution:
     """Full Newton on span{cos nt : n <= M} for the residual that `params`
     names: F (with the head b) in deep water, FD (with qhat) in finite depth.
 
@@ -154,19 +154,13 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
     it); convergence is measured by the sup norm of the residual on the full
     grid.  The Jacobian is refreshed every iteration by central differences;
     a singular one, or one the residual overflowed into inf or nan, raises
-    NewtonError.  `_carry` (`continue_branch`'s) loses "next", the WaveParams
-    for `_start_jacobian`, and "jac", a Jacobian used at w0 if its key holds
-    these params, M, grid and the bits of the projected modes.
+    NewtonError.  `jac`, the Jacobian at w0's projection if the caller has
+    it, serves iteration 0, or `sigma_min` when w0 already solves.
     """
     residual = residual_inf if params.is_infinite else residual_fd
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    _check_tol(tol)
+    _check_stop(tol, max_iter)
     _check_modes(M)
     w = PeriodicFunction.from_cosine_series(w0.cosine_coefficients(M), w0.n_grid)
-    carry = {} if _carry is None else _carry
-    then, (key, carried) = carry.pop("next", None), carry.pop("jac", (None, None))
-    carried = carried if key == (params, M, w.n_grid, w.coeffs.tobytes()) else None
     res = partial(residual, params)  # pickles: the Jacobian's worker can run it
     history = []
     sigma = None
@@ -177,16 +171,16 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
         if rnorm < tol or it == max_iter:
             break
         try:
-            jac, carried = carried or jacobian_fd(res, w, M), None
+            matrix, jac = jac or jacobian_fd(res, w, M), None
         except DegenerateMetricError:
             raise
         except ValueError as exc:  # operator matrix has non-finite entries
             raise NewtonError(f"{exc} at iteration {it}") from None
-        sigma = _sigma_min(jac)
+        sigma = _sigma_min(matrix)
         if sigma < MIN_JACOBIAN_SIGMA:
             raise NewtonError(
                 f"Jacobian sigma_min={sigma:.3e} below {MIN_JACOBIAN_SIGMA} at iteration {it}")
-        delta = np.linalg.solve(jac.entries, -r.cosine_coefficients(M))
+        delta = np.linalg.solve(matrix.entries, -r.cosine_coefficients(M))
         step = PeriodicFunction.from_cosine_series(delta, w.n_grid)
         # backtracking keeps the iterate in the local basin; the full step is
         # always tried first, so quadratic convergence is untouched near the root
@@ -212,7 +206,7 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
         raise NewtonError(f"no convergence in {max_iter} iterations "
                           f"(residual history {['%.2e' % v for v in history]})")
     if sigma is None:  # converged at w0 without a step
-        sigma = _sigma_min(carried or _start_jacobian(params, res, w, M, then, carry))
+        sigma = _sigma_min(jac or jacobian_fd(res, w, M))
     scalar = bernoulli_b(params.alpha, w) if params.is_infinite else q_hat(params, w)
     return WaveSolution(params=params, w=w, residual_norm=rnorm, b_or_qhat=scalar,
                         newton_iters=it, modes=M, sigma_min=sigma,
@@ -220,7 +214,9 @@ def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
                         geometry=geometry.solution_report(params, w))
 
 
-def _check_tol(tol):
+def _check_stop(tol, max_iter):
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     # tol <= 0 or nan can never be met, and inf is met before any iteration
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -230,21 +226,19 @@ def _sigma_min(jac) -> float:
     return float(np.linalg.svd(jac.entries, compute_uv=False)[-1])
 
 
-def _start_jacobian(params, res, w, M, then, carry):
-    """`jacobian_fd(res, w, M)`; deep, with that of `then` (to carry["jac"])
-    from stacked calls sharing the alpha-free pieces, unless they raise on an
-    overflow, a division by zero or an invalid value, or give a non-finite
-    entry (the single call raises or warns under the caller's errstate)."""
-    if then is not None and params.is_infinite:
+def _start_jacobians(start, first, w, M):
+    """Stacked Jacobians at `w` under `start` and `first`, sharing the alpha-free
+    pieces; (None, None) in finite depth, at alpha != 0 (Crapper's wave solves F
+    at 0 only), with no distinct `first`, or if the stacked call raises under its
+    errstate or gives a non-finite entry: single calls then fail as they would."""
+    if first not in (None, start) and start.is_infinite and start.alpha == 0.0:
         with contextlib.suppress(Exception), np.errstate(over="raise", divide="raise",
                                                          invalid="raise"):
-            stack = partial(_residual_inf, np.array([[params.alpha], [then.alpha]]),
-                            np.array([[params.beta], [then.beta]]))
+            stack = partial(_residual_inf, np.array([[start.alpha], [first.alpha]]),
+                            np.array([[start.beta], [first.beta]]))
             both = _jacobians(stack, w, M, rows_per_mode=3)  # 2: peak RSS +3 %
-            start, nxt = (OperatorMatrix(jac, "cosine") for jac in both)
-            carry["jac"] = (then, M, w.n_grid, w.coeffs.tobytes()), nxt
-            return start
-    return jacobian_fd(res, w, M)
+            return tuple(OperatorMatrix(jac, "cosine") for jac in both)
+    return None, None
 
 
 def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
@@ -277,7 +271,7 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
         raise ValueError("schedule must start on the pure-capillary curve (alpha <= 0)")
     if abs(b0 - crapper.beta_of(start_A)) > 1e-9 * (1.0 + abs(b0)):
         raise ValueError(f"schedule must start at beta_A = {crapper.beta_of(start_A)!r}")
-    _check_tol(tol)
+    _check_stop(tol, max_iter)
     if M is not None and M < 1:
         raise ValueError(f"M must be at least 1, got {M}")
 
@@ -290,9 +284,13 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
         raise ValueError(f"M = {M}{why} needs at least {2 * M + 2} grid points, got {n_grid}")
     # every target's record is made, so checked, before any solve
     start, *targets = (WaveParams(a, b, g=g, sigma=sigma, gamma=gamma, h=h) for a, b in schedule)
-    carry = {"next": targets[0]} if targets and targets[0] != start else {}
-    last = newton_solve(start, crapper.crapper_wave(start_A, n_grid), M=M, tol=tol,
-                        max_iter=max_iter, _carry=carry)
+    # the start, and if it stays the first step's first attempt (at targets[0]), iterate
+    # from w's bits; each pops its matrix from `jacs`, so none outlives the solve it serves
+    w = crapper.crapper_wave(start_A, n_grid).cosine_coefficients(M)
+    w = PeriodicFunction.from_cosine_series(w, n_grid)
+    jacs = list(_start_jacobians(start, targets[0] if targets else None, w, M))
+    last = newton_solve(start, w, M=M, tol=tol, max_iter=max_iter, jac=jacs.pop(0))
+    jacs = jacs if last.newton_iters == 0 else []
     branch = Branch(start_A=start_A, solutions=[last], step_history=[(a0, b0, 0.0, True)])
 
     for target in targets:
@@ -306,7 +304,8 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
                 beta=b_from + (target.beta - b_from) * t_try)
             a_cur = last.params.alpha
             try:
-                sol = newton_solve(trial, last.w, M=M, tol=tol, max_iter=max_iter, _carry=carry)
+                sol = newton_solve(trial, last.w, M=M, tol=tol, max_iter=max_iter,
+                                   jac=jacs.pop() if jacs else None)
             except (NewtonError, DegenerateMetricError) as exc:
                 sol, failure = None, str(exc)
             else:
@@ -345,12 +344,14 @@ def crapper_curve_check(A_values: Sequence[float]) -> dict:
     """
     if len(A_values) < 1:
         raise ValueError("the curve check needs at least one A")
-    amp, mode = CURVE_CHECK_BUMP
-    rows = []
-    for A in A_values:
+    modes = []
+    for A in A_values:  # every A is checked, and sized, before the first solve
         if A == 0.0:
             raise ValueError("A = 0 sits at the bifurcation point; excluded")
-        M_a = modes_for(A, tol=CURVE_CHECK_TOL)
+        modes.append(modes_for(crapper._check_param(A), tol=CURVE_CHECK_TOL))
+    amp, mode = CURVE_CHECK_BUMP
+    rows = []
+    for A, M_a in zip(A_values, modes):
         n_grid = _grid_for(M_a, A)
         beta = crapper.beta_of(A)
         margin = ((1.0 - abs(A)) / (1.0 + abs(A))) ** 2

@@ -149,6 +149,25 @@ def test_verify_rejects_a_tangent_angle_off_the_principal_branch(tmp_path, capsy
     assert not out.exists()
 
 
+def test_verify_and_limit_check_size_their_grid_from_A(tmp_path, capsys):
+    # on 512 points the tangent angle of A = 0.95 leaves its principal branch;
+    # unset, --grid is min_grid(0.95) = 2048 and the report names what fails
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--A", "0.95", "--grid", "512", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "capwave: tangent angle leaves the principal branch\n"
+    assert main(["verify", "--A", "0.95", "--out", str(out)]) == 2
+    report = json.loads(_read(out))
+    assert report["n_grid"] == 2048 and report["passed"] is False
+    assert not report["checks"]["residual_inf_norm"]["pass"]
+    assert report["checks"]["identity_residual"]["pass"]
+    assert main(["limit-check", "--A", "0.95", "--out", str(out)]) == 0
+    assert json.loads(_read(out))["n_grid"] == 2048
+    for command in ("verify", "limit-check"):  # the default A = 0.5 keeps 512
+        assert main([command, "--out", str(out)]) == 0
+        assert json.loads(_read(out))["n_grid"] == 512
+    capsys.readouterr()
+
+
 def test_verify_deterministic_output(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -1012,7 +1031,9 @@ def test_float_flags_take_negative_values_in_every_form():
 @pytest.mark.parametrize("argv, target", [
     ("spectrum --A-values 0.5 --M 100000 --out-json s.json --out-csv s.csv",
      (cli, "recurrence_scan")),
-    ("continue --A 0.3 --M 100000 --steps 1 --alpha-max 0.01", (continuation, "newton_solve")),
+    # the start's stacked Jacobians are the first allocation a continuation makes
+    ("continue --A 0.3 --M 100000 --steps 1 --alpha-max 0.01",
+     (continuation, "_start_jacobians")),
 ])
 def test_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, target, reason):
     # the allocation that would fail is never made: the call that makes it raises

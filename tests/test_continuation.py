@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -188,15 +187,21 @@ def test_continue_branch_rejects_bad_starts():
         continue_branch(0.3, [(0.0, beta3)], M=40, n_grid=81)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-11, math.nan, math.inf])
-def test_continue_branch_checks_tol_before_it_sizes_or_solves(monkeypatch, tol):
+@pytest.mark.parametrize("kwargs, message", [
+    *(({"tol": tol}, "tol must be positive and finite") for tol in
+      (0.0, -1e-11, math.nan, math.inf)),
+    ({"max_iter": -1}, "^max_iter must be >= 0, got -1$"),
+], ids=["0.0", "-1e-11", "nan", "inf", "max_iter=-1"])
+def test_continue_branch_checks_tol_before_it_sizes_or_solves(monkeypatch, kwargs, message):
+    # and max_iter, before the start's stacked Jacobians as well
     def must_not_run(*args, **kwargs):
-        raise AssertionError("ran although tol had to be rejected first")
+        raise AssertionError("ran although tol or max_iter had to be rejected first")
 
-    monkeypatch.setattr(continuation, "modes_for", must_not_run)
-    monkeypatch.setattr(continuation, "newton_solve", must_not_run)
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        continue_branch(0.3, [(0.0, crapper.beta_of(0.3))], tol=tol)
+    for name in ("modes_for", "_start_jacobians", "newton_solve"):
+        monkeypatch.setattr(continuation, name, must_not_run)
+    beta = crapper.beta_of(0.3)
+    with pytest.raises(ValueError, match=message):
+        continue_branch(0.3, [(0.0, beta), (0.02, beta)], **kwargs)
 
 
 @pytest.mark.parametrize("M", [0, -4])
@@ -237,7 +242,7 @@ def test_a_degenerate_metric_in_the_jacobian_fails_the_step_and_it_is_halved(mon
     w0 = w + PeriodicFunction.from_cosine_series([0.0, 0.01], w.n_grid)
     with pytest.raises(DegenerateMetricError, match="^conformal metric vanishes on the grid$"):
         newton_solve(params, w0, M=32)
-    # the first step's iteration 0 takes the start's carried Jacobian
+    # the first step's iteration 0 takes the Jacobian the start handed on
     beta = crapper.beta_of(0.3)
     with pytest.raises(StepUnderflowError, match=r"\(last failure: conformal metric "
                                                  r"vanishes on the grid\)$") as err:
@@ -350,7 +355,7 @@ def test_a_deep_start_hands_its_first_step_the_jacobian_it_computed_with_its_own
 
 def test_a_halved_retry_computes_its_own_jacobian(monkeypatch):
     # the step to alpha = 2 lands on flat water and is halved six times:
-    # only the first attempt's iteration 0 takes the carried Jacobian
+    # only the first attempt's iteration 0 takes the Jacobian the start handed on
     beta = crapper.beta_of(0.1)
     (stacked, _), (single, _) = _compare_with_single_jacobians(monkeypatch, lambda: (
         continue_branch(0.1, [(0.0, beta), (2.0, beta)], M=16, g=1.0, sigma=1.0)))
@@ -372,7 +377,17 @@ def _must_not_stack(*args, **kwargs):
     raise AssertionError("a stacked Jacobian was computed")
 
 
-def test_a_carried_jacobian_is_taken_only_at_its_key_and_only_once():
+def test_a_start_that_iterates_hands_on_no_jacobian(monkeypatch):
+    # Crapper's wave at A = -0.8 takes one Newton step on 184 modes: the
+    # first step starts away from the stacked pair's w, so it computes its own
+    beta = crapper.beta_of(-0.8)
+    run = lambda: continue_branch(-0.8, [(0.0, beta), (0.02, beta)], M=64, g=1.0, sigma=1.0)
+    assert run().solutions[0].newton_iters == 1
+    (stacked, _), (single, _) = _compare_with_single_jacobians(monkeypatch, run)
+    assert stacked == single
+
+
+def test_a_given_jacobian_serves_iteration_0_or_sigma_min():
     # a matrix twice the Jacobian halves Newton's first step: the history
     # shows whether the solve took it
     params = WaveParams(alpha=0.01, beta=crapper.beta_of(0.3))
@@ -381,20 +396,16 @@ def test_a_carried_jacobian_is_taken_only_at_its_key_and_only_once():
     w = PeriodicFunction.from_cosine_series(w0.cosine_coefficients(M), 128)
     jac = jacobian_fd(partial(residual_inf, params), w, M)
     wrong = OperatorMatrix(2.0 * jac.entries, "cosine")
-    bits = np.frombuffer(w.coeffs.tobytes(), np.int64).copy()
-    bits[2] ^= 1  # the last bit of mode 1's real part
-    key = params, M, 128, w.coeffs.tobytes()
-
-    def history(key, matrix=wrong):
-        carry = {"jac": (key, matrix)}
-        got = newton_solve(params, w0, M=M, _carry=carry).residual_history
-        assert carry == {}  # taken out, used or not
-        return got
-
-    assert history(key, jac) == plain and history(key) != plain
-    for other in ((replace(params, alpha=0.0100001), *key[1:]), (params, 33, *key[2:]),
-                  (*key[:2], 256, key[3]), (*key[:3], bits.tobytes())):
-        assert history(other) == plain
+    assert newton_solve(params, w0, M=M, jac=jac).residual_history == plain
+    assert newton_solve(params, w0, M=M, jac=wrong).residual_history != plain
+    # at a w0 that solves already, sigma_min is the given matrix's
+    w0, start = _crapper_start(0.3)
+    counted = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "jacobian_fd", lambda *args: counted.append(args))
+        sol = newton_solve(start, w0, M=M, jac=wrong)
+    assert sol.newton_iters == 0 and counted == []
+    assert sol.sigma_min == continuation._sigma_min(wrong)
 
 
 def test_halved_step_is_kept_until_the_target(monkeypatch):
@@ -407,7 +418,8 @@ def test_halved_step_is_kept_until_the_target(monkeypatch):
         if abs(params.alpha - reached[0]) > 0.003:
             raise NewtonError("step too long")
         reached[0] = params.alpha
-        return SimpleNamespace(params=params, w=w0, geometry={"steepness": 0.4})
+        return SimpleNamespace(params=params, w=w0, newton_iters=0,
+                               geometry={"steepness": 0.4})
 
     monkeypatch.setattr(continuation, "newton_solve", solve)
     beta = crapper.beta_of(0.3)
@@ -429,7 +441,8 @@ def test_a_step_that_loses_its_height_is_halved(monkeypatch):
         height = reached[1] * (ratio * 0.5 if long_step else ratio) if params.alpha else 1.0
         if not long_step:
             reached[:] = params.alpha, height
-        return SimpleNamespace(params=params, w=w0, geometry={"steepness": height})
+        return SimpleNamespace(params=params, w=w0, newton_iters=0,
+                               geometry={"steepness": height})
 
     monkeypatch.setattr(continuation, "newton_solve", solve)
     beta = crapper.beta_of(0.3)
@@ -464,7 +477,7 @@ def test_step_underflow_after_max_halvings_per_target(monkeypatch):
     def solve(params, w0, M, tol, max_iter, **_):
         if params.alpha > 0.0:
             raise NewtonError("no step succeeds")
-        return SimpleNamespace(params=params, w=w0)
+        return SimpleNamespace(params=params, w=w0, newton_iters=0)
 
     monkeypatch.setattr(continuation, "newton_solve", solve)
     with pytest.raises(StepUnderflowError, match="after 6 halvings") as err:
@@ -480,7 +493,8 @@ def test_step_underflow_onto_flat_water_names_the_steepness_ratio(monkeypatch):
     # is what rejects the step
     def solve(params, w0, M, tol, max_iter, **_):
         height = 1e-4 if params.alpha > 0.0 else 1.0
-        return SimpleNamespace(params=params, w=w0, geometry={"steepness": height})
+        return SimpleNamespace(params=params, w=w0, newton_iters=0,
+                               geometry={"steepness": height})
 
     monkeypatch.setattr(continuation, "newton_solve", solve)
     beta = crapper.beta_of(0.3)
@@ -544,6 +558,21 @@ def test_crapper_curve_check_documented_example():
 def test_crapper_curve_check_needs_an_A():
     with pytest.raises(ValueError, match="^the curve check needs at least one A$"):
         crapper_curve_check([])
+
+
+@pytest.mark.parametrize("A_values, message", [
+    ([1.5], r"^Crapper parameter must satisfy \|A\| < 1, got 1.5$"),
+    ([0.3, 0.0], "^A = 0 sits at the bifurcation point; excluded$"),
+    ([0.3, 0.9], r"^\|A\| = 0.9 needs more than 256 cosine modes at tol = 1e-09"),
+])
+def test_crapper_curve_check_refuses_every_bad_A_before_its_first_solve(monkeypatch, A_values,
+                                                                         message):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solved although an A had to be rejected first")
+
+    monkeypatch.setattr(continuation, "newton_solve", must_not_run)
+    with pytest.raises(ValueError, match=message):
+        crapper_curve_check(A_values)
 
 
 def test_crapper_curve_check_beta_inversion_and_mirror():
