@@ -248,15 +248,14 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
                     g: float = 1.0, sigma: float = 1.0) -> Branch:
     """Natural-parameter continuation from the explicit wave at `start_A`.
 
-    `schedule` lists (alpha, beta) targets; the first must sit on the
-    pure-capillary curve (alpha <= 0, beta = beta_A).  `h` and `gamma` are
-    the depth (inf: deep water) and vorticity of every point.  Each later
-    target is corrected by Newton seeded with the previous solution.  A
-    failed step is halved, and the halved length is kept for the following
-    steps until the target is reached; after MAX_HALVINGS halvings on the way
-    to one target the next failure gives up with the partial branch attached
-    to the exception.  A step fails when Newton fails, and when its point
-    collapses onto flat water (see MIN_STEEPNESS_RATIO).
+    `schedule` lists (alpha, beta) targets; the first must sit on the pure-capillary
+    curve (alpha <= 0, beta = beta_A).  `h` and `gamma` are the depth (inf: deep
+    water) and vorticity of every point.  An attempt at a later target starts
+    from, and is sized by, the last accepted point.  It fails when Newton fails
+    or its point collapses onto flat water (see MIN_STEEPNESS_RATIO); the step is
+    then halved, and kept halved until the target is reached.  After MAX_HALVINGS
+    halvings towards one target the next failure gives up, with the partial
+    branch attached to the exception.
     """
     if start_A == 0.0:
         raise ValueError("continuation must start at A != 0 (flat water is a "
@@ -264,12 +263,11 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     crapper._check_param(start_A)
     if len(schedule) < 1:
         raise ValueError("empty schedule")
-    if not np.isfinite(np.asarray(schedule, dtype=float)).all():
-        raise ValueError("schedule targets (alpha, beta) must be finite")
-    a0, b0 = schedule[0]
-    if a0 > 0.0:
+    # every target's record is made, so checked, before any solve
+    start, *targets = (WaveParams(a, b, g=g, sigma=sigma, gamma=gamma, h=h) for a, b in schedule)
+    if start.alpha > 0.0:
         raise ValueError("schedule must start on the pure-capillary curve (alpha <= 0)")
-    if abs(b0 - crapper.beta_of(start_A)) > 1e-9 * (1.0 + abs(b0)):
+    if abs(start.beta - crapper.beta_of(start_A)) > 1e-9 * (1.0 + abs(start.beta)):
         raise ValueError(f"schedule must start at beta_A = {crapper.beta_of(start_A)!r}")
     _check_stop(tol, max_iter)
     if M is not None and M < 1:
@@ -282,8 +280,6 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     elif M >= n_grid // 2:
         why = f" (modes_for raised {requested} for A = {start_A})" if M != requested else ""
         raise ValueError(f"M = {M}{why} needs at least {2 * M + 2} grid points, got {n_grid}")
-    # every target's record is made, so checked, before any solve
-    start, *targets = (WaveParams(a, b, g=g, sigma=sigma, gamma=gamma, h=h) for a, b in schedule)
     # the start, and if it stays the first step's first attempt (at targets[0]), iterate
     # from w's bits; each pops its matrix from `jacs`, so none outlives the solve it serves
     w = crapper.crapper_wave(start_A, n_grid).cosine_coefficients(M)
@@ -291,39 +287,37 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     jacs = list(_start_jacobians(start, targets[0] if targets else None, w, M))
     last = newton_solve(start, w, M=M, tol=tol, max_iter=max_iter, jac=jacs.pop(0))
     jacs = jacs if last.newton_iters == 0 else []
-    branch = Branch(start_A=start_A, solutions=[last], step_history=[(a0, b0, 0.0, True)])
-
+    branch = Branch(start_A, [last], [(start.alpha, start.beta, 0.0, True)])
     for target in targets:
-        # progress t from the segment's start (0) to its target (1) in steps dt
-        a_from, b_from = last.params.alpha, last.params.beta
-        t, dt, halvings = 0.0, 1.0, 0
+        # progress t from the segment's origin (0) to its target (1) in steps dt
+        origin, t, dt, halvings = last.params, 0.0, 1.0, 0
         while last.params != target:
             t_try = min(t + dt, 1.0)
             trial = target if t_try == 1.0 else replace(
-                last.params, alpha=a_from + (target.alpha - a_from) * t_try,
-                beta=b_from + (target.beta - b_from) * t_try)
-            a_cur = last.params.alpha
+                origin, alpha=origin.alpha + (target.alpha - origin.alpha) * t_try,
+                beta=origin.beta + (target.beta - origin.beta) * t_try)
             try:
-                sol = newton_solve(trial, last.w, M=M, tol=tol, max_iter=max_iter,
+                sol = newton_solve(trial, last.w, M=last.modes, tol=tol, max_iter=max_iter,
                                    jac=jacs.pop() if jacs else None)
             except (NewtonError, DegenerateMetricError) as exc:
-                sol, failure = None, str(exc)
+                outcome = str(exc)
             else:
                 steep, previous = sol.geometry["steepness"], last.geometry["steepness"]
-                if steep < MIN_STEEPNESS_RATIO * previous:
-                    sol, failure = None, (f"converged onto flat water, steepness "
-                                          f"{steep / previous:.3g} x the previous point's")
-            if sol is None:
-                branch.step_history.append((trial.alpha, trial.beta, trial.alpha - a_cur, False))
-                if halvings == MAX_HALVINGS:
-                    raise StepUnderflowError(
-                        f"step underflow after {MAX_HALVINGS} halvings towards "
-                        f"alpha={target.alpha} (last failure: {failure})", branch)
+                outcome = (f"converged onto flat water, steepness {steep / previous:.3g} x "
+                           f"the previous point's" if steep < MIN_STEEPNESS_RATIO * previous
+                           else sol)
+            accepted = not isinstance(outcome, str)  # else it says why the attempt failed
+            branch.step_history.append((trial.alpha, trial.beta, trial.alpha - last.params.alpha,
+                                        accepted))
+            if accepted:
+                branch.solutions.append(outcome)
+                last, t = outcome, t_try
+            elif halvings == MAX_HALVINGS:
+                raise StepUnderflowError(
+                    f"step underflow after {MAX_HALVINGS} halvings towards "
+                    f"alpha={target.alpha} (last failure: {outcome})", branch)
+            else:
                 dt, halvings = 0.5 * dt, halvings + 1
-                continue
-            branch.solutions.append(sol)
-            branch.step_history.append((trial.alpha, trial.beta, trial.alpha - a_cur, True))
-            last, t = sol, t_try
     return branch
 
 

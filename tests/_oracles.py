@@ -52,6 +52,27 @@ def steepness_closed_form(A):
     return 4.0 * abs(A) / (np.pi * (1.0 - A * A))
 
 
+def sheet_rate_exponent(h, gamma):
+    """Exponent p in ||w(alpha) - w_A||_inf = O(alpha^p) along the solution
+    sheet at beta_A as alpha -> 0: 3/4 in finite depth with gamma != 0, 1
+    otherwise.  The vorticity bracket carries gamma (alpha^3 sigma/(g^3
+    beta))^(1/4), so it leads wherever it is present; gravity's 2 alpha w is
+    O(alpha); and the strip departs from deep water only through the depth
+    d = hk, which grows as alpha^(-1/2), by an exponentially small amount."""
+    return 0.75 if np.isfinite(h) and gamma != 0.0 else 1.0
+
+
+def walk_steps(step_history):
+    """The step of each entry of a continuation's step history, recomputed:
+    its alpha minus the alpha of the last accepted entry before it (0 for
+    the first entry, the start)."""
+    steps, last = [], None
+    for alpha, _, _, accepted in step_history:
+        steps.append(0.0 if last is None else alpha - last)
+        last = alpha if accepted else last
+    return steps
+
+
 def trapezoid_mean(samples):
     """Trapezoid quadrature of the 2pi-periodic extension over one period."""
     closed = np.concatenate([samples, samples[:1]])

@@ -32,6 +32,8 @@ from capwave.serialization import (
     solution_to_dict,
 )
 
+from _oracles import walk_steps
+
 
 def _read(path):
     with open(path, encoding="utf-8") as fh:
@@ -191,6 +193,26 @@ def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
         runs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
     assert len(runs[0]) == 144  # 131 entries, eight of them directories of step SVGs
     assert runs[0] == runs[1]
+
+
+def test_failure_census_table_is_byte_identical_across_runs(tmp_path):
+    # tools/failure_census.py on two of its rows: a walk that reaches its
+    # target, and a long step whose halvings end at the rounding floor
+    path = Path(__file__).resolve().parents[1] / "tools" / "failure_census.py"
+    spec = importlib.util.spec_from_file_location("failure_census", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    rows = [tool.FLAT_WATER[1], tool.WALK_ENDS[1]]
+    tables = []
+    for name in ("first", "second"):
+        tool.write_census(tmp_path / name, rows)
+        tables.append((tmp_path / name / "census.tsv").read_bytes())
+    assert tables[0] == tables[1]
+    assert [line.split(b"\t")[:4] for line in tables[0].splitlines()] == [
+        [b"exit", b"cause", b"accepted", b"attempts"], [b"0", b"-", b"3", b"3"],
+        [b"3", b"rounding floor", b"3", b"10"]]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["census.tsv"] * 2 + [
+        "first", "second"]
 
 
 def test_config_file_merging(tmp_path, capsys):
@@ -917,7 +939,7 @@ def test_extreme_constants_are_usage_errors(tmp_path, capsys, monkeypatch, argv)
     ("continue --A 0.3 --alpha-max 0.01 --steps 1 --M 16 --grid 128 --g 1 --sigma inf",
      "g and sigma must be positive and finite"),
     ("continue --A 0.3 --alpha-max inf --steps 1 --M 16 --grid 128 --g 1 --sigma 1",
-     "schedule targets (alpha, beta) must be finite"),
+     "alpha, beta and gamma must be finite"),
     ("continue --A 0.3 --M 16 --grid 64",
      "M = 32 (modes_for raised 16 for A = 0.3) needs at least 66 grid points, got 64"),
     ("continue --A 0.3 --M 16 --grid 81", "n_grid must be even and >= 4, got 81"),
@@ -1255,6 +1277,11 @@ def test_solvable_continue_fuzz(tmp_path, capsys, monkeypatch, case):
     assert next(solves) >= 1 and code in (0, 3)
     if code == 0 or (directory / "branch.json").exists():
         branch = _check_written_branch(directory, tol, "--svg-dir=svg" in argv)
+        # the accepted attempts are the solutions, each step taken from the last of them
+        history = branch.step_history
+        assert [e[:2] for e in history if e[3]] == [(s.params.alpha, s.params.beta)
+                                                    for s in branch.solutions]
+        assert [e[2] for e in history] == walk_steps(history)
         steep = [s.geometry["steepness"] for s in branch.solutions]
         if code == 0 and steep[0] > 1e-3:  # no step landed on flat water
             assert min(steep) >= 1e-6, steep

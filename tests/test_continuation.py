@@ -20,10 +20,21 @@ from capwave.operators import WaveParams, q_hat, residual_fd, residual_inf
 from capwave.serialization import solution_to_dict
 from capwave.spectral import DegenerateMetricError, PeriodicFunction
 
+from _oracles import sheet_rate_exponent, walk_steps
+
 
 def _crapper_start(A, n_grid=256):
     return (crapper.crapper_wave(A, n_grid),
             WaveParams(alpha=0.0, beta=crapper.beta_of(A)))
+
+
+def _check_bookkeeping(branch):
+    """The accepted entries of the step history are the solutions' (alpha,
+    beta) in order, and each entry's step starts at the last accepted alpha."""
+    history = branch.step_history
+    assert [e[:2] for e in history if e[3]] == [(s.params.alpha, s.params.beta)
+                                                for s in branch.solutions]
+    assert [e[2] for e in history] == walk_steps(history)
 
 
 def _at(branch, alpha):
@@ -418,7 +429,7 @@ def test_halved_step_is_kept_until_the_target(monkeypatch):
         if abs(params.alpha - reached[0]) > 0.003:
             raise NewtonError("step too long")
         reached[0] = params.alpha
-        return SimpleNamespace(params=params, w=w0, newton_iters=0,
+        return SimpleNamespace(params=params, w=w0, modes=M, newton_iters=0,
                                geometry={"steepness": 0.4})
 
     monkeypatch.setattr(continuation, "newton_solve", solve)
@@ -428,6 +439,7 @@ def test_halved_step_is_kept_until_the_target(monkeypatch):
     assert len(accepted) == 9 and len(branch.step_history) == 12
     assert [e[2] for e in accepted[1:]] == pytest.approx([0.0025] * 8)
     assert branch.solutions[-1].params.alpha == 0.02
+    _check_bookkeeping(branch)
 
 
 def test_a_step_that_loses_its_height_is_halved(monkeypatch):
@@ -441,7 +453,7 @@ def test_a_step_that_loses_its_height_is_halved(monkeypatch):
         height = reached[1] * (ratio * 0.5 if long_step else ratio) if params.alpha else 1.0
         if not long_step:
             reached[:] = params.alpha, height
-        return SimpleNamespace(params=params, w=w0, newton_iters=0,
+        return SimpleNamespace(params=params, w=w0, modes=M, newton_iters=0,
                                geometry={"steepness": height})
 
     monkeypatch.setattr(continuation, "newton_solve", solve)
@@ -450,6 +462,7 @@ def test_a_step_that_loses_its_height_is_halved(monkeypatch):
     assert [e[2:] for e in branch.step_history] == [(0.0, True), (0.02, False),
                                                      (0.01, True), (0.01, True)]
     assert [s.geometry["steepness"] for s in branch.solutions] == [1.0, ratio, ratio ** 2]
+    _check_bookkeeping(branch)
 
 
 def test_a_long_step_onto_flat_water_is_halved_not_accepted():
@@ -477,7 +490,7 @@ def test_step_underflow_after_max_halvings_per_target(monkeypatch):
     def solve(params, w0, M, tol, max_iter, **_):
         if params.alpha > 0.0:
             raise NewtonError("no step succeeds")
-        return SimpleNamespace(params=params, w=w0, newton_iters=0)
+        return SimpleNamespace(params=params, w=w0, modes=M, newton_iters=0)
 
     monkeypatch.setattr(continuation, "newton_solve", solve)
     with pytest.raises(StepUnderflowError, match="after 6 halvings") as err:
@@ -485,6 +498,7 @@ def test_step_underflow_after_max_halvings_per_target(monkeypatch):
     steps = [e[2] for e in err.value.branch.step_history[1:]]
     assert steps == [0.02 * 0.5 ** k for k in range(continuation.MAX_HALVINGS + 1)]
     assert str(err.value).endswith("alpha=0.02 (last failure: no step succeeds)")
+    _check_bookkeeping(err.value.branch)
 
 
 def test_step_underflow_onto_flat_water_names_the_steepness_ratio(monkeypatch):
@@ -493,7 +507,7 @@ def test_step_underflow_onto_flat_water_names_the_steepness_ratio(monkeypatch):
     # is what rejects the step
     def solve(params, w0, M, tol, max_iter, **_):
         height = 1e-4 if params.alpha > 0.0 else 1.0
-        return SimpleNamespace(params=params, w=w0, newton_iters=0,
+        return SimpleNamespace(params=params, w=w0, modes=M, newton_iters=0,
                                geometry={"steepness": height})
 
     monkeypatch.setattr(continuation, "newton_solve", solve)
@@ -504,6 +518,23 @@ def test_step_underflow_onto_flat_water_names_the_steepness_ratio(monkeypatch):
                               "failure: converged onto flat water, steepness 0.0001 x the "
                               "previous point's)")
     assert len(err.value.branch.solutions) == 1
+    _check_bookkeeping(err.value.branch)
+
+
+@pytest.mark.parametrize("A, h, gamma", [(0.3, math.inf, 0.0), (0.3, 2.0, 0.0), (0.3, 2.0, 1.0),
+                                         (-0.35, 0.5, -2.0)])
+def test_solutions_leave_crappers_wave_at_the_papers_rate(A, h, gamma):
+    # Newton from w_A at (alpha, beta_A), one alpha a decade from 1e-2 to 1e-8:
+    # the local slopes of log ||w(alpha) - w_A|| against log alpha settle on
+    # the oracle's exponent (0.7188 ... 0.7481 at h = 2, gamma = 1)
+    M, n = 64, 256
+    w_A = PeriodicFunction.from_cosine_series(crapper.crapper_wave(A, n).cosine_coefficients(M), n)
+    beta = crapper.beta_of(A)
+    alphas = [10.0 ** -k for k in range(2, 9)]
+    dist = [np.max(np.abs(newton_solve(WaveParams(a, beta, gamma=gamma, h=h), w_A, M=M).w.samples
+                          - w_A.samples)) for a in alphas]
+    slopes = np.diff(np.log(dist)) / np.diff(np.log(alphas))
+    assert slopes[-2:] == pytest.approx([sheet_rate_exponent(h, gamma)] * 2, abs=0.01)
 
 
 def test_mesh_independence_of_converged_solution():
