@@ -61,16 +61,13 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("allow_abbrev", False)  # --g must not match --grid
         kwargs.setdefault("formatter_class", argparse.ArgumentDefaultsHelpFormatter)
-        self.flag_types = {}  # dest -> type, to check config values against
         super().__init__(*args, **kwargs)
         # argparse alone takes -1e-3, -inf or -nan for a flag, not for a value
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.default is not argparse.SUPPRESS:  # not --help
-            self.flag_types[action.dest] = action.type
-        return action
+    @property
+    def flag_types(self):  # dest -> type of every flag but --help, to check config values
+        return {a.dest: a.type for a in self._actions if a.default is not argparse.SUPPRESS}
 
     def error(self, message):
         raise CliError(message)
@@ -206,14 +203,15 @@ def _emit(report, path=None, outputs=()):
 # -- verify ---------------------------------------------------------------------
 
 
-def _family_grid(args):
-    """--grid, or (unset) 512 points, more if the explicit wave at --A needs them."""
-    return (max(512, crapper.min_grid(crapper._check_param(args.A)))
-            if args.grid is None else args.grid)
+def _family(args):
+    """The checked --A, --grid (unset: min_grid(A, 512)), Crapper's wave, beta_A."""
+    A = crapper._check_param(args.A)
+    n = crapper.min_grid(A, 512) if args.grid is None else args.grid
+    return A, n, crapper.crapper_wave(A, n), crapper.beta_of(A)
 
 
 def cmd_verify(args):
-    A, n = args.A, _family_grid(args)
+    A, n, w, beta = _family(args)
     checks = {}
 
     def record(name, value, tol):
@@ -221,8 +219,6 @@ def cmd_verify(args):
 
     record("identity_residual", crapper.verify_identity(A, n),
            1e-12 if abs(A) <= 0.75 else 1e-11)
-    w = crapper.crapper_wave(A, n)
-    beta = crapper.beta_of(A)
     params = WaveParams(alpha=0.0, beta=beta)
     record("residual_inf_norm", residual_inf(params, w).norm_inf(), 1e-9)
     record("bernoulli_deviation", abs(bernoulli_b(0.0, w) - 1.0), 1e-11)
@@ -364,9 +360,7 @@ def cmd_limit_check(args):
     alphas = _floats("--alphas", args.alphas)
     if any(a <= 0 for a in alphas):
         raise CliError("--alphas must be positive (the limit is taken from above)")
-    A, n = args.A, _family_grid(args)
-    w = crapper.crapper_wave(A, n)
-    beta = crapper.beta_of(A)
+    A, n, w, beta = _family(args)
     base = residual_inf(WaveParams(alpha=0.0, beta=beta, g=args.g, sigma=args.sigma), w)
 
     def difference(alpha):

@@ -35,6 +35,7 @@ DEFAULT_M = 128
 DEFAULT_TOL = 1e-11
 DEFAULT_MAX_ITER = 25
 MAX_MODES = 256  # a Jacobian is M residual columns on n >= 5M/2 points
+_GRID_PER_MODE = 2.5  # the 5M/2 floor of a default grid, in crapper.min_grid
 MIN_JACOBIAN_SIGMA = 1e-10
 MAX_HALVINGS = 6
 # Flat water solves every residual, so a long step can converge onto it: an
@@ -135,13 +136,6 @@ def modes_for(A: float, requested: int | None = None, tol: float = DEFAULT_TOL) 
         raise ValueError(f"|A| = {A:g} needs more than {M} cosine modes at tol = {tol:g}; "
                          f"{MAX_MODES} modes serve |A| <= {math.floor(largest * 1e4) / 1e4:.4f}")
     return M
-
-
-def _grid_for(M: int, A: float) -> int:
-    n = 64
-    while 2 * n < 5 * M or n < crapper.min_grid(A):
-        n *= 2
-    return n
 
 
 def newton_solve(params: WaveParams, w0: PeriodicFunction, M: int = DEFAULT_M,
@@ -250,12 +244,14 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
 
     `schedule` lists (alpha, beta) targets; the first must sit on the pure-capillary
     curve (alpha <= 0, beta = beta_A).  `h` and `gamma` are the depth (inf: deep
-    water) and vorticity of every point.  An attempt at a later target starts
-    from, and is sized by, the last accepted point.  It fails when Newton fails
-    or its point collapses onto flat water (see MIN_STEEPNESS_RATIO); the step is
-    then halved, and kept halved until the target is reached.  After MAX_HALVINGS
-    halvings towards one target the next failure gives up, with the partial
-    branch attached to the exception.
+    water) and vorticity of every point.  The start keeps `modes_for(start_A, M,
+    tol)` modes (M unset: DEFAULT_M) on `n_grid` points, unset the grid
+    `crapper.min_grid(start_A, 2.5 * M)` of those modes.  An attempt at a later
+    target starts from, and is sized by, the last accepted point.  It fails when
+    Newton fails or its point collapses onto flat water (see MIN_STEEPNESS_RATIO);
+    the step is then halved, and kept halved until the target is reached.  After
+    MAX_HALVINGS halvings towards one target the next failure gives up, with the
+    partial branch attached to the exception.
     """
     if start_A == 0.0:
         raise ValueError("continuation must start at A != 0 (flat water is a "
@@ -276,7 +272,7 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     requested = M if M is not None else DEFAULT_M
     M = modes_for(start_A, requested, tol)
     if n_grid is None:
-        n_grid = _grid_for(M, start_A)
+        n_grid = crapper.min_grid(start_A, _GRID_PER_MODE * M)
     elif M >= n_grid // 2:
         why = f" (modes_for raised {requested} for A = {start_A})" if M != requested else ""
         raise ValueError(f"M = {M}{why} needs at least {2 * M + 2} grid points, got {n_grid}")
@@ -346,7 +342,7 @@ def crapper_curve_check(A_values: Sequence[float]) -> dict:
     amp, mode = CURVE_CHECK_BUMP
     rows = []
     for A, M_a in zip(A_values, modes):
-        n_grid = _grid_for(M_a, A)
+        n_grid = crapper.min_grid(A, _GRID_PER_MODE * M_a)
         beta = crapper.beta_of(A)
         margin = ((1.0 - abs(A)) / (1.0 + abs(A))) ** 2
         bump = np.zeros(mode)

@@ -52,18 +52,19 @@ def param_of_beta(beta: float, sign: float = 1.0) -> float:
     return float(np.copysign(np.sqrt((beta - 1.0) / (beta + 1.0)), sign))
 
 
-def min_grid(A: float) -> int:
-    """Smallest power-of-two grid resolving the family at |A| to GRID_TOL.
-
-    Coefficients decay like |A|^n, so n_grid ~ 2*log(tol)/log|A| suffices;
-    64 covers every |A| below ~0.35.
+def min_grid(A: float, least: float = 0) -> int:
+    """Smallest power-of-two grid of at least 64 and `least` points resolving
+    the family at |A| to GRID_TOL; its coefficients decay like |A|^n, so
+    n ~ 2 log(tol)/log|A| suffices, and 64 covers every |A| below ~0.35.  Every
+    default grid derived from A is one, of 5M/2 points for M modes at least
+    (`continue_branch`, `crapper_curve_check`), 256 (`angle_grid`) or 512
+    (`verify`, `limit-check`).
     """
     A = abs(float(A))
+    need = max(least, 2.0 * np.log(GRID_TOL) / np.log(A) if A > 0.0 else 0.0)
     n = 64
-    if A > 0.0:
-        need = 2.0 * np.log(GRID_TOL) / np.log(A)
-        while n < need:
-            n *= 2
+    while n < need:
+        n *= 2
     return n
 
 

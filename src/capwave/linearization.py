@@ -121,7 +121,7 @@ def _check_modes(M):
 
 def angle_grid(A: float, M: int) -> int:
     """Grid on which `dG_matrix` samples theta_A for M modes."""
-    return max(256, 4 * M, crapper.min_grid(A))
+    return max(4 * M, crapper.min_grid(A, 256))
 
 
 def _chunk_columns(residual, base, basis_in, step, M, modes):

@@ -90,13 +90,18 @@ def _float_or_nan(v) -> float:
     return math.nan if v is None else float(v)
 
 
+def _check_document(d, what: str) -> None:
+    """Refuse a `what` document that is not a JSON object of FORMAT_VERSION."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a {what} must be a JSON object")
+    if d.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"unsupported format_version {d.get('format_version')!r}")
+
+
 def solution_from_dict(d: dict) -> WaveSolution:
     """Inverse of `solution_to_dict`; a document of the wrong shape raises
     KeyError, TypeError or ValueError."""
-    if not isinstance(d, dict):
-        raise ValueError("a solution must be a JSON object")
-    if d.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {d.get('format_version')!r}")
+    _check_document(d, "solution")
     pr = d["params"]
     h = float(pr["h"]) if pr["h"] is not None else math.inf
     params = WaveParams(alpha=float(pr["alpha"]), beta=float(pr["beta"]), g=float(pr["g"]),
@@ -129,8 +134,9 @@ def branch_to_dict(branch: Branch) -> dict:
 
 
 def branch_from_dict(d: dict) -> Branch:
-    if d.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {d.get('format_version')!r}")
+    """Inverse of `branch_to_dict`; a document of the wrong shape raises
+    KeyError, TypeError or ValueError."""
+    _check_document(d, "branch")
     branch = Branch(start_A=float(d["start_A"]))
     branch.solutions = [solution_from_dict(s) for s in d["solutions"]]
     branch.step_history = [(e["alpha"], e["beta"], e["step"], bool(e["accepted"]))

@@ -236,7 +236,7 @@ class PeriodicFunction:
 
     @classmethod
     def zeros(cls, n_grid):
-        return cls.from_samples(np.zeros(n_grid))
+        return cls.from_cosine_series([], n_grid)
 
     # -- basic accessors -----------------------------------------------------
 

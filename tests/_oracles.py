@@ -73,6 +73,36 @@ def walk_steps(step_history):
     return steps
 
 
+def resolving_grid(A):
+    """The smallest power of two of at least 64 points past which the family's
+    coefficients 4(-A)^n fall below 1e-15: crapper.min_grid(A) with no floor."""
+    A, n = abs(A), 64
+    if A > 0.0:
+        need = 2.0 * np.log(1e-15) / np.log(A)
+        while n < need:
+            n *= 2
+    return n
+
+
+def grid_for_modes(M, A):
+    """Continuation's grid for M modes before the grid rules merged: a power
+    of two of n >= 5M/2 points that also resolves the family at A."""
+    n = 64
+    while 2 * n < 5 * M or n < resolving_grid(A):
+        n *= 2
+    return n
+
+
+def family_grid(A):
+    """verify's and limit-check's grid before the grid rules merged."""
+    return max(512, resolving_grid(A))
+
+
+def angle_grid_rule(A, M):
+    """The grid of dG_matrix's theta_A before the grid rules merged."""
+    return max(256, 4 * M, resolving_grid(A))
+
+
 def trapezoid_mean(samples):
     """Trapezoid quadrature of the 2pi-periodic extension over one period."""
     closed = np.concatenate([samples, samples[:1]])

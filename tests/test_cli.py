@@ -889,6 +889,14 @@ def test_branch_round_trip():
         branch_from_dict(doc)
 
 
+@pytest.mark.parametrize("doc", [[], "x", 3, None, [{"format_version": 1}]])
+def test_readers_refuse_a_document_that_is_not_an_object(doc):
+    # the readers' contract: KeyError, TypeError or ValueError, never an AttributeError
+    for reader, what in ((branch_from_dict, "branch"), (solution_from_dict, "solution")):
+        with pytest.raises(ValueError, match=f"^a {what} must be a JSON object$"):
+            reader(doc)
+
+
 def test_profile_counts_the_crossings_continue_stored(tmp_path, capsys):
     # w_0.5 overhangs and crosses itself on x = 0, the seam of the period; the
     # lobes of w_-0.8 reach two periods away: the branch file and `profile`
@@ -1223,7 +1231,7 @@ def _solvable_continue(draw):
             f"--max-iter={draw(st.integers(0, 6) | st.just(continuation.DEFAULT_MAX_ITER))}"]
     if draw(st.booleans()):
         kept = continuation.modes_for(A, M, tol)
-        argv.append(f"--grid={continuation._grid_for(kept, A)}")
+        argv.append(f"--grid={crapper.min_grid(A, 2.5 * kept)}")
     if draw(st.booleans()):
         argv += [f"--h={draw(st.floats(0.5, 5.0))!r}", f"--gamma={draw(st.floats(-1.0, 1.0))!r}"]
     if draw(st.booleans()):

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from capwave import crapper
+from capwave.linearization import angle_grid
 from capwave.spectral import grid, hilbert, mean, pf_exp
 from capwave.operators import conformal_metric
 from _oracles import (
+    angle_grid_rule,
     crapper_samples,
     exp_conjugate_theta_samples,
+    family_grid,
+    grid_for_modes,
+    resolving_grid,
     steepness_closed_form,
     theta_samples,
     trapezoid_mean,
@@ -150,6 +155,22 @@ def test_min_grid_monotone():
     for A in (0.3, 0.8):
         n = crapper.min_grid(A)
         assert 4.0 * abs(A) ** (n // 2) < 1e-15
+
+
+def test_min_grid_gives_each_grid_rule_it_replaced():
+    """min_grid(A, least) is the grid of each rule it replaced: M modes on
+    n >= 5M/2 points (continue_branch, crapper_curve_check), verify's and
+    limit-check's 512, and angle_grid's 256 and 4M; every grid is a power of
+    two of at least max(64, least) points."""
+    signed = np.linspace(0.05, 0.99, 15)
+    for A in (0.0, 1e-300, *signed, *-signed):
+        assert crapper.min_grid(A) == resolving_grid(A)
+        assert crapper.min_grid(A, 512) == family_grid(A)
+        for M in range(301):
+            n = crapper.min_grid(A, 2.5 * M)
+            assert n == grid_for_modes(M, A)
+            assert n & (n - 1) == 0 and n >= max(64, 2.5 * M)
+            assert angle_grid(A, M) == angle_grid_rule(A, M)
 
 
 def test_trapezoid_mean_agrees_with_spectral_mean():

@@ -32,11 +32,11 @@ underflows.  The third, `continue --A 0.82 --steps 0 --g 1 --sigma 1`,
 writes nothing: its start stalls at the rounding floor of the residual,
 within 2x of the default tolerance.  (The 2-D sheet exits 3 as well, with
 its partial branch.)  A step underflow names the last failure of the step.
-Each run's stdout, stderr and exit code sit next to its files; numpy's
-overflow warnings are silenced, since they print the absolute path of the
-module that raised them.  The commands run in-process through
-`capwave.cli.main`, with OUTDIR as the working directory and relative paths,
-so no absolute path reaches the files.  capwave is imported from the `src/`
+Each run's stdout, stderr and exit code sit next to its files;
+`capwave.cli.main` silences numpy's overflow warnings, which would print the
+absolute path of the module that raised them.  The commands run in-process
+through `capwave.cli.main`, with OUTDIR as the working directory and relative
+paths, so no absolute path reaches the files.  capwave is imported from the `src/`
 next to this script.  About 2 s on two cores (2.6-2.8 s before the CLI kept
 the heap between stacked calls).
 
@@ -57,8 +57,6 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-import numpy as np  # noqa: E402
 
 from capwave.cli import main  # noqa: E402
 
@@ -121,8 +119,7 @@ POINTS = [("deep_point.json", "deep_0.5.json"), ("vortical_point.json", "vortica
 
 def run(name, argv):
     out, err = io.StringIO(), io.StringIO()
-    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
-          np.errstate(over="ignore", invalid="ignore")):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     Path(f"{name}.stdout").write_text(out.getvalue(), encoding="utf-8")
     Path(f"{name}.stderr").write_text(err.getvalue(), encoding="utf-8")

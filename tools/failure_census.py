@@ -49,8 +49,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np  # noqa: E402
-
 from capwave.cli import main  # noqa: E402
 
 # key phrases of the solver's failure messages, the most specific first
@@ -95,8 +93,7 @@ HEADER = "exit\tcause\taccepted\tattempts\targv\n"
 def census_line(argv):
     """The table's line for one `continue` run, in the working directory."""
     out, err = io.StringIO(), io.StringIO()
-    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
-          np.errstate(over="ignore", invalid="ignore")):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     stderr = err.getvalue()
     cause = "-" if code == 0 else next((c for c in CAUSES if c in stderr), "unclassified")
