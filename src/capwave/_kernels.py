@@ -74,9 +74,8 @@ def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int) -> np.ndarray:
     s = d1 / (d1 - d2)
     px = x[i] + s * (x[i + 1] - x[i])
     py = y[i] + s * (y[i + 1] - y[i])
-    near = np.zeros(len(i), dtype=bool)
-    for e in (i, i + 1, j, j + 1):
-        near |= (np.abs(px - x[e]) <= ENDPOINT_BAND) & (np.abs(py - y[e]) <= ENDPOINT_BAND)
+    e = np.stack((i, i + 1, j, j + 1))
+    near = ((np.abs(px - x[e]) <= ENDPOINT_BAND) & (np.abs(py - y[e]) <= ENDPOINT_BAND)).any(axis=0)
     hits = np.lexsort((j, i))
     hits = hits[~near[hits]]
     return np.column_stack((px[hits], py[hits]))

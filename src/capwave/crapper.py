@@ -10,8 +10,9 @@ w_A is the boundary trace of the disc-analytic F_A(z) = 2(1-Az)/(1+Az) - 2,
 which pins the cosine coefficients to 4(-A)^n and gives machine-accurate
 values for w_A', 1+C w_A' and the tangent angle theta_A without ever
 differentiating on the grid.  The imaginary part of that trace, C w_A, gives
-the surface abscissa t + C w_A, so the self-intersection bisection draws each curve, and
-its metric W, from closed forms without a transform.
+the surface abscissa t + C w_A, so the self-intersection bisection draws each
+curve, and its metric W, in one closed-form pass without a transform
+(`circle_samples`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .operators import check_principal_branch
-from .spectral import PeriodicFunction, grid
+from .spectral import PeriodicFunction, _frozen, grid
 
 A_CAP = 0.99
 GRID_TOL = 1e-15  # min_grid resolves the family's coefficients to this size
@@ -73,15 +74,29 @@ def wave_samples(A: float, t: np.ndarray) -> np.ndarray:
     return 2.0 * (1.0 - A * A) / (1.0 + A * A + 2.0 * A * np.cos(t)) - 2.0
 
 
-def abscissa_samples(A: float, t: np.ndarray) -> np.ndarray:
-    """Closed-form t + C w_A(t), the surface abscissa: C w_A = Im F_A(e^{it})."""
-    return t - 4.0 * A * np.sin(t) / (1.0 + A * A + 2.0 * A * np.cos(t))
+_CIRCLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # (cos t, sin t), read-only
 
 
-def metric_samples(A: float, t: np.ndarray) -> np.ndarray:
-    """Closed-form W = w_A'^2 + (1 + C w_A')^2, the |.|^2 of slope_components."""
-    c = 2.0 * A * np.cos(t)
-    return ((1.0 + A * A - c) / (1.0 + A * A + c)) ** 2
+def circle_samples(A: float, n_grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form (t + C w_A, w_A, W) on the grid, W = w_A'^2 + (1 + C w_A')^2:
+    the surface abscissa Im F_A(e^{it}) + t, the profile Re F_A(e^{it}) and the
+    |.|^2 of slope_components, over the one denominator 1 + A^2 + 2A cos t."""
+    if n_grid not in _CIRCLES:
+        t = grid(n_grid)
+        _CIRCLES[n_grid] = tuple(map(_frozen, (np.cos(t), np.sin(t))))
+    cos, sin = _CIRCLES[n_grid]
+    c = 2.0 * A * cos
+    a = 1.0 + A * A
+    den = a + c
+    x = 4.0 * A * sin
+    x /= den
+    np.subtract(grid(n_grid), x, out=x)
+    y = 2.0 * (1.0 - A * A) / den
+    y -= 2.0
+    W = np.subtract(a, c, out=c)
+    W /= den
+    W *= W
+    return x, y, W
 
 
 def slope_components(A: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,7 @@ pure-capillary family starts self-intersecting.
 units (k = 1) otherwise; `solution_report` holds the flags of every Newton
 solution.  Each crossing is counted once per period (see `check_injective`).
 The threshold bisection draws the explicit family from F_A's closed form
-(`crapper.abscissa_samples`, `crapper.wave_samples`) instead of through
-`surface_profile`'s transforms.
+(`crapper.circle_samples`) instead of through `surface_profile`'s transforms.
 """
 
 from __future__ import annotations
@@ -85,11 +84,20 @@ def surface_profile(w: PeriodicFunction, k: float, d: float | None = None,
 
 def check_injective(curve: SurfaceCurve) -> InjectivityReport:
     """Crossings of the periodic curve, one per pair of segments that meet,
-    counted where the lower segment of the pair lies in the base period."""
-    if len(curve.x) < 64:
+    counted where the lower segment of the pair lies in the base period.
+
+    The base period's segments end at or left of R = max(max x, x[0] + period),
+    so a later segment with both ends right of R meets none of them: the
+    sweep stops at the segment of the last point past n with x <= R (point n's
+    segment when no later point has one)."""
+    n = len(curve.x)
+    if n < 64:
         raise ValueError("injectivity check needs at least 64 points")
     x, y = curve.extended()
-    hits = segment_crossings(x, y, owned=len(curve.x))
+    reach = max(np.max(curve.x), curve.x[0] + curve.period)
+    inside = np.flatnonzero(x[n + 1:] <= reach)
+    stop = n + 3 + inside[-1] if len(inside) else n + 2
+    hits = segment_crossings(x[:stop], y[:stop], owned=n)
     return InjectivityReport(injective=len(hits) == 0, crossings=hits)
 
 
@@ -136,10 +144,10 @@ def crapper_profile_injective(A: float, n_grid: int) -> bool:
     curve and metric come from F_A's closed form (see crapper), with
     surface_profile's refusal of a degenerate metric but no transform."""
     A = crapper._check_param(A)
-    t = grid(n_grid)
-    if crapper.metric_samples(A, t).min() < METRIC_FLOOR:
+    x, y, W = crapper.circle_samples(A, n_grid)
+    if W.min() < METRIC_FLOOR:
         raise DegenerateMetricError("conformal metric vanishes on the grid")
-    curve = SurfaceCurve(x=crapper.abscissa_samples(A, t), y=crapper.wave_samples(A, t), k=1.0)
+    curve = SurfaceCurve(x=x, y=y, k=1.0)
     return check_injective(curve).injective
 
 

@@ -109,6 +109,8 @@ def solution_from_dict(d: dict) -> WaveSolution:
     coeffs = np.asarray(d["cosine_coeffs"], dtype=float)
     if coeffs.ndim != 1:
         raise ValueError("cosine_coeffs must be a list of numbers")
+    if not np.isfinite(coeffs).all():  # a JSON null reads as NaN
+        raise ValueError("cosine_coeffs must be finite numbers")
     w = PeriodicFunction.from_cosine_series(coeffs, d["n_grid"])
     diag = dict(d.get("diagnostics", {}))  # the pops leave the solve's report
     return WaveSolution(params=params, w=w,

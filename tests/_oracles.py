@@ -28,6 +28,20 @@ def crapper_conjugate(A, t):
     return -4.0 * A * np.sin(t) / (1.0 + A * A + 2.0 * A * np.cos(t))
 
 
+def abscissa_samples(A, t):
+    """t + C w_A = t + Im F_A(e^{it}), as `crapper.abscissa_samples` computed
+    it, on its own, before `crapper.circle_samples` shared the denominator;
+    the one-pass form must reproduce it bit for bit."""
+    return t - 4.0 * A * np.sin(t) / (1.0 + A * A + 2.0 * A * np.cos(t))
+
+
+def metric_samples(A, t):
+    """W = ((1+A^2-2A cos t)/(1+A^2+2A cos t))^2, as `crapper.metric_samples`
+    computed it before `crapper.circle_samples` (bit for bit, likewise)."""
+    c = 2.0 * A * np.cos(t)
+    return ((1.0 + A * A - c) / (1.0 + A * A + c)) ** 2
+
+
 def generator_derivatives(A, t):
     """(w', 1 + Cw', w'', Cw'') from dF_A/dt on |z| = 1."""
     z = np.exp(1j * t)

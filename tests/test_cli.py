@@ -695,6 +695,21 @@ def test_profile_rejects_cosine_coeffs_that_are_not_a_flat_list(tmp_path, capsys
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("entry", [None, math.nan, -math.inf])
+def test_profile_rejects_non_finite_cosine_coeffs_at_load(tmp_path, capsys,
+                                                         finite_depth_solution_doc, entry):
+    # one coefficient written as JSON null (how capwave spells a non-finite
+    # float), NaN or -Infinity: the file is refused, before any transform
+    doc = json.loads(json.dumps(finite_depth_solution_doc))
+    doc["cosine_coeffs"][3] = entry
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["profile", "--input", str(path), "--out-csv", str(tmp_path / "p.csv")]) == 1
+    assert capsys.readouterr().err == (f"capwave: cannot load solution {path}: "
+                                       "cosine_coeffs must be finite numbers\n")
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_profile_missing_file(tmp_path, capsys):
     assert main(["profile", "--input", str(tmp_path / "nope.json")]) == 1
     assert main(["profile"]) == 1

@@ -6,11 +6,13 @@ from capwave.linearization import angle_grid
 from capwave.spectral import grid, hilbert, mean, pf_exp
 from capwave.operators import conformal_metric
 from _oracles import (
+    abscissa_samples,
     angle_grid_rule,
     crapper_samples,
     exp_conjugate_theta_samples,
     family_grid,
     grid_for_modes,
+    metric_samples,
     resolving_grid,
     steepness_closed_form,
     theta_samples,
@@ -103,6 +105,19 @@ def test_crapper_theta_pointwise_exponential_identity():
         lhs = pf_exp(hilbert(th)).samples
         rhs = exp_conjugate_theta_samples(A, t)
         assert np.max(np.abs(lhs - rhs)) < 1e-11
+
+
+@pytest.mark.parametrize("n", [64, 1024, 2048])
+@pytest.mark.parametrize("A", [s * A for A in (0.0, 0.3, 0.4546, 0.9, 0.99) for s in (1, -1)])
+def test_circle_samples_keep_the_bits_of_the_separate_closed_forms(A, n):
+    t = grid(n)
+    x, y, W = crapper.circle_samples(A, n)
+    assert np.array_equal(x, abscissa_samples(A, t))
+    assert np.array_equal(y, crapper.wave_samples(A, t))
+    assert np.array_equal(W, metric_samples(A, t))
+    # the cos/sin table is shared and read-only; the samples are the caller's
+    assert not any(a.flags.writeable for a in crapper._CIRCLES[n])
+    assert all(a.flags.writeable for a in (x, y, W))
 
 
 def test_verify_identity():

@@ -181,6 +181,53 @@ def test_segment_crossings_match_oracle_on_crapper_curves():
             _assert_same_crossings(x, y)
 
 
+def _started_at(curve, s):
+    """The same periodic curve with point s as its first point."""
+    x = np.concatenate((curve.x[s:], curve.x[:s] + curve.period))
+    return SurfaceCurve(x=x, y=np.roll(curve.y, -s), k=curve.k)
+
+
+def _assert_sweep_matches_full_polyline(curve, skip_disjoint_boxes=False):
+    # check_injective sweeps extended() only as far as a segment can reach the
+    # base period's x-range; the oracle sweeps all of it
+    want = pairwise_crossings(*curve.extended(), ENDPOINT_BAND, len(curve.x),
+                              skip_disjoint_boxes)
+    assert np.array_equal(check_injective(curve).crossings, want)
+
+
+# where a sweep cut one point short loses one of two crossings, and a spread
+# of both signs
+_PRUNED_SWEEP_CASES = [(0.455, 64), (0.4547, 256), (0.8, 64), (0.9, 64), (0.9, 256)]
+_PRUNED_SWEEP_CASES += [(s * A, n) for A in (0.3, 0.46, 0.6) for s in (1, -1) for n in (64, 256)]
+
+
+@pytest.mark.parametrize("A, n", _PRUNED_SWEEP_CASES)
+def test_check_injective_matches_the_full_polyline_oracle(A, n):
+    for k in (1.0, 3.7):
+        curve = surface_profile(crapper.crapper_wave(A, n), k)
+        for start in (0, n // 3):
+            _assert_sweep_matches_full_polyline(_started_at(curve, start))
+
+
+@st.composite
+def _periodic_walks(draw):
+    # n points of a random walk and a period: the closing segment runs from
+    # the last point to the first one moved by the period; a walk spans about
+    # 5 in x, so most curves span several periods
+    n = draw(st.integers(64, 96))
+    steps = arrays(float, (2, n), elements=st.floats(-1.0, 1.0))
+    x, y = np.cumsum(draw(steps), axis=1)
+    return SurfaceCurve(x=x, y=y, k=2.0 * np.pi / draw(st.floats(0.1, 5.0)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_periodic_walks())
+def test_check_injective_matches_the_full_polyline_oracle_on_random_walks(curve):
+    # pairs with disjoint boxes are left out of the oracle, as the sweep never
+    # tests them (see test_segment_crossings_skip_disjoint_boxes)
+    _assert_sweep_matches_full_polyline(curve, skip_disjoint_boxes=True)
+
+
 def test_segment_crossings_skip_disjoint_boxes():
     # four points in order along y = x/3: the outer segments [0.3, 0.6] and
     # [0.8, 0.9] cannot meet, but rounding makes the pairwise orientation
@@ -237,15 +284,15 @@ def _transformed_profile_injective(A, n):
 @pytest.mark.parametrize("n", [1024, 2048])
 @pytest.mark.parametrize("A", _CLOSED_FORM_A)
 def test_closed_form_curve_matches_the_transformed_profile(A, n):
-    t = grid(n)
     w = crapper.crapper_wave(A, n)
     curve = surface_profile(w, 1.0)
-    assert np.max(np.abs(crapper.abscissa_samples(A, t) - curve.x)) <= 1e-12
-    assert np.max(np.abs(crapper.wave_samples(A, t) - curve.y)) <= 1e-12
+    x, y, closed = crapper.circle_samples(A, n)
+    assert np.max(np.abs(x - curve.x)) <= 1e-12
+    assert np.max(np.abs(y - curve.y)) <= 1e-12
     # relative to max W: near the trough at |A| = 0.9, where W is 7.7e-6, the
     # transformed metric is off by 4.7e-11 of W itself and the closed form by
     # 2.5e-14 (against a 40-digit evaluation)
-    W, closed = conformal_metric(w), crapper.metric_samples(A, t)
+    W = conformal_metric(w)
     assert np.max(np.abs(closed - W)) <= 1e-12 * np.max(W)
     if abs(A) <= 0.6:
         assert np.max(np.abs(closed / W - 1.0)) <= 1e-12
@@ -278,7 +325,7 @@ def test_crapper_profile_injective_refuses_a_degenerate_metric(monkeypatch):
     # W = ((1-A)/(1+A))^4 at the trough: 6.4e-10 at A_CAP, above the floor,
     # which a floor raised to 1e-9 puts it under
     A = crapper.A_CAP
-    assert crapper.metric_samples(A, grid(1024)).min() == pytest.approx(((1 - A) / (1 + A)) ** 4)
+    assert crapper.circle_samples(A, 1024)[2].min() == pytest.approx(((1 - A) / (1 + A)) ** 4)
     assert not crapper_profile_injective(A, 1024)
     monkeypatch.setattr(geometry, "METRIC_FLOOR", 1e-9)
     with pytest.raises(DegenerateMetricError, match="^conformal metric vanishes on the grid$"):
