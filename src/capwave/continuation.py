@@ -59,6 +59,7 @@ MIN_STEEPNESS_RATIO = 1e-3
 # tolerance above the truncation floor of the widest waves (|A| ~ 0.8)
 CURVE_CHECK_BUMP = (0.02, 3)
 CURVE_CHECK_TOL = 1e-9
+FAMILY_TOL = 1e-6  # family_distance under which a start or a curve-check restart is w_A
 # A line search that stalls with its residual within STALL_FLOOR_FACTOR of
 # tol has met the rounding floor of the residual on M modes, not a failure
 # of Newton's direction.  Residual / tol at the stall of `continue ...
@@ -246,7 +247,9 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     curve (alpha <= 0, beta = beta_A).  `h` and `gamma` are the depth (inf: deep
     water) and vorticity of every point.  The start keeps `modes_for(start_A, M,
     tol)` modes (M unset: DEFAULT_M) on `n_grid` points, unset the grid
-    `crapper.min_grid(start_A, 2.5 * M)` of those modes.  An attempt at a later
+    `crapper.min_grid(start_A, 2.5 * M)` of those modes.  A start that Crapper's
+    wave solves (alpha = 0, or alpha < 0 in finite depth) must converge within
+    FAMILY_TOL of it, else NewtonError names the distance.  An attempt at a later
     target starts from, and is sized by, the last accepted point.  It fails when
     Newton fails or its point collapses onto flat water (see MIN_STEEPNESS_RATIO);
     the step is then halved, and kept halved until the target is reached.  After
@@ -282,6 +285,10 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     w = PeriodicFunction.from_cosine_series(w, n_grid)
     jacs = list(_start_jacobians(start, targets[0] if targets else None, w, M))
     last = newton_solve(start, w, M=M, tol=tol, max_iter=max_iter, jac=jacs.pop(0))
+    off = crapper.family_distance(start_A, last.w.cosine_coefficients(M))
+    if not (off < FAMILY_TOL or start.is_infinite and start.alpha < 0.0):  # deep alpha<0: no w_A
+        raise NewtonError(f"start converged off Crapper's family: distance {off:.3e} "
+                          f"from A = {start_A!r}, not below {FAMILY_TOL:g}")
     jacs = jacs if last.newton_iters == 0 else []
     branch = Branch(start_A, [last], [(start.alpha, start.beta, 0.0, True)])
     for target in targets:
@@ -351,17 +358,14 @@ def crapper_curve_check(A_values: Sequence[float]) -> dict:
         w0 = crapper.crapper_wave(A, n_grid) + PeriodicFunction.from_cosine_series(bump, n_grid)
         sol = newton_solve(WaveParams(alpha=0.0, beta=beta), w0, M=M_a, tol=CURVE_CHECK_TOL)
         a = sol.w.cosine_coefficients(M_a)
-        b_coeff = -a[0] / 4.0
         b_beta = crapper.param_of_beta(beta, sign=A)
-        n = np.arange(1, M_a + 1)
-        coeff_err = float(np.max(np.abs(a - 4.0 * (-b_beta) ** n)))
-        profile_err = float(np.max(np.abs(
-            sol.w.samples - crapper.wave_samples(b_beta, sol.w.t))))
-        rows.append({"A": float(A), "recovered_A": float(b_coeff),
-                     "coefficient_error": coeff_err, "profile_distance": profile_err,
+        profile = crapper.circle_samples(b_beta, n_grid)[1]
+        rows.append({"A": float(A), "recovered_A": float(-a[0] / 4.0),
+                     "coefficient_error": crapper.family_distance(b_beta, a),
+                     "profile_distance": float(np.max(np.abs(sol.w.samples - profile))),
                      "newton_iters": sol.newton_iters})
     worst = max(r["coefficient_error"] for r in rows)
     return {"rows": rows,
             "max_coefficient_error": worst,
             "max_profile_distance": max(r["profile_distance"] for r in rows),
-            "all_on_family": bool(worst < 1e-6)}
+            "all_on_family": bool(worst < FAMILY_TOL)}

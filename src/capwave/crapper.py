@@ -10,9 +10,9 @@ w_A is the boundary trace of the disc-analytic F_A(z) = 2(1-Az)/(1+Az) - 2,
 which pins the cosine coefficients to 4(-A)^n and gives machine-accurate
 values for w_A', 1+C w_A' and the tangent angle theta_A without ever
 differentiating on the grid.  The imaginary part of that trace, C w_A, gives
-the surface abscissa t + C w_A, so the self-intersection bisection draws each
-curve, and its metric W, in one closed-form pass without a transform
-(`circle_samples`).
+the surface abscissa t + C w_A, so `circle_samples` draws each curve, its
+profile and its metric W in one pass on the cos t and sin t that `spectral`
+keeps per grid; `family_distance` measures coefficients against 4(-A)^n.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .operators import check_principal_branch
-from .spectral import PeriodicFunction, _frozen, grid
+from .spectral import PeriodicFunction, _grid_arrays, grid
 
 A_CAP = 0.99
 GRID_TOL = 1e-15  # min_grid resolves the family's coefficients to this size
@@ -69,28 +69,24 @@ def min_grid(A: float, least: float = 0) -> int:
     return n
 
 
-def wave_samples(A: float, t: np.ndarray) -> np.ndarray:
-    """Closed-form w_A(t)."""
-    return 2.0 * (1.0 - A * A) / (1.0 + A * A + 2.0 * A * np.cos(t)) - 2.0
-
-
-_CIRCLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # (cos t, sin t), read-only
+def family_distance(A: float, a: np.ndarray) -> float:
+    """max_n |a_n - 4(-A)^n| over the cosine coefficients a_1, a_2, ... given:
+    how far a profile sits from w_A, mode by mode."""
+    n = np.arange(1, len(a) + 1)
+    return float(np.max(np.abs(a - 4.0 * (-A) ** n)))
 
 
 def circle_samples(A: float, n_grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form (t + C w_A, w_A, W) on the grid, W = w_A'^2 + (1 + C w_A')^2:
     the surface abscissa Im F_A(e^{it}) + t, the profile Re F_A(e^{it}) and the
     |.|^2 of slope_components, over the one denominator 1 + A^2 + 2A cos t."""
-    if n_grid not in _CIRCLES:
-        t = grid(n_grid)
-        _CIRCLES[n_grid] = tuple(map(_frozen, (np.cos(t), np.sin(t))))
-    cos, sin = _CIRCLES[n_grid]
+    t, *_, cos, sin = _grid_arrays(n_grid)
     c = 2.0 * A * cos
     a = 1.0 + A * A
     den = a + c
     x = 4.0 * A * sin
     x /= den
-    np.subtract(grid(n_grid), x, out=x)
+    np.subtract(t, x, out=x)
     y = 2.0 * (1.0 - A * A) / den
     y -= 2.0
     W = np.subtract(a, c, out=c)

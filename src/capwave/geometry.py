@@ -158,7 +158,7 @@ def critical_self_intersection_A(tol: float = 1e-3, n_grid: int = 2048,
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
     if tol < 1e-4:
-        raise ValueError("tol below 1e-4 is not resolvable at this grid")
+        raise ValueError(f"tol below 1e-4 is refused on every grid (a fixed floor), got {tol:g}")
     if crapper_profile_injective(hi, n_grid):
         raise RuntimeError(f"expected a self-intersecting profile at A={hi}")
     while not crapper_profile_injective(lo, n_grid):

@@ -82,13 +82,13 @@ def grid(n_grid: int) -> np.ndarray:
 
 
 def _grid_arrays(n_grid):
-    """(t, m, derivative multiplier, hilbert multiplier), read-only."""
+    """(t, m, derivative multiplier, hilbert multiplier, cos t, sin t), read-only."""
     if n_grid not in _GRIDS:
         _check_grid_holds(n_grid)
         t = 2.0 * np.pi * np.arange(n_grid) / n_grid
         # mode numbers in FFT order: 0 .. n/2-1, -n/2 .. -1
         m = np.fft.fftfreq(n_grid, 1.0 / n_grid)
-        _GRIDS[n_grid] = tuple(map(_frozen, (t, m, 1j * m, -1j * np.sign(m))))
+        _GRIDS[n_grid] = tuple(map(_frozen, (t, m, 1j * m, -1j * np.sign(m), np.cos(t), np.sin(t))))
     return _GRIDS[n_grid]
 
 

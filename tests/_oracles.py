@@ -21,6 +21,8 @@ import numpy as np
 
 
 def crapper_samples(A, t):
+    """w_A(t) as `crapper.wave_samples` computed it before `crapper.circle_samples`
+    gave the profile too; the one-pass form must reproduce it bit for bit."""
     return 2.0 * (1.0 - A * A) / (1.0 + A * A + 2.0 * A * np.cos(t)) - 2.0
 
 
@@ -64,6 +66,29 @@ def exp_conjugate_theta_samples(A, t):
 def steepness_closed_form(A):
     """Crest-to-trough height over wavelength of the wave A: 4|A|/(pi*(1-A^2))."""
     return 4.0 * abs(A) / (np.pi * (1.0 - A * A))
+
+
+def crapper_threshold():
+    """The parameter A* at which Crapper's curve first touches itself.
+
+    The curve x(t) = t - 4A sin t/(1+A^2+2A cos t), y = w_A(t) is symmetric
+    about its trough line x = 0 (x is odd in t), so it first meets its mirror
+    image where its first interior minimum of x reaches that line: x = x' = 0
+    there.  x'(t) = 1 - 4A((1+A^2) cos t + 2A)/(1+A^2+2A cos t)^2 vanishes
+    where cos^2 t = 2 - (1+A^2)^2/(4A^2), so x has an interior maximum and
+    minimum on (0, pi) once A > sqrt(2) - 1, the minimum at cos t = -c0.  x
+    there falls through 0 as A grows; the bisection runs to the last bit.
+    """
+    def x_at_min(A):
+        c0 = np.sqrt(2.0 - (1.0 + A * A) ** 2 / (4.0 * A * A))
+        t = np.pi - np.arccos(c0)
+        return t - 4.0 * A * np.sin(t) / (1.0 + A * A + 2.0 * A * np.cos(t))
+
+    lo, hi = np.sqrt(2.0) - 1.0, 0.6  # x > 0 at lo (where c0 = 0), x < 0 at hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if x_at_min(mid) > 0.0 else (lo, mid)
+    return float(0.5 * (lo + hi))
 
 
 def sheet_rate_exponent(h, gamma):

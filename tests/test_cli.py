@@ -31,6 +31,7 @@ from capwave.serialization import (
     solution_from_dict,
     solution_to_dict,
 )
+from capwave.spectral import PeriodicFunction
 
 from _oracles import walk_steps
 
@@ -195,13 +196,18 @@ def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
     assert runs[0] == runs[1]
 
 
-def test_failure_census_table_is_byte_identical_across_runs(tmp_path):
-    # tools/failure_census.py on two of its rows: a walk that reaches its
-    # target, and a long step whose halvings end at the rounding floor
+def _census_tool():
     path = Path(__file__).resolve().parents[1] / "tools" / "failure_census.py"
     spec = importlib.util.spec_from_file_location("failure_census", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_failure_census_table_is_byte_identical_across_runs(tmp_path):
+    # tools/failure_census.py on two of its rows: a walk that reaches its
+    # target, and a long step whose halvings end at the rounding floor
+    tool = _census_tool()
     rows = [tool.FLAT_WATER[1], tool.WALK_ENDS[1]]
     tables = []
     for name in ("first", "second"):
@@ -213,6 +219,27 @@ def test_failure_census_table_is_byte_identical_across_runs(tmp_path):
         [b"3", b"rounding floor", b"3", b"10"]]
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["census.tsv"] * 2 + [
         "first", "second"]
+
+
+def test_a_start_off_crappers_family_exits_3_writes_nothing_and_has_a_census_cause(
+        tmp_path, capsys, monkeypatch):
+    solve = continuation.newton_solve
+
+    def off_family(params, w0, **kwargs):  # 1e-3 more on cos 3t than the solve gives
+        sol = solve(params, w0, **kwargs)
+        bump = PeriodicFunction.from_cosine_series([0.0, 0.0, 1e-3], sol.w.n_grid)
+        return dataclasses.replace(sol, w=sol.w + bump)
+
+    monkeypatch.setattr(continuation, "newton_solve", off_family)
+    monkeypatch.chdir(tmp_path)
+    argv = ["continue", "--A", "0.3", "--M", "32", "--alpha-max", "0.01", "--steps", "1",
+            "--g", "1", "--sigma", "1"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "capwave: start converged off Crapper's family: "
+                                       "distance 1.000e-03 from A = 0.3, not below 1e-06\n")
+    assert list(tmp_path.iterdir()) == []
+    line = _census_tool().census_line(argv)
+    assert line.split("\t")[:4] == ["3", "off Crapper's family", "-", "-"]
 
 
 def test_config_file_merging(tmp_path, capsys):

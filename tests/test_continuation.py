@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import partial
 from types import SimpleNamespace
@@ -20,7 +21,7 @@ from capwave.operators import WaveParams, q_hat, residual_fd, residual_inf
 from capwave.serialization import solution_to_dict
 from capwave.spectral import DegenerateMetricError, PeriodicFunction
 
-from _oracles import sheet_rate_exponent, walk_steps
+from _oracles import crapper_samples, sheet_rate_exponent, walk_steps
 
 
 def _crapper_start(A, n_grid=256):
@@ -584,6 +585,61 @@ def test_crapper_curve_check_documented_example():
     assert rep["max_profile_distance"] < 1e-6
     assert row["recovered_A"] == pytest.approx(0.4, abs=1e-7)
     assert rep["all_on_family"]
+
+
+def test_crapper_curve_check_keeps_the_bits_of_its_separate_closed_forms(monkeypatch):
+    # each row against the expressions it was computed from before the family
+    # distance and the profile came from crapper: 4(-b)^n and w_b(t) on their own
+    solve, solved = continuation.newton_solve, []
+
+    def capture(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(continuation, "newton_solve", capture)
+    rep = crapper_curve_check([0.4, -0.6, 0.1])
+    for row, sol in zip(rep["rows"], solved, strict=True):
+        a = sol.w.cosine_coefficients(sol.modes)
+        b = crapper.param_of_beta(sol.params.beta, sign=row["A"])
+        n = np.arange(1, sol.modes + 1)
+        assert row["coefficient_error"] == float(np.max(np.abs(a - 4.0 * (-b) ** n)))
+        assert row["profile_distance"] == float(np.max(np.abs(
+            sol.w.samples - crapper_samples(b, sol.w.t))))
+        assert row["recovered_A"] == float(-a[0] / 4.0)
+
+
+def _off_family_start(monkeypatch):
+    """newton_solve, but every solution it returns carries 1e-3 more on cos 3t."""
+    solve = continuation.newton_solve
+
+    def off_family(params, w0, **kwargs):
+        sol = solve(params, w0, **kwargs)
+        bump = PeriodicFunction.from_cosine_series([0.0, 0.0, 1e-3], sol.w.n_grid)
+        return dataclasses.replace(sol, w=sol.w + bump)
+
+    monkeypatch.setattr(continuation, "newton_solve", off_family)
+
+
+@pytest.mark.parametrize("alpha, depth", [(0.0, {}), (0.0, {"h": 2.0, "gamma": 0.5}),
+                                          (-0.01, {"h": 2.0, "gamma": 0.5})])
+def test_a_start_off_crappers_family_fails_and_names_its_distance(monkeypatch, alpha, depth):
+    _off_family_start(monkeypatch)
+    beta = crapper.beta_of(0.3)
+    with pytest.raises(NewtonError, match=r"^start converged off Crapper's family: distance "
+                                          r"1\.000e-03 from A = 0\.3, not below 1e-06$"):
+        continue_branch(0.3, [(alpha, beta), (0.01, beta)], M=32, **depth)
+
+
+def test_a_deep_start_below_alpha_0_solves_another_problem_and_passes():
+    # Crapper's wave solves deep F at alpha = 0 only: at alpha < 0 the start
+    # converges 0.025 off the family, while finite depth keeps it on
+    beta = crapper.beta_of(0.3)
+    deep = continue_branch(0.3, [(-0.01, beta)], M=64).solutions[0]
+    assert deep.newton_iters == 4
+    assert crapper.family_distance(0.3, deep.w.cosine_coefficients(64)) == pytest.approx(
+        0.0252, abs=1e-4)
+    strip = continue_branch(0.3, [(-0.01, beta)], M=64, h=2.0, gamma=0.5).solutions[0]
+    assert crapper.family_distance(0.3, strip.w.cosine_coefficients(64)) == 0.0
 
 
 def test_crapper_curve_check_needs_an_A():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capwave import crapper
+from capwave import crapper, spectral
 from capwave.linearization import angle_grid
 from capwave.spectral import grid, hilbert, mean, pf_exp
 from capwave.operators import conformal_metric
@@ -113,10 +113,10 @@ def test_circle_samples_keep_the_bits_of_the_separate_closed_forms(A, n):
     t = grid(n)
     x, y, W = crapper.circle_samples(A, n)
     assert np.array_equal(x, abscissa_samples(A, t))
-    assert np.array_equal(y, crapper.wave_samples(A, t))
+    assert np.array_equal(y, crapper_samples(A, t))
     assert np.array_equal(W, metric_samples(A, t))
-    # the cos/sin table is shared and read-only; the samples are the caller's
-    assert not any(a.flags.writeable for a in crapper._CIRCLES[n])
+    # the grid's cos/sin table is shared and read-only; the samples are the caller's
+    assert not any(a.flags.writeable for a in spectral._grid_arrays(n)[4:])
     assert all(a.flags.writeable for a in (x, y, W))
 
 

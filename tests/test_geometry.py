@@ -18,7 +18,7 @@ from capwave.geometry import (
 )
 from capwave.operators import conformal_metric
 from capwave.spectral import DegenerateMetricError, PeriodicFunction, derivative, grid
-from _oracles import pairwise_crossings, steepness_closed_form
+from _oracles import crapper_threshold, pairwise_crossings, steepness_closed_form
 
 
 def test_surface_profile_flat_and_family_values():
@@ -332,11 +332,22 @@ def test_crapper_profile_injective_refuses_a_degenerate_metric(monkeypatch):
         crapper_profile_injective(A, 1024)
 
 
+A_STAR = crapper_threshold()
+
+
+def test_crapper_threshold_is_crappers_limiting_amplitude():
+    # two nested scipy brentq calls on x = x' = 0 gave 0.45467001645201083
+    assert A_STAR == pytest.approx(0.45467001645201083, abs=1e-16)
+
+
 # A* as the bisection returned it when each curve came from the grid
-# transforms of surface_profile; the closed form keeps every bit
+# transforms of surface_profile; the closed form keeps every bit, and the
+# final bracket (width <= tol, centred on the result) holds the closed-form A*
 @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024, 2048, 4096])
 def test_critical_self_intersection_A_is_pinned_on_the_default_bracket(n):
-    assert critical_self_intersection_A(tol=1e-3, n_grid=n) == 0.45463867187500007
+    a_star = critical_self_intersection_A(tol=1e-3, n_grid=n)
+    assert a_star == 0.45463867187500007
+    assert abs(a_star - A_STAR) <= 1e-3 / 2
 
 
 @pytest.mark.parametrize("n", [1024, 2048])
@@ -347,6 +358,34 @@ def test_critical_self_intersection_A_is_pinned_on_the_default_bracket(n):
 ])
 def test_critical_self_intersection_A_is_pinned_on_threshold_sweep_brackets(lo, hi, a_star, n):
     assert critical_self_intersection_A(tol=1e-3, n_grid=n, lo=lo, hi=hi) == a_star
+    assert abs(a_star - A_STAR) <= 1e-3 / 2
+
+
+# how far above A* the sampled curve first crosses itself, per grid: a 40-step
+# bisection measured 5.02e-5 (64 points), 2.74e-6 (256), 2.86e-7 (1024 and
+# 2048) and 1.65e-10 (4096); the sampled polyline cuts the lobe's corner
+@pytest.mark.parametrize("n, bound", [(64, 5.1e-5), (256, 2.8e-6), (1024, 2.9e-7),
+                                      (2048, 2.9e-7), (4096, 1.7e-10)])
+def test_sampled_threshold_sits_just_above_the_closed_form(n, bound):
+    lo, hi = 0.2, 0.9
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if crapper_profile_injective(mid, n) else (lo, mid)
+    assert A_STAR < lo < hi < A_STAR + bound
+
+
+@pytest.mark.parametrize("n_grid", [1024, 2048, 4096])
+@pytest.mark.parametrize("tol", [5e-5, 3e-7])
+def test_critical_self_intersection_names_its_tol_floor_fixed_on_every_grid(monkeypatch, n_grid,
+                                                                            tol):
+    # 2048 points resolve A* to 3e-7, yet 1e-4 stays the floor: the message says so
+    def must_not_run(A, n_grid):
+        raise AssertionError("a profile was checked although tol had to be rejected first")
+
+    monkeypatch.setattr(geometry, "crapper_profile_injective", must_not_run)
+    with pytest.raises(ValueError, match=rf"^tol below 1e-4 is refused on every grid "
+                                         rf"\(a fixed floor\), got {tol:g}$"):
+        critical_self_intersection_A(tol=tol, n_grid=n_grid)
 
 
 def test_critical_self_intersection_threshold():

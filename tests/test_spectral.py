@@ -565,7 +565,7 @@ def test_one_pass_difference_has_the_bits_of_adding_the_negation(n):
 
 
 def test_cached_multipliers_are_read_only():
-    cached = [*spectral._grid_arrays(64)[2:], spectral._strip_multiplier(64, 0.7)]
+    cached = [*spectral._grid_arrays(64)[2:4], spectral._strip_multiplier(64, 0.7)]
     for mult in cached:
         with pytest.raises(ValueError):
             mult[1] = 0.0

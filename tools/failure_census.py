@@ -52,7 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from capwave.cli import main  # noqa: E402
 
 # key phrases of the solver's failure messages, the most specific first
-CAUSES = ("rounding floor", "converged onto flat water", "no convergence",
+CAUSES = ("off Crapper's family", "rounding floor", "converged onto flat water", "no convergence",
           "line search stalled", "sigma_min", "non-finite", "metric vanishes")
 UNIT = ["--g", "1", "--sigma", "1"]
 
