@@ -14,12 +14,10 @@ from .spectral import (
 )
 from .crapper import beta_of, crapper_theta, crapper_wave, q_of, verify_identity
 from .operators import (
-    PhysicalScales,
     WaveParams,
     bernoulli_b,
     conformal_metric,
     params_from_physical,
-    physical_params,
     q_hat,
     residual_G,
     residual_G_tilde,

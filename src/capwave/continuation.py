@@ -225,10 +225,11 @@ def _start_jacobians(start, first, w, M):
     """Stacked Jacobians at `w` under `start` and `first`, sharing the alpha-free
     pieces; (None, None) in finite depth, at alpha != 0 (Crapper's wave solves F
     at 0 only), with no distinct `first`, or if the stacked call raises under its
-    errstate or gives a non-finite entry: single calls then fail as they would."""
+    errstate, runs out of memory or gives a non-finite entry: single calls then
+    fail as they would.  Any other exception is a fault, and propagates."""
     if first not in (None, start) and start.is_infinite and start.alpha == 0.0:
-        with contextlib.suppress(Exception), np.errstate(over="raise", divide="raise",
-                                                         invalid="raise"):
+        with (contextlib.suppress(ArithmeticError, MemoryError, ValueError),
+              np.errstate(over="raise", divide="raise", invalid="raise")):
             stack = partial(_residual_inf, np.array([[start.alpha], [first.alpha]]),
                             np.array([[start.beta], [first.beta]]))
             both = _jacobians(stack, w, M, rows_per_mode=3)  # 2: peak RSS +3 %
@@ -249,7 +250,8 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     tol)` modes (M unset: DEFAULT_M) on `n_grid` points, unset the grid
     `crapper.min_grid(start_A, 2.5 * M)` of those modes.  A start that Crapper's
     wave solves (alpha = 0, or alpha < 0 in finite depth) must converge within
-    FAMILY_TOL of it, else NewtonError names the distance.  An attempt at a later
+    FAMILY_TOL of it, else NewtonError names the distance; a deep start at alpha
+    < 0 must keep MIN_STEEPNESS_RATIO of w_A's steepness.  An attempt at a later
     target starts from, and is sized by, the last accepted point.  It fails when
     Newton fails or its point collapses onto flat water (see MIN_STEEPNESS_RATIO);
     the step is then halved, and kept halved until the target is reached.  After
@@ -286,7 +288,12 @@ def continue_branch(start_A: float, schedule: Sequence[tuple[float, float]],
     jacs = list(_start_jacobians(start, targets[0] if targets else None, w, M))
     last = newton_solve(start, w, M=M, tol=tol, max_iter=max_iter, jac=jacs.pop(0))
     off = crapper.family_distance(start_A, last.w.cosine_coefficients(M))
-    if not (off < FAMILY_TOL or start.is_infinite and start.alpha < 0.0):  # deep alpha<0: no w_A
+    if start.is_infinite and start.alpha < 0.0:  # w_A does not solve deep F there
+        ratio = last.geometry["steepness"] / geometry.steepness(w)
+        if ratio < MIN_STEEPNESS_RATIO:
+            raise NewtonError(f"start converged onto flat water, steepness {ratio:.3g} x "
+                              f"Crapper's wave's")
+    elif not off < FAMILY_TOL:
         raise NewtonError(f"start converged off Crapper's family: distance {off:.3e} "
                           f"from A = {start_A!r}, not below {FAMILY_TOL:g}")
     jacs = jacs if last.newton_iters == 0 else []

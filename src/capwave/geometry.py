@@ -28,7 +28,7 @@ import numpy as np
 from . import crapper
 from ._kernels import segment_crossings
 from .spectral import DegenerateMetricError, PeriodicFunction, hilbert, hilbert_strip, grid
-from .operators import METRIC_FLOOR, WaveParams, conformal_metric, wavenumber_k
+from .operators import METRIC_FLOOR, WaveParams, conformal_metric
 
 GEOMETRY_POINTS = 1024
 
@@ -105,11 +105,8 @@ def solution_curve(params: WaveParams, w: PeriodicFunction,
                    n_points: int | None = None) -> SurfaceCurve:
     """Surface of a solution (see the module docstring), on `n_points` or
     max(GEOMETRY_POINTS, grid of w) points."""
-    if params.alpha > 0.0:
-        k = wavenumber_k(params.alpha, params.beta, params.g, params.sigma)
-        d = None if params.is_infinite else params.h * k
-    else:
-        k, d = 1.0, None
+    k = params.k if params.alpha > 0.0 else 1.0
+    d = None if params.is_infinite or params.alpha <= 0.0 else params.h * k
     return surface_profile(w, k, d=d, n_points=n_points or max(GEOMETRY_POINTS, w.n_grid))
 
 

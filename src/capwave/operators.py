@@ -3,10 +3,10 @@
 Scaled parameters (alpha, beta) = (g/(c^2 k), sigma k/c^2) in deep water, or
 (g/(k lambda^2), k sigma/lambda^2) with lambda = m/h - gamma*h/2 in finite
 depth.  The profile unknown is a zero-mean even 2pi-periodic w.  One
-record, `WaveParams`, carries (alpha, beta) together with the depth h (inf
-for deep water) and the vorticity gamma.  Every residual and `theta_of` takes
-one profile or a stack of them (a `PeriodicFunction` of shape (k, n)) and
-acts row by row; the scalars b and qhat are then one per row.
+record, `WaveParams`, carries (alpha, beta), the depth h (inf for deep water)
+and the vorticity gamma, and gives k, lambda and m.  Every residual and
+`theta_of` takes one profile or a stack of them (a `PeriodicFunction` of
+shape (k, n)) and acts row by row; the scalars b and qhat are then one per row.
 
 Deep water:
 
@@ -95,18 +95,41 @@ class WaveParams:
             raise ValueError(f"depth must be positive, got {self.h}")
         if math.isinf(self.h) and self.gamma != 0.0:
             raise ValueError("infinite depth forces zero vorticity")
-        if self.alpha > 0.0:
-            wavenumber_k(self.alpha, self.beta, self.g, self.sigma)
+        if self.alpha > 0.0:  # refuse a point whose residual could not compute its scales
+            self.k
+            if not self.is_infinite:
+                self.vorticity_scales
 
     @property
     def is_infinite(self) -> bool:
         return math.isinf(self.h)
 
     @property
+    def k(self) -> float:
+        """Wavenumber k(alpha, beta); needs alpha > 0."""
+        return wavenumber_k(self.alpha, self.beta, self.g, self.sigma)
+
+    @property
     def lam(self) -> float:
-        """Mean-flow scale lambda = sqrt(g/(k alpha)); needs alpha > 0."""
-        k = wavenumber_k(self.alpha, self.beta, self.g, self.sigma)
-        return math.sqrt(self.g / (k * self.alpha))
+        """Mean-flow scale lambda = sqrt(g/(k alpha)), the wave speed c in deep
+        water; needs alpha > 0."""
+        return math.sqrt(self.g / (self.k * self.alpha))
+
+    @property
+    def m(self) -> float:
+        """Mass flux m = h*lambda + h^2*gamma/2 (nan in deep water); needs alpha > 0."""
+        return self.h * self.lam + 0.5 * self.h ** 2 * self.gamma
+
+    @property
+    def vorticity_scales(self) -> tuple[float, float]:
+        """gamma (alpha^3 sigma/(g^3 beta))^(1/4) and sqrt(alpha sigma/(g beta)),
+        the scales of FD's vorticity bracket, for alpha > 0."""
+        try:
+            return (self.gamma * (self.alpha ** 3 * self.sigma / (self.g ** 3 * self.beta)) ** 0.25,
+                    math.sqrt(self.alpha * self.sigma / (self.g * self.beta)))
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError("finite-depth vorticity scales leave the float range "
+                             "(extreme alpha, g or sigma)") from None
 
 
 def wavenumber_k(alpha: float, beta: float, g: float = 1.0, sigma: float = 1.0) -> float:
@@ -273,17 +296,11 @@ def residual_G_tilde(beta: float, theta: PeriodicFunction) -> PeriodicFunction:
 def _finite_depth_pieces(params: WaveParams, w: PeriodicFunction):
     """w', 1 + C_d w', the bracket A, its conjugate C_d(A) and the head qhat
     that makes the residual mean-free, for alpha > 0."""
-    alpha, beta, g, sigma = params.alpha, params.beta, params.g, params.sigma
-    gamma, h = params.gamma, params.h
     if params.is_infinite:
         raise ValueError("finite-depth residual with alpha > 0 needs a finite depth h")
-    d = h * wavenumber_k(alpha, beta, g, sigma)
-    try:
-        pref = gamma * (alpha ** 3 * sigma / (g ** 3 * beta)) ** 0.25
-        root = math.sqrt(alpha * sigma / (g * beta))
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError("finite-depth vorticity scales leave the float range "
-                         "(extreme alpha, g or sigma)") from None
+    alpha, h = params.alpha, params.h
+    d = h * params.k
+    pref, root = params.vorticity_scales
     wp, one_cwp, whalf, winvhalf = _slope_roots(w, d)
     const = mean(mul(w, w)) / (2.0 * h) * root
     # V and its inner sum are temporaries: V^2 reads only V's modes, so the
@@ -312,7 +329,8 @@ def _finite_depth_pieces(params: WaveParams, w: PeriodicFunction):
 
 def q_hat(params: WaveParams, w: PeriodicFunction) -> float:
     """Scaled hydraulic head: the scalar that makes the finite-depth residual
-    mean-free.  Continuously extends to b(0, w) for alpha <= 0."""
+    mean-free.  Continuously extends to b(0, w) for alpha <= 0.  The physical
+    head is Q = params.lam ** 2 * q_hat(params, w), at alpha > 0."""
     if params.alpha <= 0.0:
         return bernoulli_b(0.0, w)
     return _finite_depth_pieces(params, w)[-1]
@@ -330,30 +348,6 @@ def residual_fd(params: WaveParams, w: PeriodicFunction) -> PeriodicFunction:
 
 
 # -- physical parameter recovery ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhysicalScales:
-    """Dimensional quantities recovered from a scaled parameter point."""
-
-    k: float
-    lam: float
-    c: float
-    m: float
-    Q: float
-
-
-def physical_params(params: WaveParams, w: PeriodicFunction | None = None) -> PhysicalScales:
-    """Invert the scaling at alpha > 0: wavenumber k, mean-flow scale lambda
-    (the wave speed c in deep water), mass flux m = h*lambda + h^2*gamma/2 and
-    hydraulic head Q = lambda^2 * qhat (NaN when no profile is supplied)."""
-    if params.alpha <= 0.0:
-        raise ValueError("physical parameters need alpha > 0")
-    k = wavenumber_k(params.alpha, params.beta, params.g, params.sigma)
-    lam = params.lam
-    m = params.h * lam + 0.5 * params.h ** 2 * params.gamma
-    q = lam ** 2 * q_hat(params, w) if w is not None else math.nan
-    return PhysicalScales(k=k, lam=lam, c=lam, m=m, Q=q)
 
 
 def params_from_physical(k: float, lam: float | None = None, m: float | None = None,

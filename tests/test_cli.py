@@ -182,7 +182,7 @@ def test_verify_deterministic_output(tmp_path, capsys):
 
 def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
     # tools/cli_outputs.py writes the byte-identity set of every command
-    # (continue, spectrum, verify, limit-check, profile and fifteen failures)
+    # (continue, spectrum, verify, limit-check, profile and sixteen failures)
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
     spec = importlib.util.spec_from_file_location("cli_outputs", path)
     tool = importlib.util.module_from_spec(spec)
@@ -192,7 +192,7 @@ def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
         tool.write_outputs(tmp_path / name)
         files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
         runs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
-    assert len(runs[0]) == 144  # 131 entries, eight of them directories of step SVGs
+    assert len(runs[0]) == 147  # 134 entries, eight of them directories of step SVGs
     assert runs[0] == runs[1]
 
 
@@ -240,6 +240,21 @@ def test_a_start_off_crappers_family_exits_3_writes_nothing_and_has_a_census_cau
     assert list(tmp_path.iterdir()) == []
     line = _census_tool().census_line(argv)
     assert line.split("\t")[:4] == ["3", "off Crapper's family", "-", "-"]
+
+
+def test_a_deep_start_that_lands_on_flat_water_exits_3_writes_nothing_and_has_a_census_cause(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["continue", "--A", "0.3", "--alpha-start", "-0.3", "--alpha-max", "-0.3",
+            "--steps", "0", "--M", "64", "--g", "1", "--sigma", "1"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("capwave: start converged onto flat water, steepness ")
+    assert err.endswith(" x Crapper's wave's\n")
+    assert list(tmp_path.iterdir()) == []
+    line = _census_tool().census_line(argv)
+    assert line.split("\t")[:4] == ["3", "converged onto flat water", "-", "-"]
 
 
 def test_config_file_merging(tmp_path, capsys):
@@ -971,6 +986,20 @@ def test_extreme_constants_are_usage_errors(tmp_path, capsys, monkeypatch, argv)
     assert main(argv.split()) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_extreme_vorticity_scales_are_refused_before_the_start_is_solved(tmp_path, capsys,
+                                                                        monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solved although a target had to be rejected first")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(continuation, "newton_solve", must_not_run)
+    assert main("continue --A 0.3 --h 2 --gamma 0.5 --g 1e300 --sigma 1 --M 8 --steps 1 "
+                "--alpha-max 0.02".split()) == 1
+    assert capsys.readouterr().err == ("capwave: finite-depth vorticity scales leave the float "
+                                       "range (extreme alpha, g or sigma)\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from capwave import continuation, crapper, linearization
+from capwave import continuation, crapper, geometry, linearization
 from capwave.continuation import (
     Branch,
     NewtonError,
@@ -389,6 +389,17 @@ def _must_not_stack(*args, **kwargs):
     raise AssertionError("a stacked Jacobian was computed")
 
 
+def test_a_fault_in_the_stacked_start_is_not_taken_for_a_numerical_failure(monkeypatch):
+    # only arithmetic, memory and value errors fall back to single Jacobians
+    def broken(*args, **kwargs):
+        raise TypeError("a fault in the stacked job")
+
+    monkeypatch.setattr(continuation, "_jacobians", broken)
+    beta = crapper.beta_of(0.3)
+    with pytest.raises(TypeError, match="^a fault in the stacked job$"):
+        continue_branch(0.3, [(0.0, beta), (0.02, beta)], M=16, g=1.0, sigma=1.0)
+
+
 def test_a_start_that_iterates_hands_on_no_jacobian(monkeypatch):
     # Crapper's wave at A = -0.8 takes one Newton step on 184 modes: the
     # first step starts away from the stacked pair's w, so it computes its own
@@ -640,6 +651,35 @@ def test_a_deep_start_below_alpha_0_solves_another_problem_and_passes():
         0.0252, abs=1e-4)
     strip = continue_branch(0.3, [(-0.01, beta)], M=64, h=2.0, gamma=0.5).solutions[0]
     assert crapper.family_distance(0.3, strip.w.cosine_coefficients(64)) == 0.0
+
+
+@pytest.mark.parametrize("alpha, kept", [(-0.01, 0.98), (-0.1, 0.69)])
+def test_a_deep_start_below_alpha_0_that_keeps_its_height_passes(alpha, kept):
+    beta = crapper.beta_of(0.3)
+    start = continue_branch(0.3, [(alpha, beta)], M=64, g=1.0, sigma=1.0).solutions[0]
+    w_a = crapper.crapper_wave(0.3, start.w.n_grid).cosine_coefficients(64)
+    ratio = start.geometry["steepness"] / geometry.steepness(
+        PeriodicFunction.from_cosine_series(w_a, start.w.n_grid))
+    assert ratio == pytest.approx(kept, abs=0.01)
+
+
+def test_a_deep_start_below_alpha_0_that_lands_on_flat_water_fails():
+    # at alpha = -0.3 the start converges onto w = 0, which solves every F
+    beta = crapper.beta_of(0.3)
+    with pytest.raises(NewtonError, match=r"^start converged onto flat water, steepness "
+                                          r"\S+ x Crapper's wave's$") as err:
+        continue_branch(0.3, [(-0.3, beta), (0.01, beta)], M=64, g=1.0, sigma=1.0)
+    assert float(str(err.value).split()[6]) < 1e-12
+
+
+def test_a_target_without_vorticity_scales_is_refused_before_any_solve(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solved although a target had to be rejected first")
+
+    monkeypatch.setattr(continuation, "newton_solve", must_not_run)
+    beta = crapper.beta_of(0.3)
+    with pytest.raises(ValueError, match="^finite-depth vorticity scales leave the float range"):
+        continue_branch(0.3, [(0.0, beta), (1e200, beta)], h=2.0, gamma=0.5, M=16)
 
 
 def test_crapper_curve_check_needs_an_A():

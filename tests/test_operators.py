@@ -12,7 +12,6 @@ from capwave.operators import (
     bernoulli_b,
     conformal_metric,
     params_from_physical,
-    physical_params,
     q_hat,
     residual_G,
     residual_G_tilde,
@@ -366,15 +365,29 @@ def test_residual_fd_requires_finite_depth_for_positive_alpha():
 def test_residual_fd_extreme_constants_raise_value_error(alpha, g, sigma):
     # the vorticity scales overflow, or the strip transform at d = hk ~ 1e-150
     # leaves the float range; under the errstate `cli.main` sets, as the
-    # library leaves numpy's warnings to its caller
+    # library leaves numpy's warnings to its caller.  The record refuses the
+    # first kind itself, so it is made inside the check
     w = crapper.crapper_wave(0.5, 64)
-    p = WaveParams(alpha=alpha, beta=crapper.beta_of(0.5), g=g, sigma=sigma,
-                   gamma=1.0, h=2.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError):
-            residual_fd(p, w)
-        with pytest.raises(ValueError):
-            q_hat(p, w)
+        for evaluate in (residual_fd, q_hat):
+            with pytest.raises(ValueError):
+                evaluate(WaveParams(alpha=alpha, beta=crapper.beta_of(0.5), g=g, sigma=sigma,
+                                    gamma=1.0, h=2.0), w)
+
+
+def test_the_record_refuses_vorticity_scales_it_cannot_compute():
+    beta = crapper.beta_of(0.5)
+    for alpha, g, sigma in ((1e-2, 1e300, 2.0), (1e300, 1e-12, 0.074), (1e-2, 1e-120, 1.0)):
+        with pytest.raises(ValueError, match=r"^finite-depth vorticity scales leave the float "
+                                             r"range \(extreme alpha, g or sigma\)$"):
+            WaveParams(alpha=alpha, beta=beta, g=g, sigma=sigma, gamma=1.0, h=2.0)
+        # deep water, and finite depth at alpha <= 0, read no vorticity scales
+        WaveParams(alpha=alpha, beta=beta, g=g, sigma=sigma)
+        WaveParams(alpha=0.0, beta=beta, g=g, sigma=sigma, gamma=1.0, h=2.0)
+    # the scales are the residual's own expressions
+    p = WaveParams(alpha=0.03, beta=1.7, g=9.81, sigma=0.074, gamma=-1.2, h=2.5)
+    assert p.vorticity_scales == (-1.2 * (0.03 ** 3 * 0.074 / (9.81 ** 3 * 1.7)) ** 0.25,
+                                  math.sqrt(0.03 * 0.074 / (9.81 * 1.7)))
 
 
 def test_residual_fd_parity_and_mean():
@@ -429,17 +442,15 @@ def test_vorticity_bracket_neutral_cases():
 
 def test_physical_params_examples():
     p = WaveParams(alpha=1.0, beta=1.0, g=1.0, sigma=1.0, gamma=0.0, h=1.0)
-    ph = physical_params(p)
-    assert ph.k == pytest.approx(1.0, rel=1e-14)
-    assert ph.lam == pytest.approx(1.0, rel=1e-14)
-    assert ph.c == ph.lam
-    assert ph.m == pytest.approx(1.0, rel=1e-14)
+    assert p.k == pytest.approx(1.0, rel=1e-14)
+    assert p.lam == pytest.approx(1.0, rel=1e-14)
+    assert p.m == pytest.approx(1.0, rel=1e-14)
     # m = h*lambda + h^2*gamma/2
-    p2 = params_from_physical(k=1.0, lam=1.0, h=1.0, gamma=2.0)
-    ph2 = physical_params(p2)
-    assert ph2.m == pytest.approx(2.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        physical_params(WaveParams(alpha=0.0, beta=1.0))
+    assert params_from_physical(k=1.0, lam=1.0, h=1.0, gamma=2.0).m == pytest.approx(2.0,
+                                                                                     rel=1e-14)
+    for scale in ("k", "lam", "m"):  # no physical scale at alpha <= 0
+        with pytest.raises(ValueError, match="^no finite wavenumber for alpha <= 0"):
+            getattr(WaveParams(alpha=0.0, beta=1.0, h=2.0), scale)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -457,23 +468,14 @@ def test_params_from_physical_refuses_what_gives_no_wave(kwargs, message):
 
 def test_physical_round_trip():
     p = WaveParams(alpha=0.03, beta=1.7, g=9.81, sigma=0.074, gamma=-1.2, h=2.5)
-    ph = physical_params(p)
-    back = params_from_physical(k=ph.k, lam=ph.lam, h=p.h, gamma=p.gamma,
+    back = params_from_physical(k=p.k, lam=p.lam, h=p.h, gamma=p.gamma,
                                 g=p.g, sigma=p.sigma)
     assert back.alpha == pytest.approx(p.alpha, rel=1e-12)
     assert back.beta == pytest.approx(p.beta, rel=1e-12)
-    via_m = params_from_physical(k=ph.k, m=ph.m, h=p.h, gamma=p.gamma,
+    via_m = params_from_physical(k=p.k, m=p.m, h=p.h, gamma=p.gamma,
                                  g=p.g, sigma=p.sigma)
     assert via_m.alpha == pytest.approx(p.alpha, rel=1e-12)
     assert via_m.beta == pytest.approx(p.beta, rel=1e-12)
-
-
-def test_q_hat_scales_hydraulic_head():
-    w = crapper.crapper_wave(0.3, 512)
-    p = WaveParams(alpha=0.05, beta=crapper.beta_of(0.3), gamma=1.0, h=2.0)
-    ph = physical_params(p, w)
-    assert ph.Q == pytest.approx(p.lam ** 2 * q_hat(p, w), rel=1e-14)
-    assert math.isnan(physical_params(p).Q)
 
 
 # -- concurrency -------------------------------------------------------------------------
@@ -487,13 +489,6 @@ def test_parallel_evaluation_matches_serial():
         parallel = list(pool.map(lambda pw: residual_inf(*pw).samples, zip(params, waves)))
     for s, q in zip(serial, parallel):
         assert np.array_equal(s, q)
-
-
-def test_lam_property_matches_physical_recovery():
-    p = WaveParams(alpha=0.04, beta=1.3, g=9.81, sigma=0.074, gamma=0.5, h=3.0)
-    assert p.lam == pytest.approx(physical_params(p).lam, rel=1e-15)
-    with pytest.raises(ValueError):
-        WaveParams(alpha=0.0, beta=1.0).lam
 
 
 def test_threads_forcing_one_function_agree():

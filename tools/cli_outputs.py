@@ -15,7 +15,7 @@ vorticity and a negative A (h = 0.5, gamma = -2, A = -0.35, M = 48); a 2-D
 two periods away; the default `spectrum`, `verify --A 0.6`, the default
 `limit-check` and `limit-check --gamma -1e-1` (a negative value in exponent
 form); `profile` with and without `--repeats 2` on the last point of
-`deep_0.5` and of `vortical`; and fifteen failures.  Twelve exit 1 and
+`deep_0.5` and of `vortical`; and sixteen failures.  Twelve exit 1 and
 write nothing: `continue --A 0`, `continue --tol 0`, `continue --h 2 --gamma
 nan`, `verify --out missing/verify.json`, `verify --out deep_0.3_svg` (a
 directory), `continue --A 0.97` (past what 256 cosine modes serve),
@@ -24,14 +24,16 @@ directory), `continue --A 0.97` (past what 256 cosine modes serve),
 for two outputs), `continue --steps 0 --beta-max -1 --beta-steps 2` (a
 target at alpha = 0 with beta < 0, refused before the start is solved),
 `limit-check --grid 0` (no grid) and `limit-check --h inf`.
-Three exit 3.  Two write their partial branch: a `continue` whose residual
+Four exit 3.  Two write their partial branch: a `continue` whose residual
 overflows on the way to alpha = 1e306, and `continue --A 0.1 --alpha-max 2
 --steps 1 --M 16` with SVGs, whose one long step lands on flat water and
 is halved until the sheet is walked to alpha = 0.0625 and the step
-underflows.  The third, `continue --A 0.82 --steps 0 --g 1 --sigma 1`,
-writes nothing: its start stalls at the rounding floor of the residual,
-within 2x of the default tolerance.  (The 2-D sheet exits 3 as well, with
-its partial branch.)  A step underflow names the last failure of the step.
+underflows.  Two write nothing: `continue --A 0.82 --steps 0 --g 1 --sigma
+1`, whose start stalls at the rounding floor of the residual, within 2x of
+the default tolerance, and `continue --A 0.3 --alpha-start -0.3` (deep
+water, M = 64), whose start converges onto flat water.  (The 2-D sheet
+exits 3 as well, with its partial branch.)  A step underflow names the last
+failure of the step.
 Each run's stdout, stderr and exit code sit next to its files;
 `capwave.cli.main` silences numpy's overflow warnings, which would print the
 absolute path of the module that raised them.  The commands run in-process
@@ -110,6 +112,9 @@ RUNS = [
                                 "--beta-steps", "2"]),
     ("continue_floor_0.82", ["continue", "--A", "0.82", "--steps", "0", "--g", "1",
                              "--sigma", "1"]),
+    ("continue_flat_start", ["continue", "--A", "0.3", "--alpha-start", "-0.3",
+                             "--alpha-max", "-0.3", "--steps", "0", "--M", "64",
+                             "--g", "1", "--sigma", "1"]),
     ("limit_check_grid0", ["limit-check", "--grid", "0", "--out", "limit_check_grid0.json"]),
     ("limit_check_h_inf", ["limit-check", "--h", "inf", "--out", "limit_check_h_inf.json"]),
 ]
