@@ -12,6 +12,13 @@ not the n^2 / 2 of the pairwise sweep in tests/_oracles.py, whose orientation
 arithmetic it shares: both return the same points bit for bit, in the same
 order, except for pairs whose boxes are disjoint, which rounding on nearly
 collinear points can make the pairwise tests report as crossing.
+
+Where x rises strictly, a segment overlaps only its neighbours in x, so the
+sweep returns before it sorts; Crapper's curves do below |A| = sqrt(2) - 1,
+where x' first vanishes.  The stable sort (timsort) merges the few monotone
+runs of a surface curve's left ends in under half the default sort's time.
+Ties do not change the output: a pair is formed once whichever end ranks
+first, and the crossings are put in (i, j) order at the end.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int) -> np.ndarray:
     y = np.ascontiguousarray(y, dtype=float)
     if len(x) != len(y) or len(x) < 4:
         raise ValueError("need at least 4 polyline points")
+    if (x[1:] > x[:-1]).all():  # only neighbours overlap in x
+        return np.empty((0, 2))
     ax, ay = x[:-1], y[:-1]
     bx, by = x[1:], y[1:]
     xlo, xhi = np.minimum(ax, bx), np.maximum(ax, bx)
@@ -46,27 +55,27 @@ def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int) -> np.ndarray:
     # in order of left ends, each segment pairs with the later ones whose left
     # end lies in its x-range: every pair of overlapping x-ranges, once.  An
     # owned row takes that whole window, any other row the owned segments in
-    # it; both are runs of `cols`, every rank and then the owned ranks, and
-    # the owned ranks >= r start at owned_from[r]
-    order = np.argsort(xlo)
-    rank = np.arange(len(order))
+    # it; both are runs of `order` followed by its owned entries, and the
+    # owned entries of ranks > r start at after[r]
+    order = np.argsort(xlo, kind="stable")
     mine = order < owned
-    cols = np.concatenate((rank, rank[mine]))
-    owned_from = np.concatenate(([0], np.cumsum(mine))) + len(order)
+    after = np.cumsum(mine) + len(order)
     stop = np.searchsorted(xlo[order], xhi[order], side="right")
-    start = np.where(mine, rank + 1, owned_from[rank + 1])
-    count = np.where(mine, stop, owned_from[stop]) - start
-    first = np.repeat(rank, count)
-    second = cols[np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)]
-    i = np.minimum(order[first], order[second])
-    j = np.maximum(order[first], order[second])
+    start = np.where(mine, np.arange(1, len(order) + 1), after)
+    count = np.where(mine, stop, after[stop - 1]) - start
+    first = np.repeat(order, count)
+    second = np.concatenate((order, order[mine]))[
+        np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)]
+    i, j = np.minimum(first, second), np.maximum(first, second)
     keep = (j >= i + 2) & (ylo[j] <= yhi[i]) & (ylo[i] <= yhi[j])
     i, j = i[keep], j[keep]
     Ax, Ay, Bx, By = ax[i], ay[i], bx[i], by[i]
-    d1 = (bx[j] - ax[j]) * (Ay - ay[j]) - (by[j] - ay[j]) * (Ax - ax[j])
-    d2 = (bx[j] - ax[j]) * (By - ay[j]) - (by[j] - ay[j]) * (Bx - ax[j])
-    d3 = (Bx - Ax) * (ay[j] - Ay) - (By - Ay) * (ax[j] - Ax)
-    d4 = (Bx - Ax) * (by[j] - Ay) - (By - Ay) * (bx[j] - Ax)
+    Cx, Cy, Dx, Dy = ax[j], ay[j], bx[j], by[j]
+    ex, ey = Dx - Cx, Dy - Cy
+    d1 = ex * (Ay - Cy) - ey * (Ax - Cx)
+    d2 = ex * (By - Cy) - ey * (Bx - Cx)
+    d3 = (Bx - Ax) * (Cy - Ay) - (By - Ay) * (Cx - Ax)
+    d4 = (Bx - Ax) * (Dy - Ay) - (By - Ay) * (Dx - Ax)
     proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
     if not proper.any():
         return np.empty((0, 2))
@@ -74,7 +83,7 @@ def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int) -> np.ndarray:
     s = d1 / (d1 - d2)
     px = x[i] + s * (x[i + 1] - x[i])
     py = y[i] + s * (y[i + 1] - y[i])
-    e = np.stack((i, i + 1, j, j + 1))
+    e = np.array((i, i + 1, j, j + 1))
     near = ((np.abs(px - x[e]) <= ENDPOINT_BAND) & (np.abs(py - y[e]) <= ENDPOINT_BAND)).any(axis=0)
     hits = np.lexsort((j, i))
     hits = hits[~near[hits]]

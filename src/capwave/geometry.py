@@ -54,13 +54,13 @@ class SurfaceCurve:
         return 2.0 * math.pi / self.k
 
     def extended(self):
-        """The base period, closed by point 0 + period, and the periods right of
-        it, ceil(x-span / period) in all: a copy further right cannot reach the
-        base's x-range."""
-        n = len(self.x)
-        span = max(np.max(self.x), self.x[0] + self.period) - np.min(self.x)
-        shift, idx = np.divmod(np.arange(math.ceil(span / self.period) * n + 1), n)
-        return self.x[idx] + shift * self.period, self.y[idx]
+        """Copies x + k*period of the base period (k = 0 too), ceil(x-span /
+        period) in all, closed by point 0 of the next copy: a copy further right
+        cannot reach the base's x-range."""
+        span = max(self.x.max(), self.x[0] + self.period) - self.x.min()
+        copies = math.ceil(span / self.period)
+        x = [self.x + k * self.period for k in range(copies)] + [self.x[:1] + copies * self.period]
+        return np.concatenate(x), np.concatenate([self.y] * copies + [self.y[:1]])
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,7 @@ def profile_svg_text(x, y, crossings) -> str:
     y0 = 0.5 + 0.5 * scale * (np.max(y) + np.min(y))
     px = x0 + scale * x
     py = y0 - scale * y  # SVG y points down
-    pts = " ".join(f"{xi:.6f},{yi:.6f}" for xi, yi in zip(px, py))
+    pts = " ".join(["%.6f,%.6f"] * len(px)) % tuple(np.column_stack((px, py)).ravel().tolist())
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">',
              f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="0.003"/>']
     for cx, cy in np.asarray(crossings, dtype=float).reshape(-1, 2):

@@ -14,7 +14,8 @@ bit on finite data (but for the sign of a real part of -0.0, see `spectral`).
 So are `add_negated`, the expression that the one-pass difference replaced,
 and `plus_minus_stack`, the +-step stack that `jacobian_fd` builds with the
 same expression and that pins its modes on bases holding signed zeros, inf
-and nan.
+and nan.  So is `periodic_extension`, the gather that `SurfaceCurve.extended`
+was before it joined shifted copies of the period.
 """
 
 import numpy as np
@@ -221,6 +222,15 @@ def pairwise_crossings(x, y, band, owned=None, skip_disjoint_boxes=False):
             if not near:
                 pts.append((px, py))
     return np.array(pts, dtype=float).reshape(-1, 2)
+
+
+def periodic_extension(curve):
+    """`SurfaceCurve.extended` as a gather: point m of the extension is point
+    m mod n moved by (m div n) periods, up to ceil(x-span / period) * n."""
+    n = len(curve.x)
+    span = max(np.max(curve.x), curve.x[0] + curve.period) - np.min(curve.x)
+    shift, idx = np.divmod(np.arange(int(np.ceil(span / curve.period)) * n + 1), n)
+    return curve.x[idx] + shift * curve.period, curve.y[idx]
 
 
 def jacobian_loop(residual, base, M, step=None, basis_in="cosine", basis_out="cosine"):

@@ -401,6 +401,19 @@ def test_continue_svgs_mark_the_crossings_the_branch_counts(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_profile_svg_points_keep_six_decimals_and_nan():
+    # one pair per point, "x,y" with six decimals; a nan height draws "nan"
+    x = np.linspace(-1.0, 1.0, 5)
+    svg = serialization.profile_svg_text(x, np.array([0.0, 0.1, np.nan, -0.1, 0.0]), [])
+    assert ('<polyline points="0.050000,nan 0.275000,nan 0.500000,nan 0.725000,nan '
+            '0.950000,nan" ') in svg
+    svg = serialization.profile_svg_text(np.arange(4.0), np.array([0.0, 1e-7, -1e-7, 0.0]),
+                                         [[1.5, 0.0]])
+    assert ('<polyline points="0.050000,0.500000 0.350000,0.500000 0.650000,0.500000 '
+            '0.950000,0.500000" ') in svg
+    assert '<circle cx="0.500000" cy="0.500000" ' in svg
+
+
 @pytest.mark.parametrize("A", ["0.75", "-0.75", "0.8", "-0.8"])
 def test_steep_starts_converge_at_the_defaults(tmp_path, capsys, A):
     # M is sized against the default tolerance, so the family tail it leaves

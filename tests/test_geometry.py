@@ -18,7 +18,8 @@ from capwave.geometry import (
 )
 from capwave.operators import conformal_metric
 from capwave.spectral import DegenerateMetricError, PeriodicFunction, derivative, grid
-from _oracles import crapper_threshold, pairwise_crossings, steepness_closed_form
+from _oracles import (crapper_threshold, pairwise_crossings, periodic_extension,
+                      steepness_closed_form)
 
 
 def test_surface_profile_flat_and_family_values():
@@ -148,9 +149,13 @@ def _assert_same_crossings(x, y, owned=None, skip_disjoint_boxes=False):
 @st.composite
 def _polylines(draw):
     n = draw(st.integers(4, 80))
+    kind = draw(st.sampled_from(["points", "walk", "lattice walk"]))
+    if kind == "lattice walk":  # vertical segments, repeated points, equal left ends
+        steps = arrays(float, n, elements=st.sampled_from([-1.0, 0.0, 1.0]))
+        return np.cumsum(draw(steps)), np.cumsum(draw(steps))
     coords = arrays(float, n, elements=st.floats(-10.0, 10.0))
     x, y = draw(coords), draw(coords)
-    if draw(st.booleans()):  # random walk: winds and overhangs
+    if kind == "walk":  # winds and overhangs
         x, y = np.cumsum(x), np.cumsum(y)
     return x, y
 
@@ -159,6 +164,8 @@ def _polylines(draw):
 @given(_polylines(), st.integers(0, 80))
 # a collinear walk on which the oracle reports a pair with disjoint boxes
 @example(xy=(np.cumsum(np.full(25, 1e-6)), np.cumsum([-9.0] + [0.99] * 24)), owned=0)
+# x rises strictly while y zig-zags: the sweep returns before it sorts
+@example(xy=(np.cumsum(np.full(40, 0.01)), np.cumsum(np.tile([5.0, -5.0], 20))), owned=20)
 def test_segment_crossings_match_pairwise_oracle(xy, owned):
     # exact on every pair but those whose boxes are disjoint, which the
     # sweep never tests (see test_segment_crossings_skip_disjoint_boxes)
@@ -187,12 +194,26 @@ def _started_at(curve, s):
     return SurfaceCurve(x=x, y=np.roll(curve.y, -s), k=curve.k)
 
 
+def _assert_same_extension(curve):
+    # bit for bit, so a zero's sign counts
+    got, want = curve.extended(), periodic_extension(curve)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def _assert_sweep_matches_full_polyline(curve, skip_disjoint_boxes=False):
     # check_injective sweeps extended() only as far as a segment can reach the
-    # base period's x-range; the oracle sweeps all of it
-    want = pairwise_crossings(*curve.extended(), ENDPOINT_BAND, len(curve.x),
+    # base period's x-range; the oracle sweeps all of the gathered extension
+    _assert_same_extension(curve)
+    want = pairwise_crossings(*periodic_extension(curve), ENDPOINT_BAND, len(curve.x),
                               skip_disjoint_boxes)
     assert np.array_equal(check_injective(curve).crossings, want)
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("A", [0.3, -0.3, 0.46, 0.8, -0.8, 0.9, -0.9])
+def test_extended_matches_the_gathered_extension_on_crapper_curves(A, n):
+    for k in (1.0, 3.7):
+        _assert_same_extension(surface_profile(crapper.crapper_wave(A, n), k))
 
 
 # where a sweep cut one point short loses one of two crossings, and a spread
@@ -444,3 +465,13 @@ def test_segment_crossings_validation():
     hits = segment_crossings(x, y, 3)
     assert len(hits) == 1
     assert hits[0] == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_crapper_abscissa_rises_strictly_until_it_folds_at_sqrt2_minus_1(n):
+    # x' = 1 - 4A(a cos t + 2A)/(a + 2A cos t)^2, a = 1 + A^2, first vanishes
+    # at t = pi/2 when |A| = sqrt(2) - 1; below it the sweep returns at once
+    for A, rises in ((0.3, True), (0.414, True), (0.416, False), (0.45, False)):
+        for s in (1, -1):
+            x, _ = surface_profile(crapper.crapper_wave(s * A, n), 1.0).extended()
+            assert bool(np.all(x[1:] > x[:-1])) == rises
