@@ -17,14 +17,12 @@ from .operators import (
     WaveParams,
     bernoulli_b,
     conformal_metric,
-    params_from_physical,
     q_hat,
     residual_G,
     residual_G_tilde,
     residual_fd,
     residual_inf,
     theta_of,
-    wavenumber_k,
 )
 from .linearization import (
     KernelReport,

@@ -4,7 +4,8 @@ Scaled parameters (alpha, beta) = (g/(c^2 k), sigma k/c^2) in deep water, or
 (g/(k lambda^2), k sigma/lambda^2) with lambda = m/h - gamma*h/2 in finite
 depth.  The profile unknown is a zero-mean even 2pi-periodic w.  One
 record, `WaveParams`, carries (alpha, beta), the depth h (inf for deep water)
-and the vorticity gamma, and gives k, lambda and m.  Every residual and
+and the vorticity gamma, gives k, lambda and m, and is built from (k, lambda)
+or (k, m) by `WaveParams.from_physical`.  Every residual and
 `theta_of` takes one profile or a stack of them (a `PeriodicFunction` of
 shape (k, n)) and acts row by row; the scalars b and qhat are then one per row.
 
@@ -104,10 +105,35 @@ class WaveParams:
     def is_infinite(self) -> bool:
         return math.isinf(self.h)
 
+    @classmethod
+    def from_physical(cls, k: float, lam: float | None = None, m: float | None = None,
+                      h: float = math.inf, gamma: float = 0.0,
+                      g: float = 1.0, sigma: float = 1.0) -> WaveParams:
+        """Forward change of variables from (k, lambda) or (k, m) to (alpha, beta)."""
+        if lam is None:
+            if m is None:
+                raise ValueError("need lambda or the mass flux m")
+            if math.isinf(h):
+                raise ValueError("mass flux is not finite in infinite depth; pass lambda")
+            lam = m / h - 0.5 * gamma * h
+        if not (k > 0.0 and lam > 0.0):
+            raise ValueError("need k > 0 and lambda > 0")
+        return cls(alpha=g / (k * lam ** 2), beta=k * sigma / lam ** 2,
+                   g=g, sigma=sigma, gamma=gamma, h=h)
+
     @property
     def k(self) -> float:
-        """Wavenumber k(alpha, beta); needs alpha > 0."""
-        return wavenumber_k(self.alpha, self.beta, self.g, self.sigma)
+        """k(alpha, beta) = sqrt(g*beta/(alpha*sigma)); needs alpha > 0, diverges as alpha -> 0+."""
+        if not self.alpha > 0.0:
+            raise ValueError("no finite wavenumber for alpha <= 0 (deep-limit branch)")
+        scale = self.alpha * self.sigma
+        if not scale > 0.0:
+            raise ValueError("alpha*sigma underflows to zero: no finite wavenumber")
+        k = math.sqrt(self.g * self.beta / scale)
+        if math.isinf(k):
+            raise ValueError(f"alpha={self.alpha:.3g}: g*beta/(alpha*sigma) overflows, "
+                             "no finite wavenumber")
+        return k
 
     @property
     def lam(self) -> float:
@@ -130,21 +156,6 @@ class WaveParams:
         except (OverflowError, ZeroDivisionError):
             raise ValueError("finite-depth vorticity scales leave the float range "
                              "(extreme alpha, g or sigma)") from None
-
-
-def wavenumber_k(alpha: float, beta: float, g: float = 1.0, sigma: float = 1.0) -> float:
-    """k(alpha, beta) = sqrt(g*beta/(alpha*sigma)); diverges as alpha -> 0+."""
-    if not alpha > 0.0:
-        raise ValueError("no finite wavenumber for alpha <= 0 (deep-limit branch)")
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    scale = alpha * sigma
-    if not scale > 0.0:
-        raise ValueError("alpha*sigma underflows to zero: no finite wavenumber")
-    k = math.sqrt(g * beta / scale)
-    if math.isinf(k):
-        raise ValueError(f"alpha={alpha:.3g}: g*beta/(alpha*sigma) overflows, no finite wavenumber")
-    return k
 
 
 # -- slope, metric and angle ----------------------------------------------------------
@@ -346,21 +357,3 @@ def residual_fd(params: WaveParams, w: PeriodicFunction) -> PeriodicFunction:
         return residual_inf(replace(params, alpha=0.0, gamma=0.0, h=math.inf), w)
     return _assemble(params.beta, *_finite_depth_pieces(params, w)[:-1])
 
-
-# -- physical parameter recovery ------------------------------------------------------
-
-
-def params_from_physical(k: float, lam: float | None = None, m: float | None = None,
-                         h: float = math.inf, gamma: float = 0.0,
-                         g: float = 1.0, sigma: float = 1.0) -> WaveParams:
-    """Forward change of variables from (k, lambda) or (k, m) to (alpha, beta)."""
-    if lam is None:
-        if m is None:
-            raise ValueError("need lambda or the mass flux m")
-        if math.isinf(h):
-            raise ValueError("mass flux is not finite in infinite depth; pass lambda")
-        lam = m / h - 0.5 * gamma * h
-    if not (k > 0.0 and lam > 0.0):
-        raise ValueError("need k > 0 and lambda > 0")
-    return WaveParams(alpha=g / (k * lam ** 2), beta=k * sigma / lam ** 2,
-                      g=g, sigma=sigma, gamma=gamma, h=h)

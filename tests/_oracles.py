@@ -102,6 +102,44 @@ def sheet_rate_exponent(h, gamma):
     return 0.75 if np.isfinite(h) and gamma != 0.0 else 1.0
 
 
+def flat_water_diagonal(alpha, beta, m, h=np.inf, gamma=0.0, g=1.0, sigma=1.0):
+    """Entry (m, m) of the residual's Jacobian at flat water w = 0, on cosine
+    modes m (the matrix is diagonal there), derived by hand.
+
+    With w = cos mt, C_d w' = m coth(m d) cos mt, d = h k and k = sqrt(g
+    beta/(alpha sigma)); to first order W_d^(+-1/2) = 1 +- C_d w', V^2 = 1 -
+    2 pref w with pref = gamma (alpha^3 sigma/(g^3 beta))^(1/4), and the head
+    stays 1 (mode m >= 1 has no mean).  So A = -2 C_d w' - 2 pref w + 2 alpha
+    w, and FD = w'' - A/(2 beta) gives
+
+        -m^2 + (m coth(m h k) + pref - alpha)/beta,
+
+    and deep water -m^2 + (m - alpha)/beta.  Finite depth at alpha <= 0 is
+    deep water at alpha = 0, FD's own extension there.
+    """
+    m = np.asarray(m, dtype=float)
+    if np.isinf(h) or alpha <= 0.0:
+        return -m ** 2 + (m - (alpha if np.isinf(h) else 0.0)) / beta
+    k = np.sqrt(g * beta / (alpha * sigma))
+    pref = gamma * (alpha ** 3 * sigma / (g ** 3 * beta)) ** 0.25
+    return -m ** 2 + (m / np.tanh(m * h * k) + pref - alpha) / beta
+
+
+def flat_water_alpha(beta, h, gamma, lo=0.0, hi=3.0, g=1.0, sigma=1.0):
+    """The alpha in [lo, hi] where the mode-1 entry of `flat_water_diagonal`,
+    negative at lo and positive at hi, changes sign: where the sheet leaves
+    flat water, by bisection to the last bit."""
+    def entry(alpha):
+        return flat_water_diagonal(alpha, beta, 1.0, h, gamma, g, sigma)
+
+    if not entry(lo) < 0.0 < entry(hi):
+        raise ValueError(f"no sign change of the mode-1 entry on [{lo}, {hi}]")
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if entry(mid) < 0.0 else (lo, mid)
+    return float(0.5 * (lo + hi))
+
+
 def walk_steps(step_history):
     """The step of each entry of a continuation's step history, recomputed:
     its alpha minus the alpha of the last accepted entry before it (0 for

@@ -33,7 +33,7 @@ from capwave.serialization import (
 )
 from capwave.spectral import PeriodicFunction
 
-from _oracles import walk_steps
+from _oracles import flat_water_alpha, walk_steps
 
 
 def _read(path):
@@ -255,6 +255,27 @@ def test_a_deep_start_that_lands_on_flat_water_exits_3_writes_nothing_and_has_a_
     assert list(tmp_path.iterdir()) == []
     line = _census_tool().census_line(argv)
     assert line.split("\t")[:4] == ["3", "converged onto flat water", "-", "-"]
+
+
+@pytest.mark.parametrize("gamma", ["4", "5"])
+def test_a_vortical_sheet_reaches_a_target_short_of_its_flat_water_root_and_no_further(
+        tmp_path, capsys, monkeypatch, gamma):
+    # the roots are 0.0222 at gamma 4 and 0.01587 at gamma 5: one each side
+    monkeypatch.chdir(tmp_path)
+    alpha_max = 0.02
+    root = flat_water_alpha(crapper.beta_of(0.3), 1.0, float(gamma))
+    code = main(["continue", "--A", "0.3", "--h", "1", "--gamma", gamma,
+                 "--alpha-max", str(alpha_max), "--steps", "2", "--M", "32",
+                 "--g", "1", "--sigma", "1"])
+    err = capsys.readouterr().err
+    branch = json.loads(_read(tmp_path / "branch.json"))
+    alphas = [s["params"]["alpha"] for s in branch["solutions"]]
+    assert (tmp_path / "branch.csv").exists()
+    if root > alpha_max:
+        assert (code, err, alphas[-1]) == (0, "", alpha_max)
+    else:  # the partial branch stops short of the root
+        assert code == 3 and "flat water" in err
+        assert alphas[-1] < root
 
 
 def test_config_file_merging(tmp_path, capsys):

@@ -39,7 +39,7 @@ from capwave.operators import (
     theta_of,
 )
 from capwave.spectral import PeriodicFunction, _samples_of, grid, mul
-from _oracles import jacobian_loop, plus_minus_stack
+from _oracles import flat_water_alpha, flat_water_diagonal, jacobian_loop, plus_minus_stack
 
 
 GOLDEN_SIGMA_MIN_A05_M64 = 0.548817980410871  # recorded from the build SVD
@@ -66,6 +66,43 @@ def test_jacobian_fd_annihilates_flat_water_bifurcation_mode():
     assert np.max(np.abs(jac.entries[:, 0])) < 1e-9  # cos t direction
     sigmas = np.linalg.svd(jac.entries, compute_uv=False)
     assert sigmas[-1] < 1e-9
+
+
+BETA_03 = crapper.beta_of(0.3)
+
+
+@pytest.mark.parametrize("h, gamma, alpha", [
+    (1.0, 4.5, 0.0185684), (1.0, 2.0, 0.05), (0.5, -2.0, 0.3), (2.5, 0.7, 0.02),
+    (np.inf, 0.0, 0.5), (1.0, 4.5, -0.1),  # the last: FD's extension to alpha <= 0
+])
+def test_jacobian_fd_at_flat_water_is_the_dispersion_oracle(h, gamma, alpha):
+    # measured worst cases 6.9e-11 on the diagonal and 3.5e-11 off it
+    p = WaveParams(alpha=alpha, beta=BETA_03, gamma=gamma, h=h)
+    residual = residual_inf if p.is_infinite else residual_fd
+    jac = jacobian_fd(lambda w: residual(p, w), PeriodicFunction.zeros(64), 8).entries
+    diagonal = np.diag(jac)
+    assert np.max(np.abs(jac - np.diag(diagonal))) <= 1e-9
+    expected = flat_water_diagonal(alpha, BETA_03, np.arange(1, 9), h, gamma)
+    assert np.max(np.abs(diagonal - expected)) <= 1e-9
+
+
+@pytest.mark.parametrize("gamma, lo, hi", [
+    (4.5, 0.0185684 - 1e-6, 0.0185684 + 1e-6),  # measured 0.01856845
+    (5.0, 0.015, 0.016), (4.0, 0.022, 0.023), (2.0, 0.071, 0.081),
+])
+def test_the_flat_water_root_at_depth_1_lies_in_its_bracket(gamma, lo, hi):
+    assert lo <= flat_water_alpha(BETA_03, 1.0, gamma) <= hi
+
+
+@pytest.mark.parametrize("h, gamma, alphas", [
+    (1.0, 0.0, np.geomspace(1e-12, 3.0, 400)),
+    (1.0, -5.0, np.geomspace(1e-12, 3.0, 400)),
+    (np.inf, 0.0, [0.0, 0.5, 1.0, 2.0, 3.0]),
+])
+def test_without_positive_vorticity_the_mode_1_entry_stays_negative(h, gamma, alphas):
+    # -1 + 1/beta = -0.16514 at alpha = 0; the sheet never leaves flat water
+    entries = [flat_water_diagonal(a, BETA_03, 1.0, h, gamma) for a in alphas]
+    assert max(entries) <= -0.165
 
 
 def test_jacobian_fd_directional_derivative():

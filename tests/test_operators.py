@@ -11,14 +11,12 @@ from capwave.operators import (
     WaveParams,
     bernoulli_b,
     conformal_metric,
-    params_from_physical,
     q_hat,
     residual_G,
     residual_G_tilde,
     residual_fd,
     residual_inf,
     theta_of,
-    wavenumber_k,
 )
 from capwave.spectral import (
     DegenerateMetricError,
@@ -74,27 +72,26 @@ def test_wave_params_validation():
         WaveParams(alpha=0.0, beta=1.0, gamma=1.0)  # infinite depth, vorticity
     with pytest.raises(ValueError):
         WaveParams(alpha=0.0, beta=1.0, h=0.0)
-    # gravity without a finite wavenumber, refused with wavenumber_k's message
-    with pytest.raises(ValueError, match=r"^alpha\*sigma underflows to zero: no finite"):
-        WaveParams(alpha=1e-200, beta=1.0, sigma=1e-200)
-    with pytest.raises(ValueError, match=r"^alpha=1e-308: g\*beta/\(alpha\*sigma\) overflows"):
-        WaveParams(alpha=1e-308, beta=1.0, sigma=0.07)
+    # gravity without a finite wavenumber, refused with WaveParams.k's message
+    with pytest.raises(ValueError, match=r"^alpha\*sigma underflows to zero: no finite "
+                                         r"wavenumber$"):
+        WaveParams(alpha=1e-200, beta=1.0, sigma=1e-200)  # was a ZeroDivisionError
+    with pytest.raises(ValueError, match=r"^alpha=1e-308: g\*beta/\(alpha\*sigma\) "
+                                         r"overflows, no finite wavenumber$"):
+        WaveParams(alpha=1e-308, beta=1.0, sigma=0.07)  # was inf, and a NaN crossing count
     assert WaveParams(alpha=0.0, beta=1.0).is_infinite
     assert not WaveParams(alpha=0.0, beta=1.0, h=2.0, gamma=1.0).is_infinite
 
 
-def test_wavenumber_examples():
-    assert wavenumber_k(0.7, 0.7) == pytest.approx(1.0, rel=1e-15)
-    assert wavenumber_k(0.01, 1.0) == pytest.approx(10.0, rel=1e-15)
-    assert wavenumber_k(0.25 / 4, 1.0) == pytest.approx(2 * wavenumber_k(0.25, 1.0), rel=1e-14)
-    with pytest.raises(ValueError):
-        wavenumber_k(0.0, 1.0)
-    with pytest.raises(ValueError):
-        wavenumber_k(-0.1, 1.0)
-    with pytest.raises(ValueError, match="underflows"):
-        wavenumber_k(1e-200, 1.0, sigma=1e-200)  # was a ZeroDivisionError
-    with pytest.raises(ValueError, match="overflows"):
-        wavenumber_k(1e-308, 1.0, sigma=0.07)  # was inf, and a NaN crossing count
+def test_wave_params_k_examples():
+    assert WaveParams(alpha=0.7, beta=0.7).k == pytest.approx(1.0, rel=1e-15)
+    assert WaveParams(alpha=0.01, beta=1.0).k == pytest.approx(10.0, rel=1e-15)
+    assert WaveParams(alpha=0.25 / 4, beta=1.0).k == pytest.approx(
+        2 * WaveParams(alpha=0.25, beta=1.0).k, rel=1e-14)
+    for alpha in (0.0, -0.1):
+        with pytest.raises(ValueError, match=r"^no finite wavenumber for alpha <= 0 "
+                                             r"\(deep-limit branch\)$"):
+            WaveParams(alpha=alpha, beta=1.0).k
 
 
 # -- metric and angle ----------------------------------------------------------------
@@ -408,7 +405,7 @@ def test_vorticity_bracket_neutral_cases():
     t = grid(n)
     w = crapper.crapper_wave(0.4, n)
     p = WaveParams(alpha=0.2, beta=1.5, gamma=0.0, h=2.0)
-    d = p.h * wavenumber_k(p.alpha, p.beta)
+    d = p.h * p.k
     # oracle: strip analogue of the Bernoulli scalar, raw numpy
     wp_f, one_cwp_f, _, _ = generator_derivatives(0.4, t)
     import _oracles
@@ -446,8 +443,8 @@ def test_physical_params_examples():
     assert p.lam == pytest.approx(1.0, rel=1e-14)
     assert p.m == pytest.approx(1.0, rel=1e-14)
     # m = h*lambda + h^2*gamma/2
-    assert params_from_physical(k=1.0, lam=1.0, h=1.0, gamma=2.0).m == pytest.approx(2.0,
-                                                                                     rel=1e-14)
+    assert WaveParams.from_physical(k=1.0, lam=1.0, h=1.0, gamma=2.0).m == pytest.approx(
+        2.0, rel=1e-14)
     for scale in ("k", "lam", "m"):  # no physical scale at alpha <= 0
         with pytest.raises(ValueError, match="^no finite wavenumber for alpha <= 0"):
             getattr(WaveParams(alpha=0.0, beta=1.0, h=2.0), scale)
@@ -461,19 +458,19 @@ def test_physical_params_examples():
     # lambda = m/h - gamma h/2 = -0.5
     ({"m": 0.5, "h": 1.0, "gamma": 2.0}, "need k > 0 and lambda > 0"),
 ])
-def test_params_from_physical_refuses_what_gives_no_wave(kwargs, message):
+def test_from_physical_refuses_what_gives_no_wave(kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        params_from_physical(**{"k": 1.0, **kwargs})
+        WaveParams.from_physical(**{"k": 1.0, **kwargs})
 
 
 def test_physical_round_trip():
     p = WaveParams(alpha=0.03, beta=1.7, g=9.81, sigma=0.074, gamma=-1.2, h=2.5)
-    back = params_from_physical(k=p.k, lam=p.lam, h=p.h, gamma=p.gamma,
-                                g=p.g, sigma=p.sigma)
+    back = WaveParams.from_physical(k=p.k, lam=p.lam, h=p.h, gamma=p.gamma,
+                                    g=p.g, sigma=p.sigma)
     assert back.alpha == pytest.approx(p.alpha, rel=1e-12)
     assert back.beta == pytest.approx(p.beta, rel=1e-12)
-    via_m = params_from_physical(k=p.k, m=p.m, h=p.h, gamma=p.gamma,
-                                 g=p.g, sigma=p.sigma)
+    via_m = WaveParams.from_physical(k=p.k, m=p.m, h=p.h, gamma=p.gamma,
+                                     g=p.g, sigma=p.sigma)
     assert via_m.alpha == pytest.approx(p.alpha, rel=1e-12)
     assert via_m.beta == pytest.approx(p.beta, rel=1e-12)
 
