@@ -6,12 +6,14 @@ right end in that order gives, for every segment, the window of later
 segments that overlap it in x; the y-ranges prune those pairs further, and
 only the survivors get the four orientation tests.  Only pairs with a
 segment below the index `owned` are built (a periodic curve owns its base
-period; the other pairs repeat them).  A segment of a surface curve overlaps
-a handful of others, so the sweep costs O(n log n) plus the candidate pairs,
-not the n^2 / 2 of the pairwise sweep in tests/_oracles.py, whose orientation
-arithmetic it shares: both return the same points bit for bit, in the same
-order, except for pairs whose boxes are disjoint, which rounding on nearly
-collinear points can make the pairwise tests report as crossing.
+period; the other pairs repeat them).  The box and orientation tests are
+`pair_crossings`, which takes any pairs, so a caller can test a few first.
+A segment of a surface curve overlaps a handful of others, so the sweep
+costs O(n log n) plus the candidate pairs, not the n^2 / 2 of the pairwise
+sweep in tests/_oracles.py, whose orientation arithmetic it shares: both
+return the same points bit for bit, in the same order, except for pairs
+whose boxes are disjoint, which rounding on nearly collinear points can make
+the pairwise tests report as crossing.
 
 Where x rises strictly, a segment overlaps only its neighbours in x, so the
 sweep returns before it sorts; Crapper's curves do below |A| = sqrt(2) - 1,
@@ -36,22 +38,14 @@ def selected_backend() -> str:
 
 def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int) -> np.ndarray:
     """Proper pairwise intersections of the open polyline (x, y) whose lower
-    segment index is below `owned`.
-
-    Adjacent segments are skipped; intersections within ENDPOINT_BAND of a segment
-    endpoint are excluded.  Returns an (n, 2) array of crossing coordinates,
-    ordered by the index of the first segment and then of the second.
-    """
+    segment index is below `owned`, as pair_crossings gives them."""
     x = np.ascontiguousarray(x, dtype=float)
     y = np.ascontiguousarray(y, dtype=float)
     if len(x) != len(y) or len(x) < 4:
         raise ValueError("need at least 4 polyline points")
     if (x[1:] > x[:-1]).all():  # only neighbours overlap in x
         return np.empty((0, 2))
-    ax, ay = x[:-1], y[:-1]
-    bx, by = x[1:], y[1:]
-    xlo, xhi = np.minimum(ax, bx), np.maximum(ax, bx)
-    ylo, yhi = np.minimum(ay, by), np.maximum(ay, by)
+    xlo, xhi = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])
     # in order of left ends, each segment pairs with the later ones whose left
     # end lies in its x-range: every pair of overlapping x-ranges, once.  An
     # owned row takes that whole window, any other row the owned segments in
@@ -66,8 +60,20 @@ def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int) -> np.ndarray:
     first = np.repeat(order, count)
     second = np.concatenate((order, order[mine]))[
         np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)]
-    i, j = np.minimum(first, second), np.maximum(first, second)
-    keep = (j >= i + 2) & (ylo[j] <= yhi[i]) & (ylo[i] <= yhi[j])
+    return pair_crossings(x, y, np.minimum(first, second), np.maximum(first, second))
+
+
+def pair_crossings(x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Proper crossings of segments i and j of the polyline (x, y), for each
+    pair with j >= i + 2 whose closed boxes meet and none within ENDPOINT_BAND
+    of an endpoint: an (n, 2) array of points, ordered by i and then j."""
+    ax, ay, bx, by = x[:-1], y[:-1], x[1:], y[1:]
+    xlo, xhi = np.minimum(ax, bx), np.maximum(ax, bx)
+    ylo, yhi = np.minimum(ay, by), np.maximum(ay, by)
+    keep = ((j >= i + 2) & (xlo[j] <= xhi[i]) & (xlo[i] <= xhi[j])
+            & (ylo[j] <= yhi[i]) & (ylo[i] <= yhi[j]))
+    if not keep.any():
+        return np.empty((0, 2))
     i, j = i[keep], j[keep]
     Ax, Ay, Bx, By = ax[i], ay[i], bx[i], by[i]
     Cx, Cy, Dx, Dy = ax[j], ay[j], bx[j], by[j]

@@ -15,7 +15,8 @@ pure-capillary family starts self-intersecting.
 units (k = 1) otherwise; `solution_report` holds the flags of every Newton
 solution.  Each crossing is counted once per period (see `check_injective`).
 The threshold bisection draws the explicit family from F_A's closed form
-(`crapper.circle_samples`) instead of through `surface_profile`'s transforms.
+(`crapper.circle_samples`) instead of through `surface_profile`'s transforms,
+and looks for a crossing on the family's mirror axes x = k*pi first.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crapper
-from ._kernels import segment_crossings
+from ._kernels import pair_crossings, segment_crossings
 from .spectral import DegenerateMetricError, PeriodicFunction, hilbert, hilbert_strip, grid
 from .operators import METRIC_FLOOR, WaveParams, conformal_metric
 
@@ -53,14 +54,24 @@ class SurfaceCurve:
     def period(self) -> float:
         return 2.0 * math.pi / self.k
 
-    def extended(self):
-        """Copies x + k*period of the base period (k = 0 too), ceil(x-span /
-        period) in all, closed by point 0 of the next copy: a copy further right
-        cannot reach the base's x-range."""
-        span = max(self.x.max(), self.x[0] + self.period) - self.x.min()
-        copies = math.ceil(span / self.period)
-        x = [self.x + k * self.period for k in range(copies)] + [self.x[:1] + copies * self.period]
-        return np.concatenate(x), np.concatenate([self.y] * copies + [self.y[:1]])
+    def swept(self) -> tuple[np.ndarray, np.ndarray]:
+        """The polyline that check_injective sweeps: copies x + k*period of the
+        base period up to the segment of the last point past it at or left of
+        R = max(max x, x[0] + period), where the base's segments end; no copy
+        with every point right of R is built."""
+        n, period = len(self.x), self.period
+        if n < 64:
+            raise ValueError("injectivity check needs at least 64 points")
+        reach, left = max(self.x.max(), self.x[0] + period), self.x.min()
+        x, stop = [], n + 1  # the base period closed by point n
+        for k in range(math.ceil((reach - left) / period)):
+            if left + k * period > reach:
+                break
+            x.append(self.x + k * period)
+            if k:
+                stop = k * n + 2 + np.flatnonzero(x[-1] <= reach)[-1]
+        y = np.concatenate([self.y] * len(x) + [self.y[:1]])
+        return np.concatenate(x + [self.x[:1] + len(x) * period])[:stop], y[:stop]
 
 
 @dataclass(frozen=True)
@@ -84,20 +95,9 @@ def surface_profile(w: PeriodicFunction, k: float, d: float | None = None,
 
 def check_injective(curve: SurfaceCurve) -> InjectivityReport:
     """Crossings of the periodic curve, one per pair of segments that meet,
-    counted where the lower segment of the pair lies in the base period.
-
-    The base period's segments end at or left of R = max(max x, x[0] + period),
-    so a later segment with both ends right of R meets none of them: the
-    sweep stops at the segment of the last point past n with x <= R (point n's
-    segment when no later point has one)."""
-    n = len(curve.x)
-    if n < 64:
-        raise ValueError("injectivity check needs at least 64 points")
-    x, y = curve.extended()
-    reach = max(np.max(curve.x), curve.x[0] + curve.period)
-    inside = np.flatnonzero(x[n + 1:] <= reach)
-    stop = n + 3 + inside[-1] if len(inside) else n + 2
-    hits = segment_crossings(x[:stop], y[:stop], owned=n)
+    counted where the lower segment of the pair lies in the base period (see
+    SurfaceCurve.swept)."""
+    hits = segment_crossings(*curve.swept(), owned=len(curve.x))
     return InjectivityReport(injective=len(hits) == 0, crossings=hits)
 
 
@@ -139,13 +139,26 @@ def steepness(w: PeriodicFunction) -> float:
 def crapper_profile_injective(A: float, n_grid: int) -> bool:
     """Whether the explicit profile at A is injective on n_grid points.  Its
     curve and metric come from F_A's closed form (see crapper), with
-    surface_profile's refusal of a degenerate metric but no transform."""
+    surface_profile's refusal of a degenerate metric but no transform.  The
+    curve is mirror-symmetric about every line x = k*pi, and its lobes close
+    across them, so those are searched first (mirror_axis_crossings).  That
+    pass only answers "crosses"; when it finds nothing, the full sweep decides."""
     A = crapper._check_param(A)
     x, y, W = crapper.circle_samples(A, n_grid)
     if W.min() < METRIC_FLOOR:
         raise DegenerateMetricError("conformal metric vanishes on the grid")
-    curve = SurfaceCurve(x=x, y=y, k=1.0)
-    return check_injective(curve).injective
+    x, y = SurfaceCurve(x=x, y=y, k=1.0).swept()
+    return not (len(mirror_axis_crossings(x, y, n_grid)) or len(segment_crossings(x, y, n_grid)))
+
+
+def mirror_axis_crossings(x: np.ndarray, y: np.ndarray, owned: int) -> np.ndarray:
+    """Crossings of segment_crossings(x, y, owned) among the segments with ends
+    on either side of a line x = k*pi: each below `owned` with each later one."""
+    q = np.floor(x / math.pi)
+    axial = np.flatnonzero(q[1:] != q[:-1])
+    mine = axial[:np.searchsorted(axial, owned)]
+    i, j = np.repeat(mine, len(axial)), np.tile(axial, len(mine))
+    return pair_crossings(x, y, i, j)
 
 
 def critical_self_intersection_A(tol: float = 1e-3, n_grid: int = 2048,
@@ -160,7 +173,7 @@ def critical_self_intersection_A(tol: float = 1e-3, n_grid: int = 2048,
         raise RuntimeError(f"expected a self-intersecting profile at A={hi}")
     while not crapper_profile_injective(lo, n_grid):
         lo *= 0.5
-        if lo < 1e-3:
+        if abs(lo) < 1e-3:
             raise RuntimeError("failed to bracket the self-intersection threshold")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

@@ -14,8 +14,9 @@ bit on finite data (but for the sign of a real part of -0.0, see `spectral`).
 So are `add_negated`, the expression that the one-pass difference replaced,
 and `plus_minus_stack`, the +-step stack that `jacobian_fd` builds with the
 same expression and that pins its modes on bases holding signed zeros, inf
-and nan.  So is `periodic_extension`, the gather that `SurfaceCurve.extended`
-was before it joined shifted copies of the period.
+and nan.  So is `periodic_extension`, the gather that built the whole
+extension of the period before it was joined from shifted copies; the
+polyline that `SurfaceCurve.swept` builds must be a prefix of it.
 """
 
 import numpy as np
@@ -263,7 +264,7 @@ def pairwise_crossings(x, y, band, owned=None, skip_disjoint_boxes=False):
 
 
 def periodic_extension(curve):
-    """`SurfaceCurve.extended` as a gather: point m of the extension is point
+    """The periodic extension of the curve as a gather: point m is point
     m mod n moved by (m div n) periods, up to ceil(x-span / period) * n."""
     n = len(curve.x)
     span = max(np.max(curve.x), curve.x[0] + curve.period) - np.min(curve.x)

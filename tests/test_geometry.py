@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from capwave import crapper, geometry
-from capwave._kernels import ENDPOINT_BAND, segment_crossings
+from capwave._kernels import ENDPOINT_BAND, pair_crossings, segment_crossings
 from capwave.geometry import (
     SurfaceCurve,
     check_above_bed,
@@ -38,17 +38,18 @@ def test_surface_profile_flat_and_family_values():
 
 def test_surface_profile_periodic_closure():
     # the swept polyline closes the base period with point 0 + period and
-    # repeats it for as many periods as the base spans in x: one at A = 0.4,
-    # two at A = 0.6 (1.36 periods)
+    # goes on into the next copy only while it can reach the base period:
+    # not at A = 0.4, part of one copy at A = 0.6 (1.36 periods)
     n = 128
-    for A, copies in ((0.4, 1), (0.6, 2)):
+    for A, closed in ((0.4, True), (0.6, False)):
         curve = surface_profile(crapper.crapper_wave(A, n), 1.5)
-        x, y = curve.extended()
-        assert len(x) == len(y) == copies * n + 1
+        x, y = curve.swept()
+        assert len(x) == len(y) and (len(x) == n + 1) == closed and len(x) < 2 * n
         assert np.array_equal(x[:n], curve.x) and np.array_equal(y[:n], curve.y)
         assert x[n] == curve.x[0] + curve.period and y[n] == curve.y[0]
-    assert np.max(np.abs(x[:n] + curve.period - x[n:2 * n])) < 1e-13
-    assert np.array_equal(y[:n], y[n:2 * n])
+    m = len(x) - n
+    assert np.max(np.abs(x[:m] + curve.period - x[n:])) < 1e-13
+    assert np.array_equal(y[:m], y[n:])
 
 
 def test_surface_profile_rejects_degenerate_metric():
@@ -177,12 +178,12 @@ def test_segment_crossings_match_oracle_on_crapper_curves():
     # on the polyline check_injective sweeps, with its owned rows
     for n in (1024, 2048):
         for A in (0.3, 0.45, 0.46, 0.6, 0.9):
-            x, y = surface_profile(crapper.crapper_wave(A, n), 1.0).extended()
+            x, y = periodic_extension(surface_profile(crapper.crapper_wave(A, n), 1.0))
             hits = _assert_same_crossings(x, y, n)
             assert (len(hits) == 0) == (A < 0.4546)
     # steep waves sweep 2-7 periods; every pair of segments, owned or not, at +-0.8
     for A in (0.8, -0.8, 0.9, -0.9):
-        x, y = surface_profile(crapper.crapper_wave(A, 1024), 1.0).extended()
+        x, y = periodic_extension(surface_profile(crapper.crapper_wave(A, 1024), 1.0))
         _assert_same_crossings(x, y, 1024)
         if abs(A) == 0.8:
             _assert_same_crossings(x, y)
@@ -194,16 +195,21 @@ def _started_at(curve, s):
     return SurfaceCurve(x=x, y=np.roll(curve.y, -s), k=curve.k)
 
 
-def _assert_same_extension(curve):
-    # bit for bit, so a zero's sign counts
-    got, want = curve.extended(), periodic_extension(curve)
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+def _assert_swept_prefix(curve):
+    # the gathered extension cut after the point that follows the last point
+    # past n at or left of R = max(max x, x[0] + period); bit for bit, so a
+    # zero's sign counts
+    n = len(curve.x)
+    x, y = periodic_extension(curve)
+    inside = np.flatnonzero(x[n + 1:] <= max(np.max(curve.x), curve.x[0] + curve.period))
+    stop = n + 3 + inside[-1] if len(inside) else n + 2
+    assert [a.tobytes() for a in curve.swept()] == [x[:stop].tobytes(), y[:stop].tobytes()]
 
 
 def _assert_sweep_matches_full_polyline(curve, skip_disjoint_boxes=False):
-    # check_injective sweeps extended() only as far as a segment can reach the
-    # base period's x-range; the oracle sweeps all of the gathered extension
-    _assert_same_extension(curve)
+    # check_injective sweeps only as far as a segment can reach the base
+    # period's x-range; the oracle sweeps all of the gathered extension
+    _assert_swept_prefix(curve)
     want = pairwise_crossings(*periodic_extension(curve), ENDPOINT_BAND, len(curve.x),
                               skip_disjoint_boxes)
     assert np.array_equal(check_injective(curve).crossings, want)
@@ -211,9 +217,9 @@ def _assert_sweep_matches_full_polyline(curve, skip_disjoint_boxes=False):
 
 @pytest.mark.parametrize("n", [64, 1024])
 @pytest.mark.parametrize("A", [0.3, -0.3, 0.46, 0.8, -0.8, 0.9, -0.9])
-def test_extended_matches_the_gathered_extension_on_crapper_curves(A, n):
+def test_swept_polyline_is_a_prefix_of_the_gathered_extension_on_crapper_curves(A, n):
     for k in (1.0, 3.7):
-        _assert_same_extension(surface_profile(crapper.crapper_wave(A, n), k))
+        _assert_swept_prefix(surface_profile(crapper.crapper_wave(A, n), k))
 
 
 # where a sweep cut one point short loses one of two crossings, and a spread
@@ -247,6 +253,45 @@ def test_check_injective_matches_the_full_polyline_oracle_on_random_walks(curve)
     # pairs with disjoint boxes are left out of the oracle, as the sweep never
     # tests them (see test_segment_crossings_skip_disjoint_boxes)
     _assert_sweep_matches_full_polyline(curve, skip_disjoint_boxes=True)
+
+
+def _assert_pair_test_is_part_of_the_sweep(x, y, owned, pairs):
+    # any pairs, neighbours, reversed pairs and disjoint boxes included, give a
+    # subsequence of the sweep's rows, bit for bit and in (i, j) order
+    want = [r.tobytes() for r in segment_crossings(x, y, owned)]
+    pairs = np.array([p for p in pairs if p[0] < owned], dtype=np.intp).reshape(-1, 2)
+    got = pair_crossings(x, y, pairs[:, 0], pairs[:, 1])
+    rest = iter(want)
+    assert got.shape[1] == 2 and all(r.tobytes() in rest for r in got)
+    return want
+
+
+@st.composite
+def _pairs_on(draw, polyline):
+    segments = len(polyline[0]) - 1
+    index = st.integers(0, segments - 1)
+    return draw(st.lists(st.tuples(index, index), unique=True, max_size=3 * segments))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data(), _polylines(), st.integers(0, 80))
+def test_pair_crossings_are_a_subsequence_of_the_sweep_on_polylines(data, xy, owned):
+    x, y = xy
+    pairs = data.draw(_pairs_on(xy))
+    for rows in (owned, len(x) - 1):  # with and without owned rows
+        want = _assert_pair_test_is_part_of_the_sweep(x, y, rows, pairs)
+        # every pair with an owned lower segment: the sweep's rows exactly
+        i, j = np.divmod(np.arange(min(rows, len(x) - 1) * (len(x) - 1)), len(x) - 1)
+        assert [r.tobytes() for r in pair_crossings(x, y, i, j)] == want
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data(), _periodic_walks())
+def test_pair_crossings_are_a_subsequence_of_the_sweep_on_periodic_walks(data, curve):
+    x, y = curve.swept()
+    pairs = data.draw(_pairs_on((x, y)))
+    for rows in (len(curve.x), len(x) - 1):
+        _assert_pair_test_is_part_of_the_sweep(x, y, rows, pairs)
 
 
 def test_segment_crossings_skip_disjoint_boxes():
@@ -361,6 +406,30 @@ def test_crapper_threshold_is_crappers_limiting_amplitude():
     assert A_STAR == pytest.approx(0.45467001645201083, abs=1e-16)
 
 
+# both signs across the family, and densely within 3e-4 of A*
+_AXIS_PASS_A = [s * A for A in (*np.arange(0.05, 0.951, 0.01), *(A_STAR + np.linspace(-3e-4, 3e-4, 13)))
+                for s in (1, -1)]
+
+
+def test_mirror_axis_pass_finds_only_the_sweeps_crossings_and_decides_every_crossing_curve(
+        monkeypatch):
+    swept = []
+    monkeypatch.setattr(geometry, "segment_crossings",
+                        lambda x, y, owned: swept.append(owned) or segment_crossings(x, y, owned))
+    for n in (64, 128, 256, 512, 1024, 2048, 4096):
+        for A in _AXIS_PASS_A:
+            curve = SurfaceCurve(*crapper.circle_samples(A, n)[:2], 1.0)
+            full = check_injective(curve)
+            swept.clear()
+            assert crapper_profile_injective(A, n) == full.injective
+            found = geometry.mirror_axis_crossings(*curve.swept(), n)
+            rows = {r.tobytes() for r in full.crossings}
+            assert all(r.tobytes() in rows for r in found)
+            # the pass decides every crossing curve: only an injective one
+            # goes on to the full sweep
+            assert (len(found) == 0) == full.injective == (swept == [n])
+
+
 # A* as the bisection returned it when each curve came from the grid
 # transforms of surface_profile; the closed form keeps every bit, and the
 # final bracket (width <= tol, centred on the result) holds the closed-form A*
@@ -437,6 +506,13 @@ def test_critical_self_intersection_halves_a_lower_bracket_that_crosses():
     assert 0.4 < halved < 0.5 and abs(halved - a_star) < 1e-3
 
 
+def test_critical_self_intersection_halves_a_negative_lower_bracket():
+    # -0.5 crosses (w_-A is w_A shifted by half a period), so it is halved to
+    # -0.25, which does not: a bracket, not a failure to find one
+    a_star = critical_self_intersection_A(tol=1e-3, n_grid=1024, lo=-0.5)
+    assert abs(a_star - A_STAR) <= 1e-3 / 2 + 3e-7
+
+
 def test_critical_self_intersection_needs_a_crossing_upper_bracket():
     with pytest.raises(RuntimeError, match="^expected a self-intersecting profile at A=0.3$"):
         critical_self_intersection_A(tol=1e-3, n_grid=1024, hi=0.3)
@@ -449,7 +525,7 @@ def test_critical_self_intersection_gives_up_when_no_lower_bracket_is_injective(
 
 
 def test_segment_crossings_of_an_injective_curve_are_an_empty_float_array():
-    x, y = surface_profile(crapper.crapper_wave(0.3, 1024), 1.0).extended()
+    x, y = surface_profile(crapper.crapper_wave(0.3, 1024), 1.0).swept()
     hits = segment_crossings(x, y, 1024)
     assert hits.shape == (0, 2) and hits.dtype == np.float64
 
@@ -473,5 +549,5 @@ def test_crapper_abscissa_rises_strictly_until_it_folds_at_sqrt2_minus_1(n):
     # at t = pi/2 when |A| = sqrt(2) - 1; below it the sweep returns at once
     for A, rises in ((0.3, True), (0.414, True), (0.416, False), (0.45, False)):
         for s in (1, -1):
-            x, _ = surface_profile(crapper.crapper_wave(s * A, n), 1.0).extended()
+            x, _ = surface_profile(crapper.crapper_wave(s * A, n), 1.0).swept()
             assert bool(np.all(x[1:] > x[:-1])) == rises
