@@ -9,7 +9,6 @@ from .spectral import (
     derivative,
     hilbert,
     hilbert_strip,
-    kappa_tail_bound,
     mean,
 )
 from .crapper import beta_of, crapper_theta, crapper_wave, q_of, verify_identity
@@ -19,7 +18,6 @@ from .operators import (
     conformal_metric,
     q_hat,
     residual_G,
-    residual_G_tilde,
     residual_fd,
     residual_inf,
     theta_of,

@@ -133,8 +133,10 @@ def _chunk_columns(residual, base, basis_in, step, M, modes):
     r = residual(_plus_minus_steps(base, basis_in, modes, step)).coeffs
     if r.shape[-2:] != (2 * k, base.n_grid):
         raise ValueError("the residual must map a stack of functions row by row")
-    d = PeriodicFunction(r[..., :k, :] - r[..., k:, :])
-    return np.swapaxes(d.cosine_coefficients(M) / (2.0 * step), -1, -2)
+    # the cosine coefficients of the difference on modes 1..M, which
+    # `_jacobians` checked the grid holds
+    d = 2.0 * (r[..., :k, 1:M + 1] - r[..., k:, 1:M + 1]).real / (2.0 * step)
+    return np.swapaxes(d, -1, -2)
 
 
 # (pid of the process that made it, pid of the worker, connection, marks) of

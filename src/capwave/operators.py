@@ -61,9 +61,7 @@ from .spectral import (
     mean,
     mul,
     pf_atan2,
-    pf_cos,
     pf_exp,
-    pf_sin,
 )
 
 import numpy as np
@@ -262,8 +260,7 @@ def _residual_inf(alpha, beta, w):
 
 def angle_terms(beta: float, theta: PeriodicFunction):
     """(e^{C theta}, e^{-C theta}, 1/(2b), r/(2b)) with the mean ratio
-    r = [e^{-C theta}]/[e^{C theta}]: the pieces of G, of its pushed-forward
-    form and of its linearisation."""
+    r = [e^{-C theta}]/[e^{C theta}]: the pieces of G and of its linearisation."""
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     ct = hilbert(theta)
@@ -277,28 +274,6 @@ def residual_G(beta: float, theta: PeriodicFunction) -> PeriodicFunction:
     """G(theta) = theta' - e^{-C theta}/(2b) + ([e^{-C theta}]/[e^{C theta}]) e^{C theta}/(2b)."""
     ep, em, half, half_r = angle_terms(beta, theta)
     return derivative(theta) - half * em + half_r * ep
-
-
-def residual_G_tilde(beta: float, theta: PeriodicFunction) -> PeriodicFunction:
-    """The pushed-forward w-residual evaluated directly from its own display:
-
-        Gt(theta) = (e^{C th} sin th)'
-                    - (1/2b) e^{C th} sin th * C(e^{-C th})
-                    + (r/2b) e^{C th} sin th * C(e^{C th})
-                    - (1/2b) e^{C th} cos th * e^{-C th}
-                    + (r/2b) e^{C th} cos th * e^{C th},
-
-    with r = [e^{-C th}]/[e^{C th}].  Identically equal to
-    e^{C th} sin th * C(G) + e^{C th} cos th * G, which the tests exercise.
-    """
-    ep, em, half, half_r = angle_terms(beta, theta)
-    eps_ = mul(ep, pf_sin(theta))
-    epc = mul(ep, pf_cos(theta))
-    return (derivative(eps_)
-            - half * mul(eps_, hilbert(em))
-            + half_r * mul(eps_, hilbert(ep))
-            - half * mul(epc, em)
-            + half_r * mul(epc, ep))
 
 
 # -- finite-depth residual ----------------------------------------------------------

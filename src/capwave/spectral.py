@@ -240,10 +240,6 @@ class PeriodicFunction:
 
     # -- basic accessors -----------------------------------------------------
 
-    @property
-    def t(self):
-        return grid(self.n_grid)
-
     def cosine_coefficients(self, n_modes):
         """Coefficients a_n of the even part, f_even = a_0 + sum a_n cos nt."""
         _check_grid_holds(self.n_grid, n_modes)
@@ -356,31 +352,6 @@ def _strip_multiplier(n_grid, d):
     return _frozen(-1j * np.sign(m) * mult)
 
 
-def kappa_tail_bound(d: float, p: int = 0) -> float:
-    """sup over m >= 1 of m^(p+1) * 2/(e^(2md) - 1).
-
-    Controls how fast the strip conjugation approaches the half-plane one:
-    the mode-m discrepancy multiplier is lambda_m = 2/(e^(2|m|d)-1).
-    """
-    if not d > 0.0:
-        raise ValueError(f"strip depth must be positive, got {d}")
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    best = 0.0
-    prev = np.inf
-    m = 1
-    while True:
-        term = m ** (p + 1) * 2.0 / np.expm1(2.0 * m * d)
-        best = max(best, term)
-        # terms decay monotonically once past the (possible) interior maximum
-        if term < prev and term < 1e-17 * (1.0 + best):
-            return best
-        prev = term
-        m += 1
-        if m > 100000:  # pragma: no cover - d tiny enough to be unusable anyway
-            return best
-
-
 # -- sample-wise nonlinear algebra ----------------------------------------------
 
 
@@ -397,14 +368,6 @@ def mul(f: PeriodicFunction, g: PeriodicFunction) -> PeriodicFunction:
 
 def pf_exp(f: PeriodicFunction) -> PeriodicFunction:
     return PeriodicFunction._of_samples(np.exp(f.samples))
-
-
-def pf_sin(f: PeriodicFunction) -> PeriodicFunction:
-    return PeriodicFunction._of_samples(np.sin(f.samples))
-
-
-def pf_cos(f: PeriodicFunction) -> PeriodicFunction:
-    return PeriodicFunction._of_samples(np.cos(f.samples))
 
 
 def pf_atan2(y: PeriodicFunction, x: PeriodicFunction) -> PeriodicFunction:

@@ -16,7 +16,8 @@ and `plus_minus_stack`, the +-step stack that `jacobian_fd` builds with the
 same expression and that pins its modes on bases holding signed zeros, inf
 and nan.  So is `periodic_extension`, the gather that built the whole
 extension of the period before it was joined from shifted copies; the
-polyline that `SurfaceCurve.swept` builds must be a prefix of it.
+polyline that `SurfaceCurve.swept` builds must be a prefix of it.  And so
+is `residual_G_tilde`, the pushed-forward angle residual compared with G.
 """
 
 import numpy as np
@@ -188,13 +189,23 @@ def trapezoid_mean(samples):
     return np.trapezoid(closed) / len(samples)
 
 
-def fft_hilbert(samples):
+def fft_hilbert(samples, d=np.inf):
+    """The conjugation: mode multiplier -i sgn(m), or -i sgn(m) coth(|m| d) in
+    a strip of depth d."""
     n = len(samples)
     c = np.fft.fft(samples)
     m = np.fft.fftfreq(n, 1.0 / n)
-    c = -1j * np.sign(m) * c
-    c[n // 2] = 0.0
+    c[1:] *= -1j * np.sign(m[1:]) / np.tanh(np.abs(m[1:]) * d)
+    c[0] = c[n // 2] = 0.0
     return np.fft.ifft(c).real
+
+
+def kappa_tail_bound(d, p=0):
+    """sup over m >= 1 of m^(p+1) lambda_m, lambda_m = 2/(e^(2md) - 1) the gap
+    between the strip's and the half-plane's mode-m multipliers: a direct max
+    over 2md <= 700, past which e^(2md) overflows and the terms are negligible."""
+    m = np.arange(1, 1 + int(350.0 / d))
+    return float(np.max(m ** (p + 1) * 2.0 / np.expm1(2.0 * m * d)))
 
 
 def fft_derivative(samples):
@@ -204,6 +215,29 @@ def fft_derivative(samples):
     c = 1j * m * c
     c[n // 2] = 0.0
     return np.fft.ifft(c).real
+
+
+def bernoulli_spread(params, w_samples):
+    """max E - min E over the grid of w's samples, E = 1/(2W) + alpha w - beta
+    kappa: Bernoulli's law on the free surface x = t + C w, y = w in scaled
+    variables, without vorticity (1/W is the squared speed, kappa the
+    curvature).  C is the strip conjugation at d = hk in finite depth at alpha
+    > 0, else the half-plane one; finite depth at alpha <= 0 is deep water at
+    alpha = 0, as FD is.  No bracket, head or assembly of a residual is used."""
+    if params.gamma != 0.0:
+        raise ValueError("the Bernoulli oracle has no vorticity")
+    alpha, d = params.alpha, np.inf
+    if np.isfinite(params.h):
+        if alpha > 0.0:
+            d = params.h * np.sqrt(params.g * params.beta / (alpha * params.sigma))
+        alpha = max(alpha, 0.0)
+    wp = fft_derivative(w_samples)
+    wpp = fft_derivative(wp)
+    xp, xpp = 1.0 + fft_hilbert(wp, d), fft_hilbert(wpp, d)
+    W = xp ** 2 + wp ** 2
+    kappa = (xp * wpp - wp * xpp) / W ** 1.5
+    E = 0.5 / W + alpha * w_samples - params.beta * kappa
+    return float(E.max() - E.min())
 
 
 def deep_residual_on_samples(alpha, beta, w, wp, cwp, wpp):
@@ -350,3 +384,28 @@ def plus_minus_stack(base, basis, modes, step):
     else:
         e = step * PeriodicFunction.from_sine_series(series, base.n_grid)
     return base + PeriodicFunction(np.concatenate([e.coeffs, -e.coeffs]))
+
+
+def residual_G_tilde(beta, theta):
+    """The pushed-forward w-residual evaluated directly from its own display:
+
+        Gt(theta) = (e^{C th} sin th)'
+                    - (1/2b) e^{C th} sin th * C(e^{-C th})
+                    + (r/2b) e^{C th} sin th * C(e^{C th})
+                    - (1/2b) e^{C th} cos th * e^{-C th}
+                    + (r/2b) e^{C th} cos th * e^{C th},
+
+    with r = [e^{-C th}]/[e^{C th}].  Identically equal to
+    e^{C th} sin th * C(G) + e^{C th} cos th * G, row by row on a stack.
+    """
+    from capwave.operators import angle_terms
+    from capwave.spectral import PeriodicFunction, derivative, hilbert, mul
+
+    ep, em, half, half_r = angle_terms(beta, theta)
+    eps_ = mul(ep, PeriodicFunction.from_samples(np.sin(theta.samples)))
+    epc = mul(ep, PeriodicFunction.from_samples(np.cos(theta.samples)))
+    return (derivative(eps_)
+            - half * mul(eps_, hilbert(em))
+            + half_r * mul(eps_, hilbert(ep))
+            - half * mul(epc, em)
+            + half_r * mul(epc, ep))

@@ -19,9 +19,9 @@ from capwave.continuation import (
 from capwave.linearization import OperatorMatrix, dG_matrix, jacobian_fd
 from capwave.operators import WaveParams, q_hat, residual_fd, residual_inf
 from capwave.serialization import solution_to_dict
-from capwave.spectral import DegenerateMetricError, PeriodicFunction
+from capwave.spectral import DegenerateMetricError, PeriodicFunction, grid
 
-from _oracles import crapper_samples, sheet_rate_exponent, walk_steps
+from _oracles import bernoulli_spread, crapper_samples, sheet_rate_exponent, walk_steps
 
 
 def _crapper_start(A, n_grid=256):
@@ -574,6 +574,32 @@ def test_deep_and_finite_branches_agree_as_depth_grows():
     assert d8 < 0.5 * d4
 
 
+# max E - min E on a clean point of an M = 32 branch was 2e-11 to 5e-11, and
+# 1.6e-6 to 3.4e-6 with 1e-8 cos 3t added to w
+BERNOULLI_SPREAD_TOL = 1e-9
+
+
+@pytest.mark.parametrize("depth, alphas", [
+    (dict(), (-0.01, 0.02, 0.05)),
+    (dict(h=1.0), (-0.01, 0.05, 0.1)),
+    (dict(h=4.0, sigma=100.0), (0.0, 0.02, 0.05)),  # d = hk near 2: the strip shows
+])
+def test_solved_points_keep_bernoulli_law_on_the_surface(depth, alphas):
+    # gamma = 0 only: with vorticity the surface speed needs V, which has no
+    # derivation apart from the residual's own bracket yet
+    beta = crapper.beta_of(0.3)
+    branch = continue_branch(0.3, [(a, beta) for a in alphas], M=32, **depth)
+    assert [s.params.alpha for s in branch.solutions] == list(alphas)
+    for sol in branch.solutions:
+        w = sol.w.samples
+        assert bernoulli_spread(sol.params, w) < BERNOULLI_SPREAD_TOL
+        damaged = w + 1e-8 * np.cos(3.0 * grid(sol.w.n_grid))
+        assert bernoulli_spread(sol.params, damaged) > 100.0 * BERNOULLI_SPREAD_TOL
+        if "h" in depth and sol.params.alpha > 0.0:  # the half-plane conjugation fails there
+            deep = dataclasses.replace(sol.params, h=math.inf)
+            assert bernoulli_spread(deep, w) > 100.0 * BERNOULLI_SPREAD_TOL
+
+
 def test_finite_depth_branch_with_vorticity():
     beta = crapper.beta_of(0.3)
     schedule = [(0.0, beta), (1e-4, beta), (0.01, beta), (0.03, beta), (0.05, beta)]
@@ -615,7 +641,7 @@ def test_crapper_curve_check_keeps_the_bits_of_its_separate_closed_forms(monkeyp
         n = np.arange(1, sol.modes + 1)
         assert row["coefficient_error"] == float(np.max(np.abs(a - 4.0 * (-b) ** n)))
         assert row["profile_distance"] == float(np.max(np.abs(
-            sol.w.samples - crapper_samples(b, sol.w.t))))
+            sol.w.samples - crapper_samples(b, grid(sol.w.n_grid)))))
         assert row["recovered_A"] == float(-a[0] / 4.0)
 
 

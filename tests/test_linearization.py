@@ -33,13 +33,13 @@ from capwave.operators import (
     WaveParams,
     _residual_inf,
     residual_G,
-    residual_G_tilde,
     residual_fd,
     residual_inf,
     theta_of,
 )
 from capwave.spectral import PeriodicFunction, _samples_of, grid, mul
-from _oracles import flat_water_alpha, flat_water_diagonal, jacobian_loop, plus_minus_stack
+from _oracles import (flat_water_alpha, flat_water_diagonal, jacobian_loop, plus_minus_stack,
+                      residual_G_tilde)
 
 
 GOLDEN_SIGMA_MIN_A05_M64 = 0.548817980410871  # recorded from the build SVD
