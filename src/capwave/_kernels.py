@@ -6,8 +6,8 @@ right end in that order gives, for every segment, the window of later
 segments that overlap it in x; the y-ranges prune those pairs further, and
 only the survivors get the four orientation tests.  Only pairs with a
 segment below the index `owned` are built (a periodic curve owns its base
-period; the other pairs repeat them).  The box and orientation tests are
-`pair_crossings`, which takes any pairs, so a caller can test a few first.
+period; the other pairs repeat them); their x-ranges meet, so the pair test
+checks the y-ranges only.  `pairs_cross` takes any pairs and checks x first.
 A segment of a surface curve overlaps a handful of others, so the sweep
 costs O(n log n) plus the candidate pairs, not the n^2 / 2 of the pairwise
 sweep in tests/_oracles.py, whose orientation arithmetic it shares: both
@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 ENDPOINT_BAND = 1e-12
+_NONE = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 2  # no crossing
 
 
 def selected_backend() -> str:
@@ -38,13 +39,31 @@ def selected_backend() -> str:
 
 def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int) -> np.ndarray:
     """Proper pairwise intersections of the open polyline (x, y) whose lower
-    segment index is below `owned`, as pair_crossings gives them."""
+    segment index is below `owned`: an (n, 2) array, ordered by i and then j."""
+    i, j, px, py = _sweep(x, y, owned)
+    order = np.lexsort((j, i))
+    return np.column_stack((px[order], py[order]))
+
+
+def segments_cross(x: np.ndarray, y: np.ndarray, owned: int) -> bool:
+    """Whether segment_crossings(x, y, owned) finds a crossing; no point is sorted."""
+    return len(_sweep(x, y, owned)[0]) > 0
+
+
+def pairs_cross(x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
+    """Whether some pair (i, j) crosses, by the pair test of segment_crossings."""
+    xlo, xhi = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])
+    meet = (xlo[j] <= xhi[i]) & (xlo[i] <= xhi[j])  # the sweep's pairs always do
+    return len(_crossings(x, y, i[meet], j[meet])[0]) > 0
+
+
+def _sweep(x, y, owned):
     x = np.ascontiguousarray(x, dtype=float)
     y = np.ascontiguousarray(y, dtype=float)
     if len(x) != len(y) or len(x) < 4:
         raise ValueError("need at least 4 polyline points")
     if (x[1:] > x[:-1]).all():  # only neighbours overlap in x
-        return np.empty((0, 2))
+        return _NONE
     xlo, xhi = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])
     # in order of left ends, each segment pairs with the later ones whose left
     # end lies in its x-range: every pair of overlapping x-ranges, once.  An
@@ -60,20 +79,17 @@ def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int) -> np.ndarray:
     first = np.repeat(order, count)
     second = np.concatenate((order, order[mine]))[
         np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)]
-    return pair_crossings(x, y, np.minimum(first, second), np.maximum(first, second))
+    return _crossings(x, y, np.minimum(first, second), np.maximum(first, second))
 
 
-def pair_crossings(x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Proper crossings of segments i and j of the polyline (x, y), for each
-    pair with j >= i + 2 whose closed boxes meet and none within ENDPOINT_BAND
-    of an endpoint: an (n, 2) array of points, ordered by i and then j."""
+def _crossings(x, y, i, j):
+    """Arrays i, j, px, py of the proper crossings of pairs whose x-ranges meet:
+    j >= i + 2, y-ranges that meet and a point outside ENDPOINT_BAND of the ends."""
     ax, ay, bx, by = x[:-1], y[:-1], x[1:], y[1:]
-    xlo, xhi = np.minimum(ax, bx), np.maximum(ax, bx)
     ylo, yhi = np.minimum(ay, by), np.maximum(ay, by)
-    keep = ((j >= i + 2) & (xlo[j] <= xhi[i]) & (xlo[i] <= xhi[j])
-            & (ylo[j] <= yhi[i]) & (ylo[i] <= yhi[j]))
+    keep = (j >= i + 2) & (ylo[j] <= yhi[i]) & (ylo[i] <= yhi[j])
     if not keep.any():
-        return np.empty((0, 2))
+        return _NONE
     i, j = i[keep], j[keep]
     Ax, Ay, Bx, By = ax[i], ay[i], bx[i], by[i]
     Cx, Cy, Dx, Dy = ax[j], ay[j], bx[j], by[j]
@@ -83,14 +99,10 @@ def pair_crossings(x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray) -
     d3 = (Bx - Ax) * (Cy - Ay) - (By - Ay) * (Cx - Ax)
     d4 = (Bx - Ax) * (Dy - Ay) - (By - Ay) * (Dx - Ax)
     proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-    if not proper.any():
-        return np.empty((0, 2))
     i, j, d1, d2 = i[proper], j[proper], d1[proper], d2[proper]
     s = d1 / (d1 - d2)
     px = x[i] + s * (x[i + 1] - x[i])
     py = y[i] + s * (y[i + 1] - y[i])
     e = np.array((i, i + 1, j, j + 1))
-    near = ((np.abs(px - x[e]) <= ENDPOINT_BAND) & (np.abs(py - y[e]) <= ENDPOINT_BAND)).any(axis=0)
-    hits = np.lexsort((j, i))
-    hits = hits[~near[hits]]
-    return np.column_stack((px[hits], py[hits]))
+    far = ~((np.abs(px - x[e]) <= ENDPOINT_BAND) & (np.abs(py - y[e]) <= ENDPOINT_BAND)).any(axis=0)
+    return i[far], j[far], px[far], py[far]

@@ -16,7 +16,7 @@ units (k = 1) otherwise; `solution_report` holds the flags of every Newton
 solution.  Each crossing is counted once per period (see `check_injective`).
 The threshold bisection draws the explicit family from F_A's closed form
 (`crapper.circle_samples`) instead of through `surface_profile`'s transforms,
-and looks for a crossing on the family's mirror axes x = k*pi first.
+and each check stops at the first pass that decides it (crapper_profile_injective).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crapper
-from ._kernels import pair_crossings, segment_crossings
+from ._kernels import pairs_cross, segment_crossings, segments_cross
 from .spectral import DegenerateMetricError, PeriodicFunction, hilbert, hilbert_strip, grid
 from .operators import METRIC_FLOOR, WaveParams, conformal_metric
 
@@ -137,28 +137,31 @@ def steepness(w: PeriodicFunction) -> float:
 
 
 def crapper_profile_injective(A: float, n_grid: int) -> bool:
-    """Whether the explicit profile at A is injective on n_grid points.  Its
-    curve and metric come from F_A's closed form (see crapper), with
-    surface_profile's refusal of a degenerate metric but no transform.  The
-    curve is mirror-symmetric about every line x = k*pi, and its lobes close
-    across them, so those are searched first (mirror_axis_crossings).  That
-    pass only answers "crosses"; when it finds nothing, the full sweep decides."""
+    """Whether the explicit profile at A is injective on n_grid points, drawn
+    from F_A's closed form (see crapper) with check_injective's refusals.  The
+    first pass that decides answers: x rising strictly; the mirror axes x = k*pi,
+    where the lobes close, in two periods ("crosses" only); the full sweep."""
     A = crapper._check_param(A)
     x, y, W = crapper.circle_samples(A, n_grid)
     if W.min() < METRIC_FLOOR:
         raise DegenerateMetricError("conformal metric vanishes on the grid")
-    x, y = SurfaceCurve(x=x, y=y, k=1.0).swept()
-    return not (len(mirror_axis_crossings(x, y, n_grid)) or len(segment_crossings(x, y, n_grid)))
+    if n_grid < 64:
+        raise ValueError("injectivity check needs at least 64 points")
+    curve = SurfaceCurve(x=x, y=y, k=1.0)
+    # swept()'s start, or more: a segment past its end meets no base one in x
+    x, y = np.concatenate((x, x + curve.period)), np.concatenate((y, y))
+    if (x[1:n_grid + 1] > x[:n_grid]).all():
+        return True
+    return not (pairs_cross(x, y, *mirror_axis_pairs(x, n_grid))
+                or segments_cross(*curve.swept(), n_grid))
 
 
-def mirror_axis_crossings(x: np.ndarray, y: np.ndarray, owned: int) -> np.ndarray:
-    """Crossings of segment_crossings(x, y, owned) among the segments with ends
-    on either side of a line x = k*pi: each below `owned` with each later one."""
+def mirror_axis_pairs(x: np.ndarray, owned: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j) of segments across a line x = k*pi, i below `owned`."""
     q = np.floor(x / math.pi)
     axial = np.flatnonzero(q[1:] != q[:-1])
     mine = axial[:np.searchsorted(axial, owned)]
-    i, j = np.repeat(mine, len(axial)), np.tile(axial, len(mine))
-    return pair_crossings(x, y, i, j)
+    return np.repeat(mine, len(axial)), np.concatenate([axial[:0]] + [axial] * len(mine))
 
 
 def critical_self_intersection_A(tol: float = 1e-3, n_grid: int = 2048,
@@ -175,6 +178,8 @@ def critical_self_intersection_A(tol: float = 1e-3, n_grid: int = 2048,
         lo *= 0.5
         if abs(lo) < 1e-3:
             raise RuntimeError("failed to bracket the self-intersection threshold")
+    if hi <= lo:  # the loop below would not run and return the midpoint
+        raise ValueError(f"need lo < hi once lo is injective, got lo={lo}, hi={hi}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if crapper_profile_injective(mid, n_grid):

@@ -16,8 +16,11 @@ and `plus_minus_stack`, the +-step stack that `jacobian_fd` builds with the
 same expression and that pins its modes on bases holding signed zeros, inf
 and nan.  So is `periodic_extension`, the gather that built the whole
 extension of the period before it was joined from shifted copies; the
-polyline that `SurfaceCurve.swept` builds must be a prefix of it.  And so
-is `residual_G_tilde`, the pushed-forward angle residual compared with G.
+polyline that `SurfaceCurve.swept` builds must be a prefix of it.  So is
+`pair_crossings`, the pair test as the sweep ran it with both boxes and its
+points sorted, which the kernel's yes/no answers and its sweep without the
+x-box test must agree with.  And so is `residual_G_tilde`, the pushed-forward
+angle residual compared with G.
 """
 
 import numpy as np
@@ -295,6 +298,35 @@ def pairwise_crossings(x, y, band, owned=None, skip_disjoint_boxes=False):
             if not near:
                 pts.append((px, py))
     return np.array(pts, dtype=float).reshape(-1, 2)
+
+
+def pair_crossings(x, y, i, j, band):
+    """Proper crossings of segments i and j of the polyline (x, y), for each
+    pair with j >= i + 2 whose closed boxes meet and none within `band` of an
+    endpoint: an (n, 2) array of points, ordered by i and then j."""
+    ax, ay, bx, by = x[:-1], y[:-1], x[1:], y[1:]
+    xlo, xhi = np.minimum(ax, bx), np.maximum(ax, bx)
+    ylo, yhi = np.minimum(ay, by), np.maximum(ay, by)
+    keep = ((j >= i + 2) & (xlo[j] <= xhi[i]) & (xlo[i] <= xhi[j])
+            & (ylo[j] <= yhi[i]) & (ylo[i] <= yhi[j]))
+    i, j = i[keep], j[keep]
+    Ax, Ay, Bx, By = ax[i], ay[i], bx[i], by[i]
+    Cx, Cy, Dx, Dy = ax[j], ay[j], bx[j], by[j]
+    ex, ey = Dx - Cx, Dy - Cy
+    d1 = ex * (Ay - Cy) - ey * (Ax - Cx)
+    d2 = ex * (By - Cy) - ey * (Bx - Cx)
+    d3 = (Bx - Ax) * (Cy - Ay) - (By - Ay) * (Cx - Ax)
+    d4 = (Bx - Ax) * (Dy - Ay) - (By - Ay) * (Dx - Ax)
+    proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+    i, j, d1, d2 = i[proper], j[proper], d1[proper], d2[proper]
+    s = d1 / (d1 - d2)
+    px = x[i] + s * (x[i + 1] - x[i])
+    py = y[i] + s * (y[i + 1] - y[i])
+    e = np.array((i, i + 1, j, j + 1))
+    near = ((np.abs(px - x[e]) <= band) & (np.abs(py - y[e]) <= band)).any(axis=0)
+    hits = np.lexsort((j, i))
+    hits = hits[~near[hits]]
+    return np.column_stack((px[hits], py[hits]))
 
 
 def periodic_extension(curve):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from capwave import crapper, geometry
-from capwave._kernels import ENDPOINT_BAND, pair_crossings, segment_crossings
+from capwave._kernels import ENDPOINT_BAND, pairs_cross, segment_crossings, segments_cross
 from capwave.geometry import (
     SurfaceCurve,
     check_above_bed,
@@ -18,8 +19,8 @@ from capwave.geometry import (
 )
 from capwave.operators import conformal_metric
 from capwave.spectral import DegenerateMetricError, PeriodicFunction, derivative, grid
-from _oracles import (crapper_threshold, pairwise_crossings, periodic_extension,
-                      steepness_closed_form)
+from _oracles import (crapper_threshold, pair_crossings, pairwise_crossings,
+                      periodic_extension, steepness_closed_form)
 
 
 def test_surface_profile_flat_and_family_values():
@@ -257,10 +258,13 @@ def test_check_injective_matches_the_full_polyline_oracle_on_random_walks(curve)
 
 def _assert_pair_test_is_part_of_the_sweep(x, y, owned, pairs):
     # any pairs, neighbours, reversed pairs and disjoint boxes included, give a
-    # subsequence of the sweep's rows, bit for bit and in (i, j) order
+    # subsequence of the sweep's rows, bit for bit and in (i, j) order; the
+    # sweep, which skips the x-box test, and the yes/no answers agree with them
     want = [r.tobytes() for r in segment_crossings(x, y, owned)]
+    assert segments_cross(x, y, owned) == (len(want) > 0)
     pairs = np.array([p for p in pairs if p[0] < owned], dtype=np.intp).reshape(-1, 2)
-    got = pair_crossings(x, y, pairs[:, 0], pairs[:, 1])
+    got = pair_crossings(x, y, pairs[:, 0], pairs[:, 1], ENDPOINT_BAND)
+    assert pairs_cross(x, y, pairs[:, 0], pairs[:, 1]) == (len(got) > 0)
     rest = iter(want)
     assert got.shape[1] == 2 and all(r.tobytes() in rest for r in got)
     return want
@@ -282,7 +286,8 @@ def test_pair_crossings_are_a_subsequence_of_the_sweep_on_polylines(data, xy, ow
         want = _assert_pair_test_is_part_of_the_sweep(x, y, rows, pairs)
         # every pair with an owned lower segment: the sweep's rows exactly
         i, j = np.divmod(np.arange(min(rows, len(x) - 1) * (len(x) - 1)), len(x) - 1)
-        assert [r.tobytes() for r in pair_crossings(x, y, i, j)] == want
+        assert [r.tobytes() for r in pair_crossings(x, y, i, j, ENDPOINT_BAND)] == want
+        assert pairs_cross(x, y, i, j) == (len(want) > 0)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -413,21 +418,38 @@ _AXIS_PASS_A = [s * A for A in (*np.arange(0.05, 0.951, 0.01), *(A_STAR + np.lin
 
 def test_mirror_axis_pass_finds_only_the_sweeps_crossings_and_decides_every_crossing_curve(
         monkeypatch):
-    swept = []
-    monkeypatch.setattr(geometry, "segment_crossings",
-                        lambda x, y, owned: swept.append(owned) or segment_crossings(x, y, owned))
+    passes = []
+    monkeypatch.setattr(geometry, "pairs_cross",
+                        lambda x, y, i, j: passes.append("axes") or pairs_cross(x, y, i, j))
+    monkeypatch.setattr(geometry, "segments_cross",
+                        lambda x, y, owned: passes.append(owned) or segments_cross(x, y, owned))
     for n in (64, 128, 256, 512, 1024, 2048, 4096):
         for A in _AXIS_PASS_A:
             curve = SurfaceCurve(*crapper.circle_samples(A, n)[:2], 1.0)
             full = check_injective(curve)
-            swept.clear()
+            passes.clear()
             assert crapper_profile_injective(A, n) == full.injective
-            found = geometry.mirror_axis_crossings(*curve.swept(), n)
+            # the axis pass reads the base period and the next copy: the start
+            # of the swept polyline, bit for bit, or more of it
+            x = np.concatenate((curve.x, curve.x + curve.period))
+            y = np.concatenate((curve.y, curve.y))
+            swept = curve.swept()
+            m = min(len(swept[0]), len(x))
+            assert [a[:m].tobytes() for a in swept] == [x[:m].tobytes(), y[:m].tobytes()]
+            found = pair_crossings(x, y, *geometry.mirror_axis_pairs(x, n), ENDPOINT_BAND)
             rows = {r.tobytes() for r in full.crossings}
             assert all(r.tobytes() in rows for r in found)
-            # the pass decides every crossing curve: only an injective one
-            # goes on to the full sweep
-            assert (len(found) == 0) == full.injective == (swept == [n])
+            # x rises strictly below the fold at sqrt(2) - 1, and where it
+            # does, neither pass runs
+            rises = bool(np.all(swept[0][1:] > swept[0][:-1]))
+            assert rises or abs(A) > np.sqrt(2.0) - 1.0
+            if rises:
+                assert passes == [] and full.injective
+            else:
+                # the pass decides every crossing curve: only an injective
+                # one goes on to the full sweep
+                assert passes[0] == "axes"
+                assert (len(found) == 0) == full.injective == (passes == ["axes", n])
 
 
 # A* as the bisection returned it when each curve came from the grid
@@ -511,6 +533,17 @@ def test_critical_self_intersection_halves_a_negative_lower_bracket():
     # -0.25, which does not: a bracket, not a failure to find one
     a_star = critical_self_intersection_A(tol=1e-3, n_grid=1024, lo=-0.5)
     assert abs(a_star - A_STAR) <= 1e-3 / 2 + 3e-7
+
+
+def test_critical_self_intersection_refuses_a_reversed_bracket():
+    # hi = -0.7 crosses and lo is injective as given, so no step would run and
+    # the midpoint, -0.25 or -0.45, came back as the threshold
+    for lo in (0.2, -0.2):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"need lo < hi once lo is injective, got lo={lo}, hi=-0.7") + "$"):
+            critical_self_intersection_A(tol=1e-3, n_grid=1024, lo=lo, hi=-0.7)
+    # lo = 0.6 crosses and halves to 0.3, below hi: a bracket
+    assert critical_self_intersection_A(tol=1e-3, n_grid=1024, lo=0.6, hi=0.5) == 0.45429687500000004
 
 
 def test_critical_self_intersection_needs_a_crossing_upper_bracket():
