@@ -45,11 +45,6 @@ def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int) -> np.ndarray:
     return np.column_stack((px[order], py[order]))
 
 
-def segments_cross(x: np.ndarray, y: np.ndarray, owned: int) -> bool:
-    """Whether segment_crossings(x, y, owned) finds a crossing; no point is sorted."""
-    return len(_sweep(x, y, owned)[0]) > 0
-
-
 def pairs_cross(x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
     """Whether some pair (i, j) crosses, by the pair test of segment_crossings."""
     xlo, xhi = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])

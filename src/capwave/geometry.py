@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crapper
-from ._kernels import pairs_cross, segment_crossings, segments_cross
+from ._kernels import pairs_cross, segment_crossings
 from .spectral import DegenerateMetricError, PeriodicFunction, hilbert, hilbert_strip, grid
 from .operators import METRIC_FLOOR, WaveParams, conformal_metric
 
@@ -153,7 +153,7 @@ def crapper_profile_injective(A: float, n_grid: int) -> bool:
     if (x[1:n_grid + 1] > x[:n_grid]).all():
         return True
     return not (pairs_cross(x, y, *mirror_axis_pairs(x, n_grid))
-                or segments_cross(*curve.swept(), n_grid))
+                or len(segment_crossings(*curve.swept(), n_grid)))
 
 
 def mirror_axis_pairs(x: np.ndarray, owned: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from capwave import crapper, geometry
-from capwave._kernels import ENDPOINT_BAND, pairs_cross, segment_crossings, segments_cross
+from capwave._kernels import ENDPOINT_BAND, pairs_cross, segment_crossings
 from capwave.geometry import (
     SurfaceCurve,
     check_above_bed,
@@ -258,10 +258,9 @@ def test_check_injective_matches_the_full_polyline_oracle_on_random_walks(curve)
 
 def _assert_pair_test_is_part_of_the_sweep(x, y, owned, pairs):
     # any pairs, neighbours, reversed pairs and disjoint boxes included, give a
-    # subsequence of the sweep's rows, bit for bit and in (i, j) order; the
-    # sweep, which skips the x-box test, and the yes/no answers agree with them
+    # subsequence of the sweep's rows, bit for bit and in (i, j) order, and
+    # the yes/no answer on the same pairs agrees with them
     want = [r.tobytes() for r in segment_crossings(x, y, owned)]
-    assert segments_cross(x, y, owned) == (len(want) > 0)
     pairs = np.array([p for p in pairs if p[0] < owned], dtype=np.intp).reshape(-1, 2)
     got = pair_crossings(x, y, pairs[:, 0], pairs[:, 1], ENDPOINT_BAND)
     assert pairs_cross(x, y, pairs[:, 0], pairs[:, 1]) == (len(got) > 0)
@@ -284,7 +283,8 @@ def test_pair_crossings_are_a_subsequence_of_the_sweep_on_polylines(data, xy, ow
     pairs = data.draw(_pairs_on(xy))
     for rows in (owned, len(x) - 1):  # with and without owned rows
         want = _assert_pair_test_is_part_of_the_sweep(x, y, rows, pairs)
-        # every pair with an owned lower segment: the sweep's rows exactly
+        # every pair with an owned lower segment, both boxes tested: the rows
+        # of the sweep, which skips the x-box test, exactly
         i, j = np.divmod(np.arange(min(rows, len(x) - 1) * (len(x) - 1)), len(x) - 1)
         assert [r.tobytes() for r in pair_crossings(x, y, i, j, ENDPOINT_BAND)] == want
         assert pairs_cross(x, y, i, j) == (len(want) > 0)
@@ -421,8 +421,8 @@ def test_mirror_axis_pass_finds_only_the_sweeps_crossings_and_decides_every_cros
     passes = []
     monkeypatch.setattr(geometry, "pairs_cross",
                         lambda x, y, i, j: passes.append("axes") or pairs_cross(x, y, i, j))
-    monkeypatch.setattr(geometry, "segments_cross",
-                        lambda x, y, owned: passes.append(owned) or segments_cross(x, y, owned))
+    monkeypatch.setattr(geometry, "segment_crossings",
+                        lambda x, y, owned: passes.append(owned) or segment_crossings(x, y, owned))
     for n in (64, 128, 256, 512, 1024, 2048, 4096):
         for A in _AXIS_PASS_A:
             curve = SurfaceCurve(*crapper.circle_samples(A, n)[:2], 1.0)

@@ -5,17 +5,17 @@
 
 Each commit is exported with `git archive` into its own temporary directory,
 so both run from their committed files only.  Each copy first makes one
-untimed warm-up run of every workload (`--warmup-seconds`, on the first
-seed).  Then, per workload, pair k runs `bench/run.py --trace 0` on seed
-first_seed + k in both copies, the parent first in even pairs and the change
-first in odd ones.  For each end-to-end metric of BENCHMARK.json the summary
+untimed 5 s warm-up run of every workload of BENCHMARK.json (on the first
+seed).  Then, per workload, pair k runs `bench/run.py --trace 0` for the
+benchmark's `run_seconds` on seed first_seed + k in both copies, the parent
+first in even pairs and the change first in odd ones.  For each end-to-end metric of BENCHMARK.json the summary
 gives both sides' medians and quartiles (statistics.quantiles, inclusive),
 the parent's IQR, in how many pairs the change was better, how much worse the
 change's median is (a fraction; negative when better) against the metric's
 bound, and whether the medians differ by more than the parent's IQR.  A
 claim WORKLOAD:METRIC is met when the change is better in at least 90 % of
-the pairs and its median better by more than the parent's IQR.  Failed ops
-are counted per side.  Only the standard library is used, and only
+the pairs and its median better by more than the parent's IQR; the record
+keeps the verdict as `claim_met`.  Failed ops are counted per side.  Only the standard library is used, and only
 `bench/run.py` is run.
 """
 
@@ -36,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+WARMUP_SECONDS = 5.0
 
 
 def export(rev: str, into: Path) -> Path:
@@ -132,15 +133,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD~1", help="the commit to compare against")
     ap.add_argument("--change", default="HEAD", help="the commit to time")
-    ap.add_argument("--workloads", nargs="+", help="default: those of BENCHMARK.json")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--warmup-seconds", type=float, default=5.0)
-    ap.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC")
+    ap.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the gain to test, if any")
     ap.add_argument("--tmp", help="where the two copies go (default: the system's)")
     ap.add_argument("--out", help="write the runs and the summary as JSON here")
     args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 (quartiles need two runs a side)")
 
@@ -148,32 +147,32 @@ def main(argv=None) -> int:
         copies = {side: export(rev, Path(tmp) / side)
                   for side, rev in zip(SIDES, (args.parent, args.change))}
         spec = json.loads((copies["change"] / "BENCHMARK.json").read_text())
-        workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+        workloads, seconds = [w["name"] for w in spec["workloads"]], spec["run_seconds"]
         metrics = spec["end_to_end"]
         for workload in workloads:
             for side in SIDES:
-                bench(copies[side], workload, args.first_seed, args.warmup_seconds)
+                bench(copies[side], workload, args.first_seed, WARMUP_SECONDS)
         seeds = list(range(args.first_seed, args.first_seed + args.pairs))
         report = {
-            "command": f"python3 bench/run.py --workload W --seed N --seconds {args.seconds:g} "
+            "command": f"python3 bench/run.py --workload W --seed N --seconds {seconds:g} "
                        f"--trace 0, in git archive copies of {args.parent} (parent) and "
                        f"{args.change} (change), alternating which runs first; one untimed "
-                       f"{args.warmup_seconds:g} s warm-up run of each workload in each copy first",
+                       f"{WARMUP_SECONDS:g} s warm-up run of each workload in each copy first",
+            "tool": " ".join(["python3 tools/bench_pairs.py", *argv]),
             "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}",
             "src_sha256": {side: src_sha256(copies[side]) for side in SIDES},
             "workloads": {},
         }
         for workload in workloads:
-            result = run_pairs(copies, workload, metrics, seeds, args.seconds)
+            result = run_pairs(copies, workload, metrics, seeds, seconds)
             report["workloads"][workload] = result
             print_rows(workload, result)
             sys.stdout.flush()
-    claims = {}
-    for claim in args.claim:
-        workload, metric = claim.split(":")
-        claims[claim] = claim_met(report["workloads"][workload]["summary"][metric])
-        print(f"claim {claim}: {'met' if claims[claim] else 'not met'}")
-    report["claims_met"] = claims
+    if args.claim:
+        workload, metric = args.claim.split(":")
+        report["claim"] = args.claim
+        report["claim_met"] = claim_met(report["workloads"][workload]["summary"][metric])
+        print(f"claim {args.claim}: {'met' if report['claim_met'] else 'not met'}")
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
