@@ -139,7 +139,6 @@ def main(argv=None) -> int:
     ap.add_argument("--tmp", help="where the two copies go (default: the system's)")
     ap.add_argument("--out", help="write the runs and the summary as JSON here")
     args = ap.parse_args(argv)
-    argv = sys.argv[1:] if argv is None else argv
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 (quartiles need two runs a side)")
 
@@ -158,7 +157,9 @@ def main(argv=None) -> int:
                        f"--trace 0, in git archive copies of {args.parent} (parent) and "
                        f"{args.change} (change), alternating which runs first; one untimed "
                        f"{WARMUP_SECONDS:g} s warm-up run of each workload in each copy first",
-            "tool": " ".join(["python3 tools/bench_pairs.py", *argv]),
+            "tool": f"python3 tools/bench_pairs.py --parent {args.parent} --change {args.change} "
+                    f"--pairs {args.pairs} --first-seed {args.first_seed}"
+                    + (f" --claim {args.claim}" if args.claim else ""),
             "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}",
             "src_sha256": {side: src_sha256(copies[side]) for side in SIDES},
             "workloads": {},
