@@ -10,9 +10,9 @@ w_A is the boundary trace of the disc-analytic F_A(z) = 2(1-Az)/(1+Az) - 2,
 which pins the cosine coefficients to 4(-A)^n and gives machine-accurate
 values for w_A', 1+C w_A' and the tangent angle theta_A without ever
 differentiating on the grid.  The imaginary part of that trace, C w_A, gives
-the surface abscissa t + C w_A, so `circle_samples` draws each curve, its
-profile and its metric W in one pass on the cos t and sin t that `spectral`
-keeps per grid; `family_distance` measures coefficients against 4(-A)^n.
+the surface abscissa t + C w_A, so `circle_samples` draws each curve and its
+profile in one pass on the cos t and sin t that `spectral` keeps per grid;
+`family_distance` measures coefficients against 4(-A)^n.
 """
 
 from __future__ import annotations
@@ -76,23 +76,18 @@ def family_distance(A: float, a: np.ndarray) -> float:
     return float(np.max(np.abs(a - 4.0 * (-A) ** n)))
 
 
-def circle_samples(A: float, n_grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form (t + C w_A, w_A, W) on the grid, W = w_A'^2 + (1 + C w_A')^2:
-    the surface abscissa Im F_A(e^{it}) + t, the profile Re F_A(e^{it}) and the
-    |.|^2 of slope_components, over the one denominator 1 + A^2 + 2A cos t."""
+def circle_samples(A: float, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (t + C w_A, w_A) on the grid: the surface abscissa
+    Im F_A(e^{it}) + t and the profile Re F_A(e^{it}), over the one denominator
+    1 + A^2 + 2A cos t."""
     t, *_, cos, sin = _grid_arrays(n_grid)
-    c = 2.0 * A * cos
-    a = 1.0 + A * A
-    den = a + c
+    den = 1.0 + A * A + 2.0 * A * cos
     x = 4.0 * A * sin
     x /= den
     np.subtract(t, x, out=x)
     y = 2.0 * (1.0 - A * A) / den
     y -= 2.0
-    W = np.subtract(a, c, out=c)
-    W /= den
-    W *= W
-    return x, y, W
+    return x, y
 
 
 def slope_components(A: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import crapper
 from ._kernels import pairs_cross, segment_crossings
-from .spectral import DegenerateMetricError, PeriodicFunction, hilbert, hilbert_strip, grid
-from .operators import METRIC_FLOOR, WaveParams, conformal_metric
+from .spectral import PeriodicFunction, hilbert, hilbert_strip, grid
+from .operators import WaveParams, conformal_metric
 
 GEOMETRY_POINTS = 1024
 
@@ -138,13 +138,13 @@ def steepness(w: PeriodicFunction) -> float:
 
 def crapper_profile_injective(A: float, n_grid: int) -> bool:
     """Whether the explicit profile at A is injective on n_grid points, drawn
-    from F_A's closed form (see crapper) with check_injective's refusals.  The
-    first pass that decides answers: x rising strictly; the mirror axes x = k*pi,
-    where the lobes close, in two periods ("crosses" only); the full sweep."""
+    from F_A's closed form (see crapper) with check_injective's refusals.  No
+    metric refusal is needed: W >= ((1-|A|)/(1+|A|))^4 >= 6.4e-10 at |A| <=
+    A_CAP, far above surface_profile's floor.  The first pass that decides
+    answers: x rising strictly; the mirror axes x = k*pi, where the lobes
+    close, in two periods ("crosses" only); the full sweep."""
     A = crapper._check_param(A)
-    x, y, W = crapper.circle_samples(A, n_grid)
-    if W.min() < METRIC_FLOOR:
-        raise DegenerateMetricError("conformal metric vanishes on the grid")
+    x, y = crapper.circle_samples(A, n_grid)
     if n_grid < 64:
         raise ValueError("injectivity check needs at least 64 points")
     curve = SurfaceCurve(x=x, y=y, k=1.0)

@@ -44,8 +44,9 @@ def abscissa_samples(A, t):
 
 
 def metric_samples(A, t):
-    """W = ((1+A^2-2A cos t)/(1+A^2+2A cos t))^2, as `crapper.metric_samples`
-    computed it before `crapper.circle_samples` (bit for bit, likewise)."""
+    """W = ((1+A^2-2A cos t)/(1+A^2+2A cos t))^2, the metric of Crapper's
+    curve, as `crapper.metric_samples` computed it; `crapper` no longer
+    forms W, since no |A| <= A_CAP brings it near the metric floor."""
     c = 2.0 * A * np.cos(t)
     return ((1.0 + A * A - c) / (1.0 + A * A + c)) ** 2
 
@@ -221,25 +222,36 @@ def fft_derivative(samples):
 
 
 def bernoulli_spread(params, w_samples):
-    """max E - min E over the grid of w's samples, E = 1/(2W) + alpha w - beta
-    kappa: Bernoulli's law on the free surface x = t + C w, y = w in scaled
-    variables, without vorticity (1/W is the squared speed, kappa the
-    curvature).  C is the strip conjugation at d = hk in finite depth at alpha
-    > 0, else the half-plane one; finite depth at alpha <= 0 is deep water at
-    alpha = 0, as FD is.  No bracket, head or assembly of a residual is used."""
-    if params.gamma != 0.0:
-        raise ValueError("the Bernoulli oracle has no vorticity")
-    alpha, d = params.alpha, np.inf
+    """max E - min E over the grid of w's samples, E = V^2/(2W) + alpha w -
+    beta kappa: Bernoulli's law on the free surface x = t + C w, y = w in
+    scaled variables (V^2/W is the squared speed, kappa the curvature).  C is
+    the strip conjugation at d = hk in finite depth at alpha > 0, else the
+    half-plane one; finite depth at alpha <= 0 is deep water at alpha = 0, as
+    FD is.  V is the vorticity bracket of the `operators` docstring,
+
+        V = 1 + gamma (alpha^3 sigma/(g^3 beta))^(1/4)
+                  ([w^2]/(2hk) + C_d(w w') - w - w C_d w'),
+
+    in plain sample algebra, and V = 1 at alpha <= 0.  This V is not
+    independent of `_finite_depth_pieces`: it is the same display, and no
+    derivation of the surface speed apart from it has been made.  No
+    bracket, head or assembly of a residual is used."""
+    alpha, d, V = params.alpha, np.inf, 1.0
+    wp = fft_derivative(w_samples)
     if np.isfinite(params.h):
         if alpha > 0.0:
             d = params.h * np.sqrt(params.g * params.beta / (alpha * params.sigma))
+            pref = params.gamma * (alpha ** 3 * params.sigma
+                                   / (params.g ** 3 * params.beta)) ** 0.25
+            V = 1.0 + pref * (trapezoid_mean(w_samples ** 2) / (2.0 * d)
+                              + fft_hilbert(w_samples * wp, d) - w_samples
+                              - w_samples * fft_hilbert(wp, d))
         alpha = max(alpha, 0.0)
-    wp = fft_derivative(w_samples)
     wpp = fft_derivative(wp)
     xp, xpp = 1.0 + fft_hilbert(wp, d), fft_hilbert(wpp, d)
     W = xp ** 2 + wp ** 2
     kappa = (xp * wpp - wp * xpp) / W ** 1.5
-    E = 0.5 / W + alpha * w_samples - params.beta * kappa
+    E = 0.5 * V ** 2 / W + alpha * w_samples - params.beta * kappa
     return float(E.max() - E.min())
 
 

@@ -814,6 +814,19 @@ def test_limit_check_rejects_bad_alphas(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("gamma", ["1", "0"])
+def test_limit_check_passes_flat_water(tmp_path, capsys, gamma):
+    # every difference is exactly 0, so none decreases strictly, yet flat
+    # water solves FD and F alike (as verify --A 0 passes)
+    out = tmp_path / "limit.json"
+    assert main(["limit-check", "--A", "0", "--gamma", gamma, "--out", str(out)]) == 0
+    report = json.loads(_read(out))
+    assert report["differences"] == [0.0, 0.0, 0.0]
+    assert report["strictly_decreasing"] is False
+    assert report["zero_at_nonpositive_alpha"] is True and report["passed"] is True
+    capsys.readouterr()
+
+
 def test_limit_check_tolerance_failure_exit_code(capsys):
     # alphas ordered towards the limit from below: differences grow, exit 2
     assert main(["limit-check", "--A", "0.5", "--gamma", "1", "--h", "2",

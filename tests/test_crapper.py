@@ -12,7 +12,6 @@ from _oracles import (
     exp_conjugate_theta_samples,
     family_grid,
     grid_for_modes,
-    metric_samples,
     resolving_grid,
     steepness_closed_form,
     theta_samples,
@@ -111,13 +110,12 @@ def test_crapper_theta_pointwise_exponential_identity():
 @pytest.mark.parametrize("A", [s * A for A in (0.0, 0.3, 0.4546, 0.9, 0.99) for s in (1, -1)])
 def test_circle_samples_keep_the_bits_of_the_separate_closed_forms(A, n):
     t = grid(n)
-    x, y, W = crapper.circle_samples(A, n)
+    x, y = crapper.circle_samples(A, n)
     assert np.array_equal(x, abscissa_samples(A, t))
     assert np.array_equal(y, crapper_samples(A, t))
-    assert np.array_equal(W, metric_samples(A, t))
     # the grid's cos/sin table is shared and read-only; the samples are the caller's
     assert not any(a.flags.writeable for a in spectral._grid_arrays(n)[4:])
-    assert all(a.flags.writeable for a in (x, y, W))
+    assert all(a.flags.writeable for a in (x, y))
 
 
 def test_verify_identity():

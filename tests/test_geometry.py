@@ -17,9 +17,9 @@ from capwave.geometry import (
     steepness,
     surface_profile,
 )
-from capwave.operators import conformal_metric
+from capwave.operators import METRIC_FLOOR, conformal_metric
 from capwave.spectral import DegenerateMetricError, PeriodicFunction, derivative, grid
-from _oracles import (crapper_threshold, pair_crossings, pairwise_crossings,
+from _oracles import (crapper_threshold, metric_samples, pair_crossings, pairwise_crossings,
                       periodic_extension, steepness_closed_form)
 
 
@@ -357,7 +357,8 @@ def _transformed_profile_injective(A, n):
 def test_closed_form_curve_matches_the_transformed_profile(A, n):
     w = crapper.crapper_wave(A, n)
     curve = surface_profile(w, 1.0)
-    x, y, closed = crapper.circle_samples(A, n)
+    x, y = crapper.circle_samples(A, n)
+    closed = metric_samples(A, grid(n))
     assert np.max(np.abs(x - curve.x)) <= 1e-12
     assert np.max(np.abs(y - curve.y)) <= 1e-12
     # relative to max W: near the trough at |A| = 0.9, where W is 7.7e-6, the
@@ -392,15 +393,16 @@ def test_crapper_profile_injective_refuses_what_the_transformed_profile_refused(
             check(A, n_grid)
 
 
-def test_crapper_profile_injective_refuses_a_degenerate_metric(monkeypatch):
-    # W = ((1-A)/(1+A))^4 at the trough: 6.4e-10 at A_CAP, above the floor,
-    # which a floor raised to 1e-9 puts it under
+def test_a_capped_parameter_keeps_the_metric_far_above_its_floor():
+    # crapper_profile_injective draws the curve without W and so has no metric
+    # refusal; that holds while W at every |A| <= A_CAP stays clear of the
+    # floor: its trough ((1-A)/(1+A))^4 is 6.4e-10 at A_CAP = 0.99, and raising
+    # the cap towards 1 drives it to 0
     A = crapper.A_CAP
-    assert crapper.circle_samples(A, 1024)[2].min() == pytest.approx(((1 - A) / (1 + A)) ** 4)
-    assert not crapper_profile_injective(A, 1024)
-    monkeypatch.setattr(geometry, "METRIC_FLOOR", 1e-9)
-    with pytest.raises(DegenerateMetricError, match="^conformal metric vanishes on the grid$"):
-        crapper_profile_injective(A, 1024)
+    assert ((1 - A) / (1 + A)) ** 4 >= 100.0 * METRIC_FLOOR
+    for n in (64, 128, 256, 512, 1024, 2048, 4096):
+        for a in (A, -A):
+            assert metric_samples(a, grid(n)).min() >= 100.0 * METRIC_FLOOR
 
 
 A_STAR = crapper_threshold()
