@@ -233,7 +233,7 @@ def _start_jacobians(start, first, w, M):
             stack = partial(_residual_inf, np.array([[start.alpha], [first.alpha]]),
                             np.array([[start.beta], [first.beta]]))
             both = _jacobians(stack, w, M, rows_per_mode=3)  # 2: peak RSS +3 %
-            return tuple(OperatorMatrix(jac, "cosine") for jac in both)
+            return tuple(OperatorMatrix(jac) for jac in both)
     return None, None
 
 

@@ -76,7 +76,6 @@ class SurfaceCurve:
 
 @dataclass(frozen=True)
 class InjectivityReport:
-    injective: bool
     crossings: np.ndarray  # (n, 2) crossing points, each on its base-period segment
 
 
@@ -98,7 +97,7 @@ def check_injective(curve: SurfaceCurve) -> InjectivityReport:
     counted where the lower segment of the pair lies in the base period (see
     SurfaceCurve.swept)."""
     hits = segment_crossings(*curve.swept(), owned=len(curve.x))
-    return InjectivityReport(injective=len(hits) == 0, crossings=hits)
+    return InjectivityReport(crossings=hits)
 
 
 def solution_curve(params: WaveParams, w: PeriodicFunction,

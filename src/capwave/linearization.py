@@ -65,7 +65,6 @@ class OperatorMatrix:
     """Dense truncation of a linear operator between Fourier mode spaces."""
 
     entries: np.ndarray
-    basis: str              # input basis: "cosine" (w-space) or "sine" (theta-space)
 
     def __post_init__(self):
         e = np.asarray(self.entries)
@@ -74,17 +73,11 @@ class OperatorMatrix:
         if not np.all(np.isfinite(e)):
             raise ValueError("operator matrix has non-finite entries")
 
-    @property
-    def M(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class KernelReport:
     """Spectrum/kernel diagnostics of a truncated linearisation."""
 
-    A: float
-    M: int
     sigma_min: float
     verdict: str                       # "injective" or "kernel_found"
     kernel_vectors: tuple = ()
@@ -289,7 +282,7 @@ def jacobian_fd(residual: Callable[[PeriodicFunction], PeriodicFunction],
     to this process a chunk that raises or warns there, and all its chunks
     when it dies: errors and warnings arise here, in chunk order.
     """
-    return OperatorMatrix(_jacobians(residual, base, M, basis_in), basis_in)
+    return OperatorMatrix(_jacobians(residual, base, M, basis_in))
 
 
 def _jacobians(residual, base, M, basis_in="cosine", rows_per_mode=2):
@@ -322,7 +315,7 @@ def _jacobians(residual, base, M, basis_in="cosine", rows_per_mode=2):
     return np.concatenate(cols, axis=-1)
 
 
-def dG_matrix(A: float, M: int, n_grid: int | None = None) -> OperatorMatrix:
+def dG_matrix(A: float, M: int) -> OperatorMatrix:
     """Analytic matrix of the linearised angle-space residual at theta_A,
 
         dG[theta_A] theta = theta' + (1/2 beta_A) e^{-C theta_A} C theta
@@ -334,8 +327,7 @@ def dG_matrix(A: float, M: int, n_grid: int | None = None) -> OperatorMatrix:
     """
     crapper._check_param(A)
     _check_modes(M)
-    if n_grid is None:
-        n_grid = angle_grid(A, M)
+    n_grid = angle_grid(A, M)
     ep0, em0, half, half_r = angle_terms(crapper.beta_of(A), crapper.crapper_theta(A, n_grid))
     m_ep0 = mean(ep0)
     weight = half * em0 + half_r * ep0
@@ -345,21 +337,17 @@ def dG_matrix(A: float, M: int, n_grid: int | None = None) -> OperatorMatrix:
         v = derivative(e) + mul(weight, hilbert(e))
         col = v + (-mean(v) / m_ep0) * ep0
         cols[:, modes - 1] = col.cosine_coefficients(M).T
-    return OperatorMatrix(entries=cols, basis="sine")
+    return OperatorMatrix(entries=cols)
 
 
-def smallest_singular(matrix: OperatorMatrix, A: float = math.nan) -> KernelReport:
+def smallest_singular(matrix: OperatorMatrix) -> KernelReport:
     """SVD-based injectivity certificate for a truncated operator: singular
     values below INJECTIVITY_TOL span the kernel."""
     u, s, vt = np.linalg.svd(matrix.entries)
-    sigma_min = float(s[-1])
     kernel = tuple(vt[i] for i in range(len(s)) if s[i] < INJECTIVITY_TOL)
-    desc = ""
-    if kernel:  # "cos nt" or "sin nt" for the leading mode n of the last vector
-        desc = f"{matrix.basis[:3]} {int(np.argmax(np.abs(kernel[-1]))) + 1}t"
-    return KernelReport(A=A, M=matrix.M, sigma_min=sigma_min,
+    return KernelReport(sigma_min=float(s[-1]),
                         verdict="kernel_found" if kernel else "injective",
-                        kernel_vectors=kernel, kernel_description=desc, matrix=matrix)
+                        kernel_vectors=kernel, matrix=matrix)
 
 
 def reduced_a2_coefficient(A: float) -> float:
@@ -396,9 +384,9 @@ def recurrence_scan(A: float, M: int) -> KernelReport:
     if 0.0 < abs(A) < 1e-150:
         raise ValueError(f"recurrence scan needs A = 0 or |A| >= 1e-150, got {A}")
     matrix = dG_matrix(A, M)
-    svd_report = smallest_singular(matrix, A=A)
+    svd_report = smallest_singular(matrix)
     if A == 0.0:
-        return replace(svd_report, A=0.0, verdict="kernel_found", kernel_description="sin t",
+        return replace(svd_report, verdict="kernel_found", kernel_description="sin t",
                        a1_coefficient=0.0, a2_coefficient=0.0)
     q = crapper.q_of(A)
     k = np.arange(3, M + 1, dtype=float)

@@ -20,7 +20,9 @@ polyline that `SurfaceCurve.swept` builds must be a prefix of it.  So is
 `pair_crossings`, the pair test as the sweep ran it with both boxes and its
 points sorted, which the kernel's yes/no answers and its sweep without the
 x-box test must agree with.  And so is `residual_G_tilde`, the pushed-forward
-angle residual compared with G.
+angle residual compared with G.  `bordered_sheet` evaluates capwave's own
+`residual_fd`: it checks the continuation, not the residual, with a solve,
+a Jacobian and a start of its own.
 """
 
 import numpy as np
@@ -453,3 +455,47 @@ def residual_G_tilde(beta, theta):
             + half_r * mul(eps_, hilbert(ep))
             - half * mul(epc, em)
             + half_r * mul(epc, ep))
+
+
+def bordered_sheet(beta, h, gamma, eps_values, M, n, tol=1e-13, max_iter=12, step=1e-7):
+    """Points of the finite-depth sheet at beta met from the flat-water end:
+    a list of (alpha, a_1..a_M), one per eps in `eps_values`, in their order.
+
+    Near the pitchfork alpha is a poor parameter and the amplitude a good one,
+    so a bordered Newton solve fixes a_1 = eps and takes (alpha, a_2, .., a_M)
+    as the unknowns of the M equations "cosine modes 1..M of residual_fd(w) =
+    0", w = sum a_m cos mt on n points.  Its Jacobian is a central difference
+    of `step` per unknown; the modes and the samples are plain numpy.  The first
+    eps starts from w = eps cos t at `flat_water_alpha`, and each later one from
+    the point before it, so the values should run away from 0.  Stop short of
+    a_1 = 4(-A) at alpha = 0: FD depends on alpha through alpha^(3/4) there,
+    and the bordered Jacobian is singular.
+    """
+    from capwave.operators import WaveParams, residual_fd
+    from capwave.spectral import PeriodicFunction
+
+    cos = np.cos(np.outer(np.arange(1, M + 1), 2.0 * np.pi * np.arange(n) / n))
+
+    def modes(alpha, a):  # cosine modes 1..M of FD at each row of a
+        w = PeriodicFunction.from_samples(a @ cos)
+        r = residual_fd(WaveParams(alpha, beta, gamma=gamma, h=h), w).samples
+        return 2.0 * np.fft.rfft(r)[..., 1:M + 1].real / n
+
+    alpha, a, points = flat_water_alpha(beta, h, gamma), np.zeros(M), []
+    for eps in eps_values:
+        a[0] = eps
+        for _ in range(max_iter):
+            r = modes(alpha, a)
+            if np.max(np.abs(r)) < tol:
+                break
+            jac = np.empty((M, M))
+            jac[:, 0] = (modes(alpha + step, a) - modes(alpha - step, a)) / (2.0 * step)
+            e = step * np.eye(M)[1:]
+            pm = modes(alpha, np.concatenate([a + e, a - e]))
+            jac[:, 1:] = (pm[:M - 1] - pm[M - 1:]).T / (2.0 * step)
+            dx = np.linalg.solve(jac, -r)
+            alpha, a[1:] = alpha + dx[0], a[1:] + dx[1:]
+        else:
+            raise RuntimeError(f"no convergence at a_1 = {eps}: residual {np.max(np.abs(r)):.3g}")
+        points.append((alpha, a.copy()))
+    return points

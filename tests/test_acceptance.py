@@ -107,12 +107,12 @@ def test_criterion_04_linearisation():
     for A in (0.3, 0.5):
         beta = crapper.beta_of(A)
         n_grid = max(256, crapper.min_grid(A))
-        analytic = dG_matrix(A, 64, n_grid)
+        analytic = dG_matrix(A, 64)
         fd = jacobian_fd(lambda th: residual_G(beta, th),
                          crapper.crapper_theta(A, n_grid), 64, basis_in="sine")
         worst_fd = max(worst_fd, float(np.linalg.norm(fd.entries - analytic.entries)
                                        / np.linalg.norm(analytic.entries)))
-    rep0 = smallest_singular(dG_matrix(0.0, 64), A=0.0)
+    rep0 = smallest_singular(dG_matrix(0.0, 64))
     kernel = rep0.kernel_vectors[0]
     cos_sim = abs(kernel[0]) / np.linalg.norm(kernel)
     scans = [recurrence_scan(A, 64) for A in (0.2, -0.2, 0.5, -0.5, 0.8, -0.8)]

@@ -154,20 +154,43 @@ def test_verify_rejects_a_tangent_angle_off_the_principal_branch(tmp_path, capsy
 
 def test_verify_and_limit_check_size_their_grid_from_A(tmp_path, capsys):
     # on 512 points the tangent angle of A = 0.95 leaves its principal branch;
-    # unset, --grid is min_grid(0.95) = 2048 and the report names what fails
+    # unset, --grid is min_grid(0.95) = 2048, where every check passes
     out = tmp_path / "verify.json"
     assert main(["verify", "--A", "0.95", "--grid", "512", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "capwave: tangent angle leaves the principal branch\n"
-    assert main(["verify", "--A", "0.95", "--out", str(out)]) == 2
+    assert main(["verify", "--A", "0.95", "--out", str(out)]) == 0
     report = json.loads(_read(out))
-    assert report["n_grid"] == 2048 and report["passed"] is False
-    assert not report["checks"]["residual_inf_norm"]["pass"]
-    assert report["checks"]["identity_residual"]["pass"]
+    assert report["n_grid"] == 2048 and report["passed"] is True
     assert main(["limit-check", "--A", "0.95", "--out", str(out)]) == 0
     assert json.loads(_read(out))["n_grid"] == 2048
     for command in ("verify", "limit-check"):  # the default A = 0.5 keeps 512
         assert main([command, "--out", str(out)]) == 0
         assert json.loads(_read(out))["n_grid"] == 512
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("A, n, tolerance", [("0.9", 1024, 1.04e-7), ("-0.9", 1024, 1.04e-7),
+                                              ("0.95", 2048, 7.81e-6), ("-0.95", 2048, 7.81e-6)])
+def test_verify_passes_steep_exact_waves_and_fails_a_damaged_one(tmp_path, capsys, monkeypatch,
+                                                                   A, n, tolerance):
+    # the residual of the exact wave grows like eps * minW^(-3/2): 2.5e-9 and
+    # 1.0e-9 at +-0.9, 2.2e-7 and 3.5e-7 at +-0.95, past the former fixed 1e-9
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--A", A, "--out", str(out)]) == 0
+    report = json.loads(_read(out))
+    assert report["n_grid"] == n and report["passed"] is True
+    check = report["checks"]["residual_inf_norm"]
+    assert check["tolerance"] == pytest.approx(tolerance, rel=1e-2)
+    assert check["value"] < 0.1 * check["tolerance"]
+    # delta * cos 3t with delta = 1e-8 leaves a residual of 1.4e-2 at +-0.9
+    # and 0.6 at +-0.95, 1.4e5 and 7.6e4 times the tolerance
+    exact, delta = crapper.crapper_wave, 1e-8
+    monkeypatch.setattr(crapper, "crapper_wave", lambda A, n: exact(A, n) + delta
+                        * PeriodicFunction.from_cosine_series(np.array([0.0, 0.0, 1.0]), n))
+    assert main(["verify", "--A", A, "--out", str(out)]) == 2
+    damaged = json.loads(_read(out))["checks"]["residual_inf_norm"]
+    assert damaged["tolerance"] == check["tolerance"] and not damaged["pass"]
+    assert damaged["value"] >= 10.0 * damaged["tolerance"]
     capsys.readouterr()
 
 
@@ -192,7 +215,7 @@ def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
         tool.write_outputs(tmp_path / name)
         files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
         runs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
-    assert len(runs[0]) == 147  # 134 entries, eight of them directories of step SVGs
+    assert len(runs[0]) == 155  # 142 entries, eight of them directories of step SVGs
     assert runs[0] == runs[1]
 
 

@@ -21,7 +21,8 @@ from capwave.operators import WaveParams, q_hat, residual_fd, residual_inf
 from capwave.serialization import solution_to_dict
 from capwave.spectral import DegenerateMetricError, PeriodicFunction, grid
 
-from _oracles import bernoulli_spread, crapper_samples, sheet_rate_exponent, walk_steps
+from _oracles import (bernoulli_spread, bordered_sheet, crapper_samples, sheet_rate_exponent,
+                      walk_steps)
 
 
 def _crapper_start(A, n_grid=256):
@@ -418,7 +419,7 @@ def test_a_given_jacobian_serves_iteration_0_or_sigma_min():
     plain = newton_solve(params, w0, M=M).residual_history
     w = PeriodicFunction.from_cosine_series(w0.cosine_coefficients(M), 128)
     jac = jacobian_fd(partial(residual_inf, params), w, M)
-    wrong = OperatorMatrix(2.0 * jac.entries, "cosine")
+    wrong = OperatorMatrix(2.0 * jac.entries)
     assert newton_solve(params, w0, M=M, jac=jac).residual_history == plain
     assert newton_solve(params, w0, M=M, jac=wrong).residual_history != plain
     # at a w0 that solves already, sigma_min is the given matrix's
@@ -782,3 +783,30 @@ def test_modes_for_rejects_an_A_the_mode_cap_cannot_serve():
     assert modes_for(0.97, requested=2000) == 2000
     with pytest.raises(ValueError, match="more than 300 cosine modes"):
         modes_for(0.97, requested=300)
+
+
+def test_the_sheet_met_from_flat_water_is_the_continued_branch():
+    # a bordered solve at a_1 = eps, started only from the flat-water root,
+    # reaches each continued point (one within 2.8e-12 in alpha and 1.9e-12 in
+    # the modes, the others within 2.1e-14; gamma 1 % off moves alpha by 1.3e-4
+    # to 1.4e-3); the start at alpha = 0 is left out, where the bordered
+    # Jacobian is singular
+    M, n, sides = 32, 128, {}
+    for A, gamma, alphas in ((0.3, 4.5, (0.009, 0.0175)),   # root 0.018568 at h = 1
+                             (0.3, 2.0, (0.035, 0.07)),     # root 0.073955
+                             (-0.3, 4.5, (0.009, 0.0175))):  # a_1 > 0: the +eps side
+        beta = crapper.beta_of(A)
+        branch = continue_branch(A, [(0.0, beta)] + [(x, beta) for x in alphas],
+                                 h=1.0, gamma=gamma, M=M, n_grid=n)
+        points = branch.solutions[:0:-1]  # nearest flat water first
+        assert [s.params.alpha for s in points] == list(alphas[::-1])
+        modes = [s.w.cosine_coefficients(M) for s in points]
+        met = bordered_sheet(beta, 1.0, gamma, [a[0] for a in modes], M, n)
+        for s, a, (alpha, b) in zip(points, modes, met):
+            assert abs(alpha - s.params.alpha) < 1e-10 and np.max(np.abs(b - a)) < 1e-10
+        sides[A, gamma] = met
+    # t -> t + pi maps a_n to (-1)^n a_n and keeps beta_A = beta_-A: the -eps
+    # side from A = 0.3 and the +eps side from A = -0.3 mirror each other
+    sign = (-1.0) ** np.arange(1, M + 1)
+    for (alpha, a), (mirrored, b) in zip(sides[0.3, 4.5], sides[-0.3, 4.5]):
+        assert abs(alpha - mirrored) < 1e-10 and np.max(np.abs(sign * a - b)) < 1e-10

@@ -63,10 +63,9 @@ def test_surface_profile_rejects_degenerate_metric():
 
 def test_check_injective_flat_and_family():
     flat = surface_profile(PeriodicFunction.zeros(256), 1.0)
-    assert check_injective(flat).injective
+    assert len(check_injective(flat).crossings) == 0
     assert crapper_profile_injective(0.2, 1024)
     report = check_injective(surface_profile(crapper.crapper_wave(0.9, 1024), 1.0))
-    assert not report.injective
     assert len(report.crossings) >= 1
     with pytest.raises(ValueError):
         check_injective(SurfaceCurve(x=np.arange(8.0), y=np.zeros(8), k=1.0))
@@ -349,7 +348,7 @@ _CLOSED_FORM_A = [s * A for A in (0.1, 0.3, 0.4546, 0.6, 0.9) for s in (1, -1)]
 
 def _transformed_profile_injective(A, n):
     # the oracle: the explicit profile drawn through surface_profile's transforms
-    return check_injective(surface_profile(crapper.crapper_wave(A, n), 1.0)).injective
+    return len(check_injective(surface_profile(crapper.crapper_wave(A, n), 1.0)).crossings) == 0
 
 
 @pytest.mark.parametrize("n", [1024, 2048])
@@ -428,9 +427,10 @@ def test_mirror_axis_pass_finds_only_the_sweeps_crossings_and_decides_every_cros
     for n in (64, 128, 256, 512, 1024, 2048, 4096):
         for A in _AXIS_PASS_A:
             curve = SurfaceCurve(*crapper.circle_samples(A, n)[:2], 1.0)
-            full = check_injective(curve)
+            full = check_injective(curve).crossings
+            injective = len(full) == 0
             passes.clear()
-            assert crapper_profile_injective(A, n) == full.injective
+            assert crapper_profile_injective(A, n) == injective
             # the axis pass reads the base period and the next copy: the start
             # of the swept polyline, bit for bit, or more of it
             x = np.concatenate((curve.x, curve.x + curve.period))
@@ -439,19 +439,19 @@ def test_mirror_axis_pass_finds_only_the_sweeps_crossings_and_decides_every_cros
             m = min(len(swept[0]), len(x))
             assert [a[:m].tobytes() for a in swept] == [x[:m].tobytes(), y[:m].tobytes()]
             found = pair_crossings(x, y, *geometry.mirror_axis_pairs(x, n), ENDPOINT_BAND)
-            rows = {r.tobytes() for r in full.crossings}
+            rows = {r.tobytes() for r in full}
             assert all(r.tobytes() in rows for r in found)
             # x rises strictly below the fold at sqrt(2) - 1, and where it
             # does, neither pass runs
             rises = bool(np.all(swept[0][1:] > swept[0][:-1]))
             assert rises or abs(A) > np.sqrt(2.0) - 1.0
             if rises:
-                assert passes == [] and full.injective
+                assert passes == [] and injective
             else:
                 # the pass decides every crossing curve: only an injective
                 # one goes on to the full sweep
                 assert passes[0] == "axes"
-                assert (len(found) == 0) == full.injective == (passes == ["axes", n])
+                assert (len(found) == 0) == injective == (passes == ["axes", n])
 
 
 # A* as the bisection returned it when each curve came from the grid

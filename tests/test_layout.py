@@ -63,3 +63,35 @@ def test_src_size_sorts_each_line_by_kind():
               "    return x, s\n")
     assert _src_size().count(source) == {"lines": 12, "code": 6, "docstring": 4,
                                          "comment": 1, "blank": 1}
+
+
+def test_src_size_counts_public_names_and_options():
+    source = ("import dataclasses\n"
+              "from dataclasses import dataclass\n"
+              "from typing import ClassVar\n"
+              "def f(a, /, b=1, *args, c, **kw):\n"  # five parameters
+              "    def inner(x): return x\n"  # nested: not public
+              "    return inner\n"
+              "async def g(): pass\n"
+              "def _private(a): pass\n"
+              "class _Hidden:\n"
+              "    def method(self, a): pass\n"
+              "@dataclass(frozen=True)\n"
+              "class Record:\n"
+              "    x: float\n"
+              "    y: int = 0\n"
+              "    kind: ClassVar[str] = 'r'\n"  # no field
+              "    @property\n"
+              "    def z(self): return self.x\n"
+              "    @classmethod\n"
+              "    def make(cls, v): return cls(v)\n"  # one parameter
+              "    def _helper(self, a): pass\n"
+              "@dataclasses.dataclass\n"
+              "class Other:\n"
+              "    w: list\n"
+              "class Plain:\n"
+              "    n: int = 0\n"  # not a dataclass: no field
+              "    def __init__(self, a, b=None): pass\n"  # two parameters, no method
+              "    def __repr__(self): return ''\n")
+    assert _src_size().api_count(source) == {"functions": 2, "classes": 3, "methods": 2,
+                                             "parameters": 8, "fields": 3}

@@ -56,7 +56,6 @@ def test_jacobian_fd_of_G_at_zero_is_diagonal():
     assert np.max(np.abs(jac.entries - expected)) < 1e-8
     assert jac.entries[0, 0] == pytest.approx(0.0, abs=1e-9)
     assert jac.entries[1, 1] == pytest.approx(1.0, abs=1e-8)
-    assert jac.basis == "sine"
 
 
 def test_jacobian_fd_annihilates_flat_water_bifurcation_mode():
@@ -790,7 +789,7 @@ def test_dG_matrix_at_zero():
     m = dG_matrix(0.0, 16)
     expected = np.diag(np.arange(1, 17) - 1.0)
     assert np.max(np.abs(m.entries - expected)) < 1e-13
-    report = smallest_singular(m, A=0.0)
+    report = smallest_singular(m)
     assert report.sigma_min < 1e-12
     assert report.verdict == "kernel_found"
     kernel = report.kernel_vectors[0]
@@ -804,8 +803,9 @@ def test_dG_matrix_row_relation():
     # relation and check the cos(3t) component of the multiplied image drops
     A = 0.5
     q = crapper.q_of(A)
-    M, n_grid = 24, 512
-    m = dG_matrix(A, M, n_grid)
+    M = 24
+    n_grid = angle_grid(A, M)
+    m = dG_matrix(A, M)
     a1, a5 = 1.0, 0.7
     lhs_coeff = (1 + A ** 4) * (3 - q) - 4 * A ** 2 * q
     a3 = (A ** 2 * (5 + q) * a5 + A ** 2 * (1 + q) * a1) / lhs_coeff
@@ -827,8 +827,9 @@ def test_dG_matrix_row_relation():
 
 def test_dG_matrix_banded_after_denominator_clearing():
     A = 0.4
-    M, n_grid = 18, 512
-    m = dG_matrix(A, M, n_grid)
+    M = 18
+    n_grid = angle_grid(A, M)
+    m = dG_matrix(A, M)
     t = grid(n_grid)
     denom = PeriodicFunction.from_samples(
         (1 + A ** 2 + 2 * A * np.cos(t)) * (1 + A ** 2 - 2 * A * np.cos(t)))
@@ -864,7 +865,7 @@ def test_recurrence_matches_svd_verdicts():
         scan = recurrence_scan(A, 64)
         assert scan.verdict == "injective"
         assert scan.sigma_min > INJECTIVITY_TOL
-        direct = smallest_singular(dG_matrix(A, 64), A=A)
+        direct = smallest_singular(dG_matrix(A, 64))
         assert direct.verdict == "injective"
         assert direct.sigma_min == pytest.approx(scan.sigma_min, rel=1e-9)
 
@@ -879,14 +880,13 @@ def test_reduced_coefficients_against_formulas():
 
 
 def test_smallest_singular_identity_and_golden():
-    ident = OperatorMatrix(entries=np.eye(8), basis="sine")
+    ident = OperatorMatrix(entries=np.eye(8))
     rep = smallest_singular(ident)
     assert rep.sigma_min == pytest.approx(1.0, rel=1e-14)
     assert rep.verdict == "injective" and not rep.kernel_vectors
-    rep0 = smallest_singular(dG_matrix(0.0, 32), A=0.0)
+    rep0 = smallest_singular(dG_matrix(0.0, 32))
     assert rep0.sigma_min < 1e-12
-    assert rep0.kernel_description == "sin 1t"
-    rep5 = smallest_singular(dG_matrix(0.5, 64), A=0.5)
+    rep5 = smallest_singular(dG_matrix(0.5, 64))
     assert rep5.sigma_min > 1e-3
     assert rep5.sigma_min == pytest.approx(GOLDEN_SIGMA_MIN_A05_M64, abs=1e-9)
 
@@ -920,11 +920,11 @@ def test_chain_rule_consistency():
 
 def test_operator_matrix_validation():
     with pytest.raises(ValueError):
-        OperatorMatrix(entries=np.zeros((3, 3)), basis="sine")
+        OperatorMatrix(entries=np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        OperatorMatrix(entries=np.full((5, 5), np.nan), basis="sine")
+        OperatorMatrix(entries=np.full((5, 5), np.nan))
     with pytest.raises(ValueError):
-        OperatorMatrix(entries=np.zeros((5, 4)), basis="sine")
+        OperatorMatrix(entries=np.zeros((5, 4)))
 
 
 def test_basis_name_validation():

@@ -1,4 +1,5 @@
-"""Count the lines of capwave's source by kind, per module and in total.
+"""Count the lines of capwave's source by kind, and its public names and
+options, per module and in total.
 
     python3 tools/src_size.py [PACKAGE_DIR]
 
@@ -10,8 +11,17 @@ a module is one of:
 - code: any other line, a line with code and a trailing comment included.
 A line of a string that is not a docstring is code.  The four columns add
 up to the line count, so a change that deletes only comments or docstrings
-shows as such.  Standard library only; it reports and never fails on a
-count.
+shows as such.
+
+A second table counts what a caller can name, from each module's top level:
+- functions: public functions (a name without a leading underscore);
+- classes: public classes;
+- methods: public methods and properties of public classes;
+- parameters: of the public functions and methods and of a public class's
+  own __init__, without self and cls;
+- fields: annotated fields of public dataclasses, ClassVar ones excepted.
+A dataclass's constructor takes its fields, so they count once, as fields.
+Standard library only; it reports and never fails on a count.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ import tokenize
 from pathlib import Path
 
 COLUMNS = ("lines", "code", "docstring", "comment", "blank")
+API_COLUMNS = ("functions", "classes", "methods", "parameters", "fields")
 
 
 def docstring_lines(source: str) -> set[int]:
@@ -55,21 +66,60 @@ def count(source: str) -> dict[str, int]:
             "comment": len(comments), "blank": n - len(code | docs | comments)}
 
 
-def table(package: Path) -> list[tuple[str, dict[str, int]]]:
-    """(name, columns) per module of the package in name order, then the total."""
-    rows = [(path.name, count(path.read_text(encoding="utf-8")))
+def _parameters(node: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
+    a = node.args
+    names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if arg]
+    return sum(name not in ("self", "cls") for name in names)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    names = (ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list)
+    return any(name in ("dataclass", "dataclasses.dataclass") for name in names)
+
+
+def api_count(source: str) -> dict[str, int]:
+    """The public names and options of one module's source (API_COLUMNS)."""
+    row = dict.fromkeys(API_COLUMNS, 0)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(source).body:
+        if isinstance(node, functions) and not node.name.startswith("_"):
+            row["functions"] += 1
+            row["parameters"] += _parameters(node)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            row["classes"] += 1
+            dataclass = _is_dataclass(node)
+            for item in node.body:
+                if isinstance(item, functions) and (item.name == "__init__"
+                                                    or not item.name.startswith("_")):
+                    row["methods"] += item.name != "__init__"
+                    row["parameters"] += _parameters(item)
+                elif (dataclass and isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)
+                      and "ClassVar" not in ast.unparse(item.annotation)):
+                    row["fields"] += 1
+    return row
+
+
+def table(package: Path, counter=count) -> list[tuple[str, dict[str, int]]]:
+    """(name, columns of `counter`) per module of the package in name order,
+    then the total."""
+    rows = [(path.name, counter(path.read_text(encoding="utf-8")))
             for path in sorted(package.glob("*.py"))]
-    total = {c: sum(row[c] for _, row in rows) for c in COLUMNS}
+    total = {c: sum(row[c] for _, row in rows) for c in rows[0][1]}
     return rows + [("total", total)]
 
 
 def main(argv: list[str]) -> int:
     package = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "capwave"
-    rows = table(package)
-    width = max(len(name) for name, _ in rows)
-    print(f"{'module':<{width}}" + "".join(f"{c:>10}" for c in COLUMNS))
-    for name, row in rows:
-        print(f"{name:<{width}}" + "".join(f"{row[c]:>10}" for c in COLUMNS))
+    for counter, columns in ((count, COLUMNS), (api_count, API_COLUMNS)):
+        rows = table(package, counter)
+        width = max(len(name) for name, _ in rows)
+        if counter is not count:
+            print()
+        widths = [max(10, len(c) + 1) for c in columns]
+        print(f"{'module':<{width}}" + "".join(f"{c:>{w}}" for c, w in zip(columns, widths)))
+        for name, row in rows:
+            print(f"{name:<{width}}" + "".join(f"{row[c]:>{w}}" for c, w in zip(columns, widths)))
     return 0
 
 
