@@ -208,8 +208,9 @@ def _emit(report, path=None, outputs=()):
 # points, minW = ((1-|A|)/(1+|A|))^4 the least conformal metric.  p and q
 # are fitted to the exact wave's values over |A| = 0.3..0.95 on min_grid(A,
 # 512) and 4096 points, where they rise above a few ulps (|A| >= 0.6); c is
-# the power of ten at least 10x the largest ratio read there; the floor is
-# the former fixed tolerance, which the laws pass near |A| = 0.75
+# the power of ten at least 10x the largest ratio read there.  The floor
+# holds where the law is lower, below |A| ~ 0.75, and keeps those reports'
+# bytes
 _VERIFY_LAWS = {"identity_residual": (1e-12, 100.0, 0.5, 0),
                 "residual_inf_norm": (1e-9, 10.0, 1.5, 0),
                 "bernoulli_deviation": (1e-11, 1.0, 1.0, 0),

@@ -174,7 +174,7 @@ def test_verify_and_limit_check_size_their_grid_from_A(tmp_path, capsys):
 def test_verify_passes_steep_exact_waves_and_fails_a_damaged_one(tmp_path, capsys, monkeypatch,
                                                                    A, n, tolerance):
     # the residual of the exact wave grows like eps * minW^(-3/2): 2.5e-9 and
-    # 1.0e-9 at +-0.9, 2.2e-7 and 3.5e-7 at +-0.95, past the former fixed 1e-9
+    # 1.0e-9 at +-0.9, 2.2e-7 and 3.5e-7 at +-0.95, above its 1e-9 floor
     out = tmp_path / "verify.json"
     assert main(["verify", "--A", A, "--out", str(out)]) == 0
     report = json.loads(_read(out))
