@@ -210,7 +210,9 @@ def _emit(report, path=None, outputs=()):
 # 512) and 4096 points, where they rise above a few ulps (|A| >= 0.6); c is
 # the power of ten at least 10x the largest ratio read there.  The floor
 # holds where the law is lower, below |A| ~ 0.75, and keeps those reports'
-# bytes
+# bytes.  Past the fit the exact wave's residual outgrows its law (4x at
+# 0.99), so minW stops at its value at |A| = 0.95 and verify fails where the
+# rounding is no longer resolved
 _VERIFY_LAWS = {"identity_residual": (1e-12, 100.0, 0.5, 0),
                 "residual_inf_norm": (1e-9, 10.0, 1.5, 0),
                 "bernoulli_deviation": (1e-11, 1.0, 1.0, 0),
@@ -227,7 +229,8 @@ def _family(args):
 
 def cmd_verify(args):
     A, n, w, beta = _family(args)
-    checks, min_w = {}, ((1.0 - abs(A)) / (1.0 + abs(A))) ** 4
+    a = min(abs(A), 0.95)
+    checks, min_w = {}, ((1.0 - a) / (1.0 + a)) ** 4
 
     def record(name, value):
         floor, c, p, q = _VERIFY_LAWS[name]

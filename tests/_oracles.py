@@ -457,7 +457,7 @@ def residual_G_tilde(beta, theta):
             + half_r * mul(epc, ep))
 
 
-def bordered_sheet(beta, h, gamma, eps_values, M, n, tol=1e-13, max_iter=12, step=1e-7):
+def bordered_sheet(beta, h, gamma, eps_values, M, n):
     """Points of the finite-depth sheet at beta met from the flat-water end:
     a list of (alpha, a_1..a_M), one per eps in `eps_values`, in their order.
 
@@ -465,8 +465,9 @@ def bordered_sheet(beta, h, gamma, eps_values, M, n, tol=1e-13, max_iter=12, ste
     so a bordered Newton solve fixes a_1 = eps and takes (alpha, a_2, .., a_M)
     as the unknowns of the M equations "cosine modes 1..M of residual_fd(w) =
     0", w = sum a_m cos mt on n points.  Its Jacobian is a central difference
-    of `step` per unknown; the modes and the samples are plain numpy.  The first
-    eps starts from w = eps cos t at `flat_water_alpha`, and each later one from
+    of 1e-7 per unknown; the modes and the samples are plain numpy.  Each eps
+    takes at most 12 steps to bring every mode below 1e-13.  The first eps
+    starts from w = eps cos t at `flat_water_alpha`, and each later one from
     the point before it, so the values should run away from 0.  Stop short of
     a_1 = 4(-A) at alpha = 0: FD depends on alpha through alpha^(3/4) there,
     and the bordered Jacobian is singular.
@@ -481,12 +482,13 @@ def bordered_sheet(beta, h, gamma, eps_values, M, n, tol=1e-13, max_iter=12, ste
         r = residual_fd(WaveParams(alpha, beta, gamma=gamma, h=h), w).samples
         return 2.0 * np.fft.rfft(r)[..., 1:M + 1].real / n
 
+    step = 1e-7
     alpha, a, points = flat_water_alpha(beta, h, gamma), np.zeros(M), []
     for eps in eps_values:
         a[0] = eps
-        for _ in range(max_iter):
+        for _ in range(12):
             r = modes(alpha, a)
-            if np.max(np.abs(r)) < tol:
+            if np.max(np.abs(r)) < 1e-13:
                 break
             jac = np.empty((M, M))
             jac[:, 0] = (modes(alpha + step, a) - modes(alpha - step, a)) / (2.0 * step)

@@ -194,6 +194,25 @@ def test_verify_passes_steep_exact_waves_and_fails_a_damaged_one(tmp_path, capsy
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("A", ["0.99", "-0.99"])
+def test_verify_keeps_the_tolerances_of_0_95_past_their_fit(tmp_path, capsys, A):
+    # the laws are fitted up to |A| = 0.95; at the cap the exact wave's
+    # residual (0.107 and 0.059 on 8192 points) is not resolved in double
+    # precision, and verify says so instead of following minW^(-3/2) to 0.138
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--A", "0.95", "--out", str(out)]) == 0
+    fitted = json.loads(_read(out))["checks"]
+    assert main(["verify", "--A", A, "--out", str(out)]) == 2
+    report = json.loads(_read(out))
+    assert report["n_grid"] == 8192 and report["passed"] is False
+    for name, check in report["checks"].items():
+        if name != "residual_G_norm":  # its law also grows with n, 2048 -> 8192
+            assert check["tolerance"] == fitted[name]["tolerance"], name
+    check = report["checks"]["residual_inf_norm"]
+    assert check["value"] >= 1e3 * check["tolerance"] and not check["pass"]
+    capsys.readouterr()
+
+
 def test_verify_deterministic_output(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

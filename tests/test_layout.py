@@ -52,6 +52,12 @@ def test_src_size_columns_add_up_to_each_modules_line_count():
     assert rows[-1][1]["lines"] == sum(len(p.read_text().splitlines()) for p in modules)
 
 
+def test_src_size_totals_an_empty_package_as_zero(tmp_path):
+    tool = _src_size()
+    assert tool.table(tmp_path) == [("total", dict.fromkeys(tool.COLUMNS, 0))]
+    assert tool.table(tmp_path, tool.api_count) == [("total", dict.fromkeys(tool.API_COLUMNS, 0))]
+
+
 def test_src_size_sorts_each_line_by_kind():
     source = ('"""Module.\n\nDocstring."""\n'  # three docstring lines, one of them blank
               "\n"

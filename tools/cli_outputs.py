@@ -12,10 +12,11 @@ two finite-depth vortical `continue`s with SVGs, one of the benchmark's
 shape (h = 2.5, gamma = 0.7, M = 64) and a shallow strip with negative
 vorticity and a negative A (h = 0.5, gamma = -2, A = -0.35, M = 48); a 2-D
 (alpha, beta) sheet; the steep A = -0.8 starting point, whose lobes reach
-two periods away; the default `spectrum`, `verify --A 0.6`, `verify` of the
-steep exact waves at A = 0.9 and -0.95 (their tolerances grow with the
-rounding of the wave, see `cli._VERIFY_LAWS`), the default `limit-check` and `limit-check --gamma -1e-1` (a negative value in exponent
-form); `profile` with and without `--repeats 2` on the last point of
+two periods away; the default `spectrum`, `verify --A 0.6`, `verify` of
+the steep exact waves at A = 0.9 and -0.95 (their tolerances grow with the
+rounding of the wave, see `cli._VERIFY_LAWS`), the default `limit-check`
+and `limit-check --gamma -1e-1` (a negative value in exponent form);
+`profile` with and without `--repeats 2` on the last point of
 `deep_0.5` and of `vortical`; and sixteen failures.  Twelve exit 1 and
 write nothing: `continue --A 0`, `continue --tol 0`, `continue --h 2 --gamma
 nan`, `verify --out missing/verify.json`, `verify --out deep_0.3_svg` (a

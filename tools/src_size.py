@@ -105,7 +105,7 @@ def table(package: Path, counter=count) -> list[tuple[str, dict[str, int]]]:
     then the total."""
     rows = [(path.name, counter(path.read_text(encoding="utf-8")))
             for path in sorted(package.glob("*.py"))]
-    total = {c: sum(row[c] for _, row in rows) for c in rows[0][1]}
+    total = {c: sum(row[c] for _, row in rows) for c in counter("")}
     return rows + [("total", total)]
 
 
