@@ -17,8 +17,14 @@ the pairwise tests report as crossing.
 
 Where x rises strictly, a segment overlaps only its neighbours in x, so the
 sweep returns before it sorts; Crapper's curves do below |A| = sqrt(2) - 1,
-where x' first vanishes.  The stable sort (timsort) merges the few monotone
-runs of a surface curve's left ends in under half the default sort's time.
+where x' first vanishes.  So it does where y rises strictly on points 0..J
+and falls strictly on J..end (or the other way round) and the points before
+J lie left of x[J], the ones after it right: segments of one chain that are
+not neighbours have disjoint y-ranges, and the two chains meet in x only in
+the neighbour pair at J.  Every injective Crapper curve past the fold splits
+so at t = pi; a tie or a NaN fails a strict comparison and is sorted.  The
+stable sort (timsort) merges the few monotone runs of a surface curve's left
+ends in under half the default sort's time.
 Ties do not change the output: a pair is formed once whichever end ranks
 first, and the crossings are put in (i, j) order at the end.
 """
@@ -57,7 +63,7 @@ def _sweep(x, y, owned):
     y = np.ascontiguousarray(y, dtype=float)
     if len(x) != len(y) or len(x) < 4:
         raise ValueError("need at least 4 polyline points")
-    if (x[1:] > x[:-1]).all():  # only neighbours overlap in x
+    if (x[1:] > x[:-1]).all() or _two_chains(x, y):  # no pair passes the boxes
         return _NONE
     xlo, xhi = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])
     # in order of left ends, each segment pairs with the later ones whose left
@@ -75,6 +81,14 @@ def _sweep(x, y, owned):
     second = np.concatenate((order, order[mine]))[
         np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)]
     return _crossings(x, y, np.minimum(first, second), np.maximum(first, second))
+
+
+def _two_chains(x, y):
+    """Whether y rises strictly on points 0..J and falls strictly on J..end, or
+    the other way round, at an inner point J with max x[:J] < x[J] < min x[J+1:]."""
+    s = np.sign(y[1:] - y[:-1])
+    J = int(np.argmax(s != s[0]))
+    return J > 0 and bool((s[J:] == -s[0]).all()) and x[:J].max() < x[J] < x[J + 1:].min()
 
 
 def _crossings(x, y, i, j):

@@ -16,7 +16,8 @@ units (k = 1) otherwise; `solution_report` holds the flags of every Newton
 solution.  Each crossing is counted once per period (see `check_injective`).
 The threshold bisection draws the explicit family from F_A's closed form
 (`crapper.circle_samples`) instead of through `surface_profile`'s transforms,
-and each check stops at the first pass that decides it (crapper_profile_injective).
+and each check stops at the first pass that decides it (crapper_profile_injective);
+on an injective curve past the fold the sweep forms no pair (see _kernels).
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ def crapper_profile_injective(A: float, n_grid: int) -> bool:
     metric refusal is needed: W >= ((1-|A|)/(1+|A|))^4 >= 6.4e-10 at |A| <=
     A_CAP, far above surface_profile's floor.  The first pass that decides
     answers: x rising strictly; the mirror axes x = k*pi, where the lobes
-    close, in two periods ("crosses" only); the full sweep."""
+    close, in two periods ("crosses" only); the sweep, which on an injective
+    curve returns before it sorts, at two y-monotone chains split at t = pi."""
     A = crapper._check_param(A)
     x, y = crapper.circle_samples(A, n_grid)
     if n_grid < 64:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from capwave import crapper, geometry
+from capwave import _kernels, crapper, geometry
 from capwave._kernels import ENDPOINT_BAND, pairs_cross, segment_crossings
 from capwave.geometry import (
     SurfaceCurve,
@@ -172,6 +172,83 @@ def test_segment_crossings_match_pairwise_oracle(xy, owned):
     # sweep never tests (see test_segment_crossings_skip_disjoint_boxes)
     _assert_same_crossings(*xy, skip_disjoint_boxes=True)
     _assert_same_crossings(*xy, owned, True)  # only the rows of the owned segments
+
+
+def _splits_at_apex(x, y):
+    """Whether some inner point J splits the polyline into two chains, y
+    strictly up on 0..J and strictly down on J..end or the other way round,
+    with every x of the first chain left of x[J] and of the second right of it."""
+    n = len(x)
+    for J in range(1, n - 1):
+        for s in (1.0, -1.0):
+            if (all(s * y[k] < s * y[k + 1] for k in range(J))
+                    and all(s * y[k] > s * y[k + 1] for k in range(J, n - 1))
+                    and all(x[k] < x[J] for k in range(J))
+                    and all(x[J] < x[k] for k in range(J + 1, n))):
+                return True
+    return False
+
+
+@st.composite
+def _two_chain_polylines(draw):
+    # y strictly up to the apex J and down after it (or down then up), the
+    # first chain left of x[J] and the second right of it, both free to wind;
+    # a drawn perturbation sometimes breaks one condition, and may let the
+    # chains cross
+    n = draw(st.integers(4, 80))
+    J = draw(st.integers(1, n - 2))
+    def drawn(size, lo, hi):  # every element drawn, none filled in
+        return draw(arrays(float, size, elements=st.floats(lo, hi), fill=st.nothing()))
+
+    steps = drawn(n - 1, 1e-3, 1.0) * np.where(np.arange(n - 1) < J, 1.0, -1.0)
+    y = np.cumsum(np.concatenate(([0.0], steps))) * draw(st.sampled_from([1.0, -1.0]))
+    x = np.concatenate((drawn(J, -10.0, -1e-3), [0.0], drawn(n - J - 1, 1e-3, 10.0)))
+    k = draw(st.integers(0, n - 2))
+    # hypothesis leans towards the first kind listed; "none" is listed 8 times
+    kind = draw(st.sampled_from(["cross", "tie", "apex x", "touch", "swap", "nan", "third chain"]
+                                + ["none"] * 8))
+    if kind == "tie":
+        y[k + 1] = y[k]
+    elif kind == "apex x":
+        x[J - 1] = x[J]
+    elif kind == "touch" and k > J:
+        x[k] = x[:J].max()
+    elif kind == "cross":  # the second chain moves left into the first one's x-range
+        x[J + 1:] -= draw(st.floats(2.0, 12.0))
+    elif kind == "swap":
+        y[k], y[k + 1] = y[k + 1], y[k]
+    elif kind == "nan":
+        (x, y)[draw(st.integers(0, 1))][k] = np.nan
+    elif kind == "third chain":
+        x = np.concatenate((x, drawn(3, -10.0, 10.0)))
+        y = np.concatenate((y, y[-1] - (y[J] - y[-1]) * np.arange(1, 4)))
+    return x, y
+
+
+_CHAINS_X = np.array([-3.0, -1.0, -2.0, 0.0, 2.0, 1.0])
+_CHAINS_Y = np.array([0.0, 1.0, 2.0, 3.0, 2.0, 1.0])
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_two_chain_polylines(), st.integers(0, 80))
+# two chains split at the apex J = 3, then the near misses that must sort
+@example(xy=(_CHAINS_X, _CHAINS_Y), owned=2)
+@example(xy=(_CHAINS_X, np.array([0.0, 1.0, 1.0, 3.0, 2.0, 1.0])), owned=5)  # y[1] == y[2]
+@example(xy=(np.array([-3.0, -1.0, 0.0, 0.0, 2.0, 1.0]), _CHAINS_Y), owned=5)  # x[J-1] == x[J]
+@example(xy=(np.array([-3.0, -1.0, -2.0, 0.0, 2.0, -1.0]), _CHAINS_Y), owned=5)  # max x[:J]
+@example(xy=(_CHAINS_X, np.array([0.0, 1.0, np.nan, 3.0, 2.0, 1.0])), owned=5)
+@example(xy=(np.array([-3.0, -1.0, -2.0, 0.0, np.nan, 1.0]), _CHAINS_Y), owned=5)
+@example(xy=(_CHAINS_X, np.arange(6.0)), owned=5)  # J at the end: one chain up
+@example(xy=(_CHAINS_X, -np.arange(6.0)), owned=5)  # and one chain down
+def test_sweep_returns_before_it_sorts_on_two_chains_split_at_the_apex(xy, owned):
+    # the early return fires exactly where the two chains hold, and on those
+    # the pairwise oracle finds nothing: no pair the sweep forms could pass
+    # its boxes (segments of one chain have disjoint y-ranges; the chains
+    # meet in x only at the apex, where their segments are neighbours)
+    x, y = xy
+    assert bool(_kernels._two_chains(x, y)) == _splits_at_apex(x, y)
+    _assert_same_crossings(x, y, skip_disjoint_boxes=True)
+    _assert_same_crossings(x, y, owned, True)
 
 
 def test_segment_crossings_match_oracle_on_crapper_curves():
@@ -424,6 +501,10 @@ def test_mirror_axis_pass_finds_only_the_sweeps_crossings_and_decides_every_cros
                         lambda x, y, i, j: passes.append("axes") or pairs_cross(x, y, i, j))
     monkeypatch.setattr(geometry, "segment_crossings",
                         lambda x, y, owned: passes.append(owned) or segment_crossings(x, y, owned))
+    # every pair test, the axis pass's and the sweep's, runs through _crossings
+    crossings = _kernels._crossings
+    monkeypatch.setattr(_kernels, "_crossings",
+                        lambda x, y, i, j: passes.append("pairs") or crossings(x, y, i, j))
     for n in (64, 128, 256, 512, 1024, 2048, 4096):
         for A in _AXIS_PASS_A:
             curve = SurfaceCurve(*crapper.circle_samples(A, n)[:2], 1.0)
@@ -449,9 +530,10 @@ def test_mirror_axis_pass_finds_only_the_sweeps_crossings_and_decides_every_cros
                 assert passes == [] and injective
             else:
                 # the pass decides every crossing curve: only an injective
-                # one goes on to the full sweep
-                assert passes[0] == "axes"
-                assert (len(found) == 0) == injective == (passes == ["axes", n])
+                # one goes on to the sweep, which splits it into two chains
+                # at the apex and returns before it forms a pair
+                assert passes[:2] == ["axes", "pairs"]
+                assert (len(found) == 0) == injective == (passes == ["axes", "pairs", n])
 
 
 # A* as the bisection returned it when each curve came from the grid
