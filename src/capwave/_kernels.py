@@ -63,7 +63,7 @@ def _sweep(x, y, owned):
     y = np.ascontiguousarray(y, dtype=float)
     if len(x) != len(y) or len(x) < 4:
         raise ValueError("need at least 4 polyline points")
-    if (x[1:] > x[:-1]).all() or _two_chains(x, y):  # no pair passes the boxes
+    if (x[1:] > x[:-1]).all() or _two_chains(x, y):  # only neighbours pass the boxes
         return _NONE
     xlo, xhi = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])
     # in order of left ends, each segment pairs with the later ones whose left

@@ -195,11 +195,11 @@ def _two_chain_polylines(draw):
     # first chain left of x[J] and the second right of it, both free to wind;
     # a drawn perturbation sometimes breaks one condition, and may let the
     # chains cross
-    n = draw(st.integers(4, 80))
-    J = draw(st.integers(1, n - 2))
     def drawn(size, lo, hi):  # every element drawn, none filled in
         return draw(arrays(float, size, elements=st.floats(lo, hi), fill=st.nothing()))
 
+    n = draw(st.integers(4, 80))
+    J = draw(st.integers(1, n - 2))
     steps = drawn(n - 1, 1e-3, 1.0) * np.where(np.arange(n - 1) < J, 1.0, -1.0)
     y = np.cumsum(np.concatenate(([0.0], steps))) * draw(st.sampled_from([1.0, -1.0]))
     x = np.concatenate((drawn(J, -10.0, -1e-3), [0.0], drawn(n - J - 1, 1e-3, 10.0)))
@@ -235,9 +235,10 @@ _CHAINS_Y = np.array([0.0, 1.0, 2.0, 3.0, 2.0, 1.0])
 @example(xy=(_CHAINS_X, _CHAINS_Y), owned=2)
 @example(xy=(_CHAINS_X, np.array([0.0, 1.0, 1.0, 3.0, 2.0, 1.0])), owned=5)  # y[1] == y[2]
 @example(xy=(np.array([-3.0, -1.0, 0.0, 0.0, 2.0, 1.0]), _CHAINS_Y), owned=5)  # x[J-1] == x[J]
-@example(xy=(np.array([-3.0, -1.0, -2.0, 0.0, 2.0, -1.0]), _CHAINS_Y), owned=5)  # max x[:J]
-@example(xy=(_CHAINS_X, np.array([0.0, 1.0, np.nan, 3.0, 2.0, 1.0])), owned=5)
-@example(xy=(np.array([-3.0, -1.0, -2.0, 0.0, np.nan, 1.0]), _CHAINS_Y), owned=5)
+# x[5] == max x[:J]
+@example(xy=(np.array([-3.0, -1.0, -2.0, 0.0, 2.0, -1.0]), _CHAINS_Y), owned=5)
+@example(xy=(_CHAINS_X, np.array([0.0, 1.0, np.nan, 3.0, 2.0, 1.0])), owned=5)  # a NaN in y
+@example(xy=(np.array([-3.0, -1.0, -2.0, 0.0, np.nan, 1.0]), _CHAINS_Y), owned=5)  # and in x
 @example(xy=(_CHAINS_X, np.arange(6.0)), owned=5)  # J at the end: one chain up
 @example(xy=(_CHAINS_X, -np.arange(6.0)), owned=5)  # and one chain down
 def test_sweep_returns_before_it_sorts_on_two_chains_split_at_the_apex(xy, owned):
