@@ -7,7 +7,8 @@ segments that overlap it in x; the y-ranges prune those pairs further, and
 only the survivors get the four orientation tests.  Only pairs with a
 segment below the index `owned` are built (a periodic curve owns its base
 period; the other pairs repeat them); their x-ranges meet, so the pair test
-checks the y-ranges only.  `pairs_cross` takes any pairs and checks x first.
+checks the y-ranges only.  So does `pairs_cross`, whose caller forms pairs
+that meet in x too (geometry.mirror_axis_pairs).
 A segment of a surface curve overlaps a handful of others, so the sweep
 costs O(n log n) plus the candidate pairs, not the n^2 / 2 of the pairwise
 sweep in tests/_oracles.py, whose orientation arithmetic it shares: both
@@ -22,7 +23,9 @@ and falls strictly on J..end (or the other way round) and the points before
 J lie left of x[J], the ones after it right: segments of one chain that are
 not neighbours have disjoint y-ranges, and the two chains meet in x only in
 the neighbour pair at J.  Every injective Crapper curve past the fold splits
-so at t = pi; a tie or a NaN fails a strict comparison and is sorted.  The
+so at t = pi; geometry.crapper_profile_injective runs the same test on the
+closed period where that is the polyline swept, so no such curve reaches
+the sweep.  A tie or a NaN fails a strict comparison and is sorted.  The
 stable sort (timsort) merges the few monotone runs of a surface curve's left
 ends in under half the default sort's time.
 Ties do not change the output: a pair is formed once whichever end ranks
@@ -52,10 +55,9 @@ def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int) -> np.ndarray:
 
 
 def pairs_cross(x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
-    """Whether some pair (i, j) crosses, by the pair test of segment_crossings."""
-    xlo, xhi = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])
-    meet = (xlo[j] <= xhi[i]) & (xlo[i] <= xhi[j])  # the sweep's pairs always do
-    return len(_crossings(x, y, i[meet], j[meet])[0]) > 0
+    """Whether some pair (i, j) crosses, by the pair test of segment_crossings;
+    the x-ranges of each pair must meet, as those the sweep forms do."""
+    return len(_crossings(x, y, i, j)[0]) > 0
 
 
 def _sweep(x, y, owned):

@@ -16,8 +16,9 @@ units (k = 1) otherwise; `solution_report` holds the flags of every Newton
 solution.  Each crossing is counted once per period (see `check_injective`).
 The threshold bisection draws the explicit family from F_A's closed form
 (`crapper.circle_samples`) instead of through `surface_profile`'s transforms,
-and each check stops at the first pass that decides it (crapper_profile_injective);
-on an injective curve past the fold the sweep forms no pair (see _kernels).
+and each check stops at the first pass that decides it (crapper_profile_injective):
+x rising, the closed period as two chains (the sweep's own early return, on
+the polyline it would sweep), then the mirror axes; the sweep is the fallback.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crapper
-from ._kernels import pairs_cross, segment_crossings
+from ._kernels import _two_chains, pairs_cross, segment_crossings
 from .spectral import PeriodicFunction, hilbert, hilbert_strip, grid
 from .operators import WaveParams, conformal_metric
 
@@ -141,28 +142,47 @@ def crapper_profile_injective(A: float, n_grid: int) -> bool:
     from F_A's closed form (see crapper) with check_injective's refusals.  No
     metric refusal is needed: W >= ((1-|A|)/(1+|A|))^4 >= 6.4e-10 at |A| <=
     A_CAP, far above surface_profile's floor.  The first pass that decides
-    answers: x rising strictly; the mirror axes x = k*pi, where the lobes
-    close, in two periods ("crosses" only); the sweep, which on an injective
-    curve returns before it sorts, at two y-monotone chains split at t = pi."""
+    answers:
+    - x rising strictly;
+    - "injective": the closed base period (points 0..n of two periods) is
+      two y-monotone chains split at t = pi (_kernels._two_chains), and no
+      point lies left of x[0] or right of x[0] + period.  x[0] = 0.0, so
+      swept() then builds one copy and closes it at point n: the sweep would
+      take this polyline and return at the same test.  The guard matters:
+      past A* at A > 0 the period alone is still two chains, and its lobes
+      cross on x = 2*pi, between its end and the next copy's start;
+    - "crosses": a pair across a shared mirror axis x = k*pi, where the
+      lobes close, in two periods;
+    - the sweep, the authority, which no curve of the family reaches."""
     A = crapper._check_param(A)
     x, y = crapper.circle_samples(A, n_grid)
     if n_grid < 64:
         raise ValueError("injectivity check needs at least 64 points")
-    curve = SurfaceCurve(x=x, y=y, k=1.0)
+    period = 2.0 * math.pi  # SurfaceCurve's at k = 1
     # swept()'s start, or more: a segment past its end meets no base one in x
-    x, y = np.concatenate((x, x + curve.period)), np.concatenate((y, y))
-    if (x[1:n_grid + 1] > x[:n_grid]).all():
+    xx, yy = np.concatenate((x, x + period)), np.concatenate((y, y))
+    closed = xx[:n_grid + 1], yy[:n_grid + 1]
+    if (closed[0][1:] > closed[0][:-1]).all():
         return True
-    return not (pairs_cross(x, y, *mirror_axis_pairs(x, n_grid))
-                or len(segment_crossings(*curve.swept(), n_grid)))
+    if x.min() >= x[0] and x.max() <= x[0] + period and _two_chains(*closed):
+        return True
+    if pairs_cross(xx, yy, *mirror_axis_pairs(xx, n_grid)):
+        return False
+    return not len(segment_crossings(*SurfaceCurve(x=x, y=y, k=1.0).swept(), n_grid))
 
 
 def mirror_axis_pairs(x: np.ndarray, owned: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (i, j) of segments across a line x = k*pi, i below `owned`."""
+    """Pairs (i, j) of segments across a shared line x = k*pi, i below `owned`.
+    Each of the two has an end on either side of that line (floor(x/pi) is
+    monotone in x), so their x-ranges meet, and pairs_cross takes them as
+    they are."""
     q = np.floor(x / math.pi)
     axial = np.flatnonzero(q[1:] != q[:-1])
-    mine = axial[:np.searchsorted(axial, owned)]
-    return np.repeat(mine, len(axial)), np.concatenate([axial[:0]] + [axial] * len(mine))
+    a, b = q[axial], q[axial + 1]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)  # across the lines k*pi, lo < k <= hi
+    mine = np.searchsorted(axial, owned)
+    i, j = np.nonzero(np.maximum.outer(lo[:mine], lo) < np.minimum.outer(hi[:mine], hi))
+    return axial[i], axial[j]
 
 
 def critical_self_intersection_A(tol: float = 1e-3, n_grid: int = 2048,

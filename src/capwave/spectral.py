@@ -245,11 +245,6 @@ class PeriodicFunction:
         _check_grid_holds(self.n_grid, n_modes)
         return 2.0 * self.coeffs[..., 1 : 1 + n_modes].real
 
-    def sine_coefficients(self, n_modes):
-        """Coefficients b_n of the odd part, f_odd = sum b_n sin nt."""
-        _check_grid_holds(self.n_grid, n_modes)
-        return -2.0 * self.coeffs[..., 1 : 1 + n_modes].imag
-
     def resample(self, n_grid):
         """Spectral resampling (exact for band-limited data)."""
         if n_grid == self.n_grid:

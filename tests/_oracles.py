@@ -366,7 +366,7 @@ def jacobian_loop(residual, base, M, step=None, basis_in="cosine", basis_out="co
         return PeriodicFunction.from_sine_series(f, n_grid)
 
     def project(f, basis, M):
-        return f.cosine_coefficients(M) if basis == "cosine" else f.sine_coefficients(M)
+        return f.cosine_coefficients(M) if basis == "cosine" else sine_coefficients(f, M)
 
     if step is None:
         step = 1e-6 * (1.0 + base.norm_inf())
@@ -501,3 +501,27 @@ def bordered_sheet(beta, h, gamma, eps_values, M, n):
             raise RuntimeError(f"no convergence at a_1 = {eps}: residual {np.max(np.abs(r)):.3g}")
         points.append((alpha, a.copy()))
     return points
+
+
+def sine_coefficients(f, n_modes):
+    """Coefficients b_n of the odd part of the PeriodicFunction f, f_odd = sum
+    b_n sin nt, behind the grid check of `cosine_coefficients`."""
+    from capwave.spectral import _check_grid_holds
+
+    _check_grid_holds(f.n_grid, n_modes)
+    return -2.0 * f.coeffs[..., 1 : 1 + n_modes].imag
+
+
+def longdouble_samples(a, n):
+    """(w, w', C w', w'') on n points in np.longdouble, w = sum a_m cos mt for
+    the cosine coefficients a = (a_1, a_2, ..): the arguments after (alpha,
+    beta) of `deep_residual_on_samples`.  Each is an inverse FFT of modes
+    multiplied by 1, i k, |k| and -k^2; np.fft transforms long double in its
+    own precision (numpy >= 2.0)."""
+    a = np.asarray(a, dtype=np.longdouble)
+    m = np.arange(1, len(a) + 1)
+    c = np.zeros(n, dtype=np.clongdouble)
+    c[m] = c[n - m] = a / 2
+    k = np.fft.fftfreq(n, 1.0 / n).astype(np.longdouble)
+    return tuple(n * np.fft.ifft(c * mult).real
+                 for mult in (np.ones(n, dtype=np.longdouble), 1j * k, np.abs(k), -k * k))

@@ -1,5 +1,7 @@
+import importlib.util
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,14 +335,21 @@ def test_check_injective_matches_the_full_polyline_oracle_on_random_walks(curve)
     _assert_sweep_matches_full_polyline(curve, skip_disjoint_boxes=True)
 
 
+def _x_ranges_meet(x, i, j):
+    """The pairs (i, j) that pairs_cross takes: their segments' x-ranges meet."""
+    lo, hi = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])
+    meet = (lo[j] <= hi[i]) & (lo[i] <= hi[j])
+    return i[meet], j[meet]
+
+
 def _assert_pair_test_is_part_of_the_sweep(x, y, owned, pairs):
     # any pairs, neighbours, reversed pairs and disjoint boxes included, give a
     # subsequence of the sweep's rows, bit for bit and in (i, j) order, and
-    # the yes/no answer on the same pairs agrees with them
+    # the yes/no answer on those of them whose x-ranges meet agrees with them
     want = [r.tobytes() for r in segment_crossings(x, y, owned)]
     pairs = np.array([p for p in pairs if p[0] < owned], dtype=np.intp).reshape(-1, 2)
     got = pair_crossings(x, y, pairs[:, 0], pairs[:, 1], ENDPOINT_BAND)
-    assert pairs_cross(x, y, pairs[:, 0], pairs[:, 1]) == (len(got) > 0)
+    assert pairs_cross(x, y, *_x_ranges_meet(x, pairs[:, 0], pairs[:, 1])) == (len(got) > 0)
     rest = iter(want)
     assert got.shape[1] == 2 and all(r.tobytes() in rest for r in got)
     return want
@@ -364,7 +373,7 @@ def test_pair_crossings_are_a_subsequence_of_the_sweep_on_polylines(data, xy, ow
         # of the sweep, which skips the x-box test, exactly
         i, j = np.divmod(np.arange(min(rows, len(x) - 1) * (len(x) - 1)), len(x) - 1)
         assert [r.tobytes() for r in pair_crossings(x, y, i, j, ENDPOINT_BAND)] == want
-        assert pairs_cross(x, y, i, j) == (len(want) > 0)
+        assert pairs_cross(x, y, *_x_ranges_meet(x, i, j)) == (len(want) > 0)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -495,24 +504,37 @@ _AXIS_PASS_A = [s * A for A in (*np.arange(0.05, 0.951, 0.01), *(A_STAR + np.lin
                 for s in (1, -1)]
 
 
+def _closed_period(curve):
+    """Points 0..n of the two-period copy that crapper_profile_injective holds."""
+    return (np.concatenate((curve.x, curve.x[:1] + curve.period)),
+            np.concatenate((curve.y, curve.y[:1])))
+
+
+def _inside_one_period(curve):
+    return curve.x.min() >= curve.x[0] and curve.x.max() <= curve.x[0] + curve.period
+
+
 def test_mirror_axis_pass_finds_only_the_sweeps_crossings_and_decides_every_crossing_curve(
         monkeypatch):
     passes = []
+    monkeypatch.setattr(geometry, "_two_chains",
+                        lambda x, y: passes.append("chains") or _kernels._two_chains(x, y))
     monkeypatch.setattr(geometry, "pairs_cross",
                         lambda x, y, i, j: passes.append("axes") or pairs_cross(x, y, i, j))
     monkeypatch.setattr(geometry, "segment_crossings",
-                        lambda x, y, owned: passes.append(owned) or segment_crossings(x, y, owned))
+                        lambda x, y, owned: passes.append("sweep") or segment_crossings(x, y, owned))
     # every pair test, the axis pass's and the sweep's, runs through _crossings
     crossings = _kernels._crossings
     monkeypatch.setattr(_kernels, "_crossings",
                         lambda x, y, i, j: passes.append("pairs") or crossings(x, y, i, j))
     for n in (64, 128, 256, 512, 1024, 2048, 4096):
         for A in _AXIS_PASS_A:
-            curve = SurfaceCurve(*crapper.circle_samples(A, n)[:2], 1.0)
+            curve = SurfaceCurve(*crapper.circle_samples(A, n), 1.0)
             full = check_injective(curve).crossings
             injective = len(full) == 0
             passes.clear()
             assert crapper_profile_injective(A, n) == injective
+            assert "sweep" not in passes
             # the axis pass reads the base period and the next copy: the start
             # of the swept polyline, bit for bit, or more of it
             x = np.concatenate((curve.x, curve.x + curve.period))
@@ -520,21 +542,82 @@ def test_mirror_axis_pass_finds_only_the_sweeps_crossings_and_decides_every_cros
             swept = curve.swept()
             m = min(len(swept[0]), len(x))
             assert [a[:m].tobytes() for a in swept] == [x[:m].tobytes(), y[:m].tobytes()]
-            found = pair_crossings(x, y, *geometry.mirror_axis_pairs(x, n), ENDPOINT_BAND)
+            # pairs across a shared axis, the lower one owned: their x-ranges
+            # meet, so pairs_cross may take them
+            i, j = geometry.mirror_axis_pairs(x, n)
+            assert (i < n).all() and len(_x_ranges_meet(x, i, j)[0]) == len(i)
+            found = pair_crossings(x, y, i, j, ENDPOINT_BAND)
             rows = {r.tobytes() for r in full}
             assert all(r.tobytes() in rows for r in found)
             # x rises strictly below the fold at sqrt(2) - 1, and where it
-            # does, neither pass runs
+            # does, no other pass runs
             rises = bool(np.all(swept[0][1:] > swept[0][:-1]))
             assert rises or abs(A) > np.sqrt(2.0) - 1.0
             if rises:
                 assert passes == [] and injective
+            elif injective:
+                # the closed period lies in one period and splits into two
+                # chains at the apex: decided with no pair formed
+                assert _inside_one_period(curve) and passes == ["chains"]
             else:
-                # the pass decides every crossing curve: only an injective
-                # one goes on to the sweep, which splits it into two chains
-                # at the apex and returns before it forms a pair
-                assert passes[:2] == ["axes", "pairs"]
-                assert (len(found) == 0) == injective == (passes == ["axes", "pairs", n])
+                # the axis pass decides every crossing curve, after the chain
+                # test where the guard lets it run (at A < 0, where it fails)
+                assert len(found) > 0
+                assert passes in (["axes", "pairs"], ["chains", "axes", "pairs"])
+                assert (passes[0] == "chains") == _inside_one_period(curve)
+
+
+def test_where_the_closed_period_is_decided_it_is_the_swept_polyline():
+    # the shortcut answers for the sweep only because the sweep would take
+    # this very polyline and return at its two-chain test; it fires on
+    # exactly the injective curves past the fold
+    fired = 0
+    for n in (64, 128, 256, 512, 1024, 2048, 4096):
+        for A in _AXIS_PASS_A:
+            curve = SurfaceCurve(*crapper.circle_samples(A, n), 1.0)
+            closed = _closed_period(curve)
+            rises = bool(np.all(closed[0][1:] > closed[0][:-1]))
+            fires = not rises and _inside_one_period(curve) and _kernels._two_chains(*closed)
+            assert fires == (not rises and crapper_profile_injective(A, n))
+            if fires:
+                fired += 1
+                assert curve.x[0] == 0.0
+                assert [a.tobytes() for a in curve.swept()] == [a.tobytes() for a in closed]
+    # |A| = 0.42 ... 0.45 and the seven within 3e-4 below A*, on every grid
+    # (158: the sampled curve crosses a little above A*, see below)
+    assert fired >= 11 * 2 * 7
+
+
+@pytest.mark.parametrize("A", [0.46, 0.7])
+def test_the_guard_keeps_a_crossing_curve_whose_period_is_two_chains(A):
+    # past A* at A > 0 the closed period alone is still two chains: the
+    # lobes cross on x = 2*pi, between its end and the next copy's start,
+    # where only the guard (a point left of x[0]) sees them
+    curve = SurfaceCurve(*crapper.circle_samples(A, 1024), 1.0)
+    assert _kernels._two_chains(*_closed_period(curve))
+    assert curve.x.min() < curve.x[0]
+    crossings = check_injective(curve).crossings
+    assert len(crossings) > 0 and np.allclose(crossings[:, 0], 2.0 * np.pi)
+    assert not crapper_profile_injective(A, 1024)
+
+
+def test_astar_digest_repeats_and_sees_each_decision(monkeypatch):
+    # tools/astar_digest.py on a small grid: two runs give the same sha256,
+    # and one flipped decision gives another
+    spec = importlib.util.spec_from_file_location(
+        "astar_digest", Path(__file__).resolve().parents[1] / "tools" / "astar_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.A_STAR == pytest.approx(A_STAR, abs=1e-16)  # one ulp apart
+    values = tool.parameters()
+    assert len(values) == 1901 + 2 * 201 and values[:2] == [-0.95, -0.949] and values[1900] == 0.95
+    small = dict(values=[0.3, 0.44, 0.46, -0.46, 0.7], grids=(64, 256),
+                 brackets=[(1024, 0.25, 0.6)])
+    first = tool.digest(**small)
+    assert re.fullmatch("[0-9a-f]{64}", first) and tool.digest(**small) == first
+    monkeypatch.setattr(tool, "crapper_profile_injective",
+                        lambda A, n: crapper_profile_injective(A, n) != (A == 0.7))
+    assert tool.digest(**small) != first
 
 
 # A* as the bisection returned it when each curve came from the grid

@@ -23,17 +23,47 @@ def _loaded_names(path):
     return names
 
 
+# public methods that nothing outside the tests reads, each kept on purpose:
+# from_physical is the one door from physical variables to WaveParams
+KEPT_METHODS = {"operators.WaveParams.from_physical"}
+
+
+def _public_methods(path):
+    """Class.method for the public methods and properties of public classes."""
+    return {f"{node.name}.{item.name}" for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+
+
+def _src_modules():
+    return sorted((ROOT / "src" / "capwave").glob("*.py"))
+
+
+def _loaded_outside_the_tests():
+    callers = _src_modules() + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+    loaded = set().union(*map(_loaded_names, callers))
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    return loaded | {target.rpartition(":")[2] for target in scripts.values()}
+
+
 def test_every_public_function_of_src_has_a_caller_outside_the_tests():
     # a command, the solver or the benchmark calls each one; a function that
     # only the tests call is a reference, and goes to tests/_oracles.py
-    modules = sorted((ROOT / "src" / "capwave").glob("*.py"))
-    callers = modules + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
-    loaded = set().union(*map(_loaded_names, callers))
-    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
-    loaded |= {target.rpartition(":")[2] for target in scripts.values()}
-    unused = sorted(f"{path.stem}.{name}" for path in modules
+    loaded = _loaded_outside_the_tests()
+    unused = sorted(f"{path.stem}.{name}" for path in _src_modules()
                     for name in _public_functions(path) - loaded)
     assert not unused, f"public functions that nothing outside the tests calls: {unused}"
+
+
+def test_every_public_method_of_src_has_a_reader_outside_the_tests():
+    # the same rule for methods and properties, matched by name: a method
+    # that only the tests read goes to tests/_oracles.py as a function
+    loaded = _loaded_outside_the_tests()
+    methods = {f"{path.stem}.{name}" for path in _src_modules() for name in _public_methods(path)}
+    assert KEPT_METHODS <= methods
+    unused = sorted(m for m in methods - KEPT_METHODS if m.rpartition(".")[2] not in loaded)
+    assert not unused, f"public methods that nothing outside the tests reads: {unused}"
 
 
 def _src_size():

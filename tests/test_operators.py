@@ -33,9 +33,11 @@ from _oracles import (
     crapper_samples,
     deep_residual_on_samples,
     generator_derivatives,
+    longdouble_samples,
     mul_eager,
     residual_G_tilde,
     samples_two_pass,
+    sine_coefficients,
     trapezoid_mean,
 )
 
@@ -223,6 +225,25 @@ def test_residual_inf_against_duplicate_oracle():
     assert abs(r.norm_inf() - np.max(np.abs(oracle))) < 1e-12
 
 
+@pytest.mark.parametrize("A, n", [(0.9, 1024), (0.95, 2048)])
+def test_the_exact_waves_residual_in_double_is_rounding(A, n):
+    # the same straight-line residual of Crapper's wave at (0, beta_A), once on
+    # capwave's double samples and derivatives, once on samples synthesised
+    # in long double from the coefficients 4(-A)^m: 2.5e-9 against 1.3e-12 at
+    # 0.9 and 2.2e-7 against 2.8e-10 at 0.95 (beta_A is rounded to double in
+    # both), so what double precision leaves there is its own rounding
+    assert np.finfo(np.longdouble).eps < 1e-18
+    beta = crapper.beta_of(A)
+    a = 4 * (-np.longdouble(A)) ** np.arange(1, n // 2)
+    fine = deep_residual_on_samples(0.0, beta, *longdouble_samples(a, n))
+    assert fine.dtype == np.longdouble
+    w = crapper.crapper_wave(A, n)
+    wp = derivative(w)
+    coarse = deep_residual_on_samples(0.0, beta, w.samples, wp.samples, hilbert(wp).samples,
+                                      derivative(wp).samples)
+    assert np.max(np.abs(coarse)) >= 100.0 * np.max(np.abs(fine))
+
+
 def test_residual_inf_mean_free_and_even():
     rng = np.random.default_rng(42)
     for _ in range(25):
@@ -231,7 +252,7 @@ def test_residual_inf_mean_free_and_even():
         beta = rng.uniform(0.7, 3.0)
         r = residual_inf(WaveParams(alpha=alpha, beta=beta), w)
         assert abs(mean(r)) < 1e-11
-        assert np.max(np.abs(r.sine_coefficients(127))) < 1e-12
+        assert np.max(np.abs(sine_coefficients(r, 127))) < 1e-12
 
 
 # -- angle-space residuals ----------------------------------------------------------------
@@ -394,7 +415,7 @@ def test_residual_fd_parity_and_mean():
         p = WaveParams(alpha=rng.uniform(0.01, 0.3), beta=rng.uniform(0.8, 2.0),
                        gamma=rng.uniform(-2, 2), h=rng.uniform(1.0, 4.0))
         r = residual_fd(p, w)
-        assert np.max(np.abs(r.sine_coefficients(127))) < 1e-12
+        assert np.max(np.abs(sine_coefficients(r, 127))) < 1e-12
         assert abs(mean(r)) < 1e-11
 
 
