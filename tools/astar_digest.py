@@ -11,7 +11,7 @@ the bits of `critical_self_intersection_A` on its default bracket at 64 ...
 4096 points and on three brackets of the benchmark's threshold_sweep at
 1024 and 2048 points, the values the tests pin.  capwave is imported from
 PYTHONPATH when it is there, else from the `src/` next to this script.
-About 2 s on one core.
+About 1 s on one core.
 """
 
 from __future__ import annotations
