@@ -103,11 +103,11 @@ def crapper_wave(A: float, n_grid: int) -> PeriodicFunction:
     Built from the exact cosine coefficients 4(-A)^n rather than closed-form
     samples: exact coefficients keep the n^2 amplification of the second
     derivative free of sampling noise, and the sample values still match the
-    closed form to rounding once the tail drops below machine precision.
+    closed form to rounding once the tail drops below machine precision.  The
+    formula covers A = 0: every coefficient is a zero (-0.0 on the odd modes
+    at A = +0.0), and every sample +0.0, flat water.
     """
     A = _check_param(A)
-    if A == 0.0:
-        return PeriodicFunction.zeros(n_grid)
     n = np.arange(1, n_grid // 2)
     coeffs = 4.0 * (-A) ** n
     return PeriodicFunction.from_cosine_series(coeffs, n_grid)

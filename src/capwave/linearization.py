@@ -84,7 +84,6 @@ class KernelReport:
     kernel_description: str = ""
     a1_coefficient: float = math.nan   # reduced a_1-equation coefficient (-4A^2)
     a2_coefficient: float = math.nan   # reduced a_2-equation coefficient
-    ratios: np.ndarray | None = field(default=None, repr=False)
     matrix: OperatorMatrix | None = field(default=None, repr=False)  # what was scanned
 
 
@@ -401,4 +400,4 @@ def recurrence_scan(A: float, M: int) -> KernelReport:
     return replace(svd_report, verdict="injective" if injective else "kernel_found",
                    kernel_vectors=() if injective else svd_report.kernel_vectors,
                    kernel_description="" if injective else "recurrence seed survives",
-                   a1_coefficient=a1c, a2_coefficient=a2c, ratios=ratios)
+                   a1_coefficient=a1c, a2_coefficient=a2c)

@@ -234,10 +234,6 @@ class PeriodicFunction:
         c[..., n_grid - j] = neg
         return cls(c)
 
-    @classmethod
-    def zeros(cls, n_grid):
-        return cls.from_cosine_series([], n_grid)
-
     # -- basic accessors -----------------------------------------------------
 
     def cosine_coefficients(self, n_modes):

@@ -512,6 +512,14 @@ def sine_coefficients(f, n_modes):
     return -2.0 * f.coeffs[..., 1 : 1 + n_modes].imag
 
 
+def zeros(n):
+    """Flat water, w = 0, as a PeriodicFunction on n points (behind the grid
+    check of `from_cosine_series`)."""
+    from capwave.spectral import PeriodicFunction
+
+    return PeriodicFunction.from_cosine_series([], n)
+
+
 def longdouble_samples(a, n):
     """(w, w', C w', w'') on n points in np.longdouble, w = sum a_m cos mt for
     the cosine coefficients a = (a_1, a_2, ..): the arguments after (alpha,

@@ -21,8 +21,8 @@ from capwave.operators import WaveParams, q_hat, residual_fd, residual_inf
 from capwave.serialization import solution_to_dict
 from capwave.spectral import DegenerateMetricError, PeriodicFunction, grid
 
-from _oracles import (bernoulli_spread, bordered_sheet, crapper_samples, sheet_rate_exponent,
-                      walk_steps)
+from _oracles import (bernoulli_spread, bordered_sheet, crapper_samples, longdouble_samples,
+                      sheet_rate_exponent, walk_steps, zeros)
 
 
 def _crapper_start(A, n_grid=256):
@@ -63,7 +63,7 @@ def test_newton_returns_to_local_solution_from_perturbation():
 
 
 def test_newton_flat_water_reports_near_singular_jacobian():
-    flat = PeriodicFunction.zeros(256)
+    flat = zeros(256)
     params = WaveParams(alpha=0.0, beta=1.0)
     sol = newton_solve(params, flat, M=8)
     assert sol.residual_norm == 0.0
@@ -578,6 +578,9 @@ def test_deep_and_finite_branches_agree_as_depth_grows():
 # max E - min E on a clean point of an M = 32 branch was 5.5e-12 to 5e-11,
 # and 5.5e-7 to 3.4e-6 with 1e-8 cos 3t added to w
 BERNOULLI_SPREAD_TOL = 1e-9
+# the same on long-double samples of each point's 32 cosine modes: 3.6e-15 to
+# 1.5e-11 (the largest at residual 8.7e-12), 5.5e-7 to 3.4e-6 when damaged
+LONGDOUBLE_BERNOULLI_TOL = 1e-10
 
 
 @pytest.mark.parametrize("depth, alphas", [
@@ -590,11 +593,15 @@ def test_solved_points_keep_bernoulli_law_on_the_surface(depth, alphas):
     beta = crapper.beta_of(0.3)
     branch = continue_branch(0.3, [(a, beta) for a in alphas], M=32, **depth)
     assert [s.params.alpha for s in branch.solutions] == list(alphas)
+    assert np.finfo(np.longdouble).eps < 1e-18  # else the long-double rows test nothing
     for sol in branch.solutions:
         w = sol.w.samples
+        damage = 1e-8 * np.cos(3.0 * grid(sol.w.n_grid))
         assert bernoulli_spread(sol.params, w) < BERNOULLI_SPREAD_TOL
-        damaged = w + 1e-8 * np.cos(3.0 * grid(sol.w.n_grid))
-        assert bernoulli_spread(sol.params, damaged) > 100.0 * BERNOULLI_SPREAD_TOL
+        assert bernoulli_spread(sol.params, w + damage) > 100.0 * BERNOULLI_SPREAD_TOL
+        fine = longdouble_samples(sol.w.cosine_coefficients(32), sol.w.n_grid)[0]
+        assert bernoulli_spread(sol.params, fine) < LONGDOUBLE_BERNOULLI_TOL
+        assert bernoulli_spread(sol.params, fine + damage) > 100.0 * LONGDOUBLE_BERNOULLI_TOL
         if "h" in depth and sol.params.alpha > 0.0:  # the half-plane conjugation fails there
             deep = dataclasses.replace(sol.params, h=math.inf, gamma=0.0)
             assert bernoulli_spread(deep, w) > 100.0 * BERNOULLI_SPREAD_TOL

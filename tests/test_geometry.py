@@ -22,12 +22,12 @@ from capwave.geometry import (
 from capwave.operators import METRIC_FLOOR, conformal_metric
 from capwave.spectral import DegenerateMetricError, PeriodicFunction, derivative, grid
 from _oracles import (crapper_threshold, metric_samples, pair_crossings, pairwise_crossings,
-                      periodic_extension, steepness_closed_form)
+                      periodic_extension, steepness_closed_form, zeros)
 
 
 def test_surface_profile_flat_and_family_values():
     n = 256
-    flat = surface_profile(PeriodicFunction.zeros(n), 1.0)
+    flat = surface_profile(zeros(n), 1.0)
     assert np.max(np.abs(flat.y)) == 0.0
     assert np.max(np.abs(flat.x - grid(n))) < 1e-14
     w = crapper.crapper_wave(0.5, n)
@@ -64,7 +64,7 @@ def test_surface_profile_rejects_degenerate_metric():
 
 
 def test_check_injective_flat_and_family():
-    flat = surface_profile(PeriodicFunction.zeros(256), 1.0)
+    flat = surface_profile(zeros(256), 1.0)
     assert len(check_injective(flat).crossings) == 0
     assert crapper_profile_injective(0.2, 1024)
     report = check_injective(surface_profile(crapper.crapper_wave(0.9, 1024), 1.0))
@@ -397,7 +397,7 @@ def test_segment_crossings_skip_disjoint_boxes():
 
 def test_check_above_bed_examples():
     n = 256
-    assert check_above_bed(PeriodicFunction.zeros(n), 1.0, 1.0)
+    assert check_above_bed(zeros(n), 1.0, 1.0)
     w = crapper.crapper_wave(0.5, n)  # min w = -4/3
     assert not check_above_bed(w, 1.0, 1.0)
     assert check_above_bed(w, 1.0, 2.0)
@@ -406,7 +406,7 @@ def test_check_above_bed_examples():
 
 
 def test_steepness_examples():
-    assert steepness(PeriodicFunction.zeros(64)) == 0.0
+    assert steepness(zeros(64)) == 0.0
     for A in (0.1, 0.3, 0.5, 0.8):
         w = crapper.crapper_wave(A, 512)
         assert abs(steepness(w) - steepness_closed_form(A)) < 1e-10
@@ -505,7 +505,7 @@ _AXIS_PASS_A = [s * A for A in (*np.arange(0.05, 0.951, 0.01), *(A_STAR + np.lin
 
 
 def _closed_period(curve):
-    """Points 0..n of the two-period copy that crapper_profile_injective holds."""
+    """The base period closed at point n, x[0] + period."""
     return (np.concatenate((curve.x, curve.x[:1] + curve.period)),
             np.concatenate((curve.y, curve.y[:1])))
 
@@ -514,11 +514,9 @@ def _inside_one_period(curve):
     return curve.x.min() >= curve.x[0] and curve.x.max() <= curve.x[0] + curve.period
 
 
-def test_mirror_axis_pass_finds_only_the_sweeps_crossings_and_decides_every_crossing_curve(
+def test_mirror_axis_pass_finds_only_the_sweeps_crossings_and_decides_every_curve_leaving_its_period(
         monkeypatch):
     passes = []
-    monkeypatch.setattr(geometry, "_two_chains",
-                        lambda x, y: passes.append("chains") or _kernels._two_chains(x, y))
     monkeypatch.setattr(geometry, "pairs_cross",
                         lambda x, y, i, j: passes.append("axes") or pairs_cross(x, y, i, j))
     monkeypatch.setattr(geometry, "segment_crossings",
@@ -534,7 +532,6 @@ def test_mirror_axis_pass_finds_only_the_sweeps_crossings_and_decides_every_cros
             injective = len(full) == 0
             passes.clear()
             assert crapper_profile_injective(A, n) == injective
-            assert "sweep" not in passes
             # the axis pass reads the base period and the next copy: the start
             # of the swept polyline, bit for bit, or more of it
             x = np.concatenate((curve.x, curve.x + curve.period))
@@ -549,43 +546,46 @@ def test_mirror_axis_pass_finds_only_the_sweeps_crossings_and_decides_every_cros
             found = pair_crossings(x, y, i, j, ENDPOINT_BAND)
             rows = {r.tobytes() for r in full}
             assert all(r.tobytes() in rows for r in found)
-            # x rises strictly below the fold at sqrt(2) - 1, and where it
-            # does, no other pass runs
+            # x rises strictly only below the fold at sqrt(2) - 1
             rises = bool(np.all(swept[0][1:] > swept[0][:-1]))
             assert rises or abs(A) > np.sqrt(2.0) - 1.0
-            if rises:
-                assert passes == [] and injective
-            elif injective:
-                # the closed period lies in one period and splits into two
-                # chains at the apex: decided with no pair formed
-                assert _inside_one_period(curve) and passes == ["chains"]
+            if _inside_one_period(curve):
+                # the sweep alone decides; its early returns (x rising, two
+                # chains) form no pair, only a loop inside the period (A < 0)
+                # is sorted
+                assert passes == (["sweep"] if injective else ["sweep", "pairs"])
+                assert injective or A < 0.0
             else:
-                # the axis pass decides every crossing curve, after the chain
-                # test where the guard lets it run (at A < 0, where it fails)
-                assert len(found) > 0
-                assert passes in (["axes", "pairs"], ["chains", "axes", "pairs"])
-                assert (passes[0] == "chains") == _inside_one_period(curve)
+                # the lobes leave the period: the axis pass decides every such
+                # curve, and the sweep never runs
+                assert passes == ["axes", "pairs"] and len(found) > 0 and not injective
 
 
-def test_where_the_closed_period_is_decided_it_is_the_swept_polyline():
-    # the shortcut answers for the sweep only because the sweep would take
-    # this very polyline and return at its two-chain test; it fires on
-    # exactly the injective curves past the fold
-    fired = 0
+def test_where_the_closed_period_is_decided_it_is_the_swept_polyline(monkeypatch):
+    # on every curve that stays in one period, the check hands the sweep its
+    # closed period, and that is the polyline check_injective sweeps, bit for
+    # bit; only the curves whose lobes leave their period reach swept() itself
+    swept = []
+    monkeypatch.setattr(geometry, "segment_crossings",
+                        lambda x, y, owned: swept.append((x, y, owned)) or segment_crossings(x, y, owned))
+    inside = 0
     for n in (64, 128, 256, 512, 1024, 2048, 4096):
         for A in _AXIS_PASS_A:
             curve = SurfaceCurve(*crapper.circle_samples(A, n), 1.0)
-            closed = _closed_period(curve)
-            rises = bool(np.all(closed[0][1:] > closed[0][:-1]))
-            fires = not rises and _inside_one_period(curve) and _kernels._two_chains(*closed)
-            assert fires == (not rises and crapper_profile_injective(A, n))
-            if fires:
-                fired += 1
+            swept.clear()
+            crapper_profile_injective(A, n)
+            if _inside_one_period(curve):
+                inside += 1
                 assert curve.x[0] == 0.0
-                assert [a.tobytes() for a in curve.swept()] == [a.tobytes() for a in closed]
-    # |A| = 0.42 ... 0.45 and the seven within 3e-4 below A*, on every grid
-    # (158: the sampled curve crosses a little above A*, see below)
-    assert fired >= 11 * 2 * 7
+                [(x, y, owned)] = swept
+                assert owned == n
+                want = [a.tobytes() for a in curve.swept()]
+                assert [x.tobytes(), y.tobytes()] == want == [a.tobytes() for a in _closed_period(curve)]
+            else:
+                assert swept == []
+    # every rising and injective curve and the loops inside the period at
+    # A < 0, on every grid (557 of the 1456 leave their period)
+    assert inside == 899
 
 
 @pytest.mark.parametrize("A", [0.46, 0.7])
@@ -599,6 +599,20 @@ def test_the_guard_keeps_a_crossing_curve_whose_period_is_two_chains(A):
     crossings = check_injective(curve).crossings
     assert len(crossings) > 0 and np.allclose(crossings[:, 0], 2.0 * np.pi)
     assert not crapper_profile_injective(A, 1024)
+
+
+@pytest.mark.parametrize("A", [0.46, 0.6, 0.9])
+def test_the_sweep_decides_a_curve_leaving_its_period_that_the_axis_pass_misses(A, monkeypatch):
+    # the axis pass only ever answers "crosses"; where it finds nothing, the
+    # sweep on swept(), the authority, answers
+    monkeypatch.setattr(geometry, "pairs_cross", lambda x, y, i, j: False)
+    swept = []
+    monkeypatch.setattr(geometry, "segment_crossings",
+                        lambda x, y, owned: swept.append(x) or segment_crossings(x, y, owned))
+    assert not crapper_profile_injective(A, 1024)
+    curve = SurfaceCurve(*crapper.circle_samples(A, 1024), 1.0)
+    assert not _inside_one_period(curve)
+    assert [x.tobytes() for x in swept] == [curve.swept()[0].tobytes()]
 
 
 def test_astar_digest_repeats_and_sees_each_decision(monkeypatch):

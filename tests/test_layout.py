@@ -40,9 +40,13 @@ def _src_modules():
     return sorted((ROOT / "src" / "capwave").glob("*.py"))
 
 
+def _callers():
+    """The code outside the tests: src/, bench/ and tools/."""
+    return _src_modules() + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+
+
 def _loaded_outside_the_tests():
-    callers = _src_modules() + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
-    loaded = set().union(*map(_loaded_names, callers))
+    loaded = set().union(*map(_loaded_names, _callers()))
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
     return loaded | {target.rpartition(":")[2] for target in scripts.values()}
 
@@ -64,6 +68,39 @@ def test_every_public_method_of_src_has_a_reader_outside_the_tests():
     assert KEPT_METHODS <= methods
     unused = sorted(m for m in methods - KEPT_METHODS if m.rpartition(".")[2] not in loaded)
     assert not unused, f"public methods that nothing outside the tests reads: {unused}"
+
+
+# dataclass fields that nothing outside the tests reads, each kept on purpose:
+# residual_history becomes a view of the solver's per-iteration record
+KEPT_FIELDS = {"continuation.WaveSolution.residual_history"}
+
+
+def _read_attributes(path):
+    """Every name read as an attribute, x.name, in the file; a bare name is
+    not one."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _public_fields(path):
+    """Class.field for the annotated fields of public dataclasses, ClassVar
+    ones excepted (as tools/src_size.py counts them)."""
+    return {f"{node.name}.{item.target.id}" for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and "ClassVar" not in ast.unparse(item.annotation)}
+
+
+def test_every_public_dataclass_field_of_src_is_read_outside_the_tests():
+    # a field is read where code outside the tests takes it as an attribute;
+    # a local variable of the same name reads nothing
+    read = set().union(*map(_read_attributes, _callers()))
+    fields = {f"{path.stem}.{name}" for path in _src_modules() for name in _public_fields(path)}
+    assert KEPT_FIELDS <= fields
+    unused = sorted(f for f in fields - KEPT_FIELDS if f.rpartition(".")[2] not in read)
+    assert not unused, f"public dataclass fields that nothing outside the tests reads: {unused}"
 
 
 def _src_size():

@@ -39,7 +39,7 @@ from capwave.operators import (
 )
 from capwave.spectral import PeriodicFunction, _samples_of, grid, mul
 from _oracles import (flat_water_alpha, flat_water_diagonal, jacobian_loop, plus_minus_stack,
-                      residual_G_tilde)
+                      residual_G_tilde, zeros)
 
 
 GOLDEN_SIGMA_MIN_A05_M64 = 0.548817980410871  # recorded from the build SVD
@@ -50,7 +50,7 @@ def _g_at(beta):
 
 
 def test_jacobian_fd_of_G_at_zero_is_diagonal():
-    base = PeriodicFunction.zeros(256)
+    base = zeros(256)
     jac = jacobian_fd(_g_at(1.0), base, 12, basis_in="sine")
     expected = np.diag(np.arange(1, 13) - 1.0)
     assert np.max(np.abs(jac.entries - expected)) < 1e-8
@@ -59,7 +59,7 @@ def test_jacobian_fd_of_G_at_zero_is_diagonal():
 
 
 def test_jacobian_fd_annihilates_flat_water_bifurcation_mode():
-    base = PeriodicFunction.zeros(256)
+    base = zeros(256)
     res = lambda w: residual_inf(WaveParams(alpha=0.0, beta=1.0), w)
     jac = jacobian_fd(res, base, 8)
     assert np.max(np.abs(jac.entries[:, 0])) < 1e-9  # cos t direction
@@ -78,7 +78,7 @@ def test_jacobian_fd_at_flat_water_is_the_dispersion_oracle(h, gamma, alpha):
     # measured worst cases 6.9e-11 on the diagonal and 3.5e-11 off it
     p = WaveParams(alpha=alpha, beta=BETA_03, gamma=gamma, h=h)
     residual = residual_inf if p.is_infinite else residual_fd
-    jac = jacobian_fd(lambda w: residual(p, w), PeriodicFunction.zeros(64), 8).entries
+    jac = jacobian_fd(lambda w: residual(p, w), zeros(64), 8).entries
     diagonal = np.diag(jac)
     assert np.max(np.abs(jac - np.diag(diagonal))) <= 1e-9
     expected = flat_water_diagonal(alpha, BETA_03, np.arange(1, 9), h, gamma)
@@ -217,10 +217,10 @@ def _special_bases(n):
     special = signed_zeros.copy()
     special[[2, 5]] = complex(np.inf, -0.0), complex(np.nan, -np.inf)
     special[n - 3] = complex(-np.nan, 1.0)
-    zeros = np.full(n, complex(-0.0, -0.0))
+    minus_zero = np.full(n, complex(-0.0, -0.0))
     return {name: PeriodicFunction(v) for name, v in
             (("random", c), ("signed zeros", signed_zeros), ("inf and nan", special),
-             ("all -0", zeros))}
+             ("all -0", minus_zero))}
 
 
 @pytest.mark.parametrize("basis", ["cosine", "sine"])
@@ -550,7 +550,7 @@ def _fail_on_modes(failing, u):
 @needs_worker
 @pytest.mark.parametrize("failing", [(20, 40), (40, 60), (60,), (5, 20)])
 def test_a_failing_chunk_raises_as_the_loop_over_chunks_would(monkeypatch, failing):
-    base = PeriodicFunction.zeros(256)
+    base = zeros(256)
     residual = partial(_fail_on_modes, frozenset(failing))
     # taking every chunk from the top down, the worker stops at the first that fails
     _, chunks, sent = _worker_alone(residual, base, 64)
@@ -574,7 +574,7 @@ def _overflow_then_identity(u):
 def test_the_worker_runs_under_the_callers_errstate(monkeypatch):
     # a chunk that warns or raises there is left undone and computed here,
     # where the caller's errstate and warning filters act on it
-    base = PeriodicFunction.zeros(256)
+    base = zeros(256)
     for over, every in (("ignore", True), ("raise", False), ("warn", False)):
         with np.errstate(over=over), warnings.catch_warnings():
             warnings.simplefilter("error")  # none arises here
@@ -641,7 +641,7 @@ def _die_in_the_worker(caller, worker, u):
 def test_a_worker_that_dies_during_a_jacobian_leaves_the_rest_to_the_caller(monkeypatch):
     # it dies on its first chunk while the caller is on its own first one,
     # so the caller finds the connection closed when it next looks
-    base = PeriodicFunction.zeros(256)
+    base = zeros(256)
     jacobian_fd(partial(residual_G, 1.0), base, 64, basis_in="sine")  # forks the worker
     _wait_for_the_worker()
     worker = linearization._pool[1]
@@ -850,7 +850,8 @@ def test_dG_matrix_banded_after_denominator_clearing():
 def test_recurrence_scan_examples():
     scan = recurrence_scan(0.5, 64)
     assert scan.verdict == "injective"
-    assert scan.ratios[0] == pytest.approx(8.0 / 7.0, rel=1e-12)  # n_3 = 1.6/1.4
+    q = crapper.q_of(0.5)  # the scan's first ratio, n_3 = (1 + q)/(A^2 (5 + q)) = 1.6/1.4
+    assert (1.0 + q) / (0.25 * (5.0 + q)) == pytest.approx(8.0 / 7.0, rel=1e-12)
     assert scan.a1_coefficient == pytest.approx(-1.0, abs=1e-12)
     scan0 = recurrence_scan(0.0, 32)
     assert scan0.verdict == "kernel_found"

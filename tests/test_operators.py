@@ -39,6 +39,7 @@ from _oracles import (
     samples_two_pass,
     sine_coefficients,
     trapezoid_mean,
+    zeros,
 )
 
 
@@ -99,7 +100,7 @@ def test_wave_params_k_examples():
 
 def test_conformal_metric_examples():
     n = 256
-    flat = PeriodicFunction.zeros(n)
+    flat = zeros(n)
     assert np.max(np.abs(conformal_metric(flat) - 1.0)) < 1e-14
     assert np.max(np.abs(conformal_metric(flat, d=1.5) - 1.0)) < 1e-14
     w = crapper.crapper_wave(0.5, n)
@@ -132,7 +133,7 @@ def test_theta_of_rejects_a_branch_jump():
 
 def test_theta_of_examples():
     n = 256
-    flat = theta_of(PeriodicFunction.zeros(n))
+    flat = theta_of(zeros(n))
     assert np.max(np.abs(flat.samples)) == 0.0
     w = crapper.crapper_wave(0.3, n)
     th = theta_of(w)
@@ -167,7 +168,7 @@ def test_theta_of_examples():
 
 def test_bernoulli_flat_and_family():
     n = 256
-    flat = PeriodicFunction.zeros(n)
+    flat = zeros(n)
     for alpha in (-0.3, 0.0, 0.7):
         assert bernoulli_b(alpha, flat) == pytest.approx(1.0, abs=1e-14)
     for A in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -200,7 +201,7 @@ def test_residual_inf_zero_on_family():
 
 
 def test_residual_inf_flat_water():
-    r = residual_inf(WaveParams(alpha=0.0, beta=1.0), PeriodicFunction.zeros(256))
+    r = residual_inf(WaveParams(alpha=0.0, beta=1.0), zeros(256))
     assert r.norm_inf() == 0.0
 
 
@@ -260,7 +261,7 @@ def test_residual_inf_mean_free_and_even():
 
 def test_residual_G_examples():
     n = 256
-    assert residual_G(1.0, PeriodicFunction.zeros(n)).norm_inf() < 1e-15
+    assert residual_G(1.0, zeros(n)).norm_inf() < 1e-15
     th = crapper.crapper_theta(0.5, n)
     assert residual_G(5.0 / 3.0, th).norm_inf() < 1e-10
     with pytest.raises(ValueError):
@@ -310,7 +311,7 @@ def test_q_hat_examples():
     # strip at large depth and small alpha approaches the deep scalar
     p = WaveParams(alpha=1e-6, beta=2.0, gamma=0.0, h=50.0)
     assert q_hat(p, w5) == pytest.approx(bernoulli_b(1e-6, w5), abs=1e-6)
-    flat = PeriodicFunction.zeros(n)
+    flat = zeros(n)
     for alpha in (0.3, 1.0):
         p = WaveParams(alpha=alpha, beta=1.0, gamma=0.0, h=3.0)
         assert q_hat(p, flat) == pytest.approx(1.0, abs=1e-13)
@@ -366,7 +367,7 @@ def test_residual_fd_limit_monotone_in_depth_and_alpha():
 
 
 def test_residual_fd_flat_water_any_depth():
-    flat = PeriodicFunction.zeros(256)
+    flat = zeros(256)
     for alpha in (0.1, 1.0):
         p = WaveParams(alpha=alpha, beta=1.3, gamma=0.0, h=2.0)
         assert residual_fd(p, flat).norm_inf() < 1e-13
