@@ -49,6 +49,8 @@ def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int) -> np.ndarray:
     """Proper pairwise intersections of the open polyline (x, y) whose lower
     segment index is below `owned`: an (n, 2) array, ordered by i and then j."""
     i, j, px, py = _sweep(x, y, owned)
+    if not len(i):
+        return np.empty((0, 2))
     order = np.lexsort((j, i))
     return np.column_stack((px[order], py[order]))
 
