@@ -24,9 +24,10 @@ J lie left of x[J], the ones after it right: segments of one chain that are
 not neighbours have disjoint y-ranges, and the two chains meet in x only in
 the neighbour pair at J.  Every injective Crapper curve past the fold splits
 so at t = pi; geometry.crapper_profile_injective sweeps such a curve on its
-closed period, the polyline swept, so none of them is sorted.  A tie or a NaN fails a strict comparison and is sorted.  The
-stable sort (timsort) merges the few monotone runs of a surface curve's left
-ends in under half the default sort's time.
+closed period, the polyline swept, so none of them is sorted.  A tie or a
+NaN fails a strict comparison and is sorted.  The stable sort (timsort)
+merges the few monotone runs of a surface curve's left ends in under half
+the default sort's time.
 Ties do not change the output: a pair is formed once whichever end ranks
 first, and the crossings are put in (i, j) order at the end.
 """
