@@ -16,9 +16,8 @@ units (k = 1) otherwise; `solution_report` holds the flags of every Newton
 solution.  Each crossing is counted once per period (see `check_injective`).
 The threshold bisection draws the explicit family from F_A's closed form
 (`crapper.circle_samples`) instead of through `surface_profile`'s transforms,
-and sweeps the closed period of a curve that stays in it, the polyline
-check_injective would sweep; a curve whose lobes leave its period tries its
-mirror axes before the sweep (crapper_profile_injective).
+and sweeps the polyline check_injective would sweep; a curve whose lobes
+leave its period tries its mirror axes first (crapper_profile_injective).
 """
 
 from __future__ import annotations
@@ -141,28 +140,25 @@ def crapper_profile_injective(A: float, n_grid: int) -> bool:
     """Whether the explicit profile at A is injective on n_grid points, drawn
     from F_A's closed form (see crapper) with check_injective's refusals.  No
     metric refusal is needed: W >= ((1-|A|)/(1+|A|))^4 >= 6.4e-10 at |A| <=
-    A_CAP, far above surface_profile's floor.  The sweep, the authority,
-    decides, on the polyline check_injective would sweep:
-    - where no point lies left of x[0] or right of x[0] + period, that is the
-      closed base period (points 0..n, point n at x[0] + period): x[0] = 0.0,
-      so swept() builds one copy and closes it at point n.  The sweep's own
-      early returns decide the curves that rise in x and the injective ones
-      past the fold; a loop inside the period (A < 0) is sorted;
-    - otherwise the lobes leave the period, and a pair across a shared mirror
-      axis x = k*pi, where they close, in two periods answers "crosses"
-      first; past A* at A > 0 they cross on x = 2*pi, between the period's
-      end and the next copy's start."""
+    A_CAP, far above surface_profile's floor.  The sweep on the polyline
+    check_injective sweeps (swept()), the authority, decides.  Where no point
+    lies left of x[0] or right of x[0] + period, it alone decides: its own
+    early returns answer for the curves that rise in x and the injective
+    ones past the fold, its sort for a loop inside the period (A < 0).
+    Otherwise the lobes leave the period, and a pair across a shared mirror
+    axis x = k*pi, where they close, in two periods answers "crosses" first;
+    past A* at A > 0 they cross on x = 2*pi, between the period's end and the
+    next copy's start."""
     A = crapper._check_param(A)
     x, y = crapper.circle_samples(A, n_grid)
     if n_grid < 64:
         raise ValueError("injectivity check needs at least 64 points")
     period = 2.0 * math.pi  # SurfaceCurve's at k = 1
-    if x.min() >= x[0] and x.max() <= x[0] + period:
-        return not len(segment_crossings(np.append(x, x[0] + period), np.append(y, y[0]), n_grid))
-    # swept()'s start, or more: a segment past its end meets no base one in x
-    xx, yy = np.concatenate((x, x + period)), np.concatenate((y, y))
-    if pairs_cross(xx, yy, *mirror_axis_pairs(xx, n_grid)):
-        return False
+    if not (x.min() >= x[0] and x.max() <= x[0] + period):
+        # swept()'s start, or more: a segment past its end meets no base one in x
+        xx, yy = np.concatenate((x, x + period)), np.concatenate((y, y))
+        if pairs_cross(xx, yy, *mirror_axis_pairs(xx, n_grid)):
+            return False
     return not len(segment_crossings(*SurfaceCurve(x=x, y=y, k=1.0).swept(), n_grid))
 
 

@@ -850,8 +850,6 @@ def test_dG_matrix_banded_after_denominator_clearing():
 def test_recurrence_scan_examples():
     scan = recurrence_scan(0.5, 64)
     assert scan.verdict == "injective"
-    q = crapper.q_of(0.5)  # the scan's first ratio, n_3 = (1 + q)/(A^2 (5 + q)) = 1.6/1.4
-    assert (1.0 + q) / (0.25 * (5.0 + q)) == pytest.approx(8.0 / 7.0, rel=1e-12)
     assert scan.a1_coefficient == pytest.approx(-1.0, abs=1e-12)
     scan0 = recurrence_scan(0.0, 32)
     assert scan0.verdict == "kernel_found"
@@ -859,6 +857,14 @@ def test_recurrence_scan_examples():
     assert abs(scan0.kernel_vectors[0][0]) > 0.999
     with pytest.raises(ValueError):
         recurrence_scan(0.5, 4)
+
+
+def test_recurrence_scan_refuses_ratios_that_stop_increasing(monkeypatch):
+    # at q = -10.5 the ratios n_k = (k - 2 + q)/(A^2 (k + 2 + q)) jump from
+    # 9/A^2 at k = 8 to -7/A^2 at k = 9
+    monkeypatch.setattr(crapper, "q_of", lambda A: -10.5)
+    with pytest.raises(AssertionError, match="monotonically"):
+        recurrence_scan(0.5, 64)
 
 
 def test_recurrence_matches_svd_verdicts():
