@@ -7,8 +7,7 @@ segments that overlap it in x; the y-ranges prune those pairs further, and
 only the survivors get the four orientation tests.  Only pairs with a
 segment below the index `owned` are built (a periodic curve owns its base
 period; the other pairs repeat them); their x-ranges meet, so the pair test
-checks the y-ranges only.  So does `pairs_cross`, whose caller forms pairs
-that meet in x too (geometry.mirror_axis_pairs).
+checks the y-ranges only.
 A segment of a surface curve overlaps a handful of others, so the sweep
 costs O(n log n) plus the candidate pairs, not the n^2 / 2 of the pairwise
 sweep in tests/_oracles.py, whose orientation arithmetic it shares: both
@@ -54,12 +53,6 @@ def segment_crossings(x: np.ndarray, y: np.ndarray, owned: int) -> np.ndarray:
         return np.empty((0, 2))
     order = np.lexsort((j, i))
     return np.column_stack((px[order], py[order]))
-
-
-def pairs_cross(x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
-    """Whether some pair (i, j) crosses, by the pair test of segment_crossings;
-    the x-ranges of each pair must meet, as those the sweep forms do."""
-    return len(_crossings(x, y, i, j)[0]) > 0
 
 
 def _sweep(x, y, owned):

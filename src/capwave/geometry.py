@@ -16,8 +16,9 @@ units (k = 1) otherwise; `solution_report` holds the flags of every Newton
 solution.  Each crossing is counted once per period (see `check_injective`).
 The threshold bisection draws the explicit family from F_A's closed form
 (`crapper.circle_samples`) instead of through `surface_profile`'s transforms,
-and sweeps the polyline check_injective would sweep; a curve whose lobes
-leave its period tries its mirror axes first (crapper_profile_injective).
+and sweeps the polyline check_injective would sweep; a curve with a point
+past its period's mirror axes has crossed itself and is not swept
+(crapper_profile_injective).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crapper
-from ._kernels import pairs_cross, segment_crossings
+from ._kernels import ENDPOINT_BAND, segment_crossings
 from .spectral import PeriodicFunction, hilbert, hilbert_strip, grid
 from .operators import WaveParams, conformal_metric
 
@@ -140,40 +141,28 @@ def crapper_profile_injective(A: float, n_grid: int) -> bool:
     """Whether the explicit profile at A is injective on n_grid points, drawn
     from F_A's closed form (see crapper) with check_injective's refusals.  No
     metric refusal is needed: W >= ((1-|A|)/(1+|A|))^4 >= 6.4e-10 at |A| <=
-    A_CAP, far above surface_profile's floor.  The sweep on the polyline
-    check_injective sweeps (swept()), the authority, decides.  Where no point
-    lies left of x[0] or right of x[0] + period, it alone decides: its own
-    early returns answer for the curves that rise in x and the injective
-    ones past the fold, its sort for a loop inside the period (A < 0).
-    Otherwise the lobes leave the period, and a pair across a shared mirror
-    axis x = k*pi, where they close, in two periods answers "crosses" first;
-    past A* at A > 0 they cross on x = 2*pi, between the period's end and the
-    next copy's start."""
+    A_CAP, far above surface_profile's floor.
+
+    A point more than ENDPOINT_BAND left of x[0] (0.0 exactly, from
+    circle_samples) or right of x[0] + 2*pi answers "crosses" at once.  The
+    curve C(t) = (x(t), y(t)) is symmetric about every line x = k*pi: f(t) =
+    t - x(t) is odd and 2*pi-periodic, and y is even.  If x(t1) > 2*pi for
+    some t1 in (0, 2*pi), then x(s) = 2*pi at some s in (0, t1), as x(0) =
+    0, so C(4*pi - s) = (4*pi - x(s), y(s)) = C(s), and s != pi as x(pi) =
+    pi: two parameters reach one point.  A point left of x = 0 meets its
+    mirror image C(-s) = C(s) likewise.  Within the band, rounding can put a
+    point a few ulps past an axis where the sweep counts no crossing, so
+    those curves are swept.  Every other curve is decided by the sweep on
+    the polyline check_injective sweeps (swept()): its early returns answer
+    for the curves that rise in x and the injective ones past the fold, its
+    sort for a loop inside the period (A < 0)."""
     A = crapper._check_param(A)
     x, y = crapper.circle_samples(A, n_grid)
     if n_grid < 64:
         raise ValueError("injectivity check needs at least 64 points")
-    period = 2.0 * math.pi  # SurfaceCurve's at k = 1
-    if not (x.min() >= x[0] and x.max() <= x[0] + period):
-        # swept()'s start, or more: a segment past its end meets no base one in x
-        xx, yy = np.concatenate((x, x + period)), np.concatenate((y, y))
-        if pairs_cross(xx, yy, *mirror_axis_pairs(xx, n_grid)):
-            return False
+    if x.min() < x[0] - ENDPOINT_BAND or x.max() > x[0] + 2.0 * math.pi + ENDPOINT_BAND:
+        return False
     return not len(segment_crossings(*SurfaceCurve(x=x, y=y, k=1.0).swept(), n_grid))
-
-
-def mirror_axis_pairs(x: np.ndarray, owned: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (i, j) of segments across a shared line x = k*pi, i below `owned`.
-    Each of the two has an end on either side of that line (floor(x/pi) is
-    monotone in x), so their x-ranges meet, and pairs_cross takes them as
-    they are."""
-    q = np.floor(x / math.pi)
-    axial = np.flatnonzero(q[1:] != q[:-1])
-    a, b = q[axial], q[axial + 1]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)  # across the lines k*pi, lo < k <= hi
-    mine = np.searchsorted(axial, owned)
-    i, j = np.nonzero(np.maximum.outer(lo[:mine], lo) < np.minimum.outer(hi[:mine], hi))
-    return axial[i], axial[j]
 
 
 def critical_self_intersection_A(tol: float = 1e-3, n_grid: int = 2048,

@@ -238,6 +238,17 @@ def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("tool", ["cli_outputs.py", "failure_census.py"])
+def test_an_output_tool_refuses_an_option_for_its_outdir_and_writes_nothing(tmp_path, tool):
+    # `--help` is no directory to fill: the usage line, exit 1, no file
+    path = Path(__file__).resolve().parents[1] / "tools" / tool
+    proc = subprocess.run([sys.executable, str(path), "--help"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"usage: python3 tools/{tool} OUTDIR\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _census_tool():
     path = Path(__file__).resolve().parents[1] / "tools" / "failure_census.py"
     spec = importlib.util.spec_from_file_location("failure_census", path)

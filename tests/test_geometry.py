@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from capwave import _kernels, crapper, geometry
-from capwave._kernels import ENDPOINT_BAND, pairs_cross, segment_crossings
+from capwave._kernels import ENDPOINT_BAND, segment_crossings
 from capwave.geometry import (
     SurfaceCurve,
     check_above_bed,
@@ -335,21 +335,12 @@ def test_check_injective_matches_the_full_polyline_oracle_on_random_walks(curve)
     _assert_sweep_matches_full_polyline(curve, skip_disjoint_boxes=True)
 
 
-def _x_ranges_meet(x, i, j):
-    """The pairs (i, j) that pairs_cross takes: their segments' x-ranges meet."""
-    lo, hi = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])
-    meet = (lo[j] <= hi[i]) & (lo[i] <= hi[j])
-    return i[meet], j[meet]
-
-
 def _assert_pair_test_is_part_of_the_sweep(x, y, owned, pairs):
     # any pairs, neighbours, reversed pairs and disjoint boxes included, give a
-    # subsequence of the sweep's rows, bit for bit and in (i, j) order, and
-    # the yes/no answer on those of them whose x-ranges meet agrees with them
+    # subsequence of the sweep's rows, bit for bit and in (i, j) order
     want = [r.tobytes() for r in segment_crossings(x, y, owned)]
     pairs = np.array([p for p in pairs if p[0] < owned], dtype=np.intp).reshape(-1, 2)
     got = pair_crossings(x, y, pairs[:, 0], pairs[:, 1], ENDPOINT_BAND)
-    assert pairs_cross(x, y, *_x_ranges_meet(x, pairs[:, 0], pairs[:, 1])) == (len(got) > 0)
     rest = iter(want)
     assert got.shape[1] == 2 and all(r.tobytes() in rest for r in got)
     return want
@@ -373,16 +364,6 @@ def test_pair_crossings_are_a_subsequence_of_the_sweep_on_polylines(data, xy, ow
         # of the sweep, which skips the x-box test, exactly
         i, j = np.divmod(np.arange(min(rows, len(x) - 1) * (len(x) - 1)), len(x) - 1)
         assert [r.tobytes() for r in pair_crossings(x, y, i, j, ENDPOINT_BAND)] == want
-        assert pairs_cross(x, y, *_x_ranges_meet(x, i, j)) == (len(want) > 0)
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.data(), _periodic_walks())
-def test_pair_crossings_are_a_subsequence_of_the_sweep_on_periodic_walks(data, curve):
-    x, y = curve.swept()
-    pairs = data.draw(_pairs_on((x, y)))
-    for rows in (len(curve.x), len(x) - 1):
-        _assert_pair_test_is_part_of_the_sweep(x, y, rows, pairs)
 
 
 def test_segment_crossings_skip_disjoint_boxes():
@@ -500,8 +481,8 @@ def test_crapper_threshold_is_crappers_limiting_amplitude():
 
 
 # both signs across the family, and densely within 3e-4 of A*
-_AXIS_PASS_A = [s * A for A in (*np.arange(0.05, 0.951, 0.01), *(A_STAR + np.linspace(-3e-4, 3e-4, 13)))
-                for s in (1, -1)]
+_GUARD_A = [s * A for A in (*np.arange(0.05, 0.951, 0.01), *(A_STAR + np.linspace(-3e-4, 3e-4, 13)))
+            for s in (1, -1)]
 
 
 def _closed_period(curve):
@@ -514,59 +495,52 @@ def _inside_one_period(curve):
     return curve.x.min() >= curve.x[0] and curve.x.max() <= curve.x[0] + curve.period
 
 
-def test_mirror_axis_pass_finds_only_the_sweeps_crossings_and_decides_every_curve_leaving_its_period(
+def _past_the_band(curve):
+    """A point more than ENDPOINT_BAND outside [x[0], x[0] + period]: the guard's refusal."""
+    return (curve.x.min() < curve.x[0] - ENDPOINT_BAND
+            or curve.x.max() > curve.x[0] + curve.period + ENDPOINT_BAND)
+
+
+def test_every_curve_the_guard_refuses_crosses_in_check_injective_and_runs_no_pair_test(
         monkeypatch):
+    # the oracle: check_injective sweeps each curve in full, and every curve
+    # with a point past its mirror axes has a crossing there
     passes = []
-    monkeypatch.setattr(geometry, "pairs_cross",
-                        lambda x, y, i, j: passes.append("axes") or pairs_cross(x, y, i, j))
     monkeypatch.setattr(geometry, "segment_crossings",
                         lambda x, y, owned: passes.append("sweep") or segment_crossings(x, y, owned))
-    # every pair test, the axis pass's and the sweep's, runs through _crossings
+    # every pair test of the sweep runs through _crossings
     crossings = _kernels._crossings
     monkeypatch.setattr(_kernels, "_crossings",
                         lambda x, y, i, j: passes.append("pairs") or crossings(x, y, i, j))
+    refused = 0
     for n in (64, 128, 256, 512, 1024, 2048, 4096):
-        for A in _AXIS_PASS_A:
+        for A in _GUARD_A:
             curve = SurfaceCurve(*crapper.circle_samples(A, n), 1.0)
-            full = check_injective(curve).crossings
-            injective = len(full) == 0
+            injective = len(check_injective(curve).crossings) == 0
             passes.clear()
             assert crapper_profile_injective(A, n) == injective
-            # the axis pass reads the base period and the next copy: the start
-            # of the swept polyline, bit for bit, or more of it
-            x = np.concatenate((curve.x, curve.x + curve.period))
-            y = np.concatenate((curve.y, curve.y))
-            swept = curve.swept()
-            m = min(len(swept[0]), len(x))
-            assert [a[:m].tobytes() for a in swept] == [x[:m].tobytes(), y[:m].tobytes()]
-            # pairs across a shared axis, the lower one owned: their x-ranges
-            # meet, so pairs_cross may take them
-            i, j = geometry.mirror_axis_pairs(x, n)
-            assert (i < n).all() and len(_x_ranges_meet(x, i, j)[0]) == len(i)
-            found = pair_crossings(x, y, i, j, ENDPOINT_BAND)
-            rows = {r.tobytes() for r in full}
-            assert all(r.tobytes() in rows for r in found)
             # x rises strictly only below the fold at sqrt(2) - 1
-            rises = bool(np.all(swept[0][1:] > swept[0][:-1]))
-            assert rises or abs(A) > np.sqrt(2.0) - 1.0
-            if _inside_one_period(curve):
+            x, _ = curve.swept()
+            assert bool(np.all(x[1:] > x[:-1])) or abs(A) > np.sqrt(2.0) - 1.0
+            if _past_the_band(curve):
+                refused += 1
+                assert passes == [] and not injective
+            else:
                 # the sweep alone decides; its early returns (x rising, two
                 # chains) form no pair, only a loop inside the period (A < 0)
                 # is sorted
+                assert _inside_one_period(curve)
                 assert passes == (["sweep"] if injective else ["sweep", "pairs"])
                 assert injective or A < 0.0
-            else:
-                # the lobes leave the period: the axis pass decides every such
-                # curve, and the sweep never runs
-                assert passes == ["axes", "pairs"] and len(found) > 0 and not injective
+    assert refused == 557  # of 1456 curves; the other 899 stay in their period
 
 
 def test_where_the_closed_period_is_decided_it_is_the_swept_polyline():
-    # a curve that stays in one period is swept, axis pass skipped, on its
-    # closed period: swept() builds one copy and closes it at point n
+    # a curve that stays in one period is swept on its closed period:
+    # swept() builds one copy and closes it at point n
     inside = 0
     for n in (64, 128, 256, 512, 1024, 2048, 4096):
-        for A in _AXIS_PASS_A:
+        for A in _GUARD_A:
             curve = SurfaceCurve(*crapper.circle_samples(A, n), 1.0)
             if _inside_one_period(curve):
                 inside += 1
@@ -589,23 +563,27 @@ def test_the_guard_keeps_a_crossing_curve_whose_period_is_two_chains(A):
     assert not crapper_profile_injective(A, 1024)
 
 
-@pytest.mark.parametrize("A", [0.46, 0.6, 0.9])
-def test_the_sweep_decides_a_curve_leaving_its_period_that_the_axis_pass_misses(A, monkeypatch):
-    # the axis pass only ever answers "crosses"; where it finds nothing, the
-    # sweep on swept(), the authority, answers
-    monkeypatch.setattr(geometry, "pairs_cross", lambda x, y, i, j: False)
+def test_the_sweep_decides_a_curve_whose_point_leaves_its_period_within_the_band(monkeypatch):
+    # at the 64-point leave flip (see tools/astar_digest.py) rounding puts a
+    # point 4.4e-16 left of x[0] and one 8.9e-16 right of x[0] + 2*pi while
+    # the curve has no crossing the sweep counts: the guard leaves it to the
+    # sweep on swept(), which keeps it injective
+    A, n = 0.4547202250641474, 64
+    curve = SurfaceCurve(*crapper.circle_samples(A, n), 1.0)
+    assert curve.x[0] - curve.x.min() == 2.0 ** -51
+    assert curve.x.max() - (curve.x[0] + curve.period) == 2.0 ** -50
+    assert not _past_the_band(curve)
     swept = []
     monkeypatch.setattr(geometry, "segment_crossings",
                         lambda x, y, owned: swept.append(x) or segment_crossings(x, y, owned))
-    assert not crapper_profile_injective(A, 1024)
-    curve = SurfaceCurve(*crapper.circle_samples(A, 1024), 1.0)
-    assert not _inside_one_period(curve)
+    assert crapper_profile_injective(A, n)
     assert [x.tobytes() for x in swept] == [curve.swept()[0].tobytes()]
+    assert len(check_injective(curve).crossings) == 0
 
 
 def test_astar_digest_repeats_and_sees_each_decision(monkeypatch):
     # tools/astar_digest.py on a small grid: two runs give the same sha256,
-    # and one flipped decision gives another
+    # and one flipped decision, on the family or by a leave flip, gives another
     spec = importlib.util.spec_from_file_location(
         "astar_digest", Path(__file__).resolve().parents[1] / "tools" / "astar_digest.py")
     tool = importlib.util.module_from_spec(spec)
@@ -613,13 +591,20 @@ def test_astar_digest_repeats_and_sees_each_decision(monkeypatch):
     assert tool.A_STAR == pytest.approx(A_STAR, abs=1e-16)  # one ulp apart
     values = tool.parameters()
     assert len(values) == 1901 + 2 * 201 and values[:2] == [-0.95, -0.949] and values[1900] == 0.95
+    # the 64-point leave flip is the band case above; the window's first
+    # value stays in the period
+    flips = tool.flip_values(1.0, 64)
+    assert len(flips) == 2 * 200 + 1 and flips[200] == 0.4547202250641474
+    assert tool.leaves_period(flips[200], 64) and not tool.leaves_period(flips[199], 64)
+    assert all(A < 0.0 for A in tool.flip_values(-1.0, 64))
     small = dict(values=[0.3, 0.44, 0.46, -0.46, 0.7], grids=(64, 256),
-                 brackets=[(1024, 0.25, 0.6)])
+                 brackets=[(1024, 0.25, 0.6)], flip_grids=(64,))
     first = tool.digest(**small)
     assert re.fullmatch("[0-9a-f]{64}", first) and tool.digest(**small) == first
-    monkeypatch.setattr(tool, "crapper_profile_injective",
-                        lambda A, n: crapper_profile_injective(A, n) != (A == 0.7))
-    assert tool.digest(**small) != first
+    for flipped in (0.7, flips[-1]):
+        monkeypatch.setattr(tool, "crapper_profile_injective",
+                            lambda A, n: crapper_profile_injective(A, n) != (A == flipped))
+        assert tool.digest(**small) != first
 
 
 # A* as the bisection returned it when each curve came from the grid

@@ -1,5 +1,7 @@
 import ast
 import importlib.util
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -123,6 +125,16 @@ def test_src_size_totals_an_empty_package_as_zero(tmp_path):
     tool = _src_size()
     assert tool.table(tmp_path) == [("total", dict.fromkeys(tool.COLUMNS, 0))]
     assert tool.table(tmp_path, tool.api_count) == [("total", dict.fromkeys(tool.API_COLUMNS, 0))]
+
+
+def test_src_size_refuses_a_path_that_is_not_a_directory(tmp_path):
+    # an all-zero table would read as an empty package; `--help` is no path
+    for argv in (["--help"], [str(tmp_path / "missing")], [str(tmp_path), str(tmp_path)]):
+        proc = subprocess.run([sys.executable, str(ROOT / "tools" / "src_size.py"), *argv],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "usage: python3 tools/src_size.py [PACKAGE_DIR]\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_src_size_sorts_each_line_by_kind():

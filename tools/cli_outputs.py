@@ -7,6 +7,9 @@ set as it was, so two checkouts compare with one diff:
     python3 tools/cli_outputs.py /tmp/after       # in the changed checkout
     diff -r /tmp/before /tmp/after
 
+An OUTDIR that starts with "-" reads as an option: the usage line goes to
+stderr, the exit code is 1 and nothing is written.
+
 The set: deep `continue` at A = 0.3, 0.5 and -0.47 with JSON, CSV and SVGs;
 two finite-depth vortical `continue`s with SVGs, one of the benchmark's
 shape (h = 2.5, gamma = 0.7, M = 64) and a shallow strip with negative
@@ -157,7 +160,7 @@ def write_outputs(outdir):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):  # an option, not OUTDIR
         sys.stderr.write("usage: python3 tools/cli_outputs.py OUTDIR\n")
         raise SystemExit(1)
     write_outputs(sys.argv[1])

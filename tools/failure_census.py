@@ -14,7 +14,9 @@ the table as it was, so two checkouts compare with one diff:
     python3 tools/failure_census.py /tmp/after     # in the changed checkout
     diff /tmp/before/census.tsv /tmp/after/census.tsv
 
-After the table, stdout gives the counts by (exit, cause).
+After the table, stdout gives the counts by (exit, cause).  An OUTDIR that
+starts with "-" reads as an option: the usage line goes to stderr, the exit
+code is 1 and nothing is written.
 
 The grid holds three probes of where a branch ends (all `--g 1 --sigma 1`):
 - the end of a walk: runs whose stall reads as the rounding floor of the
@@ -121,7 +123,7 @@ def write_census(outdir, runs=RUNS):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):  # an option, not OUTDIR
         sys.stderr.write("usage: python3 tools/failure_census.py OUTDIR\n")
         raise SystemExit(1)
     begin = time.perf_counter()

@@ -3,7 +3,8 @@ options, per module and in total.
 
     python3 tools/src_size.py [PACKAGE_DIR]
 
-PACKAGE_DIR defaults to the `src/capwave` next to this script.  Each line of
+PACKAGE_DIR defaults to the `src/capwave` next to this script; a path that
+is not a directory exits 1 with the usage line.  Each line of
 a module is one of:
 - docstring: a line of a module, class or function docstring;
 - comment: a line that holds only a comment;
@@ -110,6 +111,9 @@ def table(package: Path, counter=count) -> list[tuple[str, dict[str, int]]]:
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) > 1 or argv and not Path(argv[0]).is_dir():  # an all-zero table would look empty
+        sys.stderr.write("usage: python3 tools/src_size.py [PACKAGE_DIR]\n")
+        return 1
     package = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "capwave"
     for counter, columns in ((count, COLUMNS), (api_count, API_COLUMNS)):
         rows = table(package, counter)
