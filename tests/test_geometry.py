@@ -503,8 +503,8 @@ def _past_the_band(curve):
 
 def test_every_curve_the_guard_refuses_crosses_in_check_injective_and_runs_no_pair_test(
         monkeypatch):
-    # the oracle: check_injective sweeps each curve in full, and every curve
-    # with a point past its mirror axes has a crossing there
+    # the oracle: check_injective sweeps each curve in full; every curve the
+    # guard refuses, a point past its period's mirror axes, must cross there
     passes = []
     monkeypatch.setattr(geometry, "segment_crossings",
                         lambda x, y, owned: passes.append("sweep") or segment_crossings(x, y, owned))
@@ -591,8 +591,8 @@ def test_astar_digest_repeats_and_sees_each_decision(monkeypatch):
     assert tool.A_STAR == pytest.approx(A_STAR, abs=1e-16)  # one ulp apart
     values = tool.parameters()
     assert len(values) == 1901 + 2 * 201 and values[:2] == [-0.95, -0.949] and values[1900] == 0.95
-    # the 64-point leave flip is the band case above; the window's first
-    # value stays in the period
+    # the 64-point leave flip is the band case above, and the float just
+    # below it stays in its period
     flips = tool.flip_values(1.0, 64)
     assert len(flips) == 2 * 200 + 1 and flips[200] == 0.4547202250641474
     assert tool.leaves_period(flips[200], 64) and not tool.leaves_period(flips[199], 64)
