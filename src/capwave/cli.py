@@ -43,7 +43,6 @@ from .serialization import (
     dumps_fixed,
     profile_svg_text,
     solution_from_dict,
-    write_json,
     write_text,
 )
 
@@ -323,7 +322,7 @@ def cmd_continue(args):
         code = EXIT_SOLVER
 
     def outputs():  # one SVG at a time; a directory not made fails each of them
-        yield write_json, args.out_json, branch_to_dict(branch)
+        yield write_text, args.out_json, dumps_fixed(branch_to_dict(branch)) + "\n"
         yield write_text, args.out_csv, branch_csv_text(branch)
         if args.svg_dir:
             yield (lambda path, _: os.makedirs(path, exist_ok=True)), args.svg_dir, None
@@ -501,10 +500,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a grid or mode count too large for this machine
         sys.stderr.write(f"capwave: out of memory{': ' if str(exc) else ''}{exc}\n")
         return EXIT_USAGE
-
-
-def console_main():
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

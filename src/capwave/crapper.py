@@ -90,13 +90,6 @@ def circle_samples(A: float, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def slope_components(A: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form (w_A', 1 + C w_A') from i(1-Az)^2/(1+Az)^2 on |z|=1."""
-    z = np.exp(1j * t)
-    phi = 1j * (1.0 - A * z) ** 2 / (1.0 + A * z) ** 2
-    return phi.real, phi.imag
-
-
 def crapper_wave(A: float, n_grid: int) -> PeriodicFunction:
     """The profile w_A on the grid (even, zero-mean).
 
@@ -116,14 +109,16 @@ def crapper_wave(A: float, n_grid: int) -> PeriodicFunction:
 def crapper_theta(A: float, n_grid: int) -> PeriodicFunction:
     """Tangent angle theta_A = atan2(w_A', 1 + C w_A') of the wave surface.
 
-    The slope components come from the closed form, so the result is accurate
-    to rounding; |theta_A| stays below 4*atan|A| < pi, hence the principal
-    branch is the continuous one.  A jump in the sampled angle means the
-    branch assumption broke, and is rejected.
+    The slope components (w_A', 1 + C w_A') are the real and imaginary parts
+    of the closed form i(1-Az)^2/(1+Az)^2 on |z| = 1, so the result is
+    accurate to rounding; |theta_A| stays below 4*atan|A| < pi, hence the
+    principal branch is the continuous one.  A jump in the sampled angle
+    means the branch assumption broke, and is rejected.
     """
     A = _check_param(A)
-    u, v = slope_components(A, grid(n_grid))
-    th = np.arctan2(u, v)
+    z = np.exp(1j * grid(n_grid))
+    phi = 1j * (1.0 - A * z) ** 2 / (1.0 + A * z) ** 2
+    th = np.arctan2(phi.real, phi.imag)
     check_principal_branch(th, "branch jump detected in the tangent angle")
     return PeriodicFunction.from_samples(th)
 

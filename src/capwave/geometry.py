@@ -57,23 +57,16 @@ class SurfaceCurve:
         return 2.0 * math.pi / self.k
 
     def swept(self) -> tuple[np.ndarray, np.ndarray]:
-        """The polyline that check_injective sweeps: copies x + k*period of the
-        base period up to the segment of the last point past it at or left of
-        R = max(max x, x[0] + period), where the base's segments end; no copy
-        with every point right of R is built."""
-        n, period = len(self.x), self.period
-        if n < 64:
+        """The polyline that check_injective sweeps: the base period and its
+        copies x + k*period for k below ceil((R - min x) / period), R = max(max
+        x, x[0] + period), where the base's segments end, closed by point 0 of
+        the next copy."""
+        period = self.period
+        if len(self.x) < 64:
             raise ValueError("injectivity check needs at least 64 points")
-        reach, left = max(self.x.max(), self.x[0] + period), self.x.min()
-        x, stop = [], n + 1  # the base period closed by point n
-        for k in range(math.ceil((reach - left) / period)):
-            if left + k * period > reach:
-                break
-            x.append(self.x + k * period)
-            if k:
-                stop = k * n + 2 + np.flatnonzero(x[-1] <= reach)[-1]
-        y = np.concatenate([self.y] * len(x) + [self.y[:1]])
-        return np.concatenate(x + [self.x[:1] + len(x) * period])[:stop], y[:stop]
+        count = math.ceil((max(self.x.max(), self.x[0] + period) - self.x.min()) / period)
+        x = [self.x + k * period for k in range(count)] + [self.x[:1] + count * period]
+        return np.concatenate(x), np.concatenate([self.y] * count + [self.y[:1]])
 
 
 @dataclass(frozen=True)

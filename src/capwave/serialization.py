@@ -63,10 +63,6 @@ def write_text(path, text: str) -> None:
         raise
 
 
-def write_json(path, obj) -> None:
-    write_text(path, dumps_fixed(obj) + "\n")
-
-
 # -- solutions ------------------------------------------------------------------
 
 

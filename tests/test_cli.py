@@ -11,6 +11,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import tomllib
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -31,9 +32,10 @@ from capwave.serialization import (
     solution_from_dict,
     solution_to_dict,
 )
-from capwave.spectral import PeriodicFunction
+from capwave.spectral import PeriodicFunction, grid
 
-from _oracles import flat_water_alpha, walk_steps
+from _oracles import bernoulli_spread, flat_water_alpha, longdouble_samples, walk_steps
+from test_continuation import LONGDOUBLE_BERNOULLI_TOL
 
 
 def _read(path):
@@ -222,20 +224,58 @@ def test_verify_deterministic_output(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_output_set_is_byte_identical_across_runs(tmp_path):
-    # tools/cli_outputs.py writes the byte-identity set of every command
-    # (continue, spectrum, verify, limit-check, profile and sixteen failures)
+def _cli_outputs_tool():
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
     spec = importlib.util.spec_from_file_location("cli_outputs", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    runs = []
-    for name in ("first", "second"):
-        tool.write_outputs(tmp_path / name)
-        files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
-        runs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
+    return tool
+
+
+@pytest.fixture(scope="module")
+def output_set(tmp_path_factory):
+    """The directory that tools/cli_outputs.py filled once for this module."""
+    outdir = tmp_path_factory.mktemp("outputs") / "first"
+    _cli_outputs_tool().write_outputs(outdir)
+    return outdir
+
+
+def _files(outdir):
+    return {str(p.relative_to(outdir)): p.read_bytes()
+            for p in sorted(outdir.rglob("*")) if p.is_file()}
+
+
+def test_cli_output_set_is_byte_identical_across_runs(output_set, tmp_path):
+    # tools/cli_outputs.py writes the byte-identity set of every command
+    # (continue, spectrum, verify, limit-check, profile and sixteen failures)
+    _cli_outputs_tool().write_outputs(tmp_path / "second")
+    runs = [_files(output_set), _files(tmp_path / "second")]
     assert len(runs[0]) == 155  # 142 entries, eight of them directories of step SVGs
     assert runs[0] == runs[1]
+
+
+# the branches of the output set that exit 0 at the default tol; steep_-0.8
+# is solved to 1e-9 (its spread reads 6.5e-7) and sheet_2d exits 3 at the
+# mode tail of its 32 modes (up to 5.8e-10)
+_SOLVED_BRANCHES = ("deep_0.3", "deep_0.5", "deep_-0.47", "vortical", "vortical_shallow")
+
+
+def test_every_point_the_output_set_writes_keeps_bernoulli_law_in_long_double(output_set):
+    # each point read back from its branch file, on long-double samples of
+    # its cosine modes: 1.4e-14 to 3.2e-12 clean, 1.7e-6 or more with 1e-8
+    # cos 3t added to w
+    assert np.finfo(np.longdouble).eps < 1e-18  # else this tests nothing
+    modes = []
+    for name in _SOLVED_BRANCHES:
+        assert _read(output_set / f"{name}.exit") == "0\n"
+        branch = branch_from_dict(json.loads(_read(output_set / f"{name}.json")))
+        for sol in branch.solutions:
+            modes.append(sol.modes)
+            fine = longdouble_samples(sol.w.cosine_coefficients(sol.modes), sol.w.n_grid)[0]
+            damage = 1e-8 * np.cos(3.0 * grid(sol.w.n_grid))
+            assert bernoulli_spread(sol.params, fine) < LONGDOUBLE_BERNOULLI_TOL, name
+            assert bernoulli_spread(sol.params, fine + damage) > 100.0 * LONGDOUBLE_BERNOULLI_TOL
+    assert len(modes) == 10 and (min(modes), max(modes)) == (48, 128)
 
 
 @pytest.mark.parametrize("tool", ["cli_outputs.py", "failure_census.py"])
@@ -904,6 +944,23 @@ def test_console_entry_point_runs():
                            "--grid", "256"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert '"passed": true' in proc.stdout
+
+
+def test_the_console_script_target_returns_the_exit_code(tmp_path, monkeypatch, capsys):
+    # the console-script wrapper that installing the package writes calls the
+    # target of pyproject.toml with no arguments and passes its int to sys.exit
+    root = Path(__file__).resolve().parents[1]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = scripts["capwave"].partition(":")
+    target = getattr(importlib.import_module(module), name)
+    monkeypatch.chdir(tmp_path)  # `continue` writes branch.json by default
+    for argv, code in ((["verify", "--A", "0.3", "--out", "verify.json"], 0),
+                       (["continue", "--A", "0"], 1)):
+        monkeypatch.setattr(sys, "argv", ["capwave", *argv])
+        assert target() == code
+    assert json.loads(_read(tmp_path / "verify.json"))["passed"] is True
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["verify.json"]
+    capsys.readouterr()
 
 
 # -- the heap kept between stacked calls --------------------------------------------

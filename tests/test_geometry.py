@@ -40,19 +40,18 @@ def test_surface_profile_flat_and_family_values():
 
 
 def test_surface_profile_periodic_closure():
-    # the swept polyline closes the base period with point 0 + period and
-    # goes on into the next copy only while it can reach the base period:
-    # not at A = 0.4, part of one copy at A = 0.6 (1.36 periods)
+    # the swept polyline is whole periods, the base period and its copies,
+    # closed by point 0 of the next copy: one period at A = 0.4, two at A =
+    # 0.6, whose x spans 1.36 periods
     n = 128
-    for A, closed in ((0.4, True), (0.6, False)):
+    for A, count in ((0.4, 1), (0.6, 2)):
         curve = surface_profile(crapper.crapper_wave(A, n), 1.5)
         x, y = curve.swept()
-        assert len(x) == len(y) and (len(x) == n + 1) == closed and len(x) < 2 * n
+        assert len(x) == len(y) == count * n + 1
         assert np.array_equal(x[:n], curve.x) and np.array_equal(y[:n], curve.y)
-        assert x[n] == curve.x[0] + curve.period and y[n] == curve.y[0]
-    m = len(x) - n
-    assert np.max(np.abs(x[:m] + curve.period - x[n:])) < 1e-13
-    assert np.array_equal(y[:m], y[n:])
+        assert x[-1] == curve.x[0] + count * curve.period and y[-1] == curve.y[0]
+    assert np.array_equal(x[n:-1], curve.x + curve.period)
+    assert np.array_equal(y[n:-1], curve.y)
 
 
 def test_surface_profile_rejects_degenerate_metric():
@@ -275,21 +274,17 @@ def _started_at(curve, s):
     return SurfaceCurve(x=x, y=np.roll(curve.y, -s), k=curve.k)
 
 
-def _assert_swept_prefix(curve):
-    # the gathered extension cut after the point that follows the last point
-    # past n at or left of R = max(max x, x[0] + period); bit for bit, so a
-    # zero's sign counts
-    n = len(curve.x)
-    x, y = periodic_extension(curve)
-    inside = np.flatnonzero(x[n + 1:] <= max(np.max(curve.x), curve.x[0] + curve.period))
-    stop = n + 3 + inside[-1] if len(inside) else n + 2
-    assert [a.tobytes() for a in curve.swept()] == [x[:stop].tobytes(), y[:stop].tobytes()]
+def _assert_swept_whole_periods(curve):
+    # the gathered extension, whole periods up to R = max(max x, x[0] +
+    # period); bit for bit, so a zero's sign counts
+    assert ([a.tobytes() for a in curve.swept()]
+            == [a.tobytes() for a in periodic_extension(curve)])
 
 
 def _assert_sweep_matches_full_polyline(curve, skip_disjoint_boxes=False):
-    # check_injective sweeps only as far as a segment can reach the base
-    # period's x-range; the oracle sweeps all of the gathered extension
-    _assert_swept_prefix(curve)
+    # check_injective's sweep and the oracle's pairwise tests run on the same
+    # polyline, the gathered extension
+    _assert_swept_whole_periods(curve)
     want = pairwise_crossings(*periodic_extension(curve), ENDPOINT_BAND, len(curve.x),
                               skip_disjoint_boxes)
     assert np.array_equal(check_injective(curve).crossings, want)
@@ -297,9 +292,9 @@ def _assert_sweep_matches_full_polyline(curve, skip_disjoint_boxes=False):
 
 @pytest.mark.parametrize("n", [64, 1024])
 @pytest.mark.parametrize("A", [0.3, -0.3, 0.46, 0.8, -0.8, 0.9, -0.9])
-def test_swept_polyline_is_a_prefix_of_the_gathered_extension_on_crapper_curves(A, n):
+def test_swept_polyline_is_the_gathered_extension_on_crapper_curves(A, n):
     for k in (1.0, 3.7):
-        _assert_swept_prefix(surface_profile(crapper.crapper_wave(A, n), k))
+        _assert_swept_whole_periods(surface_profile(crapper.crapper_wave(A, n), k))
 
 
 # where a sweep cut one point short loses one of two crossings, and a spread
