@@ -83,9 +83,9 @@ def _sweep(x, y, owned):
 def _two_chains(x, y):
     """Whether y rises strictly on points 0..J and falls strictly on J..end, or
     the other way round, at an inner point J with max x[:J] < x[J] < min x[J+1:]."""
-    s = np.sign(y[1:] - y[:-1])
-    J = int(np.argmax(s != s[0]))
-    return J > 0 and bool((s[J:] == -s[0]).all()) and x[:J].max() < x[J] < x[J + 1:].min()
+    first = np.greater if y[1] > y[0] else np.less  # a tie or a NaN gives J = 0
+    J = int(np.argmin(first(y[1:], y[:-1])))
+    return J > 0 and bool(first(y[J:-1], y[J + 1:]).all()) and x[:J].max() < x[J] < x[J + 1:].min()
 
 
 def _crossings(x, y, i, j):

@@ -16,8 +16,9 @@ units (k = 1) otherwise; `solution_report` holds the flags of every Newton
 solution.  Each crossing is counted once per period (see `check_injective`).
 The threshold bisection draws the explicit family from F_A's closed form
 (`crapper.circle_samples`) instead of through `surface_profile`'s transforms,
-and sweeps the polyline check_injective would sweep; a curve with a point
-past its period's mirror axes has crossed itself and is not swept
+and sweeps the polyline check_injective would sweep, built by swept()'s
+builder from the least and greatest x its guard has taken; a curve with a
+point past its period's mirror axes has crossed itself and is not swept
 (crapper_profile_injective).
 """
 
@@ -61,12 +62,23 @@ class SurfaceCurve:
         copies x + k*period for k below ceil((R - min x) / period), R = max(max
         x, x[0] + period), where the base's segments end, closed by point 0 of
         the next copy."""
-        period = self.period
         if len(self.x) < 64:
             raise ValueError("injectivity check needs at least 64 points")
-        count = math.ceil((max(self.x.max(), self.x[0] + period) - self.x.min()) / period)
-        x = [self.x + k * period for k in range(count)] + [self.x[:1] + count * period]
-        return np.concatenate(x), np.concatenate([self.y] * count + [self.y[:1]])
+        return _whole_periods(self.x, self.y, self.period, self.x.min(), self.x.max())
+
+
+def _whole_periods(x, y, period, x_min, x_max):
+    """SurfaceCurve.swept() of the period (x, y) whose least and greatest x are
+    x_min and x_max, written into two arrays; copy 0 too is x + 0.0, so a -0.0
+    in x turns +0.0 as in every other copy."""
+    n = len(x)
+    count = math.ceil((max(x_max, x[0] + period) - x_min) / period)
+    sx, sy = np.empty(count * n + 1), np.empty(count * n + 1)
+    for k in range(count):
+        np.add(x, k * period, out=sx[k * n:(k + 1) * n])
+        sy[k * n:(k + 1) * n] = y
+    sx[-1], sy[-1] = x[0] + count * period, y[0]
+    return sx, sy
 
 
 @dataclass(frozen=True)
@@ -146,16 +158,18 @@ def crapper_profile_injective(A: float, n_grid: int) -> bool:
     mirror image C(-s) = C(s) likewise.  Within the band, rounding can put a
     point a few ulps past an axis where the sweep counts no crossing, so
     those curves are swept.  Every other curve is decided by the sweep on
-    the polyline check_injective sweeps (swept()): its early returns answer
-    for the curves that rise in x and the injective ones past the fold, its
-    sort for a loop inside the period (A < 0)."""
+    the polyline check_injective sweeps (swept()'s, built from the guard's
+    x_min and x_max): its early returns answer for the curves that rise in x
+    and the injective ones past the fold, its sort for a loop inside the
+    period (A < 0)."""
     A = crapper._check_param(A)
     x, y = crapper.circle_samples(A, n_grid)
     if n_grid < 64:
         raise ValueError("injectivity check needs at least 64 points")
-    if x.min() < x[0] - ENDPOINT_BAND or x.max() > x[0] + 2.0 * math.pi + ENDPOINT_BAND:
+    x_min, x_max = x.min(), x.max()
+    if x_min < x[0] - ENDPOINT_BAND or x_max > x[0] + 2.0 * math.pi + ENDPOINT_BAND:
         return False
-    return not len(segment_crossings(*SurfaceCurve(x=x, y=y, k=1.0).swept(), n_grid))
+    return not len(segment_crossings(*_whole_periods(x, y, 2.0 * math.pi, x_min, x_max), n_grid))
 
 
 def critical_self_intersection_A(tol: float = 1e-3, n_grid: int = 2048,

@@ -143,7 +143,10 @@ def test_crossing_sweep_of_a_steep_wave_stays_small():
 
 def _assert_same_crossings(x, y, owned=None, skip_disjoint_boxes=False):
     got = segment_crossings(x, y, len(x) - 1 if owned is None else owned)
-    want = pairwise_crossings(x, y, ENDPOINT_BAND, owned, skip_disjoint_boxes)
+    # the oracle's arithmetic on every pair meets inf - inf and 0 * inf where
+    # y holds an infinity or a difference overflows; those pairs fail its tests
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = pairwise_crossings(x, y, ENDPOINT_BAND, owned, skip_disjoint_boxes)
     assert np.array_equal(got, want)  # same points in the same order
     return got
 
@@ -242,6 +245,16 @@ _CHAINS_Y = np.array([0.0, 1.0, 2.0, 3.0, 2.0, 1.0])
 @example(xy=(np.array([-3.0, -1.0, -2.0, 0.0, np.nan, 1.0]), _CHAINS_Y), owned=5)  # and in x
 @example(xy=(_CHAINS_X, np.arange(6.0)), owned=5)  # J at the end: one chain up
 @example(xy=(_CHAINS_X, -np.arange(6.0)), owned=5)  # and one chain down
+# where a sign of y[k+1] - y[k] and a strict comparison could seem to differ
+@example(xy=(_CHAINS_X, np.array([1.0, 1.0, 2.0, 3.0, 2.0, 1.0])), owned=5)  # y[0] == y[1]
+@example(xy=(_CHAINS_X, np.array([0.0, 1.0, 2.0, np.inf, 2.0, 1.0])), owned=5)  # +inf apex
+@example(xy=(_CHAINS_X, np.array([0.0, 1.0, np.inf, np.inf, 2.0, 1.0])), owned=5)  # inf - inf
+@example(xy=(_CHAINS_X, np.array([-np.inf, 1.0, 2.0, 3.0, 2.0, -np.inf])), owned=5)  # -inf ends
+@example(xy=(_CHAINS_X, -np.array([0.0, 1.0, 2.0, np.inf, 2.0, 1.0])), owned=5)  # -inf apex
+# -1e308 to 1e308: the difference overflows to +inf
+@example(xy=(_CHAINS_X, np.array([-1e308, 1e308, 1.2e308, 1.4e308, 1.2e308, 1e308])), owned=5)
+# a subnormal step: 5e-324 - 0.0 is 5e-324, not 0.0
+@example(xy=(_CHAINS_X, np.array([0.0, 5e-324, 2.0, 3.0, 2.0, 1.0])), owned=5)
 def test_sweep_returns_before_it_sorts_on_two_chains_split_at_the_apex(xy, owned):
     # the early return fires exactly where the two chains hold, and on those
     # the pairwise oracle finds nothing: no pair the sweep forms could pass
@@ -480,6 +493,11 @@ _GUARD_A = [s * A for A in (*np.arange(0.05, 0.951, 0.01), *(A_STAR + np.linspac
             for s in (1, -1)]
 
 
+# the 64-point leave flip (see tools/astar_digest.py): a point within
+# ENDPOINT_BAND outside its period
+_BAND_CURVE = (0.4547202250641474, 64)
+
+
 def _closed_period(curve):
     """The base period closed at point n, x[0] + period."""
     return (np.concatenate((curve.x, curve.x[:1] + curve.period)),
@@ -530,19 +548,34 @@ def test_every_curve_the_guard_refuses_crosses_in_check_injective_and_runs_no_pa
     assert refused == 557  # of 1456 curves; the other 899 stay in their period
 
 
-def test_where_the_closed_period_is_decided_it_is_the_swept_polyline():
+def test_where_the_closed_period_is_decided_it_is_the_swept_polyline(monkeypatch):
     # a curve that stays in one period is swept on its closed period:
-    # swept() builds one copy and closes it at point n
+    # swept() builds one copy and closes it at point n; the A* check sweeps
+    # swept()'s polyline bit for bit, built from its guard's bounds, there and
+    # on the 64-point curve that leaves its period within the band (two copies)
+    swept = []
+    monkeypatch.setattr(geometry, "segment_crossings",
+                        lambda x, y, owned: swept.append((x, y)) or segment_crossings(x, y, owned))
     inside = 0
     for n in (64, 128, 256, 512, 1024, 2048, 4096):
         for A in _GUARD_A:
             curve = SurfaceCurve(*crapper.circle_samples(A, n), 1.0)
             if _inside_one_period(curve):
                 inside += 1
-                assert [a.tobytes() for a in curve.swept()] == [a.tobytes() for a in _closed_period(curve)]
+                want = [a.tobytes() for a in curve.swept()]
+                assert want == [a.tobytes() for a in _closed_period(curve)]
+                swept.clear()
+                crapper_profile_injective(A, n)
+                assert [[a.tobytes() for a in xy] for xy in swept] == [want]
     # every rising and injective curve and the loops inside the period at
     # A < 0, on every grid (557 of the 1456 leave their period)
     assert inside == 899
+    A, n = _BAND_CURVE
+    curve = SurfaceCurve(*crapper.circle_samples(A, n), 1.0)
+    swept.clear()
+    assert crapper_profile_injective(A, n)
+    assert len(swept[0][0]) == 2 * n + 1
+    assert [[a.tobytes() for a in xy] for xy in swept] == [[a.tobytes() for a in curve.swept()]]
 
 
 @pytest.mark.parametrize("A", [0.46, 0.7])
@@ -558,21 +591,19 @@ def test_the_guard_keeps_a_crossing_curve_whose_period_is_two_chains(A):
     assert not crapper_profile_injective(A, 1024)
 
 
-def test_the_sweep_decides_a_curve_whose_point_leaves_its_period_within_the_band(monkeypatch):
+def test_the_sweep_decides_a_curve_whose_point_leaves_its_period_within_the_band():
     # at the 64-point leave flip (see tools/astar_digest.py) rounding puts a
     # point 4.4e-16 left of x[0] and one 8.9e-16 right of x[0] + 2*pi while
     # the curve has no crossing the sweep counts: the guard leaves it to the
-    # sweep on swept(), which keeps it injective
-    A, n = 0.4547202250641474, 64
+    # sweep on swept() (checked bit for bit in
+    # test_where_the_closed_period_is_decided_it_is_the_swept_polyline), which
+    # keeps it injective
+    A, n = _BAND_CURVE
     curve = SurfaceCurve(*crapper.circle_samples(A, n), 1.0)
     assert curve.x[0] - curve.x.min() == 2.0 ** -51
     assert curve.x.max() - (curve.x[0] + curve.period) == 2.0 ** -50
     assert not _past_the_band(curve)
-    swept = []
-    monkeypatch.setattr(geometry, "segment_crossings",
-                        lambda x, y, owned: swept.append(x) or segment_crossings(x, y, owned))
     assert crapper_profile_injective(A, n)
-    assert [x.tobytes() for x in swept] == [curve.swept()[0].tobytes()]
     assert len(check_injective(curve).crossings) == 0
 
 
