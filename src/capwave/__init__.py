@@ -15,7 +15,6 @@ from .crapper import beta_of, crapper_theta, crapper_wave, q_of, verify_identity
 from .operators import (
     WaveParams,
     bernoulli_b,
-    conformal_metric,
     q_hat,
     residual_G,
     residual_fd,
@@ -42,7 +41,6 @@ from .continuation import (
 from .geometry import (
     InjectivityReport,
     SurfaceCurve,
-    check_above_bed,
     check_injective,
     critical_self_intersection_A,
     steepness,

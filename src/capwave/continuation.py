@@ -4,8 +4,10 @@ The solution sheet is a graph over (alpha, beta) near the pure-capillary
 curve, so plain natural-parameter continuation applies: start from the
 explicit wave at (alpha <= 0, beta_A), step alpha towards gravity, reconverge
 with a full Newton iteration at every step, halve the step on failure.  A
-collapsing smallest singular value of the Jacobian (a fold, which the local
-theory excludes) aborts with a report instead of stepping blindly.  The
+collapsing smallest singular value of the Jacobian aborts with a report
+instead of stepping blindly.  Every such collapse measured so far is the
+pitchfork where the sheet meets flat water at a root of the linear
+dispersion relation (finite depth with vorticity), not a fold.  The
 parameter record decides the problem: deep water solves F, finite depth FD.
 """
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import crapper
 from ._kernels import ENDPOINT_BAND, segment_crossings
 from .spectral import PeriodicFunction, hilbert, hilbert_strip, grid
-from .operators import WaveParams, conformal_metric
+from .operators import WaveParams, _slope_metric
 
 GEOMETRY_POINTS = 1024
 
@@ -91,7 +91,7 @@ def surface_profile(w: PeriodicFunction, k: float, d: float | None = None,
     """Surface curve ((t + C w)/k, w/k); strip conjugation when d is given."""
     if not k > 0.0:
         raise ValueError("wavenumber must be positive")
-    conformal_metric(w, d)  # rejects degenerate parameterisations
+    _slope_metric(w, d)  # rejects degenerate parameterisations
     if n_points is not None and n_points != w.n_grid:
         w = w.resample(n_points)
     cw = hilbert(w) if d is None else hilbert_strip(w, d)
@@ -118,20 +118,14 @@ def solution_curve(params: WaveParams, w: PeriodicFunction,
 
 def solution_report(params: WaveParams, w: PeriodicFunction) -> dict:
     """The diagnostics that a solution file keeps, in file order; violations
-    never fail the solve, only mark it."""
+    never fail the solve, only mark it.  The surface is above the bed when
+    min w > -k*h, in finite depth at alpha > 0 (always, otherwise)."""
     curve = solution_curve(params, w)
     count = len(check_injective(curve).crossings)
     finite = params.alpha > 0.0 and not params.is_infinite
     return {"steepness": steepness(w), "injective": count == 0,
-            "above_bed": check_above_bed(w, curve.k, params.h) if finite else True,
+            "above_bed": bool(np.min(w.samples) + curve.k * params.h > 0.0) if finite else True,
             "crossing_count": count}
-
-
-def check_above_bed(w: PeriodicFunction, k: float, h: float) -> bool:
-    """Whether the surface stays above the bed: min w > -k*h."""
-    if not (k > 0.0 and h > 0.0 and math.isfinite(h)):
-        raise ValueError("above-bed check needs k > 0 and finite h > 0")
-    return bool(np.min(w.samples) + k * h > 0.0)
 
 
 def steepness(w: PeriodicFunction) -> float:

@@ -174,13 +174,6 @@ def _slope_metric(w: PeriodicFunction, d: float | None = None):
     return wp, one_cwp, W
 
 
-def conformal_metric(w: PeriodicFunction, d: float | None = None) -> np.ndarray:
-    """Samples of W(w) = w'^2 + (1 + C w')^2, with C the deep transform
-    (d=None) or the strip transform at depth d.  Raises DegenerateMetricError
-    when the metric is not bounded away from zero on the grid."""
-    return _slope_metric(w, d)[2]
-
-
 def theta_of(w: PeriodicFunction) -> PeriodicFunction:
     """Tangent angle Theta(w) = atan2(w', 1 + C w') on the principal branch.
 

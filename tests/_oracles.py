@@ -22,7 +22,9 @@ points sorted, which the kernel's yes/no answers and its sweep without the
 x-box test must agree with.  And so is `residual_G_tilde`, the pushed-forward
 angle residual compared with G.  `bordered_sheet` evaluates capwave's own
 `residual_fd`: it checks the continuation, not the residual, with a solve,
-a Jacobian and a start of its own.
+a Jacobian and a start of its own.  `odd_block` evaluates capwave's own
+residuals too: it checks the block that the cosine-only solver never forms,
+with a difference loop of its own.
 """
 
 import numpy as np
@@ -378,6 +380,20 @@ def jacobian_loop(residual, base, M, step=None, basis_in="cosine", basis_out="co
         rm = residual(base - step * e)
         cols[:, j - 1] = project(rp - rm, basis_out, M) / (2.0 * step)
     return cols
+
+
+def odd_block(params, w, M):
+    """The odd block of the linearised residual at the even point w: sine
+    modes 1..M in, sine coefficients 1..M out, by central differences one
+    column at a time (`jacobian_loop`, not `jacobian_fd`, whose rows are
+    cosine only), of F in deep water and of FD otherwise, as `newton_solve`
+    picks.  At a solution translation lies in its kernel: F(w(. + s)) =
+    F(w)(. + s), so the block maps w' = -sum m a_m sin mt to zero, up to
+    the modes past M."""
+    from capwave import operators
+
+    residual = operators.residual_inf if params.is_infinite else operators.residual_fd
+    return jacobian_loop(lambda u: residual(params, u), w, M, basis_in="sine", basis_out="sine")
 
 
 def mul_eager(f, g):

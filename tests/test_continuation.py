@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from capwave import continuation, crapper, geometry, linearization
+from capwave import continuation, crapper, geometry, linearization, operators
 from capwave.continuation import (
     Branch,
     NewtonError,
@@ -19,10 +19,10 @@ from capwave.continuation import (
 from capwave.linearization import OperatorMatrix, dG_matrix, jacobian_fd
 from capwave.operators import WaveParams, q_hat, residual_fd, residual_inf
 from capwave.serialization import solution_to_dict
-from capwave.spectral import DegenerateMetricError, PeriodicFunction, grid
+from capwave.spectral import DegenerateMetricError, PeriodicFunction, derivative, grid
 
 from _oracles import (bernoulli_spread, bordered_sheet, crapper_samples, longdouble_samples,
-                      sheet_rate_exponent, walk_steps, zeros)
+                      odd_block, sheet_rate_exponent, walk_steps, zeros)
 
 
 def _crapper_start(A, n_grid=256):
@@ -608,6 +608,62 @@ def test_solved_points_keep_bernoulli_law_on_the_surface(depth, alphas):
         if "gamma" in depth and sol.params.alpha > 0.0:  # and so does V = 1
             still = dataclasses.replace(sol.params, gamma=0.0)
             assert bernoulli_spread(still, w) > 100.0 * BERNOULLI_SPREAD_TOL
+
+
+@pytest.mark.parametrize("A, h, gamma", [(0.3, 1.0, -2.0), (-0.4, 1.5, 0.7)])
+def test_vortical_points_on_64_modes_keep_bernoulli_law_in_long_double(A, h, gamma):
+    # on double samples the spread grows with alpha, to 1.8e-9 at alpha = 0.1
+    # on the first branch, past BERNOULLI_SPREAD_TOL; on long-double samples
+    # of the 64 modes it read 4e-14 to 7.2e-13, and 1.8e-6 or more with 1e-8
+    # added to mode 3
+    beta = crapper.beta_of(A)
+    branch = continue_branch(A, [(a, beta) for a in (0.0, 0.025, 0.05, 0.1)],
+                             M=64, h=h, gamma=gamma)
+    assert [s.params.alpha for s in branch.solutions] == [0.0, 0.025, 0.05, 0.1]
+    for sol in branch.solutions:
+        fine = longdouble_samples(sol.w.cosine_coefficients(64), sol.w.n_grid)[0]
+        damage = 1e-8 * np.cos(3.0 * grid(sol.w.n_grid))
+        assert bernoulli_spread(sol.params, fine) < LONGDOUBLE_BERNOULLI_TOL
+        assert bernoulli_spread(sol.params, fine + damage) > 100.0 * LONGDOUBLE_BERNOULLI_TOL
+
+
+# the odd block on the points below: its least singular value 9.3e-13 to
+# 1.7e-11, at most 8.6e-12 of the next; the next 1.94 to 2.13; the least one's
+# right vector parallel to w' within 6e-16 in |cos|
+ODD_KERNEL_RATIO = 1e-9
+ODD_NEXT_SIGMA = 1.0
+ODD_KERNEL_COS = 1.0 - 1e-12
+
+
+def _odd_kernel(params, w, M):
+    """(least over next singular value, the next, |cos| of the angle between
+    the least one's right vector and w''s sine coefficients -m a_m) of
+    the odd block at w."""
+    s, vectors = np.linalg.svd(odd_block(params, w, M))[1:]
+    wp = -np.arange(1, M + 1) * w.cosine_coefficients(M)
+    return s[-1] / s[-2], s[-2], abs(vectors[-1] @ wp) / np.linalg.norm(wp)
+
+
+@pytest.mark.parametrize("depth, M, alphas", [
+    (dict(), 48, (0.0, 0.025, 0.05)),
+    (dict(h=1.0, gamma=4.5), 32, (0.0, 0.005, 0.01, 0.015)),  # flat water at 0.018568
+])
+def test_only_translation_lies_in_the_kernel_of_the_odd_block(monkeypatch, depth, M, alphas):
+    # the solver forms the even block alone, so a symmetry-breaking
+    # bifurcation would show only here
+    beta = crapper.beta_of(0.3)
+    branch = continue_branch(0.3, [(a, beta) for a in alphas], M=M, **depth)
+    assert [s.params.alpha for s in branch.solutions] == list(alphas)
+    for sol in branch.solutions:
+        ratio, second, cos = _odd_kernel(sol.params, sol.w, M)
+        assert ratio < ODD_KERNEL_RATIO and second > ODD_NEXT_SIGMA and cos > ODD_KERNEL_COS
+    # an odd term, sin t times u', breaks translation: w' leaves the kernel
+    name = "residual_inf" if "h" not in depth else "residual_fd"
+    residual = getattr(operators, name)
+    odd = 1e-3 * np.sin(grid(sol.w.n_grid))
+    monkeypatch.setattr(operators, name, lambda params, u: PeriodicFunction.from_samples(
+        residual(params, u).samples + odd * derivative(u).samples))
+    assert _odd_kernel(sol.params, sol.w, M)[0] > 1e3 * ODD_KERNEL_RATIO
 
 
 def test_finite_depth_branch_with_vorticity():

@@ -12,14 +12,14 @@ from capwave import _kernels, crapper, geometry
 from capwave._kernels import ENDPOINT_BAND, segment_crossings
 from capwave.geometry import (
     SurfaceCurve,
-    check_above_bed,
     check_injective,
     crapper_profile_injective,
     critical_self_intersection_A,
+    solution_report,
     steepness,
     surface_profile,
 )
-from capwave.operators import METRIC_FLOOR, conformal_metric
+from capwave.operators import METRIC_FLOOR, WaveParams, _slope_metric
 from capwave.spectral import DegenerateMetricError, PeriodicFunction, derivative, grid
 from _oracles import (crapper_threshold, metric_samples, pair_crossings, pairwise_crossings,
                       periodic_extension, steepness_closed_form, zeros)
@@ -384,14 +384,16 @@ def test_segment_crossings_skip_disjoint_boxes():
     assert segment_crossings(x, y, 3).shape == (0, 2)
 
 
-def test_check_above_bed_examples():
+def test_solution_report_marks_a_surface_below_the_bed():
+    # above the bed is min w > -k*h, at k = sqrt(g*beta/(alpha*sigma)): 1 at
+    # alpha = 1 and 0.5 at alpha = 4; deep water and alpha = 0 have no bed
     n = 256
-    assert check_above_bed(zeros(n), 1.0, 1.0)
     w = crapper.crapper_wave(0.5, n)  # min w = -4/3
-    assert not check_above_bed(w, 1.0, 1.0)
-    assert check_above_bed(w, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        check_above_bed(w, 1.0, np.inf)
+    for alpha, h, above in ((1.0, 1.0, False), (1.0, 2.0, True), (4.0, 2.0, False),
+                            (4.0, 3.0, True), (0.0, 1.0, True), (1.0, np.inf, True)):
+        params = WaveParams(alpha, 1.0, h=h)
+        assert solution_report(params, w)["above_bed"] is above
+        assert solution_report(params, zeros(n))["above_bed"] is True
 
 
 def test_steepness_examples():
@@ -416,7 +418,7 @@ def test_metric_matches_squared_curve_speed():
         dx = derivative(xper).samples + 1.0 / k
         dy = derivative(y).samples
         speed2 = (dx ** 2 + dy ** 2) * k ** 2
-        assert np.max(np.abs(speed2 - conformal_metric(w))) < 1e-10
+        assert np.max(np.abs(speed2 - _slope_metric(w)[2])) < 1e-10
 
 
 _CLOSED_FORM_A = [s * A for A in (0.1, 0.3, 0.4546, 0.6, 0.9) for s in (1, -1)]
@@ -439,7 +441,7 @@ def test_closed_form_curve_matches_the_transformed_profile(A, n):
     # relative to max W: near the trough at |A| = 0.9, where W is 7.7e-6, the
     # transformed metric is off by 4.7e-11 of W itself and the closed form by
     # 2.5e-14 (against a 40-digit evaluation)
-    W = conformal_metric(w)
+    W = _slope_metric(w)[2]
     assert np.max(np.abs(closed - W)) <= 1e-12 * np.max(W)
     if abs(A) <= 0.6:
         assert np.max(np.abs(closed / W - 1.0)) <= 1e-12

@@ -592,6 +592,17 @@ def test_the_worker_runs_under_the_callers_errstate(monkeypatch):
 
 
 @needs_worker
+def test_a_worker_that_has_taken_a_job_may_run_on_every_cpu_its_caller_may():
+    # it starts off its caller's CPU and then takes back the whole set; which
+    # CPU it runs on is the host's choice, and no test asserts it
+    linearization._drop_worker()
+    residual, base, bases, M = _PICKLED_CASES["vortical"]
+    jacobian_fd(residual, base, M)
+    _wait_for_the_worker()
+    assert os.sched_getaffinity(linearization._pool[1]) == os.sched_getaffinity(0)
+
+
+@needs_worker
 def test_a_killed_worker_is_dropped_and_its_share_computed_in_process(monkeypatch):
     residual, base, bases, M = _PICKLED_CASES["deep"]
     ref = jacobian_fd(residual, base, M).entries

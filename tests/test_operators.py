@@ -10,7 +10,6 @@ from capwave.linearization import jacobian_fd
 from capwave.operators import (
     WaveParams,
     bernoulli_b,
-    conformal_metric,
     q_hat,
     residual_G,
     residual_fd,
@@ -98,19 +97,19 @@ def test_wave_params_k_examples():
 # -- metric and angle ----------------------------------------------------------------
 
 
-def test_conformal_metric_examples():
+def test_slope_metric_examples():
     n = 256
     flat = zeros(n)
-    assert np.max(np.abs(conformal_metric(flat) - 1.0)) < 1e-14
-    assert np.max(np.abs(conformal_metric(flat, d=1.5) - 1.0)) < 1e-14
+    assert np.max(np.abs(operators._slope_metric(flat)[2] - 1.0)) < 1e-14
+    assert np.max(np.abs(operators._slope_metric(flat, d=1.5)[2] - 1.0)) < 1e-14
     w = crapper.crapper_wave(0.5, n)
-    W = conformal_metric(w)
+    W = operators._slope_metric(w)[2]
     assert W[0] == pytest.approx(1.0 / 81.0, abs=1e-12)
     assert W.mean() > 0.1
     # w = -cos t puts w' = 1 + Cw' = 0 at t = 0; every caller of the metric
     # rule rejects it
     degenerate = PeriodicFunction.from_cosine_series([-1.0], n)
-    for call in (conformal_metric, theta_of, lambda u: bernoulli_b(0.3, u),
+    for call in (operators._slope_metric, theta_of, lambda u: bernoulli_b(0.3, u),
                  lambda u: residual_inf(WaveParams(0.0, 1.0), u),
                  lambda u: residual_inf(WaveParams(0.02, 1.0), u)):
         with pytest.raises(DegenerateMetricError, match="conformal metric vanishes"):
@@ -142,7 +141,7 @@ def test_theta_of_examples():
     assert np.max(np.abs(th.cosine_coefficients(n // 2 - 1))) < 1e-12
     assert abs(mean(th)) < 1e-12
     # sin(theta) * W^(1/2) = w' at every sample
-    whalf = np.sqrt(conformal_metric(w))
+    whalf = np.sqrt(operators._slope_metric(w)[2])
     assert np.max(np.abs(np.sin(th.samples) * whalf - derivative(w).samples)) < 1e-10
     # the angle as computed, even or not, for one function or a stack whose
     # rows have the bits of the one-function calls

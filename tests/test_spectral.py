@@ -16,7 +16,7 @@ from capwave.spectral import (
     pf_atan2,
     pf_exp,
 )
-from capwave.operators import conformal_metric
+from capwave.operators import _slope_metric
 from _oracles import (add_negated, coeffs_two_pass, crapper_samples, crapper_conjugate,
                       kappa_tail_bound, samples_two_pass, sine_coefficients, theta_samples)
 
@@ -397,16 +397,16 @@ def test_stacked_checks_fail_when_any_row_fails():
     t = grid(64)
     profiles = np.array([a * np.cos(t) + b * np.cos(2 * t) for a, b in
                          [(0.2, 0.0), (-0.3, 0.1), (0.0, 0.25), (0.45, -0.05), (0.1, 0.1)]])
-    W = conformal_metric(PeriodicFunction.from_samples(profiles))
+    W = _slope_metric(PeriodicFunction.from_samples(profiles))[2]
     for row, w in zip(W, profiles):
-        assert row.tobytes() == conformal_metric(PeriodicFunction.from_samples(w)).tobytes()
+        assert row.tobytes() == _slope_metric(PeriodicFunction.from_samples(w))[2].tobytes()
     bad = profiles.copy()
     bad[3] = -np.cos(t)  # W = 0 at t = 0
     with pytest.raises(DegenerateMetricError, match="conformal metric vanishes"):
-        conformal_metric(PeriodicFunction.from_samples(bad))
+        _slope_metric(PeriodicFunction.from_samples(bad))
     bad[1, 2] = np.nan  # a nan in another row (which the conjugation rejects
     with pytest.raises(DegenerateMetricError):  # first) does not hide the zero row
-        conformal_metric(PeriodicFunction.from_samples(bad))
+        _slope_metric(PeriodicFunction.from_samples(bad))
 
 
 # -- samples computed on first read --------------------------------------------------
