@@ -628,7 +628,7 @@ def test_vortical_points_on_64_modes_keep_bernoulli_law_in_long_double(A, h, gam
 
 
 # the odd block on the points below: its least singular value 9.3e-13 to
-# 1.7e-11, at most 8.6e-12 of the next; the next 1.94 to 2.13; the least one's
+# 1.7e-11, at most 8.2e-12 of the next; the next 1.94 to 2.13; the least one's
 # right vector parallel to w' within 6e-16 in |cos|
 ODD_KERNEL_RATIO = 1e-9
 ODD_NEXT_SIGMA = 1.0
@@ -658,7 +658,7 @@ def test_only_translation_lies_in_the_kernel_of_the_odd_block(monkeypatch, depth
         ratio, second, cos = _odd_kernel(sol.params, sol.w, M)
         assert ratio < ODD_KERNEL_RATIO and second > ODD_NEXT_SIGMA and cos > ODD_KERNEL_COS
     # an odd term, sin t times u', breaks translation: w' leaves the kernel
-    name = "residual_inf" if "h" not in depth else "residual_fd"
+    name = "residual_inf" if sol.params.is_infinite else "residual_fd"
     residual = getattr(operators, name)
     odd = 1e-3 * np.sin(grid(sol.w.n_grid))
     monkeypatch.setattr(operators, name, lambda params, u: PeriodicFunction.from_samples(
