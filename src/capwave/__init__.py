@@ -27,7 +27,6 @@ from .linearization import (
     dG_matrix,
     jacobian_fd,
     recurrence_scan,
-    smallest_singular,
 )
 from .continuation import (
     Branch,

@@ -16,10 +16,10 @@ units (k = 1) otherwise; `solution_report` holds the flags of every Newton
 solution.  Each crossing is counted once per period (see `check_injective`).
 The threshold bisection draws the explicit family from F_A's closed form
 (`crapper.circle_samples`) instead of through `surface_profile`'s transforms,
-and sweeps the polyline check_injective would sweep, built by swept()'s
-builder from the least and greatest x its guard has taken; a curve with a
-point past its period's mirror axes has crossed itself and is not swept
-(crapper_profile_injective).
+and sweeps the polyline check_injective would sweep, built by its builder
+(`_whole_periods`) from the least and greatest x its guard has taken; a
+curve with a point past its period's mirror axes has crossed itself and is
+not swept (crapper_profile_injective).
 """
 
 from __future__ import annotations
@@ -57,20 +57,14 @@ class SurfaceCurve:
     def period(self) -> float:
         return 2.0 * math.pi / self.k
 
-    def swept(self) -> tuple[np.ndarray, np.ndarray]:
-        """The polyline that check_injective sweeps: the base period and its
-        copies x + k*period for k below ceil((R - min x) / period), R = max(max
-        x, x[0] + period), where the base's segments end, closed by point 0 of
-        the next copy."""
-        if len(self.x) < 64:
-            raise ValueError("injectivity check needs at least 64 points")
-        return _whole_periods(self.x, self.y, self.period, self.x.min(), self.x.max())
-
 
 def _whole_periods(x, y, period, x_min, x_max):
-    """SurfaceCurve.swept() of the period (x, y) whose least and greatest x are
-    x_min and x_max, written into two arrays; copy 0 too is x + 0.0, so a -0.0
-    in x turns +0.0 as in every other copy."""
+    """The polyline that check_injective sweeps, of the period (x, y) whose
+    least and greatest x are x_min and x_max: the base period and its copies
+    x + k*period for k below ceil((R - x_min) / period), R = max(x_max, x[0] +
+    period), where the base's segments end, closed by point 0 of the next
+    copy.  Written into two arrays; copy 0 too is x + 0.0, so a -0.0 in x
+    turns +0.0 as in every other copy."""
     n = len(x)
     count = math.ceil((max(x_max, x[0] + period) - x_min) / period)
     sx, sy = np.empty(count * n + 1), np.empty(count * n + 1)
@@ -101,9 +95,12 @@ def surface_profile(w: PeriodicFunction, k: float, d: float | None = None,
 
 def check_injective(curve: SurfaceCurve) -> InjectivityReport:
     """Crossings of the periodic curve, one per pair of segments that meet,
-    counted where the lower segment of the pair lies in the base period (see
-    SurfaceCurve.swept)."""
-    hits = segment_crossings(*curve.swept(), owned=len(curve.x))
+    counted where the lower segment of the pair lies in the base period, on
+    the whole periods that `_whole_periods` builds."""
+    x, y = curve.x, curve.y
+    if len(x) < 64:
+        raise ValueError("injectivity check needs at least 64 points")
+    hits = segment_crossings(*_whole_periods(x, y, curve.period, x.min(), x.max()), owned=len(x))
     return InjectivityReport(crossings=hits)
 
 
@@ -113,7 +110,8 @@ def solution_curve(params: WaveParams, w: PeriodicFunction,
     max(GEOMETRY_POINTS, grid of w) points."""
     k = params.k if params.alpha > 0.0 else 1.0
     d = None if params.is_infinite or params.alpha <= 0.0 else params.h * k
-    return surface_profile(w, k, d=d, n_points=n_points or max(GEOMETRY_POINTS, w.n_grid))
+    n = max(GEOMETRY_POINTS, w.n_grid) if n_points is None else n_points
+    return surface_profile(w, k, d=d, n_points=n)
 
 
 def solution_report(params: WaveParams, w: PeriodicFunction) -> dict:
@@ -152,14 +150,14 @@ def crapper_profile_injective(A: float, n_grid: int) -> bool:
     mirror image C(-s) = C(s) likewise.  Within the band, rounding can put a
     point a few ulps past an axis where the sweep counts no crossing, so
     those curves are swept.  Every other curve is decided by the sweep on
-    the polyline check_injective sweeps (swept()'s, built from the guard's
-    x_min and x_max): its early returns answer for the curves that rise in x
-    and the injective ones past the fold, its sort for a loop inside the
-    period (A < 0)."""
+    the polyline check_injective sweeps (`_whole_periods`'s, built from the
+    guard's x_min and x_max): its early returns answer for the curves that
+    rise in x and the injective ones past the fold, its sort for a loop
+    inside the period (A < 0)."""
     A = crapper._check_param(A)
-    x, y = crapper.circle_samples(A, n_grid)
     if n_grid < 64:
         raise ValueError("injectivity check needs at least 64 points")
+    x, y = crapper.circle_samples(A, n_grid)
     x_min, x_max = x.min(), x.max()
     if x_min < x[0] - ENDPOINT_BAND or x_max > x[0] + 2.0 * math.pi + ENDPOINT_BAND:
         return False

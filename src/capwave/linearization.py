@@ -29,7 +29,7 @@ import signal
 import sys
 import threading
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -80,7 +80,6 @@ class KernelReport:
 
     sigma_min: float
     verdict: str                       # "injective" or "kernel_found"
-    kernel_vectors: tuple = ()
     kernel_description: str = ""
     a1_coefficient: float = math.nan   # reduced a_1-equation coefficient (-4A^2)
     a2_coefficient: float = math.nan   # reduced a_2-equation coefficient
@@ -350,16 +349,6 @@ def dG_matrix(A: float, M: int) -> OperatorMatrix:
     return OperatorMatrix(entries=cols)
 
 
-def smallest_singular(matrix: OperatorMatrix) -> KernelReport:
-    """SVD-based injectivity certificate for a truncated operator: singular
-    values below INJECTIVITY_TOL span the kernel."""
-    u, s, vt = np.linalg.svd(matrix.entries)
-    kernel = tuple(vt[i] for i in range(len(s)) if s[i] < INJECTIVITY_TOL)
-    return KernelReport(sigma_min=float(s[-1]),
-                        verdict="kernel_found" if kernel else "injective",
-                        kernel_vectors=kernel, matrix=matrix)
-
-
 def reduced_a2_coefficient(A: float) -> float:
     """Coefficient multiplying a_2 after eliminating c(theta) and a_4 = A^2 a_2,
     normalised by (1+A^2); equals (1+A^2)^3/(1+4A^2+A^4)."""
@@ -394,10 +383,11 @@ def recurrence_scan(A: float, M: int) -> KernelReport:
     if 0.0 < abs(A) < 1e-150:
         raise ValueError(f"recurrence scan needs A = 0 or |A| >= 1e-150, got {A}")
     matrix = dG_matrix(A, M)
-    svd_report = smallest_singular(matrix)
+    # U and V go unread, but with compute_uv=False sigma_min's last bits move
+    sigma_min = float(np.linalg.svd(matrix.entries)[1][-1])
     if A == 0.0:
-        return replace(svd_report, verdict="kernel_found", kernel_description="sin t",
-                       a1_coefficient=0.0, a2_coefficient=0.0)
+        return KernelReport(sigma_min, "kernel_found", kernel_description="sin t",
+                            a1_coefficient=0.0, a2_coefficient=0.0, matrix=matrix)
     q = crapper.q_of(A)
     k = np.arange(3, M + 1, dtype=float)
     ratios = (k - 2.0 + q) / (A * A * (k + 2.0 + q))
@@ -408,7 +398,6 @@ def recurrence_scan(A: float, M: int) -> KernelReport:
     a1c = reduced_a1_coefficient(A)
     a2c = reduced_a2_coefficient(A)
     injective = abs(a1c) > 1e-14 and abs(a2c) > 1e-14
-    return replace(svd_report, verdict="injective" if injective else "kernel_found",
-                   kernel_vectors=() if injective else svd_report.kernel_vectors,
-                   kernel_description="" if injective else "recurrence seed survives",
-                   a1_coefficient=a1c, a2_coefficient=a2c)
+    return KernelReport(sigma_min, "injective" if injective else "kernel_found",
+                        kernel_description="" if injective else "recurrence seed survives",
+                        a1_coefficient=a1c, a2_coefficient=a2c, matrix=matrix)

@@ -60,8 +60,6 @@ from .spectral import (
     hilbert_strip,
     mean,
     mul,
-    pf_atan2,
-    pf_exp,
 )
 
 import numpy as np
@@ -185,7 +183,7 @@ def theta_of(w: PeriodicFunction) -> PeriodicFunction:
     mean is rounding, plus aliases on a grid too coarse for Theta.
     """
     wp, one_cwp, _ = _slope_metric(w)
-    th = pf_atan2(wp, one_cwp)
+    th = PeriodicFunction._of_samples(np.arctan2(wp.samples, one_cwp.samples))
     check_principal_branch(th.samples, "tangent angle leaves the principal branch")
     return th
 
@@ -256,9 +254,8 @@ def angle_terms(beta: float, theta: PeriodicFunction):
     r = [e^{-C theta}]/[e^{C theta}]: the pieces of G and of its linearisation."""
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    ct = hilbert(theta)
-    ep = pf_exp(ct)
-    em = pf_exp(-ct)
+    ct = hilbert(theta).samples
+    ep, em = (PeriodicFunction._of_samples(np.exp(s)) for s in (ct, -ct))
     half = 0.5 / beta
     return ep, em, half, half * (mean(em) / mean(ep))
 

@@ -355,13 +355,3 @@ def mul(f: PeriodicFunction, g: PeriodicFunction) -> PeriodicFunction:
     np.multiply(ff, gf, out=fine.real)
     fine.imag = 0.0  # the cast of the real product that the transform made
     return PeriodicFunction(_resize(_coeffs_of(fine, out=fine), f.n_grid))
-
-
-def pf_exp(f: PeriodicFunction) -> PeriodicFunction:
-    return PeriodicFunction._of_samples(np.exp(f.samples))
-
-
-def pf_atan2(y: PeriodicFunction, x: PeriodicFunction) -> PeriodicFunction:
-    """Sample-wise atan2(y, x)."""
-    y._check_grid(x)
-    return PeriodicFunction._of_samples(np.arctan2(y.samples, x.samples))

@@ -16,7 +16,7 @@ and `plus_minus_stack`, the +-step stack that `jacobian_fd` builds with the
 same expression and that pins its modes on bases holding signed zeros, inf
 and nan.  So is `periodic_extension`, the gather that built the whole
 extension of the period before it was joined from shifted copies; the
-polyline that `SurfaceCurve.swept` builds must equal it bit for bit.  So is
+polyline that `check_injective` sweeps must equal it bit for bit.  So is
 `pair_crossings`, the pair test as the sweep ran it with both boxes and its
 points sorted, which the kernel's yes/no answers and its sweep without the
 x-box test must agree with.  And so is `residual_G_tilde`, the pushed-forward

@@ -2,6 +2,7 @@ import importlib.util
 import re
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,13 @@ from _oracles import (crapper_threshold, metric_samples, pair_crossings, pairwis
                       periodic_extension, steepness_closed_form, zeros)
 
 
+def _swept(curve):
+    """The polyline (x, y) that check_injective hands to the sweep."""
+    with mock.patch.object(geometry, "segment_crossings", wraps=segment_crossings) as sweep:
+        check_injective(curve)
+    return sweep.call_args.args[:2]
+
+
 def test_surface_profile_flat_and_family_values():
     n = 256
     flat = surface_profile(zeros(n), 1.0)
@@ -46,7 +54,7 @@ def test_surface_profile_periodic_closure():
     n = 128
     for A, count in ((0.4, 1), (0.6, 2)):
         curve = surface_profile(crapper.crapper_wave(A, n), 1.5)
-        x, y = curve.swept()
+        x, y = _swept(curve)
         assert len(x) == len(y) == count * n + 1
         assert np.array_equal(x[:n], curve.x) and np.array_equal(y[:n], curve.y)
         assert x[-1] == curve.x[0] + count * curve.period and y[-1] == curve.y[0]
@@ -290,7 +298,7 @@ def _started_at(curve, s):
 def _assert_swept_whole_periods(curve):
     # the gathered extension, whole periods up to R = max(max x, x[0] +
     # period); bit for bit, so a zero's sign counts
-    assert ([a.tobytes() for a in curve.swept()]
+    assert ([a.tobytes() for a in _swept(curve)]
             == [a.tobytes() for a in periodic_extension(curve)])
 
 
@@ -396,6 +404,18 @@ def test_solution_report_marks_a_surface_below_the_bed():
         assert solution_report(params, zeros(n))["above_bed"] is True
 
 
+@pytest.mark.parametrize("n_points", [0, 1023])
+def test_solution_curve_refuses_a_point_count_off_the_grid_contract(n_points):
+    # only None takes the default; 0 is refused as surface_profile refuses it
+    w = crapper.crapper_wave(0.3, 256)
+    params = WaveParams(0.0, crapper.beta_of(0.3))
+    assert len(geometry.solution_curve(params, w).x) == geometry.GEOMETRY_POINTS
+    for draw in (lambda: geometry.solution_curve(params, w, n_points=n_points),
+                 lambda: surface_profile(w, 1.0, n_points=n_points)):
+        with pytest.raises(ValueError, match=f"^n_grid must be even and >= 4, got {n_points}$"):
+            draw()
+
+
 def test_steepness_examples():
     assert steepness(zeros(64)) == 0.0
     for A in (0.1, 0.3, 0.5, 0.8):
@@ -470,6 +490,12 @@ def test_crapper_profile_injective_refuses_what_the_transformed_profile_refused(
             check(A, n_grid)
 
 
+def test_crapper_profile_injective_refuses_a_short_grid_before_it_draws(monkeypatch):
+    monkeypatch.setattr(crapper, "circle_samples", lambda A, n_grid: pytest.fail("drawn"))
+    with pytest.raises(ValueError, match="^injectivity check needs at least 64 points$"):
+        crapper_profile_injective(0.3, 32)
+
+
 def test_a_capped_parameter_keeps_the_metric_far_above_its_floor():
     # crapper_profile_injective draws the curve without W and so has no metric
     # refusal; that holds while W at every |A| <= A_CAP stays clear of the
@@ -532,11 +558,11 @@ def test_every_curve_the_guard_refuses_crosses_in_check_injective_and_runs_no_pa
         for A in _GUARD_A:
             curve = SurfaceCurve(*crapper.circle_samples(A, n), 1.0)
             injective = len(check_injective(curve).crossings) == 0
+            # x rises strictly only below the fold at sqrt(2) - 1
+            x, _ = _swept(curve)
+            assert bool(np.all(x[1:] > x[:-1])) or abs(A) > np.sqrt(2.0) - 1.0
             passes.clear()
             assert crapper_profile_injective(A, n) == injective
-            # x rises strictly only below the fold at sqrt(2) - 1
-            x, _ = curve.swept()
-            assert bool(np.all(x[1:] > x[:-1])) or abs(A) > np.sqrt(2.0) - 1.0
             if _past_the_band(curve):
                 refused += 1
                 assert passes == [] and not injective
@@ -552,9 +578,10 @@ def test_every_curve_the_guard_refuses_crosses_in_check_injective_and_runs_no_pa
 
 def test_where_the_closed_period_is_decided_it_is_the_swept_polyline(monkeypatch):
     # a curve that stays in one period is swept on its closed period:
-    # swept() builds one copy and closes it at point n; the A* check sweeps
-    # swept()'s polyline bit for bit, built from its guard's bounds, there and
-    # on the 64-point curve that leaves its period within the band (two copies)
+    # check_injective sweeps one copy closed at point n; the A* check sweeps
+    # check_injective's polyline bit for bit, built from its guard's bounds,
+    # there and on the 64-point curve that leaves its period within the band
+    # (two copies)
     swept = []
     monkeypatch.setattr(geometry, "segment_crossings",
                         lambda x, y, owned: swept.append((x, y)) or segment_crossings(x, y, owned))
@@ -564,7 +591,9 @@ def test_where_the_closed_period_is_decided_it_is_the_swept_polyline(monkeypatch
             curve = SurfaceCurve(*crapper.circle_samples(A, n), 1.0)
             if _inside_one_period(curve):
                 inside += 1
-                want = [a.tobytes() for a in curve.swept()]
+                swept.clear()
+                check_injective(curve)
+                want = [a.tobytes() for a in swept[0]]
                 assert want == [a.tobytes() for a in _closed_period(curve)]
                 swept.clear()
                 crapper_profile_injective(A, n)
@@ -575,9 +604,10 @@ def test_where_the_closed_period_is_decided_it_is_the_swept_polyline(monkeypatch
     A, n = _BAND_CURVE
     curve = SurfaceCurve(*crapper.circle_samples(A, n), 1.0)
     swept.clear()
+    check_injective(curve)
     assert crapper_profile_injective(A, n)
     assert len(swept[0][0]) == 2 * n + 1
-    assert [[a.tobytes() for a in xy] for xy in swept] == [[a.tobytes() for a in curve.swept()]]
+    assert [[a.tobytes() for a in xy] for xy in swept[1:]] == [[a.tobytes() for a in swept[0]]]
 
 
 @pytest.mark.parametrize("A", [0.46, 0.7])
@@ -597,7 +627,7 @@ def test_the_sweep_decides_a_curve_whose_point_leaves_its_period_within_the_band
     # at the 64-point leave flip (see tools/astar_digest.py) rounding puts a
     # point 4.4e-16 left of x[0] and one 8.9e-16 right of x[0] + 2*pi while
     # the curve has no crossing the sweep counts: the guard leaves it to the
-    # sweep on swept() (checked bit for bit in
+    # sweep on check_injective's polyline (checked bit for bit in
     # test_where_the_closed_period_is_decided_it_is_the_swept_polyline), which
     # keeps it injective
     A, n = _BAND_CURVE
@@ -741,7 +771,7 @@ def test_critical_self_intersection_gives_up_when_no_lower_bracket_is_injective(
 
 
 def test_segment_crossings_of_an_injective_curve_are_an_empty_float_array():
-    x, y = surface_profile(crapper.crapper_wave(0.3, 1024), 1.0).swept()
+    x, y = _swept(surface_profile(crapper.crapper_wave(0.3, 1024), 1.0))
     hits = segment_crossings(x, y, 1024)
     assert hits.shape == (0, 2) and hits.dtype == np.float64
 
@@ -765,5 +795,5 @@ def test_crapper_abscissa_rises_strictly_until_it_folds_at_sqrt2_minus_1(n):
     # at t = pi/2 when |A| = sqrt(2) - 1; below it the sweep returns at once
     for A, rises in ((0.3, True), (0.414, True), (0.416, False), (0.45, False)):
         for s in (1, -1):
-            x, _ = surface_profile(crapper.crapper_wave(s * A, n), 1.0).swept()
+            x, _ = _swept(surface_profile(crapper.crapper_wave(s * A, n), 1.0))
             assert bool(np.all(x[1:] > x[:-1])) == rises

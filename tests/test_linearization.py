@@ -27,7 +27,6 @@ from capwave.linearization import (
     recurrence_scan,
     reduced_a1_coefficient,
     reduced_a2_coefficient,
-    smallest_singular,
 )
 from capwave.operators import (
     WaveParams,
@@ -800,10 +799,11 @@ def test_dG_matrix_at_zero():
     m = dG_matrix(0.0, 16)
     expected = np.diag(np.arange(1, 17) - 1.0)
     assert np.max(np.abs(m.entries - expected)) < 1e-13
-    report = smallest_singular(m)
+    report = recurrence_scan(0.0, 16)
+    assert report.matrix.entries.tobytes() == m.entries.tobytes()
     assert report.sigma_min < 1e-12
     assert report.verdict == "kernel_found"
-    kernel = report.kernel_vectors[0]
+    kernel = np.linalg.svd(report.matrix.entries)[2][-1]
     cos_sim = abs(kernel[0]) / np.linalg.norm(kernel)
     assert cos_sim > 0.999
 
@@ -865,7 +865,7 @@ def test_recurrence_scan_examples():
     scan0 = recurrence_scan(0.0, 32)
     assert scan0.verdict == "kernel_found"
     assert scan0.kernel_description == "sin t"
-    assert abs(scan0.kernel_vectors[0][0]) > 0.999
+    assert abs(np.linalg.svd(scan0.matrix.entries)[2][-1][0]) > 0.999
     with pytest.raises(ValueError):
         recurrence_scan(0.5, 4)
 
@@ -883,9 +883,8 @@ def test_recurrence_matches_svd_verdicts():
         scan = recurrence_scan(A, 64)
         assert scan.verdict == "injective"
         assert scan.sigma_min > INJECTIVITY_TOL
-        direct = smallest_singular(dG_matrix(A, 64))
-        assert direct.verdict == "injective"
-        assert direct.sigma_min == pytest.approx(scan.sigma_min, rel=1e-9)
+        direct = np.linalg.svd(dG_matrix(A, 64).entries, compute_uv=False)[-1]
+        assert direct == pytest.approx(scan.sigma_min, rel=1e-9)
 
 
 def test_reduced_coefficients_against_formulas():
@@ -897,22 +896,18 @@ def test_reduced_coefficients_against_formulas():
         assert abs(reduced_a1_coefficient(A) - (-4 * A ** 2)) < 1e-12
 
 
-def test_smallest_singular_identity_and_golden():
-    ident = OperatorMatrix(entries=np.eye(8))
-    rep = smallest_singular(ident)
-    assert rep.sigma_min == pytest.approx(1.0, rel=1e-14)
-    assert rep.verdict == "injective" and not rep.kernel_vectors
-    rep0 = smallest_singular(dG_matrix(0.0, 32))
+def test_recurrence_scan_sigma_min_golden():
+    rep0 = recurrence_scan(0.0, 32)
     assert rep0.sigma_min < 1e-12
-    rep5 = smallest_singular(dG_matrix(0.5, 64))
+    rep5 = recurrence_scan(0.5, 64)
     assert rep5.sigma_min > 1e-3
     assert rep5.sigma_min == pytest.approx(GOLDEN_SIGMA_MIN_A05_M64, abs=1e-9)
 
 
 def test_truncation_stability_of_sigma_min():
     for A in (0.2, 0.5, 0.8):
-        s64 = smallest_singular(dG_matrix(A, 64)).sigma_min
-        s128 = smallest_singular(dG_matrix(A, 128)).sigma_min
+        s64 = recurrence_scan(A, 64).sigma_min
+        s128 = recurrence_scan(A, 128).sigma_min
         assert abs(s128 - s64) < 0.1 * s64
 
 
