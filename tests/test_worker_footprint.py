@@ -1,23 +1,33 @@
+import importlib.util
 import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "worker_footprint.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the two files the tool reads of each process; off Linux, or on a kernel
+# built without the children file, it cannot run
+_PID = os.getpid()
+_HAS_PROC = all(Path(f"/proc/{_PID}/{name}").exists()
+                for name in ("smaps_rollup", f"task/{_PID}/children"))
 
 
-def _run(*args):
-    return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True,
-                          timeout=60)
+def _tool():
+    spec = importlib.util.spec_from_file_location(
+        "worker_footprint", ROOT / "tools" / "worker_footprint.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
-def test_worker_footprint_prints_a_row_per_configuration():
+@pytest.mark.skipif(not _HAS_PROC, reason="the tool reads smaps_rollup and the children file")
+def test_worker_footprint_prints_a_row_per_configuration(capsys):
     # the table's structure, not its numbers: one short vortical child per
     # configuration, the worker's rows only where two CPUs are allowed
-    done = _run("--ops", "1", "--idle", "0.2", "--shape", "vortical")
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
+    _tool().report(1, 0.2, ["vortical"])
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("1 ops per child, 0.2 s idle, at rest 0.08-0.18 s")
     assert lines[1].split() == ["shape", "cpus", "peak_pss_mb", "rest_pss_mb", "worker_private_mb"]
     cpus = len(os.sched_getaffinity(0))
@@ -36,8 +46,6 @@ def test_worker_footprint_prints_a_row_per_configuration():
         assert len(lines) == 3
 
 
-def test_worker_footprint_refuses_a_bad_argument():
-    for args in (["--ops"], ["--ops", "0"], ["--idle", "nan"], ["--shape", "shallow"], ["out"]):
-        done = _run(*args)
-        assert done.returncode == 1 and done.stdout == ""
-        assert done.stderr.startswith("usage: python3 tools/worker_footprint.py "), args
+def test_worker_footprint_takes_no_argument(capsys):
+    assert _tool().main(["--ops", "1"]) == 1
+    assert capsys.readouterr() == ("", "usage: python3 tools/worker_footprint.py\n")

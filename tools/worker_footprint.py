@@ -1,11 +1,11 @@
 """Measure the memory of the Jacobian's worker process on CLI runs.
 
-    python3 tools/worker_footprint.py [--ops N] [--idle SECONDS] [--shape deep|vortical]
+    python3 tools/worker_footprint.py
 
-Per shape and per configuration, one child Python runs a warm-up and then N
-(default 8) in-process `capwave continue` ops of one benchmark shape (both
+Per shape and per configuration, one child Python runs a warm-up and then 8
+in-process `capwave continue` ops of one benchmark shape (both
 `--g 1 --sigma 1`), each writing its branch JSON and CSV into a temporary
-directory, then idles for SECONDS (default 1):
+directory, then idles for 1 s:
 
     deep:      --A 0.3 --alpha-max 0.05 --steps 1
     vortical:  --A 0.3 --h 2.5 --gamma 0.7 --M 64 --alpha-max 0.02 --steps 1
@@ -13,9 +13,8 @@ directory, then idles for SECONDS (default 1):
 Every 5 ms this process reads /proc/PID/smaps_rollup of the child and of its
 worker, whose pid it reads from /proc/PID/task/PID/children.  The table gives,
 per shape and configuration, the peak `Pss` of caller plus worker over the
-run, their `Pss` at rest (the median over 0.4-0.9 of the idle time after the
-last op, 0.4-0.9 s by default; the worker hands its freed heap back after
-0.1 s idle) and the worker's `Private_Clean + Private_Dirty` at rest, in MB
+run, their `Pss` at rest (the median over 0.4-0.9 s after the last op; the
+worker hands its freed heap back after 0.1 s idle) and the worker's `Private_Clean + Private_Dirty` at rest, in MB
 of 2^20 bytes.  `cpus` is the child's CPU count: all the CPUs this process
 may use, where the worker shares the Jacobians, and one (the child pins
 itself to the lowest before it imports capwave), where no worker is forked.
@@ -27,13 +26,12 @@ of caller and worker counts their copy-on-write pages once.  The library
 pages that other processes on the host map too are split with them, so the
 numbers move with what else runs.  Only files under /proc are read, and only
 the standard library is used; the child imports capwave from the `src/` next
-to this script.  An argument that is not one of the above prints the usage
+to this script.  The tool takes no argument: any argument prints the usage
 line to stderr and exits 1.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import statistics
 import subprocess
@@ -42,11 +40,13 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-USAGE = "usage: python3 tools/worker_footprint.py [--ops N] [--idle SECONDS] [--shape deep|vortical]\n"
+USAGE = "usage: python3 tools/worker_footprint.py\n"
 SHAPES = {
     "deep": "--A 0.3 --alpha-max 0.05 --steps 1",
     "vortical": "--A 0.3 --h 2.5 --gamma 0.7 --M 64 --alpha-max 0.02 --steps 1",
 }
+OPS = 8  # warm ops per child
+IDLE = 1.0  # seconds the child idles after its last op
 PERIOD = 0.005  # seconds between samples
 REST = (0.4, 0.9)  # the at-rest window, as fractions of the idle time after the last op
 
@@ -115,34 +115,8 @@ def measure(shape, one_cpu, ops, idle):
             statistics.median(private) if private else None)
 
 
-def parse(argv):
-    """(ops, idle, shapes) from argv; None for an argument that is not one of USAGE's."""
-    ops, idle, shapes = 8, 1.0, []
-    if len(argv) % 2:
-        return None
-    try:
-        for flag, value in zip(argv[::2], argv[1::2]):
-            if flag == "--ops":
-                ops = int(value)
-            elif flag == "--idle":
-                idle = float(value)
-            elif flag == "--shape" and value in SHAPES:
-                shapes.append(value)
-            else:
-                return None
-    except ValueError:
-        return None
-    if ops < 1 or not 0.0 < idle < math.inf:
-        return None
-    return ops, idle, shapes or list(SHAPES)
-
-
-def main(argv):
-    parsed = parse(argv)
-    if parsed is None:
-        sys.stderr.write(USAGE)
-        return 1
-    ops, idle, shapes = parsed
+def report(ops, idle, shapes):
+    """Print the table of `shapes`, each child running `ops` ops and idling `idle` s."""
     cpus = len(os.sched_getaffinity(0))
     configs = [(cpus, False), (1, True)] if cpus > 1 else [(1, True)]
     mb = lambda kb: "-" if kb is None else f"{kb / 1024:.1f}"
@@ -159,6 +133,13 @@ def main(argv):
             ratios.append(f"{shape} {rest[cpus] / rest[1]:.3f}")
     if ratios:
         print(f"at rest, {cpus} CPUs / 1 CPU: " + ", ".join(ratios))
+
+
+def main(argv):
+    if argv:
+        sys.stderr.write(USAGE)
+        return 1
+    report(OPS, IDLE, list(SHAPES))
     return 0
 
 
