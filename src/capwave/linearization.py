@@ -164,30 +164,17 @@ def _worker():
 
 
 def _serve(conn, marks, parent):
-    """The worker.  It ignores Ctrl-C, which stops the caller, runs only on
-    CPU time that no other process wants (SCHED_IDLE), and dies with the
-    thread that forked it, so a caller killed by a signal leaves no worker.
-    It starts on a CPU other than the caller's, when one is allowed, and may
-    then run on every CPU the caller may.  It takes each job's chunks from
-    the last down and sends each one as (job, index, columns) once done,
-    until the caller has reached the next one or sent a later job, or a
-    chunk raises or warns under the caller's errstate.  Idle for 0.1 s
-    after a job, it hands the heap it freed back to the system.  It ends
-    when `conn` closes."""
+    """The worker.  It ignores Ctrl-C, which stops the caller, runs at nice
+    19, so it yields the CPU to the caller and to other processes, and dies
+    with the thread that forked it, so a caller killed by a signal leaves no
+    worker.  It takes each job's chunks from the last down and sends each
+    one as (job, index, columns) once done, until the caller has reached the
+    next one or sent a later job, or a chunk raises or warns under the
+    caller's errstate.  Idle for 0.1 s after a job, it hands the heap it
+    freed back to the system.  It ends when `conn` closes."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:  # queued behind its caller, an idle task waited up to 0.96 s while a CPU idled
-        allowed = os.sched_getaffinity(0)
-        with open(f"/proc/{parent}/stat") as stat:  # the caller's CPU is its field 39
-            others = allowed - {int(stat.read().rpartition(")")[2].split()[36])}
-        if others:
-            os.sched_setaffinity(0, others)
-            os.sched_setaffinity(0, allowed)
-    except (OSError, ValueError, IndexError):  # no /proc, or a stat it cannot parse
-        pass
-    try:
-        os.sched_setscheduler(0, os.SCHED_IDLE, os.sched_param(0))
-    except OSError:  # not allowed here: the worker runs as its caller does
-        pass
+    with contextlib.suppress(OSError):  # not allowed here: the worker runs as its caller does
+        os.nice(19)
     libc = ctypes.CDLL(None)
     libc.prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
     if os.getppid() != parent:  # it died before prctl

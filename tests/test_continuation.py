@@ -610,16 +610,22 @@ def test_solved_points_keep_bernoulli_law_on_the_surface(depth, alphas):
             assert bernoulli_spread(still, w) > 100.0 * BERNOULLI_SPREAD_TOL
 
 
-@pytest.mark.parametrize("A, h, gamma", [(0.3, 1.0, -2.0), (-0.4, 1.5, 0.7)])
-def test_vortical_points_on_64_modes_keep_bernoulli_law_in_long_double(A, h, gamma):
+@pytest.mark.parametrize("A, h, gamma, alphas", [
+    (0.3, 1.0, -2.0, (0.0, 0.025, 0.05, 0.1)),
+    (-0.4, 1.5, 0.7, (0.0, 0.025, 0.05, 0.1)),
+    # criterion 9's three branches
+    (0.3, 2.0, 0.0, (0.0, 0.005, 0.01, 0.015, 0.02)),
+    (0.3, 2.0, 1.0, (0.0, 0.005, 0.01, 0.015, 0.02)),
+    (0.3, 4.0, -1.0, (0.0, 0.005, 0.01, 0.015, 0.02)),
+])
+def test_vortical_points_on_64_modes_keep_bernoulli_law_in_long_double(A, h, gamma, alphas):
     # on double samples the spread grows with alpha, to 1.8e-9 at alpha = 0.1
     # on the first branch, past BERNOULLI_SPREAD_TOL; on long-double samples
-    # of the 64 modes it read 4e-14 to 7.2e-13, and 1.8e-6 or more with 1e-8
+    # of the 64 modes it read 4e-14 to 1.7e-12, and 1.6e-6 or more with 1e-8
     # added to mode 3
     beta = crapper.beta_of(A)
-    branch = continue_branch(A, [(a, beta) for a in (0.0, 0.025, 0.05, 0.1)],
-                             M=64, h=h, gamma=gamma)
-    assert [s.params.alpha for s in branch.solutions] == [0.0, 0.025, 0.05, 0.1]
+    branch = continue_branch(A, [(a, beta) for a in alphas], M=64, h=h, gamma=gamma)
+    assert [s.params.alpha for s in branch.solutions] == list(alphas)
     for sol in branch.solutions:
         fine = longdouble_samples(sol.w.cosine_coefficients(64), sol.w.n_grid)[0]
         damage = 1e-8 * np.cos(3.0 * grid(sol.w.n_grid))
@@ -647,6 +653,7 @@ def _odd_kernel(params, w, M):
 @pytest.mark.parametrize("depth, M, alphas", [
     (dict(), 48, (0.0, 0.025, 0.05)),
     (dict(h=1.0, gamma=4.5), 32, (0.0, 0.005, 0.01, 0.015)),  # flat water at 0.018568
+    (dict(h=2.0, gamma=1.0), 64, (0.0, 0.01, 0.02)),  # criterion 9's vortical branch
 ])
 def test_only_translation_lies_in_the_kernel_of_the_odd_block(monkeypatch, depth, M, alphas):
     # the solver forms the even block alone, so a symmetry-breaking

@@ -592,13 +592,18 @@ def test_the_worker_runs_under_the_callers_errstate(monkeypatch):
 
 @needs_worker
 def test_a_worker_that_has_taken_a_job_may_run_on_every_cpu_its_caller_may():
-    # it starts off its caller's CPU and then takes back the whole set; which
-    # CPU it runs on is the host's choice, and no test asserts it
+    # it runs at nice 19 under the caller's policy and CPU set; which CPU it
+    # runs on is the host's choice, and no test asserts it
     linearization._drop_worker()
+    niceness = os.getpriority(os.PRIO_PROCESS, 0)
     residual, base, bases, M = _PICKLED_CASES["vortical"]
     jacobian_fd(residual, base, M)
     _wait_for_the_worker()
-    assert os.sched_getaffinity(linearization._pool[1]) == os.sched_getaffinity(0)
+    worker = linearization._pool[1]
+    assert os.getpriority(os.PRIO_PROCESS, worker) == 19
+    assert os.sched_getscheduler(worker) == os.SCHED_OTHER
+    assert os.sched_getaffinity(worker) == os.sched_getaffinity(0)
+    assert os.getpriority(os.PRIO_PROCESS, 0) == niceness
 
 
 @needs_worker
