@@ -635,7 +635,7 @@ def test_vortical_points_on_64_modes_keep_bernoulli_law_in_long_double(A, h, gam
 
 # the odd block on the points below: its least singular value 9.3e-13 to
 # 1.7e-11, at most 8.2e-12 of the next; the next 1.94 to 2.13; the least one's
-# right vector parallel to w' within 6e-16 in |cos|
+# right vector parallel to w' within 7e-16 in |cos|
 ODD_KERNEL_RATIO = 1e-9
 ODD_NEXT_SIGMA = 1.0
 ODD_KERNEL_COS = 1.0 - 1e-12

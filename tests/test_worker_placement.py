@@ -25,10 +25,12 @@ def test_worker_placement_prints_its_four_rows(capsys):
     _tool().report(start=(2, 2), colocation=(1, 3), deep=3, one_cpu=(2, 2), busy=False)
     lines = capsys.readouterr().out.splitlines()
     cpus = len(os.sched_getaffinity(0))
-    assert lines[0] == f"{cpus} CPUs allowed; Jacobians 3 ms apart after the start row; ms per Jacobian"
+    assert lines[0] == (f"{cpus} CPUs allowed; Jacobians 3 ms apart after the start row; "
+                        "ms per Jacobian")
     assert lines[1].split() == ["row", "jacobians", "result"]
     ms = r"\d+\.\d"
-    assert re.fullmatch(r"start +2 children x 2 FD +no chunk from the worker in [0-2] of 2", lines[2])
+    assert re.fullmatch(r"start +2 children x 2 FD +no chunk from the worker in [0-2] of 2",
+                        lines[2])
     assert re.fullmatch(rf"co-location +1 children x 3 FD +caller-only Jacobians [0-3], "
                         rf"p50/p90 {ms}/{ms} ms", lines[3])
     cpu = min(os.sched_getaffinity(0))

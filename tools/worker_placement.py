@@ -31,7 +31,7 @@ The table has four rows:
 
 The worker is used on Linux with at least 2 CPUs allowed; elsewhere the
 first three rows print `-` for every number, and off Linux so does the last.
-The run takes about 45 s on 2 CPUs.  Only the standard library and capwave
+The run takes about 48 s on 2 CPUs.  Only the standard library and capwave
 are used.  The tool takes no argument: any argument prints the usage line to
 stderr and exits 1.
 """
@@ -122,7 +122,6 @@ def report(start=START, colocation=COLOCATION, deep=DEEP, one_cpu=ONE_CPU, busy=
     cpus = len(os.sched_getaffinity(0)) if linux else 1
     cpu = min(os.sched_getaffinity(0)) if linux else "-"
     shared = linux and cpus >= 2
-    text = lambda value: "-" if value is None else str(value)
     ms = lambda p: "-" if p is None else f"{p[0]:.1f}/{p[1]:.1f}"
     stranded = children = idle = loaded = alone = None
     if shared:
@@ -142,7 +141,7 @@ def report(start=START, colocation=COLOCATION, deep=DEEP, one_cpu=ONE_CPU, busy=
     p50 = lambda shape: "-" if alone is None else f"{quantiles(alone, shape)[0]:.1f}"
     rows = [
         ("start", f"{start[0]} children x {start[1]} FD",
-         f"no chunk from the worker in {text(stranded)} of {start[0]}"),
+         f"no chunk from the worker in {'-' if stranded is None else stranded} of {start[0]}"),
         ("co-location", f"{colocation[0]} children x {colocation[1]} FD",
          "caller-only Jacobians " + (" ".join(str(caller_only(c)) for c in children)
                                      if children else "-")
