@@ -634,8 +634,8 @@ def test_vortical_points_on_64_modes_keep_bernoulli_law_in_long_double(A, h, gam
 
 
 # the odd block on the points below: its least singular value 9.3e-13 to
-# 1.7e-11, at most 8.2e-12 of the next; the next 1.94 to 2.13; the least one's
-# right vector parallel to w' within 7e-16 in |cos|
+# 3.1e-11, at most 1.6e-11 of the next; the next 1.91 to 2.13; the least one's
+# right vector parallel to w' within 9e-16 in |cos|
 ODD_KERNEL_RATIO = 1e-9
 ODD_NEXT_SIGMA = 1.0
 ODD_KERNEL_COS = 1.0 - 1e-12
@@ -653,7 +653,10 @@ def _odd_kernel(params, w, M):
 @pytest.mark.parametrize("depth, M, alphas", [
     (dict(), 48, (0.0, 0.025, 0.05)),
     (dict(h=1.0, gamma=4.5), 32, (0.0, 0.005, 0.01, 0.015)),  # flat water at 0.018568
-    (dict(h=2.0, gamma=1.0), 64, (0.0, 0.01, 0.02)),  # criterion 9's vortical branch
+    # criterion 9's three branches
+    (dict(h=2.0, gamma=1.0), 64, (0.0, 0.01, 0.02)),
+    (dict(h=2.0, gamma=0.0), 64, (0.0, 0.01, 0.02)),
+    (dict(h=4.0, gamma=-1.0), 64, (0.0, 0.01, 0.02)),
 ])
 def test_only_translation_lies_in_the_kernel_of_the_odd_block(monkeypatch, depth, M, alphas):
     # the solver forms the even block alone, so a symmetry-breaking
