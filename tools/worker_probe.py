@@ -40,9 +40,8 @@ nothing from the worker.  The rows:
                  30 deep Jacobians, the reference for the worker's gain
 
 With one CPU allowed, the memory table has the one-CPU rows only and the
-first three placement rows print `-` for every number.  Linux only, about a
-minute on 2 CPUs, standard library and capwave only.  Any argument prints the
-usage line to stderr and exits 1.
+first three placement rows print `-` for every number.  Linux only; about a
+minute on 2 CPUs.  Any argument prints the usage line to stderr and exits 1.
 """
 
 import os
@@ -68,17 +67,19 @@ DEEP = 100  # deep Jacobians, idle and under the busy loop
 ONE_CPU = (50, 30)  # FD and deep Jacobians
 GAP = 0.003  # seconds between the Jacobians of the last three placement rows
 
-# argv is (src, one_cpu, job, *args).  "busy" spins; "memory" takes (ops,
-# idle, *continue flags) and prints the CLOCK_MONOTONIC time at which its last
-# op ended, which this process shares; "jacobians" takes (gap, shape, count,
-# shape, count, ...) and prints "shape ms caller_chunks chunks" per Jacobian
+# argv is (src, one_cpu, job, *args): "busy" spins until killed or orphaned;
+# "memory" takes (ops, idle, *flags) and prints when its last op ended on the
+# CLOCK_MONOTONIC this process shares; "jacobians" takes (gap, shape, count,
+# ...) and prints "shape ms caller_chunks chunks" per Jacobian
 CHILD = """
 import contextlib, io, os, sys, tempfile, time
 src, one_cpu, job, *args = sys.argv[1:]
 if one_cpu == "1":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+parent = os.getppid()
 while job == "busy":
-    pass
+    if os.getppid() != parent:
+        sys.exit()
 sys.path.insert(0, src)
 from capwave import cli
 cli._keep_heap()
