@@ -633,6 +633,37 @@ def test_vortical_points_on_64_modes_keep_bernoulli_law_in_long_double(A, h, gam
         assert bernoulli_spread(sol.params, fine + damage) > 100.0 * LONGDOUBLE_BERNOULLI_TOL
 
 
+# criterion 8's branch, deep water at A = 0.3 on its 128 modes; the odd block
+# and the long-double Bernoulli law read the same solve
+CRITERION_8 = (dict(), 128, (0.0, 0.025, 0.05))
+
+
+@pytest.fixture(scope="module")
+def branch_of():
+    """The branch of A = 0.3 at beta_A through (depth, M, alphas), each
+    solved once per module."""
+    solved = {}
+
+    def solve(depth, M, alphas):
+        key = (tuple(depth.items()), M, alphas)
+        if key not in solved:
+            beta = crapper.beta_of(0.3)
+            solved[key] = continue_branch(0.3, [(a, beta) for a in alphas], M=M, **depth)
+        return solved[key]
+    return solve
+
+
+def test_criterion_8_points_keep_bernoulli_law_in_long_double(branch_of):
+    # on long-double samples of the 128 modes the spread read 1.7e-13 to
+    # 4.7e-13, and 1.85e-6 to 2.6e-6 with 1e-8 cos 3t added
+    depth, M, alphas = CRITERION_8
+    for sol in branch_of(depth, M, alphas).solutions:
+        fine = longdouble_samples(sol.w.cosine_coefficients(M), sol.w.n_grid)[0]
+        damage = 1e-8 * np.cos(3.0 * grid(sol.w.n_grid))
+        assert bernoulli_spread(sol.params, fine) < LONGDOUBLE_BERNOULLI_TOL
+        assert bernoulli_spread(sol.params, fine + damage) > 100.0 * LONGDOUBLE_BERNOULLI_TOL
+
+
 # the odd block on the points below: its least singular value 9.3e-13 to
 # 3.1e-11, at most 1.6e-11 of the next; the next 1.91 to 2.13; the least one's
 # right vector parallel to w' within 9e-16 in |cos|
@@ -657,12 +688,13 @@ def _odd_kernel(params, w, M):
     (dict(h=2.0, gamma=1.0), 64, (0.0, 0.01, 0.02)),
     (dict(h=2.0, gamma=0.0), 64, (0.0, 0.01, 0.02)),
     (dict(h=4.0, gamma=-1.0), 64, (0.0, 0.01, 0.02)),
+    CRITERION_8,
 ])
-def test_only_translation_lies_in_the_kernel_of_the_odd_block(monkeypatch, depth, M, alphas):
+def test_only_translation_lies_in_the_kernel_of_the_odd_block(monkeypatch, branch_of, depth, M,
+                                                              alphas):
     # the solver forms the even block alone, so a symmetry-breaking
     # bifurcation would show only here
-    beta = crapper.beta_of(0.3)
-    branch = continue_branch(0.3, [(a, beta) for a in alphas], M=M, **depth)
+    branch = branch_of(depth, M, alphas)
     assert [s.params.alpha for s in branch.solutions] == list(alphas)
     for sol in branch.solutions:
         ratio, second, cos = _odd_kernel(sol.params, sol.w, M)

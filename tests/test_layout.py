@@ -8,40 +8,37 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _public_functions(path):
-    return {node.name for node in ast.parse(path.read_text()).body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+def _src_size():
+    spec = importlib.util.spec_from_file_location("src_size", ROOT / "tools" / "src_size.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def _src_modules():
+    return sorted((ROOT / "src" / "capwave").glob("*.py"))
+
+
+def _src_names(column):
+    """module.name per public name of `column` in src/capwave, from
+    tools/src_size.py's lists, so the rules below check what its table counts."""
+    public_names = _src_size().public_names
+    return {f"{path.stem}.{name}" for path in _src_modules()
+            for name in public_names(path.read_text())[column]}
+
+
+def _read_attributes(path):
+    """Every name read as an attribute, x.name, in the file; a bare name is
+    not one."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 def _loaded_names(path):
     """Every name read in the file, as a bare name or as an attribute; an
     import alone reads nothing."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
-    return names
-
-
-# public methods that nothing outside the tests reads, each kept on purpose:
-# from_physical is the one door from physical variables to WaveParams, and m
-# the mass-flux readout that replaced physical_params, the inverse of
-# from_physical(k, m=...), which acceptance criterion 9 reads
-KEPT_METHODS = {"operators.WaveParams.from_physical", "operators.WaveParams.m"}
-
-
-def _public_methods(path):
-    """Class.method for the public methods and properties of public classes."""
-    return {f"{node.name}.{item.name}" for node in ast.parse(path.read_text()).body
-            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
-            for item in node.body
-            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
-
-
-def _src_modules():
-    return sorted((ROOT / "src" / "capwave").glob("*.py"))
+    return _read_attributes(path) | {node.id for node in ast.walk(ast.parse(path.read_text()))
+                                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def _callers():
@@ -54,17 +51,19 @@ def _script_targets():
     return {target.rpartition(":")[2] for target in scripts.values()}
 
 
-def _loaded_outside_the_tests():
-    return set().union(*map(_loaded_names, _callers())) | _script_targets()
-
-
 def test_every_public_function_of_src_has_a_caller_outside_the_tests():
     # a command, the solver or the benchmark calls each one; a function that
     # only the tests call is a reference, and goes to tests/_oracles.py
-    loaded = _loaded_outside_the_tests()
-    unused = sorted(f"{path.stem}.{name}" for path in _src_modules()
-                    for name in _public_functions(path) - loaded)
+    loaded = set().union(*map(_loaded_names, _callers())) | _script_targets()
+    unused = sorted(f for f in _src_names("functions") if f.partition(".")[2] not in loaded)
     assert not unused, f"public functions that nothing outside the tests calls: {unused}"
+
+
+# public methods that nothing outside the tests reads, each kept on purpose:
+# from_physical is the one door from physical variables to WaveParams, and m
+# the mass-flux readout that replaced physical_params, the inverse of
+# from_physical(k, m=...), which acceptance criterion 9 reads
+KEPT_METHODS = {"operators.WaveParams.from_physical", "operators.WaveParams.m"}
 
 
 def test_every_public_method_of_src_has_a_reader_outside_the_tests():
@@ -73,7 +72,7 @@ def test_every_public_method_of_src_has_a_reader_outside_the_tests():
     # of the same name reads nothing.  A method that only the tests read goes
     # to tests/_oracles.py as a function
     read = set().union(*map(_read_attributes, _callers())) | _script_targets()
-    methods = {f"{path.stem}.{name}" for path in _src_modules() for name in _public_methods(path)}
+    methods = _src_names("methods")
     assert KEPT_METHODS <= methods
     unused = sorted(m for m in methods - KEPT_METHODS if m.rpartition(".")[2] not in read)
     assert not unused, f"public methods that nothing outside the tests reads: {unused}"
@@ -84,43 +83,26 @@ def test_every_public_method_of_src_has_a_reader_outside_the_tests():
 KEPT_FIELDS = {"continuation.WaveSolution.residual_history"}
 
 
-def _read_attributes(path):
-    """Every name read as an attribute, x.name, in the file; a bare name is
-    not one."""
-    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-
-
-def _public_fields(path):
-    """Class.field for the annotated fields of public dataclasses, ClassVar
-    ones excepted (as tools/src_size.py counts them)."""
-    return {f"{node.name}.{item.target.id}" for node in ast.parse(path.read_text()).body
-            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
-            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
-            for item in node.body
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-            and "ClassVar" not in ast.unparse(item.annotation)}
-
-
 def test_every_public_dataclass_field_of_src_is_read_outside_the_tests():
     # a field is read where code outside the tests takes it as an attribute;
     # a local variable of the same name reads nothing
     read = set().union(*map(_read_attributes, _callers()))
-    fields = {f"{path.stem}.{name}" for path in _src_modules() for name in _public_fields(path)}
+    fields = _src_names("fields")
     assert KEPT_FIELDS <= fields
     unused = sorted(f for f in fields - KEPT_FIELDS if f.rpartition(".")[2] not in read)
     assert not unused, f"public dataclass fields that nothing outside the tests reads: {unused}"
 
 
-def _src_size():
-    spec = importlib.util.spec_from_file_location("src_size", ROOT / "tools" / "src_size.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
+def test_the_rules_check_each_name_the_size_table_counts():
+    # the three rules above check sets of module.name; a name that a module
+    # defines twice would count twice in the table and be checked once
+    total = _src_size().table(ROOT / "src" / "capwave", _src_size().api_count)[-1][1]
+    for column in ("functions", "methods", "fields"):
+        assert len(_src_names(column)) == total[column], column
 
 
 def test_src_size_columns_add_up_to_each_modules_line_count():
-    modules = sorted((ROOT / "src" / "capwave").glob("*.py"))
+    modules = _src_modules()
     rows = _src_size().table(ROOT / "src" / "capwave")
     assert [name for name, _ in rows] == [p.name for p in modules] + ["total"]
     for name, row in rows:
@@ -184,6 +166,15 @@ def test_src_size_counts_public_names_and_options():
               "class Plain:\n"
               "    n: int = 0\n"  # not a dataclass: no field
               "    def __init__(self, a, b=None): pass\n"  # two parameters, no method
-              "    def __repr__(self): return ''\n")
-    assert _src_size().api_count(source) == {"functions": 2, "classes": 3, "methods": 2,
-                                             "parameters": 8, "fields": 3}
+              "    def __repr__(self): return ''\n"
+              "@dataclass_like\n"  # neither: no field
+              "class Lookalike:\n"
+              "    v: int\n")
+    tool = _src_size()
+    assert tool.public_names(source) == {
+        "functions": ["f", "g"], "classes": ["Record", "Other", "Plain", "Lookalike"],
+        "methods": ["Record.z", "Record.make"],
+        "parameters": ["f.a", "f.b", "f.c", "f.args", "f.kw", "Record.make.v", "Plain.a", "Plain.b"],
+        "fields": ["Record.x", "Record.y", "Other.w"]}
+    assert tool.api_count(source) == {"functions": 2, "classes": 4, "methods": 2,
+                                      "parameters": 8, "fields": 3}

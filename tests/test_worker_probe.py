@@ -77,24 +77,21 @@ def test_worker_probe_prints_a_memory_row_per_configuration(tool, capsys):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
                     reason="the worker needs Linux and 2 CPUs")
-def test_worker_probe_prints_the_four_placement_rows(tool, capsys):
+def test_worker_probe_prints_the_three_placement_rows(tool, capsys):
     # the table's structure, not its numbers: each probe with tiny counts
-    tool.placement(start=(2, 2), colocation=(1, 3), deep=3, one_cpu=(2, 2))
+    tool.placement(colocation=(1, 3), deep=3, one_cpu=(2, 2))
     lines = capsys.readouterr().out.splitlines()
     cpus = len(os.sched_getaffinity(0))
-    assert lines[0] == (f"{cpus} CPUs allowed; Jacobians 3 ms apart after the start row; "
-                        "ms per Jacobian")
+    assert lines[0] == f"{cpus} CPUs allowed; Jacobians 3 ms apart; ms per Jacobian"
     assert lines[1].split() == ["row", "jacobians", "result"]
     ms = r"\d+\.\d"
-    assert re.fullmatch(r"start +2 children x 2 FD +no chunk from the worker in [0-2] of 2",
-                        lines[2])
     assert re.fullmatch(rf"co-location +1 children x 3 FD +caller-only Jacobians [0-3], "
-                        rf"p50/p90 {ms}/{ms} ms", lines[3])
+                        rf"p50/p90 {ms}/{ms} ms", lines[2])
     cpu = min(os.sched_getaffinity(0))
     assert re.fullmatch(rf"deep +3 deep +p50/p90 {ms}/{ms} ms idle, {ms}/{ms} ms with a busy "
-                        rf"loop on CPU {cpu}", lines[4])
-    assert re.fullmatch(rf"one CPU +2 FD, 2 deep +p50 {ms} ms FD, {ms} ms deep", lines[5])
-    assert len(lines) == 6
+                        rf"loop on CPU {cpu}", lines[3])
+    assert re.fullmatch(rf"one CPU +2 FD, 2 deep +p50 {ms} ms FD, {ms} ms deep", lines[4])
+    assert len(lines) == 5
 
 
 def test_worker_probe_takes_no_argument(tool, capsys):

@@ -22,6 +22,7 @@ A second table counts what a caller can name, from each module's top level:
   own __init__, without self and cls;
 - fields: annotated fields of public dataclasses, ClassVar ones excepted.
 A dataclass's constructor takes its fields, so they count once, as fields.
+`public_names` lists the names; the layout tests check the same lists.
 Standard library only; it reports and never fails on a count.
 """
 
@@ -67,38 +68,44 @@ def count(source: str) -> dict[str, int]:
             "comment": len(comments), "blank": n - len(code | docs | comments)}
 
 
-def _parameters(node: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
+def _parameters(name: str, node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
+    """name.parameter per parameter of the def `node`, self and cls excepted."""
     a = node.args
-    names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if arg]
-    return sum(name not in ("self", "cls") for name in names)
+    args = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if arg]
+    return [f"{name}.{arg}" for arg in args if arg not in ("self", "cls")]
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    names = (ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list)
-    return any(name in ("dataclass", "dataclasses.dataclass") for name in names)
+def public_names(source: str) -> dict[str, list[str]]:
+    """The names one module's source gives a caller, per column of
+    API_COLUMNS: function, Class, Class.method, callable.parameter (a public
+    class's own __init__'s as Class.parameter) and Class.field."""
+    names = {c: [] for c in API_COLUMNS}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(source).body:
+        if isinstance(node, functions) and not node.name.startswith("_"):
+            names["functions"].append(node.name)
+            names["parameters"] += _parameters(node.name, node)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            names["classes"].append(node.name)
+            decorators = {ast.unparse(d.func if isinstance(d, ast.Call) else d)
+                          for d in node.decorator_list}
+            dataclass = bool(decorators & {"dataclass", "dataclasses.dataclass"})
+            for item in node.body:
+                if isinstance(item, functions) and item.name == "__init__":
+                    names["parameters"] += _parameters(node.name, item)
+                elif isinstance(item, functions) and not item.name.startswith("_"):
+                    names["methods"].append(f"{node.name}.{item.name}")
+                    names["parameters"] += _parameters(names["methods"][-1], item)
+                elif (dataclass and isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)
+                      and "ClassVar" not in ast.unparse(item.annotation)):
+                    names["fields"].append(f"{node.name}.{item.target.id}")
+    return names
 
 
 def api_count(source: str) -> dict[str, int]:
     """The public names and options of one module's source (API_COLUMNS)."""
-    row = dict.fromkeys(API_COLUMNS, 0)
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    for node in ast.parse(source).body:
-        if isinstance(node, functions) and not node.name.startswith("_"):
-            row["functions"] += 1
-            row["parameters"] += _parameters(node)
-        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            row["classes"] += 1
-            dataclass = _is_dataclass(node)
-            for item in node.body:
-                if isinstance(item, functions) and (item.name == "__init__"
-                                                    or not item.name.startswith("_")):
-                    row["methods"] += item.name != "__init__"
-                    row["parameters"] += _parameters(item)
-                elif (dataclass and isinstance(item, ast.AnnAssign)
-                      and isinstance(item.target, ast.Name)
-                      and "ClassVar" not in ast.unparse(item.annotation)):
-                    row["fields"] += 1
-    return row
+    return {c: len(names) for c, names in public_names(source).items()}
 
 
 def table(package: Path, counter=count) -> list[tuple[str, dict[str, int]]]:

@@ -30,8 +30,6 @@ A child counts the chunks it computes itself by wrapping `_chunk_columns`
 under its own pid; a Jacobian whose every chunk the caller computed got
 nothing from the worker.  The rows:
 
-    start        40 children, one at a time, each making 12 FD Jacobians
-                 back to back: those whose worker gave no chunk to any
     co-location  4 children x 150 FD Jacobians, 3 ms apart: per child the
                  Jacobians the caller computed alone; p50/p90 of all
     deep         100 deep Jacobians, 3 ms apart, in one child: p50/p90, idle
@@ -40,8 +38,8 @@ nothing from the worker.  The rows:
                  30 deep Jacobians, the reference for the worker's gain
 
 With one CPU allowed, the memory table has the one-CPU rows only and the
-first three placement rows print `-` for every number.  Linux only; about a
-minute on 2 CPUs.  Any argument prints the usage line to stderr and exits 1.
+co-location and deep rows print `-` for every number.  Linux only; about
+30 s on 2 CPUs.  Any argument prints the usage line to stderr and exits 1.
 """
 
 import os
@@ -61,11 +59,10 @@ OPS = 8  # warm ops per memory child
 IDLE = 1.0  # seconds a memory child idles after its last op
 PERIOD = 0.005  # seconds between memory samples
 REST = (0.4, 0.9)  # the at-rest window, as fractions of the idle time after the last op
-START = (40, 12)  # children, FD Jacobians each
 COLOCATION = (4, 150)  # children, FD Jacobians each
 DEEP = 100  # deep Jacobians, idle and under the busy loop
 ONE_CPU = (50, 30)  # FD and deep Jacobians
-GAP = 0.003  # seconds between the Jacobians of the last three placement rows
+GAP = 0.003  # seconds between the Jacobians of a placement child
 
 # argv is (src, one_cpu, job, *args): "busy" spins until killed or orphaned;
 # "memory" takes (ops, idle, *flags) and prints when its last op ended on the
@@ -199,10 +196,10 @@ def memory(ops, idle, shapes):
         print(f"at rest, {cpus} CPUs / 1 CPU: " + ", ".join(ratios))
 
 
-def run(*runs, gap=GAP, one_cpu=False):
+def run(*runs, one_cpu=False):
     """[(shape, ms, caller chunks, chunks)] of one child making `runs`, pairs
     of shape ("fd" or "deep") and count, in order."""
-    out = output(child("jacobians", gap, *runs, one_cpu=one_cpu))
+    out = output(child("jacobians", GAP, *runs, one_cpu=one_cpu))
     return [(s, float(ms), int(mine), int(chunks))
             for s, ms, mine, chunks in (line.split() for line in out.splitlines())]
 
@@ -217,15 +214,13 @@ def quantiles(jacobians, shape="fd"):
     return deciles[4], deciles[8]
 
 
-def placement(start=START, colocation=COLOCATION, deep=DEEP, one_cpu=ONE_CPU):
+def placement(colocation=COLOCATION, deep=DEEP, one_cpu=ONE_CPU):
     """Print the placement table, each row from the counts given."""
     allowed = os.sched_getaffinity(0)
     cpus = len(allowed)
     ms = lambda p: "-" if p is None else f"{p[0]:.1f}/{p[1]:.1f}"
-    stranded = colocated = idle = loaded = None
+    colocated = idle = loaded = None
     if cpus > 1:
-        stranded = sum(caller_only(run("fd", start[1], gap=0.0)) == start[1]
-                       for _ in range(start[0]))
         colocated = [run("fd", colocation[1]) for _ in range(colocation[0])]
         idle = quantiles(run("deep", deep), "deep")
         loop = child("busy", one_cpu=True)
@@ -237,8 +232,6 @@ def placement(start=START, colocation=COLOCATION, deep=DEEP, one_cpu=ONE_CPU):
     alone = run("fd", one_cpu[0], "deep", one_cpu[1], one_cpu=True)
     p50 = lambda shape: f"{quantiles(alone, shape)[0]:.1f}"
     rows = [
-        ("start", f"{start[0]} children x {start[1]} FD",
-         f"no chunk from the worker in {'-' if stranded is None else stranded} of {start[0]}"),
         ("co-location", f"{colocation[0]} children x {colocation[1]} FD",
          "caller-only Jacobians " + (" ".join(str(caller_only(c)) for c in colocated)
                                      if colocated else "-")
@@ -248,8 +241,7 @@ def placement(start=START, colocation=COLOCATION, deep=DEEP, one_cpu=ONE_CPU):
         ("one CPU", f"{one_cpu[0]} FD, {one_cpu[1]} deep",
          f"p50 {p50('fd')} ms FD, {p50('deep')} ms deep"),
     ]
-    print(f"{cpus} CPUs allowed; Jacobians {GAP * 1e3:g} ms apart after the start row; "
-          "ms per Jacobian")
+    print(f"{cpus} CPUs allowed; Jacobians {GAP * 1e3:g} ms apart; ms per Jacobian")
     print(f"{'row':<13}{'jacobians':<26}result")
     for row in rows:
         print(f"{row[0]:<13}{row[1]:<26}{row[2]}")
